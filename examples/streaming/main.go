@@ -2,8 +2,8 @@
 //
 // The flat-tree TSQR recurrence (the out-of-core QR of the paper's §II-C
 // related work) digests an endless row stream block by block: here ten
-// million samples of a noisy linear model flow through a
-// core.Accumulator that never holds more than a few KB of state.
+// million samples of a noisy linear model flow through a stream.Folder
+// that never holds more than a few KB of state.
 //
 // Streaming least squares for free: accumulate the augmented matrix
 // [A | b]. Its R factor ends as [R c; 0 ρ], so x = R⁻¹·c is the
@@ -20,9 +20,9 @@ import (
 	"time"
 
 	"gridqr/internal/blas"
-	"gridqr/internal/core"
 	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
+	"gridqr/internal/stream"
 )
 
 const (
@@ -34,12 +34,12 @@ const (
 
 func main() {
 	truth := []float64{0.3, -1.2, 2.5, 0.8, -0.4, 1.1}
-	fmt.Printf("streaming: %d rows × %d features through a TSQR accumulator\n",
+	acc := stream.NewFolder(features+1, 0) // [A | b]
+	fmt.Printf("streaming: %d rows × %d features through a TSQR fold\n",
 		totalRows, features)
-	fmt.Printf("           memory footprint: one %d×%d triangle + one %d-row buffer\n\n",
-		features+1, features+1, chunk)
+	fmt.Printf("           memory footprint: one %d×%d triangle + one %d-row panel\n\n",
+		features+1, features+1, acc.PanelRows())
 
-	acc := core.NewAccumulator(features + 1) // [A | b]
 	rng := rand.New(rand.NewSource(7))
 	block := matrix.New(chunk, features+1)
 	start := time.Now()
@@ -58,7 +58,8 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	raug := acc.R()
+	raug := acc.SnapshotLocal()
+	lapack.NormalizeRSigns(raug, nil)
 	r := raug.View(0, 0, features, features)
 	x := make([]float64, features)
 	for f := 0; f < features; f++ {

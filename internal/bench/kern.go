@@ -10,6 +10,7 @@ import (
 	"gridqr/internal/flops"
 	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
+	"gridqr/internal/stream"
 )
 
 // Wall-clock kernel benchmarks and their CI regression gate. Unlike the
@@ -173,6 +174,45 @@ func kernSet() []kernCase {
 					matrix.Copy(f1, r1)
 					matrix.Copy(f2, r2)
 					lapack.Dtpqrt2(f1, f2, tau)
+				}
+			},
+		})
+	}
+
+	// The fold kernel built on dgeqrf_4096x64 and stackqr_n64 above, at
+	// its two call sites: a streamed block pushed into a warm folder (two
+	// panels and their merges, copy included) and the TSQR leaf (R only,
+	// factored in place). The leaf is timed on both sides of FoldQR's
+	// width guard — blocked at 64 and 16 columns, one Dgeqrf at 4 and 256,
+	// where cutting into blocks measured 2–5× slower — so widening the
+	// guard shows up here.
+	{
+		m, n := 8192, 64
+		block := matrix.Random(m, n, 15)
+		folder := stream.NewFolder(n, 0)
+		folder.Push(block)
+		cases = append(cases, kernCase{
+			name:  fmt.Sprintf("fold_%dx%d", m, n),
+			flops: flops.GEQRF(m, n),
+			run: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					folder.Push(block)
+				}
+			},
+		})
+	}
+
+	for _, s := range [][2]int{{65536, 64}, {131072, 16}, {131072, 4}, {16384, 256}} {
+		m, n := s[0], s[1]
+		a := matrix.Random(m, n, 16)
+		work := matrix.New(m, n)
+		cases = append(cases, kernCase{
+			name:  fmt.Sprintf("leaf_%dx%d", m, n),
+			flops: flops.GEQRF(m, n),
+			run: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					matrix.Copy(work, a)
+					lapack.FoldQR(work, 0, false, false)
 				}
 			},
 		})

@@ -39,7 +39,8 @@ func TestCompareKern(t *testing.T) {
 func TestKernSetShape(t *testing.T) {
 	cases := kernSet()
 	want := []string{"dgemm_256", "dgemm_512", "dgemm_tall_16384x64", "dtrsm_right_1024x64",
-		"dgeqrf_4096x64", "dgemv_4096x64", "dger_4096x64", "stackqr_n64"}
+		"dgeqrf_4096x64", "dgemv_4096x64", "dger_4096x64", "stackqr_n64",
+		"fold_8192x64", "leaf_65536x64", "leaf_131072x16", "leaf_131072x4", "leaf_16384x256"}
 	if len(cases) != len(want) {
 		t.Fatalf("kernel set has %d cases, want %d", len(cases), len(want))
 	}

@@ -6,7 +6,6 @@ import (
 
 	"gridqr/internal/core"
 	"gridqr/internal/grid"
-	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
 	"gridqr/internal/scalapack"
@@ -42,26 +41,6 @@ func ExampleFactorize() {
 	// R upper triangular: true
 	// orthogonal: true
 	// residual small: true
-}
-
-// ExampleAccumulator streams row blocks through the flat-tree TSQR
-// recurrence and reads back the R factor of everything seen.
-func ExampleAccumulator() {
-	const n = 4
-	a := matrix.Random(1000, n, 2)
-	acc := core.NewAccumulator(n)
-	for off := 0; off < 1000; off += 100 {
-		acc.Push(a.View(off, 0, 100, n))
-	}
-	r := acc.R()
-
-	full := core.FactorizeLocal(a, 0)
-	lapack.NormalizeRSigns(full, nil)
-	fmt.Println("rows:", acc.Rows())
-	fmt.Println("matches full QR:", matrix.Equal(r, full, 1e-10))
-	// Output:
-	// rows: 1000
-	// matches full QR: true
 }
 
 // ExampleLeastSquares fits a line to distributed samples.

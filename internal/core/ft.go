@@ -169,16 +169,10 @@ func FactorizeFT(comm *mpi.Comm, in Input, cfg Config) (*FTResult, error) {
 		maxFail = (p - 1) / 2
 	}
 
-	// Leaf factorization: same local kernel as Factorize's single-process
-	// domains.
+	// Leaf factorization: the kernel of Factorize's single-process
+	// domains, R only.
 	myRows := in.Offsets[me+1] - in.Offsets[me]
-	if cfg.Recursive {
-		lapack.Dgeqr3(in.Local)
-	} else {
-		tau := make([]float64, in.N)
-		lapack.Dgeqrf(in.Local, tau, cfg.NB)
-	}
-	leafR := lapack.TriuCopy(in.Local).View(0, 0, in.N, in.N).Clone()
+	leafR, _ := lapack.FoldQR(in.Local, cfg.NB, cfg.Recursive, false)
 	ctx.Charge(flops.GEQRF(myRows, in.N), in.N)
 
 	st := &ftState{comm: comm, n: in.N, p: p, me: me, leafR: leafR,

@@ -52,7 +52,7 @@ func (q *ImplicitQ) ApplyQT(comm *mpi.Comm, bLocal *matrix.Dense) (top *matrix.D
 
 	// Leaf: local Qᵀ through the stored reflectors.
 	work := bLocal.Clone()
-	lapack.Dormqr(blas.Trans, q.leaf.localF, q.leaf.localTau, work, 0)
+	q.leaf.q.Apply(blas.Trans, work, 0)
 	comm.Ctx().Charge(flops.ORMQR(myRows, k, n), n)
 	mine := work.View(0, 0, n, k).Clone()
 	rest := make([]float64, k)
@@ -137,7 +137,7 @@ func (q *ImplicitQ) ApplyQ(comm *mpi.Comm, c *matrix.Dense) *matrix.Dense {
 	}
 	out := matrix.New(myRows, k)
 	matrix.Copy(out.View(0, 0, n, k), seed)
-	lapack.Dormqr(blas.NoTrans, q.leaf.localF, q.leaf.localTau, out, 0)
+	q.leaf.q.Apply(blas.NoTrans, out, 0)
 	comm.Ctx().Charge(flops.ORMQR(myRows, k, n), n)
 	return out
 }

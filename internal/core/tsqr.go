@@ -139,9 +139,9 @@ type mergeRec struct {
 type leafState struct {
 	r *matrix.Dense // leader only, data mode only
 
-	// Single-process domains: the locally factored block and its taus.
-	localF   *matrix.Dense
-	localTau []float64
+	// Single-process domains, when Q was asked for: the implicit Q of the
+	// blocked leaf (reflectors stay in place in Input.Local).
+	q *lapack.FoldQ
 
 	// Multi-process domains: the domain communicator and distributed
 	// factorization.
@@ -149,23 +149,20 @@ type leafState struct {
 	slf     *scalapack.Factorization
 }
 
-// factorLeaf computes this domain's R factor: LAPACK for single-process
-// domains, a ScaLAPACK call on the domain communicator otherwise (the
-// paper's Section III).
+// factorLeaf computes this domain's R factor: the cache-blocked fold
+// (lapack.FoldQR — sequential TSQR over row blocks when the leaf's shape
+// makes that pay, else one Dgeqrf) for single-process domains, a
+// ScaLAPACK call on the domain communicator otherwise (the paper's
+// Section III). The simulator is charged one GEQRF over the whole leaf
+// whatever the data-mode kernel does; the blocks' GEQRFs and merges sum
+// to exactly that count.
 func factorLeaf(comm *mpi.Comm, in Input, dom domain, cfg Config) leafState {
 	ctx := comm.Ctx()
 	if len(dom.ranks) == 1 {
 		st := leafState{}
 		myRows := in.Offsets[comm.Rank()+1] - in.Offsets[comm.Rank()]
 		if ctx.HasData() {
-			st.localF = in.Local
-			if cfg.Recursive {
-				st.localTau = lapack.TausOf(lapack.Dgeqr3(st.localF))
-			} else {
-				st.localTau = make([]float64, in.N)
-				lapack.Dgeqrf(st.localF, st.localTau, cfg.NB)
-			}
-			st.r = lapack.TriuCopy(st.localF).View(0, 0, in.N, in.N).Clone()
+			st.r, st.q = lapack.FoldQR(in.Local, cfg.NB, cfg.Recursive, cfg.WantQ || cfg.KeepFactors)
 		}
 		ctx.ChargeKernel("geqrf", flops.GEQRF(myRows, in.N), in.N)
 		return st
@@ -237,6 +234,6 @@ func buildQ(comm *mpi.Comm, in Input, cfg Config, dom domain, leaf leafState,
 	}
 	q := matrix.New(myRows, n)
 	matrix.Copy(q.View(0, 0, n, n), seed)
-	lapack.Dormqr(blas.NoTrans, leaf.localF, leaf.localTau, q, cfg.NB)
+	leaf.q.Apply(blas.NoTrans, q, cfg.NB)
 	return q
 }

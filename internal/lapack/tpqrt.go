@@ -110,11 +110,16 @@ var (
 // Inputs are not modified. The kernel choice depends only on n, so
 // results are reproducible for a given size.
 func StackQR(r1, r2 *matrix.Dense) (r, v *matrix.Dense, tau []float64) {
-	n := r1.Rows
+	r, v, tau = r1.Clone(), r2.Clone(), make([]float64, r1.Rows)
+	stackQR(r, v, tau)
+	return r, v, tau
+}
+
+// stackQR is StackQR in place, for callers that own their operands (the
+// fold's running R): r ← R, v ← V, tau filled.
+func stackQR(r, v *matrix.Dense, tau []float64) {
+	n := r.Rows
 	defer telemetry.TimeKernel("stack_qr", flops.TPQRT2(n))()
-	r = r1.Clone()
-	v = r2.Clone()
-	tau = make([]float64, n)
 	if n >= stackQRBlockMin {
 		Dtpqrt(r, v, tau, stackQRNB)
 	} else {
@@ -122,9 +127,6 @@ func StackQR(r1, r2 *matrix.Dense) (r, v *matrix.Dense, tau []float64) {
 	}
 	// Clear any strictly-lower garbage so r is exactly triangular.
 	for j := 0; j < r.Cols; j++ {
-		for i := j + 1; i < r.Rows; i++ {
-			r.Set(i, j, 0)
-		}
+		clear(r.Col(j)[j+1:])
 	}
-	return r, v, tau
 }

@@ -39,7 +39,7 @@ type Folder struct {
 	n      int
 	panel  int
 	data   bool
-	buf    *matrix.Dense // data mode only: panel×n row buffer
+	buf    *matrix.Dense // data mode only: row buffer, grown to panel×n by the first Push that needs it
 	used   int           // buffered rows not yet folded
 	rows   int           // total rows absorbed
 	folded int           // completed panel folds
@@ -47,9 +47,9 @@ type Folder struct {
 }
 
 // DefaultPanelRows is the internal panel height for n columns when the
-// caller passes 0: tall enough that the panel QR dominates the merge,
-// short enough that partial-panel state stays trivial to checkpoint.
-func DefaultPanelRows(n int) int { return 2 * n }
+// caller passes 0: the fold kernel's cache-sized block, the same rule
+// the TSQR leaf cuts its rows by.
+func DefaultPanelRows(n int) int { return lapack.FoldBlockRows(n) }
 
 // NewFolder returns a data-mode folder for n-column rows with the given
 // internal panel height (0 = DefaultPanelRows). The panel height is
@@ -58,7 +58,6 @@ func DefaultPanelRows(n int) int { return 2 * n }
 func NewFolder(n, panelRows int) *Folder {
 	f := newFolder(n, panelRows)
 	f.data = true
-	f.buf = matrix.New(f.panel, n)
 	return f
 }
 
@@ -107,6 +106,14 @@ func (f *Folder) Push(block *matrix.Dense) {
 	i := 0
 	for i < block.Rows {
 		take := min(f.panel-f.used, block.Rows-i)
+		if f.buf == nil || f.buf.Rows < f.panel {
+			// First rows, or a clone's exact-fit buffer: grow to the panel.
+			old := f.buf
+			f.buf = matrix.New(f.panel, f.n)
+			if old != nil {
+				matrix.Copy(f.buf.View(0, 0, old.Rows, f.n), old)
+			}
+		}
 		for j := 0; j < f.n; j++ {
 			copy(f.buf.Col(j)[f.used:f.used+take], block.Col(j)[i:i+take])
 		}
@@ -114,7 +121,7 @@ func (f *Folder) Push(block *matrix.Dense) {
 		f.rows += take
 		i += take
 		if f.used == f.panel {
-			f.r = f.foldPanel(f.r, f.panel)
+			f.r = f.foldPanel(f.r, f.buf)
 			f.used = 0
 		}
 	}
@@ -135,78 +142,66 @@ func (f *Folder) PushN(k int) {
 		f.rows += take
 		k -= take
 		if f.used == f.panel {
-			f.r = f.foldPanel(f.r, f.panel)
+			f.r = f.foldPanel(f.r, nil)
 			f.used = 0
 		}
 	}
 }
 
-// foldPanel factors the first k buffered rows and merges the resulting
-// triangle into r, returning the new running R (nil in cost-only mode).
-// The buffer itself is never mutated — the panel is cloned before
-// Dgeqrf — so callers may fold a partial panel speculatively
-// (SnapshotLocal) without disturbing the stream.
-func (f *Folder) foldPanel(r *matrix.Dense, k int) *matrix.Dense {
+// foldPanel counts one fold of the first f.used buffered rows and, in
+// data mode, runs it: p (those rows) is factored in place and its
+// triangle merged into r, also in place. It returns the new running R
+// (nil in cost-only mode, where p is nil too).
+func (f *Folder) foldPanel(r, p *matrix.Dense) *matrix.Dense {
 	merged := f.folded > 0
 	f.folded++
 	if f.OnFold != nil {
-		f.OnFold(k, merged)
+		f.OnFold(f.used, merged)
 	}
 	if !f.data {
 		return nil
 	}
-	p := f.buf.View(0, 0, k, f.n).Clone()
-	tau := make([]float64, min(k, f.n))
-	lapack.Dgeqrf(p, tau, 0)
-	rb := matrix.New(f.n, f.n)
-	t := lapack.TriuCopy(p)
-	for j := 0; j < f.n; j++ {
-		for i := 0; i <= j && i < k; i++ {
-			rb.Set(i, j, t.At(i, j))
-		}
-	}
-	if r == nil {
-		return rb
-	}
-	r, _, _ = lapack.StackQR(r, rb)
-	return r
+	return lapack.FoldBlock(r, p, 0, false, nil)
 }
 
 // SnapshotLocal returns this rank's current n×n R — everything absorbed
 // so far, including the partial panel — without mutating any state: the
-// partial panel is folded into a copy. Zero rows yields the zero
-// matrix. In cost-only mode it returns nil but still fires the OnFold
-// charge for the partial flush, keeping both modes' accounting
-// identical.
+// partial panel is folded speculatively, on copies of the buffered rows
+// and of the running R. Zero rows yields the zero matrix. In cost-only
+// mode it returns nil but still fires the OnFold charge for the partial
+// flush, keeping both modes' accounting identical.
 func (f *Folder) SnapshotLocal() *matrix.Dense {
-	// folded/used are restored after the speculative flush so the
-	// stream continues exactly where it was.
-	savedFolded := f.folded
 	r := f.r
-	if f.used > 0 {
-		r = f.foldPanel(r, f.used)
-	}
-	f.folded = savedFolded
-	if !f.data {
-		return nil
-	}
-	if r == nil {
-		return matrix.New(f.n, f.n)
-	}
-	if r == f.r {
+	if r != nil {
 		r = r.Clone() // callers own the snapshot; the stream keeps its R
+	}
+	if f.used > 0 {
+		var p *matrix.Dense
+		if f.data {
+			p = f.buf.View(0, 0, f.used, f.n).Clone()
+		}
+		// folded is restored after the speculative flush so the stream
+		// continues exactly where it was.
+		savedFolded := f.folded
+		r = f.foldPanel(r, p)
+		f.folded = savedFolded
+	}
+	if f.data && r == nil {
+		return matrix.New(f.n, f.n)
 	}
 	return r
 }
 
 // Clone returns an independent deep copy — the checkpoint primitive.
-// The OnFold hook is not carried over: hooks belong to the execution
-// context, not the state.
+// It costs O(n²) plus the buffered rows, not the panel: the serving
+// layer clones every rank's folder on every round, mostly at panel
+// boundaries. The OnFold hook is not carried over: hooks belong to the
+// execution context, not the state.
 func (f *Folder) Clone() *Folder {
 	c := &Folder{n: f.n, panel: f.panel, data: f.data,
 		used: f.used, rows: f.rows, folded: f.folded}
-	if f.buf != nil {
-		c.buf = f.buf.Clone()
+	if f.buf != nil && f.used > 0 {
+		c.buf = f.buf.View(0, 0, f.used, f.n).Clone()
 	}
 	if f.r != nil {
 		c.r = f.r.Clone()

@@ -3,12 +3,15 @@ package stream
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"gridqr/internal/core"
+	"gridqr/internal/grid"
 	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mmio"
+	"gridqr/internal/mpi"
 )
 
 // bitEqual compares two matrices bit for bit (no tolerance).
@@ -124,6 +127,55 @@ func TestFolderClone(t *testing.T) {
 	c.Push(GlobalRows(seed, n, 13, 40))
 	if !bitEqual(c.SnapshotLocal(), f.SnapshotLocal()) {
 		t.Fatal("resumed clone differs from uninterrupted original")
+	}
+}
+
+// TestLeafEqualsFolder: the TSQR leaf and the streaming fold are one
+// kernel with one block rule, so a one-rank Factorize of a leaf on the
+// blocked side of lapack.FoldQR's guard (12–96 columns, more than 4 MiB)
+// equals pushing the same rows through a Folder, bit for bit — the leaf
+// factors its blocks in place on strided row views, the Folder in its
+// compact panel buffer, and the kernels do not see the difference.
+func TestLeafEqualsFolder(t *testing.T) {
+	for _, tc := range []struct{ n, m int }{
+		{16, 128*256 + 1}, {16, 129*256 + 15}, {32, 17 * 1024}, {64, 2*4096 + 4095},
+	} {
+		a := GlobalRows(41, tc.n, 0, tc.m)
+		f := NewFolder(tc.n, 0)
+		f.Push(a)
+		var res *core.Result
+		mpi.NewWorld(grid.SmallTestGrid(1, 1, 1)).Run(func(ctx *mpi.Ctx) {
+			res = core.Factorize(mpi.WorldComm(ctx),
+				core.Input{M: tc.m, N: tc.n, Offsets: []int{0, tc.m}, Local: a.Clone()}, core.Config{})
+		})
+		if !bitEqual(res.R, f.SnapshotLocal()) {
+			t.Fatalf("%d×%d: Factorize on one rank differs bitwise from Folder.Push + SnapshotLocal", tc.m, tc.n)
+		}
+	}
+}
+
+// TestFolderCloneCost: cloning costs O(n²) plus the buffered rows, not
+// the panel — sched clones every rank's folder under its lock every
+// round, mid-panel whenever BlockRows/p is not a multiple of the panel.
+func TestFolderCloneCost(t *testing.T) {
+	const n = 64
+	for _, used := range []int{0, 100} {
+		f := NewFolder(n, 0)
+		f.Push(GlobalRows(5, n, 0, f.PanelRows()+used)) // one full panel folded, used rows buffered
+		var before, after runtime.MemStats
+		const clones = 16
+		runtime.ReadMemStats(&before)
+		for i := 0; i < clones; i++ {
+			if c := f.Clone(); c.Rows() != f.Rows() {
+				t.Fatal("clone lost the row count")
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perClone := (after.TotalAlloc - before.TotalAlloc) / clones
+		if limit := uint64(2 * 8 * n * (n + used)); perClone > limit {
+			t.Fatalf("Clone with %d buffered rows allocates %d bytes, want ≤ %d (panel is %d)",
+				used, perClone, limit, 8*n*f.PanelRows())
+		}
 	}
 }
 

@@ -35,12 +35,15 @@ func ShardCount(lo, hi, rank, p int) int {
 // for an n-column stream seeded by seed, in global row order.
 func ShardRows(seed int64, n, lo, hi, rank, p int) *matrix.Dense {
 	a := matrix.New(ShardCount(lo, hi, rank, p), n)
-	i := 0
-	for g := firstOwned(lo, rank, p); g < hi; g += p {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, matrix.RandomAt(seed, g, j))
+	if a.Rows == 0 {
+		return a // Col panics on an empty matrix
+	}
+	first := firstOwned(lo, rank, p)
+	for j := 0; j < n; j++ {
+		col := a.Col(j)
+		for i := range col {
+			col[i] = matrix.RandomAt(seed, first+i*p, j)
 		}
-		i++
 	}
 	return a
 }
