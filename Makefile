@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke
+.PHONY: build test race vet fmt-check check fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: build vet fmt-check test race
+check: build vet fmt-check test race bench-data
 
 # Perf-regression gate: re-run the standard benchmark set and fail on
 # any drift from the committed baseline (message/flop counts exact,
@@ -89,3 +89,20 @@ benchkern:
 # change (run on a quiet machine).
 baseline-kern:
 	$(GO) run ./cmd/kernbench -procs 1 -json $(KERNBASE)
+
+# Data-path benchmark smoke: every workload of BENCHMARK.json on tiny
+# shapes in 1 s windows, with all of its in-harness verification on (R
+# against the sequential reference, QR residual and orthogonality,
+# bitwise-equal repeat ops, exact message counts). It measures nothing —
+# it catches a change that breaks what the benchmark drives.
+bench-data:
+	$(GO) run ./benchmarks -workload all -seed 1 -smoke -seconds 1
+
+# The latest claimed speedup as a diff between two committed documents
+# (ten alternating parent/change pairs on the host named in each file's
+# fingerprint); a later PR points these at its own pair.
+BENCH_OLD ?= results/BENCH_16_parent.json
+BENCH_NEW ?= results/BENCH_16.json
+
+bench-compare:
+	$(GO) run ./benchmarks -compare $(BENCH_OLD) $(BENCH_NEW)

@@ -218,6 +218,62 @@ func kernSet() []kernCase {
 		})
 	}
 
+	// The Q side. Expanding the identity through a recorded fold is the
+	// leaf of explicit-Q TSQR (core.buildQ); its blocks are 4096×64, the
+	// tall side of lapack's block-reflector rule. dormqr sits one entry
+	// on each side of that rule — 4096 rows take one compact-WY block
+	// reflector, 512 rows (and every 128×64 tree leaf) the rank-one
+	// sweeps of Dorm2r — so moving the rule shows up here. Applying Q is
+	// orthogonal, so C needs no reset between iterations. dorgqr is the
+	// one-shot tall explicit Q, 65536 rows out of cache.
+	{
+		m, n := 131072, 64
+		_, q := lapack.FoldQR(matrix.Random(m, n, 17), 0, false, true)
+		eye := matrix.Eye(n)
+		cases = append(cases, kernCase{
+			name:  fmt.Sprintf("foldq_expand_%dx%d", m, n),
+			flops: flops.ORGQR(m, n),
+			run: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					q.Expand(eye)
+				}
+			},
+		})
+	}
+
+	for _, m := range []int{4096, 512} {
+		n := 64
+		a := matrix.Random(m, n, 18)
+		tau := make([]float64, n)
+		lapack.Dgeqrf(a, tau, 0)
+		c := matrix.Random(m, n, 19)
+		cases = append(cases, kernCase{
+			name:  fmt.Sprintf("dormqr_%dx%d", m, n),
+			flops: flops.ORMQR(m, n, n),
+			run: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					lapack.Dormqr(blas.NoTrans, a, tau, c, 0)
+				}
+			},
+		})
+	}
+
+	{
+		m, n := 65536, 64
+		a := matrix.Random(m, n, 20)
+		tau := make([]float64, n)
+		lapack.Dgeqrf(a, tau, 0)
+		cases = append(cases, kernCase{
+			name:  fmt.Sprintf("dorgqr_%dx%d", m, n),
+			flops: flops.ORGQR(m, n),
+			run: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					lapack.Dorgqr(a, tau, n)
+				}
+			},
+		})
+	}
+
 	return cases
 }
 

@@ -84,26 +84,31 @@ func Dger(alpha float64, x, y []float64, a *matrix.Dense) {
 
 // Dtrmv computes x = op(U)*x for an upper triangular matrix stored in the
 // upper triangle of a (unit diagonal not supported; the QR kernels never
-// need it for trmv).
+// need it for trmv). Element i is summed from zero over increasing j,
+// one rounding per product and per add; both forms walk U by columns
+// (NoTrans adds column j into the sums above it while x[j] is still the
+// input, Trans is a dot down column i), which keeps that order.
 func Dtrmv(t Transpose, a *matrix.Dense, x []float64) {
 	n := a.Rows
 	if a.Cols != n || len(x) != n {
 		panic("blas: Dtrmv shape mismatch")
 	}
 	if t == NoTrans {
-		for i := 0; i < n; i++ {
-			var s float64
-			for j := i; j < n; j++ {
-				s += a.At(i, j) * x[j]
+		for j := 0; j < n; j++ {
+			col := a.Data[j*a.Stride : j*a.Stride+j+1]
+			xj, xs := x[j], x[:j]
+			for i, v := range col[:j] {
+				xs[i] += v * xj
 			}
-			x[i] = s
+			x[j] = 0 + col[j]*xj
 		}
 		return
 	}
 	for i := n - 1; i >= 0; i-- {
 		var s float64
-		for j := 0; j <= i; j++ {
-			s += a.At(j, i) * x[j]
+		xs := x[:i+1]
+		for j, v := range a.Data[i*a.Stride : i*a.Stride+i+1] {
+			s += v * xs[j]
 		}
 		x[i] = s
 	}

@@ -54,6 +54,41 @@ func TestDtrmvDtrsvRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDtrmvBitwise: the column-walking Dtrmv rounds exactly as the
+// row-by-row sum from zero it replaced (Dlarft's T, and through it every
+// R, is pinned to that order) — signed zeros included: a row whose only
+// product is −0 must still come out +0.
+func TestDtrmvBitwise(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 16, 64} {
+		big := matrix.Random(n+2, n+1, int64(n))
+		u := big.View(1, 1, n, n)
+		x0 := matrix.Random(n, 1, 3).Col(0)
+		x0[n-1] = 0
+		u.Set(n-1, n-1, -1) // last row: (−1)·0 = −0
+		for _, trans := range []Transpose{NoTrans, Trans} {
+			want := make([]float64, n)
+			for i := range want {
+				var s float64
+				for j := 0; j < n; j++ {
+					if trans == NoTrans && j >= i {
+						s += u.At(i, j) * x0[j]
+					} else if trans == Trans && j <= i {
+						s += u.At(j, i) * x0[j]
+					}
+				}
+				want[i] = s
+			}
+			got := append([]float64(nil), x0...)
+			Dtrmv(trans, u, got)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d trans=%v: x[%d] = %x, want %x", n, trans, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 func TestDgemmAllTransCombos(t *testing.T) {
 	for _, ta := range []Transpose{NoTrans, Trans} {
 		for _, tb := range []Transpose{NoTrans, Trans} {
@@ -137,6 +172,70 @@ func TestDtrmmLeft(t *testing.T) {
 			gemmRef(trans, NoTrans, 1.5, tm, b, 0, want)
 			if !matrix.Equal(got, want, 1e-13) {
 				t.Fatalf("Dtrmm Left trans=%v unit=%v: got %v want %v", trans, unit, got, want)
+			}
+		}
+	}
+}
+
+// trmmLeftRef is the row-by-row triangular multiply the QR kernels'
+// bits were first pinned to: element i is the diagonal term plus
+// T[i,l]·x[l] in increasing l, each product and sum rounded once.
+func trmmLeftRef(trans Transpose, unit bool, alpha float64, t, b *matrix.Dense) {
+	n := t.Rows
+	for j := 0; j < b.Cols; j++ {
+		col := b.Col(j)
+		if trans == NoTrans {
+			for i := 0; i < n; i++ {
+				s := col[i]
+				if !unit {
+					s = t.At(i, i) * col[i]
+				}
+				for l := i + 1; l < n; l++ {
+					s += t.At(i, l) * col[l]
+				}
+				col[i] = alpha * s
+			}
+			continue
+		}
+		for i := n - 1; i >= 0; i-- {
+			s := col[i]
+			if !unit {
+				s = t.At(i, i) * col[i]
+			}
+			for l := 0; l < i; l++ {
+				s += t.At(l, i) * col[l]
+			}
+			col[i] = alpha * s
+		}
+	}
+}
+
+// TestDtrmmLeftBitwise: the column-walking base case rounds exactly as
+// the row-by-row reference, on strided views — the forward QR path runs through it, so a reordered sum would
+// move every R.
+func TestDtrmmLeftBitwise(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 16, 33, 64} {
+		for _, cols := range []int{1, 5} {
+			big := matrix.Random(n+3, n+2, int64(n))
+			tri := big.View(1, 2, n, n) // stride n+3; the lower triangle holds garbage
+			for _, trans := range []Transpose{NoTrans, Trans} {
+				for _, unit := range []bool{false, true} {
+					for _, alpha := range []float64{1, -1, 1.5} {
+						want := matrix.Random(n, cols, int64(cols))
+						got := matrix.Random(n+1, cols, 77).View(1, 0, n, cols)
+						matrix.Copy(got, want)
+						trmmLeftRef(trans, unit, alpha, tri, want)
+						Dtrmm(Left, trans, unit, alpha, tri, got)
+						for j := 0; j < cols; j++ {
+							for i, w := range want.Col(j) {
+								if g := got.Col(j)[i]; math.Float64bits(g) != math.Float64bits(w) {
+									t.Fatalf("n=%d cols=%d trans=%v unit=%v alpha=%g: (%d,%d) = %x, want %x",
+										n, cols, trans, unit, alpha, i, j, math.Float64bits(g), math.Float64bits(w))
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}

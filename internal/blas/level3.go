@@ -97,34 +97,7 @@ func trmmBase(side Side, trans Transpose, unit bool, alpha float64, t, b *matrix
 	n := t.Rows
 	if side == Left {
 		for j := 0; j < b.Cols; j++ {
-			col := b.Col(j)
-			if trans == NoTrans {
-				for i := 0; i < n; i++ {
-					var s float64
-					if unit {
-						s = col[i]
-					} else {
-						s = t.At(i, i) * col[i]
-					}
-					for l := i + 1; l < n; l++ {
-						s += t.At(i, l) * col[l]
-					}
-					col[i] = alpha * s
-				}
-			} else {
-				for i := n - 1; i >= 0; i-- {
-					var s float64
-					if unit {
-						s = col[i]
-					} else {
-						s = t.At(i, i) * col[i]
-					}
-					for l := 0; l < i; l++ {
-						s += t.At(l, i) * col[l]
-					}
-					col[i] = alpha * s
-				}
-			}
+			trmmLeft(trans, unit, alpha, t, b.Col(j))
 		}
 		return
 	}
@@ -172,6 +145,46 @@ func trmmBase(side Side, trans Transpose, unit bool, alpha float64, t, b *matrix
 				cj[i] += f * cl[i]
 			}
 		}
+	}
+}
+
+// trmmLeft computes x = alpha·op(T)·x for one column of B. Element i is
+// summed as (diagonal term) + T[i,l]·x[l] in increasing l, one rounding
+// per multiply and per add — the order the QR kernels' R factors are
+// pinned to bit for bit — but the loops walk T by columns: NoTrans adds
+// column l of T into the partial sums above it (x[l] is still the input
+// when its turn comes), Trans is a dot down column i.
+func trmmLeft(trans Transpose, unit bool, alpha float64, t *matrix.Dense, x []float64) {
+	n, ld := t.Rows, t.Stride
+	if trans == NoTrans {
+		for l := 0; l < n; l++ {
+			tl := t.Data[l*ld : l*ld+l+1]
+			xl, xs := x[l], x[:l]
+			for i, tv := range tl[:l] {
+				xs[i] += tv * xl
+			}
+			if !unit {
+				x[l] = tl[l] * xl
+			}
+		}
+		if alpha != 1 {
+			for i := range x[:n] {
+				x[i] *= alpha
+			}
+		}
+		return
+	}
+	for i := n - 1; i >= 0; i-- {
+		ti := t.Data[i*ld : i*ld+i+1]
+		s := x[i]
+		if !unit {
+			s *= ti[i]
+		}
+		xs := x[:i]
+		for l, tv := range ti[:i] {
+			s += tv * xs[l]
+		}
+		x[i] = alpha * s
 	}
 }
 

@@ -98,7 +98,9 @@ func CAQRFactorize(comm *mpi.Comm, in Input, cfg CAQRConfig) *CAQRResult {
 			lapack.Dgeqrf(panel, tau, 0)
 			if rest > 0 {
 				trail = in.Local.View(lo, j+jb, rows, rest)
-				lapack.Dormqr(blas.Trans, panel, tau, trail, 0)
+				// Forward path: a fixed block width, so R's bits do not
+				// move with lapack's block-reflector rule.
+				lapack.Dormqr(blas.Trans, panel, tau, trail, lapack.DefaultBlock)
 			}
 		}
 		rec := caqrPanelRec{j: j, jb: jb, lo: lo, rows: rows, tau: tau, sentTag: -1}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"gridqr/internal/blas"
 	"gridqr/internal/grid"
 	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
@@ -69,6 +70,29 @@ func TestCAQRSingleProcess(t *testing.T) {
 	r, _, global := runCAQR(t, g, 48, 20, 4, 11)
 	if !matrix.Equal(r, refR(global), 1e-10) {
 		t.Fatal("P=1 CAQR differs from sequential QR")
+	}
+}
+
+// TestCAQRForwardPathKeepsItsKernel pins R's bits on the forward path: the
+// trailing update of a panel of at most lapack.DefaultBlock columns is
+// Dorm2r's rank-one sweeps, also at a shape (2048-row panels over 256 and
+// more trailing columns) where lapack's block-reflector rule, if asked,
+// would pick a block reflector.
+func TestCAQRForwardPathKeepsItsKernel(t *testing.T) {
+	m, n, nb := 2048, 320, 64
+	r, _, global := runCAQR(t, grid.SmallTestGrid(1, 1, 1), m, n, nb, 23)
+	f := global.Clone()
+	for j := 0; j < n; j += nb {
+		panel, tau := f.View(j, j, m-j, nb), make([]float64, nb)
+		lapack.Dgeqrf(panel, tau, 0)
+		if rest := n - j - nb; rest > 0 {
+			lapack.Dorm2r(blas.Trans, panel, tau, f.View(j, j+nb, m-j, rest))
+		}
+	}
+	want := lapack.TriuCopy(f)
+	lapack.NormalizeRSigns(want, nil)
+	if !bitwiseEqual(r, want) {
+		t.Fatal("CAQR's R is not bitwise the R of Dgeqrf panels and Dorm2r trailing updates")
 	}
 }
 

@@ -52,7 +52,7 @@ func (q *ImplicitQ) ApplyQT(comm *mpi.Comm, bLocal *matrix.Dense) (top *matrix.D
 
 	// Leaf: local Qᵀ through the stored reflectors.
 	work := bLocal.Clone()
-	q.leaf.q.Apply(blas.Trans, work, 0)
+	q.leaf.q.Apply(blas.Trans, work)
 	comm.Ctx().Charge(flops.ORMQR(myRows, k, n), n)
 	mine := work.View(0, 0, n, k).Clone()
 	rest := make([]float64, k)
@@ -135,9 +135,7 @@ func (q *ImplicitQ) ApplyQ(comm *mpi.Comm, c *matrix.Dense) *matrix.Dense {
 			comm.Send(rec.partner, bottom.Data, base+rec.tag)
 		}
 	}
-	out := matrix.New(myRows, k)
-	matrix.Copy(out.View(0, 0, n, k), seed)
-	q.leaf.q.Apply(blas.NoTrans, out, 0)
+	out := q.leaf.q.Expand(seed)
 	comm.Ctx().Charge(flops.ORMQR(myRows, k, n), n)
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
+	"gridqr/internal/scalapack"
 	"gridqr/internal/testmat"
 )
 
@@ -125,5 +126,44 @@ func TestBlockedLeafConcurrentRanks(t *testing.T) {
 	}
 	if !matrix.Equal(r1, r2, 0) || !matrix.Equal(q1, q2, 0) {
 		t.Fatal("two runs on the same input differ bitwise")
+	}
+}
+
+// TestExplicitQThroughBlockReflectors: at 64 columns the leaf's 4096-row
+// fold blocks are expanded by lapack's block-reflector rule and its
+// shorter tail block by Dorm2r (the 16-column suites above never leave
+// Dorm2r). Two ranks, three blocks each: the explicit Q reconstructs A
+// and is orthonormal to 1e-12, and ImplicitQ.ApplyQ on the identity —
+// the same FoldQ.Expand behind a different caller — returns it bit for
+// bit.
+func TestExplicitQThroughBlockReflectors(t *testing.T) {
+	const n = 64
+	g := grid.SmallTestGrid(1, 2, 1)
+	m := g.Procs() * (2*lapack.FoldBlockRows(n) + 809)
+	offsets := scalapack.BlockOffsets(m, g.Procs())
+	a := matrix.Random(m, n, 29)
+	var r, qExp, qImp *matrix.Dense
+	mpi.NewWorld(g).Run(func(ctx *mpi.Ctx) {
+		comm := mpi.WorldComm(ctx)
+		in := Input{M: m, N: n, Offsets: offsets, Local: scalapack.Distribute(a, offsets, ctx.Rank())}
+		res := Factorize(comm, in, Config{Tree: TreeGrid, WantQ: true, KeepFactors: true})
+		var eye *matrix.Dense
+		if ctx.Rank() == 0 {
+			eye = matrix.Eye(n)
+		}
+		imp := scalapack.Collect(comm, res.Q.ApplyQ(comm, eye), offsets, n)
+		exp := scalapack.Collect(comm, res.QLocal, offsets, n)
+		if ctx.Rank() == 0 {
+			r, qExp, qImp = res.R, exp, imp
+		}
+	})
+	if e := matrix.ResidualQR(a, qExp, r); e > 1e-12 {
+		t.Fatalf("‖A−QR‖/‖A‖ = %g", e)
+	}
+	if e := matrix.OrthoError(qExp); e > 1e-12 {
+		t.Fatalf("‖I−QᵀQ‖ = %g", e)
+	}
+	if !matrix.Equal(qImp, qExp, 0) {
+		t.Fatal("ImplicitQ.ApplyQ(I) differs bitwise from the explicit Q")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"gridqr/internal/blas"
 	"gridqr/internal/flops"
 	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
@@ -105,7 +104,7 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 
 	if cfg.WantQ {
 		qDone := ctx.Phase("tsqr.build_q")
-		res.QLocal = buildQ(comm, in, cfg, dom, leaf, log, sentTo, sentTag)
+		res.QLocal = buildQ(comm, in, dom, leaf, log, sentTo, sentTag)
 		qDone()
 	}
 	if cfg.KeepFactors {
@@ -191,7 +190,7 @@ func factorLeaf(comm *mpi.Comm, in Input, dom domain, cfg Config) leafState {
 // absorbed there), using the implicit Q of that merge. Leaves finally
 // expand their seed through the leaf factorization's implicit Q into
 // their rows of the explicit Q factor.
-func buildQ(comm *mpi.Comm, in Input, cfg Config, dom domain, leaf leafState,
+func buildQ(comm *mpi.Comm, in Input, dom domain, leaf leafState,
 	log []mergeRec, sentTo, sentTag int) *matrix.Dense {
 	ctx := comm.Ctx()
 	n := in.N
@@ -232,8 +231,5 @@ func buildQ(comm *mpi.Comm, in Input, cfg Config, dom domain, leaf leafState,
 	if !ctx.HasData() {
 		return nil
 	}
-	q := matrix.New(myRows, n)
-	matrix.Copy(q.View(0, 0, n, n), seed)
-	leaf.q.Apply(blas.NoTrans, q, cfg.NB)
-	return q
+	return leaf.q.Expand(seed)
 }

@@ -159,3 +159,61 @@ func BenchmarkDtpqrtBlockedVsUnblocked(b *testing.B) {
 		b.ReportMetric(flops.StackQR(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
 	})
 }
+
+// BenchmarkBlockReflectorCrossover is the measurement behind
+// blockReflectorPays (DESIGN.md "Panel kernels" has its table): the k
+// rank-one sweeps of Dorm2r against the pieces of the compact-WY path —
+// forming T, the dense block reflector and its seed-only form — over
+// block heights at cols = k, over C's width at the two fold-block shapes,
+// and over short blocks under a wide C. The dense applies are orthogonal
+// and their time does not depend on the data, so C is not reset between
+// iterations; the seed-only form contracts its top block, which is
+// therefore put back each time (k×cols, against the rows×cols being
+// timed) before it decays into denormals.
+func BenchmarkBlockReflectorCrossover(b *testing.B) {
+	type shape struct{ k, rows, cols int }
+	var shapes []shape
+	for _, k := range []int{16, 32, 48, 64, 96} {
+		for _, rows := range []int{128, 256, 512, 1024, 2048, 3072, 4096, 6144, 8192, 16384} {
+			shapes = append(shapes, shape{k, rows, k})
+		}
+	}
+	for _, cols := range []int{1, 4, 16, 32, 128} {
+		shapes = append(shapes, shape{64, 4096, cols}, shape{16, 16384, cols})
+	}
+	// CAQR's panels against N columns, and the tall side of those widths.
+	for _, k := range []int{16, 32, 64} {
+		for _, cols := range []int{256, 1024, 4096} {
+			for _, rows := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
+				shapes = append(shapes, shape{k, rows, cols})
+			}
+		}
+	}
+	for _, sh := range shapes {
+		a := matrix.Random(sh.rows, sh.k, int64(sh.rows+sh.k))
+		tau := make([]float64, sh.k)
+		Dgeqrf(a, tau, 0)
+		c := matrix.Random(sh.rows, sh.cols, 5)
+		seed := c.View(0, 0, sh.k, sh.cols).Clone()
+		t := matrix.New(sh.k, sh.k)
+		Dlarft(a, tau, t)
+		for _, kc := range []struct {
+			name string
+			run  func()
+		}{
+			{"dorm2r", func() { Dorm2r(blas.NoTrans, a, tau, c) }},
+			{"larft", func() { Dlarft(a, tau, t) }},
+			{"larfb", func() { larfb(blas.NoTrans, a, t, c, false) }},
+			{"larfb_seed", func() {
+				matrix.Copy(c.View(0, 0, sh.k, sh.cols), seed)
+				larfb(blas.NoTrans, a, t, c, true)
+			}},
+		} {
+			b.Run(fmt.Sprintf("k%d/rows%d/cols%d/%s", sh.k, sh.rows, sh.cols, kc.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kc.run()
+				}
+			})
+		}
+	}
+}

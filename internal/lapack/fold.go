@@ -154,17 +154,41 @@ func foldQR(a *matrix.Dense, b, nb int, recursive, wantQ bool) (*matrix.Dense, *
 // folded rows — a drop-in for Dormqr over the whole panel that touches
 // one cache-sized block at a time. Q is the block-diagonal of the block
 // Qs times the merges in fold order; Qᵀ applies the factors in that
-// order and Q in reverse. nb is Dormqr's block width.
-func (q *FoldQ) Apply(trans blas.Transpose, c *matrix.Dense, nb int) {
+// order and Q in reverse.
+func (q *FoldQ) Apply(trans blas.Transpose, c *matrix.Dense) {
 	if c.Rows != q.rows {
 		panic("lapack: FoldQ.Apply shape mismatch")
 	}
+	q.apply(trans, c, false)
+}
+
+// Expand returns Q·[seed; 0] for an n×k seed: the rows of the explicit Q
+// (seed = the identity, or a tree node's share of it) or of any product
+// in the folded rows' column space. It equals Apply(NoTrans) on the
+// zero-padded seed, but every block the height rule hands to a block
+// reflector is written once from its n×k top — the zeros below are never
+// read.
+func (q *FoldQ) Expand(seed *matrix.Dense) *matrix.Dense {
+	n := q.blocks[0].Cols
+	if seed.Rows != n {
+		panic("lapack: FoldQ.Expand needs an n-row seed")
+	}
+	out := matrix.New(q.rows, seed.Cols)
+	matrix.Copy(out.View(0, 0, n, seed.Cols), seed)
+	q.apply(blas.NoTrans, out, true)
+	return out
+}
+
+// apply is Apply; seedOnly (NoTrans only) says c is zero outside its top
+// n rows, which the merges then spread to the top n rows under every
+// block and nowhere else.
+func (q *FoldQ) apply(trans blas.Transpose, c *matrix.Dense, seedOnly bool) {
 	n := q.blocks[0].Cols
 	// rowsOf is the top rows of C's slice under block i.
 	rowsOf := func(i, rows int) *matrix.Dense { return c.View(q.offs[i], 0, rows, c.Cols) }
 	applyBlocks := func() {
 		for i, blk := range q.blocks {
-			Dormqr(trans, blk, q.taus[i], rowsOf(i, blk.Rows), nb)
+			ormqr(trans, blk, q.taus[i], rowsOf(i, blk.Rows), 0, seedOnly)
 		}
 	}
 	// Merge i acts on the top n rows under block 0 and under block i+1.

@@ -54,7 +54,7 @@ func foldCheck(t *testing.T, a *matrix.Dense, b int, recursive, uniqueR bool) {
 
 	thin := matrix.New(m, n)
 	matrix.Copy(thin.View(0, 0, n, n), matrix.Eye(n))
-	q.Apply(blas.NoTrans, thin, 0)
+	q.Apply(blas.NoTrans, thin)
 	if e := matrix.OrthoError(thin); e > 1e-12 {
 		t.Fatalf("orthogonality error %g", e)
 	}
@@ -64,8 +64,8 @@ func foldCheck(t *testing.T, a *matrix.Dense, b int, recursive, uniqueR bool) {
 
 	c := matrix.Random(m, 3, 99)
 	back := c.Clone()
-	q.Apply(blas.Trans, back, 0)
-	q.Apply(blas.NoTrans, back, 0)
+	q.Apply(blas.Trans, back)
+	q.Apply(blas.NoTrans, back)
 	if !matrix.Equal(back, c, 1e-12) {
 		t.Fatal("Q·(Qᵀ·C) differs from C")
 	}
@@ -147,5 +147,76 @@ func TestFoldBlockShortFirstBlock(t *testing.T) {
 	NormalizeRSigns(r, nil)
 	if !matrix.Equal(r, want, 1e-12) {
 		t.Fatal("fold starting with 2 rows differs from one-shot Dgeqrf")
+	}
+}
+
+// expandCheck folds a copy of a through b-row blocks and compares
+// Expand(seed) with Apply(NoTrans) on the zero-padded seed, for random
+// seeds of each width, to 1e-13 of the result's norm.
+func expandCheck(t *testing.T, a *matrix.Dense, b int, widths ...int) {
+	t.Helper()
+	m, n := a.Rows, a.Cols
+	_, q := foldQR(a.Clone(), b, 0, false, true)
+	for _, k := range widths {
+		seed := matrix.Random(n, k, int64(m+k))
+		want := matrix.New(m, k)
+		matrix.Copy(want.View(0, 0, n, k), seed)
+		q.Apply(blas.NoTrans, want)
+		got := q.Expand(seed)
+		if got.Rows != m || got.Cols != k {
+			t.Fatalf("Expand of a %d×%d seed over %d rows is %d×%d", n, k, m, got.Rows, got.Cols)
+		}
+		if !matrix.Equal(got, want, 1e-13*matrix.NormFrob(want)) {
+			t.Fatalf("%d×%d in %d-row blocks, seed width %d: Expand differs from Apply on the padded seed", m, n, b, k)
+		}
+	}
+}
+
+// TestFoldQExpand: the structured expansion against the dense apply, on
+// both sides of blockReflectorPays at n = 16 and n = 64 (8192- and
+// 2048-row blocks take the block reflector once the seed is n wide,
+// 256- and 512-row blocks and every width-1 seed take Dorm2r), over the
+// shared input classes on q·b+r row counts including a tail shorter
+// than n, a single-block leaf, and a zero column (tau = 0 reflectors).
+func TestFoldQExpand(t *testing.T) {
+	for _, tc := range testmat.Suite() {
+		t.Run(tc.Name, func(t *testing.T) {
+			const n, b = 16, 8192
+			for _, r := range []int{0, 1, n - 1, n, 300} {
+				expandCheck(t, tc.Gen(2*b+r, n, int64(r)), b, 1, n, 2*n)
+			}
+			expandCheck(t, tc.Gen(3*256+5, n, 5), 256, 1, n, 2*n)
+		})
+	}
+	expandCheck(t, matrix.Random(2*2048+40, 64, 1), 2048, 1, 64, 128)
+	expandCheck(t, matrix.Random(3*512+7, 64, 2), 512, 1, 64, 128)
+	expandCheck(t, matrix.Random(8192, 16, 3), 8192, 16) // single-block leaf
+	expandCheck(t, matrix.Random(300, 16, 4), 300, 16)
+	zc := matrix.Random(2*2048+3, 64, 5)
+	clear(zc.Col(7))
+	expandCheck(t, zc, 2048, 64)
+}
+
+// TestFoldQExpandLeaf is the factor_q leaf: the thin Q of 131072×64
+// expanded from the identity is orthonormal and reconstructs A to 1e-12,
+// and its bits depend neither on the BLAS worker count nor on the run.
+func TestFoldQExpandLeaf(t *testing.T) {
+	const m, n = 131072, 64
+	a := matrix.Random(m, n, 6)
+	r, q := FoldQR(a.Clone(), 0, false, true)
+	defer blas.SetWorkers(0)
+	blas.SetWorkers(1)
+	thin := q.Expand(matrix.Eye(n))
+	if e := matrix.OrthoError(thin); e > 1e-12 {
+		t.Fatalf("orthogonality error %g", e)
+	}
+	if e := matrix.ResidualQR(a, thin, r); e > 1e-12 {
+		t.Fatalf("residual %g", e)
+	}
+	for _, workers := range []int{1, 2} {
+		blas.SetWorkers(workers)
+		if !bitsEqual(q.Expand(matrix.Eye(n)), thin) {
+			t.Fatalf("Expand with %d BLAS workers differs bitwise from the first run", workers)
+		}
 	}
 }

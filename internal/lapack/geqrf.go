@@ -106,6 +106,14 @@ func Dlarft(v *matrix.Dense, tau []float64, t *matrix.Dense) {
 // from the left to C: C = op(H)·C. v is m×k stored columnwise with
 // implicit unit diagonal, t is the k×k factor from Dlarft.
 func Dlarfb(trans blas.Transpose, v, t, c *matrix.Dense) {
+	larfb(trans, v, t, c, false)
+}
+
+// larfb is Dlarfb, and with seedOnly its structured form for a C that is
+// zero below its top k rows on entry: those rows are neither read nor
+// assumed cleared — W = op(T)·V1ᵀ·C1 needs the top block alone, and the
+// rows below are written once as −V2·W.
+func larfb(trans blas.Transpose, v, t, c *matrix.Dense, seedOnly bool) {
 	m, k := v.Rows, v.Cols
 	if c.Rows != m {
 		panic("lapack: Dlarfb shape mismatch")
@@ -124,22 +132,24 @@ func Dlarfb(trans blas.Transpose, v, t, c *matrix.Dense) {
 	matrix.Copy(w, c.View(0, 0, k, n))
 	blas.Dtrmm(blas.Left, blas.NoTrans, true, 1, u, w)
 	// W += V2ᵀ·C2
-	if m > k {
+	if m > k && !seedOnly {
 		blas.Dgemm(blas.Trans, blas.NoTrans, 1, v.View(k, 0, m-k, k), c.View(k, 0, m-k, n), 1, w)
 	}
 	// W = op(T)·W
 	applyT(trans, t, w)
-	// C -= V·W
+	// C2 -= V2·W
 	if m > k {
-		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, v.View(k, 0, m-k, k), w, 1, c.View(k, 0, m-k, n))
+		beta := 1.0
+		if seedOnly {
+			beta = 0
+		}
+		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, v.View(k, 0, m-k, k), w, beta, c.View(k, 0, m-k, n))
 	}
-	// C1 -= V1·W = Uᵀ·W
-	v1w, v1wP := getMat(k, n)
-	defer putWork(v1wP)
-	matrix.Copy(v1w, w)
-	blas.Dtrmm(blas.Left, blas.Trans, true, 1, u, v1w)
+	// C1 -= V1·W = Uᵀ·W; W has no reader after this, so it is
+	// multiplied in place.
+	blas.Dtrmm(blas.Left, blas.Trans, true, 1, u, w)
 	for j := 0; j < n; j++ {
-		blas.Daxpy(-1, v1w.Col(j), c.Col(j)[:k])
+		blas.Daxpy(-1, w.Col(j), c.Col(j)[:k])
 	}
 }
 
@@ -153,10 +163,12 @@ func lowerAsUpperT(v1 *matrix.Dense) (*matrix.Dense, *[]float64) {
 	k := v1.Rows
 	u, uP := getMat(k, k)
 	for j := 0; j < k; j++ {
-		u.Set(j, j, 1)
-		for i := j + 1; i < k; i++ {
-			u.Set(j, i, v1.At(i, j)) // U[j,i] = V1[i,j]
+		// Row j of V1 left of the diagonal becomes column j of U above it.
+		ucol := u.Col(j)
+		for i, row := 0, v1.Data[j:]; i < j; i++ {
+			ucol[i] = row[i*v1.Stride]
 		}
+		ucol[j] = 1
 	}
 	return u, uP
 }

@@ -181,6 +181,94 @@ func TestDlarftDlarfbConsistentWithDorm2r(t *testing.T) {
 	}
 }
 
+// TestLarfbSeedOnly: the structured block reflector on C = [Z; 0] equals
+// the reflectors applied one by one to the zero-padded Z, and never
+// reads the rows below Z — they hold NaN on entry. Shapes cover a square
+// block (nothing below), both Dgemm kernels, a single column and
+// reflectors with tau = 0 (a zero column in the input).
+func TestLarfbSeedOnly(t *testing.T) {
+	for _, tc := range []struct{ m, k, cols int }{
+		{6, 6, 4}, {30, 6, 9}, {200, 16, 1}, {700, 24, 24}, {4096, 64, 5},
+	} {
+		a := matrix.Random(tc.m, tc.k, int64(tc.m))
+		clear(a.Col(tc.k / 2))
+		tau := make([]float64, tc.k)
+		Dgeqrf(a, tau, 0)
+		if tau[tc.k/2] != 0 && tc.m > tc.k {
+			t.Fatalf("%d×%d: the zero column did not give a tau = 0 reflector", tc.m, tc.k)
+		}
+		tm := matrix.New(tc.k, tc.k)
+		Dlarft(a, tau, tm)
+		z := matrix.Random(tc.k, tc.cols, 3)
+		want := matrix.New(tc.m, tc.cols)
+		matrix.Copy(want.View(0, 0, tc.k, tc.cols), z)
+		Dorm2r(blas.NoTrans, a, tau, want)
+		got := matrix.New(tc.m, tc.cols)
+		for j := 0; j < tc.cols; j++ {
+			col := got.Col(j)
+			copy(col, z.Col(j))
+			for i := tc.k; i < tc.m; i++ {
+				col[i] = math.NaN()
+			}
+		}
+		larfb(blas.NoTrans, a, tm, got, true)
+		if !matrix.Equal(got, want, 1e-13*matrix.NormFrob(want)) {
+			t.Fatalf("%d×%d on %d columns: seed-only block reflector differs from Dorm2r", tc.m, tc.k, tc.cols)
+		}
+	}
+}
+
+// TestDormqrFollowsTheRule pins blockReflectorPays where other layers
+// lean on it and shows Dormqr(nb = 0) obeying it, bit for bit: a 128×64
+// tree leaf and a 256×16 fold block are Dorm2r, a 4096×64 fold block on
+// 64 columns is one block reflector, the same block on three right-hand
+// sides is Dorm2r again; under a wide C (CAQR's panels against N
+// columns) 64-, 128- and 256-row blocks stay on Dorm2r and 512 rows go
+// to the block reflector.
+func TestDormqrFollowsTheRule(t *testing.T) {
+	for _, tc := range []struct {
+		rows, k, cols int
+		wy            bool
+	}{
+		{128, 64, 64, false}, {256, 16, 16, false}, {512, 64, 64, false}, {2047, 64, 64, false},
+		{2048, 64, 64, true}, {4096, 64, 64, true}, {4096, 64, 128, true}, {8192, 16, 16, true},
+		{4096, 64, 3, false}, {4096, 64, 63, false}, {1 << 17, 64, 1, false},
+		{64, 64, 2048, false}, {128, 64, 1024, false}, {128, 32, 4096, false}, {256, 16, 1024, false},
+		{511, 64, 4096, false}, {512, 64, 255, false}, {512, 64, 256, true}, {1024, 16, 256, true},
+	} {
+		if got := blockReflectorPays(tc.rows, tc.k, tc.cols); got != tc.wy {
+			t.Errorf("blockReflectorPays(%d, %d, %d) = %v, want %v", tc.rows, tc.k, tc.cols, got, tc.wy)
+		}
+	}
+	// Fold blocks: cache-sized from 64 columns up, n² rows — well inside
+	// the cache — at 16 and 32.
+	for n := foldMinCols; n <= foldMaxCols; n++ {
+		if b := FoldBlockRows(n); n <= 32 && blockReflectorPays(b, n, n) || n >= 64 && !blockReflectorPays(b, n, n) {
+			t.Errorf("n = %d: %d-row fold blocks on the wrong side of the rule", n, b)
+		}
+	}
+	for _, tc := range []struct{ rows, k, cols int }{{128, 64, 64}, {256, 16, 16}, {4096, 64, 64}, {4096, 64, 3}, {128, 64, 1024}, {512, 64, 256}} {
+		a := matrix.Random(tc.rows, tc.k, 21)
+		tau := make([]float64, tc.k)
+		Dgeqrf(a, tau, 0)
+		for _, trans := range []blas.Transpose{blas.NoTrans, blas.Trans} {
+			c := matrix.Random(tc.rows, tc.cols, 22)
+			want := c.Clone()
+			Dormqr(trans, a, tau, c, 0)
+			if blockReflectorPays(tc.rows, tc.k, tc.cols) {
+				tm := matrix.New(tc.k, tc.k)
+				Dlarft(a, tau, tm)
+				Dlarfb(trans, a, tm, want)
+			} else {
+				Dorm2r(trans, a, tau, want)
+			}
+			if !bitsEqual(c, want) {
+				t.Errorf("Dormqr on %d×%d, %d columns, trans=%v: not the kernel the rule names", tc.rows, tc.k, tc.cols, trans)
+			}
+		}
+	}
+}
+
 func TestDormqrBlockedMatchesUnblocked(t *testing.T) {
 	m, k, n := 60, 20, 7
 	a := matrix.Random(m, k, 10)
@@ -222,6 +310,25 @@ func TestDorgqrThin(t *testing.T) {
 	}
 	if e := matrix.OrthoError(q); e > tol*25 {
 		t.Fatalf("thin Q orthogonality %g", e)
+	}
+}
+
+// TestDorgqrThroughBlockReflectors: tall enough for the rule, Dorgqr
+// expands the identity through block reflectors — seed-only on the block
+// applied first, two blocks wide at 130 columns — and must still equal
+// the reflectors applied one by one.
+func TestDorgqrThroughBlockReflectors(t *testing.T) {
+	for _, s := range [][2]int{{4096, 64}, {3000, 130}} {
+		m, n := s[0], s[1]
+		f := matrix.Random(m, n, 15)
+		tau := make([]float64, n)
+		Dgeqrf(f, tau, 0)
+		want := matrix.New(m, n)
+		matrix.Copy(want.View(0, 0, n, n), matrix.Eye(n))
+		Dorm2r(blas.NoTrans, f, tau, want)
+		if got := Dorgqr(f, tau, n); !matrix.Equal(got, want, 1e-13) {
+			t.Fatalf("%d×%d: Dorgqr differs from Dorm2r on the identity", m, n)
+		}
 	}
 }
 

@@ -39,45 +39,72 @@ func Dorm2r(trans blas.Transpose, a *matrix.Dense, tau []float64, c *matrix.Dens
 	}
 }
 
-// Dormqr is the blocked version of Dorm2r: it applies op(Q) from the left
-// to C using block reflectors of width nb (DefaultBlock when nb <= 0).
+// blockReflectorPays is the one rule that picks how k reflectors over a
+// rows-tall block are applied to a rows×cols C: as one compact-WY block
+// reflector (Dlarft, then Dlarfb's two GEMMs and three k-wide triangular
+// multiplies) or as k rank-one sweeps (Dorm2r). Three extents, three
+// conditions, each measured (DESIGN.md "Panel kernels" has the table,
+// k = 16…96, 64…16384 rows, 1…4096 columns):
+//   - C is at least as wide as the block, or the rows·k² flops of forming
+//     T buy too few columns (8–16 times slower on one right-hand side);
+//   - the block is at least 512 rows tall: under that the GEMMs do not
+//     amortise their packing, whatever C's width (1.4–3.5 times slower
+//     at 64 and 128 rows, and at 256 rows for k = 16);
+//   - C fills half of foldBlockBytes (2048 rows at 64 columns, 8192 at
+//     16): the sweeps match the GEMMs while C sits in L2 beside the
+//     reflector being applied and lose half their rate and more once it
+//     does not (0.3–0.9 of Dorm2r's time above that size, break-even
+//     around it, up to 1.7 times slower below).
+func blockReflectorPays(rows, k, cols int) bool {
+	return cols >= k && rows >= 512 && rows*cols >= foldBlockBytes/2/8
+}
+
+// Dormqr applies op(Q) from the left to C like Dorm2r. With nb <= 0 each
+// DefaultBlock-wide block of reflectors goes through blockReflectorPays:
+// one block reflector where the compact-WY form pays, Dorm2r where it
+// does not. nb > 0 is LAPACK's fixed choice — Dorm2r when nb >= k, block
+// reflectors of width nb otherwise — for a caller whose result bits must
+// not move with the rule (CAQR's forward trailing update).
 func Dormqr(trans blas.Transpose, a *matrix.Dense, tau []float64, c *matrix.Dense, nb int) {
+	ormqr(trans, a, tau, c, nb, false)
+}
+
+// ormqr is Dormqr; seedOnly (NoTrans only) promises that C is zero below
+// its top min(m, k) rows, which the block reflector applied first then
+// never reads.
+func ormqr(trans blas.Transpose, a *matrix.Dense, tau []float64, c *matrix.Dense, nb int, seedOnly bool) {
 	m := a.Rows
 	k := min(m, a.Cols)
 	if c.Rows != m {
 		panic("lapack: Dormqr shape mismatch")
 	}
 	defer telemetry.TimeKernel("dormqr", flops.ORMQR(m, c.Cols, k))()
-	if nb <= 0 {
+	byRule := nb <= 0
+	if byRule {
 		nb = DefaultBlock
-	}
-	if nb >= k {
+	} else if nb >= k {
 		Dorm2r(trans, a, tau, c)
 		return
 	}
-	t := matrix.New(nb, nb)
-	blocks := make([]int, 0, k/nb+1)
-	for j := 0; j < k; j += nb {
-		blocks = append(blocks, j)
-	}
+	// T's lower triangle is never read, so pooled dirty storage is safe.
+	t, tP := getMat(nb, nb)
+	defer putWork(tP)
+	// Qᵀ takes the blocks first to last, Q last to first.
+	j, step := 0, nb
 	if trans == blas.NoTrans {
-		// Reverse block order for Q.
-		for bi := len(blocks) - 1; bi >= 0; bi-- {
-			j := blocks[bi]
-			jb := min(nb, k-j)
-			v := a.View(j, j, m-j, jb)
+		j, step = (k-1)/nb*nb, -nb
+	}
+	for ; j >= 0 && j < k; j += step {
+		jb := min(nb, k-j)
+		v, cj := a.View(j, j, m-j, jb), c.View(j, 0, m-j, c.Cols)
+		if byRule && !blockReflectorPays(m-j, jb, c.Cols) {
+			Dorm2r(trans, v, tau[j:j+jb], cj)
+		} else {
 			tb := t.View(0, 0, jb, jb)
 			Dlarft(v, tau[j:j+jb], tb)
-			Dlarfb(blas.NoTrans, v, tb, c.View(j, 0, m-j, c.Cols))
+			larfb(trans, v, tb, cj, seedOnly)
 		}
-		return
-	}
-	for _, j := range blocks {
-		jb := min(nb, k-j)
-		v := a.View(j, j, m-j, jb)
-		tb := t.View(0, 0, jb, jb)
-		Dlarft(v, tau[j:j+jb], tb)
-		Dlarfb(blas.Trans, v, tb, c.View(j, 0, m-j, c.Cols))
+		seedOnly = false // C is dense from row j down now
 	}
 }
 
@@ -94,6 +121,6 @@ func Dorgqr(a *matrix.Dense, tau []float64, n int) *matrix.Dense {
 	for i := 0; i < n; i++ {
 		q.Set(i, i, 1)
 	}
-	Dormqr(blas.NoTrans, a, tau[:k], q, 0)
+	ormqr(blas.NoTrans, a, tau[:k], q, 0, n == k)
 	return q
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // workspacePool recycles the scratch buffers of the blocked QR path.
-// Dgeqrf allocates a T factor per call and Dlarfb a k×n W (plus its
-// clone and the transposed V1 head) per panel — on the serving layer's
+// Dgeqrf and Dormqr allocate a T factor per call and Dlarfb a k×n W
+// (plus the transposed V1 head) per panel — on the serving layer's
 // hot path that is thousands of short-lived slices per factorization.
 // One shared pool of float64 slices, grown to the largest size seen,
 // removes nearly all of them.
