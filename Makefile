@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
+.PHONY: build test race vet fmt-check check skips loc fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,22 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: build vet fmt-check test race bench-data
+check: build vet fmt-check test skips race bench-data
+
+# A test that skips itself checks nothing: the runtime, algorithm and
+# serving packages must run every test they have (-count=1 defeats the
+# cache). blas.TestTuneSweep is flag-gated and outside the set.
+skips:
+	@out="$$($(GO) test -count=1 -v ./internal/mpi ./internal/core ./internal/sched ./internal/stream ./internal/elastic 2>&1)" \
+		|| { echo "$$out" | grep -v -e '^=== ' -e '--- PASS'; exit 1; }; \
+	if echo "$$out" | grep -e '--- SKIP'; then echo "skips: the tests above skipped themselves"; exit 1; fi
+
+# Non-test Go lines per package — the numbers ROADMAP.md and CHANGES.md
+# quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 # Perf-regression gate: re-run the standard benchmark set and fail on
 # any drift from the committed baseline (message/flop counts exact,

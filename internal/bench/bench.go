@@ -53,7 +53,7 @@ type Run struct {
 	// PDGEQRF actually performs block updates.
 	NB, NX int
 	// Overlap selects the compute/communication-overlap variants:
-	// posted-receive TSQR with the flat cross-site stage, or lookahead
+	// TSQR with the flat cross-site stage on the grid tree, or lookahead
 	// PDGEQRF. Traffic totals are identical to the blocking variants.
 	Overlap bool
 	// Traced records a structured telemetry trace and metrics registry

@@ -25,7 +25,7 @@ type OverlapRow struct {
 }
 
 // OverlapStudy runs the overlap ablation on the full grid: TSQR with the
-// blocking grid-tuned tree vs the posted-receive flat-cross-site variant
+// blocking grid-tuned tree vs the flat-cross-site variant
 // at (mTSQR, nTSQR), and blocking PDGEQRF vs lookahead PDGEQRF at
 // (mQRF, nQRF) with NB = NX = nb so real block updates occur. The
 // overlap variants move no extra data — the msgs columns confirm the

@@ -6,11 +6,12 @@ import (
 	"gridqr/internal/mpi"
 )
 
-// domMerge is one schedule entry relevant to a particular domain, with
-// the global schedule index that doubles as its message tag.
-type domMerge struct {
-	tag int
-	m   merge
+// step is one schedule entry seen from one of its two domains.
+type step struct {
+	peer  int  // comm rank of the other domain's leader
+	tag   int  // the merge's schedule index, which doubles as its message tag
+	stage int  // the merge's dependency level (stageMerges)
+	recv  bool // I absorb the peer's triangle; otherwise I hand mine over
 }
 
 // compiledSchedule bundles everything rank-independent that Factorize
@@ -24,12 +25,16 @@ type domMerge struct {
 type compiledSchedule struct {
 	l       *layout
 	sched   []merge
+	stages  []int // stageMerges(sched)
 	rootDom int
+	// deliverStage levels the hop that carries the result to rank 0 when
+	// the tree roots elsewhere: one past the last merge stage.
+	deliverStage int
 	// perDom[d] lists the schedule entries where domain d is the dst or
 	// the src, in schedule order. A domain's entries end at its single
 	// outgoing merge (it is absorbed there and never reappears), except
 	// for the root, which has no outgoing entry.
-	perDom [][]domMerge
+	perDom [][]step
 }
 
 // scheduleFor returns the compiled schedule for this (comm, cfg) pair,
@@ -49,11 +54,17 @@ func scheduleFor(comm *mpi.Comm, cfg Config) *compiledSchedule {
 		} else {
 			sched, rootDom = buildSchedule(cfg.Tree, l, cfg.ShuffleSeed)
 		}
-		perDom := make([][]domMerge, len(l.domains))
+		cs := &compiledSchedule{l: l, sched: sched, stages: stageMerges(sched), rootDom: rootDom,
+			deliverStage: 1, perDom: make([][]step, len(l.domains))}
 		for tag, m := range sched {
-			perDom[m.dst] = append(perDom[m.dst], domMerge{tag: tag, m: m})
-			perDom[m.src] = append(perDom[m.src], domMerge{tag: tag, m: m})
+			stage := cs.stages[tag]
+			if stage >= cs.deliverStage {
+				cs.deliverStage = stage + 1
+			}
+			dst, src := l.domains[m.dst].leader(), l.domains[m.src].leader()
+			cs.perDom[m.dst] = append(cs.perDom[m.dst], step{peer: src, tag: tag, stage: stage, recv: true})
+			cs.perDom[m.src] = append(cs.perDom[m.src], step{peer: dst, tag: tag, stage: stage})
 		}
-		return &compiledSchedule{l: l, sched: sched, rootDom: rootDom, perDom: perDom}
+		return cs
 	}).(*compiledSchedule)
 }

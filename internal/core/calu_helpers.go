@@ -38,7 +38,7 @@ func caluTournament(comm *mpi.Comm,
 		ctx.Charge(flops.GETF2(rows, jb), jb)
 
 		// Tournament up the tree over active ranks.
-		sched := caqrSchedule(comm, active)
+		sched := clusterBinomial(active, comm.ClusterOf)
 		tagBase := caluTagBase + (j/max(jb, 1))*caqrTagStride
 		for tag, m := range sched {
 			done := false

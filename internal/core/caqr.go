@@ -110,7 +110,7 @@ func CAQRFactorize(comm *mpi.Comm, in Input, cfg CAQRConfig) *CAQRResult {
 		}
 
 		// --- Reduction tree over the active ranks, grid-tuned ---
-		sched := caqrSchedule(comm, active)
+		sched := clusterBinomial(active, comm.ClusterOf)
 		panelIdx := j / nb
 		var r *matrix.Dense
 		if ctx.HasData() {
@@ -163,29 +163,6 @@ type caqrPanelRec struct {
 // caqrMergeTags spaces the per-panel tag ranges; a matrix has at most
 // N/nb + 1 panels and each panel at most P merges.
 const caqrTagStride = 1 << 14
-
-// caqrSchedule builds the grid-tuned merge schedule over the active
-// ranks: binomial within each cluster's actives, then binomial across.
-// Merges reference world ranks directly (one domain per process).
-func caqrSchedule(g interface{ ClusterOf(int) int }, active []int) []merge {
-	var perCluster [][]int
-	last := -1
-	for _, r := range active {
-		c := g.ClusterOf(r)
-		if c != last {
-			perCluster = append(perCluster, nil)
-			last = c
-		}
-		perCluster[len(perCluster)-1] = append(perCluster[len(perCluster)-1], r)
-	}
-	var ms []merge
-	var roots []int
-	for _, ranks := range perCluster {
-		ms = append(ms, binomialSchedule(ranks)...)
-		roots = append(roots, ranks[0])
-	}
-	return append(ms, binomialSchedule(roots)...)
-}
 
 // caqrAbsorb handles the dst side of one merge: receive the partner's R
 // and trailing top rows, fold them in, send the updated rows back. The

@@ -104,14 +104,12 @@ type Config struct {
 	// implicitly (half the flops of the explicit route). Requires data
 	// mode and one domain per process.
 	KeepFactors bool
-	// Overlap switches the R-factor reduction to the nonblocking runtime:
-	// leaders post every incoming receive before their first merge and
-	// complete them in schedule order, overlapping each stacked-triangle
-	// QR with the transfers still in flight; with TreeGrid the cross-site
-	// stage additionally goes flat (every cluster root sends straight to
-	// the global root) so the C−1 inter-site transfers fly concurrently
-	// instead of chaining through intermediate merges. Message, byte and
-	// flop totals are identical to the blocking variant.
+	// Overlap selects the schedule whose cross-site transfers overlap the
+	// root's merges: a flat cross-site stage on TreeGrid (every cluster
+	// root sends straight to the global root, so the C−1 inter-site
+	// transfers fly concurrently instead of chaining through intermediate
+	// merges), nothing on other trees. Message, byte and flop totals are
+	// identical either way.
 	Overlap bool
 	// ShuffleSeed seeds TreeBinaryShuffled's permutation.
 	ShuffleSeed int64

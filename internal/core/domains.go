@@ -77,12 +77,3 @@ func buildLayout(comm *mpi.Comm, domainsPerCluster int) *layout {
 
 // mine returns the caller's domain.
 func (l *layout) mine(rank int) domain { return l.domains[l.ofRank[rank]] }
-
-// leaders returns the leader world rank of every domain, in domain order.
-func (l *layout) leaders() []int {
-	out := make([]int, len(l.domains))
-	for i, d := range l.domains {
-		out[i] = d.leader()
-	}
-	return out
-}

@@ -190,11 +190,10 @@ func FactorizeFT(comm *mpi.Comm, in Input, cfg Config) (*FTResult, error) {
 		st.buddyCopy = unpackTriu(buf, in.N)
 	}
 
-	clusterOf := comm.ClusterOf
 	knownDead := map[int]bool{}
 	for epoch := 0; epoch <= p; epoch++ {
 		st.stats.Epochs = epoch + 1
-		res, err, again := st.runEpoch(epoch, knownDead, maxFail, clusterOf)
+		res, err, again := st.runEpoch(epoch, knownDead, maxFail)
 		if !again {
 			return res, err
 		}
@@ -205,15 +204,16 @@ func FactorizeFT(comm *mpi.Comm, in Input, cfg Config) (*FTResult, error) {
 // runEpoch executes one reduction attempt over the ranks not in
 // knownDead. again=true means the coordinator ordered another epoch with
 // a grown knownDead (updated in place).
-func (st *ftState) runEpoch(epoch int, knownDead map[int]bool, maxFail int,
-	clusterOf func(int) int) (res *FTResult, err error, again bool) {
+func (st *ftState) runEpoch(epoch int, knownDead map[int]bool, maxFail int) (res *FTResult, err error, again bool) {
 	live := make([]int, 0, st.p)
 	for r := 0; r < st.p; r++ {
 		if !knownDead[r] {
 			live = append(live, r)
 		}
 	}
-	sched := ftSchedule(live, clusterOf)
+	// The paper's grid-tuned shape, re-formed over the survivors. The
+	// root is live[0] — rank 0 whenever the coordinator is alive.
+	sched := clusterBinomial(live, st.comm.ClusterOf)
 
 	// Start from my leaf; if my predecessor is dead I act for it too,
 	// re-contributing its replicated leaf.
@@ -357,46 +357,6 @@ func (st *ftState) combine(acc *matrix.Dense, set []int, other *matrix.Dense, ot
 	st.stats.Combines++
 	st.cache[key] = r
 	return r, union
-}
-
-// ftMerge is one edge of an epoch's reduction tree: src's partial R is
-// absorbed by dst.
-type ftMerge struct{ dst, src int }
-
-// ftSchedule builds the deterministic reduction tree over the live ranks:
-// binomial within each cluster, then binomial across the cluster roots
-// (the paper's grid-tuned shape, re-formed over survivors). The root is
-// live[0] — rank 0 whenever the coordinator is alive.
-func ftSchedule(live []int, clusterOf func(int) int) []ftMerge {
-	groups := map[int][]int{}
-	var order []int
-	for _, r := range live {
-		c := clusterOf(r)
-		if _, ok := groups[c]; !ok {
-			order = append(order, c)
-		}
-		groups[c] = append(groups[c], r)
-	}
-	sort.Ints(order)
-	var merges []ftMerge
-	roots := make([]int, 0, len(order))
-	for _, c := range order {
-		merges = append(merges, ftBinomial(groups[c])...)
-		roots = append(roots, groups[c][0])
-	}
-	return append(merges, ftBinomial(roots)...)
-}
-
-// ftBinomial emits binomial-tree merges over a rank list, rooted at its
-// first element.
-func ftBinomial(list []int) []ftMerge {
-	var out []ftMerge
-	for gap := 1; gap < len(list); gap *= 2 {
-		for i := 0; i+gap < len(list); i += 2 * gap {
-			out = append(out, ftMerge{dst: list[i], src: list[i+gap]})
-		}
-	}
-	return out
 }
 
 // Payload encodings. Tree messages: [code, ...]; data payloads carry the

@@ -1,41 +1,29 @@
 package core
 
-import (
-	"gridqr/internal/flops"
-	"gridqr/internal/lapack"
-	"gridqr/internal/matrix"
-	"gridqr/internal/mpi"
-)
-
 // Overlapped TSQR: the same reduction — every domain's R absorbed exactly
-// once, C−1 inter-cluster messages for C sites — but restructured so the
-// expensive cross-site transfers are in flight *while* the receiving
-// leader runs its stacked-triangle QR merges, instead of each transfer
-// serializing behind the previous merge.
+// once, C−1 inter-cluster messages for C sites — with the cross-site
+// stage of the grid tree gone flat: every cluster root sends its fully
+// reduced triangle directly to the global root. A binomial stage would
+// also need C−1 inter-site messages but chains them — each round's
+// transfer cannot start before the previous round's merge finished on
+// some intermediate root. Flat, all C−1 triangles leave as soon as their
+// clusters finish, so their (latency-dominated) flights run concurrently
+// and the root merges triangle i while i+1, i+2, … are still on the wire.
 //
-// Two changes compose:
-//
-//  1. The cross-site stage of the grid tree goes flat: every cluster root
-//     sends its fully reduced triangle directly to the global root. A
-//     binomial stage would also need C−1 inter-site messages but chains
-//     them — each round's transfer cannot start before the previous
-//     round's merge finished on some intermediate root. Flat, all C−1
-//     triangles leave as soon as their clusters finish, so their
-//     (latency-dominated) flights run concurrently.
-//  2. The receiving leader posts every incoming receive up front (Irecv)
-//     and completes them in schedule order: while it merges triangle i,
-//     triangles i+1, i+2, … are still on the wire — the double-buffered
-//     reduction, expressed with the nonblocking runtime the way a real
-//     MPI implementation would need to express it.
+// That schedule is all Config.Overlap selects: a flat cross-site stage on
+// TreeGrid, nothing on other trees. The walk is reduction.run either way —
+// the transport is eager, so a blocking receive issued after a merge pays
+// only the flight time the merge did not already cover, which is exactly
+// what posting the receives up front and waiting in order would pay.
 //
 // Message and flop counts are untouched: any reduction over d domains
 // performs exactly d−1 merges of one packed triangle each, so
 // perfmodel.TSQRExactTotals and TSQRExactCrossSite hold for the
 // overlapped variant bit for bit.
 
-// overlapSchedule is gridSchedule with a flat cross-site stage: binomial
-// reduction among each cluster's domains, then every cluster root sends
-// straight to the first cluster's root.
+// overlapSchedule is TreeGrid's schedule with a flat cross-site stage:
+// binomial reduction among each cluster's domains, then every cluster
+// root sends straight to the first cluster's root.
 func overlapSchedule(l *layout) (ms []merge, root int) {
 	var roots []int
 	for _, ids := range l.perCluster {
@@ -49,52 +37,4 @@ func overlapSchedule(l *layout) (ms []merge, root int) {
 		ms = append(ms, merge{dst: roots[0], src: roots[i]})
 	}
 	return ms, roots[0]
-}
-
-// combineOverlap is the leader's forward pass over its slice of the
-// schedule using the nonblocking runtime: all incoming transfers are
-// posted before the first merge, then completed in schedule order so each
-// stacked-triangle QR overlaps the later transfers still in flight. Valid
-// for every schedule this package builds, because each leader's incoming
-// merges all precede its single outgoing send in schedule order. The
-// merge log, tags and the outgoing destination are identical to the
-// blocking pass, so the backward Q-construction pass needs no variant.
-func combineOverlap(comm *mpi.Comm, in Input, l *layout, dom domain,
-	merges []domMerge, r *matrix.Dense) (*matrix.Dense, []mergeRec, int, int) {
-	ctx := comm.Ctx()
-	type pending struct {
-		src, tag int
-		req      *mpi.Request
-	}
-	var incoming []pending
-	sentTo, sentTag := -1, -1
-	for _, dm := range merges {
-		if dm.m.dst == dom.id {
-			incoming = append(incoming, pending{src: l.domains[dm.m.src].leader(), tag: dm.tag})
-		} else {
-			sentTo, sentTag = l.domains[dm.m.dst].leader(), dm.tag
-			break // my R will be absorbed there; nothing arrives after
-		}
-	}
-	for i := range incoming {
-		incoming[i].req = comm.Irecv(incoming[i].src, rTagBase+incoming[i].tag)
-	}
-	var log []mergeRec
-	for _, p := range incoming {
-		buf := p.req.MustWait()
-		rec := mergeRec{partner: p.src, tag: p.tag}
-		if ctx.HasData() {
-			r, rec.v, rec.tau = lapack.StackQR(r, unpackTriu(buf, in.N))
-		}
-		ctx.ChargeKernel("stack_qr", flops.StackQR(in.N), in.N)
-		log = append(log, rec)
-	}
-	if sentTag >= 0 {
-		if ctx.HasData() {
-			comm.Isend(sentTo, packTriu(r), rTagBase+sentTag).MustWait()
-		} else {
-			comm.IsendBytes(sentTo, triuBytes(in.N), rTagBase+sentTag).MustWait()
-		}
-	}
-	return r, log, sentTo, sentTag
 }

@@ -38,8 +38,40 @@ func TestTSQROverlapCorrectness(t *testing.T) {
 			if res := matrix.ResidualQR(global, q, r); res > tol {
 				t.Errorf("‖A−QR‖/‖A‖ = %.3e > %.3e", res, tol)
 			}
+			if tc.cfg.Tree == TreeGrid {
+				return
+			}
+			// Overlap selects a schedule on TreeGrid only: on any other
+			// tree the run is the blocking run, bit for bit and tick for tick.
+			blocking := tc.cfg
+			blocking.Overlap = false
+			rO, msgsO, clockO := runVirtualTSQR(tc.g, global, tc.cfg)
+			rB, msgsB, clockB := runVirtualTSQR(tc.g, global, blocking)
+			if !bitwiseEqual(rO, rB) || msgsO != msgsB || clockO != clockB {
+				t.Errorf("overlap vs blocking: R bits equal = %v, msgs %d vs %d, virtual runtime %g vs %g",
+					bitwiseEqual(rO, rB), msgsO, msgsB, clockO, clockB)
+			}
 		})
 	}
+}
+
+// runVirtualTSQR factors global on a data-bearing virtual-time world and
+// returns rank 0's raw R, the message count and the virtual runtime.
+func runVirtualTSQR(g *grid.Grid, global *matrix.Dense, cfg Config) (*matrix.Dense, int64, float64) {
+	offsets := scalapack.BlockOffsets(global.Rows, g.Procs())
+	w := mpi.NewWorld(g, mpi.Virtual())
+	var mu sync.Mutex
+	var r *matrix.Dense
+	w.Run(func(ctx *mpi.Ctx) {
+		in := Input{M: global.Rows, N: global.Cols, Offsets: offsets,
+			Local: scalapack.Distribute(global, offsets, ctx.Rank())}
+		if res := Factorize(mpi.WorldComm(ctx), in, cfg); ctx.Rank() == 0 {
+			mu.Lock()
+			r = res.R
+			mu.Unlock()
+		}
+	})
+	return r, w.Counters().Total().Msgs, w.MaxClock()
 }
 
 func TestTSQROverlapWithQ(t *testing.T) {

@@ -14,25 +14,21 @@ type merge struct {
 // domain where the final R factor lands. When that is not domain 0, the
 // caller transfers the result to world rank 0 with one extra message.
 func buildSchedule(tree Tree, l *layout, seed int64) (ms []merge, root int) {
+	ids := make([]int, len(l.domains))
+	for i := range ids {
+		ids[i] = i
+	}
 	switch tree {
 	case TreeGrid:
-		return gridSchedule(l), 0
+		return clusterBinomial(ids, func(id int) int { return l.domains[id].cluster }), 0
 	case TreeBinary:
-		ids := make([]int, len(l.domains))
-		for i := range ids {
-			ids[i] = i
-		}
 		return binomialSchedule(ids), 0
 	case TreeFlat:
-		for i := 1; i < len(l.domains); i++ {
-			ms = append(ms, merge{dst: 0, src: i})
+		for _, id := range ids[1:] {
+			ms = append(ms, merge{dst: 0, src: id})
 		}
 		return ms, 0
 	case TreeBinaryShuffled:
-		ids := make([]int, len(l.domains))
-		for i := range ids {
-			ids[i] = i
-		}
 		rng := rand.New(rand.NewSource(seed))
 		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 		return binomialSchedule(ids), ids[0]
@@ -58,26 +54,24 @@ func binomialSchedule(ids []int) []merge {
 	return ms
 }
 
-// gridSchedule is the paper's tuned tree: a binomial reduction among each
-// cluster's domains, then a binomial reduction among the cluster roots.
-// Only the second stage crosses clusters: C−1 inter-cluster messages.
-func gridSchedule(l *layout) []merge {
+// clusterBinomial is the paper's tuned tree over any ordered id list:
+// a binomial reduction within each run of ids sharing a cluster, then a
+// binomial reduction among the runs' roots, onto ids[0]. Only the second
+// stage crosses clusters: C−1 inter-cluster messages. TreeGrid runs it
+// over all domains; CAQR, CALU and FT-TSQR over the ranks still active
+// or alive.
+func clusterBinomial(ids []int, clusterOf func(id int) int) []merge {
 	var ms []merge
 	var roots []int
-	for _, ids := range l.perCluster {
-		if len(ids) == 0 {
-			continue
-		}
-		ms = append(ms, binomialSchedule(ids)...)
-		roots = append(roots, ids[0])
+	for _, run := range groupBy(ids, clusterOf) {
+		ms = append(ms, binomialSchedule(run)...)
+		roots = append(roots, run[0])
 	}
-	ms = append(ms, binomialSchedule(roots)...)
-	return ms
+	return append(ms, binomialSchedule(roots)...)
 }
 
-// groupBy splits an ordered domain-id list into consecutive runs with
-// equal key, preserving order — the same run-grouping buildLayout applies
-// to ranks, one hierarchy level up.
+// groupBy splits an ordered id list into consecutive runs with equal key,
+// preserving order — the same run-grouping buildLayout applies to ranks.
 func groupBy(ids []int, key func(id int) int) [][]int {
 	var groups [][]int
 	last := 0

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"gridqr/internal/flops"
-	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
 )
@@ -34,8 +32,8 @@ func (g *PreemptGate) ShouldStop(stage int) bool {
 // running R keeps absorbing blocks after the snapshot as if it never
 // happened.
 //
-// The walk is exactly Factorize's combine loop — same schedule, same
-// fold order, same packed triangles — on a dedicated tag namespace, so
+// The walk is Factorize's (reduction.run) — same schedule, same fold
+// order, same packed triangles — on a dedicated tag namespace, so
 // a snapshot of per-rank R's equals the R that Factorize would have
 // produced from the same leaves, bit for bit, and costs exactly the
 // perfmodel's TSQRExactTotals(n, p) messages (the grid tree roots at
@@ -49,58 +47,19 @@ func SnapshotR(comm *mpi.Comm, r *matrix.Dense, n int, cfg Config) *matrix.Dense
 		panic(fmt.Sprintf("core: snapshot needs positive n, got %d", n))
 	}
 	cs := scheduleFor(comm, cfg)
-	l, rootDom := cs.l, cs.rootDom
-	if len(l.domains) != comm.Size() {
+	if len(cs.l.domains) != comm.Size() {
 		panic(fmt.Sprintf("core: snapshot needs one domain per process (got %d domains, %d procs)",
-			len(l.domains), comm.Size()))
+			len(cs.l.domains), comm.Size()))
 	}
-	me := comm.Rank()
-	if ctx.HasData() && (r == nil || r.Rows != n || r.Cols != n) {
+	if !ctx.HasData() {
+		r = nil // cost-only: the walk moves byte counts and charges only
+	} else if r == nil || r.Rows != n || r.Cols != n {
 		panic("core: snapshot needs an n×n running R in data mode")
 	}
-	dom := l.mine(me)
-
-	absorbed := false
-	for _, dm := range cs.perDom[dom.id] {
-		tag, m := dm.tag, dm.m
-		if m.dst == dom.id {
-			src := l.domains[m.src].leader()
-			if ctx.HasData() {
-				rOther := unpackTriu(comm.Recv(src, snapTagBase+tag), n)
-				r, _, _ = lapack.StackQR(r, rOther)
-			} else {
-				comm.Recv(src, snapTagBase+tag)
-			}
-			ctx.ChargeKernel("stack_qr", flops.StackQR(n), n)
-		} else {
-			dst := l.domains[m.dst].leader()
-			if ctx.HasData() {
-				comm.Send(dst, packTriu(r), snapTagBase+tag)
-			} else {
-				comm.SendBytes(dst, triuBytes(n), snapTagBase+tag)
-			}
-			absorbed = true
-			break // my R has been absorbed into the snapshot; forward pass over
-		}
-	}
-
-	rootLeader := l.domains[rootDom].leader()
-	switch {
-	case me == rootLeader && rootLeader != 0 && !absorbed:
-		if ctx.HasData() {
-			comm.Send(0, packTriu(r), snapFinalTag)
-		} else {
-			comm.SendBytes(0, triuBytes(n), snapFinalTag)
-		}
+	me := comm.Rank()
+	out := cs.reduction(comm, n, me, snapshotTags).run(r) // one domain per process: domain id = rank
+	if me != 0 {
 		return nil
-	case me == 0 && rootLeader != 0:
-		if buf := comm.Recv(rootLeader, snapFinalTag); ctx.HasData() {
-			r = unpackTriu(buf, n)
-		}
-		absorbed = false
 	}
-	if me == 0 && !absorbed && ctx.HasData() {
-		return r
-	}
-	return nil
+	return out.r
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"gridqr/internal/flops"
-	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
 )
@@ -170,14 +168,14 @@ type StagedResult struct {
 // domain's merges are strictly increasing), each domain does at most one
 // merge per stage, and the leveling works for any tree shape.
 func stageMerges(sched []merge) []int {
-	last := make(map[int]int, len(sched)+1)
+	domains := 0
+	for _, m := range sched {
+		domains = max(domains, m.dst+1, m.src+1)
+	}
+	last := make([]int, domains)
 	stages := make([]int, len(sched))
 	for i, m := range sched {
-		s := last[m.dst]
-		if last[m.src] > s {
-			s = last[m.src]
-		}
-		s++
+		s := max(last[m.dst], last[m.src]) + 1
 		stages[i] = s
 		last[m.dst] = s
 		last[m.src] = s
@@ -187,8 +185,9 @@ func stageMerges(sched []merge) []int {
 
 // checkStagedConfig rejects configurations the staged executor does not
 // support: it checkpoints one R per rank, so every domain must be a
-// single process, and the backward Q pass / FT protocol / overlap
-// pipelining have no stage-boundary freeze points.
+// single process, and the backward Q pass and the FT protocol have no
+// stage-boundary freeze points. The overlap schedule is refused because
+// no caller stages it, not because it could not be leveled.
 func checkStagedConfig(comm *mpi.Comm, cfg Config, l *layout) {
 	if cfg.WantQ || cfg.KeepFactors {
 		panic("core: staged TSQR supports R-only runs")
@@ -215,15 +214,10 @@ func FactorizeStaged(comm *mpi.Comm, in Input, cfg Config, gate *PreemptGate) *S
 	in.validate(comm)
 	ctx := comm.Ctx()
 	cs := scheduleFor(comm, cfg)
-	l, rootDom := cs.l, cs.rootDom
+	l := cs.l
 	checkStagedConfig(comm, cfg, l)
-	me := comm.Rank()
-	dom := l.mine(me)
-	if rows := in.Offsets[dom.ranks[len(dom.ranks)-1]+1] - in.Offsets[dom.leader()]; rows < in.N {
-		panic(fmt.Sprintf("core: domain %d has %d rows < N=%d (matrix not tall enough for this decomposition)",
-			dom.id, rows, in.N))
-	}
-	stages := stagesFor(comm, cfg, cs)
+	dom := l.mine(comm.Rank())
+	in.checkTall(dom)
 
 	leafDone := ctx.Phase("tsqr.panel")
 	leaf := factorLeaf(comm, in, dom, cfg)
@@ -233,48 +227,14 @@ func FactorizeStaged(comm *mpi.Comm, in Input, cfg Config, gate *PreemptGate) *S
 	combineDone := ctx.Phase("tsqr.combine")
 	defer combineDone()
 
-	r := leaf.r
-	ckpt := func(stopStage int) {
-		res.Preempted = true
-		res.Ckpt = &RankCheckpoint{
-			M: in.M, N: in.N, Procs: comm.Size(),
-			Dom: dom.id, Stage: stopStage, RootDom: rootDom,
-			Merges: ckptMerges(cs, stages),
-		}
-		if ctx.HasData() {
-			res.Ckpt.R = packTriu(r)
-		}
+	red := cs.reduction(comm, in.N, dom.id, factorTags)
+	red.gate = gate
+	res.settle(comm, red.run(leaf.r), RankCheckpoint{
+		M: in.M, N: in.N, Procs: comm.Size(), Dom: dom.id, RootDom: cs.rootDom,
+	})
+	if res.Ckpt != nil {
+		res.Ckpt.Merges = ckptMerges(cs)
 	}
-
-	absorbed := false
-	for _, dm := range cs.perDom[dom.id] {
-		stage := stages[dm.tag]
-		if gate.shouldStop(stage) {
-			ckpt(stage)
-			return res
-		}
-		tag, m := dm.tag, dm.m
-		if m.dst == dom.id {
-			src := l.domains[m.src].leader()
-			if ctx.HasData() {
-				rOther := unpackTriu(comm.Recv(src, rTagBase+tag), in.N)
-				r, _, _ = lapack.StackQR(r, rOther)
-			} else {
-				comm.Recv(src, rTagBase+tag)
-			}
-			ctx.ChargeKernel("stack_qr", flops.StackQR(in.N), in.N)
-		} else {
-			dst := l.domains[m.dst].leader()
-			if ctx.HasData() {
-				comm.Send(dst, packTriu(r), rTagBase+tag)
-			} else {
-				comm.SendBytes(dst, triuBytes(in.N), rTagBase+tag)
-			}
-			absorbed = true
-			break // my R has been absorbed; forward pass over
-		}
-	}
-	finishStaged(comm, in.N, rootDom, maxStage(stages), gate, r, absorbed, res, ckpt)
 	return res
 }
 
@@ -295,136 +255,65 @@ func ResumeStaged(comm *mpi.Comm, sc *StageCheckpoint, gate *PreemptGate) *Stage
 	combineDone := ctx.Phase("tsqr.combine")
 	defer combineDone()
 
-	// A domain is live unless a merge below the cut absorbed it. (In data
-	// mode the fragment map says the same thing; deriving liveness from
-	// the schedule keeps cost-only checkpoints — which carry no triangles —
+	// My remaining steps of the original schedule. A domain is live
+	// unless a merge below the cut absorbed it. (In data mode the
+	// fragment map says the same thing; deriving liveness from the
+	// schedule keeps cost-only checkpoints — which carry no triangles —
 	// working identically.)
-	live := true
-	maxSt := 0
+	red := reduction{comm: comm, n: sc.N, tags: factorTags, root: sc.RootDom, deliverStage: 1, gate: gate}
 	for _, cm := range sc.Merges {
-		if cm.Src == me && cm.Stage < sc.Stage {
-			live = false
+		if cm.Stage >= red.deliverStage {
+			red.deliverStage = cm.Stage + 1
 		}
-		if cm.Stage > maxSt {
-			maxSt = cm.Stage
+		switch {
+		case cm.Stage < sc.Stage:
+			if cm.Src == me {
+				red.absorbed = true
+			}
+		case cm.Dst == me:
+			red.steps = append(red.steps, step{peer: cm.Src, tag: cm.Tag, stage: cm.Stage, recv: true})
+		case cm.Src == me:
+			red.steps = append(red.steps, step{peer: cm.Dst, tag: cm.Tag, stage: cm.Stage})
 		}
 	}
 	var r *matrix.Dense
-	if live && ctx.HasData() {
+	if !red.absorbed && ctx.HasData() {
 		r = unpackTriu(sc.R[me], sc.N)
 	}
-
-	ckpt := func(stopStage int) {
-		res.Preempted = true
-		res.Ckpt = &RankCheckpoint{
-			M: sc.M, N: sc.N, Procs: sc.Procs,
-			Dom: me, Stage: stopStage, RootDom: sc.RootDom,
-			Merges: sc.Merges,
-		}
-		if ctx.HasData() {
-			res.Ckpt.R = packTriu(r)
-		}
-	}
-
-	absorbed := !live
-	if live {
-		for _, cm := range sc.Merges {
-			if cm.Stage < sc.Stage || (cm.Dst != me && cm.Src != me) {
-				continue
-			}
-			if gate.shouldStop(cm.Stage) {
-				ckpt(cm.Stage)
-				return res
-			}
-			if cm.Dst == me {
-				if ctx.HasData() {
-					rOther := unpackTriu(comm.Recv(cm.Src, rTagBase+cm.Tag), sc.N)
-					r, _, _ = lapack.StackQR(r, rOther)
-				} else {
-					comm.Recv(cm.Src, rTagBase+cm.Tag)
-				}
-				ctx.ChargeKernel("stack_qr", flops.StackQR(sc.N), sc.N)
-			} else {
-				if ctx.HasData() {
-					comm.Send(cm.Dst, packTriu(r), rTagBase+cm.Tag)
-				} else {
-					comm.SendBytes(cm.Dst, triuBytes(sc.N), rTagBase+cm.Tag)
-				}
-				absorbed = true
-				break
-			}
-		}
-	}
-	finishStaged(comm, sc.N, sc.RootDom, maxSt, gate, r, absorbed, res, ckpt)
+	res.settle(comm, red.run(r), RankCheckpoint{
+		M: sc.M, N: sc.N, Procs: sc.Procs, Dom: me, RootDom: sc.RootDom, Merges: sc.Merges,
+	})
 	return res
 }
 
-// finishStaged performs the root-delivery step shared by the staged
-// executor and the resume path: when a topology-oblivious tree finishes
-// away from rank 0, one extra message — gated like a final stage, so a
-// preemption can still stop before it — moves the result home. Absorbed
-// ranks other than 0 have nothing left to do; rank 0, when it is not the
-// root, must wait for (or checkpoint before) the delivery.
-func finishStaged(comm *mpi.Comm, n, rootDom, maxStage int,
-	gate *PreemptGate, r *matrix.Dense, absorbed bool, res *StagedResult, ckpt func(stage int)) {
-	ctx := comm.Ctx()
-	me := comm.Rank()
-	if rootDom != 0 {
-		deliverStage := maxStage + 1
-		switch me {
-		case rootDom:
-			if gate.shouldStop(deliverStage) {
-				ckpt(deliverStage)
-				return
-			}
-			if ctx.HasData() {
-				comm.Send(0, packTriu(r), finalRTag)
-			} else {
-				comm.SendBytes(0, triuBytes(n), finalRTag)
-			}
-			return
-		case 0:
-			if gate.shouldStop(deliverStage) {
-				// Rank 0 holds no live R here — it only awaits the
-				// delivery — so it reports preemption without a fragment.
-				res.Preempted = true
-				return
-			}
-			if buf := comm.Recv(rootDom, finalRTag); ctx.HasData() {
-				r = unpackTriu(buf, n)
-			}
-			absorbed = false
+// settle records a walk's outcome as this rank's staged result: the
+// global R on rank 0 of a completed run, or preemption with the rank's
+// fragment. A stopped rank whose triangle was already handed over (rank
+// 0 merely awaiting the delivery hop) holds no live R and reports
+// preemption without a fragment.
+func (res *StagedResult) settle(comm *mpi.Comm, out reduced, frag RankCheckpoint) {
+	switch {
+	case out.stop == 0:
+		if comm.Rank() == 0 {
+			res.R = out.r
 		}
-	}
-	if me == 0 && !absorbed && ctx.HasData() {
-		res.R = r
-	}
-}
-
-func maxStage(stages []int) int {
-	max := 0
-	for _, s := range stages {
-		if s > max {
-			max = s
+	case out.absorbed:
+		res.Preempted = true
+	default:
+		res.Preempted = true
+		frag.Stage = out.stop
+		if out.r != nil {
+			frag.R = packTriu(out.r)
 		}
+		res.Ckpt = &frag
 	}
-	return max
-}
-
-// stagesFor caches the stage leveling next to the compiled schedule.
-func stagesFor(comm *mpi.Comm, cfg Config, cs *compiledSchedule) []int {
-	key := fmt.Sprintf("core.stages|%s|p=%d|dpc=%d|tree=%d|seed=%d",
-		comm.Path(), comm.Size(), cfg.DomainsPerCluster, cfg.Tree, cfg.ShuffleSeed)
-	return comm.Ctx().World().Shared(key, func() any {
-		return stageMerges(cs.sched)
-	}).([]int)
 }
 
 // ckptMerges renders the compiled schedule with its stage labels.
-func ckptMerges(cs *compiledSchedule, stages []int) []CkptMerge {
+func ckptMerges(cs *compiledSchedule) []CkptMerge {
 	out := make([]CkptMerge, len(cs.sched))
 	for tag, m := range cs.sched {
-		out[tag] = CkptMerge{Dst: m.dst, Src: m.src, Stage: stages[tag], Tag: tag}
+		out[tag] = CkptMerge{Dst: m.dst, Src: m.src, Stage: cs.stages[tag], Tag: tag}
 	}
 	return out
 }

@@ -133,7 +133,7 @@ func TestStagedPreemptResumeBitwise(t *testing.T) {
 	gA := grid.SmallTestGrid(2, 2, 2) // 8 procs over 2 sites
 	gB := grid.SmallTestGrid(4, 1, 2) // 8 procs over 4 sites — a different partition
 	m, n := 64, 6
-	for _, tree := range []Tree{TreeGrid, TreeBinaryShuffled} {
+	for _, tree := range []Tree{TreeGrid, TreeBinaryShuffled, TreeBinary, TreeFlat, TreeMultiLevel} {
 		cfg := Config{Tree: tree, ShuffleSeed: 3}
 		global := matrix.Random(m, n, 11)
 		ref, refMsgs := referenceRun(t, gA, global, m, n, cfg)
@@ -218,10 +218,17 @@ func TestStagedDoublePreemption(t *testing.T) {
 // carry no data, liveness is derived from the schedule, and message
 // counts are still conserved across the cut.
 func TestStagedCostOnlyConservation(t *testing.T) {
+	// Seed 3's shuffled tree roots away from domain 0: the gated delivery
+	// hop, with rank 0 already absorbed, cost-only.
+	for _, cfg := range []Config{{Tree: TreeGrid}, {Tree: TreeBinaryShuffled, ShuffleSeed: 3}} {
+		stagedCostOnlyConservation(t, cfg)
+	}
+}
+
+func stagedCostOnlyConservation(t *testing.T, cfg Config) {
 	gA := grid.SmallTestGrid(2, 2, 2)
 	gB := grid.SmallTestGrid(4, 1, 2)
 	m, n := 64, 6
-	cfg := Config{Tree: TreeGrid}
 	p := gA.Procs()
 	offsets := scalapack.BlockOffsets(m, p)
 

@@ -64,8 +64,6 @@ func TSLUFactorize(comm *mpi.Comm, in Input, cfg TSLUConfig) *TSLUResult {
 	if myRows < n {
 		panic("core: TSLU needs at least N rows per process")
 	}
-	l := buildLayout(comm, 0) // one domain per process
-	sched, _ := buildSchedule(cfg.Tree, l, 0)
 	res := &TSLUResult{}
 
 	// --- Leaf: select my N candidate pivot rows by partial pivoting ---
@@ -87,29 +85,23 @@ func TSLUFactorize(comm *mpi.Comm, in Input, cfg TSLUConfig) *TSLUResult {
 	}
 	ctx.Charge(flops.GETF2(myRows, n), n)
 
-	// --- Tournament up the reduction tree ---
-	for tag, m := range sched {
-		dst := l.domains[m.dst].leader()
-		src := l.domains[m.src].leader()
-		switch me {
-		case dst:
+	// --- Tournament up the reduction tree, one domain per process ---
+	for _, s := range scheduleFor(comm, Config{Tree: cfg.Tree}).perDom[me] {
+		if !s.recv {
 			if ctx.HasData() {
-				otherCand, otherIdx := unpackCandidates(comm.Recv(src, tsluTagBase+tag), n)
-				cand, candIdx = tournamentRound(cand, candIdx, otherCand, otherIdx)
+				comm.Send(s.peer, packCandidates(cand, candIdx), tsluTagBase+s.tag)
 			} else {
-				comm.Recv(src, tsluTagBase+tag)
+				comm.SendBytes(s.peer, 8*float64(n*n+n), tsluTagBase+s.tag)
 			}
-			ctx.Charge(flops.GETF2(2*n, n), n)
-		case src:
-			if ctx.HasData() {
-				comm.Send(dst, packCandidates(cand, candIdx), tsluTagBase+tag)
-			} else {
-				comm.SendBytes(dst, 8*float64(n*n+n), tsluTagBase+tag)
-			}
-		}
-		if me == src {
 			break
 		}
+		if ctx.HasData() {
+			otherCand, otherIdx := unpackCandidates(comm.Recv(s.peer, tsluTagBase+s.tag), n)
+			cand, candIdx = tournamentRound(cand, candIdx, otherCand, otherIdx)
+		} else {
+			comm.Recv(s.peer, tsluTagBase+s.tag)
+		}
+		ctx.Charge(flops.GETF2(2*n, n), n)
 	}
 
 	// --- Root: factor the winning rows; broadcast U ---

@@ -15,7 +15,7 @@ import (
 const (
 	rTagBase  = 1 << 21
 	qTagBase  = 1 << 22
-	finalRTag = 1<<23 - 1
+	finalRTag = 1<<23 - 1 // the result's hop to rank 0 when the tree roots elsewhere
 )
 
 // Factorize runs QCG-TSQR on a communicator: the world comm returned by
@@ -29,16 +29,10 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 	in.validate(comm)
 	ctx := comm.Ctx()
 	cs := scheduleFor(comm, cfg)
-	l, rootDom := cs.l, cs.rootDom
+	l := cs.l
 	me := comm.Rank()
 	dom := l.mine(me)
-	// Every rank checks its own domain's height; collectively that covers
-	// all domains (checking the whole decomposition per rank would cost
-	// O(domains) at every rank — quadratic work at scale).
-	if rows := in.Offsets[dom.ranks[len(dom.ranks)-1]+1] - in.Offsets[dom.leader()]; rows < in.N {
-		panic(fmt.Sprintf("core: domain %d has %d rows < N=%d (matrix not tall enough for this decomposition)",
-			dom.id, rows, in.N))
-	}
+	in.checkTall(dom)
 
 	leafDone := ctx.Phase("tsqr.panel")
 	leaf := factorLeaf(comm, in, dom, cfg)
@@ -47,57 +41,16 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 
 	// Forward reduction over domain leaders. Non-leaders are done until
 	// the Q pass.
-	r := leaf.r
 	var log []mergeRec
 	sentTo, sentTag := -1, -1
 	if me == dom.leader() {
 		combineDone := ctx.Phase("tsqr.combine")
-		if cfg.Overlap {
-			r, log, sentTo, sentTag = combineOverlap(comm, in, l, dom, cs.perDom[dom.id], r)
-		} else {
-			for _, dm := range cs.perDom[dom.id] {
-				tag, m := dm.tag, dm.m
-				if m.dst == dom.id {
-					src := l.domains[m.src].leader()
-					rec := mergeRec{partner: src, tag: tag}
-					if ctx.HasData() {
-						rOther := unpackTriu(comm.Recv(src, rTagBase+tag), in.N)
-						r, rec.v, rec.tau = lapack.StackQR(r, rOther)
-					} else {
-						comm.Recv(src, rTagBase+tag)
-					}
-					ctx.ChargeKernel("stack_qr", flops.StackQR(in.N), in.N)
-					log = append(log, rec)
-				} else {
-					dst := l.domains[m.dst].leader()
-					if ctx.HasData() {
-						comm.Send(dst, packTriu(r), rTagBase+tag)
-					} else {
-						comm.SendBytes(dst, triuBytes(in.N), rTagBase+tag)
-					}
-					sentTo, sentTag = dst, tag
-					break // my R has been absorbed; forward pass over
-				}
-			}
-		}
-		// A topology-oblivious tree can finish away from world rank 0
-		// (randomly distributed ranks, paper Fig. 1's remark); deliver
-		// the result with one extra message.
-		rootLeader := l.domains[rootDom].leader()
-		switch {
-		case me == rootLeader && rootLeader != 0:
-			if ctx.HasData() {
-				comm.Send(0, packTriu(r), finalRTag)
-			} else {
-				comm.SendBytes(0, triuBytes(in.N), finalRTag)
-			}
-		case me == 0 && rootLeader != 0:
-			if buf := comm.Recv(rootLeader, finalRTag); ctx.HasData() {
-				r = unpackTriu(buf, in.N)
-			}
-		}
-		if me == 0 && ctx.HasData() {
-			res.R = r
+		red := cs.reduction(comm, in.N, dom.id, factorTags)
+		red.log = &log
+		out := red.run(leaf.r)
+		sentTo, sentTag = out.sentTo, out.sentTag
+		if me == 0 {
+			res.R = out.r
 		}
 		combineDone()
 	}
@@ -117,10 +70,21 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 		res.Q = &ImplicitQ{
 			n: in.N, offsets: in.Offsets, leaf: leaf, log: log,
 			sentTo: sentTo, sentTag: sentTag, leader: me == dom.leader(),
-			root: l.domains[rootDom].leader(),
+			root: l.domains[cs.rootDom].leader(),
 		}
 	}
 	return res
+}
+
+// checkTall panics unless dom's rows can hold an N×N triangle. Every rank
+// checks its own domain's height; collectively that covers all domains
+// (checking the whole decomposition per rank would cost O(domains) at
+// every rank — quadratic work at scale).
+func (in Input) checkTall(dom domain) {
+	if rows := in.Offsets[dom.ranks[len(dom.ranks)-1]+1] - in.Offsets[dom.leader()]; rows < in.N {
+		panic(fmt.Sprintf("core: domain %d has %d rows < N=%d (matrix not tall enough for this decomposition)",
+			dom.id, rows, in.N))
+	}
 }
 
 // mergeRec remembers one merge a leader performed, for the backward Q

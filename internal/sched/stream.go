@@ -50,7 +50,7 @@ type StreamJob struct {
 	cursor    int // blocks folded and committed
 	rounds    int // rounds committed
 	snapshots int // snapshot barriers served
-	retries   int // round re-dispatches after retryable failures
+	retries   int // round re-dispatches after retryable failures, over the stream's life
 	shed      int // snapshot requests shed at their deadline
 	snapReqs  []*snapshotReq
 	active    bool              // a round job is queued or in flight
@@ -92,7 +92,7 @@ type StreamStats struct {
 	Lost      int // Ingested - Folded; nonzero only after a terminal failure
 	Rounds    int // rounds committed
 	Snapshots int // snapshot barriers served
-	Retries   int // round re-dispatches after retryable failures
+	Retries   int // round re-dispatches after retryable failures, cumulative like the rest
 	Shed      int // snapshot requests shed at their deadline
 }
 
@@ -306,17 +306,16 @@ func (s *Server) ensureStreamRound(sj *StreamJob) {
 		return
 	}
 	sj.active = true
-	retries := sj.retries
 	sj.mu.Unlock()
+	// A fresh job per round: j.retries, the MaxRetries budget, is per round.
 	j := &Job{
-		spec:    sj.spec,
-		id:      s.nextID.Add(1),
-		seq:     s.nextSeq.Add(1),
-		submit:  time.Now(),
-		done:    make(chan struct{}),
-		avoid:   -1,
-		stream:  sj,
-		retries: retries,
+		spec:   sj.spec,
+		id:     s.nextID.Add(1),
+		seq:    s.nextSeq.Add(1),
+		submit: time.Now(),
+		done:   make(chan struct{}),
+		avoid:  -1,
+		stream: sj,
 	}
 	s.metrics.submitted.Inc()
 	s.obs.submitted(j)
@@ -367,7 +366,7 @@ func (s *Server) finishStreamRound(ex *jobExec, out execOutcome, service time.Du
 		if retryable(out.err) && j.retries < s.cfg.MaxRetries {
 			j.retries++
 			sj.mu.Lock()
-			sj.retries = j.retries
+			sj.retries++
 			sj.mu.Unlock()
 			s.metrics.retries.Inc()
 			s.obs.retried(j, out.err)
@@ -387,7 +386,6 @@ func (s *Server) finishStreamRound(ex *jobExec, out execOutcome, service time.Du
 	sj.states = ex.streamStates
 	sj.cursor = rd.From + folded
 	sj.rounds++
-	sj.retries = 0
 	sj.curGate = nil
 	if snapped {
 		sj.snapshots++

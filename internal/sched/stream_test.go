@@ -227,10 +227,37 @@ func TestStreamDeadlineShed(t *testing.T) {
 // surviving same-size partition — refolds the round's blocks from the
 // seed. Zero blocks lost, and the final R is bitwise identical to a
 // fault-free run.
+//
+// A fold round's only fault program points are the charges of completed
+// panels, so the stream is sized to complete them: N = 6 folds through
+// 36-row panels (lapack.FoldBlockRows) and a 144-row block strided over
+// a 4-rank partition is exactly one panel per rank per block — geqrf for
+// a rank's first block, geqrf then stack_qr for every later one. Killing
+// rank 1 before its second operation therefore spares it in a round that
+// folds block 0 and kills it inside the next round its partition serves,
+// which is always after a commit.
+//
+// Which partition serves a round is a wall-clock race between placement
+// (partition 0 on ties) and the other runner's work stealing, and a
+// runner that just served tends to win the next one too. One-block
+// rounds are fed until one lands on rank 1's partition; should partition
+// 1 keep all of them, a fresh server — whose first round partition 0 all
+// but always pops — tries again.
 func TestStreamFaultZeroLostBlocks(t *testing.T) {
+	for attempt := 0; attempt < 8; attempt++ {
+		if streamFaultFired(t) {
+			return
+		}
+	}
+	t.Fatal("fault plan never fired: rank 1's partition served at most one round in every attempt")
+}
+
+// streamFaultFired runs the scenario once and checks the stream's
+// contract either way; it reports whether rank 1 died on the way.
+func streamFaultFired(t *testing.T) bool {
 	g := grid.SmallTestGrid(2, 2, 2) // 2 partitions of 4
-	spec := JobSpec{N: 6, BlockRows: 12, Seed: 19}
-	fp := mpi.NewFaultPlan(42).Kill(1, 40) // rank 1 (partition 0) dies early
+	spec := JobSpec{N: 6, BlockRows: 144, Seed: 19}
+	fp := mpi.NewFaultPlan(42).Kill(1, 1) // rank 1 (partition 0)
 	fp.RecvTimeout = 5 * time.Second
 	s := Start(Config{Grid: g, Plan: PerSite(g), Faults: fp, MaxBatch: 1, MaxRetries: 3})
 	defer s.Close()
@@ -239,8 +266,12 @@ func TestStreamFaultZeroLostBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
+	blocks := 0
+	for ; blocks < 8 || (blocks < 32 && !s.World().RankDead(1)); blocks++ {
 		if err := sj.Ingest(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := sj.Drain(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,19 +280,20 @@ func TestStreamFaultZeroLostBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := sj.Stats()
-	if stats.Lost != 0 || stats.Folded != 8 {
-		t.Fatalf("stats after fault = %+v", stats)
+	if stats.Lost != 0 || stats.Folded != blocks {
+		t.Fatalf("stats = %+v, want %d folded", stats, blocks)
 	}
-	want := oneShotStream(t, g, spec, 8)
+	want := oneShotStream(t, g, spec, blocks)
 	if !bitwiseEqual(snap.R, want) {
-		t.Fatal("post-fault R differs from fault-free one-shot")
+		t.Fatal("R differs from fault-free one-shot")
 	}
-	if !s.World().RankDead(1) {
-		t.Skip("fault plan never fired (kill budget not reached)")
-	}
-	if stats.Retries == 0 {
+	fired := s.World().RankDead(1)
+	// Retries counts over the stream's life, like Rounds and Snapshots:
+	// a per-round count would read zero again after the retry's commit.
+	if fired && stats.Retries == 0 {
 		t.Error("rank died but no round was retried")
 	}
+	return fired
 }
 
 // TestStreamAcrossReconfigure: an autoscaler-style epoch change mid
