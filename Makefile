@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check skips loc fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
+.PHONY: build test race vet fmt-check check skips walks loc fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: build vet fmt-check test skips race bench-data
+check: build vet fmt-check test skips walks race bench-data
 
 # A test that skips itself checks nothing: the runtime, algorithm and
 # serving packages must run every test they have (-count=1 defeats the
@@ -34,6 +34,17 @@ skips:
 	@out="$$($(GO) test -count=1 -v ./internal/mpi ./internal/core ./internal/sched ./internal/stream ./internal/elastic 2>&1)" \
 		|| { echo "$$out" | grep -v -e '^=== ' -e '--- PASS'; exit 1; }; \
 	if echo "$$out" | grep -e '--- SKIP'; then echo "skips: the tests above skipped themselves"; exit 1; fi
+
+# One concept, one implementation: internal/core merges two triangles in
+# the reduction walk (reduce.go) and FT-TSQR's epoch (ft.go), and applies
+# a merge's Q in the tree-Q walk's scatter and round trip (treeq.go). A
+# third call site of either kernel is a second copy of a walk.
+walks:
+	@for k in StackQR ApplyStackQ; do \
+		n="$$(grep -ho --exclude='*_test.go' "lapack\.$$k(" internal/core/*.go | wc -l)"; \
+		echo "lapack.$$k( call sites in internal/core: $$n (max 2)"; \
+		[ "$$n" -le 2 ] || exit 1; \
+	done
 
 # Non-test Go lines per package — the numbers ROADMAP.md and CHANGES.md
 # quote.

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
-
 	"gridqr/internal/blas"
 	"gridqr/internal/flops"
-	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
+	"gridqr/internal/scalapack"
 )
 
 // CALU is communication-avoiding LU for general matrices: each panel is
@@ -69,20 +67,10 @@ func CALUFactorize(comm *mpi.Comm, in Input, cfg CALUConfig) *CALUResult {
 	if !ctx.HasData() {
 		panic("core: CALU requires data mode (pivoting is value-dependent)")
 	}
-	nb := cfg.NB
-	if nb <= 0 {
-		nb = lapack.DefaultBlock
-	}
 	if in.M < in.N {
 		panic("core: CALU requires M >= N")
 	}
-	p := comm.Size()
-	for r := 0; r < p; r++ {
-		if rows := in.Offsets[r+1] - in.Offsets[r]; rows%nb != 0 {
-			panic(fmt.Sprintf("core: CALU needs row blocks divisible by NB=%d (rank %d has %d)",
-				nb, r, rows))
-		}
-	}
+	nb := in.panelWidth("CALU", cfg.NB)
 	me := comm.Rank()
 	myOff, myEnd := in.Offsets[me], in.Offsets[me+1]
 	res := &CALUResult{LLocal: in.Local, Perm: make([]int, in.M)}
@@ -93,12 +81,7 @@ func CALUFactorize(comm *mpi.Comm, in Input, cfg CALUConfig) *CALUResult {
 	for j := 0; j < in.N; j += nb {
 		jb := min(nb, in.N-j)
 		res.Panels++
-		var active []int
-		for r := 0; r < p; r++ {
-			if in.Offsets[r+1] > j {
-				active = append(active, r)
-			}
-		}
+		active := in.activeRanks(j)
 		iAmActive := myEnd > j
 		lo := min(max(0, j-myOff), myEnd-myOff)
 
@@ -192,7 +175,7 @@ func CALUFactorize(comm *mpi.Comm, in Input, cfg CALUConfig) *CALUResult {
 			}
 		}
 	}
-	res.U = caqrGatherR(comm, in)
+	res.U = scalapack.ExtractR(comm, scalapack.Input(in))
 	return res
 }
 

@@ -15,9 +15,8 @@ const caqrQTagBase = 1 << 25
 // caqrBuildQ forms the explicit thin M×N Q factor of a CAQR
 // factorization by applying the recorded panel transformations in
 // reverse order to the distributed [I_N; 0] block: for each panel
-// (last first), the tree merges are unwound newest-first with
-// stacked-NoTrans applies on the panel's jb coupled rows, then the leaf
-// reflectors are applied locally.
+// (last first), the panel tree's Q is applied to the jb coupled rows of
+// each rank (treeQ.roundTrip), then the leaf reflectors locally.
 func caqrBuildQ(comm *mpi.Comm, in Input, recs []caqrPanelRec) *matrix.Dense {
 	ctx := comm.Ctx()
 	me := comm.Rank()
@@ -32,23 +31,9 @@ func caqrBuildQ(comm *mpi.Comm, in Input, recs []caqrPanelRec) *matrix.Dense {
 	}
 	for pi := len(recs) - 1; pi >= 0; pi-- {
 		rec := recs[pi]
-		base := caqrQTagBase + (rec.j/max(rec.jb, 1))*caqrTagStride
-		top := e.View(rec.lo, 0, rec.jb, n)
-		// Reverse of my forward participation: first undo my send (my
-		// rows were last touched by my absorber), then my own merges
-		// newest-first.
-		if rec.sentTag >= 0 {
-			comm.Send(rec.sentTo, top.Clone().Data, base+2*rec.sentTag)
-			back := matrix.FromColMajor(rec.jb, n, comm.Recv(rec.sentTo, base+2*rec.sentTag))
-			matrix.Copy(top, back)
-		}
-		for i := len(rec.log) - 1; i >= 0; i-- {
-			m := rec.log[i]
-			theirs := matrix.FromColMajor(rec.jb, n, comm.Recv(m.partner, base+2*m.tag))
-			lapack.ApplyStackQ(m.v, m.tau, false, top, theirs)
-			ctx.Charge(flops.StackApply(rec.jb, n), rec.jb)
-			comm.Send(m.partner, theirs.Data, base+2*m.tag)
-		}
+		// Reverse of my forward participation: my rows were last touched
+		// by my absorber, before that by my own merges.
+		rec.roundTrip(blocks{comm, rec.jb, n, caqrQTagBase + rec.idx*caqrTagStride}, false, e.View(rec.lo, 0, rec.jb, n))
 		// Leaf: apply this panel's reflectors to my block rows.
 		panel := in.Local.View(rec.lo, rec.j, rec.rows, rec.jb)
 		lapack.Dormqr(blas.NoTrans, panel, rec.tau, e.View(rec.lo, 0, rec.rows, n), 0)

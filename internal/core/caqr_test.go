@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"sync"
 	"testing"
 
@@ -261,4 +264,72 @@ func TestCAQRWantQRejectsCostOnly(t *testing.T) {
 		CAQRFactorize(mpi.WorldComm(ctx), Input{M: 8, N: 4, Offsets: []int{0, 8}},
 			CAQRConfig{NB: 4, WantQ: true})
 	})
+}
+
+// hashBits is an FNV-64a over the IEEE bits of a matrix, column by column.
+func hashBits(a *matrix.Dense) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for j := 0; j < a.Cols; j++ {
+		for _, v := range a.Col(j) {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestCAQRPinned holds CAQR to recorded constants: every message, byte,
+// flop and virtual second of two cost-only shapes (the second with an
+// active set that shrinks while a trailing matrix remains), and every bit
+// of R and of the explicit Q of a data shape. A refactor of the panel walk
+// or of the tree's Q must leave all of them where they are.
+func TestCAQRPinned(t *testing.T) {
+	for _, tc := range []struct {
+		m, n, nb int
+		perClass [3]mpi.LinkCount
+		flops    float64
+		clock    float64
+	}{
+		{m: 240, n: 16, nb: 4, perClass: [3]mpi.LinkCount{{}, {Msgs: 30, Bytes: 5568}, {Msgs: 20, Bytes: 3712}},
+			flops: 120149.33333333334, clock: 0.04969234953518466},
+		{m: 48, n: 32, nb: 4, perClass: [3]mpi.LinkCount{{}, {Msgs: 46, Bytes: 18688}, {Msgs: 34, Bytes: 13760}},
+			flops: 76458.66666666669, clock: 0.1061435703022433},
+	} {
+		g := grid.SmallTestGrid(3, 2, 1)
+		offsets := scalapack.BlockOffsets(tc.m, g.Procs())
+		w := mpi.NewWorld(g, mpi.CostOnly())
+		w.Run(func(ctx *mpi.Ctx) {
+			CAQRFactorize(mpi.WorldComm(ctx), Input{M: tc.m, N: tc.n, Offsets: offsets}, CAQRConfig{NB: tc.nb})
+		})
+		c := w.Counters()
+		if c.PerClass != tc.perClass || c.Flops != tc.flops || w.MaxClock() != tc.clock {
+			t.Errorf("%dx%d NB %d cost-only moved:\n got %#v flops %v clock %v\nwant %#v flops %v clock %v",
+				tc.m, tc.n, tc.nb, c.PerClass, c.Flops, w.MaxClock(), tc.perClass, tc.flops, tc.clock)
+		}
+	}
+
+	// Data: 16 rows per rank under 24 columns, so rank 0 retires after
+	// panel 3 and the last two panels run on a shrunken tree.
+	g := grid.SmallTestGrid(2, 2, 1)
+	m, n, nb := 64, 24, 4
+	global := matrix.Random(m, n, 29)
+	offsets := scalapack.BlockOffsets(m, g.Procs())
+	var mu sync.Mutex
+	var r, q *matrix.Dense
+	mpi.NewWorld(g).Run(func(ctx *mpi.Ctx) {
+		comm := mpi.WorldComm(ctx)
+		in := Input{M: m, N: n, Offsets: offsets, Local: scalapack.Distribute(global, offsets, ctx.Rank())}
+		res := CAQRFactorize(comm, in, CAQRConfig{NB: nb, WantQ: true})
+		qf := scalapack.Collect(comm, res.QLocal, offsets, n)
+		if ctx.Rank() == 0 {
+			mu.Lock()
+			r, q = res.R, qf
+			mu.Unlock()
+		}
+	})
+	const wantR, wantQ = uint64(0x4626fdd3f29fdaaa), uint64(0xfdc30b1fd57d20cb)
+	if gotR, gotQ := hashBits(r), hashBits(q); gotR != wantR || gotQ != wantQ {
+		t.Errorf("data bits moved: R %#x Q %#x, want R %#x Q %#x", gotR, gotQ, wantR, wantQ)
+	}
 }

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"fmt"
-
 	"gridqr/internal/blas"
 	"gridqr/internal/flops"
 	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
+	"gridqr/internal/scalapack"
 )
 
 // Cholesky is the distributed communication-avoiding Cholesky
@@ -48,21 +47,11 @@ const cholBcastTag = 1<<16 + 4096 // +panel; disjoint from the CALU ranges
 // symmetric matrix) is overwritten with the corresponding rows of R.
 func CholeskyFactorize(comm *mpi.Comm, in Input, cfg CholeskyConfig) *CholeskyResult {
 	in.validate(comm)
-	nb := cfg.NB
-	if nb <= 0 {
-		nb = lapack.DefaultBlock
-	}
 	if in.M != in.N {
 		panic("core: Cholesky requires a square matrix")
 	}
 	ctx := comm.Ctx()
-	p := comm.Size()
-	for r := 0; r < p; r++ {
-		if rows := in.Offsets[r+1] - in.Offsets[r]; rows%nb != 0 {
-			panic(fmt.Sprintf("core: Cholesky needs row blocks divisible by NB=%d (rank %d has %d)",
-				nb, r, rows))
-		}
-	}
+	nb := in.panelWidth("Cholesky", cfg.NB)
 	me := comm.Rank()
 	myOff, myEnd := in.Offsets[me], in.Offsets[me+1]
 	res := &CholeskyResult{OK: true}
@@ -103,12 +92,7 @@ func CholeskyFactorize(comm *mpi.Comm, in Input, cfg CholeskyConfig) *CholeskyRe
 			ctx.Charge(flops.GEQRF(jb, jb)/4+float64(jb)*float64(jb)*float64(rest), jb)
 		}
 		// One broadcast per panel to the ranks that still hold active rows.
-		var active []int
-		for r := 0; r < p; r++ {
-			if in.Offsets[r+1] > j {
-				active = append(active, r)
-			}
-		}
+		active := in.activeRanks(j)
 		payload = bcastAmong(comm, active, me, owner, payload, cholBcastTag+res.Panels)
 		if myEnd <= j {
 			continue // my rows are done; failure is learned after the loop
@@ -152,7 +136,7 @@ func CholeskyFactorize(comm *mpi.Comm, in Input, cfg CholeskyConfig) *CholeskyRe
 		res.OK = false
 		return res
 	}
-	res.R = caqrGatherR(comm, in)
+	res.R = scalapack.ExtractR(comm, scalapack.Input(in))
 	return res
 }
 

@@ -169,6 +169,34 @@ func (in Input) validate(comm *mpi.Comm) {
 	}
 }
 
+// panelWidth is the shared prologue of the panel algorithms (CAQR, CALU,
+// Cholesky): it resolves the panel width and panics unless every rank's
+// row block is a multiple of it, so panel boundaries align with rank
+// boundaries.
+func (in Input) panelWidth(algo string, nb int) int {
+	if nb <= 0 {
+		nb = lapack.DefaultBlock
+	}
+	for r := 0; r+1 < len(in.Offsets); r++ {
+		if rows := in.Offsets[r+1] - in.Offsets[r]; rows%nb != 0 {
+			panic(fmt.Sprintf("core: %s needs row blocks divisible by NB=%d (rank %d has %d)", algo, nb, r, rows))
+		}
+	}
+	return nb
+}
+
+// activeRanks lists, in order, the ranks that still own rows at or below
+// global row j: the ones a panel starting there involves.
+func (in Input) activeRanks(j int) []int {
+	var active []int
+	for r := 0; r+1 < len(in.Offsets); r++ {
+		if in.Offsets[r+1] > j {
+			active = append(active, r)
+		}
+	}
+	return active
+}
+
 // packTriu serializes the upper triangle of an n×n matrix column by
 // column — n(n+1)/2 values, the paper's N²/2 per-message volume.
 func packTriu(r *matrix.Dense) []float64 {

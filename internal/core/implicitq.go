@@ -3,7 +3,6 @@ package core
 import (
 	"gridqr/internal/blas"
 	"gridqr/internal/flops"
-	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
 )
@@ -18,14 +17,11 @@ import (
 // process required). The handle is per-rank: every rank of the
 // factorization's communicator must call the Apply methods collectively.
 type ImplicitQ struct {
+	treeQ   // my merges of the factorization's tree
 	n       int
 	offsets []int
 	leaf    leafState
-	log     []mergeRec
-	sentTo  int
-	sentTag int
-	root    int // world rank of the tree root's leader
-	leader  bool
+	root    int // comm rank of the tree root
 	applies int // collective counter scoping each apply's tag range
 }
 
@@ -58,24 +54,17 @@ func (q *ImplicitQ) ApplyQT(comm *mpi.Comm, bLocal *matrix.Dense) (top *matrix.D
 	rest := make([]float64, k)
 	colSq(work.View(n, 0, myRows-n, k), rest)
 
-	// Forward tree replay: same merges, stacked-apply on the tops.
-	for _, rec := range q.log {
-		other := matrix.FromColMajor(n, k, comm.Recv(rec.partner, base+rec.tag))
-		lapack.ApplyStackQ(rec.v, rec.tau, true, mine, other)
-		comm.Ctx().Charge(flops.StackApply(n, k), n)
-		comm.Send(rec.partner, other.Data, base+rec.tag)
-	}
+	// Forward tree replay: same merges, stacked-apply on the tops. A
+	// block that was handed over comes back as part of the "rest" of Qᵀ·B.
+	q.roundTrip(blocks{comm, n, k, base}, true, mine)
 	if q.sentTag >= 0 {
-		comm.Send(q.sentTo, mine.Clone().Data, base+q.sentTag)
-		back := matrix.FromColMajor(n, k, comm.Recv(q.sentTo, base+q.sentTag))
-		// My top block is now part of the "rest" of Qᵀ·B.
-		colSq(back, rest)
+		colSq(mine, rest)
 		mine = nil
 	}
 	// A shuffled tree can root away from rank 0: ship the result home.
 	switch {
 	case me == q.root && q.root != 0:
-		comm.Send(0, mine.Clone().Data, base-1)
+		comm.Send(0, mine.Data, base-1)
 		mine = nil
 	case me == 0 && q.root != 0:
 		mine = matrix.FromColMajor(n, k, comm.Recv(q.root, base-1))
@@ -121,20 +110,8 @@ func (q *ImplicitQ) ApplyQ(comm *mpi.Comm, c *matrix.Dense) *matrix.Dense {
 	case me == q.root && q.root != 0:
 		seed = matrix.FromColMajor(n, k, comm.Recv(0, base-1))
 	}
-	// Backward replay: receive my seed from my absorber, then unwind my
-	// own merges newest-first, handing each partner its block.
-	if q.leader {
-		if q.sentTag >= 0 {
-			seed = matrix.FromColMajor(n, k, comm.Recv(q.sentTo, base+q.sentTag))
-		}
-		for i := len(q.log) - 1; i >= 0; i-- {
-			rec := q.log[i]
-			bottom := matrix.New(n, k)
-			lapack.ApplyStackQ(rec.v, rec.tau, false, seed, bottom)
-			comm.Ctx().Charge(flops.StackApply(n, k), n)
-			comm.Send(rec.partner, bottom.Data, base+rec.tag)
-		}
-	}
+	// Backward replay down the tree to my leaf's seed.
+	seed = q.scatter(blocks{comm, n, k, base}, seed, flops.StackApply(n, k))
 	out := q.leaf.q.Expand(seed)
 	comm.Ctx().Charge(flops.ORMQR(myRows, k, n), n)
 	return out

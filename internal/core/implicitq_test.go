@@ -104,33 +104,44 @@ func TestImplicitRoundTrip(t *testing.T) {
 }
 
 func TestImplicitMatchesExplicitQ(t *testing.T) {
-	// ApplyQ(e_j) columns must reproduce the explicit Q.
+	// ApplyQ(I) must reproduce the explicit Q exactly: both scatter the
+	// identity down the same tree and expand it through the same leaves.
 	g := grid.SmallTestGrid(2, 2, 1)
 	m, n := 64, 4
 	a := matrix.Random(m, n, 74)
 	offsets := scalapack.BlockOffsets(m, g.Procs())
-	w := mpi.NewWorld(g)
-	var mu sync.Mutex
-	var qImp, qExp *matrix.Dense
-	w.Run(func(ctx *mpi.Ctx) {
-		comm := mpi.WorldComm(ctx)
-		in := Input{M: m, N: n, Offsets: offsets, Local: scalapack.Distribute(a, offsets, ctx.Rank())}
-		res := Factorize(comm, in, Config{Tree: TreeGrid, WantQ: true, KeepFactors: true})
-		var eye *matrix.Dense
-		if ctx.Rank() == 0 {
-			eye = matrix.Eye(n)
+	for _, cfg := range []Config{
+		{Tree: TreeGrid}, {Tree: TreeBinary}, {Tree: TreeFlat}, {Tree: TreeMultiLevel},
+		{Tree: TreeBinaryShuffled, ShuffleSeed: 2}, // roots at rank 1
+		{Tree: TreeGrid, Overlap: true},
+	} {
+		cfg.WantQ, cfg.KeepFactors = true, true
+		w := mpi.NewWorld(g)
+		var mu sync.Mutex
+		var qImp, qExp *matrix.Dense
+		w.Run(func(ctx *mpi.Ctx) {
+			comm := mpi.WorldComm(ctx)
+			in := Input{M: m, N: n, Offsets: offsets, Local: scalapack.Distribute(a, offsets, ctx.Rank())}
+			res := Factorize(comm, in, cfg)
+			if (res.Q.root != 0) != (cfg.Tree == TreeBinaryShuffled) {
+				t.Errorf("%v: tree roots at rank %d", cfg.Tree, res.Q.root)
+			}
+			var eye *matrix.Dense
+			if ctx.Rank() == 0 {
+				eye = matrix.Eye(n)
+			}
+			impLocal := res.Q.ApplyQ(comm, eye)
+			imp := scalapack.Collect(comm, impLocal, offsets, n)
+			exp := scalapack.Collect(comm, res.QLocal, offsets, n)
+			if ctx.Rank() == 0 {
+				mu.Lock()
+				qImp, qExp = imp, exp
+				mu.Unlock()
+			}
+		})
+		if !matrix.Equal(qImp, qExp, 0) {
+			t.Errorf("%v overlap %t: implicit Q(I) differs from explicit Q", cfg.Tree, cfg.Overlap)
 		}
-		impLocal := res.Q.ApplyQ(comm, eye)
-		imp := scalapack.Collect(comm, impLocal, offsets, n)
-		exp := scalapack.Collect(comm, res.QLocal, offsets, n)
-		if ctx.Rank() == 0 {
-			mu.Lock()
-			qImp, qExp = imp, exp
-			mu.Unlock()
-		}
-	})
-	if !matrix.Equal(qImp, qExp, 1e-11) {
-		t.Fatal("implicit Q(I) differs from explicit Q")
 	}
 }
 
@@ -193,4 +204,73 @@ func TestKeepFactorsRejectsMultiProcDomains(t *testing.T) {
 		in := Input{M: 64, N: 4, Offsets: offsets, Local: scalapack.Distribute(a, offsets, ctx.Rank())}
 		Factorize(mpi.WorldComm(ctx), in, Config{DomainsPerCluster: 2, KeepFactors: true})
 	})
+}
+
+// TestImplicitApplyExactCounts holds the implicit applies to their message
+// counts: the tree's seed goes down once (ApplyQ: d−1 blocks of 8nk bytes),
+// the tops go up and come back (ApplyQT: 2(d−1) blocks), a tree rooted
+// away from rank 0 adds one hop either way, and the rest is collectives —
+// measured here, not assumed. LeastSquares is Factorize + ApplyQT + the
+// solution's broadcast. On the tuned tree exactly one block per direction
+// crosses the two sites.
+func TestImplicitApplyExactCounts(t *testing.T) {
+	g := grid.SmallTestGrid(2, 2, 1)
+	m, n, k := 64, 4, 3
+	a, b := matrix.Random(m, n, 78), matrix.Random(m, k, 79)
+	offsets := scalapack.BlockOffsets(m, g.Procs())
+	counts := func(body func(comm *mpi.Comm)) mpi.CounterSnapshot {
+		w := mpi.NewWorld(g)
+		w.Run(func(ctx *mpi.Ctx) { body(mpi.WorldComm(ctx)) })
+		return w.Counters()
+	}
+	input := func(comm *mpi.Comm) Input {
+		return Input{M: m, N: n, Offsets: offsets, Local: scalapack.Distribute(a, offsets, comm.Rank())}
+	}
+	bcast := func(floats int) mpi.CounterSnapshot {
+		return counts(func(comm *mpi.Comm) { comm.Bcast(0, make([]float64, floats)) })
+	}
+	allreduce := counts(func(comm *mpi.Comm) { comm.Allreduce(make([]float64, k), mpi.OpSum) })
+
+	for _, cfg := range []Config{{Tree: TreeGrid}, {Tree: TreeBinaryShuffled, ShuffleSeed: 2}} {
+		cfg.KeepFactors = true
+		blocks, interBlocks := g.Procs()-1, int64(1)
+		hop := 0
+		if cfg.Tree == TreeBinaryShuffled {
+			hop, interBlocks = 1, -1 // roots at rank 1; where the shuffle crosses sites is its own business
+		}
+		factor := counts(func(comm *mpi.Comm) { Factorize(comm, input(comm), cfg) })
+		// trips: how many times the tree is crossed, one block per merge.
+		check := func(what string, got mpi.CounterSnapshot, trips int, parts ...mpi.CounterSnapshot) {
+			t.Helper()
+			nBlocks := trips*blocks + hop
+			want := mpi.LinkCount{Msgs: int64(nBlocks), Bytes: float64(nBlocks * 8 * n * k)}
+			wantInter := int64(trips) * interBlocks
+			for _, p := range parts {
+				want.Msgs, want.Bytes = want.Msgs+p.Total().Msgs, want.Bytes+p.Total().Bytes
+				wantInter += p.Inter().Msgs
+			}
+			if got.Total() != want {
+				t.Errorf("%v %s: moved %+v, want %+v", cfg.Tree, what, got.Total(), want)
+			}
+			if interBlocks > 0 && got.Inter().Msgs != wantInter {
+				t.Errorf("%v %s: %d inter-site messages, want %d", cfg.Tree, what, got.Inter().Msgs, wantInter)
+			}
+		}
+
+		check("ApplyQ", counts(func(comm *mpi.Comm) {
+			var c *matrix.Dense
+			if comm.Rank() == 0 {
+				c = matrix.Random(n, k, 80)
+			}
+			Factorize(comm, input(comm), cfg).Q.ApplyQ(comm, c)
+		}), 1, factor, bcast(1))
+
+		check("ApplyQT", counts(func(comm *mpi.Comm) {
+			Factorize(comm, input(comm), cfg).Q.ApplyQT(comm, scalapack.Distribute(b, offsets, comm.Rank()))
+		}), 2, factor, allreduce)
+
+		check("LeastSquares", counts(func(comm *mpi.Comm) {
+			LeastSquares(comm, input(comm), scalapack.Distribute(b, offsets, comm.Rank()), cfg)
+		}), 2, factor, allreduce, bcast(n*k))
+	}
 }

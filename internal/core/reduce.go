@@ -12,7 +12,9 @@ import (
 // MPI_Reduce with a user-defined operator). Factorize, FactorizeStaged,
 // ResumeStaged and SnapshotR all run it through reduction.run; they
 // differ only in where the steps come from, which tags the messages ride
-// and which of the two hooks — the stage gate and the merge log — is set.
+// and which of the two hooks — the stage gate and the merge callback — is
+// set. CAQR runs each panel through it too; the orthogonal factor the
+// merges leave behind is treeq.go's.
 
 // tagSpace separates reductions that may share a communicator: merge i
 // travels on base+i, the delivery hop to rank 0 on final.
@@ -32,20 +34,23 @@ type reduction struct {
 	// root is the comm rank the tree reduces onto. A topology-oblivious
 	// tree can finish away from rank 0 (randomly distributed ranks, paper
 	// Fig. 1's remark); one more message, leveled at deliverStage, then
-	// carries the result home.
+	// carries the result home. Left 0, the result stays wherever the steps
+	// reduce it to (CAQR's panels).
 	root         int
 	deliverStage int
 	gate         *PreemptGate // asked before every stage; nil never stops
-	log          *[]mergeRec  // when set, collects my merges for the Q pass
-	absorbed     bool         // my triangle was handed over before this walk
+	// merged, when set, sees each merge right after I absorbed it: CAQR
+	// sends the trailing rows through it there and then.
+	merged   func(mergeRec)
+	absorbed bool // my triangle was handed over before this walk
 }
 
 // reduced is what a walk leaves on one rank.
 type reduced struct {
-	r               *matrix.Dense // my current triangle; nil in cost-only mode
-	sentTo, sentTag int           // the merge that absorbed me, or -1
-	absorbed        bool          // r is no longer mine: its absorber carries it on
-	stop            int           // the stage the gate stopped me at; 0 = ran to the end
+	r        *matrix.Dense // my current triangle; nil in cost-only mode
+	treeQ                  // the merges I absorbed and the one that absorbed me
+	absorbed bool          // r is no longer mine: its absorber carries it on
+	stop     int           // the stage the gate stopped me at; 0 = ran to the end
 }
 
 // reduction returns domain dom's walk of the compiled schedule.
@@ -57,7 +62,7 @@ func (cs *compiledSchedule) reduction(comm *mpi.Comm, n, dom int, tags tagSpace)
 // run folds incoming triangles into r in schedule order and hands the
 // result over at my one outgoing step, which ends my part of the tree.
 func (x reduction) run(r *matrix.Dense) reduced {
-	out := reduced{r: r, sentTo: -1, sentTag: -1, absorbed: x.absorbed}
+	out := reduced{r: r, treeQ: treeQ{sentTo: -1, sentTag: -1}, absorbed: x.absorbed}
 	ctx := x.comm.Ctx()
 	for _, s := range x.steps {
 		if x.gate.shouldStop(s.stage) {
@@ -74,8 +79,9 @@ func (x reduction) run(r *matrix.Dense) reduced {
 			out.r, rec.v, rec.tau = lapack.StackQR(out.r, other)
 		}
 		ctx.ChargeKernel("stack_qr", flops.StackQR(x.n), x.n)
-		if x.log != nil {
-			*x.log = append(*x.log, rec)
+		out.log = append(out.log, rec)
+		if x.merged != nil {
+			x.merged(rec)
 		}
 	}
 	if me := x.comm.Rank(); x.root != 0 && (me == 0 || me == x.root) {
@@ -94,7 +100,8 @@ func (x reduction) run(r *matrix.Dense) reduced {
 
 // sendTriu and recvTriu move one packed triangle. They are where the
 // reduction forks between data and cost-only worlds: a cost-only world
-// ships the byte count alone and receives nil.
+// ships the byte count alone and receives nil. (blocks.send and
+// blocks.recv in treeq.go are the same fork for dense blocks.)
 func sendTriu(comm *mpi.Comm, dst int, r *matrix.Dense, n, tag int) {
 	if comm.Ctx().HasData() {
 		comm.Send(dst, packTriu(r), tag)

@@ -41,14 +41,11 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 
 	// Forward reduction over domain leaders. Non-leaders are done until
 	// the Q pass.
-	var log []mergeRec
-	sentTo, sentTag := -1, -1
+	tq := treeQ{sentTo: -1, sentTag: -1}
 	if me == dom.leader() {
 		combineDone := ctx.Phase("tsqr.combine")
-		red := cs.reduction(comm, in.N, dom.id, factorTags)
-		red.log = &log
-		out := red.run(leaf.r)
-		sentTo, sentTag = out.sentTo, out.sentTag
+		out := cs.reduction(comm, in.N, dom.id, factorTags).run(leaf.r)
+		tq = out.treeQ
 		if me == 0 {
 			res.R = out.r
 		}
@@ -57,7 +54,7 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 
 	if cfg.WantQ {
 		qDone := ctx.Phase("tsqr.build_q")
-		res.QLocal = buildQ(comm, in, dom, leaf, log, sentTo, sentTag)
+		res.QLocal = buildQ(comm, in, dom, leaf, tq)
 		qDone()
 	}
 	if cfg.KeepFactors {
@@ -67,11 +64,8 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 		if leaf.domComm != nil {
 			panic("core: KeepFactors requires one domain per process")
 		}
-		res.Q = &ImplicitQ{
-			n: in.N, offsets: in.Offsets, leaf: leaf, log: log,
-			sentTo: sentTo, sentTag: sentTag, leader: me == dom.leader(),
-			root: l.domains[cs.rootDom].leader(),
-		}
+		res.Q = &ImplicitQ{treeQ: tq, n: in.N, offsets: in.Offsets, leaf: leaf,
+			root: l.domains[cs.rootDom].leader()}
 	}
 	return res
 }
@@ -85,16 +79,6 @@ func (in Input) checkTall(dom domain) {
 		panic(fmt.Sprintf("core: domain %d has %d rows < N=%d (matrix not tall enough for this decomposition)",
 			dom.id, rows, in.N))
 	}
-}
-
-// mergeRec remembers one merge a leader performed, for the backward Q
-// pass: the implicit Q of the stacked-triangles QR and who contributed
-// the absorbed R.
-type mergeRec struct {
-	v       *matrix.Dense
-	tau     []float64
-	partner int
-	tag     int
 }
 
 // leafState is what the leaf factorization leaves behind for Q
@@ -148,40 +132,22 @@ func factorLeaf(comm *mpi.Comm, in Input, dom domain, cfg Config) leafState {
 	return leafState{r: f.R, domComm: domComm, slf: f}
 }
 
-// buildQ performs the backward pass of TSQR Q construction: starting from
-// the identity at the tree root, each merge node splits its n×n seed into
-// a top block (kept) and a bottom block (sent to the domain whose R was
-// absorbed there), using the implicit Q of that merge. Leaves finally
-// expand their seed through the leaf factorization's implicit Q into
-// their rows of the explicit Q factor.
-func buildQ(comm *mpi.Comm, in Input, dom domain, leaf leafState,
-	log []mergeRec, sentTo, sentTag int) *matrix.Dense {
+// buildQ performs the backward pass of TSQR Q construction: the identity
+// at the tree root is scattered down the tree — each merge node splits
+// its n×n seed into a top block (kept) and a bottom block (sent to the
+// domain whose R was absorbed there) — and every leaf expands its seed
+// through the leaf factorization's implicit Q into its rows of the
+// explicit Q factor.
+func buildQ(comm *mpi.Comm, in Input, dom domain, leaf leafState, tq treeQ) *matrix.Dense {
 	ctx := comm.Ctx()
 	n := in.N
 	me := comm.Rank()
 	var seed *matrix.Dense
 	if me == dom.leader() {
-		// Obtain my seed: from the absorber of my R, or I as the root.
-		if sentTag >= 0 {
-			buf := comm.Recv(sentTo, qTagBase+sentTag)
-			if ctx.HasData() {
-				seed = matrix.FromColMajor(n, n, buf)
-			}
-		} else if ctx.HasData() {
+		if tq.sentTag < 0 && ctx.HasData() {
 			seed = matrix.Eye(n)
 		}
-		// Unwind my merges, newest first.
-		for i := len(log) - 1; i >= 0; i-- {
-			rec := log[i]
-			if ctx.HasData() {
-				bottom := matrix.New(n, n)
-				lapack.ApplyStackQ(rec.v, rec.tau, false, seed, bottom)
-				comm.Send(rec.partner, bottom.Data, qTagBase+rec.tag)
-			} else {
-				comm.SendBytes(rec.partner, 8*float64(n*n), qTagBase+rec.tag)
-			}
-			ctx.ChargeKernel("stack_qr_apply", flops.StackQRApplyQ(n), n)
-		}
+		seed = tq.scatter(blocks{comm, n, n, qTagBase}, seed, flops.StackQRApplyQ(n))
 	}
 	// Expand the seed through the leaf's implicit Q. The charge is the
 	// structured cost of the paper's Table II (the Q pass mirrors the

@@ -74,7 +74,7 @@ func PDGEQRFLookahead(comm *mpi.Comm, in Input, nb, nx int) *Factorization {
 		j += jb
 	}
 	p.drainAll()
-	f.R = extractR(comm, in)
+	f.R = ExtractR(comm, in)
 	return f
 }
 

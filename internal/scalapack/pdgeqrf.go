@@ -36,7 +36,7 @@ func PDGEQRF(comm *mpi.Comm, in Input, nb, nx int) *Factorization {
 		p.blockUpdate(j, jb)
 		j += jb
 	}
-	f.R = extractR(comm, in)
+	f.R = ExtractR(comm, in)
 	return f
 }
 

@@ -89,7 +89,7 @@ func PDGEQR2(comm *mpi.Comm, in Input) *Factorization {
 	f := &Factorization{Local: in.Local, Tau: make([]float64, in.N), M: in.M, N: in.N, Offsets: in.Offsets}
 	p := &pd{comm: comm, in: in, f: f}
 	p.panelQR2(0, in.N, in.N)
-	f.R = extractR(comm, in)
+	f.R = ExtractR(comm, in)
 	return f
 }
 
@@ -213,10 +213,10 @@ func reflectorFromNorm(alpha, ssq float64) (beta, tau, scale float64) {
 	return beta, (beta - alpha) / beta, 1 / (alpha - beta)
 }
 
-// extractR assembles the N×N upper triangular factor on comm rank 0 from
+// ExtractR assembles the N×N upper triangular factor on comm rank 0 from
 // whichever ranks own global rows 0..N-1. For the tall matrices this
 // library targets, rank 0's block covers all of R and no messages move.
-func extractR(comm *mpi.Comm, in Input) *matrix.Dense {
+func ExtractR(comm *mpi.Comm, in Input) *matrix.Dense {
 	if !comm.Ctx().HasData() {
 		return nil
 	}
