@@ -80,6 +80,35 @@ func kernSet() []kernCase {
 		})
 	}
 
+	// The two products of the leaf's block reflector at the shape larfb
+	// hands them over — a 4096-row fold block, a 16-wide reflector block,
+	// 48 trailing columns, all views of one tall panel: C2 −= V2·W and
+	// W += V2ᵀ·C2. A fall off the skinny kernels back to the packed
+	// engine is a factor of two to three here.
+	{
+		rows, k, n := 4096, 16, 48
+		panel := matrix.Random(4*rows, k+n, 21)
+		v, c2 := panel.View(rows, 0, rows, k), panel.View(rows, k, rows, n)
+		w := matrix.Random(k, n, 22)
+		cases = append(cases, kernCase{
+			name:  fmt.Sprintf("dgemm_nn_%dx%dx%d", rows, k, n),
+			flops: flops.GEMM(rows, n, k),
+			run: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					blas.Dgemm(blas.NoTrans, blas.NoTrans, -1e-9, v, w, 1, c2)
+				}
+			},
+		}, kernCase{
+			name:  fmt.Sprintf("dgemm_tn_%dx%dx%d", rows, k, n),
+			flops: flops.GEMM(k, n, rows),
+			run: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					blas.Dgemm(blas.Trans, blas.NoTrans, 1, v, c2, 0, w)
+				}
+			},
+		})
+	}
+
 	{
 		n, m := 64, 1024
 		u := matrix.Random(n, n, 5)
@@ -220,12 +249,13 @@ func kernSet() []kernCase {
 
 	// The Q side. Expanding the identity through a recorded fold is the
 	// leaf of explicit-Q TSQR (core.buildQ); its blocks are 4096×64, the
-	// tall side of lapack's block-reflector rule. dormqr sits one entry
-	// on each side of that rule — 4096 rows take one compact-WY block
-	// reflector, 512 rows (and every 128×64 tree leaf) the rank-one
-	// sweeps of Dorm2r — so moving the rule shows up here. Applying Q is
-	// orthogonal, so C needs no reset between iterations. dorgqr is the
-	// one-shot tall explicit Q, 65536 rows out of cache.
+	// tall side of lapack's block-reflector rule. dormqr is timed at a
+	// fold block's 4096 rows and at 512, the shortest block the rule
+	// sends to a compact-WY block reflector (under it, as on every
+	// 128×64 tree leaf, Dorm2r's rank-one sweeps) — so moving the floor
+	// shows up here. Applying Q is orthogonal, so C needs no reset
+	// between iterations. dorgqr is the one-shot tall explicit Q, 65536
+	// rows out of cache.
 	{
 		m, n := 131072, 64
 		_, q := lapack.FoldQR(matrix.Random(m, n, 17), 0, false, true)

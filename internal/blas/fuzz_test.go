@@ -18,6 +18,12 @@ func FuzzDgemm(f *testing.F) {
 	f.Add(uint16(65), uint16(33), uint16(129), true, false, -0.5, 1.0, int64(2))
 	f.Add(uint16(4), uint16(1), uint16(300), false, true, 2.0, 0.25, int64(3))
 	f.Add(uint16(1), uint16(90), uint16(2), true, true, 1.5, -1.0, int64(4))
+	// The skinny kernels' shapes: short k under ragged m (A·B), short m
+	// over ragged k (Aᵀ·B), n off both tile widths.
+	for i, k := range []uint16{1, 4, 8, 16, 64} {
+		f.Add(uint16(129+i), uint16(7), k-1, false, false, -1.0, 1.0, int64(5+i))
+		f.Add(k-1, uint16(11), uint16(131+i), true, false, 0.5, 0.0, int64(10+i))
+	}
 	f.Fuzz(func(t *testing.T, um, un, uk uint16, taT, tbT bool, alpha, beta float64, seed int64) {
 		m, n, k := int(um%160)+1, int(un%160)+1, int(uk%160)+1
 		if math.IsNaN(alpha) || math.IsInf(alpha, 0) || math.Abs(alpha) > 1e3 ||
@@ -32,8 +38,11 @@ func FuzzDgemm(f *testing.F) {
 		if tbT {
 			tb, br, bc = Trans, n, k
 		}
-		a := matrix.Random(ar, ac, seed)
-		b := matrix.Random(br, bc, seed+1)
+		// Views off the top of taller parents: leading dimensions the
+		// rows do not fill and column bases off any alignment.
+		pad := int(uint64(seed) % 4)
+		a := matrix.Random(ar+pad, ac, seed).View(pad, 0, ar, ac)
+		b := matrix.Random(br+pad, bc, seed+1).View(pad/2, 0, br, bc)
 		c0 := matrix.Random(m, n, seed+2)
 
 		want := c0.Clone()
@@ -67,8 +76,11 @@ func FuzzDgemm(f *testing.F) {
 			prev := setAsmKernel(false)
 			c = c0.Clone()
 			gemmPacked(ta, tb, alpha, a, b, beta, c)
-			setAsmKernel(prev)
 			check("packed-go", c)
+			c = c0.Clone()
+			gemmSmall(ta, tb, alpha, a, b, beta, c, 0, n)
+			setAsmKernel(prev)
+			check("sweep-go", c)
 		}
 	})
 }

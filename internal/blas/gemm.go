@@ -6,7 +6,7 @@ import (
 )
 
 // gemmPackMinMK is the m·k panel size at which Dgemm switches from the
-// sweep kernel to the packed engine: below it the O(mk+kn) packing
+// unpacked kernels to the packed engine: below it the O(mk+kn) packing
 // copies cost more than they save. The criterion is deliberately a
 // function of m and k only — never n — so that processing a wide update
 // in column chunks (the ScaLAPACK lookahead drain, Dlarfb panels) picks
@@ -16,10 +16,13 @@ import (
 // const, so the tuning sweep and the table tests can force either path.
 var gemmPackMinMK float64 = 1 << 12
 
-// Dgemm computes C = alpha*op(A)*op(B) + beta*C. Small products run on a
-// serial column-sweep kernel; everything else goes through the packed,
-// cache-blocked engine (engine.go), which parallelizes over macro-tiles
-// on a persistent worker pool. Output is bitwise deterministic for a
+// Dgemm computes C = alpha*op(A)*op(B) + beta*C. Three kernels, chosen
+// from the transposes, m and k: the skinny kernels (skinny.go) take A·B
+// with k ≤ skinnyDim and Aᵀ·B with m ≤ skinnyDim — the two products of a
+// block reflector — at any size, serially and in place; other products
+// go through the packed, cache-blocked engine (engine.go), which
+// parallelizes over macro-tiles on a persistent worker pool, unless they
+// are too small to repay packing. Output is bitwise deterministic for a
 // given shape and tuning, independent of the worker count.
 func Dgemm(ta, tb Transpose, alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense) {
 	m, ka := opShape(ta, a)
@@ -41,19 +44,35 @@ func gemm(ta, tb Transpose, alpha float64, a, b *matrix.Dense, beta float64, c *
 	if m == 0 || n == 0 {
 		return
 	}
-	if m >= mr && float64(m)*float64(k) >= gemmPackMinMK {
+	// short is the extent the skinny kernels want short.
+	short := k
+	if ta == Trans {
+		short = m
+	}
+	if m >= mr && float64(m)*float64(k) >= gemmPackMinMK && (tb == Trans || short > skinnyDim) {
 		gemmPacked(ta, tb, alpha, a, b, beta, c)
 		return
 	}
 	gemmSmall(ta, tb, alpha, a, b, beta, c, 0, n)
 }
 
-// gemmSmall computes columns [j0, j1) of C with the column-sweep kernel:
-// no packing, each case organized so the innermost loop runs down
-// contiguous columns. It remains the best choice for skinny/tiny
-// products and is the serial base the packed engine is verified against.
+// gemmSmall computes columns [j0, j1) of C without packing: for Bᵀ a
+// column sweep whose innermost loop runs down contiguous columns, and
+// the skinny kernels otherwise. It is what the packed engine is verified
+// against.
 func gemmSmall(ta, tb Transpose, alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense, j0, j1 int) {
-	k, _ := opShape(tb, b)
+	if tb == NoTrans {
+		if j1-j0 < c.Cols {
+			b, c = b.View(0, j0, b.Rows, j1-j0), c.View(0, j0, c.Rows, j1-j0)
+		}
+		if ta == NoTrans {
+			gemmNN(alpha, a, b, beta, c)
+		} else {
+			gemmTN(alpha, a, b, beta, c)
+		}
+		return
+	}
+	k := b.Cols
 	for j := j0; j < j1; j++ {
 		cj := c.Col(j)
 		if beta == 0 {
@@ -63,20 +82,7 @@ func gemmSmall(ta, tb Transpose, alpha float64, a, b *matrix.Dense, beta float64
 		} else if beta != 1 {
 			Dscal(beta, cj)
 		}
-		switch {
-		case ta == NoTrans && tb == NoTrans:
-			bj := b.Col(j)
-			for l := 0; l < k; l++ {
-				f := alpha * bj[l]
-				if f == 0 {
-					continue
-				}
-				al := a.Col(l)
-				for i := range cj {
-					cj[i] += f * al[i]
-				}
-			}
-		case ta == NoTrans && tb == Trans:
+		if ta == NoTrans {
 			for l := 0; l < k; l++ {
 				f := alpha * b.At(j, l)
 				if f == 0 {
@@ -87,20 +93,15 @@ func gemmSmall(ta, tb Transpose, alpha float64, a, b *matrix.Dense, beta float64
 					cj[i] += f * al[i]
 				}
 			}
-		case ta == Trans && tb == NoTrans:
-			bj := b.Col(j)
-			for i := range cj {
-				cj[i] += alpha * Ddot(a.Col(i), bj)
+			continue
+		}
+		for i := range cj {
+			ai := a.Col(i)
+			var s float64
+			for l := 0; l < k; l++ {
+				s += ai[l] * b.At(j, l)
 			}
-		default: // Trans, Trans
-			for i := range cj {
-				ai := a.Col(i)
-				var s float64
-				for l := 0; l < k; l++ {
-					s += ai[l] * b.At(j, l)
-				}
-				cj[i] += alpha * s
-			}
+			cj[i] += alpha * s
 		}
 	}
 }

@@ -143,14 +143,29 @@ func TestDgemmDeterministicAcrossWorkers(t *testing.T) {
 // its tests require bitwise equality with the blocking path, so the
 // kernel dispatch must never depend on n (gemm.go).
 func TestDgemmColumnChunkInvariance(t *testing.T) {
-	for _, sh := range [][2]int{{256, 64}, {32, 16}} { // packed resp. sweep path
-		m, k := sh[0], sh[1]
+	type shape struct {
+		ta   Transpose
+		m, k int
+	}
+	shapes := []shape{{NoTrans, 256, 64}, {NoTrans, 32, 16}, {NoTrans, 256, 128}, {Trans, 256, 128}} // the last two packed
+	// The skinny kernels: every chunk width moves the 8×4 and 4×3 tiles
+	// and their edges across the same columns.
+	for _, k := range []int{1, 4, 8, 16, 64} {
+		for _, m := range []int{64, 65, 71} {
+			shapes = append(shapes, shape{NoTrans, m, k}, shape{Trans, k, 40*m + 3})
+		}
+	}
+	for _, sh := range shapes {
+		m, k := sh.m, sh.k
 		n := 23
 		a := matrix.Random(m, k, 1)
+		if sh.ta == Trans {
+			a = matrix.Random(k, m, 1)
+		}
 		b := matrix.Random(k, n, 2)
 		whole := matrix.Random(m, n, 3)
 		init := whole.Clone()
-		Dgemm(NoTrans, NoTrans, 1.5, a, b, 0.5, whole)
+		Dgemm(sh.ta, NoTrans, 1.5, a, b, 0.5, whole)
 		for _, w := range []int{1, 2, 3, 5, 7} {
 			chunked := init.Clone()
 			for j0 := 0; j0 < n; j0 += w {
@@ -158,14 +173,14 @@ func TestDgemmColumnChunkInvariance(t *testing.T) {
 				if j0+wj > n {
 					wj = n - j0
 				}
-				Dgemm(NoTrans, NoTrans, 1.5, a, b.View(0, j0, k, wj), 0.5, chunked.View(0, j0, m, wj))
+				Dgemm(sh.ta, NoTrans, 1.5, a, b.View(0, j0, k, wj), 0.5, chunked.View(0, j0, m, wj))
 			}
 			for j := 0; j < n; j++ {
 				cw, cc := whole.Col(j), chunked.Col(j)
 				for i := range cw {
 					if cw[i] != cc[i] {
-						t.Fatalf("m=%d k=%d chunk=%d: C[%d,%d] %x != %x (whole)",
-							m, k, w, i, j, cc[i], cw[i])
+						t.Fatalf("ta=%v m=%d k=%d chunk=%d: C[%d,%d] %x != %x (whole)",
+							sh.ta, m, k, w, i, j, cc[i], cw[i])
 					}
 				}
 			}

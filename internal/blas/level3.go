@@ -386,14 +386,28 @@ func syrkDiag(trans Transpose, alpha float64, a *matrix.Dense, beta float64, c *
 		}
 	}
 	if trans == Trans {
-		// C += alpha·AᵀA on the block: columns of A are contiguous.
-		for j := 0; j < jb; j++ {
-			aj := a.Col(j0 + j)
-			cj := c.Col(j0 + j)[j0:]
-			for i := 0; i <= j; i++ {
-				cj[i] += alpha * Ddot(a.Col(j0+i), aj)
+		// C += alpha·AᵀA on the block: columns of A are contiguous. A
+		// block of at most four columns is a single row of tiles — none
+		// lies under the diagonal to be skipped — and its ten dots beat
+		// the tiles until the columns are long enough for the tiles'
+		// operand reuse to tell (n = 4, dots / tiles: 0.15 / 0.22–0.45 µs
+		// at k = 32, 0.21 / 0.44–0.57 at 128, 1.5 / 1.3–1.9 at 1024,
+		// 484–566 / 235–259 at 131072).
+		if jb <= 4 && k < 1024 {
+			for j := 0; j < jb; j++ {
+				aj := a.Col(j0 + j)
+				cj := c.Col(j0 + j)[j0:]
+				for i := 0; i <= j; i++ {
+					cj[i] += alpha * Ddot(a.Col(j0+i), aj)
+				}
 			}
+			return
 		}
+		// Otherwise the upper tiles of the skinny AᵀB kernel, both
+		// operands the block's columns of A (1.5–3 times the dots' rate
+		// from 16 columns up at any k).
+		ab := a.View(0, j0, k, jb)
+		gemmTNAdd(alpha, ab, ab, c.View(j0, j0, jb, jb), true)
 		return
 	}
 	// C += alpha·AAᵀ on the block: iterate the contraction l outermost so

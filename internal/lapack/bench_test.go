@@ -2,6 +2,7 @@ package lapack
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"gridqr/internal/blas"
@@ -214,6 +215,82 @@ func BenchmarkBlockReflectorCrossover(b *testing.B) {
 					kc.run()
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkPanelInnerWidth is the measurement behind geqr2NB (DESIGN.md
+// "Panel kernels" has its table): panelQR at the fold block, the tree
+// leaf and the narrow fold block, over the inner widths. Blocks are
+// views of a taller parent, as FoldQR hands them over.
+func BenchmarkPanelInnerWidth(b *testing.B) {
+	defer func(nb int) { geqr2NB = nb }(geqr2NB)
+	for _, sh := range [][2]int{{4096, 64}, {128, 64}, {4096, 16}} {
+		m, n := sh[0], sh[1]
+		a := matrix.Random(4*m, n, 9).View(m, 0, m, n)
+		f := matrix.New(4*m, n).View(m, 0, m, n)
+		tau := make([]float64, n)
+		for _, nb := range []int{4, 8, 16, 32} {
+			b.Run(fmt.Sprintf("%dx%d/nb%d", m, n, nb), func(b *testing.B) {
+				geqr2NB = nb
+				for i := 0; i < b.N; i++ {
+					matrix.Copy(f, a)
+					panelQR(f, tau)
+				}
+				b.ReportMetric(flops.GEQRF(m, n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
+			})
+		}
+	}
+}
+
+// BenchmarkLarftRoutes is the measurement behind larftGramMin
+// (DESIGN.md "Panel kernels" has its table): Dlarft with the columns'
+// cross-products taken column by column (Dgemv) or all at once over V2
+// (Dsyrk), over block heights and widths.
+func BenchmarkLarftRoutes(b *testing.B) {
+	defer func(r int) { larftGramMin = r }(larftGramMin)
+	for _, k := range []int{4, 8, 16, 32, 64} {
+		for _, rows := range []int{128, 256, 512, 1024, 4096} {
+			a := matrix.Random(rows, k, int64(rows+k))
+			tau := make([]float64, k)
+			Dgeqr2(a, tau)
+			t := matrix.New(k, k)
+			for _, route := range []struct {
+				name string
+				min  int
+			}{{"dgemv", math.MaxInt}, {"dsyrk", 0}} {
+				b.Run(fmt.Sprintf("k%d/rows%d/%s", k, rows, route.name), func(b *testing.B) {
+					larftGramMin = route.min
+					for i := 0; i < b.N; i++ {
+						Dlarft(a, tau, t)
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkFoldWidthGuard is the measurement behind foldMinCols and
+// foldMaxCols (DESIGN.md "Panel kernels" has its table): a leaf of the
+// given size folded through FoldBlockRows(n)-row blocks against the same
+// leaf as one Dgeqrf, over the widths on both sides of the guard.
+func BenchmarkFoldWidthGuard(b *testing.B) {
+	for _, mib := range []int{8, 32, 128} {
+		for _, n := range []int{4, 8, 12, 16, 20, 24, 28, 32, 48, 64, 96, 112, 128, 192, 256} {
+			m := mib << 20 / (8 * n)
+			a := matrix.Random(m, n, 11)
+			f := matrix.New(m, n)
+			for _, kind := range []struct {
+				name string
+				rows int
+			}{{"fold", FoldBlockRows(n)}, {"one", m}} {
+				b.Run(fmt.Sprintf("%dMiB/n%d/%s", mib, n, kind.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						matrix.Copy(f, a)
+						foldQR(f, kind.rows, 0, false, false)
+					}
+				})
+			}
 		}
 	}
 }

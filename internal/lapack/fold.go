@@ -106,14 +106,22 @@ func copyTriu(dst, a *matrix.Dense) {
 	}
 }
 
-// foldMinCols and foldMaxCols bound the widths FoldQR cuts into blocks,
-// one measured width inside the range that gains (DESIGN.md "Panel
-// kernels" has the table). Fold time over one Dgeqrf on a 32 MiB leaf:
-// 3.5–5.3 at n = 4 and 0.7–0.9 at 8 (0.9–1.2 on 8 MiB), where the n²-row
-// blocks are too short to amortise a call; 0.4–0.55 at 10–16, 0.73–0.8 at
-// 24–48, 0.75–1.0 at 72–96; then 0.95–1.25 at 112–128 and 1.6–2.2 at
-// 192–256, where blocks are barely 20 times taller than wide and the n×n
-// merges eat the gain.
+// foldMinCols and foldMaxCols bound the widths FoldQR cuts into blocks
+// (DESIGN.md "Panel kernels" has the table, BenchmarkFoldWidthGuard the
+// measurement). Fold time over one Dgeqrf on a 32 MiB leaf, with the
+// skinny GEMM kernels under both: 5.7–6.3 at n = 4 and 2.1 at 8, where
+// the n²-row blocks are too short to amortise a call; 1.0–1.2 at 12–16
+// (1.0–1.1 on 128 MiB, 1.2–1.9 on 8 MiB); 0.9–1.0 at 20–28; 0.77–0.94 at
+// 32–64 (0.55–0.67 on 128 MiB); 0.93–1.08 at 96 (0.6–0.8 on 128 MiB);
+// then 0.94–1.2 at 112–128 and 1.2–1.5 at 192–256, where blocks are
+// barely 20 times taller than wide and the n×n merges eat the gain. The
+// one Dgeqrf gained more from those kernels than the blocks did — its
+// trailing updates stream the panel at the kernels' rate now — so the
+// range that gains has shrunk to about 24–96 columns and 12–16 is a
+// wash to a small loss. The lower bound stays where it was: inside the
+// guard a one-rank leaf and a stream.Folder cut the same blocks and
+// return the same bits (TestLeafEqualsFolder holds that at n = 16), and
+// that is worth more than the 0–20% at those widths.
 const (
 	foldMinCols = 12
 	foldMaxCols = 96

@@ -33,13 +33,18 @@ func Dgeqr2(a *matrix.Dense, tau []float64) {
 	}
 }
 
-// geqr2NB is the inner panel width of panelQR. Level-2 traffic of a panel
-// factorization is ∝ m·n·(inner width), so a narrow inner panel with a
-// level-3 trailing update beats running Dgeqr2 across the full panel; 8
-// columns keeps the Dlarfb T/W overhead negligible while the reflector
-// applies stay inside geqr2NB-wide strips. A variable (not a const) so
-// the tuning benchmarks can sweep it; never mutated at runtime.
-var geqr2NB = 16
+// geqr2NB is the inner panel width of panelQR. The level-2 share of a
+// panel factorization — Dgeqr2 sweeping the subpanel once per column — is
+// ∝ m·n·(inner width); everything outside the subpanel is the block
+// reflector's two skinny GEMMs, which run near the FMA peak at any
+// width, so the width is as small as their fixed costs allow. Measured
+// (BenchmarkPanelInnerWidth; DESIGN.md "Panel kernels" has the table): 4
+// beats 8 by 5–10% on a 4096×64 fold block and by 20% on 4096×16, 16 by
+// 30–60%; on a 128×64 tree leaf 8 is 5% ahead of 4, where a Dlarfb's
+// triangular multiplies and pooled scratch weigh more than the sweep. A
+// variable (not a const) so that benchmark can sweep it; never mutated
+// at runtime.
+var geqr2NB = 4
 
 // panelQR factors a tall panel with inner blocking at width geqr2NB:
 // Dgeqr2 runs only on geqr2NB-wide subpanels and the remaining columns
@@ -66,6 +71,15 @@ func panelQR(a *matrix.Dense, tau []float64) {
 	}
 }
 
+// larftGramMin is the size of V2 — the rows of the reflector block under
+// its k×k unit lower triangular head V1 — in elements from which Dlarft
+// forms the columns' cross-products over those rows all at once. Under
+// 64 KiB the per-column products are short enough that the level-3 call
+// is mostly its own overhead (BenchmarkLarftRoutes; DESIGN.md "Panel
+// kernels" has the table). A variable so that benchmark can force either
+// route; never mutated at runtime.
+var larftGramMin = 8192
+
 // Dlarft forms the upper triangular factor T of the block reflector
 // H = I − V·T·Vᵀ from the k reflectors stored columnwise in v (forward
 // direction). v is m×k with implicit unit diagonal; t is k×k and is
@@ -76,6 +90,20 @@ func Dlarft(v *matrix.Dense, tau []float64, t *matrix.Dense) {
 		panic("lapack: Dlarft shape mismatch")
 	}
 	m := v.Rows
+	// t[0:i, i] = -tau[i] * V[:, 0:i]ᵀ · v_i, exploiting that v_i is zero
+	// above row i and has a unit entry at row i: the unit-row term
+	// V[i, j], plus the dots over the common tail rows i+1:m. The rows of
+	// V2 are common to every pair of columns, so on a tall block their
+	// share of the dots — rows·k² flops at Dgemv speed, column by column
+	// — is instead the upper triangle of V2ᵀ·V2, formed once at level-3
+	// speed into T itself, and the per-column dots stop at row k.
+	kk := min(k, m)
+	gram := (m-kk)*k >= larftGramMin
+	tail := m
+	if gram {
+		blas.Dsyrk(blas.Trans, 1, v.View(kk, 0, m-kk, k), 0, t)
+		tail = kk
+	}
 	for i := 0; i < k; i++ {
 		if tau[i] == 0 {
 			for j := 0; j <= i; j++ {
@@ -83,18 +111,18 @@ func Dlarft(v *matrix.Dense, tau []float64, t *matrix.Dense) {
 			}
 			continue
 		}
-		// t[0:i, i] = -tau[i] * V[:, 0:i]ᵀ · v_i, exploiting that v_i is
-		// zero above row i and has a unit entry at row i: seed with the
-		// unit-row term V[i, j], then one transposed gemv over the common
-		// tail rows i+1:m adds the dots (alpha = beta = -tau[i] folds the
-		// scaling into the same call).
 		if i > 0 {
 			vi := v.Col(i)
 			colTop := t.Col(i)[:i]
 			for j := 0; j < i; j++ {
-				colTop[j] = v.Col(j)[i]
+				if gram {
+					colTop[j] += v.Col(j)[i]
+				} else {
+					colTop[j] = v.Col(j)[i]
+				}
 			}
-			blas.Dgemv(blas.Trans, -tau[i], v.View(i+1, 0, m-i-1, i), vi[i+1:m], -tau[i], colTop)
+			// alpha = beta = -tau[i] folds the scaling into the same call.
+			blas.Dgemv(blas.Trans, -tau[i], v.View(i+1, 0, tail-i-1, i), vi[i+1:tail], -tau[i], colTop)
 			// t[0:i, i] = T[0:i, 0:i] · t[0:i, i]
 			blas.Dtrmv(blas.NoTrans, t.View(0, 0, i, i), colTop)
 		}

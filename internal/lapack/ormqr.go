@@ -44,17 +44,22 @@ func Dorm2r(trans blas.Transpose, a *matrix.Dense, tau []float64, c *matrix.Dens
 // reflector (Dlarft, then Dlarfb's two GEMMs and three k-wide triangular
 // multiplies) or as k rank-one sweeps (Dorm2r). Three extents, three
 // conditions, each measured (DESIGN.md "Panel kernels" has the table,
-// k = 16…96, 64…16384 rows, 1…4096 columns):
+// k = 16…96, 64…16384 rows, 1…4096 columns; re-measured when the GEMMs
+// moved to the skinny kernels, which halved the block reflector's time):
 //   - C is at least as wide as the block, or the rows·k² flops of forming
-//     T buy too few columns (8–16 times slower on one right-hand side);
-//   - the block is at least 512 rows tall: under that the GEMMs do not
-//     amortise their packing, whatever C's width (1.4–3.5 times slower
-//     at 64 and 128 rows, and at 256 rows for k = 16);
+//     T buy too few columns (2.6–5 times slower on one right-hand side);
+//   - the block is at least 512 rows tall. The GEMMs no longer pack and
+//     run at their rate at any height; what a short block cannot
+//     amortise now is the three triangular multiplies, k²·cols flops of
+//     scalar code each (1.0–1.9 times Dorm2r's time at 128 and 256 rows
+//     when cols = k, 0.9–3.4 at 64 rows whatever the width);
 //   - C fills half of foldBlockBytes (2048 rows at 64 columns, 8192 at
-//     16): the sweeps match the GEMMs while C sits in L2 beside the
-//     reflector being applied and lose half their rate and more once it
-//     does not (0.3–0.9 of Dorm2r's time above that size, break-even
-//     around it, up to 1.7 times slower below).
+//     16). This one is now conservative: it was the size of C at which
+//     the sweeps, which matched the packed GEMMs while C sat in L2, fell
+//     behind; against the skinny kernels they are behind from 512 rows
+//     (0.49–0.93 of Dorm2r's time at 512–2048 rows when cols = k,
+//     0.22–0.65 where the rule sends them). ROADMAP item 7(d) carries
+//     the corner.
 func blockReflectorPays(rows, k, cols int) bool {
 	return cols >= k && rows >= 512 && rows*cols >= foldBlockBytes/2/8
 }
