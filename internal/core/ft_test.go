@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -199,6 +200,61 @@ func TestFTDeterminismRegression(t *testing.T) {
 	for r := range c1 {
 		if c1[r] != c2[r] {
 			t.Fatalf("rank %d event count differs: %d vs %d", r, c1[r], c2[r])
+		}
+	}
+}
+
+// TestFTPinned holds FT-TSQR to recorded constants, the TestCAQRPinned
+// way: fault-free, under TestFTSingleFailureRecovers' plan and under
+// TestFTDeterminismRegression's, every bit of R, every rank's recovery
+// statistics, every message and byte per link class and every rank's
+// trace event count. A refactor of the epoch's tree walk must leave all
+// of them where they are — the event counts in particular, because a
+// seeded FaultPlan indexes the sends, receives and charges a rank makes.
+func TestFTPinned(t *testing.T) {
+	g := grid.SmallTestGrid(2, 4, 1)
+	for _, tc := range []struct {
+		name     string
+		plan     *mpi.FaultPlan
+		r        uint64
+		stats    string // one FTStats per rank; a killed rank leaves the zero value
+		perClass [3]mpi.LinkCount
+		events   string
+	}{
+		{name: "fault-free", r: 0xa65c40bdf2ff50d0,
+			stats:    "[{1 3 0 []} {1 0 0 []} {1 1 0 []} {1 0 0 []} {1 2 0 []} {1 0 0 []} {1 1 0 []} {1 0 0 []}]",
+			perClass: [3]mpi.LinkCount{{}, {Msgs: 15, Bytes: 1672}, {Msgs: 7, Bytes: 504}},
+			events:   "[14 5 7 5 7 5 7 5]"},
+		{name: "kill", plan: mpi.NewFaultPlan(1).Kill(5, 3), r: 0x73c4718772b21216,
+			stats:    "[{2 3 2 [5]} {2 0 0 [5]} {2 1 1 [5]} {2 0 0 [5]} {2 2 0 [5]} {0 0 0 []} {2 2 0 [5]} {2 0 0 [5]}]",
+			perClass: [3]mpi.LinkCount{{}, {Msgs: 22, Bytes: 2384}, {Msgs: 11, Bytes: 664}},
+			events:   "[23 7 10 7 10 4 10 7]"},
+		{name: "kill-drop-delay", plan: mpi.NewFaultPlan(42).
+			Kill(5, 3).
+			Drop(mpi.AnyRank, mpi.AnyRank, mpi.AnyTag, 0.2, 1).
+			Delay(mpi.AnyRank, mpi.AnyRank, mpi.AnyTag, 0.3, 1e-4, 0), r: 0x73c4718772b21216,
+			stats:    "[{2 3 2 [5]} {2 0 0 [5]} {2 1 1 [5]} {2 0 0 [5]} {2 2 0 [5]} {0 0 0 []} {2 2 0 [5]} {2 0 0 [5]}]",
+			perClass: [3]mpi.LinkCount{{}, {Msgs: 22, Bytes: 2384}, {Msgs: 11, Bytes: 664}},
+			events:   "[29 10 13 11 12 6 10 8]"},
+	} {
+		outs, w, _ := runFT(t, g, tc.plan, 64, 5, ftConfig(), 7, mpi.Virtual(), mpi.Traced())
+		if outs[0].err != nil {
+			t.Fatalf("%s: rank 0 error: %v", tc.name, outs[0].err)
+		}
+		stats := make([]FTStats, len(outs))
+		for r, o := range outs {
+			if o.res != nil {
+				stats[r] = o.res.Stats
+			}
+		}
+		events := make([]int, g.Procs())
+		for r, evs := range w.Events() {
+			events[r] = len(evs)
+		}
+		gotR, gotStats, gotEvents := hashBits(outs[0].res.R), fmt.Sprint(stats), fmt.Sprint(events)
+		if c := w.Counters(); gotR != tc.r || gotStats != tc.stats || c.PerClass != tc.perClass || gotEvents != tc.events {
+			t.Errorf("%s moved:\n got R %#x stats %s\n     %#v events %s\nwant R %#x stats %s\n     %#v events %s",
+				tc.name, gotR, gotStats, c.PerClass, gotEvents, tc.r, tc.stats, tc.perClass, tc.events)
 		}
 	}
 }

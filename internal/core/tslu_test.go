@@ -121,8 +121,8 @@ func TestTSLUInterClusterMessages(t *testing.T) {
 	// Tournament: clusters−1 = 2. Bcast of U: crosses clusters twice
 	// (binomial from rank 0 to ranks 2 and 4). Allreduce of MaxL: 2 up,
 	// 2 down. Collect (verification): 4 inter sends.
-	if inter > 12 {
-		t.Fatalf("inter-cluster messages = %d, expected O(C) not O(N·C)", inter)
+	if inter != 12 {
+		t.Fatalf("inter-cluster messages = %d, want exactly 12", inter)
 	}
 }
 
@@ -155,8 +155,9 @@ func TestTSLUCostOnly(t *testing.T) {
 		}
 	})
 	c := w.Counters()
-	if c.Total().Msgs == 0 || c.Flops == 0 {
-		t.Fatal("cost-only TSLU charged nothing")
+	// Tournament 3, broadcast of U 3, allreduce of MaxL 3 up and 3 down.
+	if c.Total().Msgs != 12 || c.Flops != 10410.666666666666 {
+		t.Fatalf("cost-only TSLU charged %d messages and %v flops, want 12 and 10410.666666666666", c.Total().Msgs, c.Flops)
 	}
 	if w.MaxClock() <= 0 {
 		t.Fatal("no virtual time elapsed")
@@ -393,5 +394,73 @@ func TestMGSStabilityBetweenCGSAndTSQR(t *testing.T) {
 	}
 	if eMGS < 1e-13 {
 		t.Fatalf("MGS error %g suspiciously small at cond 1e7", eMGS)
+	}
+}
+
+// TestTSLUPinned holds TSLU to recorded constants, the TestCAQRPinned
+// way: every message, byte, flop and virtual second of cost-only runs on
+// two grids under each supported tree, and every bit of U, the pivot
+// rows, each rank's rows of L and the growth metric of a data shape. A
+// refactor of the tournament's walk must leave all of them where they are.
+func TestTSLUPinned(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		clusters, nodes, ppn int
+		tree                 Tree
+		perClass             [3]mpi.LinkCount
+		flops, clock         float64
+	}{
+		{3, 2, 1, TreeGrid, [3]mpi.LinkCount{{}, {Msgs: 12, Bytes: 3312}, {Msgs: 8, Bytes: 2208}}, 15872, 0.028370647907385436},
+		{3, 2, 1, TreeBinary, [3]mpi.LinkCount{{}, {Msgs: 12, Bytes: 3312}, {Msgs: 8, Bytes: 2208}}, 15872, 0.028370647907385436},
+		{3, 2, 1, TreeFlat, [3]mpi.LinkCount{{}, {Msgs: 10, Bytes: 2160}, {Msgs: 10, Bytes: 3360}}, 15872, 0.028325616527425344},
+		{3, 2, 1, TreeMultiLevel, [3]mpi.LinkCount{{}, {Msgs: 12, Bytes: 3312}, {Msgs: 8, Bytes: 2208}}, 15872, 0.028370647907385436},
+		{2, 4, 1, TreeGrid, [3]mpi.LinkCount{{}, {Msgs: 24, Bytes: 6624}, {Msgs: 4, Bytes: 1104}}, 21333.333333333336, 0.028580571502891054},
+		{2, 4, 1, TreeBinary, [3]mpi.LinkCount{{}, {Msgs: 24, Bytes: 6624}, {Msgs: 4, Bytes: 1104}}, 21333.333333333336, 0.028580571502891054},
+		{2, 4, 1, TreeFlat, [3]mpi.LinkCount{{}, {Msgs: 21, Bytes: 4896}, {Msgs: 7, Bytes: 2832}}, 21333.333333333336, 0.028480362594841074},
+		{2, 4, 1, TreeMultiLevel, [3]mpi.LinkCount{{}, {Msgs: 24, Bytes: 6624}, {Msgs: 4, Bytes: 1104}}, 21333.333333333336, 0.028580571502891054},
+		{3, 3, 2, TreeGrid, [3]mpi.LinkCount{{Msgs: 36, Bytes: 9936}, {Msgs: 18, Bytes: 5568}, {Msgs: 14, Bytes: 3264}}, 48639.999999999985, 0.04951040072129209},
+		{3, 3, 2, TreeBinary, [3]mpi.LinkCount{{Msgs: 36, Bytes: 9936}, {Msgs: 16, Bytes: 4416}, {Msgs: 16, Bytes: 4416}}, 48639.999999999985, 0.05656461248599797},
+		{3, 3, 2, TreeFlat, [3]mpi.LinkCount{{Msgs: 28, Bytes: 5328}, {Msgs: 16, Bytes: 4416}, {Msgs: 24, Bytes: 9024}}, 48639.999999999985, 0.049508324630110796},
+		{3, 3, 2, TreeMultiLevel, [3]mpi.LinkCount{{Msgs: 36, Bytes: 9936}, {Msgs: 18, Bytes: 5568}, {Msgs: 14, Bytes: 3264}}, 48639.999999999985, 0.04951040072129209},
+	} {
+		g := grid.SmallTestGrid(tc.clusters, tc.nodes, tc.ppn)
+		m := 16 * g.Procs()
+		offsets := scalapack.BlockOffsets(m, g.Procs())
+		w := mpi.NewWorld(g, mpi.CostOnly())
+		w.Run(func(ctx *mpi.Ctx) {
+			TSLUFactorize(mpi.WorldComm(ctx), Input{M: m, N: n, Offsets: offsets}, TSLUConfig{Tree: tc.tree})
+		})
+		c := w.Counters()
+		if c.PerClass != tc.perClass || c.Flops != tc.flops || w.MaxClock() != tc.clock {
+			t.Errorf("%d×%d×%d %v cost-only moved:\n got %#v flops %v clock %v\nwant %#v flops %v clock %v",
+				tc.clusters, tc.nodes, tc.ppn, tc.tree, c.PerClass, c.Flops, w.MaxClock(), tc.perClass, tc.flops, tc.clock)
+		}
+	}
+
+	// Data: every float the factorization returns, rank by rank.
+	g := grid.SmallTestGrid(3, 2, 1)
+	m := 16 * g.Procs()
+	global := matrix.Random(m, n, 31)
+	offsets := scalapack.BlockOffsets(m, g.Procs())
+	perRank := make([][]float64, g.Procs())
+	mpi.NewWorld(g).Run(func(ctx *mpi.Ctx) {
+		in := Input{M: m, N: n, Offsets: offsets, Local: scalapack.Distribute(global, offsets, ctx.Rank())}
+		res := TSLUFactorize(mpi.WorldComm(ctx), in, TSLUConfig{Tree: TreeGrid})
+		var bits []float64
+		if res.U != nil {
+			bits = append(bits, res.U.Data...)
+		}
+		for _, row := range res.PivotRows {
+			bits = append(bits, float64(row))
+		}
+		perRank[ctx.Rank()] = append(append(bits, res.LLocal.Data...), res.MaxL)
+	})
+	var all []float64
+	for _, bits := range perRank {
+		all = append(all, bits...)
+	}
+	const want = uint64(0x19f012826915246a)
+	if got := hashBits(matrix.FromColMajor(len(all), 1, all)); got != want {
+		t.Errorf("data bits moved: %#x, want %#x", got, want)
 	}
 }
