@@ -36,15 +36,21 @@ skips:
 	if echo "$$out" | grep -e '--- SKIP'; then echo "skips: the tests above skipped themselves"; exit 1; fi
 
 # One concept, one implementation: internal/core merges two triangles in
-# the reduction walk (reduce.go) and FT-TSQR's epoch (ft.go), and applies
-# a merge's Q in the tree-Q walk's scatter and round trip (treeq.go). A
-# third call site of either kernel is a second copy of a walk.
+# TSQR's operator (tsqr.go, which FT-TSQR's combine calls), applies a
+# merge's Q in the tree-Q walk's scatter and round trip (treeq.go), and
+# walks a schedule in reduction.run alone — no rank picks its merges out of
+# a schedule by hand (stepsFor and the compiled per-domain slices do). One
+# call site more of either kernel, or one scan, is a second copy of a walk.
 walks:
-	@for k in StackQR ApplyStackQ; do \
-		n="$$(grep -ho --exclude='*_test.go' "lapack\.$$k(" internal/core/*.go | wc -l)"; \
-		echo "lapack.$$k( call sites in internal/core: $$n (max 2)"; \
-		[ "$$n" -le 2 ] || exit 1; \
-	done
+	@src="$$(ls internal/core/*.go | grep -v _test.go)"; \
+	for k in StackQR:1 ApplyStackQ:2; do \
+		n="$$(grep -ho "lapack\.$${k%:*}(" $$src | wc -l)"; \
+		echo "lapack.$${k%:*}( call sites in internal/core: $$n (max $${k#*:})"; \
+		[ "$$n" -le "$${k#*:}" ] || exit 1; \
+	done; \
+	n="$$(grep -hoE 'case m\.(dst|src)|== m\.dst' $$src | wc -l)"; \
+	echo "hand-written schedule scans in internal/core: $$n (max 0)"; \
+	[ "$$n" -eq 0 ]
 
 # Non-test Go lines per package — the numbers ROADMAP.md and CHANGES.md
 # quote.

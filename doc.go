@@ -9,7 +9,7 @@
 // the architecture map and internal/* for the library packages:
 //
 //   - internal/core — QCG-TSQR and the communication-avoiding extensions
-//     (CAQR, TSLU, CALU, Cholesky, CholeskyQR, MGS)
+//     (CAQR, TSLU, CholeskyQR, MGS)
 //   - internal/scalapack — the PDGEQR2/PDGEQRF baseline
 //   - internal/mpi — the message-passing runtime (real + virtual time)
 //   - internal/topology — JobProfile meta-scheduling (QCG-OMPI analog)

@@ -241,7 +241,7 @@ func kernSet() []kernCase {
 			run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					matrix.Copy(work, a)
-					lapack.FoldQR(work, 0, false, false)
+					lapack.FoldQR(work, 0, false)
 				}
 			},
 		})
@@ -258,7 +258,7 @@ func kernSet() []kernCase {
 	// rows out of cache.
 	{
 		m, n := 131072, 64
-		_, q := lapack.FoldQR(matrix.Random(m, n, 17), 0, false, true)
+		_, q := lapack.FoldQR(matrix.Random(m, n, 17), 0, true)
 		eye := matrix.Eye(n)
 		cases = append(cases, kernCase{
 			name:  fmt.Sprintf("foldq_expand_%dx%d", m, n),

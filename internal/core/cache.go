@@ -24,8 +24,7 @@ type step struct {
 // what the event-driven engine exists to avoid.
 type compiledSchedule struct {
 	l       *layout
-	sched   []merge
-	stages  []int // stageMerges(sched)
+	merges  []CkptMerge // the schedule with its tags and stageMerges labels
 	rootDom int
 	// deliverStage levels the hop that carries the result to rank 0 when
 	// the tree roots elsewhere: one past the last merge stage.
@@ -54,16 +53,13 @@ func scheduleFor(comm *mpi.Comm, cfg Config) *compiledSchedule {
 		} else {
 			sched, rootDom = buildSchedule(cfg.Tree, l, cfg.ShuffleSeed)
 		}
-		cs := &compiledSchedule{l: l, sched: sched, stages: stageMerges(sched), rootDom: rootDom,
+		cs := &compiledSchedule{l: l, merges: ckptMerges(sched, stageMerges(sched)), rootDom: rootDom,
 			deliverStage: 1, perDom: make([][]step, len(l.domains))}
-		for tag, m := range sched {
-			stage := cs.stages[tag]
-			if stage >= cs.deliverStage {
-				cs.deliverStage = stage + 1
-			}
-			dst, src := l.domains[m.dst].leader(), l.domains[m.src].leader()
-			cs.perDom[m.dst] = append(cs.perDom[m.dst], step{peer: src, tag: tag, stage: stage, recv: true})
-			cs.perDom[m.src] = append(cs.perDom[m.src], step{peer: dst, tag: tag, stage: stage})
+		for _, m := range cs.merges {
+			cs.deliverStage = max(cs.deliverStage, m.Stage+1)
+			dst, src := l.domains[m.Dst].leader(), l.domains[m.Src].leader()
+			cs.perDom[m.Dst] = append(cs.perDom[m.Dst], step{peer: src, tag: m.Tag, stage: m.Stage, recv: true})
+			cs.perDom[m.Src] = append(cs.perDom[m.Src], step{peer: dst, tag: m.Tag, stage: m.Stage})
 		}
 		return cs
 	}).(*compiledSchedule)

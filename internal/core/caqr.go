@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"gridqr/internal/blas"
 	"gridqr/internal/flops"
 	"gridqr/internal/lapack"
@@ -50,7 +52,10 @@ func CAQRFactorize(comm *mpi.Comm, in Input, cfg CAQRConfig) *CAQRResult {
 	if in.M < in.N {
 		panic("core: CAQR requires M >= N")
 	}
-	nb := in.panelWidth("CAQR", cfg.NB)
+	nb := in.panelWidth(cfg.NB)
+	if comm.Size() > caqrMaxProcs || in.N > nb*caqrMaxPanels {
+		panic(fmt.Sprintf("core: CAQR supports at most %d processes and %d panels", caqrMaxProcs, caqrMaxPanels))
+	}
 	ctx := comm.Ctx()
 	me := comm.Rank()
 	myOff, myEnd := in.Offsets[me], in.Offsets[me+1]
@@ -100,20 +105,13 @@ func CAQRFactorize(comm *mpi.Comm, in Input, cfg CAQRConfig) *CAQRResult {
 		// my hand-over. The result stays on the tree root (no delivery).
 		tags := tagSpace{base: rTagBase + rec.idx*caqrTagStride}
 		tops := blocks{comm, jb, rest, tags.base + caqrTagStride/2}
-		red := reduction{comm: comm, n: jb, tags: tags}
+		op := &triangles{comm: comm, n: jb}
 		if rest > 0 {
-			red.merged = func(m mergeRec) { tops.absorb(m, true, top) }
+			op.merged = func(m mergeRec) { tops.absorb(m, true, top) }
 		}
-		for tag, m := range clusterBinomial(active, comm.ClusterOf) {
-			switch me {
-			case m.dst:
-				red.steps = append(red.steps, step{peer: m.src, tag: tag, recv: true})
-			case m.src:
-				red.steps = append(red.steps, step{peer: m.dst, tag: tag})
-			}
-		}
-		out := red.run(r)
-		rec.treeQ = out.treeQ
+		steps := stepsFor(ckptMerges(clusterBinomial(active, comm.ClusterOf), nil), me)
+		out := reduction[*matrix.Dense]{comm: comm, route: route{steps: steps}, tags: tags, op: op}.run(r)
+		rec.treeQ = treeQ{log: op.log, sentTo: out.sentTo, sentTag: out.sentTag}
 		if rest > 0 && out.absorbed {
 			tops.contribute(out.sentTo, out.sentTag, top)
 		}
@@ -123,7 +121,7 @@ func CAQRFactorize(comm *mpi.Comm, in Input, cfg CAQRConfig) *CAQRResult {
 		// The tree root (the rank owning global row j) holds the final
 		// panel R: write it into the local block so R assembly finds it.
 		if !out.absorbed && ctx.HasData() {
-			lapack.Dlacpy(lapack.CopyUpper, out.r, in.Local.View(lo, j, jb, jb))
+			lapack.Dlacpy(lapack.CopyUpper, out.state, in.Local.View(lo, j, jb, jb))
 		}
 	}
 	// Global row i of R (i < N) now lives on the rank whose block contains
@@ -144,8 +142,3 @@ type caqrPanelRec struct {
 	idx, j, jb, lo, rows int
 	tau                  []float64
 }
-
-// caqrTagStride spaces the per-panel tag ranges: the panel's R merges ride
-// the lower half, its trailing blocks the upper. A matrix has at most
-// N/nb + 1 panels and each panel fewer than P merges.
-const caqrTagStride = 1 << 14

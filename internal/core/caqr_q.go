@@ -8,10 +8,6 @@ import (
 	"gridqr/internal/mpi"
 )
 
-// caqrQTagBase scopes the explicit-Q pass's messages away from every
-// forward-phase range.
-const caqrQTagBase = 1 << 25
-
 // caqrBuildQ forms the explicit thin M×N Q factor of a CAQR
 // factorization by applying the recorded panel transformations in
 // reverse order to the distributed [I_N; 0] block: for each panel

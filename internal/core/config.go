@@ -91,12 +91,6 @@ type Config struct {
 	// NB is the panel width of the local blocked QR on single-process
 	// domains (0 = lapack.DefaultBlock).
 	NB int
-	// Recursive selects the Elmroth-Gustavson recursive QR for
-	// single-process domain factorization instead of the blocked
-	// algorithm — the local-kernel alternative the paper's conclusion
-	// mentions ("recursive factorizations have been shown to achieve a
-	// higher performance").
-	Recursive bool
 	// WantQ additionally builds the explicit Q factor, distributed over
 	// the processes' row blocks (paper Table II / Property 1).
 	WantQ bool
@@ -169,17 +163,16 @@ func (in Input) validate(comm *mpi.Comm) {
 	}
 }
 
-// panelWidth is the shared prologue of the panel algorithms (CAQR, CALU,
-// Cholesky): it resolves the panel width and panics unless every rank's
-// row block is a multiple of it, so panel boundaries align with rank
-// boundaries.
-func (in Input) panelWidth(algo string, nb int) int {
+// panelWidth is CAQR's prologue: it resolves the panel width and panics
+// unless every rank's row block is a multiple of it, so panel boundaries
+// align with rank boundaries.
+func (in Input) panelWidth(nb int) int {
 	if nb <= 0 {
 		nb = lapack.DefaultBlock
 	}
 	for r := 0; r+1 < len(in.Offsets); r++ {
 		if rows := in.Offsets[r+1] - in.Offsets[r]; rows%nb != 0 {
-			panic(fmt.Sprintf("core: %s needs row blocks divisible by NB=%d (rank %d has %d)", algo, nb, r, rows))
+			panic(fmt.Sprintf("core: CAQR needs row blocks divisible by NB=%d (rank %d has %d)", nb, r, rows))
 		}
 	}
 	return nb

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"gridqr/internal/flops"
 	"gridqr/internal/lapack"
@@ -37,15 +36,6 @@ import (
 // re-contributes the copy at the next epoch's leaf level. A dead rank
 // whose buddy is also dead (or never received the copy) makes the input
 // unrecoverable: the run aborts with FTDataLost.
-
-// Reserved tag bases for the FT protocol; they sit far above the forward
-// and backward TSQR tag spaces of tsqr.go.
-const (
-	ftLeafCopyTag = 1 << 26 // one-time buddy replication of the leaf R
-	ftCtrlBase    = 1 << 27 // + epoch: coordinator's end-of-epoch control
-	ftDataBase    = 1 << 28 // + epoch*ftMergeSpan + merge index: tree data
-	ftMergeSpan   = 4096    // max merges per epoch (bounds P)
-)
 
 // Control statuses and tree payload codes.
 const (
@@ -127,7 +117,8 @@ type FTResult struct {
 	Stats FTStats
 }
 
-// ftState is one rank's mutable protocol state.
+// ftState is one rank's mutable protocol state, and the operator its
+// epochs reduce with.
 type ftState struct {
 	comm  *mpi.Comm
 	n     int
@@ -140,6 +131,16 @@ type ftState struct {
 	// re-formed tree redoes only combines that were actually lost.
 	cache map[string]*matrix.Dense
 	stats FTStats
+}
+
+// ftPartial is the state an epoch reduces: the partial R over a set of
+// leaf contributions or, once a failure was seen anywhere below, the
+// abort report that travels up in its place on the same tags.
+type ftPartial struct {
+	r          *matrix.Dense
+	set        []int // sorted ids of the leaves r covers
+	aborted    bool
+	dead, lost []int // newly dead ranks; ranks whose leaf is unrecoverable
 }
 
 // FactorizeFT runs TSQR with failure recovery under the protocol above.
@@ -162,7 +163,7 @@ func FactorizeFT(comm *mpi.Comm, in Input, cfg Config) (*FTResult, error) {
 	}
 	p, me := comm.Size(), comm.Rank()
 	if p > ftMergeSpan {
-		panic("core: FactorizeFT supports at most 4096 processes")
+		panic(fmt.Sprintf("core: FactorizeFT supports at most %d processes", ftMergeSpan))
 	}
 	maxFail := cfg.FT.MaxFailures
 	if maxFail <= 0 {
@@ -172,7 +173,7 @@ func FactorizeFT(comm *mpi.Comm, in Input, cfg Config) (*FTResult, error) {
 	// Leaf factorization: the kernel of Factorize's single-process
 	// domains, R only.
 	myRows := in.Offsets[me+1] - in.Offsets[me]
-	leafR, _ := lapack.FoldQR(in.Local, cfg.NB, cfg.Recursive, false)
+	leafR, _ := lapack.FoldQR(in.Local, cfg.NB, false)
 	ctx.Charge(flops.GEQRF(myRows, in.N), in.N)
 
 	st := &ftState{comm: comm, n: in.N, p: p, me: me, leafR: leafR,
@@ -211,121 +212,76 @@ func (st *ftState) runEpoch(epoch int, knownDead map[int]bool, maxFail int) (res
 			live = append(live, r)
 		}
 	}
-	// The paper's grid-tuned shape, re-formed over the survivors. The
-	// root is live[0] — rank 0 whenever the coordinator is alive.
-	sched := clusterBinomial(live, st.comm.ClusterOf)
 
 	// Start from my leaf; if my predecessor is dead I act for it too,
 	// re-contributing its replicated leaf.
-	acc, set := st.leafR, []int{st.me}
-	aborted := false
-	newDead := map[int]bool{}
-	lost := map[int]bool{}
-	pred := (st.me + st.p - 1) % st.p
-	if knownDead[pred] {
+	mine := ftPartial{r: st.leafR, set: []int{st.me}}
+	if pred := (st.me + st.p - 1) % st.p; knownDead[pred] {
 		if st.buddyCopy == nil {
-			lost[pred] = true
-			aborted = true
+			mine.lost, mine.aborted = []int{pred}, true
 		} else {
-			acc, set = st.combine(acc, set, st.buddyCopy, []int{pred})
+			mine = st.absorb(mine, ftPartial{r: st.buddyCopy, set: []int{pred}}, step{})
 		}
 	}
 
-	// Tree phase. Every rank completes its full role: failed or aborted
-	// subtrees turn data messages into abort reports on the same tags, so
-	// ancestors never block on a missing decision.
-	for idx, m := range sched {
-		tag := ftDataBase + epoch*ftMergeSpan + idx
-		switch st.me {
-		case m.dst:
-			buf, rerr := st.comm.TryRecv(m.src, tag)
-			if rerr != nil {
-				newDead[m.src] = true
-				aborted = true
-				continue
-			}
-			switch int(buf[0]) {
-			case payloadAbort:
-				d, l := decodeAbort(buf)
-				for _, r := range d {
-					newDead[r] = true
-				}
-				for _, r := range l {
-					lost[r] = true
-				}
-				aborted = true
-			case payloadData:
-				if aborted {
-					continue // epoch already failed; drain and discard
-				}
-				otherSet, otherR := decodeData(buf, st.n)
-				acc, set = st.combine(acc, set, otherR, otherSet)
-			}
-		case m.src:
-			var payload []float64
-			if aborted {
-				payload = encodeAbort(newDead, lost)
-			} else {
-				payload = encodeData(set, acc)
-			}
-			// A failed send (every delivery attempt dropped) is left to
-			// the receiver's timeout: it will evict us and recover.
-			_ = st.comm.TrySend(m.dst, payload, tag)
-		}
-	}
+	// Tree phase: the paper's grid-tuned shape re-formed over the
+	// survivors, rooted at live[0] — rank 0 whenever the coordinator is
+	// alive, so there is no delivery hop. Every rank completes its full
+	// role: failed or aborted subtrees turn data messages into abort
+	// reports on the same tags, so ancestors never block on a missing
+	// decision.
+	steps := stepsFor(ckptMerges(clusterBinomial(live, st.comm.ClusterOf), nil), st.me)
+	mine = reduction[ftPartial]{comm: st.comm, route: route{steps: steps},
+		tags: tagSpace{base: ftDataBase + epoch*ftMergeSpan}, op: st}.run(mine).state
 
 	// Epoch conclusion. The coordinator decides; everyone else waits for
 	// the decision.
+	var status int
+	var deadList, lostList []int
 	if st.me == 0 {
-		for d := range newDead {
+		for _, d := range mine.dead {
 			knownDead[d] = true
 		}
-		deadList := sortedKeys(knownDead)
-		st.stats.Dead = deadList
-		status := ctrlContinue
+		deadList, lostList = sortedKeys(knownDead), mine.lost
+		status = ctrlContinue
 		switch {
-		case !aborted:
+		case !mine.aborted:
 			status = ctrlDone
 		case len(deadList) > maxFail:
 			status = ctrlTooMany
 		default:
 			// A dead rank is recoverable only through its live buddy.
-			for d := range knownDead {
+			for _, d := range deadList {
 				if knownDead[(d+1)%st.p] {
-					lost[d] = true
+					lostList = append(lostList, d)
 				}
 			}
-			if len(lost) > 0 {
+			sort.Ints(lostList)
+			if len(lostList) > 0 {
 				status = ctrlDataLost
 			}
 		}
-		lostList := sortedKeys(lost)
-		ctrl := encodeCtrl(status, deadList, lostList)
+		ctrl := encodeLists(status, deadList, lostList)
 		for _, r := range live {
 			if r != 0 {
 				_ = st.comm.TrySend(r, ctrl, ftCtrlBase+epoch)
 			}
 		}
-		switch status {
-		case ctrlDone:
-			return &FTResult{R: acc, Stats: st.stats}, nil, false
-		case ctrlTooMany:
-			return nil, &FTError{Reason: FTTooManyFailures, Dead: deadList}, false
-		case ctrlDataLost:
-			return nil, &FTError{Reason: FTDataLost, Dead: deadList, Lost: lostList}, false
+	} else {
+		buf, cerr := st.comm.TryRecv(0, ftCtrlBase+epoch)
+		if cerr != nil {
+			return nil, &FTError{Reason: FTCoordinatorLost, Dead: sortedKeys(knownDead)}, false
 		}
-		return nil, nil, true
+		status, deadList, lostList = decodeLists(buf)
 	}
-
-	buf, cerr := st.comm.TryRecv(0, ftCtrlBase+epoch)
-	if cerr != nil {
-		return nil, &FTError{Reason: FTCoordinatorLost, Dead: sortedKeys(knownDead)}, false
-	}
-	status, deadList, lostList := decodeCtrl(buf)
 	st.stats.Dead = deadList
 	switch status {
 	case ctrlDone:
-		return &FTResult{Stats: st.stats}, nil, false
+		res = &FTResult{Stats: st.stats}
+		if st.me == 0 {
+			res.R = mine.r
+		}
+		return res, nil, false
 	case ctrlTooMany:
 		return nil, &FTError{Reason: FTTooManyFailures, Dead: deadList}, false
 	case ctrlDataLost:
@@ -342,111 +298,103 @@ func (st *ftState) runEpoch(epoch int, knownDead map[int]bool, maxFail int) (res
 	return nil, nil, true
 }
 
-// combine merges another partial R (covering otherSet) into acc (covering
-// set), serving repeated combines from the cache: after a failure only
-// the combines lost with the dead ranks are recomputed.
-func (st *ftState) combine(acc *matrix.Dense, set []int, other *matrix.Dense, otherSet []int) (*matrix.Dense, []int) {
-	union := mergeSorted(set, otherSet)
-	key := setKey(union)
-	if r, ok := st.cache[key]; ok {
-		st.stats.CombinesReused++
-		return r, union
+// The operator. Tree messages are [code, ...]: a data payload carries the
+// contributor set and then the packed triangle, an abort report the
+// newly dead and the unrecoverable ranks as encodeLists writes them.
+
+// send hands my partial R, or the abort report that replaced it, to my
+// absorber. A failed send (every delivery attempt dropped) is left to
+// the receiver's timeout: it will evict me and recover.
+func (st *ftState) send(peer, tag int, s ftPartial) {
+	var buf []float64
+	if s.aborted {
+		buf = encodeLists(payloadAbort, s.dead, s.lost)
+	} else {
+		buf = append(make([]float64, 0, 2+len(s.set)+st.n*(st.n+1)/2), payloadData, float64(len(s.set)))
+		for _, id := range s.set {
+			buf = append(buf, float64(id))
+		}
+		buf = append(buf, packTriu(s.r)...)
 	}
-	r, _, _ := lapack.StackQR(acc, other)
-	st.comm.Ctx().Charge(flops.StackQR(st.n), st.n)
-	st.stats.Combines++
-	st.cache[key] = r
-	return r, union
+	_ = st.comm.TrySend(peer, buf, tag)
 }
 
-// Payload encodings. Tree messages: [code, ...]; data payloads carry the
-// contributor set then the packed triangle, abort payloads the newly dead
-// and unrecoverable rank lists. Control messages: [status, dead..., lost...].
-
-func encodeData(set []int, r *matrix.Dense) []float64 {
-	buf := make([]float64, 0, 2+len(set)+len(r.Data)/2)
-	buf = append(buf, payloadData, float64(len(set)))
-	for _, id := range set {
-		buf = append(buf, float64(id))
+// recv takes a contributor's message; a receive that fails is the report
+// that the contributor is dead.
+func (st *ftState) recv(peer, tag int) ftPartial {
+	buf, err := st.comm.TryRecv(peer, tag)
+	if err != nil {
+		return ftPartial{aborted: true, dead: []int{peer}}
 	}
-	return append(buf, packTriu(r)...)
-}
-
-func decodeData(buf []float64, n int) ([]int, *matrix.Dense) {
-	k := int(buf[1])
-	set := make([]int, k)
+	if int(buf[0]) == payloadAbort {
+		_, dead, lost := decodeLists(buf)
+		return ftPartial{aborted: true, dead: dead, lost: lost}
+	}
+	set := make([]int, int(buf[1]))
 	for i := range set {
 		set[i] = int(buf[2+i])
 	}
-	return set, unpackTriu(buf[2+k:], n)
+	return ftPartial{r: unpackTriu(buf[2+len(set):], st.n), set: set}
 }
 
-func encodeAbort(dead, lost map[int]bool) []float64 {
-	buf := []float64{payloadAbort, float64(len(dead))}
-	for _, d := range sortedKeys(dead) {
-		buf = append(buf, float64(d))
+// absorb merges another partial R into mine, serving repeated combines
+// from the cache: after a failure only the combines lost with the dead
+// ranks are recomputed. An abort report is merged as one; once the epoch
+// has failed, data is drained and discarded.
+func (st *ftState) absorb(mine, theirs ftPartial, _ step) ftPartial {
+	if theirs.aborted {
+		mine.dead, mine.lost = sortedUnion(mine.dead, theirs.dead), sortedUnion(mine.lost, theirs.lost)
+		mine.aborted = true
 	}
-	buf = append(buf, float64(len(lost)))
-	for _, l := range sortedKeys(lost) {
-		buf = append(buf, float64(l))
+	if mine.aborted {
+		return mine
+	}
+	mine.set = sortedUnion(mine.set, theirs.set)
+	key := fmt.Sprint(mine.set)
+	if r, ok := st.cache[key]; ok {
+		st.stats.CombinesReused++
+		mine.r = r
+		return mine
+	}
+	// The merge itself is TSQR's operator's, its log dropped: R only.
+	mine.r = (&triangles{comm: st.comm, n: st.n}).absorb(mine.r, theirs.r, step{})
+	st.stats.Combines++
+	st.cache[key] = mine.r
+	return mine
+}
+
+// encodeLists and decodeLists are the wire form of an abort report and of
+// the coordinator's control message: [head, len, dead..., len, lost...],
+// head being payloadAbort or the control status.
+func encodeLists(head int, dead, lost []int) []float64 {
+	buf := append(make([]float64, 0, 3+len(dead)+len(lost)), float64(head))
+	for _, list := range [][]int{dead, lost} {
+		buf = append(buf, float64(len(list)))
+		for _, r := range list {
+			buf = append(buf, float64(r))
+		}
 	}
 	return buf
 }
 
-func decodeAbort(buf []float64) (dead, lost []int) {
-	nd := int(buf[1])
-	for i := 0; i < nd; i++ {
-		dead = append(dead, int(buf[2+i]))
-	}
-	nl := int(buf[2+nd])
-	for i := 0; i < nl; i++ {
-		lost = append(lost, int(buf[3+nd+i]))
-	}
-	return dead, lost
-}
-
-func encodeCtrl(status int, dead, lost []int) []float64 {
-	buf := []float64{float64(status), float64(len(dead))}
-	for _, d := range dead {
-		buf = append(buf, float64(d))
-	}
-	buf = append(buf, float64(len(lost)))
-	for _, l := range lost {
-		buf = append(buf, float64(l))
-	}
-	return buf
-}
-
-func decodeCtrl(buf []float64) (status int, dead, lost []int) {
-	d, l := decodeAbort(append([]float64{0}, buf[1:]...))
-	return int(buf[0]), d, l
-}
-
-func mergeSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+func decodeLists(buf []float64) (head int, dead, lost []int) {
+	var lists [2][]int
+	at := 1
+	for i := range lists {
+		k := int(buf[at])
+		for _, v := range buf[at+1 : at+1+k] {
+			lists[i] = append(lists[i], int(v))
 		}
+		at += 1 + k
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return int(buf[0]), lists[0], lists[1]
 }
 
-func setKey(set []int) string {
-	var b strings.Builder
-	for i, s := range set {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", s)
-	}
-	return b.String()
+// sortedUnion merges two sorted, disjoint id lists.
+func sortedUnion(a, b []int) []int {
+	out := append(append(make([]int, 0, len(a)+len(b)), a...), b...)
+	sort.Ints(out)
+	return out
 }
 
 func sortedKeys(m map[int]bool) []int {

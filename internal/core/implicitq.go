@@ -25,11 +25,6 @@ type ImplicitQ struct {
 	applies int // collective counter scoping each apply's tag range
 }
 
-const (
-	applyTagBase   = 1 << 24
-	applyTagStride = 1 << 12
-)
-
 // ApplyQT computes Qᵀ·B for a row-distributed B (this rank's block is
 // myRows×k). It returns the top N×k coordinate block on world rank 0
 // (nil elsewhere) and, replicated everywhere, the per-column squared

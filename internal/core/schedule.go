@@ -58,7 +58,7 @@ func binomialSchedule(ids []int) []merge {
 // a binomial reduction within each run of ids sharing a cluster, then a
 // binomial reduction among the runs' roots, onto ids[0]. Only the second
 // stage crosses clusters: C−1 inter-cluster messages. TreeGrid runs it
-// over all domains; CAQR, CALU and FT-TSQR over the ranks still active
+// over all domains; CAQR and FT-TSQR over the ranks still active
 // or alive.
 func clusterBinomial(ids []int, clusterOf func(id int) int) []merge {
 	var ms []merge

@@ -7,14 +7,6 @@ import (
 	"gridqr/internal/mpi"
 )
 
-// Snapshot messages use their own tag namespace between rTagBase and
-// qTagBase so a snapshot barrier can never alias a factorization merge
-// on the same communicator.
-const (
-	snapTagBase  = 3 << 20
-	snapFinalTag = 1<<23 - 2
-)
-
 // ShouldStop exposes the gate's stage-latching decision to staged
 // executors outside this package (internal/stream gates its block folds
 // on the same upward-closed agreement the staged TSQR uses). The
@@ -57,9 +49,11 @@ func SnapshotR(comm *mpi.Comm, r *matrix.Dense, n int, cfg Config) *matrix.Dense
 		panic("core: snapshot needs an n×n running R in data mode")
 	}
 	me := comm.Rank()
-	out := cs.reduction(comm, n, me, snapshotTags).run(r) // one domain per process: domain id = rank
+	// One domain per process: domain id = rank.
+	out := reduction[*matrix.Dense]{comm: comm, route: cs.route(me), op: &triangles{comm: comm, n: n},
+		tags: tagSpace{base: snapTagBase, final: snapFinalTag}}.run(r)
 	if me != 0 {
 		return nil
 	}
-	return out.r
+	return out.state
 }

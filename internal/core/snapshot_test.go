@@ -36,7 +36,7 @@ func TestSnapshotEqualsFactorize(t *testing.T) {
 		mutated := make([]bool, p)
 		var mu sync.Mutex
 		w.Run(func(ctx *mpi.Ctx) {
-			leaf, _ := lapack.FoldQR(scalapack.Distribute(global, offsets, ctx.Rank()), 0, false, false)
+			leaf, _ := lapack.FoldQR(scalapack.Distribute(global, offsets, ctx.Rank()), 0, false)
 			before := leaf.Clone()
 			snap := SnapshotR(mpi.WorldComm(ctx), leaf, n, cfg)
 			mu.Lock()

@@ -227,14 +227,11 @@ func FactorizeStaged(comm *mpi.Comm, in Input, cfg Config, gate *PreemptGate) *S
 	combineDone := ctx.Phase("tsqr.combine")
 	defer combineDone()
 
-	red := cs.reduction(comm, in.N, dom.id, factorTags)
-	red.gate = gate
+	red := reduction[*matrix.Dense]{comm: comm, route: cs.route(dom.id), tags: factorTags,
+		op: &triangles{comm: comm, n: in.N}, gate: gate}
 	res.settle(comm, red.run(leaf.r), RankCheckpoint{
-		M: in.M, N: in.N, Procs: comm.Size(), Dom: dom.id, RootDom: cs.rootDom,
+		M: in.M, N: in.N, Procs: comm.Size(), Dom: dom.id, RootDom: cs.rootDom, Merges: cs.merges,
 	})
-	if res.Ckpt != nil {
-		res.Ckpt.Merges = ckptMerges(cs)
-	}
 	return res
 }
 
@@ -255,26 +252,20 @@ func ResumeStaged(comm *mpi.Comm, sc *StageCheckpoint, gate *PreemptGate) *Stage
 	combineDone := ctx.Phase("tsqr.combine")
 	defer combineDone()
 
-	// My remaining steps of the original schedule. A domain is live
-	// unless a merge below the cut absorbed it. (In data mode the
-	// fragment map says the same thing; deriving liveness from the
-	// schedule keeps cost-only checkpoints — which carry no triangles —
+	// My remaining steps of the original schedule: the ones below the cut
+	// ran (stages rise along one domain's steps, so they are a prefix),
+	// and a domain is live unless one of those handed it over. (In data
+	// mode the fragment map says the same thing; deriving liveness from
+	// the schedule keeps cost-only checkpoints — which carry no triangles —
 	// working identically.)
-	red := reduction{comm: comm, n: sc.N, tags: factorTags, root: sc.RootDom, deliverStage: 1, gate: gate}
+	red := reduction[*matrix.Dense]{comm: comm, tags: factorTags, op: &triangles{comm: comm, n: sc.N}, gate: gate,
+		route: route{steps: stepsFor(sc.Merges, me), root: sc.RootDom, deliverStage: 1}}
 	for _, cm := range sc.Merges {
-		if cm.Stage >= red.deliverStage {
-			red.deliverStage = cm.Stage + 1
-		}
-		switch {
-		case cm.Stage < sc.Stage:
-			if cm.Src == me {
-				red.absorbed = true
-			}
-		case cm.Dst == me:
-			red.steps = append(red.steps, step{peer: cm.Src, tag: cm.Tag, stage: cm.Stage, recv: true})
-		case cm.Src == me:
-			red.steps = append(red.steps, step{peer: cm.Dst, tag: cm.Tag, stage: cm.Stage})
-		}
+		red.deliverStage = max(red.deliverStage, cm.Stage+1)
+	}
+	for len(red.steps) > 0 && red.steps[0].stage < sc.Stage {
+		red.absorbed = red.absorbed || !red.steps[0].recv
+		red.steps = red.steps[1:]
 	}
 	var r *matrix.Dense
 	if !red.absorbed && ctx.HasData() {
@@ -291,29 +282,33 @@ func ResumeStaged(comm *mpi.Comm, sc *StageCheckpoint, gate *PreemptGate) *Stage
 // fragment. A stopped rank whose triangle was already handed over (rank
 // 0 merely awaiting the delivery hop) holds no live R and reports
 // preemption without a fragment.
-func (res *StagedResult) settle(comm *mpi.Comm, out reduced, frag RankCheckpoint) {
+func (res *StagedResult) settle(comm *mpi.Comm, out reduced[*matrix.Dense], frag RankCheckpoint) {
 	switch {
 	case out.stop == 0:
 		if comm.Rank() == 0 {
-			res.R = out.r
+			res.R = out.state
 		}
 	case out.absorbed:
 		res.Preempted = true
 	default:
 		res.Preempted = true
 		frag.Stage = out.stop
-		if out.r != nil {
-			frag.R = packTriu(out.r)
+		if out.state != nil {
+			frag.R = packTriu(out.state)
 		}
 		res.Ckpt = &frag
 	}
 }
 
-// ckptMerges renders the compiled schedule with its stage labels.
-func ckptMerges(cs *compiledSchedule) []CkptMerge {
-	out := make([]CkptMerge, len(cs.sched))
-	for tag, m := range cs.sched {
-		out[tag] = CkptMerge{Dst: m.dst, Src: m.src, Stage: cs.stages[tag], Tag: tag}
+// ckptMerges renders a schedule with its tags and stage labels; nil
+// stages leave every merge at stage 0, which no gate ever stops.
+func ckptMerges(sched []merge, stages []int) []CkptMerge {
+	out := make([]CkptMerge, len(sched))
+	for tag, m := range sched {
+		out[tag] = CkptMerge{Dst: m.dst, Src: m.src, Tag: tag}
+		if stages != nil {
+			out[tag].Stage = stages[tag]
+		}
 	}
 	return out
 }

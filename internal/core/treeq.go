@@ -28,8 +28,8 @@ type mergeRec struct {
 	tag     int
 }
 
-// treeQ is one rank's share of the tree's orthogonal factor, as
-// reduction.run leaves it.
+// treeQ is one rank's share of the tree's orthogonal factor, as a walk
+// with the triangles operator leaves it.
 type treeQ struct {
 	log             []mergeRec // the merges I absorbed, in schedule order
 	sentTo, sentTag int        // the merge that absorbed me, or -1
@@ -43,7 +43,7 @@ type blocks struct {
 }
 
 // send and recv move one block to or from the other side of a merge. Like
-// sendTriu and recvTriu they are where data and cost-only worlds fork: a
+// triangles.send and recv they are where data and cost-only worlds fork: a
 // cost-only world ships the byte count alone and receives nil.
 func (b blocks) send(peer, tag int, m *matrix.Dense) {
 	if !b.comm.Ctx().HasData() {

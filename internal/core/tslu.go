@@ -47,8 +47,6 @@ type TSLUResult struct {
 	MaxL float64
 }
 
-const tsluTagBase = 1 << 19
-
 // TSLUFactorize runs tournament-pivoting LU on a world-spanning
 // communicator with one domain per process.
 func TSLUFactorize(comm *mpi.Comm, in Input, cfg TSLUConfig) *TSLUResult {
@@ -67,57 +65,27 @@ func TSLUFactorize(comm *mpi.Comm, in Input, cfg TSLUConfig) *TSLUResult {
 	res := &TSLUResult{}
 
 	// --- Leaf: select my N candidate pivot rows by partial pivoting ---
-	var cand *matrix.Dense // n×n candidate rows (original values)
-	var candIdx []int      // their global row indices
+	var cand candidates
 	if ctx.HasData() {
-		f := in.Local.Clone()
-		ipiv := make([]int, n)
-		lapack.Dgetf2(f, ipiv)
-		perm := lapack.PivToPerm(ipiv, myRows)
-		cand = matrix.New(n, n)
-		candIdx = make([]int, n)
-		for k := 0; k < n; k++ {
-			candIdx[k] = myOff + perm[k]
-			for j := 0; j < n; j++ {
-				cand.Set(k, j, in.Local.At(perm[k], j))
-			}
+		idx := make([]int, myRows)
+		for i := range idx {
+			idx[i] = myOff + i
 		}
+		cand, _ = pivotRows(in.Local, idx)
 	}
 	ctx.Charge(flops.GETF2(myRows, n), n)
 
 	// --- Tournament up the reduction tree, one domain per process ---
-	for _, s := range scheduleFor(comm, Config{Tree: cfg.Tree}).perDom[me] {
-		if !s.recv {
-			if ctx.HasData() {
-				comm.Send(s.peer, packCandidates(cand, candIdx), tsluTagBase+s.tag)
-			} else {
-				comm.SendBytes(s.peer, 8*float64(n*n+n), tsluTagBase+s.tag)
-			}
-			break
-		}
-		if ctx.HasData() {
-			otherCand, otherIdx := unpackCandidates(comm.Recv(s.peer, tsluTagBase+s.tag), n)
-			cand, candIdx = tournamentRound(cand, candIdx, otherCand, otherIdx)
-		} else {
-			comm.Recv(s.peer, tsluTagBase+s.tag)
-		}
-		ctx.Charge(flops.GETF2(2*n, n), n)
-	}
+	cand = reduction[candidates]{comm: comm, route: scheduleFor(comm, Config{Tree: cfg.Tree}).route(me),
+		tags: tagSpace{base: tsluTagBase}, op: tournament{comm, n}}.run(cand).state
 
 	// --- Root: factor the winning rows; broadcast U ---
 	uBuf := make([]float64, n*n)
 	if me == 0 && ctx.HasData() {
-		f := cand.Clone()
-		ipiv := make([]int, n)
-		lapack.Dgetf2(f, ipiv)
-		perm := lapack.PivToPerm(ipiv, n)
-		res.PivotRows = make([]int, n)
-		for k := 0; k < n; k++ {
-			res.PivotRows[k] = candIdx[perm[k]]
-		}
+		win, f := pivotRows(cand.rows, cand.idx)
+		res.PivotRows = win.idx
 		res.U = lapack.TriuCopy(f)
-		u := matrix.FromColMajor(n, n, uBuf)
-		matrix.Copy(u, res.U)
+		matrix.Copy(matrix.FromColMajor(n, n, uBuf), res.U)
 	}
 	if me == 0 {
 		ctx.Charge(flops.GETF2(n, n), n)
@@ -138,48 +106,70 @@ func TSLUFactorize(comm *mpi.Comm, in Input, cfg TSLUConfig) *TSLUResult {
 	return res
 }
 
-// tournamentRound stacks two candidate sets, re-pivots, and returns the
-// winning n rows with their global indices.
-func tournamentRound(a *matrix.Dense, aIdx []int, b *matrix.Dense, bIdx []int) (*matrix.Dense, []int) {
+// candidates is the state the tournament reduces: n rows of A (original
+// values) and their global row indices. Zero in a cost-only world.
+type candidates struct {
+	rows *matrix.Dense
+	idx  []int
+}
+
+// pivotRows runs partial pivoting on a copy of a, whose row i is global
+// row idx[i], and returns the n pivot rows it chose, in elimination
+// order, with the factored copy.
+func pivotRows(a *matrix.Dense, idx []int) (candidates, *matrix.Dense) {
 	n := a.Cols
-	stacked := matrix.Stack(a, b)
-	idx := append(append([]int(nil), aIdx...), bIdx...)
-	f := stacked.Clone()
+	f := a.Clone()
 	ipiv := make([]int, n)
 	lapack.Dgetf2(f, ipiv)
-	perm := lapack.PivToPerm(ipiv, 2*n)
-	out := matrix.New(n, n)
-	outIdx := make([]int, n)
+	perm := lapack.PivToPerm(ipiv, a.Rows)
+	win := candidates{rows: matrix.New(n, n), idx: make([]int, n)}
 	for k := 0; k < n; k++ {
-		outIdx[k] = idx[perm[k]]
+		win.idx[k] = idx[perm[k]]
 		for j := 0; j < n; j++ {
-			out.Set(k, j, stacked.At(perm[k], j))
+			win.rows.Set(k, j, a.At(perm[k], j))
 		}
 	}
-	return out, outIdx
+	return win, f
 }
 
-// packCandidates serializes candidate rows and indices into one payload.
-func packCandidates(cand *matrix.Dense, idx []int) []float64 {
-	n := cand.Rows
-	buf := make([]float64, 0, n*n+n)
-	for j := 0; j < n; j++ {
-		buf = append(buf, cand.Col(j)...)
+// tournament is TSLU's operator: two candidate sets combine by stacking
+// them and re-pivoting, the winners carry on.
+type tournament struct {
+	comm *mpi.Comm
+	n    int
+}
+
+// send and recv move one candidate set, rows column by column and then
+// the indices; like triangles.send and recv they are the fork between
+// data and cost-only worlds.
+func (t tournament) send(peer, tag int, c candidates) {
+	if !t.comm.Ctx().HasData() {
+		t.comm.SendBytes(peer, 8*float64(t.n*t.n+t.n), tag)
+		return
 	}
-	for _, i := range idx {
+	buf := append(make([]float64, 0, t.n*t.n+t.n), c.rows.Data...)
+	for _, i := range c.idx {
 		buf = append(buf, float64(i))
 	}
-	return buf
+	t.comm.Send(peer, buf, tag)
 }
 
-func unpackCandidates(buf []float64, n int) (*matrix.Dense, []int) {
-	cand := matrix.New(n, n)
-	for j := 0; j < n; j++ {
-		copy(cand.Col(j), buf[j*n:(j+1)*n])
+func (t tournament) recv(peer, tag int) candidates {
+	buf := t.comm.Recv(peer, tag)
+	if !t.comm.Ctx().HasData() {
+		return candidates{}
 	}
-	idx := make([]int, n)
-	for k := 0; k < n; k++ {
-		idx[k] = int(buf[n*n+k])
+	c := candidates{rows: matrix.FromColMajor(t.n, t.n, buf[:t.n*t.n]), idx: make([]int, t.n)}
+	for k := range c.idx {
+		c.idx[k] = int(buf[t.n*t.n+k])
 	}
-	return cand, idx
+	return c
+}
+
+func (t tournament) absorb(mine, theirs candidates, _ step) candidates {
+	if theirs.rows != nil {
+		mine, _ = pivotRows(matrix.Stack(mine.rows, theirs.rows), append(append([]int(nil), mine.idx...), theirs.idx...))
+	}
+	t.comm.Ctx().Charge(flops.GETF2(2*t.n, t.n), t.n)
+	return mine
 }

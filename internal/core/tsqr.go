@@ -10,14 +10,6 @@ import (
 	"gridqr/internal/scalapack"
 )
 
-// Message tag bases; each forward merge uses rTagBase+index and its
-// Q-construction counterpart qTagBase+index.
-const (
-	rTagBase  = 1 << 21
-	qTagBase  = 1 << 22
-	finalRTag = 1<<23 - 1 // the result's hop to rank 0 when the tree roots elsewhere
-)
-
 // Factorize runs QCG-TSQR on a communicator: the world comm returned by
 // mpi.WorldComm, or any site-aligned partition of it built with
 // Comm.Split/Comm.Sub (comm ranks on the same site must be consecutive,
@@ -27,6 +19,9 @@ const (
 // LAPACK. See Config for the tree and domain knobs.
 func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 	in.validate(comm)
+	if cfg.KeepFactors && comm.Size() > applyTagStride {
+		panic(fmt.Sprintf("core: KeepFactors supports at most %d processes", applyTagStride))
+	}
 	ctx := comm.Ctx()
 	cs := scheduleFor(comm, cfg)
 	l := cs.l
@@ -44,10 +39,11 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 	tq := treeQ{sentTo: -1, sentTag: -1}
 	if me == dom.leader() {
 		combineDone := ctx.Phase("tsqr.combine")
-		out := cs.reduction(comm, in.N, dom.id, factorTags).run(leaf.r)
-		tq = out.treeQ
+		op := &triangles{comm: comm, n: in.N}
+		out := reduction[*matrix.Dense]{comm: comm, route: cs.route(dom.id), tags: factorTags, op: op}.run(leaf.r)
+		tq = treeQ{log: op.log, sentTo: out.sentTo, sentTag: out.sentTag}
 		if me == 0 {
-			res.R = out.r
+			res.R = out.state
 		}
 		combineDone()
 	}
@@ -68,6 +64,52 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 			root: l.domains[cs.rootDom].leader()}
 	}
 	return res
+}
+
+// triangles is TSQR's operator: the state is an n×n upper triangle (nil
+// in a cost-only world), packed on the wire, and two combine by the QR
+// of one stacked on the other. It keeps the merges it made — the tree's
+// orthogonal factor is read off them (treeq.go).
+type triangles struct {
+	comm *mpi.Comm
+	n    int
+	log  []mergeRec
+	// merged, when set, sees each merge right after it happened: CAQR
+	// sends the trailing rows through it there and then.
+	merged func(mergeRec)
+}
+
+// send and recv move one packed triangle. They are where the reduction
+// forks between data and cost-only worlds: a cost-only world ships the
+// byte count alone and receives nil. (blocks.send and blocks.recv in
+// treeq.go are the same fork for dense blocks.)
+func (o *triangles) send(peer, tag int, r *matrix.Dense) {
+	if o.comm.Ctx().HasData() {
+		o.comm.Send(peer, packTriu(r), tag)
+	} else {
+		o.comm.SendBytes(peer, triuBytes(o.n), tag)
+	}
+}
+
+func (o *triangles) recv(peer, tag int) *matrix.Dense {
+	buf := o.comm.Recv(peer, tag)
+	if !o.comm.Ctx().HasData() {
+		return nil
+	}
+	return unpackTriu(buf, o.n)
+}
+
+func (o *triangles) absorb(mine, theirs *matrix.Dense, st step) *matrix.Dense {
+	rec := mergeRec{partner: st.peer, tag: st.tag}
+	if theirs != nil {
+		mine, rec.v, rec.tau = lapack.StackQR(mine, theirs)
+	}
+	o.comm.Ctx().ChargeKernel("stack_qr", flops.StackQR(o.n), o.n)
+	o.log = append(o.log, rec)
+	if o.merged != nil {
+		o.merged(rec)
+	}
+	return mine
 }
 
 // checkTall panics unless dom's rows can hold an N×N triangle. Every rank
@@ -109,7 +151,7 @@ func factorLeaf(comm *mpi.Comm, in Input, dom domain, cfg Config) leafState {
 		st := leafState{}
 		myRows := in.Offsets[comm.Rank()+1] - in.Offsets[comm.Rank()]
 		if ctx.HasData() {
-			st.r, st.q = lapack.FoldQR(in.Local, cfg.NB, cfg.Recursive, cfg.WantQ || cfg.KeepFactors)
+			st.r, st.q = lapack.FoldQR(in.Local, cfg.NB, cfg.WantQ || cfg.KeepFactors)
 		}
 		ctx.ChargeKernel("geqrf", flops.GEQRF(myRows, in.N), in.N)
 		return st

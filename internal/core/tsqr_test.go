@@ -413,23 +413,6 @@ func TestTSQRNonUniformRows(t *testing.T) {
 	_ = fmt.Sprintf("%v", global.Rows)
 }
 
-func TestTSQRRecursiveLeafKernel(t *testing.T) {
-	// The recursive local kernel must produce the same factorization.
-	g := grid.SmallTestGrid(2, 2, 1)
-	cfg := Config{Tree: TreeGrid, Recursive: true, WantQ: true}
-	m, n := 96, 8
-	r, q, _, global := runTSQR(t, g, m, n, cfg, 31)
-	if !matrix.Equal(r, refR(global), 1e-10) {
-		t.Fatal("recursive-leaf TSQR R differs from sequential")
-	}
-	if e := matrix.OrthoError(q); e > 1e-11*float64(m) {
-		t.Fatalf("recursive-leaf Q orthogonality %g", e)
-	}
-	if res := matrix.ResidualQR(global, q, r); res > 1e-11*float64(m) {
-		t.Fatalf("recursive-leaf residual %g", res)
-	}
-}
-
 func TestTSQRGradedMatrixRobustness(t *testing.T) {
 	// Rows spanning 200 orders of magnitude: the scaled Dlarfg/Dnrm2
 	// paths must survive end-to-end through the distributed pipeline.

@@ -116,25 +116,6 @@ func BenchmarkDpotrf(b *testing.B) {
 	}
 }
 
-func BenchmarkDgeqr3(b *testing.B) {
-	// The recursive kernel at the same shapes as BenchmarkDgeqrf, for
-	// the local-kernel ablation the paper's conclusion suggests.
-	for _, tc := range []struct{ m, n int }{
-		{1 << 14, 64}, {1 << 13, 256},
-	} {
-		b.Run(fmt.Sprintf("%dx%d", tc.m, tc.n), func(b *testing.B) {
-			a := matrix.Random(tc.m, tc.n, 8)
-			f := matrix.New(tc.m, tc.n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				matrix.Copy(f, a)
-				Dgeqr3(f)
-			}
-			b.ReportMetric(flops.GEQRF(tc.m, tc.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
-		})
-	}
-}
-
 func BenchmarkDtpqrtBlockedVsUnblocked(b *testing.B) {
 	// The kernel ablation behind StackQR's blocked threshold.
 	n := 512
@@ -287,7 +268,7 @@ func BenchmarkFoldWidthGuard(b *testing.B) {
 				b.Run(fmt.Sprintf("%dMiB/n%d/%s", mib, n, kind.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						matrix.Copy(f, a)
-						foldQR(f, kind.rows, 0, false, false)
+						foldQR(f, kind.rows, 0, false)
 					}
 				})
 			}

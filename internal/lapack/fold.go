@@ -42,13 +42,12 @@ type FoldQ struct {
 }
 
 // FoldBlock is one step of the recurrence: it factors block (k×n, any
-// k ≥ 1) in place — Dgeqr3 when recursive, else Dgeqrf with panel width
-// nb — and merges the resulting triangle into the running n×n upper
+// k ≥ 1) in place — Dgeqrf with panel width nb — and merges the resulting triangle into the running n×n upper
 // triangular r, which is updated in place and returned. r == nil starts
 // a fold: the block's triangle (zero-padded when k < n) becomes a fresh
 // running R. When q is non-nil the step is recorded in it; the first
 // recorded block must have at least n rows.
-func FoldBlock(r, block *matrix.Dense, nb int, recursive bool, q *FoldQ) *matrix.Dense {
+func FoldBlock(r, block *matrix.Dense, nb int, q *FoldQ) *matrix.Dense {
 	k, n := block.Rows, block.Cols
 	kk := min(k, n)
 	// One slab holds the block's tau and, when there is something to
@@ -67,11 +66,7 @@ func FoldBlock(r, block *matrix.Dense, nb int, recursive bool, q *FoldQ) *matrix
 		w = make([]float64, size)
 	}
 	tau := w[:kk]
-	if recursive && k >= n {
-		copy(tau, TausOf(Dgeqr3(block)))
-	} else {
-		Dgeqrf(block, tau, nb)
-	}
+	Dgeqrf(block, tau, nb)
 	if q != nil {
 		if len(q.blocks) == 0 && k < n {
 			panic("lapack: a recorded fold must start with at least n rows")
@@ -134,18 +129,18 @@ const (
 // above; anything else is one block, i.e. a plain Dgeqrf, because a leaf
 // that already sits in cache has no misses for the merges to buy back.
 // The choice is a property of the shape alone.
-func FoldQR(a *matrix.Dense, nb int, recursive, wantQ bool) (*matrix.Dense, *FoldQ) {
+func FoldQR(a *matrix.Dense, nb int, wantQ bool) (*matrix.Dense, *FoldQ) {
 	m, n := a.Rows, a.Cols
 	b := m
 	if n >= foldMinCols && n <= foldMaxCols && 8*m*n > 2*foldBlockBytes {
 		b = FoldBlockRows(n)
 	}
-	return foldQR(a, b, nb, recursive, wantQ)
+	return foldQR(a, b, nb, wantQ)
 }
 
 // foldQR is the recurrence over b-row blocks of a; the last block takes
 // the remainder.
-func foldQR(a *matrix.Dense, b, nb int, recursive, wantQ bool) (*matrix.Dense, *FoldQ) {
+func foldQR(a *matrix.Dense, b, nb int, wantQ bool) (*matrix.Dense, *FoldQ) {
 	m, n := a.Rows, a.Cols
 	var q *FoldQ
 	if wantQ {
@@ -153,7 +148,7 @@ func foldQR(a *matrix.Dense, b, nb int, recursive, wantQ bool) (*matrix.Dense, *
 	}
 	var r *matrix.Dense
 	for i := 0; i < m; i += b {
-		r = FoldBlock(r, a.View(i, 0, min(b, m-i), n), nb, recursive, q)
+		r = FoldBlock(r, a.View(i, 0, min(b, m-i), n), nb, q)
 	}
 	return r, q
 }

@@ -27,11 +27,11 @@ func TestFoldBlockRows(t *testing.T) {
 // foldCheck folds a copy of a through b-row blocks and verifies R
 // against the one-shot Dgeqrf and the recorded Q by reconstruction,
 // orthogonality and a Qᵀ-then-Q round trip on a dense block.
-func foldCheck(t *testing.T, a *matrix.Dense, b int, recursive, uniqueR bool) {
+func foldCheck(t *testing.T, a *matrix.Dense, b int, uniqueR bool) {
 	t.Helper()
 	m, n := a.Rows, a.Cols
 	f := a.Clone()
-	r, q := foldQR(f, b, 0, recursive, true)
+	r, q := foldQR(f, b, 0, true)
 	if !matrix.IsUpperTriangular(r, 0) {
 		t.Fatal("R not upper triangular")
 	}
@@ -71,7 +71,7 @@ func foldCheck(t *testing.T, a *matrix.Dense, b int, recursive, uniqueR bool) {
 	}
 
 	// R-only runs the same kernels on pooled workspaces: same bits.
-	rOnly, _ := foldQR(a.Clone(), b, 0, recursive, false)
+	rOnly, _ := foldQR(a.Clone(), b, 0, false)
 	if !bitsEqual(rOnly, r) {
 		t.Fatal("R-only fold differs bitwise from the recorded fold")
 	}
@@ -87,14 +87,13 @@ func TestFoldQREdges(t *testing.T) {
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, q := range []int{2, 3} {
 				for _, r := range []int{0, 1, n - 1, n, b - 1} {
-					foldCheck(t, tc.Gen(q*b+r, n, int64(q*b+r)), b, false, !tc.RankDeficient)
+					foldCheck(t, tc.Gen(q*b+r, n, int64(q*b+r)), b, !tc.RankDeficient)
 				}
 			}
 		})
 	}
-	foldCheck(t, matrix.Random(3*b+5, n, 7), b, true, true)       // Dgeqr3 blocks, Dgeqrf on the short tail
-	foldCheck(t, matrix.Random(n, n, 8), n, false, true)          // square single block
-	foldCheck(t, matrix.Random(5*300+7, 80, 9), 300, false, true) // blocks wider than one Dgeqrf panel
+	foldCheck(t, matrix.Random(n, n, 8), n, true)          // square single block
+	foldCheck(t, matrix.Random(5*300+7, 80, 9), 300, true) // blocks wider than one Dgeqrf panel
 }
 
 // TestFoldQRGuard: FoldQR cuts a leaf into blocks only inside the
@@ -113,7 +112,7 @@ func TestFoldQRGuard(t *testing.T) {
 	} {
 		a := matrix.Random(tc.m, tc.n, int64(tc.m))
 		f := a.Clone()
-		r, q := FoldQR(f, 0, false, true)
+		r, q := FoldQR(f, 0, true)
 		want := 1
 		if tc.blocked {
 			want = (tc.m + FoldBlockRows(tc.n) - 1) / FoldBlockRows(tc.n)
@@ -138,7 +137,7 @@ func TestFoldBlockShortFirstBlock(t *testing.T) {
 	f := a.Clone()
 	var r *matrix.Dense
 	for _, cut := range [][2]int{{0, 2}, {2, 3}, {5, 15}} {
-		r = FoldBlock(r, f.View(cut[0], 0, cut[1], n), 0, false, nil)
+		r = FoldBlock(r, f.View(cut[0], 0, cut[1], n), 0, nil)
 	}
 	ref := a.Clone()
 	Dgeqrf(ref, make([]float64, n), 0)
@@ -156,7 +155,7 @@ func TestFoldBlockShortFirstBlock(t *testing.T) {
 func expandCheck(t *testing.T, a *matrix.Dense, b int, widths ...int) {
 	t.Helper()
 	m, n := a.Rows, a.Cols
-	_, q := foldQR(a.Clone(), b, 0, false, true)
+	_, q := foldQR(a.Clone(), b, 0, true)
 	for _, k := range widths {
 		seed := matrix.Random(n, k, int64(m+k))
 		want := matrix.New(m, k)
@@ -203,7 +202,7 @@ func TestFoldQExpand(t *testing.T) {
 func TestFoldQExpandLeaf(t *testing.T) {
 	const m, n = 131072, 64
 	a := matrix.Random(m, n, 6)
-	r, q := FoldQR(a.Clone(), 0, false, true)
+	r, q := FoldQR(a.Clone(), 0, true)
 	defer blas.SetWorkers(0)
 	blas.SetWorkers(1)
 	thin := q.Expand(matrix.Eye(n))

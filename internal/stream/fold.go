@@ -161,7 +161,7 @@ func (f *Folder) foldPanel(r, p *matrix.Dense) *matrix.Dense {
 	if !f.data {
 		return nil
 	}
-	return lapack.FoldBlock(r, p, 0, false, nil)
+	return lapack.FoldBlock(r, p, 0, nil)
 }
 
 // SnapshotLocal returns this rank's current n×n R — everything absorbed
