@@ -101,14 +101,19 @@ func gemmPacked(ta, tb Transpose, alpha float64, a, b *matrix.Dense, beta float6
 	tilesI := (m + mc - 1) / mc
 	tilesJ := (n + nc - 1) / nc
 	tiles := tilesI * tilesJ
+	if tiles == 1 {
+		gemmTile(ta, tb, alpha, a, b, beta, c, 0, m, 0, n, k)
+		return
+	}
+	// The tasks outlive nothing, but they cross a channel, so what they
+	// capture lives on the heap: they get copies of the three headers,
+	// and a caller's operands — views built for this one call, mostly —
+	// stay on its stack, through Dgemm and everything above it.
+	av, bv, cv := *a, *b, *c
 	run := func(ti, tj int) {
 		i0 := ti * mc
 		j0 := tj * nc
-		gemmTile(ta, tb, alpha, a, b, beta, c, i0, min(mc, m-i0), j0, min(nc, n-j0), k)
-	}
-	if tiles == 1 {
-		run(0, 0)
-		return
+		gemmTile(ta, tb, alpha, &av, &bv, beta, &cv, i0, min(mc, m-i0), j0, min(nc, n-j0), k)
 	}
 	q := taskQueue()
 	var wg sync.WaitGroup

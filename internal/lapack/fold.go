@@ -208,7 +208,7 @@ func (q *FoldQ) apply(trans blas.Transpose, c *matrix.Dense, seedOnly bool) {
 		defer putWork(padP)
 		pad.Zero()
 		matrix.Copy(pad.View(0, 0, rows, c.Cols), bottom)
-		ApplyStackQ(q.v[i], q.vtau[i], trans == blas.Trans, top, pad)
+		ApplyStackQ(q.v[i], q.vtau[i], trans == blas.Trans, top, &pad)
 		matrix.Copy(bottom, pad.View(0, 0, rows, c.Cols))
 	}
 	if trans == blas.Trans {

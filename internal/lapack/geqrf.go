@@ -157,25 +157,25 @@ func larfb(trans blas.Transpose, v, t, c *matrix.Dense, seedOnly bool) {
 	u, uP := lowerAsUpperT(v.View(0, 0, k, k)) // U = V1ᵀ, upper triangular unit diag
 	defer putWork(uP)
 	// W = V1ᵀ·C1 = U·C1
-	matrix.Copy(w, c.View(0, 0, k, n))
-	blas.Dtrmm(blas.Left, blas.NoTrans, true, 1, u, w)
+	matrix.Copy(&w, c.View(0, 0, k, n))
+	blas.Dtrmm(blas.Left, blas.NoTrans, true, 1, &u, &w)
 	// W += V2ᵀ·C2
 	if m > k && !seedOnly {
-		blas.Dgemm(blas.Trans, blas.NoTrans, 1, v.View(k, 0, m-k, k), c.View(k, 0, m-k, n), 1, w)
+		blas.Dgemm(blas.Trans, blas.NoTrans, 1, v.View(k, 0, m-k, k), c.View(k, 0, m-k, n), 1, &w)
 	}
 	// W = op(T)·W
-	applyT(trans, t, w)
+	applyT(trans, t, &w)
 	// C2 -= V2·W
 	if m > k {
 		beta := 1.0
 		if seedOnly {
 			beta = 0
 		}
-		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, v.View(k, 0, m-k, k), w, beta, c.View(k, 0, m-k, n))
+		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, v.View(k, 0, m-k, k), &w, beta, c.View(k, 0, m-k, n))
 	}
 	// C1 -= V1·W = Uᵀ·W; W has no reader after this, so it is
 	// multiplied in place.
-	blas.Dtrmm(blas.Left, blas.Trans, true, 1, u, w)
+	blas.Dtrmm(blas.Left, blas.Trans, true, 1, &u, &w)
 	for j := 0; j < n; j++ {
 		blas.Daxpy(-1, w.Col(j), c.Col(j)[:k])
 	}
@@ -187,7 +187,7 @@ func larfb(trans blas.Transpose, v, t, c *matrix.Dense, seedOnly bool) {
 // V1ᵀ becomes Dtrmm with U untransposed. U lives on pooled storage —
 // only its diagonal and strict upper triangle are defined, which is all
 // Dtrmm ever reads; the caller releases the second return with putWork.
-func lowerAsUpperT(v1 *matrix.Dense) (*matrix.Dense, *[]float64) {
+func lowerAsUpperT(v1 *matrix.Dense) (matrix.Dense, *[]float64) {
 	k := v1.Rows
 	u, uP := getMat(k, k)
 	for j := 0; j < k; j++ {

@@ -38,8 +38,9 @@ func putWork(bp *[]float64) { workspacePool.Put(bp) }
 
 // getMat borrows a rows×cols matrix on pooled storage; same undefined-
 // contents contract as getWork. Release with putWork on the second
-// return value after the matrix's last use.
-func getMat(rows, cols int) (*matrix.Dense, *[]float64) {
+// return value after the matrix's last use. The header comes back by
+// value so that it lives on the caller's stack.
+func getMat(rows, cols int) (matrix.Dense, *[]float64) {
 	bp := getWork(rows * cols)
-	return matrix.FromColMajor(rows, cols, *bp), bp
+	return *matrix.FromColMajor(rows, cols, *bp), bp
 }

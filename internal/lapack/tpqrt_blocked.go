@@ -37,20 +37,20 @@ func Dtpqrt(r1, r2 *matrix.Dense, tau []float64, nb int) {
 		// part in r2 rows 0..j+c (column j+c): a (j+jb)×jb trapezoid.
 		vp := r2.View(0, j, j+jb, jb)
 		t, tP := getMat(jb, jb)
-		tpqrtT(vp, tau[j:j+jb], t)
+		tpqrtT(vp, tau[j:j+jb], &t)
 		// W = C1[j:j+jb, rest] + Vpᵀ·C2[0:j+jb, rest]
 		c1 := r1.View(j, j+jb, jb, rest)
 		c2 := r2.View(0, j+jb, j+jb, rest)
 		w, wP := getMat(jb, rest)
-		matrix.Copy(w, c1)
-		blas.Dgemm(blas.Trans, blas.NoTrans, 1, vp, c2, 1, w)
+		matrix.Copy(&w, c1)
+		blas.Dgemm(blas.Trans, blas.NoTrans, 1, vp, c2, 1, &w)
 		// W ← Tᵀ·W
-		blas.Dtrmm(blas.Left, blas.Trans, false, 1, t, w)
+		blas.Dtrmm(blas.Left, blas.Trans, false, 1, &t, &w)
 		// C1 −= W ; C2 −= Vp·W
 		for c := 0; c < rest; c++ {
 			blas.Daxpy(-1, w.Col(c), c1.Col(c))
 		}
-		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, vp, w, 1, c2)
+		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, vp, &w, 1, c2)
 		putWork(wP)
 		putWork(tP)
 	}

@@ -9,6 +9,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Dense is a column-major matrix: element (i, j) lives at Data[j*Stride+i].
@@ -33,7 +34,7 @@ func New(rows, cols int) *Dense {
 // len(data) must be at least rows*cols.
 func FromColMajor(rows, cols int, data []float64) *Dense {
 	if len(data) < rows*cols {
-		panic(fmt.Sprintf("matrix: slice of length %d cannot hold %d×%d", len(data), rows, cols))
+		panic(rangeError{"slice of length %d cannot hold %d×%d", [6]int{len(data), rows, cols}})
 	}
 	return &Dense{Rows: rows, Cols: cols, Stride: max(rows, 1), Data: data}
 }
@@ -79,7 +80,7 @@ func (a *Dense) check(i, j int) {
 // Col returns the contiguous backing slice of column j, length Rows.
 func (a *Dense) Col(j int) []float64 {
 	if j < 0 || j >= a.Cols {
-		panic(fmt.Sprintf("matrix: column %d out of range %d", j, a.Cols))
+		panic(rangeError{"column %d out of range %d", [6]int{j, a.Cols}})
 	}
 	return a.Data[j*a.Stride : j*a.Stride+a.Rows]
 }
@@ -87,15 +88,31 @@ func (a *Dense) Col(j int) []float64 {
 // View returns the submatrix of shape rows×cols whose top-left corner is
 // (i, j). The view shares storage with a.
 func (a *Dense) View(i, j, rows, cols int) *Dense {
-	if i < 0 || j < 0 || rows < 0 || cols < 0 || i+rows > a.Rows || j+cols > a.Cols {
-		panic(fmt.Sprintf("matrix: view (%d,%d)+%d×%d out of range %d×%d", i, j, rows, cols, a.Rows, a.Cols))
+	if i|j|rows|cols < 0 || i+rows > a.Rows || j+cols > a.Cols {
+		panic(rangeError{"view (%d,%d)+%d×%d out of range %d×%d", [6]int{i, j, rows, cols, a.Rows, a.Cols}})
 	}
 	v := &Dense{Rows: rows, Cols: cols, Stride: a.Stride}
-	if rows == 0 || cols == 0 {
-		return v
+	if rows != 0 && cols != 0 {
+		v.Data = a.Data[j*a.Stride+i:]
 	}
-	v.Data = a.Data[j*a.Stride+i:]
 	return v
+}
+
+// rangeError is what FromColMajor, Col and View panic with. Its message
+// is formatted when it is read, not where it is raised, which keeps the
+// three under the inliner's budget: an inlined View's header can live on
+// its caller's stack, and the kernels' inner loops make one per step.
+type rangeError struct {
+	format string
+	args   [6]int
+}
+
+func (e rangeError) Error() string {
+	args := make([]any, strings.Count(e.format, "%d"))
+	for i := range args {
+		args[i] = e.args[i]
+	}
+	return "matrix: " + fmt.Sprintf(e.format, args...)
 }
 
 // Clone returns a compact (Stride == Rows) deep copy of a.

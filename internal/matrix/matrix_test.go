@@ -451,3 +451,29 @@ func TestRandomAtDeterministic(t *testing.T) {
 		t.Fatal("adjacent entries identical")
 	}
 }
+
+// The range panics of FromColMajor, Col and View carry an error whose
+// message is formatted on demand (so the three inline); it must still
+// name the offending indices and the shape.
+func TestRangePanicMessages(t *testing.T) {
+	a := New(2, 3)
+	for _, tc := range []struct {
+		f    func()
+		want string
+	}{
+		{func() { a.View(1, 1, 2, 2) }, "matrix: view (1,1)+2×2 out of range 2×3"},
+		{func() { a.View(0, -1, 1, 1) }, "matrix: view (0,-1)+1×1 out of range 2×3"},
+		{func() { a.Col(3) }, "matrix: column 3 out of range 3"},
+		{func() { FromColMajor(2, 2, make([]float64, 3)) }, "matrix: slice of length 3 cannot hold 2×2"},
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || err.Error() != tc.want {
+					t.Errorf("panic %v, want error %q", err, tc.want)
+				}
+			}()
+			tc.f()
+		}()
+	}
+}
