@@ -154,30 +154,145 @@ func larfb(trans blas.Transpose, v, t, c *matrix.Dense, seedOnly bool) {
 	// V = [V1; V2] with V1 unit lower triangular k×k, V2 rectangular.
 	w, wP := getMat(k, n)
 	defer putWork(wP)
-	u, uP := lowerAsUpperT(v.View(0, 0, k, k)) // U = V1ᵀ, upper triangular unit diag
-	defer putWork(uP)
-	// W = V1ᵀ·C1 = U·C1
-	matrix.Copy(&w, c.View(0, 0, k, n))
-	blas.Dtrmm(blas.Left, blas.NoTrans, true, 1, &u, &w)
-	// W += V2ᵀ·C2
+	if k != 4 {
+		larfbDtrmm(trans, v, t, c, &w, seedOnly)
+		return
+	}
+	// panelQR's blocks — four reflectors, geqr2NB — and any other of that
+	// width: the triangles are held in registers.
+	q := loadQuad(v, t)
+	q.headT(c, &w) // W = V1ᵀ·C1
 	if m > k && !seedOnly {
 		blas.Dgemm(blas.Trans, blas.NoTrans, 1, v.View(k, 0, m-k, k), c.View(k, 0, m-k, n), 1, &w)
 	}
+	q.finish(trans, &w, c) // W = op(T)·W, C1 −= V1·W
+	if m > k {
+		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, v.View(k, 0, m-k, k), &w, seedBeta(seedOnly), c.View(k, 0, m-k, n))
+	}
+}
+
+// seedBeta is the β of C2 = β·C2 − V2·W: a seed-only C2 is overwritten.
+func seedBeta(seedOnly bool) float64 {
+	if seedOnly {
+		return 0
+	}
+	return 1
+}
+
+// larfbDtrmm is larfb for a block of any width, on the caller's k×n W:
+// the triangles go through Dtrmm.
+func larfbDtrmm(trans blas.Transpose, v, t, c, w *matrix.Dense, seedOnly bool) {
+	m, k, n := v.Rows, v.Cols, c.Cols
+	u, uP := lowerAsUpperT(v.View(0, 0, k, k)) // U = V1ᵀ, upper triangular unit diag
+	defer putWork(uP)
+	// W = V1ᵀ·C1 = U·C1
+	matrix.Copy(w, c.View(0, 0, k, n))
+	blas.Dtrmm(blas.Left, blas.NoTrans, true, 1, &u, w)
+	// W += V2ᵀ·C2
+	if m > k && !seedOnly {
+		blas.Dgemm(blas.Trans, blas.NoTrans, 1, v.View(k, 0, m-k, k), c.View(k, 0, m-k, n), 1, w)
+	}
 	// W = op(T)·W
-	applyT(trans, t, &w)
+	blas.Dtrmm(blas.Left, trans, false, 1, t, w)
 	// C2 -= V2·W
 	if m > k {
-		beta := 1.0
-		if seedOnly {
-			beta = 0
-		}
-		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, v.View(k, 0, m-k, k), &w, beta, c.View(k, 0, m-k, n))
+		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, v.View(k, 0, m-k, k), w, seedBeta(seedOnly), c.View(k, 0, m-k, n))
 	}
 	// C1 -= V1·W = Uᵀ·W; W has no reader after this, so it is
 	// multiplied in place.
-	blas.Dtrmm(blas.Left, blas.Trans, true, 1, &u, &w)
+	blas.Dtrmm(blas.Left, blas.Trans, true, 1, &u, w)
 	for j := 0; j < n; j++ {
 		blas.Daxpy(-1, w.Col(j), c.Col(j)[:k])
+	}
+}
+
+// quad is the two triangles of a block of four reflectors: the strict
+// lower triangle of V1 (vil = V1[i,l]) and T (tli = T[l,i]). Its methods
+// are larfb's three triangular multiplies written out for that width,
+// one column of W at a time. A 128×64 leaf spends a quarter of its time
+// in them when they go through Dtrmm's column loops — sixteen blocks,
+// sixty columns, a dozen multiply-adds each — and a twentieth this way.
+// Every element is summed exactly as those loops sum it: the diagonal
+// term, then increasing l, one rounding per multiply and per add, which
+// is the order R is pinned to (TestLarfbQuadBitwise).
+type quad struct {
+	v10, v20, v21, v30, v31, v32                     float64
+	t00, t01, t11, t02, t12, t22, t03, t13, t23, t33 float64
+}
+
+func loadQuad(v, t *matrix.Dense) quad {
+	a, b, ld := v.Data, t.Data, t.Stride
+	return quad{
+		v10: a[1], v20: a[2], v30: a[3], v21: a[v.Stride+2], v31: a[v.Stride+3], v32: a[2*v.Stride+3],
+		t00: b[0], t01: b[ld], t11: b[ld+1], t02: b[2*ld], t12: b[2*ld+1], t22: b[2*ld+2],
+		t03: b[3*ld], t13: b[3*ld+1], t23: b[3*ld+2], t33: b[3*ld+3],
+	}
+}
+
+// headT computes W = V1ᵀ·C1 from the top four rows of c.
+func (q *quad) headT(c, w *matrix.Dense) {
+	for j := 0; j < c.Cols; j++ {
+		cj := c.Data[j*c.Stride : j*c.Stride+4 : j*c.Stride+4]
+		x := w.Data[j*4 : j*4+4 : j*4+4]
+		x0, x1, x2, x3 := cj[0], cj[1], cj[2], cj[3]
+		x0 += q.v10 * x1
+		x0 += q.v20 * x2
+		x1 += q.v21 * x2
+		x0 += q.v30 * x3
+		x1 += q.v31 * x3
+		x2 += q.v32 * x3
+		x[0], x[1], x[2], x[3] = x0, x1, x2, x3
+	}
+}
+
+// finish computes W = op(T)·W and subtracts V1·W from the top four rows
+// of c.
+func (q *quad) finish(trans blas.Transpose, w, c *matrix.Dense) {
+	for j := 0; j < c.Cols; j++ {
+		x := w.Data[j*4 : j*4+4 : j*4+4]
+		x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+		if trans == blas.Trans {
+			s := x3 * q.t33
+			s += q.t03 * x0
+			s += q.t13 * x1
+			s += q.t23 * x2
+			x3 = s
+			s = x2 * q.t22
+			s += q.t02 * x0
+			s += q.t12 * x1
+			x2 = s
+			s = x1 * q.t11
+			s += q.t01 * x0
+			x1 = s
+			x0 *= q.t00
+		} else {
+			y1, y2, y3 := x1, x2, x3
+			x0 = q.t00 * x0
+			x0 += q.t01 * y1
+			x1 = q.t11 * y1
+			x0 += q.t02 * y2
+			x1 += q.t12 * y2
+			x2 = q.t22 * y2
+			x0 += q.t03 * y3
+			x1 += q.t13 * y3
+			x2 += q.t23 * y3
+			x3 = q.t33 * y3
+		}
+		x[0], x[1], x[2], x[3] = x0, x1, x2, x3
+		cj := c.Data[j*c.Stride : j*c.Stride+4 : j*c.Stride+4]
+		s := x3
+		s += q.v30 * x0
+		s += q.v31 * x1
+		s += q.v32 * x2
+		cj[3] -= s
+		s = x2
+		s += q.v20 * x0
+		s += q.v21 * x1
+		cj[2] -= s
+		s = x1
+		s += q.v10 * x0
+		cj[1] -= s
+		cj[0] -= x0
 	}
 }
 
@@ -199,10 +314,6 @@ func lowerAsUpperT(v1 *matrix.Dense) (matrix.Dense, *[]float64) {
 		ucol[j] = 1
 	}
 	return u, uP
-}
-
-func applyT(trans blas.Transpose, t, w *matrix.Dense) {
-	blas.Dtrmm(blas.Left, trans, false, 1, t, w)
 }
 
 // Dgeqrf computes the blocked Householder QR factorization of a with

@@ -218,6 +218,59 @@ func TestLarfbSeedOnly(t *testing.T) {
 	}
 }
 
+// TestDgeqrfLeafAllocs: a 128×64 tree leaf makes 16 inner panels, each
+// with its views of the panel, of T and of the trailing columns. None of
+// those headers may reach the heap (the parent allocated 305 objects per
+// call); the pooled scratch is all a warm call may touch.
+func TestDgeqrfLeafAllocs(t *testing.T) {
+	a := matrix.Random(128, 64, 3)
+	f := matrix.New(128, 64)
+	tau := make([]float64, 64)
+	if n := testing.AllocsPerRun(50, func() {
+		matrix.Copy(f, a)
+		Dgeqrf(f, tau, 0)
+	}); n > 2 {
+		t.Fatalf("Dgeqrf on 128×64 allocates %.0f objects per call, want O(1)", n)
+	}
+}
+
+// TestLarfbNarrowBitwise holds larfb's four-reflector path to the bits of
+// the form every other width takes (larfbDtrmm — the parent's Dlarfb,
+// three Dtrmm's around the two products): R, and every Q built from it,
+// must not depend on which of the two ran. Widths on both sides of four,
+// heights down to a bare triangle, both transposes, the seed-only form,
+// a reflector with tau = 0 (at 128 rows) and a view with a stride.
+func TestLarfbNarrowBitwise(t *testing.T) {
+	for k := 1; k <= 8; k++ {
+		for _, rows := range []int{k, k + 1, 128, 4096} {
+			parent := matrix.Random(rows+3, k, int64(rows+k))
+			a := parent.View(2, 0, rows, k)
+			if k > 2 && rows == 128 {
+				clear(a.Col(1)) // tau[1] = 0: row and column 1 of T are zero
+			}
+			tau := make([]float64, k)
+			Dgeqr2(a, tau)
+			tm := matrix.New(k, k)
+			Dlarft(a, tau, tm)
+			for _, cols := range []int{1, 3, 60, 1024} {
+				for _, trans := range []blas.Transpose{blas.Trans, blas.NoTrans} {
+					for _, seedOnly := range []bool{false, true} {
+						got := matrix.Random(rows, cols, 7)
+						want := got.Clone()
+						larfb(trans, a, tm, got, seedOnly)
+						w := matrix.New(k, cols)
+						larfbDtrmm(trans, a, tm, want, w, seedOnly)
+						if !bitsEqual(got, want) {
+							t.Errorf("k=%d rows=%d cols=%d trans=%v seedOnly=%v: larfb differs from larfbDtrmm",
+								k, rows, cols, trans, seedOnly)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDormqrFollowsTheRule pins blockReflectorPays where other layers
 // lean on it and shows Dormqr(nb = 0) obeying it, bit for bit: a 128×64
 // tree leaf and a 256×16 fold block are Dorm2r, a 4096×64 fold block on
