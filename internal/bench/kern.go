@@ -129,8 +129,11 @@ func kernSet() []kernCase {
 		})
 	}
 
-	{
-		m, n, nb := 4096, 64, 32
+	// The panel factorization at a fold block's height and at the 128-row
+	// leaf of a many-domains tree, where per-panel fixed costs — views,
+	// scratch, the narrow triangular multiplies — weigh most.
+	for _, m := range []int{4096, 128} {
+		n, nb := 64, 32
 		a := matrix.Random(m, n, 7)
 		work := matrix.New(m, n)
 		tau := make([]float64, n)
@@ -202,7 +205,7 @@ func kernSet() []kernCase {
 				for i := 0; i < b.N; i++ {
 					matrix.Copy(f1, r1)
 					matrix.Copy(f2, r2)
-					lapack.Dtpqrt2(f1, f2, tau)
+					lapack.StackQRInPlace(f1, f2, tau)
 				}
 			},
 		})

@@ -32,7 +32,7 @@ func Dgemv(t Transpose, alpha float64, a *matrix.Dense, x []float64, beta float6
 		j := 0
 		for ; j+4 <= n; j += 4 {
 			f[0], f[1], f[2], f[3] = alpha*x[j], alpha*x[j+1], alpha*x[j+2], alpha*x[j+3]
-			gemvN4Kernel(a.Col(j), a.Col(j+1), a.Col(j+2), a.Col(j+3), &f, y, a.Stride)
+			gemvN4Kernel(a.Data[j*a.Stride:], a.Stride, &f, y)
 		}
 		for ; j < n; j++ {
 			daxpyKernel(alpha*x[j], a.Col(j), y)
@@ -51,7 +51,7 @@ func Dgemv(t Transpose, alpha float64, a *matrix.Dense, x []float64, beta float6
 	var out [4]float64
 	j := 0
 	for ; j+4 <= n; j += 4 {
-		gemvT4Kernel(a.Col(j), a.Col(j+1), a.Col(j+2), a.Col(j+3), x, a.Stride, &out)
+		gemvT4Kernel(a.Data[j*a.Stride:], a.Stride, x, &out)
 		y[j] = alpha*out[0] + beta*y[j]
 		y[j+1] = alpha*out[1] + beta*y[j+1]
 		y[j+2] = alpha*out[2] + beta*y[j+2]
@@ -75,7 +75,7 @@ func Dger(alpha float64, x, y []float64, a *matrix.Dense) {
 	j := 0
 	for ; j+4 <= a.Cols; j += 4 {
 		f[0], f[1], f[2], f[3] = alpha*y[j], alpha*y[j+1], alpha*y[j+2], alpha*y[j+3]
-		dger4Kernel(a.Col(j), a.Col(j+1), a.Col(j+2), a.Col(j+3), &f, x, a.Stride)
+		dger4Kernel(a.Data[j*a.Stride:], a.Stride, &f, x)
 	}
 	for ; j < a.Cols; j++ {
 		daxpyKernel(alpha*y[j], x, a.Col(j))

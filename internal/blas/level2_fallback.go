@@ -154,40 +154,55 @@ func daxpyKernel(alpha float64, x, y []float64) {
 	daxpyGo(alpha, x, y)
 }
 
-// gemvT4Kernel computes out[c] = acᵀx for the four columns of a starting at
-// column j; a.Rows may be shorter than the columns' full stride.
-func gemvT4Kernel(a0, a1, a2, a3, x []float64, lda int, out *[4]float64) {
+// The four-column kernels take their columns as one slice that starts at
+// the first column's head, and the stride to the next: the assembly wants
+// no more, and a call per four columns of a short panel is too often to
+// cut four slices for it.
+
+// cols4 cuts the four m-element columns out of a.
+func cols4(a []float64, lda, m int) (a0, a1, a2, a3 []float64) {
+	return a[:m], a[lda : lda+m], a[2*lda : 2*lda+m], a[3*lda : 3*lda+m]
+}
+
+// gemvT4Kernel computes out[c] = acᵀx for the four columns of a.
+func gemvT4Kernel(a []float64, lda int, x []float64, out *[4]float64) {
 	if len(x) == 0 {
 		out[0], out[1], out[2], out[3] = 0, 0, 0, 0
 		return
 	}
 	if useAsmKernel {
-		dgemvT4Asm(len(x), lda, &a0[0], &x[0], out)
+		_ = a[3*lda+len(x)-1] // the fourth column's last element is there
+		dgemvT4Asm(len(x), lda, &a[0], &x[0], out)
 		return
 	}
+	a0, a1, a2, a3 := cols4(a, lda, len(x))
 	gemvT4Go(a0, a1, a2, a3, x, out)
 }
 
 // gemvN4Kernel computes y += Σ_c f[c]·ac.
-func gemvN4Kernel(a0, a1, a2, a3 []float64, f *[4]float64, y []float64, lda int) {
+func gemvN4Kernel(a []float64, lda int, f *[4]float64, y []float64) {
 	if len(y) == 0 {
 		return
 	}
 	if useAsmKernel {
-		dgemvN4Asm(len(y), lda, &a0[0], f, &y[0])
+		_ = a[3*lda+len(y)-1]
+		dgemvN4Asm(len(y), lda, &a[0], f, &y[0])
 		return
 	}
+	a0, a1, a2, a3 := cols4(a, lda, len(y))
 	gemvN4Go(a0, a1, a2, a3, f, y)
 }
 
 // dger4Kernel computes ac += f[c]·x for the four columns.
-func dger4Kernel(a0, a1, a2, a3 []float64, f *[4]float64, x []float64, lda int) {
+func dger4Kernel(a []float64, lda int, f *[4]float64, x []float64) {
 	if len(x) == 0 {
 		return
 	}
 	if useAsmKernel {
-		dger4Asm(len(x), lda, &a0[0], f, &x[0])
+		_ = a[3*lda+len(x)-1]
+		dger4Asm(len(x), lda, &a[0], f, &x[0])
 		return
 	}
+	a0, a1, a2, a3 := cols4(a, lda, len(x))
 	dger4Go(a0, a1, a2, a3, f, x)
 }

@@ -116,30 +116,37 @@ func BenchmarkDpotrf(b *testing.B) {
 	}
 }
 
+// BenchmarkDtpqrtBlockedVsUnblocked is the measurement behind
+// stackQRPanel (DESIGN.md "Panel kernels" has the table): the stacked
+// triangles' QR by the column-wise Dtpqrt2 and by Dtpqrt at each panel
+// width, over the orders a reduction tree, a fold and CAQR's panels merge
+// at.
 func BenchmarkDtpqrtBlockedVsUnblocked(b *testing.B) {
-	// The kernel ablation behind StackQR's blocked threshold.
-	n := 512
-	r1 := randTriu(n, 1)
-	r2 := randTriu(n, 2)
-	f1 := matrix.New(n, n)
-	f2 := matrix.New(n, n)
-	tau := make([]float64, n)
-	b.Run("unblocked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			matrix.Copy(f1, r1)
-			matrix.Copy(f2, r2)
-			Dtpqrt2(f1, f2, tau)
+	for _, n := range []int{8, 16, 32, 48, 64, 96, 112, 128, 256, 1024} {
+		r1, r2 := randTriu(n, 1), randTriu(n, 2)
+		f1, f2 := matrix.New(n, n), matrix.New(n, n)
+		tau := make([]float64, n)
+		for _, nb := range []int{0, 4, 8, 16, 32} {
+			name := fmt.Sprintf("n%d/nb%d", n, nb)
+			if nb == 0 {
+				name = fmt.Sprintf("n%d/unblocked", n)
+			} else if nb >= n {
+				continue
+			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					matrix.Copy(f1, r1)
+					matrix.Copy(f2, r2)
+					if nb == 0 {
+						Dtpqrt2(f1, f2, tau)
+					} else {
+						Dtpqrt(f1, f2, tau, nb)
+					}
+				}
+				b.ReportMetric(flops.StackQR(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
+			})
 		}
-		b.ReportMetric(flops.StackQR(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
-	})
-	b.Run("blocked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			matrix.Copy(f1, r1)
-			matrix.Copy(f2, r2)
-			Dtpqrt(f1, f2, tau, 32)
-		}
-		b.ReportMetric(flops.StackQR(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
-	})
+	}
 }
 
 // BenchmarkBlockReflectorCrossover is the measurement behind

@@ -83,7 +83,7 @@ func FoldBlock(r, block *matrix.Dense, nb int, q *FoldQ) *matrix.Dense {
 	}
 	vtau, v := w[kk:kk+n], matrix.FromColMajor(n, n, w[kk+n:])
 	copyTriu(v, block)
-	stackQR(r, v, vtau)
+	StackQRInPlace(r, v, vtau)
 	if q != nil {
 		q.v = append(q.v, v)
 		q.vtau = append(q.vtau, vtau)

@@ -68,14 +68,17 @@ func FuzzHouseholderQR(f *testing.F) {
 // factorization: the unblocked Dtpqrt2, the blocked Dtpqrt at a fuzzed
 // panel width, and a dense Dgeqr2 of the stacked pair must all agree on
 // R (after sign normalization), and the two structured paths must agree
-// on V and tau (they execute the same reflections).
+// on V and tau (they execute the same reflections) — as must whichever
+// of them StackQR's rule picks, over orders on both sides of it.
 func FuzzDtpqrt2(f *testing.F) {
 	f.Add(uint8(4), uint8(2), int64(1))
 	f.Add(uint8(64), uint8(32), int64(7))
 	f.Add(uint8(1), uint8(0), int64(3))
 	f.Add(uint8(33), uint8(5), int64(9))
+	f.Add(uint8(127), uint8(7), int64(11))
+	f.Add(uint8(150), uint8(15), int64(13))
 	f.Fuzz(func(t *testing.T, nRaw, nbRaw uint8, seed int64) {
-		n := 1 + int(nRaw)%96
+		n := 1 + int(nRaw)%160
 		nb := 1 + int(nbRaw)%48
 		r1 := randTriu(n, seed)
 		r2 := randTriu(n, seed+1)
@@ -101,6 +104,16 @@ func FuzzDtpqrt2(f *testing.F) {
 				if math.Abs(u1.At(i, j)-b1.At(i, j)) > tol {
 					t.Fatalf("n=%d nb=%d: R differs at (%d,%d)", n, nb, i, j)
 				}
+			}
+		}
+		// The rule's pick, through the value-level entry point.
+		s1, s2, tauS := StackQR(r1, r2)
+		if !matrix.Equal(s1, TriuCopy(u1), tol) || !matrix.Equal(s2, u2, tol) {
+			t.Fatalf("n=%d: StackQR differs from Dtpqrt2", n)
+		}
+		for j := 0; j < n; j++ {
+			if math.Abs(tauS[j]-tauU[j]) > tol {
+				t.Fatalf("n=%d: StackQR tau[%d] %g vs %g", n, j, tauS[j], tauU[j])
 			}
 		}
 		// Dense reference on the stack.

@@ -30,28 +30,7 @@ func Dtpqrt2(r1, r2 *matrix.Dense, tau []float64) {
 	if len(tau) < n {
 		panic("lapack: Dtpqrt2 tau too short")
 	}
-	for j := 0; j < n; j++ {
-		// Zero r2[0:j+1, j] against the diagonal element r1[j, j].
-		bj := r2.Col(j)[:j+1]
-		beta, t := Dlarfg(r1.At(j, j), bj)
-		tau[j] = t
-		r1.Set(j, j, beta)
-		if t == 0 {
-			continue
-		}
-		// Update remaining columns k > j of [r1; r2]:
-		//   w = r1[j,k] + b_jᵀ·r2[0:j+1, k]
-		//   r1[j,k]        -= t·w
-		//   r2[0:j+1, k]   -= t·w·b_j
-		// The known-zero wedge below row j of column k never enters: the
-		// dot and axpy run only over the stored rows 0..j of b_j.
-		for k := j + 1; k < n; k++ {
-			ck := r2.Col(k)[:j+1]
-			f := t * (r1.At(j, k) + blas.Ddot(bj, ck))
-			r1.Set(j, k, r1.At(j, k)-f)
-			blas.Daxpy(-f, bj, ck)
-		}
-	}
+	tpqrt2Panel(r1, r2, tau, 0, n)
 }
 
 // ApplyStackQ applies op(Q) from a Dtpqrt2 factorization to the stacked
@@ -90,19 +69,23 @@ func ApplyStackQ(v *matrix.Dense, tau []float64, trans bool, c1, c2 *matrix.Dens
 	}
 }
 
-// stackQRBlockMin and stackQRNB pick StackQR's kernel: below the
-// threshold the fused column-wise Dtpqrt2 wins because the two stored
-// triangles fit in cache and its dot/axpy kernels run at memory speed;
-// from the threshold up (the triangle pair outgrows the L2) the blocked
-// Dtpqrt's gemm-based trailing updates amortize the misses. The
-// crossover sits between n = 768 and n = 1024 on the reference machine
-// (BenchmarkDtpqrtBlockedVsUnblocked); nb = 32 is the best panel width
-// at and above it. Variables (not consts) so tuning benchmarks can
-// sweep them; never mutated at runtime.
-var (
-	stackQRBlockMin = 1024
-	stackQRNB       = 32
-)
+// stackQRPanel is StackQR's kernel rule, a function of n alone so that
+// R's bits never depend on who merges: the panel width Dtpqrt factors n×n
+// triangles with, or 0 for the column-wise Dtpqrt2. Dtpqrt2 sweeps the
+// rectangle right of each column with one Dgemv and one Dger, and while
+// the pair of triangles sits in L1 that beats every panel width — the
+// block reflector's products are then a few hundred flops a call. From
+// 128 columns the products win, narrow panels most: 8 is the best or
+// within 10% of it at every order measured, so it is the one width
+// (BenchmarkDtpqrtBlockedVsUnblocked; DESIGN.md "Panel kernels" has the
+// n × nb table: µs at n = 64, 96, 112, 128, 256, 1024 — column-wise
+// 25, 64, 97, 166, 1310, 104000; nb = 8 29, 68, 102, 123, 720, 33000).
+func stackQRPanel(n int) int {
+	if n < 128 {
+		return 0
+	}
+	return 8
+}
 
 // StackQR is the value-level TSQR reduction operation: given two n×n
 // upper triangular factors it returns the R factor of [r1; r2] along with
@@ -111,19 +94,21 @@ var (
 // results are reproducible for a given size.
 func StackQR(r1, r2 *matrix.Dense) (r, v *matrix.Dense, tau []float64) {
 	r, v, tau = r1.Clone(), r2.Clone(), make([]float64, r1.Rows)
-	stackQR(r, v, tau)
+	StackQRInPlace(r, v, tau)
 	return r, v, tau
 }
 
-// stackQR is StackQR in place, for callers that own their operands (the
-// fold's running R): r ← R, v ← V, tau filled.
-func stackQR(r, v *matrix.Dense, tau []float64) {
+// StackQRInPlace is StackQR for a caller that owns both operands — a
+// fold's running R, a reduction tree's merge: r ← R, v ← V, tau filled.
+func StackQRInPlace(r, v *matrix.Dense, tau []float64) {
 	n := r.Rows
-	defer telemetry.TimeKernel("stack_qr", flops.TPQRT2(n))()
-	if n >= stackQRBlockMin {
-		Dtpqrt(r, v, tau, stackQRNB)
-	} else {
+	nb := stackQRPanel(n)
+	if nb == 0 {
+		defer telemetry.TimeKernel("stack_qr", flops.TPQRT2(n))()
 		Dtpqrt2(r, v, tau)
+	} else {
+		defer telemetry.TimeKernel("stack_qr", flops.TPQRT(n, nb))()
+		Dtpqrt(r, v, tau, nb)
 	}
 	// Clear any strictly-lower garbage so r is exactly triangular.
 	for j := 0; j < r.Cols; j++ {

@@ -57,23 +57,41 @@ func Dtpqrt(r1, r2 *matrix.Dense, tau []float64, nb int) {
 }
 
 // tpqrt2Panel runs the unblocked stacked elimination on columns
-// [j, j+jb), touching only those columns.
+// [j, j+jb), touching only those columns. Reflector c zeroes
+// r2[0:c+1, c] against the diagonal element r1[c, c] and updates the
+// panel's columns k > c of [r1; r2]:
+//
+//	w_k           = r1[c,k] + b_cᵀ·r2[0:c+1, k]
+//	r1[c,k]      −= t·w_k
+//	r2[0:c+1, k] −= t·w_k·b_c
+//
+// The known-zero wedge below row c of column k never enters: rows 0..c of
+// the columns right of c are a dense (c+1)×(j+jb−c−1) rectangle of r2,
+// swept once by Dgemv for every w_k and once by Dger for the update.
 func tpqrt2Panel(r1, r2 *matrix.Dense, tau []float64, j, jb int) {
-	for c := 0; c < jb; c++ {
-		col := j + c
-		bj := r2.Col(col)[:col+1]
-		beta, t := Dlarfg(r1.At(col, col), bj)
-		tau[col] = t
-		r1.Set(col, col, beta)
-		if t == 0 {
+	wP := getWork(jb)
+	defer putWork(wP)
+	for c := j; c < j+jb; c++ {
+		bc := r2.Col(c)[:c+1]
+		beta, t := Dlarfg(r1.At(c, c), bc)
+		tau[c] = t
+		r1.Set(c, c, beta)
+		rest := j + jb - c - 1
+		if t == 0 || rest == 0 {
 			continue
 		}
-		for k := col + 1; k < j+jb; k++ {
-			ck := r2.Col(k)[:col+1]
-			f := t * (r1.At(col, k) + blas.Ddot(bj, ck))
-			r1.Set(col, k, r1.At(col, k)-f)
-			blas.Daxpy(-f, bj, ck)
+		w := (*wP)[:rest]
+		row := r1.Data[(c+1)*r1.Stride+c:] // r1[c, c+1:], one element per stride
+		for k := range w {
+			w[k] = row[k*r1.Stride]
 		}
+		rect := r2.View(0, c+1, c+1, rest)
+		blas.Dgemv(blas.Trans, 1, rect, bc, 1, w)
+		for k := range w {
+			w[k] *= t
+			row[k*r1.Stride] -= w[k]
+		}
+		blas.Dger(-1, bc, w, rect)
 	}
 }
 

@@ -5,7 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gridqr/internal/blas"
+	"gridqr/internal/flops"
 	"gridqr/internal/matrix"
+	"gridqr/internal/telemetry"
 )
 
 // randTriu returns a random n×n upper triangular matrix.
@@ -246,5 +249,147 @@ func TestDtpqrtApplyStackQCompatible(t *testing.T) {
 	ApplyStackQ(v, tau, false, c1, c2)
 	if !matrix.Equal(c1, r1, 1e-10) || !matrix.Equal(c2, r2, 1e-10) {
 		t.Fatal("blocked StackQR factors do not reconstruct the stack")
+	}
+}
+
+// refTpqrt2 is the column-pair form of the stacked elimination — one
+// Ddot and one Daxpy per pair of columns, the kernel before the sweeps
+// were fused — kept as the reference the fused and blocked kernels are
+// held to.
+func refTpqrt2(r1, r2 *matrix.Dense, tau []float64) {
+	n := r1.Rows
+	for j := 0; j < n; j++ {
+		bj := r2.Col(j)[:j+1]
+		beta, t := Dlarfg(r1.At(j, j), bj)
+		tau[j] = t
+		r1.Set(j, j, beta)
+		if t == 0 {
+			continue
+		}
+		for k := j + 1; k < n; k++ {
+			ck := r2.Col(k)[:j+1]
+			f := t * (r1.At(j, k) + blas.Ddot(bj, ck))
+			r1.Set(j, k, r1.At(j, k)-f)
+			blas.Daxpy(-f, bj, ck)
+		}
+	}
+}
+
+// TestStackQRKernelsMatchReference: whatever kernel the rule picks for n
+// (and each kernel on its own, on both sides of the rule) performs the
+// reference's reflections — same R, V and tau to 1e-13 — and its implicit
+// Q rebuilds the stacked pair through ApplyStackQ. Orders straddle the
+// Dgemv/Dger kernels' four-column blocks, the panel width and the rule.
+func TestStackQRKernelsMatchReference(t *testing.T) {
+	for _, n := range []int{1, 7, 8, 9, 48, 64, 65, 127, 128, 129} {
+		r1, r2 := randTriu(n, int64(n)), randTriu(n, int64(n)+300)
+		wantR, wantV, wantTau := r1.Clone(), r2.Clone(), make([]float64, n)
+		refTpqrt2(wantR, wantV, wantTau)
+		tol := 1e-13 * matrix.NormFrob(matrix.Stack(r1, r2))
+		for _, kc := range []struct {
+			name string
+			run  func(r, v *matrix.Dense, tau []float64)
+		}{
+			{"rule", StackQRInPlace},
+			{"Dtpqrt2", Dtpqrt2},
+			{"Dtpqrt/8", func(r, v *matrix.Dense, tau []float64) { Dtpqrt(r, v, tau, 8) }},
+		} {
+			r, v, tau := r1.Clone(), r2.Clone(), make([]float64, n)
+			kc.run(r, v, tau)
+			if !matrix.Equal(r, wantR, tol) || !matrix.Equal(v, wantV, tol) {
+				t.Fatalf("n=%d %s: R or V differs from the column-pair reference", n, kc.name)
+			}
+			for j := range tau {
+				if math.Abs(tau[j]-wantTau[j]) > 1e-13 {
+					t.Fatalf("n=%d %s: tau[%d] = %g, reference %g", n, kc.name, j, tau[j], wantTau[j])
+				}
+			}
+			c1, c2 := r.Clone(), matrix.New(n, n)
+			ApplyStackQ(v, tau, false, c1, c2)
+			if !matrix.Equal(c1, r1, 10*tol) || !matrix.Equal(c2, r2, 10*tol) {
+				t.Fatalf("n=%d %s: Q·[R; 0] does not rebuild [R1; R2]", n, kc.name)
+			}
+		}
+	}
+}
+
+// TestStackQRChargesTheKernelThatRan: the stack_qr telemetry counts the
+// flops of the kernel the rule picked — flops.TPQRT2(n) column-wise,
+// flops.TPQRT(n, nb) blocked — and the blocked count is checked against
+// what actually ran: the Dgemm and Dtrmm calls report their own flops,
+// the panel sweeps, the T builds and the C1 subtractions are counted here
+// operation by operation.
+func TestStackQRChargesTheKernelThatRan(t *testing.T) {
+	telemetry.EnableKernelMetrics(true)
+	defer telemetry.EnableKernelMetrics(false)
+	reg := telemetry.Default()
+	counter := func(k string) float64 { return reg.Counter("kernel." + k + ".flops").Value() }
+	for _, n := range []int{8, 64, 127, 128, 200} {
+		r, v, tau := randTriu(n, 1), randTriu(n, 2), make([]float64, n)
+		stack, gemm, trmm := counter("stack_qr"), counter("dgemm"), counter("dtrmm")
+		StackQRInPlace(r, v, tau)
+		charged := counter("stack_qr") - stack
+		nb := stackQRPanel(n)
+		if nb == 0 {
+			if charged != flops.TPQRT2(n) {
+				t.Errorf("n=%d column-wise: charged %g, flops.TPQRT2 = %g", n, charged, flops.TPQRT2(n))
+			}
+			nb = n
+		} else if charged != flops.TPQRT(n, nb) {
+			t.Errorf("n=%d nb=%d: charged %g, flops.TPQRT = %g", n, nb, charged, flops.TPQRT(n, nb))
+		}
+		ran := counter("dgemm") - gemm + counter("dtrmm") - trmm
+		for j := 0; j < n; j += nb {
+			jb := min(nb, n-j)
+			for c := j; c < j+jb; c++ {
+				ran += 3 // Dlarfg's beta, tau and scale factor
+				for i := 0; i <= c; i++ {
+					ran += 3 // its norm (multiply, add) and scaling
+				}
+				for k := c + 1; k < j+jb; k++ {
+					ran += 2 // w_k's head and t·w_k
+					for i := 0; i <= c; i++ {
+						ran += 4 // Dgemv's and Dger's multiply-adds
+					}
+				}
+			}
+			if rest := n - j - jb; rest > 0 {
+				for i := 1; i < jb; i++ {
+					for c := 0; c < i; c++ {
+						ran++ // −tau·dot
+						for l := 0; l <= j+i; l++ {
+							ran += 2 // the dot down v_c and v_i
+						}
+					}
+					ran += float64(i * i) // Dtrmv on an order-i triangle
+				}
+				ran += float64(2 * jb * rest) // C1 −= W
+			}
+		}
+		if math.Abs(ran-charged) > 1e-9*charged {
+			t.Errorf("n=%d: %g flops ran, %g charged", n, ran, charged)
+		}
+	}
+}
+
+// TestDtpqrt2SmallOrdersKeepTheirBits: up to n = 11 the fused sweep is the
+// column-pair reference bit for bit — under eight rows Dgemv's four-column
+// kernel reduces its lanes as Ddot does, and under four trailing columns
+// Dgemv and Dger are Ddot and Daxpy — so the triangles CAQR's 4-wide
+// panels and the pinned FT-TSQR runs (n = 5) merge did not move when the
+// sweep was fused. From n = 12 the two differ in the last bits.
+func TestDtpqrt2SmallOrdersKeepTheirBits(t *testing.T) {
+	for n := 1; n <= 11; n++ {
+		for seed := int64(0); seed < 4; seed++ {
+			r1, r2 := randTriu(n, seed), randTriu(n, seed+50)
+			wantR, wantV, wantTau := r1.Clone(), r2.Clone(), make([]float64, n)
+			refTpqrt2(wantR, wantV, wantTau)
+			tau := make([]float64, n)
+			StackQRInPlace(r1, r2, tau)
+			if !bitsEqual(r1, wantR) || !bitsEqual(r2, wantV) ||
+				!bitsEqual(matrix.FromColMajor(n, 1, tau), matrix.FromColMajor(n, 1, wantTau)) {
+				t.Fatalf("n=%d seed=%d: fused sweep moved the bits of the column-pair kernel", n, seed)
+			}
+		}
 	}
 }
