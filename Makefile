@@ -36,14 +36,15 @@ skips:
 	if echo "$$out" | grep -e '--- SKIP'; then echo "skips: the tests above skipped themselves"; exit 1; fi
 
 # One concept, one implementation: internal/core merges two triangles in
-# TSQR's operator (tsqr.go, which FT-TSQR's combine calls), applies a
-# merge's Q in the tree-Q walk's scatter and round trip (treeq.go), and
-# walks a schedule in reduction.run alone — no rank picks its merges out of
-# a schedule by hand (stepsFor and the compiled per-domain slices do). One
-# call site more of either kernel, or one scan, is a second copy of a walk.
+# TSQR's operator (tsqr.go, which FT-TSQR's combine calls) — in place,
+# never through the cloning lapack.StackQR — applies a merge's Q in the
+# tree-Q walk's scatter and round trip (treeq.go), and walks a schedule in
+# reduction.run alone — no rank picks its merges out of a schedule by hand
+# (stepsFor and the compiled per-domain slices do). One call site more of
+# either kernel, or one scan, is a second copy of a walk.
 walks:
 	@src="$$(ls internal/core/*.go | grep -v _test.go)"; \
-	for k in StackQR:1 ApplyStackQ:2; do \
+	for k in StackQR:0 StackQRInPlace:1 ApplyStackQ:2; do \
 		n="$$(grep -ho "lapack\.$${k%:*}(" $$src | wc -l)"; \
 		echo "lapack.$${k%:*}( call sites in internal/core: $$n (max $${k#*:})"; \
 		[ "$$n" -le "$${k#*:}" ] || exit 1; \

@@ -214,13 +214,15 @@ func (st *ftState) runEpoch(epoch int, knownDead map[int]bool, maxFail int) (res
 	}
 
 	// Start from my leaf; if my predecessor is dead I act for it too,
-	// re-contributing its replicated leaf.
-	mine := ftPartial{r: st.leafR, set: []int{st.me}}
+	// re-contributing its replicated leaf. Merges consume their operands
+	// and a later epoch starts from the same two, so both go in as
+	// copies.
+	mine := ftPartial{r: st.leafR.Clone(), set: []int{st.me}}
 	if pred := (st.me + st.p - 1) % st.p; knownDead[pred] {
 		if st.buddyCopy == nil {
 			mine.lost, mine.aborted = []int{pred}, true
 		} else {
-			mine = st.absorb(mine, ftPartial{r: st.buddyCopy, set: []int{pred}}, step{})
+			mine = st.absorb(mine, ftPartial{r: st.buddyCopy.Clone(), set: []int{pred}}, step{})
 		}
 	}
 
@@ -353,13 +355,13 @@ func (st *ftState) absorb(mine, theirs ftPartial, _ step) ftPartial {
 	key := fmt.Sprint(mine.set)
 	if r, ok := st.cache[key]; ok {
 		st.stats.CombinesReused++
-		mine.r = r
+		mine.r = r.Clone() // the next merge overwrites it
 		return mine
 	}
 	// The merge itself is TSQR's operator's, its log dropped: R only.
 	mine.r = (&triangles{comm: st.comm, n: st.n}).absorb(mine.r, theirs.r, step{})
 	st.stats.Combines++
-	st.cache[key] = mine.r
+	st.cache[key] = mine.r.Clone()
 	return mine
 }
 

@@ -23,7 +23,11 @@ type operator[S any] interface {
 	send(peer, tag int, s S)
 	recv(peer, tag int) S
 	// absorb folds what recv returned at step st into mine and charges
-	// the merge.
+	// the merge. It consumes both operands: either may be overwritten or
+	// kept inside the result. The walk only ever passes what recv
+	// returned and the state it was started with or got back from absorb,
+	// so a caller that needs its starting state afterwards hands run a
+	// copy.
 	absorb(mine, theirs S, st step) S
 }
 

@@ -20,9 +20,9 @@ func (g *PreemptGate) ShouldStop(stage int) bool {
 // SnapshotR runs the TSQR reduction tree over per-rank n×n running R
 // factors and returns the global R on comm rank 0 (nil elsewhere, and
 // nil everywhere in cost-only mode). It is the read side of incremental
-// TSQR: the inputs are not mutated (StackQR clones), so each rank's
-// running R keeps absorbing blocks after the snapshot as if it never
-// happened.
+// TSQR: the inputs are not mutated (a rank that absorbs merges into a
+// copy of its R), so each rank's running R keeps absorbing blocks after
+// the snapshot as if it never happened.
 //
 // The walk is Factorize's (reduction.run) — same schedule, same fold
 // order, same packed triangles — on a dedicated tag namespace, so
@@ -50,7 +50,11 @@ func SnapshotR(comm *mpi.Comm, r *matrix.Dense, n int, cfg Config) *matrix.Dense
 	}
 	me := comm.Rank()
 	// One domain per process: domain id = rank.
-	out := reduction[*matrix.Dense]{comm: comm, route: cs.route(me), op: &triangles{comm: comm, n: n},
+	rt := cs.route(me)
+	if r != nil && len(rt.steps) > 0 && rt.steps[0].recv {
+		r = r.Clone() // the merges are in place; a rank that only sends packs
+	}
+	out := reduction[*matrix.Dense]{comm: comm, route: rt, op: &triangles{comm: comm, n: n},
 		tags: tagSpace{base: snapTagBase, final: snapFinalTag}}.run(r)
 	if me != 0 {
 		return nil

@@ -68,8 +68,10 @@ func Factorize(comm *mpi.Comm, in Input, cfg Config) *Result {
 
 // triangles is TSQR's operator: the state is an n×n upper triangle (nil
 // in a cost-only world), packed on the wire, and two combine by the QR
-// of one stacked on the other. It keeps the merges it made — the tree's
-// orthogonal factor is read off them (treeq.go).
+// of one stacked on the other, in place: mine becomes R, the triangle
+// recv unpacked becomes the merge's V and goes into the log. It keeps
+// the merges it made — the tree's orthogonal factor is read off them
+// (treeq.go).
 type triangles struct {
 	comm *mpi.Comm
 	n    int
@@ -102,7 +104,8 @@ func (o *triangles) recv(peer, tag int) *matrix.Dense {
 func (o *triangles) absorb(mine, theirs *matrix.Dense, st step) *matrix.Dense {
 	rec := mergeRec{partner: st.peer, tag: st.tag}
 	if theirs != nil {
-		mine, rec.v, rec.tau = lapack.StackQR(mine, theirs)
+		rec.v, rec.tau = theirs, make([]float64, o.n)
+		lapack.StackQRInPlace(mine, rec.v, rec.tau)
 	}
 	o.comm.Ctx().ChargeKernel("stack_qr", flops.StackQR(o.n), o.n)
 	o.log = append(o.log, rec)
