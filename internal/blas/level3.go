@@ -296,7 +296,10 @@ func trsmBase(side Side, trans Transpose, unit bool, alpha float64, t, b *matrix
 		}
 	}
 	if trans == NoTrans {
-		// X*T = B: solve column by column left to right.
+		// X*T = B: solve column by column left to right. (cl is cut to
+		// cj's length so the update loops carry no bounds check: with
+		// one, their speed on 8 KiB-strided columns hung on where the
+		// loop happened to be laid out.)
 		for j := 0; j < n; j++ {
 			cj := b.Col(j)
 			for l := 0; l < j; l++ {
@@ -304,7 +307,7 @@ func trsmBase(side Side, trans Transpose, unit bool, alpha float64, t, b *matrix
 				if f == 0 {
 					continue
 				}
-				cl := b.Col(l)
+				cl := b.Col(l)[:len(cj)]
 				for i := range cj {
 					cj[i] -= f * cl[i]
 				}
@@ -323,7 +326,7 @@ func trsmBase(side Side, trans Transpose, unit bool, alpha float64, t, b *matrix
 			if f == 0 {
 				continue
 			}
-			cl := b.Col(l)
+			cl := b.Col(l)[:len(cj)]
 			for i := range cj {
 				cj[i] -= f * cl[i]
 			}

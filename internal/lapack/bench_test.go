@@ -24,8 +24,11 @@ func BenchmarkDgeqr2(b *testing.B) {
 }
 
 func BenchmarkDgeqrf(b *testing.B) {
+	// The 64-column heights are a tree leaf's and a fold block's: DESIGN.md
+	// "Panel kernels" quotes them.
 	for _, tc := range []struct{ m, n, nb int }{
 		{1 << 14, 64, 32}, {1 << 13, 256, 64},
+		{128, 64, 0}, {256, 64, 0}, {512, 64, 0}, {1024, 64, 0}, {4096, 64, 0},
 	} {
 		b.Run(fmt.Sprintf("%dx%d_nb%d", tc.m, tc.n, tc.nb), func(b *testing.B) {
 			a := matrix.Random(tc.m, tc.n, 2)

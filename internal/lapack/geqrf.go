@@ -40,10 +40,10 @@ func Dgeqr2(a *matrix.Dense, tau []float64) {
 // width, so the width is as small as their fixed costs allow. Measured
 // (BenchmarkPanelInnerWidth; DESIGN.md "Panel kernels" has the table): 4
 // beats 8 by 5–10% on a 4096×64 fold block and by 20% on 4096×16, 16 by
-// 30–60%; on a 128×64 tree leaf 8 is 5% ahead of 4, where a Dlarfb's
-// triangular multiplies and pooled scratch weigh more than the sweep. A
-// variable (not a const) so that benchmark can sweep it; never mutated
-// at runtime.
+// 30–60%; on a 128×64 tree leaf, where a block reflector's fixed costs
+// weigh most, 4 is 40–50% ahead of 8 since larfb applies a four-wide
+// block's triangles itself (quad). A variable (not a const) so that
+// benchmark can sweep it; never mutated at runtime.
 var geqr2NB = 4
 
 // panelQR factors a tall panel with inner blocking at width geqr2NB:
