@@ -214,7 +214,7 @@ func larfbDtrmm(trans blas.Transpose, v, t, c, w *matrix.Dense, seedOnly bool) {
 // sixty columns, a dozen multiply-adds each — and a twentieth this way.
 // Every element is summed exactly as those loops sum it: the diagonal
 // term, then increasing l, one rounding per multiply and per add, which
-// is the order R is pinned to (TestLarfbQuadBitwise).
+// is the order R is pinned to (TestLarfbNarrowBitwise).
 type quad struct {
 	v10, v20, v21, v30, v31, v32                     float64
 	t00, t01, t11, t02, t12, t22, t03, t13, t23, t33 float64

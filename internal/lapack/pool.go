@@ -8,8 +8,9 @@ import (
 
 // workspacePool recycles the scratch buffers of the blocked QR path.
 // Dgeqrf and Dormqr allocate a T factor per call and Dlarfb a k×n W
-// (plus, for blocks wider than four, the transposed V1 head) per panel — on the serving layer's
-// hot path that is thousands of short-lived slices per factorization.
+// (plus, for any block but a four-wide one, the transposed V1 head) per
+// panel — on the serving layer's hot path that is thousands of
+// short-lived slices per factorization.
 // One shared pool of float64 slices, grown to the largest size seen,
 // removes nearly all of them.
 var workspacePool = sync.Pool{

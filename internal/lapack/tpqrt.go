@@ -78,8 +78,8 @@ func ApplyStackQ(v *matrix.Dense, tau []float64, trans bool, c1, c2 *matrix.Dens
 // 128 columns the products win, narrow panels most: 8 is the best or
 // within 10% of it at every order measured, so it is the one width
 // (BenchmarkDtpqrtBlockedVsUnblocked; DESIGN.md "Panel kernels" has the
-// n × nb table: µs at n = 64, 96, 112, 128, 256, 1024 — column-wise
-// 25, 64, 97, 166, 1310, 104000; nb = 8 29, 68, 102, 123, 720, 33000).
+// n × nb table. Median µs at n = 64, 96, 112, 128, 256, 1024: column-wise
+// 41, 87, 131, 212, 1500, 132000; nb = 8 54, 109, 161, 186, 1100, 43600).
 func stackQRPanel(n int) int {
 	if n < 128 {
 		return 0
