@@ -8,13 +8,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The runtime (incl. fault injection and nonblocking requests), the
-# TSQR/FT-TSQR paths, the lookahead ScaLAPACK variant, the lock-free
+# The runtime (incl. fault injection) and the event engine's coroutine
+# scheduler, the TSQR/FT-TSQR paths, the lookahead ScaLAPACK variant, the lock-free
 # telemetry registry, the concurrent job scheduler and the packed GEMM
 # engine's worker pool must be race-clean; short mode keeps this fast
 # enough for every commit.
 race:
-	$(GO) test -race -short ./internal/mpi ./internal/core ./internal/scalapack ./internal/telemetry ./internal/sched ./internal/blas ./internal/elastic ./internal/monitor ./internal/stream
+	$(GO) test -race -short ./internal/mpi ./internal/simnet ./internal/core ./internal/scalapack ./internal/telemetry ./internal/sched ./internal/blas ./internal/elastic ./internal/monitor ./internal/stream
 
 vet:
 	$(GO) vet ./...

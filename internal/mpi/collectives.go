@@ -1,14 +1,12 @@
 package mpi
 
-// Binomial-tree collectives. The tree over p ranks has depth ⌈log₂ p⌉ and
-// p−1 edges, so a reduce or broadcast costs log₂(P) messages on the
-// critical path — the term the paper's Table I/II model counts per
-// allreduce.
-//
-// Each collective exists in two forms: the legacy panicking form used by
-// fault-oblivious code, and a Try form returning a typed error
-// (*RankFailedError or *TimeoutError) when the fault plan makes a tree
-// partner unreachable. Without a fault plan the Try forms never fail.
+// Binomial-tree collectives: the broadcast and the allreduce the
+// algorithms call. The tree over p ranks has depth ⌈log₂ p⌉ and p−1
+// edges, so a reduce or broadcast costs log₂(P) messages on the critical
+// path — the term the paper's Table I/II model counts per allreduce.
+// Both panic with the typed error (*RankFailedError or *TimeoutError)
+// when a fault plan makes a tree partner unreachable; fault-tolerant
+// algorithms use TrySend/TryRecv instead.
 
 // Op combines src into dst elementwise (dst is the accumulator).
 type Op func(dst, src []float64)
@@ -31,132 +29,42 @@ func OpMax(dst, src []float64) {
 
 // Tags reserved for collective traffic; user tags must be >= 0.
 const (
-	bcastTag   = -2
-	reduceTag  = -3
-	gatherTag  = -5
-	scatterTag = -6
+	bcastTag  = -2
+	reduceTag = -3
 )
-
-// relRank maps a rank into the tree rooted at root (rotation), and back.
-func relRank(rank, root, n int) int { return (rank - root + n) % n }
-func absRank(rel, root, n int) int  { return (rel + root) % n }
 
 // Bcast broadcasts data from root along a binomial tree. Every rank
 // passes a slice of equal length; non-root contents are overwritten.
 // The slice is returned for convenience.
 func (c *Comm) Bcast(root int, data []float64) []float64 {
-	out, err := c.TryBcast(root, data)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryBcast is Bcast with a typed error when a tree partner is dead.
-func (c *Comm) TryBcast(root int, data []float64) ([]float64, error) {
 	n := c.Size()
 	if n == 1 {
-		return data, nil
+		return data
 	}
 	defer c.ctx.Phase("bcast")()
-	me := relRank(c.rank, root, n)
-	// Receive from parent: clear lowest set bit.
+	// Rotate so root is relative rank 0.
+	me := (c.rank - root + n) % n
+	abs := func(rel int) int { return (rel + root) % n }
+	// Receive from the parent (clear the lowest set bit), then forward to
+	// the children below it (set each lower bit while in range).
 	if me != 0 {
-		parent := me & (me - 1)
-		got, err := c.tryRecvRaw(absRank(parent, root, n), bcastTag)
-		if err != nil {
-			return nil, err
-		}
-		copy(data, got)
+		copy(data, c.recvRaw(abs(me&(me-1)), bcastTag))
 	}
-	// Forward to children: set each bit above my lowest set bit while in
-	// range. Children of rel r are r | (1<<k) for k above r's highest
-	// set bit... binomial: for mask from highest to my own position.
-	for mask := 1; mask < n; mask <<= 1 {
-		if me&mask != 0 {
-			break
-		}
-		child := me | mask
-		if child < n {
-			if err := c.trySendRaw(absRank(child, root, n), data, bcastTag); err != nil {
-				return nil, err
-			}
+	for mask := 1; mask < n && me&mask == 0; mask <<= 1 {
+		if child := me | mask; child < n {
+			c.sendRaw(abs(child), data, bcastTag)
 		}
 	}
-	return data, nil
-}
-
-// Reduce combines every rank's data with op down a binomial tree; the
-// fully reduced vector lands on root (returned there; nil elsewhere).
-// The caller's data slice is never mutated, but ownership of it passes to
-// the collective (it may be forwarded by reference).
-func (c *Comm) Reduce(root int, data []float64, op Op) []float64 {
-	out, err := c.TryReduce(root, data, op)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryReduce is Reduce with a typed error when a tree partner is dead.
-func (c *Comm) TryReduce(root int, data []float64, op Op) ([]float64, error) {
-	n := c.Size()
-	if n > 1 {
-		defer c.ctx.Phase("reduce")()
-	}
-	me := relRank(c.rank, root, n)
-	acc := data
-	for mask := 1; mask < n; mask <<= 1 {
-		if me&mask != 0 {
-			parent := me &^ mask
-			if err := c.trySendRaw(absRank(parent, root, n), acc, reduceTag); err != nil {
-				return nil, err
-			}
-			return nil, nil
-		}
-		child := me | mask
-		if child < n {
-			got, err := c.tryRecvRaw(absRank(child, root, n), reduceTag)
-			if err != nil {
-				return nil, err
-			}
-			// Accumulate into a private copy the first time so the
-			// caller's slice is never mutated.
-			if len(acc) > 0 && &acc[0] == &data[0] {
-				acc = append([]float64(nil), acc...)
-			}
-			op(acc, got)
-		}
-	}
-	return acc, nil
+	return data
 }
 
 // Allreduce reduces to comm rank 0 and broadcasts back, returning the
 // combined vector on every rank. This is the "single complex allreduce"
 // structure of the paper's Section II-C; cost 2·log₂(P) messages on the
-// critical path.
+// critical path. The caller's data slice is never mutated, but ownership
+// of it passes to the collective (it may be forwarded by reference).
 func (c *Comm) Allreduce(data []float64, op Op) []float64 {
-	out, err := c.TryAllreduce(data, op)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TryAllreduce is Allreduce with a typed error when a tree partner is
-// dead.
-func (c *Comm) TryAllreduce(data []float64, op Op) ([]float64, error) {
-	if c.Size() > 1 {
-		defer c.ctx.Phase("allreduce")()
-	}
-	out, err := c.TryReduce(0, data, op)
-	if err != nil {
-		return nil, err
-	}
-	if c.rank != 0 {
-		out = make([]float64, len(data))
-	}
-	return c.TryBcast(0, out)
+	return c.allreduce(data, op, nil)
 }
 
 // AllreduceOverlap is Allreduce with a compute hook: spare (if non-nil)
@@ -173,38 +81,32 @@ func (c *Comm) TryAllreduce(data []float64, op Op) ([]float64, error) {
 // never on message timing, so fault injection and virtual timings stay
 // deterministic.
 func (c *Comm) AllreduceOverlap(data []float64, op Op, spare func()) []float64 {
-	out, err := c.TryAllreduceOverlap(data, op, spare)
-	if err != nil {
-		panic(err)
-	}
-	return out
+	return c.allreduce(data, op, spare)
 }
 
-// TryAllreduceOverlap is AllreduceOverlap with a typed error when a tree
-// partner is dead.
-func (c *Comm) TryAllreduceOverlap(data []float64, op Op, spare func()) ([]float64, error) {
+// allreduce is the body of both allreduces: a binomial reduce to rank 0,
+// then a binomial broadcast from it, calling spare (when set) before
+// every receive.
+func (c *Comm) allreduce(data []float64, op Op, spare func()) []float64 {
 	n := c.Size()
 	if n == 1 {
-		return data, nil
+		return data
 	}
 	defer c.ctx.Phase("allreduce")()
 	me := c.rank
 	acc := data
 	for mask := 1; mask < n; mask <<= 1 {
 		if me&mask != 0 {
-			if err := c.trySendRaw(me&^mask, acc, reduceTag); err != nil {
-				return nil, err
-			}
+			c.sendRaw(me&^mask, acc, reduceTag)
 			break
 		}
 		if child := me | mask; child < n {
 			if spare != nil {
 				spare()
 			}
-			got, err := c.tryRecvRaw(child, reduceTag)
-			if err != nil {
-				return nil, err
-			}
+			got := c.recvRaw(child, reduceTag)
+			// Accumulate into a private copy the first time so the
+			// caller's slice is never mutated.
 			if len(acc) > 0 && &acc[0] == &data[0] {
 				acc = append([]float64(nil), acc...)
 			}
@@ -212,110 +114,19 @@ func (c *Comm) TryAllreduceOverlap(data []float64, op Op, spare func()) ([]float
 		}
 	}
 	out := acc
-	if me != 0 {
-		out = make([]float64, len(data))
-	}
 	// Broadcast phase: non-root ranks block on their parent — the one
 	// wait every leaf pays — so the spare hook runs once more first.
 	if me != 0 {
 		if spare != nil {
 			spare()
 		}
-		got, err := c.tryRecvRaw(me&(me-1), bcastTag)
-		if err != nil {
-			return nil, err
-		}
-		copy(out, got)
+		out = make([]float64, len(data))
+		copy(out, c.recvRaw(me&(me-1), bcastTag))
 	}
-	for mask := 1; mask < n; mask <<= 1 {
-		if me&mask != 0 {
-			break
-		}
+	for mask := 1; mask < n && me&mask == 0; mask <<= 1 {
 		if child := me | mask; child < n {
-			if err := c.trySendRaw(child, out, bcastTag); err != nil {
-				return nil, err
-			}
+			c.sendRaw(child, out, bcastTag)
 		}
-	}
-	return out, nil
-}
-
-// Barrier blocks until every rank of the communicator has entered it; in
-// virtual mode the fan-in/fan-out also synchronizes all virtual clocks
-// (up to link delays), which makes Now() comparable across ranks when
-// timing sections. Implemented as an allreduce of a 1-element payload.
-func (c *Comm) Barrier() {
-	if c.Size() == 1 {
-		return
-	}
-	c.Allreduce(make([]float64, 1), OpSum)
-}
-
-// Gather collects every rank's equal-length vector on root, concatenated
-// in comm-rank order. Returns nil on non-root ranks.
-func (c *Comm) Gather(root int, data []float64) []float64 {
-	out, err := c.TryGather(root, data)
-	if err != nil {
-		panic(err)
 	}
 	return out
-}
-
-// TryGather is Gather with a typed error when a contributing rank is
-// dead.
-func (c *Comm) TryGather(root int, data []float64) ([]float64, error) {
-	n := c.Size()
-	if n > 1 {
-		defer c.ctx.Phase("gather")()
-	}
-	if c.rank != root {
-		return nil, c.trySendRaw(root, data, gatherTag)
-	}
-	out := make([]float64, len(data)*n)
-	copy(out[c.rank*len(data):], data)
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		got, err := c.tryRecvRaw(r, gatherTag)
-		if err != nil {
-			return nil, err
-		}
-		copy(out[r*len(data):], got)
-	}
-	return out, nil
-}
-
-// Allgather collects every rank's equal-length vector on every rank,
-// concatenated in comm-rank order: a gather to rank 0 followed by a
-// broadcast (2·log₂P critical-path stages).
-func (c *Comm) Allgather(data []float64) []float64 {
-	n := c.Size()
-	out := c.Gather(0, data)
-	if c.rank != 0 {
-		out = make([]float64, len(data)*n)
-	}
-	return c.Bcast(0, out)
-}
-
-// Scatter distributes root's concatenated buffer (length = chunk·P) so
-// comm rank r receives chunk elements starting at r·chunk. Non-root
-// ranks pass nil data.
-func (c *Comm) Scatter(root int, data []float64, chunk int) []float64 {
-	n := c.Size()
-	if c.rank == root {
-		if len(data) != chunk*n {
-			panic("mpi: Scatter buffer length must be chunk*P")
-		}
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			c.sendRaw(r, data[r*chunk:(r+1)*chunk], scatterTag)
-		}
-		out := make([]float64, chunk)
-		copy(out, data[root*chunk:(root+1)*chunk])
-		return out
-	}
-	return c.recvRaw(root, scatterTag)
 }

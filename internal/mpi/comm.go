@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // Comm is a communicator: an ordered group of world ranks with its own
@@ -105,13 +104,6 @@ func (c *Comm) SendBytes(to int, bytes float64, tag int) {
 	}
 }
 
-// TrySendBytes is SendBytes with an error return instead of a panic when
-// the fault plan makes the destination unreachable.
-func (c *Comm) TrySendBytes(to int, bytes float64, tag int) error {
-	c.checkTag(tag)
-	return c.ctx.sendE(c.members[to], c.path, tag, nil, bytes)
-}
-
 // Recv blocks until the matching message from comm rank `from` arrives
 // and returns its payload (nil for SendBytes messages).
 func (c *Comm) Recv(from, tag int) []float64 {
@@ -136,17 +128,6 @@ func (c *Comm) TryRecv(from, tag int) ([]float64, error) {
 	return c.tryRecvRaw(from, tag)
 }
 
-// RecvTimeout is TryRecv with an explicit wall-clock timeout overriding
-// the plan's RecvTimeout (it is honoured even without a fault plan).
-func (c *Comm) RecvTimeout(from, tag int, timeout time.Duration) ([]float64, error) {
-	c.checkTag(tag)
-	m, err := c.ctx.recvE(c.members[from], c.path, tag, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return m.data, nil
-}
-
 // sendRaw / recvRaw bypass tag validation for the communicator's own
 // collective traffic on reserved negative tags.
 func (c *Comm) sendRaw(to int, data []float64, tag int) {
@@ -168,7 +149,7 @@ func (c *Comm) trySendRaw(to int, data []float64, tag int) error {
 }
 
 func (c *Comm) tryRecvRaw(from, tag int) ([]float64, error) {
-	m, err := c.ctx.recvE(c.members[from], c.path, tag, 0)
+	m, err := c.ctx.recvE(c.members[from], c.path, tag)
 	if err != nil {
 		return nil, err
 	}

@@ -78,9 +78,7 @@ var crossShapes = []crossShape{
 		c := WorldComm(ctx)
 		c.Bcast(0, make([]float64, 32))
 		c.Allreduce(make([]float64, 8), OpSum)
-		c.Reduce(0, make([]float64, 8), OpMax)
-		c.Barrier()
-		c.Gather(0, make([]float64, 4))
+		c.AllreduceOverlap(make([]float64, 8), OpMax, func() {})
 	}},
 	{name: "hotspot-try", killable: true, body: func(ctx *Ctx) {
 		c := WorldComm(ctx)

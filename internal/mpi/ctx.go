@@ -141,18 +141,10 @@ func (c *Ctx) Sleep(seconds float64) {
 	}
 }
 
-// send is the legacy single point every transfer goes through; it panics
-// on a fault-induced failure, which can only happen when a FaultPlan is
-// armed (fault-aware algorithms use sendE through the Try APIs instead).
-func (c *Ctx) send(to int, comm string, tag int, data []float64, bytes float64) {
-	if err := c.sendE(to, comm, tag, data, bytes); err != nil {
-		panic(err)
-	}
-}
-
-// sendE prices the message on the link between the two ranks, counts it,
-// applies the fault plan (extra delay, dropped delivery attempts with
-// bounded retry-and-backoff), and enqueues it. It returns a typed
+// sendE is the single point every transfer goes through: it prices the
+// message on the link between the two ranks, counts it, applies the
+// fault plan (extra delay, dropped delivery attempts with bounded
+// retry-and-backoff), and enqueues it. It returns a typed
 // RankFailedError when every delivery attempt was dropped. Sends to a
 // dead rank succeed silently — the transport is one-sided and eager, so
 // only receivers observe peer death; this also keeps every send outcome
@@ -275,56 +267,31 @@ func (c *Ctx) noteFault(kind string, peer int, class grid.LinkClass, value float
 	}
 }
 
-// recv blocks for the matching message; it panics on a fault-induced
-// failure (fault-aware algorithms use recvE through the Try APIs).
-func (c *Ctx) recv(from int, comm string, tag int) message {
-	m, err := c.recvE(from, comm, tag, 0)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // recvE blocks for the matching message and, in virtual mode, advances
 // the local clock to its arrival time, attributing the idle gap to the
 // link class the message traversed (the per-class wait breakdown of
-// World.Breakdown). With a fault plan armed, a receive from a dead rank
-// whose matching message was never sent returns a typed RankFailedError;
-// messages already in flight when the sender died are still delivered. A
-// positive timeout (explicit, or the plan's RecvTimeout default when 0 is
-// passed) bounds the wall-clock wait.
-func (c *Ctx) recvE(from int, comm string, tag int, timeout time.Duration) (message, error) {
+// World.Breakdown). Compute charged before the receive has already
+// advanced the clock, so only the not-yet-elapsed remainder of the
+// transfer counts as wait — the eager transport's overlap. With a fault
+// plan armed, a receive from a dead rank whose matching message was never
+// sent returns a typed RankFailedError (messages already in flight when
+// the sender died are still delivered), and the plan's RecvTimeout
+// bounds the wall-clock wait.
+func (c *Ctx) recvE(from int, comm string, tag int) (message, error) {
 	c.maybeDie()
 	if from < 0 || from >= c.world.n {
 		panic(fmt.Sprintf("mpi: recv from invalid rank %d", from))
 	}
 	c.world.fstate[c.rank].ops++
 	var isDead func() bool
+	var timeout time.Duration
 	if c.world.plan != nil {
 		isDead = func() bool { return c.world.dead[from].Load() }
-		if timeout <= 0 {
-			timeout = c.world.plan.RecvTimeout
-		}
+		timeout = c.world.plan.RecvTimeout
 	}
 	m, err := c.world.eng.receive(c.rank, from, comm, tag, isDead, timeout)
-	if err != nil {
-		return message{}, err
-	}
-	c.completeRecv(m, from, tag)
-	return m, nil
-}
-
-// completeRecv performs the receiver-side accounting of a matched message:
-// in virtual mode the local clock advances to the arrival time, the idle
-// gap is attributed to the link class the message traversed, and the wait
-// span (or no-wait flow endpoint) is recorded on the trace. Blocking
-// receives run it inside recvE; nonblocking requests run it at Wait/Test
-// completion time, which is exactly what makes simulated overlap faithful:
-// compute performed between Irecv and Wait has already advanced the clock,
-// so only the not-yet-elapsed remainder of the transfer is charged as wait.
-func (c *Ctx) completeRecv(m message, from, tag int) {
-	if !c.world.virtual {
-		return
+	if err != nil || !c.world.virtual {
+		return m, err
 	}
 	if m.arrival > c.world.clocks[c.rank] {
 		start := c.world.clocks[c.rank]
@@ -345,4 +312,5 @@ func (c *Ctx) completeRecv(m message, from, tag int) {
 			Link: int8(m.class), CrossSite: grid.LinkClass(m.class) == grid.InterCluster,
 			FlowFrom: m.from, FlowSeq: m.seq})
 	}
+	return m, nil
 }

@@ -8,8 +8,8 @@ import (
 
 // engine is the execution runtime behind a World: how rank bodies are
 // driven and how messages move between them. Two implementations share
-// every algorithm-facing code path (Ctx.sendE/recvE, Request, the
-// collectives, tracing, fault injection):
+// every algorithm-facing code path (Ctx.sendE/recvE, the collectives,
+// tracing, fault injection):
 //
 //   - goroutineEngine: one preemptively scheduled goroutine per rank,
 //     mailboxes with mutex+cond transport. Required for real-time mode
@@ -36,9 +36,6 @@ type engine interface {
 	// tag) is available, honoring the deadness predicate and timeout
 	// with the same precedence as mailbox.takeWait.
 	receive(rank, from int, comm string, tag int, isDead func() bool, timeout time.Duration) (message, error)
-	// poll is the nonblocking probe behind Request.Test, with
-	// mailbox.tryTake's virtual-arrival semantics.
-	poll(rank, from int, comm string, tag int, now float64, virtual bool) (m message, ok, queued bool)
 	// rankDied wakes blocked receivers so they re-check liveness.
 	rankDied(rank int)
 	kind() string
@@ -100,10 +97,6 @@ func (e *goroutineEngine) deliver(to int, m message) { e.boxes[to].put(m) }
 
 func (e *goroutineEngine) receive(rank, from int, comm string, tag int, isDead func() bool, timeout time.Duration) (message, error) {
 	return e.boxes[rank].takeWait(from, comm, tag, isDead, timeout)
-}
-
-func (e *goroutineEngine) poll(rank, from int, comm string, tag int, now float64, virtual bool) (message, bool, bool) {
-	return e.boxes[rank].tryTake(from, comm, tag, now, virtual)
 }
 
 func (e *goroutineEngine) rankDied(int) {

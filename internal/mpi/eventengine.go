@@ -20,8 +20,6 @@ import (
 //
 //   - blocking receive  -> register a (from, comm, tag) wait, Park; a
 //     matching deliver (or a death/timeout resolution) Unparks;
-//   - Request.Test      -> nonblocking probe + PollYield, so a polling
-//     rank cannot livelock the single-threaded scheduler;
 //   - wall-clock recv timeouts -> deterministic idle resolution: when
 //     no rank can run, the lowest-(clock, rank) parked waiter with a
 //     timeout armed observes its TimeoutError. Virtual time has no
@@ -60,7 +58,6 @@ type EngineStats struct {
 	PeakPending  int    // high-water mark of undelivered messages
 	Dispatches   int64  // scheduler handoffs
 	Parks        int64  // blocking waits that actually parked
-	Polls        int64  // Test-style poll yields
 	IdleResolves int64  // deterministic timeout resolutions
 	PeakRunnable int    // high-water mark of the run heap
 }
@@ -97,7 +94,6 @@ func (e *eventEngine) run(fn func(*Ctx)) {
 	e.stats.Engine = "event"
 	e.stats.Dispatches += st.Dispatches
 	e.stats.Parks += st.Parks
-	e.stats.Polls += st.Polls
 	e.stats.IdleResolves += st.IdleResolves
 	if st.PeakRunnable > e.stats.PeakRunnable {
 		e.stats.PeakRunnable = st.PeakRunnable
@@ -121,10 +117,6 @@ func (e *eventEngine) deliver(to int, m message) {
 	if wt.active && wt.from == m.from && wt.comm == m.comm && wt.tag == m.tag {
 		wt.active = false
 		e.sched.Unpark(to)
-	} else {
-		// Nobody is blocked on this match right now, but a yielded
-		// poller might be probing for it.
-		e.sched.NoteProgress()
 	}
 }
 
@@ -151,33 +143,6 @@ func (e *eventEngine) receive(rank, from int, comm string, tag int, isDead func(
 			return message{}, err
 		}
 	}
-}
-
-// poll is Request.Test's probe: the same match-with-arrival semantics
-// as mailbox.tryTake, plus a cooperative yield on failure so the
-// polled-for sender can run. The yield is what removes the engine's
-// goroutine==rank assumption from Test: under preemptive goroutines a
-// failed poll simply returns, but on the single-threaded event
-// scheduler it must hand the slot over or nothing else ever executes.
-func (e *eventEngine) poll(rank, from int, comm string, tag int, now float64, virtual bool) (message, bool, bool) {
-	if e.poisoned {
-		panic("mpi: peer rank panicked while this rank was receiving")
-	}
-	queue := e.pending[rank]
-	for i, q := range queue {
-		if q.from == from && q.comm == comm && q.tag == tag {
-			if virtual && q.arrival > now {
-				// In flight on the simulated clock: report queued, keep it.
-				e.sched.PollYield()
-				return message{}, false, true
-			}
-			e.pending[rank] = append(queue[:i], queue[i+1:]...)
-			e.curPending--
-			return q, true, true
-		}
-	}
-	e.sched.PollYield()
-	return message{}, false, false
 }
 
 func (e *eventEngine) match(rank, from int, comm string, tag int) (message, bool) {
@@ -221,7 +186,7 @@ func (e *eventEngine) poison() {
 }
 
 // resolveIdle is the deterministic stand-in for wall-clock receive
-// timeouts. It runs when no rank is runnable and no poll can progress:
+// timeouts. It runs when no rank is runnable:
 // among parked waiters with a timeout armed, the lowest (clock, rank)
 // one observes its TimeoutError; re-entered until the world unsticks.
 // Waiters without a timeout are left parked — if nothing is resolvable

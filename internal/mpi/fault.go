@@ -33,8 +33,8 @@ func (e *RankFailedError) Error() string {
 	return fmt.Sprintf("mpi: rank %d failed (detected during %s)", e.Rank, e.Op)
 }
 
-// TimeoutError is returned by RecvTimeout (and by receives governed by
-// FaultPlan.RecvTimeout) when no matching message arrived in time. In a
+// TimeoutError is returned by receives governed by FaultPlan.RecvTimeout
+// when no matching message arrived in time. In a
 // grid, an expired timeout is indistinguishable from a dead or partitioned
 // peer, so fault-tolerant algorithms treat it like a RankFailedError.
 type TimeoutError struct {

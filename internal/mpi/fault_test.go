@@ -197,20 +197,26 @@ func TestInFlightMessageSurvivesSender(t *testing.T) {
 }
 
 func TestCollectiveDetectsDeadPartner(t *testing.T) {
-	// Kill one leaf; the reduce tree above it must report the failure as
-	// a typed error on the ranks that depended on the dead partner, and
-	// no rank may hang (the test itself is the timeout).
+	// Kill one leaf; the allreduce's tree parent must fail with a typed
+	// error naming the dead partner, and no rank may hang: the ranks cut
+	// off behind it give up through the plan's RecvTimeout.
 	plan := NewFaultPlan(1).Kill(3, 0)
-	plan.RecvTimeout = 2 * time.Second // safety net: fail typed, never hang
+	plan.RecvTimeout = 50 * time.Millisecond
 	w := faultWorld(4, plan)
 	errs := make([]error, 4)
 	var mu sync.Mutex
 	w.Run(func(ctx *Ctx) {
-		c := WorldComm(ctx)
-		_, err := c.TryReduce(0, []float64{float64(ctx.Rank())}, OpSum)
-		mu.Lock()
-		errs[ctx.Rank()] = err
-		mu.Unlock()
+		defer func() {
+			p := recover()
+			err, ok := p.(error)
+			if !ok && p != nil {
+				panic(p) // the kill sentinel unwinds the dead rank
+			}
+			mu.Lock()
+			errs[ctx.Rank()] = err
+			mu.Unlock()
+		}()
+		WorldComm(ctx).Allreduce([]float64{float64(ctx.Rank())}, OpSum)
 	})
 	var rf *RankFailedError
 	if !errors.As(errs[2], &rf) || rf.Rank != 3 {
@@ -219,24 +225,23 @@ func TestCollectiveDetectsDeadPartner(t *testing.T) {
 }
 
 func TestRecvTimeoutFiresTyped(t *testing.T) {
-	w := testWorld(2)
+	plan := NewFaultPlan(1)
+	plan.RecvTimeout = 30 * time.Millisecond
+	w := faultWorld(2, plan)
 	var got error
 	var mu sync.Mutex
 	w.Run(func(ctx *Ctx) {
-		c := WorldComm(ctx)
-		if ctx.Rank() == 0 {
-			_, err := c.RecvTimeout(1, 5, 30*time.Millisecond)
-			mu.Lock()
-			got = err
-			mu.Unlock()
-			c.Send(1, []float64{0}, 6)
-		} else {
-			c.Recv(0, 6) // wait for rank 0's timeout before exiting
+		if ctx.Rank() != 0 {
+			return // sends nothing, and is never dead
 		}
+		_, err := WorldComm(ctx).TryRecv(1, 5)
+		mu.Lock()
+		got = err
+		mu.Unlock()
 	})
 	var te *TimeoutError
 	if !errors.As(got, &te) {
-		t.Fatalf("RecvTimeout error = %v, want TimeoutError", got)
+		t.Fatalf("TryRecv error = %v, want TimeoutError", got)
 	}
 	if te.Rank != 1 || te.Tag != 5 {
 		t.Errorf("TimeoutError = %+v", *te)

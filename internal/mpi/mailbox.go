@@ -42,23 +42,12 @@ func (b *mailbox) put(m message) {
 	b.cond.Broadcast()
 }
 
-// take blocks until a message matching (from, comm, tag) is available and
-// removes it from the queue. It panics if the mailbox is poisoned (a
-// sibling rank crashed), so World.Run can unwind cleanly.
-func (b *mailbox) take(from int, comm string, tag int) message {
-	m, err := b.takeWait(from, comm, tag, nil, 0)
-	if err != nil {
-		// Unreachable: without a deadness predicate or timeout the wait
-		// can only end with a match or a poison panic.
-		panic(err)
-	}
-	return m
-}
-
-// takeWait is the fault-aware form of take: it additionally gives up with
-// a RankFailedError when isDead reports the sender dead and no matching
+// takeWait blocks until a message matching (from, comm, tag) is
+// available and removes it from the queue. It gives up with a
+// RankFailedError when isDead reports the sender dead and no matching
 // message is queued, or with a TimeoutError after the (wall-clock)
-// timeout. The queue is always scanned before consulting isDead, so a
+// timeout, and panics if the mailbox is poisoned (a sibling rank
+// crashed), so World.Run can unwind cleanly. The queue is always scanned before consulting isDead, so a
 // message sent before the sender died is still delivered — in-flight
 // traffic survives its sender.
 func (b *mailbox) takeWait(from int, comm string, tag int, isDead func() bool, timeout time.Duration) (message, error) {
@@ -92,34 +81,6 @@ func (b *mailbox) takeWait(from int, comm string, tag int, isDead func() bool, t
 		}
 		b.cond.Wait()
 	}
-}
-
-// tryTake is the non-blocking form of take, backing Request.Test: it
-// removes and returns the first message matching (from, comm, tag) if one
-// is queued. In virtual mode a queued message whose arrival time is still
-// in the receiver's future is left in place and not taken — the transfer
-// is "in flight" on the simulated clock even though the Go-level handoff
-// already happened — but it still reports queued=true, so a Test against
-// a dead sender can tell "message under way" apart from "message was
-// never sent". Matching stops at the first queued candidate either way,
-// so per-sender per-tag ordering is never reordered around a
-// not-yet-arrived message.
-func (b *mailbox) tryTake(from int, comm string, tag int, now float64, virtual bool) (m message, ok, queued bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.poisoned {
-		panic("mpi: peer rank panicked while this rank was receiving")
-	}
-	for i, q := range b.queue {
-		if q.from == from && q.comm == comm && q.tag == tag {
-			if virtual && q.arrival > now {
-				return message{}, false, true
-			}
-			b.queue = append(b.queue[:i], b.queue[i+1:]...)
-			return q, true, true
-		}
-	}
-	return message{}, false, false
 }
 
 func (b *mailbox) poison() {

@@ -3,6 +3,7 @@ package mpi
 import (
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -127,32 +128,15 @@ func TestBcastAllSizes(t *testing.T) {
 	}
 }
 
-func TestReduceSum(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 8, 12} {
-		for _, root := range []int{0, n - 1} {
-			w := testWorld(n)
-			w.Run(func(ctx *Ctx) {
-				c := WorldComm(ctx)
-				out := c.Reduce(root, []float64{float64(ctx.Rank()), 1}, OpSum)
-				if ctx.Rank() == root {
-					wantSum := float64(n*(n-1)) / 2
-					if out[0] != wantSum || out[1] != float64(n) {
-						t.Errorf("n=%d root=%d: reduce = %v", n, root, out)
-					}
-				} else if out != nil {
-					t.Errorf("non-root got %v", out)
-				}
-			})
-		}
-	}
-}
-
 func TestReduceDoesNotMutateInput(t *testing.T) {
-	w := testWorld(4)
+	// The allreduce's reduce phase accumulates into a private copy: no
+	// rank's input slice — forwarded by reference up the tree — changes.
+	w := testWorld(5)
 	w.Run(func(ctx *Ctx) {
 		c := WorldComm(ctx)
 		in := []float64{float64(ctx.Rank())}
-		c.Reduce(0, in, OpSum)
+		c.Allreduce(in, OpSum)
+		c.AllreduceOverlap(in, OpSum, func() {})
 		if in[0] != float64(ctx.Rank()) {
 			t.Errorf("rank %d input mutated to %v", ctx.Rank(), in)
 		}
@@ -183,36 +167,81 @@ func TestAllreduceMax(t *testing.T) {
 	})
 }
 
-func TestBarrier(t *testing.T) {
-	w := testWorld(7)
-	var entered atomic.Int32
-	w.Run(func(ctx *Ctx) {
-		c := WorldComm(ctx)
-		entered.Add(1)
-		c.Barrier()
-		if entered.Load() != 7 {
-			t.Errorf("barrier released before all ranks entered (%d)", entered.Load())
+func TestAllreduceOverlapMatchesAllreduce(t *testing.T) {
+	// Same values, same message count and volume as the plain allreduce,
+	// on power-of-two and ragged sizes; the spare hook must run on every
+	// non-root rank.
+	for _, n := range []int{2, 5, 8} {
+		wantMsgs := func(w *World) int64 { return w.Counters().Total().Msgs }
+		plain := testWorld(n)
+		plain.Run(func(ctx *Ctx) {
+			c := WorldComm(ctx)
+			got := c.Allreduce([]float64{float64(ctx.Rank() + 1)}, OpSum)
+			if want := float64(n * (n + 1) / 2); got[0] != want {
+				t.Errorf("n=%d rank %d: Allreduce = %g, want %g", n, ctx.Rank(), got[0], want)
+			}
+		})
+		var spared sync.Map
+		over := testWorld(n)
+		over.Run(func(ctx *Ctx) {
+			c := WorldComm(ctx)
+			got := c.AllreduceOverlap([]float64{float64(ctx.Rank() + 1)}, OpSum,
+				func() { spared.Store(ctx.Rank(), true) })
+			if want := float64(n * (n + 1) / 2); got[0] != want {
+				t.Errorf("n=%d rank %d: AllreduceOverlap = %g, want %g", n, ctx.Rank(), got[0], want)
+			}
+		})
+		if wantMsgs(plain) != wantMsgs(over) {
+			t.Errorf("n=%d: message counts differ: Allreduce %d, AllreduceOverlap %d",
+				n, wantMsgs(plain), wantMsgs(over))
 		}
-	})
+		// Every non-root rank blocks on the bcast parent, so all of them
+		// must have run the spare hook.
+		for r := 1; r < n; r++ {
+			if _, ok := spared.Load(r); !ok {
+				t.Errorf("n=%d: spare hook never ran on rank %d", n, r)
+			}
+		}
+	}
 }
 
-func TestGather(t *testing.T) {
-	w := testWorld(4)
-	w.Run(func(ctx *Ctx) {
-		c := WorldComm(ctx)
-		out := c.Gather(2, []float64{float64(ctx.Rank()), 10 * float64(ctx.Rank())})
-		if ctx.Rank() == 2 {
-			want := []float64{0, 0, 1, 10, 2, 20, 3, 30}
-			for i := range want {
-				if out[i] != want[i] {
-					t.Errorf("gather = %v", out)
-					break
-				}
+func TestOverlapHidesWait(t *testing.T) {
+	// The transport is eager: a message is in flight from the moment it
+	// is sent. Compute charged before the blocking receive therefore
+	// covers part of the flight time, and the receiver pays only the
+	// rest as wait — the property overlapped TSQR's schedule relies on.
+	// Same traffic, same compute; only the order on the receiver moves.
+	const flops = 1e6
+	run := func(computeFirst bool) (wait, clock float64) {
+		w := testWorld(2, Virtual())
+		w.Run(func(ctx *Ctx) {
+			c := WorldComm(ctx)
+			if ctx.Rank() == 0 {
+				c.Send(1, make([]float64, 1<<15), 1)
+				return
 			}
-		} else if out != nil {
-			t.Errorf("non-root gather = %v", out)
-		}
-	})
+			if computeFirst {
+				ctx.Charge(flops, 8)
+				c.Recv(0, 1)
+			} else {
+				c.Recv(0, 1)
+				ctx.Charge(flops, 8)
+			}
+		})
+		b := w.BreakdownOf(1)
+		return b.Wait[0] + b.Wait[1] + b.Wait[2], w.MaxClock()
+	}
+	blockWait, blockClock := run(false)
+	overlapWait, overlapClock := run(true)
+	if blockWait <= 0 {
+		t.Fatalf("receive-first run recorded no wait (wait=%g)", blockWait)
+	}
+	if overlapWait >= blockWait {
+		t.Errorf("compute-first wait %g not below receive-first wait %g", overlapWait, blockWait)
+	}
+	if overlapClock >= blockClock {
+		t.Errorf("compute-first clock %g not below receive-first clock %g", overlapClock, blockClock)
+	}
 }
 
 func TestSplitByParity(t *testing.T) {
@@ -595,60 +624,6 @@ func TestTraceOffByDefault(t *testing.T) {
 			t.Fatal("events recorded without Traced()")
 		}
 	}
-}
-
-func TestAllgather(t *testing.T) {
-	for _, n := range []int{1, 3, 4, 7} {
-		w := testWorld(n)
-		w.Run(func(ctx *Ctx) {
-			c := WorldComm(ctx)
-			out := c.Allgather([]float64{float64(ctx.Rank()), -float64(ctx.Rank())})
-			if len(out) != 2*n {
-				t.Errorf("n=%d: length %d", n, len(out))
-				return
-			}
-			for r := 0; r < n; r++ {
-				if out[2*r] != float64(r) || out[2*r+1] != -float64(r) {
-					t.Errorf("n=%d rank %d: allgather = %v", n, ctx.Rank(), out)
-					return
-				}
-			}
-		})
-	}
-}
-
-func TestScatter(t *testing.T) {
-	w := testWorld(4)
-	w.Run(func(ctx *Ctx) {
-		c := WorldComm(ctx)
-		var data []float64
-		if ctx.Rank() == 1 {
-			data = []float64{0, 0, 10, 10, 20, 20, 30, 30}
-		}
-		got := c.Scatter(1, data, 2)
-		want := float64(10 * ctx.Rank())
-		if len(got) != 2 || got[0] != want || got[1] != want {
-			t.Errorf("rank %d: scatter = %v", ctx.Rank(), got)
-		}
-	})
-}
-
-func TestScatterBadLengthPanics(t *testing.T) {
-	w := testWorld(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	w.Run(func(ctx *Ctx) {
-		c := WorldComm(ctx)
-		if ctx.Rank() == 0 {
-			c.Scatter(0, []float64{1, 2, 3}, 2)
-		} else {
-			defer func() { recover() }()
-			c.Scatter(0, nil, 2)
-		}
-	})
 }
 
 // TestStressRandomTraffic hammers the mailbox with a deterministic

@@ -14,6 +14,13 @@ import (
 // mirroring ScaLAPACK's NX crossover. Zero nb/nx select the paper's
 // defaults (64/128).
 func PDGEQRF(comm *mpi.Comm, in Input, nb, nx int) *Factorization {
+	return pdgeqrf(comm, in, nb, nx, false)
+}
+
+// pdgeqrf is the blocked driver behind PDGEQRF and PDGEQRFLookahead; with
+// lookahead set, each panel's trailing update beyond the next panel is
+// deferred and drained in the following allreduces' wait windows.
+func pdgeqrf(comm *mpi.Comm, in Input, nb, nx int, lookahead bool) *Factorization {
 	in.validate(comm)
 	if nb <= 0 {
 		nb = DefaultNB
@@ -23,11 +30,17 @@ func PDGEQRF(comm *mpi.Comm, in Input, nb, nx int) *Factorization {
 	}
 	f := &Factorization{Local: in.Local, Tau: make([]float64, in.N), M: in.M, N: in.N, Offsets: in.Offsets}
 	p := &pd{comm: comm, in: in, f: f}
+	if lookahead {
+		p.spare = p.drainChunk
+	}
 	n := in.N
 	j := 0
 	for j < n {
 		if n-j <= nx || nb >= n-j {
-			// Below the crossover: plain per-column updates to the end.
+			// Below the crossover: plain per-column updates to the end,
+			// which read every trailing column — the deferred update
+			// must be current first.
+			p.drainAll()
 			p.panelQR2(j, n, n)
 			break
 		}
@@ -36,13 +49,16 @@ func PDGEQRF(comm *mpi.Comm, in Input, nb, nx int) *Factorization {
 		p.blockUpdate(j, jb)
 		j += jb
 	}
+	p.drainAll()
 	f.R = ExtractR(comm, in)
 	return f
 }
 
 // blockUpdate applies the block reflector of panel [j, j+jb) to the
 // trailing columns [j+jb, N): C := (I − V·T·Vᵀ)ᵀ·C, distributed over the
-// row blocks with two allreduces.
+// row blocks with two allreduces. Without a spare-cycle hook every
+// trailing column is updated now; with one, only the next panel's
+// columns are, and the rest is left to pendingUpdate.
 func (p *pd) blockUpdate(j, jb int) {
 	ctx := p.comm.Ctx()
 	defer ctx.Phase("pdgeqrf.block_update")()
@@ -53,6 +69,7 @@ func (p *pd) blockUpdate(j, jb int) {
 	active := myRows - lo
 
 	// --- Allreduce 1: Gram matrix G = VᵀV (jb×jb) for the T factor ---
+	// (its wait windows drain the previous panel's still-deferred update)
 	gram := make([]float64, jb*jb)
 	var vloc *matrix.Dense
 	if ctx.HasData() {
@@ -66,7 +83,7 @@ func (p *pd) blockUpdate(j, jb int) {
 			}
 		}
 	}
-	gram = p.allreduce(gram)
+	gram = p.comm.AllreduceOverlap(gram, mpi.OpSum, p.spare)
 	ctx.ChargeKernel("syrk", float64(active*jb*jb), n)
 
 	// --- Local T from the Gram matrix and taus ---
@@ -74,6 +91,10 @@ func (p *pd) blockUpdate(j, jb int) {
 	if ctx.HasData() {
 		t = tFromGram(matrix.FromColMajor(jb, jb, gram), p.f.Tau[j:j+jb])
 	}
+
+	// Z reads every trailing column: the previous deferred update (if the
+	// Gram tree's spare cycles did not finish it) must land now.
+	p.drainAll()
 
 	// --- Allreduce 2: Z = Vᵀ·C (jb×rest) ---
 	z := make([]float64, jb*rest)
@@ -83,16 +104,34 @@ func (p *pd) blockUpdate(j, jb int) {
 		zm := matrix.FromColMajor(jb, rest, z)
 		blas.Dgemm(blas.Trans, blas.NoTrans, 1, vloc, cloc, 0, zm)
 	}
-	z = p.allreduce(z)
+	z = p.comm.AllreduceOverlap(z, mpi.OpSum, p.spare)
 	ctx.ChargeKernel("gemm", float64(2*active*jb*rest), n)
 
-	// --- Local update: C −= V·(Tᵀ·Z) ---
-	if ctx.HasData() {
-		y := matrix.FromColMajor(jb, rest, z).Clone()
-		blas.Dtrmm(blas.Left, blas.Trans, false, 1, t, y)
-		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, vloc, y, 1, cloc)
+	// --- Local update: C −= V·(Tᵀ·Z), Y = Tᵀ·Z formed once; with
+	// lookahead only the next panel's columns now, the rest deferred to
+	// the next panel's waits ---
+	now := rest
+	if p.spare != nil {
+		now = min(jb, rest)
 	}
-	ctx.ChargeKernel("gemm", float64(2*active*jb*rest), n)
+	var y *matrix.Dense
+	if ctx.HasData() {
+		y = matrix.FromColMajor(jb, rest, z).Clone()
+		blas.Dtrmm(blas.Left, blas.Trans, false, 1, t, y)
+		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1,
+			vloc, y.View(0, 0, jb, now), 1, cloc.View(0, 0, myRows, now))
+	}
+	ctx.ChargeKernel("gemm", float64(2*active*jb*now), n)
+	if deferred := rest - now; deferred > 0 {
+		// The next panel offers at least 2·jb spare-cycle windows (two
+		// allreduces per column); size chunks to finish within them.
+		p.pending = &pendingUpdate{
+			vloc: vloc, y: y, j: j, jb: jb,
+			col: j + jb + now, end: n,
+			chunk:  (deferred + 2*jb - 1) / (2 * jb),
+			active: active,
+		}
+	}
 }
 
 // localV materializes this rank's rows of the panel reflectors V for

@@ -135,60 +135,3 @@ func Collect(comm *mpi.Comm, local *matrix.Dense, offsets []int, cols int) *matr
 	}
 	return out
 }
-
-// Transpose redistributes a row-distributed m×n matrix into its
-// row-distributed n×m transpose: each rank sends every peer the
-// intersection of its rows with the peer's output rows (an all-to-all
-// with P² messages — the unavoidable cost of a distributed transpose).
-// offsets describes the input rows, outOffsets the output rows (i.e. the
-// input's columns); the returned block is this rank's rows of Aᵀ.
-func Transpose(comm *mpi.Comm, local *matrix.Dense, offsets, outOffsets []int) *matrix.Dense {
-	const tagT = 1<<20 + 9
-	p := comm.Size()
-	me := comm.Rank()
-	myOff := offsets[me]
-	myRows := offsets[me+1] - myOff
-	n := outOffsets[p] // total input columns
-	if local == nil || local.Rows != myRows || local.Cols != n {
-		panic("scalapack: Transpose local block mismatch")
-	}
-	// Ship each peer the transposed intersection block: my rows ×
-	// peer's output-row (= my column) range, column-major in the
-	// OUTPUT orientation so the receiver can copy directly.
-	for q := 0; q < p; q++ {
-		colLo, colHi := outOffsets[q], outOffsets[q+1]
-		if q == me {
-			continue
-		}
-		buf := make([]float64, 0, (colHi-colLo)*myRows)
-		for i := 0; i < myRows; i++ { // output columns = my rows
-			for c := colLo; c < colHi; c++ { // output rows
-				buf = append(buf, local.At(i, c))
-			}
-		}
-		comm.Send(q, buf, tagT)
-	}
-	outRows := outOffsets[me+1] - outOffsets[me]
-	out := matrix.New(outRows, offsets[p])
-	// My own intersection.
-	for i := 0; i < myRows; i++ {
-		for r := 0; r < outRows; r++ {
-			out.Set(r, myOff+i, local.At(i, outOffsets[me]+r))
-		}
-	}
-	for q := 0; q < p; q++ {
-		if q == me {
-			continue
-		}
-		buf := comm.Recv(q, tagT)
-		qRows := offsets[q+1] - offsets[q]
-		idx := 0
-		for i := 0; i < qRows; i++ {
-			for r := 0; r < outRows; r++ {
-				out.Set(r, offsets[q]+i, buf[idx])
-				idx++
-			}
-		}
-	}
-	return out
-}

@@ -100,22 +100,14 @@ type pd struct {
 	f    *Factorization
 	// spare, when non-nil (the lookahead variant), is handed to every
 	// allreduce so deferred trailing-update chunks run inside the
-	// reduction tree's wait windows. pending is the deferred work.
+	// reduction tree's wait windows; nil makes AllreduceOverlap a plain
+	// Allreduce. pending is the deferred work.
 	spare   func()
 	pending *pendingUpdate
 }
 
 func (p *pd) myOff() int  { return p.in.Offsets[p.comm.Rank()] }
 func (p *pd) myRows() int { return p.in.Offsets[p.comm.Rank()+1] - p.myOff() }
-
-// allreduce routes through AllreduceOverlap when a spare-cycle hook is
-// installed; traffic is identical either way.
-func (p *pd) allreduce(v []float64) []float64 {
-	if p.spare != nil {
-		return p.comm.AllreduceOverlap(v, mpi.OpSum, p.spare)
-	}
-	return p.comm.Allreduce(v, mpi.OpSum)
-}
 
 // panelQR2 factors columns [j0, j1) with per-column allreduces, updating
 // trailing columns up to updateTo (exclusive). PDGEQR2 is
@@ -143,7 +135,7 @@ func (p *pd) panelQR2(j0, j1, updateTo int) {
 				}
 			}
 		}
-		norm = p.allreduce(norm)
+		norm = p.comm.AllreduceOverlap(norm, mpi.OpSum, p.spare)
 		var tau, beta, scale float64
 		if ctx.HasData() {
 			beta, tau, scale = reflectorFromNorm(norm[1], norm[0])
@@ -179,7 +171,7 @@ func (p *pd) panelQR2(j0, j1, updateTo int) {
 				w[k-j-1] = s
 			}
 		}
-		w = p.allreduce(w)
+		w = p.comm.AllreduceOverlap(w, mpi.OpSum, p.spare)
 		if ctx.HasData() && tau != 0 {
 			for k := j + 1; k < updateTo; k++ {
 				fwk := tau * w[k-j-1]

@@ -302,52 +302,3 @@ func TestCollectRoundTrip(t *testing.T) {
 		t.Fatal("Collect(Distribute) != identity")
 	}
 }
-
-func TestTranspose(t *testing.T) {
-	m, n, p := 22, 10, 4
-	global := matrix.Random(m, n, 51)
-	offsets := BlockOffsets(m, p)
-	outOffsets := BlockOffsets(n, p)
-	w := mpi.NewWorld(grid.SmallTestGrid(1, p, 1))
-	var mu sync.Mutex
-	var got *matrix.Dense
-	w.Run(func(ctx *mpi.Ctx) {
-		comm := mpi.WorldComm(ctx)
-		local := Distribute(global, offsets, ctx.Rank())
-		tl := Transpose(comm, local, offsets, outOffsets)
-		full := Collect(comm, tl, outOffsets, m)
-		if ctx.Rank() == 0 {
-			mu.Lock()
-			got = full
-			mu.Unlock()
-		}
-	})
-	if !matrix.Equal(got, global.T(), 0) {
-		t.Fatal("distributed transpose wrong")
-	}
-}
-
-func TestTransposeRoundTrip(t *testing.T) {
-	m, n, p := 16, 12, 4
-	global := matrix.Random(m, n, 52)
-	offsets := BlockOffsets(m, p)
-	outOffsets := BlockOffsets(n, p)
-	w := mpi.NewWorld(grid.SmallTestGrid(2, 2, 1))
-	var mu sync.Mutex
-	var got *matrix.Dense
-	w.Run(func(ctx *mpi.Ctx) {
-		comm := mpi.WorldComm(ctx)
-		local := Distribute(global, offsets, ctx.Rank())
-		tl := Transpose(comm, local, offsets, outOffsets)
-		back := Transpose(comm, tl, outOffsets, offsets)
-		full := Collect(comm, back, offsets, n)
-		if ctx.Rank() == 0 {
-			mu.Lock()
-			got = full
-			mu.Unlock()
-		}
-	})
-	if !matrix.Equal(got, global, 0) {
-		t.Fatal("double transpose is not identity")
-	}
-}

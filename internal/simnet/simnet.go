@@ -14,9 +14,8 @@
 //
 // The package knows nothing about messages: a transport (internal/mpi's
 // event engine) layers matching on top using Park/Unpark for blocking
-// receives, PollYield for Test-style polling, NoteProgress for
-// deliveries, and OnIdle for deterministic timeout/deadlock resolution
-// when no proc can run.
+// receives and OnIdle for deterministic timeout/deadlock resolution when
+// no proc can run.
 package simnet
 
 import (
@@ -31,7 +30,6 @@ const (
 	StateReady   State = iota // in the run heap
 	StateRunning              // the single executing proc
 	StateParked               // blocked until Unpark
-	StatePolling              // yielded from a poll loop; re-run after progress
 	StateDone                 // body returned
 )
 
@@ -43,8 +41,6 @@ func (s State) String() string {
 		return "running"
 	case StateParked:
 		return "parked"
-	case StatePolling:
-		return "polling"
 	case StateDone:
 		return "done"
 	}
@@ -56,7 +52,6 @@ func (s State) String() string {
 type Stats struct {
 	Dispatches   int64 // proc handoffs (one per slice a proc runs)
 	Parks        int64 // blocking yields
-	Polls        int64 // poll yields
 	Unparks      int64 // parked procs made runnable
 	IdleResolves int64 // OnIdle invocations that made progress
 	PeakRunnable int   // high-water mark of the run heap
@@ -65,8 +60,8 @@ type Stats struct {
 // TraceEvent is one scheduler transition, exposed to the property tests
 // through SetTraceHook.
 type TraceEvent struct {
-	Kind string // "dispatch", "park", "poll", "unpark", "done", "flush", "idle"
-	ID   int    // proc id (-1 for flush/idle)
+	Kind string // "dispatch", "park", "unpark", "done", "idle"
+	ID   int    // proc id (-1 for idle)
 	Key  float64
 }
 
@@ -74,7 +69,6 @@ type sigKind int8
 
 const (
 	sigParked sigKind = iota
-	sigPolled
 	sigDone
 )
 
@@ -93,17 +87,15 @@ type proc struct {
 
 // Scheduler coordinates n cooperatively scheduled procs.
 type Scheduler struct {
-	clock    func(id int) float64 // the transport's per-proc virtual clock
-	procs    []*proc
-	heap     []*proc
-	polled   []*proc
-	yield    chan sig
-	running  *proc
-	progress bool // delivery/unpark/done since the last poll flush
-	onIdle   func() bool
-	live     int
-	stats    Stats
-	trace    func(TraceEvent)
+	clock   func(id int) float64 // the transport's per-proc virtual clock
+	procs   []*proc
+	heap    []*proc
+	yield   chan sig
+	running *proc
+	onIdle  func() bool
+	live    int
+	stats   Stats
+	trace   func(TraceEvent)
 }
 
 // New creates a scheduler for n procs whose virtual clocks are read
@@ -121,11 +113,11 @@ func New(n int, clock func(id int) float64) *Scheduler {
 }
 
 // OnIdle installs the transport's resolver, called when no proc is
-// runnable and no poll flush can make progress but parked or polling
-// procs remain. It must either make progress (typically Unpark one
-// parked proc after arming an error for it, the deterministic
-// equivalent of a wall-clock timeout) and return true, or return false
-// — in which case the scheduler panics with a deadlock report.
+// runnable but parked procs remain. It must either make progress
+// (typically Unpark one parked proc after arming an error for it, the
+// deterministic equivalent of a wall-clock timeout) and return true, or
+// return false — in which case the scheduler panics with a deadlock
+// report.
 func (s *Scheduler) OnIdle(f func() bool) { s.onIdle = f }
 
 // SetTraceHook installs a per-transition observer for property tests.
@@ -146,7 +138,7 @@ func (s *Scheduler) Running() int {
 func (s *Scheduler) StateOf(id int) State { return s.procs[id].state }
 
 // Runnable returns the current run-heap size (for leak assertions).
-func (s *Scheduler) Runnable() int { return len(s.heap) + len(s.polled) }
+func (s *Scheduler) Runnable() int { return len(s.heap) }
 
 // Run executes body(id) for every proc to completion. It must be called
 // exactly once; it blocks until all procs are done. A panic escaping a
@@ -171,9 +163,6 @@ func (s *Scheduler) Run(body func(id int)) {
 	}
 	for s.live > 0 {
 		if len(s.heap) == 0 {
-			if s.flushPolled() {
-				continue
-			}
 			if s.idle() {
 				continue
 			}
@@ -191,21 +180,9 @@ func (s *Scheduler) Run(body func(id int)) {
 			p.state = StateParked
 			s.stats.Parks++
 			s.emit(TraceEvent{Kind: "park", ID: p.id})
-		case sigPolled:
-			p.state = StatePolling
-			s.stats.Polls++
-			s.polled = append(s.polled, p)
-			if s.clock(p.id) != p.key {
-				// The poller computed during its slice: its clock moved,
-				// which is progress (a poll loop interleaved with compute
-				// must keep running even when nothing else happens).
-				s.progress = true
-			}
-			s.emit(TraceEvent{Kind: "poll", ID: p.id})
 		case sigDone:
 			p.state = StateDone
 			s.live--
-			s.progress = true
 			s.emit(TraceEvent{Kind: "done", ID: p.id})
 			if g.pval != nil {
 				s.running = nil
@@ -214,9 +191,8 @@ func (s *Scheduler) Run(body func(id int)) {
 		}
 		s.running = nil
 	}
-	if len(s.heap) != 0 || len(s.polled) != 0 {
-		panic(fmt.Sprintf("simnet: %d heap + %d polled entries leaked past completion",
-			len(s.heap), len(s.polled)))
+	if len(s.heap) != 0 {
+		panic(fmt.Sprintf("simnet: %d heap entries leaked past completion", len(s.heap)))
 	}
 }
 
@@ -225,17 +201,6 @@ func (s *Scheduler) Run(body func(id int)) {
 func (s *Scheduler) Park() {
 	p := s.mustRunning("Park")
 	s.yield <- sig{kind: sigParked}
-	<-p.resume
-}
-
-// PollYield yields the running proc after an unsuccessful poll. The
-// proc re-runs once the run heap drains, provided anything progressed
-// since the last flush (a delivery, an unpark, a completion, or the
-// poller's own clock having moved); a poll loop spinning against a
-// world where nothing can ever progress is reported as a deadlock.
-func (s *Scheduler) PollYield() {
-	p := s.mustRunning("PollYield")
-	s.yield <- sig{kind: sigPolled}
 	<-p.resume
 }
 
@@ -250,34 +215,8 @@ func (s *Scheduler) Unpark(id int) {
 	p.state = StateReady
 	p.key = s.clock(id)
 	s.heapPush(p)
-	s.progress = true
 	s.stats.Unparks++
 	s.emit(TraceEvent{Kind: "unpark", ID: id, Key: p.key})
-}
-
-// NoteProgress records transport-level progress that does not unpark
-// anyone (a message delivered to a proc that is not currently waiting),
-// so yielded pollers are given another look.
-func (s *Scheduler) NoteProgress() { s.progress = true }
-
-// flushPolled re-queues yielded pollers when anything progressed since
-// the last flush: a delivery, an unpark, a completion, or a poller's own
-// clock having moved during its last slice. Without progress the polled
-// set stays put; if nothing else is runnable or resolvable that poll
-// loop is a livelock and is reported as a deadlock.
-func (s *Scheduler) flushPolled() bool {
-	if len(s.polled) == 0 || !s.progress {
-		return false
-	}
-	for _, p := range s.polled {
-		p.state = StateReady
-		p.key = s.clock(p.id)
-		s.heapPush(p)
-	}
-	s.polled = s.polled[:0]
-	s.progress = false
-	s.emit(TraceEvent{Kind: "flush", ID: -1})
-	return true
 }
 
 func (s *Scheduler) idle() bool {
@@ -295,7 +234,7 @@ func (s *Scheduler) idle() bool {
 func (s *Scheduler) deadlock() {
 	var stuck []int
 	for _, p := range s.procs {
-		if p.state == StateParked || p.state == StatePolling {
+		if p.state == StateParked {
 			stuck = append(stuck, p.id)
 		}
 	}

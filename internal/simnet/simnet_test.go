@@ -39,8 +39,6 @@ func (t *testNet) send(from, to, seq int) {
 	if t.waits[to] == from {
 		t.waits[to] = -1
 		t.s.Unpark(to)
-	} else {
-		t.s.NoteProgress()
 	}
 }
 
@@ -163,40 +161,6 @@ func TestOnIdleResolvesWait(t *testing.T) {
 	}
 }
 
-func TestPollYieldSelfProgress(t *testing.T) {
-	// A poll loop that computes between polls must keep running on its
-	// own clock movement even when nothing else progresses.
-	net := newTestNet(2)
-	polls := 0
-	net.s.Run(func(id int) {
-		if id == 1 {
-			return // exits immediately; proc 0 then polls alone
-		}
-		for i := 0; i < 5; i++ {
-			polls++
-			net.clocks[0] += 1 // "compute" between polls
-			net.s.PollYield()
-		}
-	})
-	if polls != 5 {
-		t.Fatalf("polls = %d, want 5", polls)
-	}
-}
-
-func TestPollYieldWithoutProgressDeadlocks(t *testing.T) {
-	net := newTestNet(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected deadlock panic for a no-progress poll loop")
-		}
-	}()
-	net.s.Run(func(id int) {
-		for {
-			net.s.PollYield() // nothing ever changes
-		}
-	})
-}
-
 // randomProgram builds a deadlock-free random message program: a global
 // sequence of (from, to) edges; each proc performs its own ops in
 // global order (sends are eager, so by induction every recv's matching
@@ -259,7 +223,6 @@ func TestPropertyRandomPrograms(t *testing.T) {
 				for id := 0; id < n; id++ {
 					ready[id] = entry{0}
 				}
-				polledSet := map[int]bool{}
 				var trace []TraceEvent
 				net.s.SetTraceHook(func(ev TraceEvent) {
 					trace = append(trace, ev)
@@ -277,13 +240,6 @@ func TestPropertyRandomPrograms(t *testing.T) {
 						delete(ready, ev.ID)
 					case "unpark":
 						ready[ev.ID] = entry{ev.Key}
-					case "poll":
-						polledSet[ev.ID] = true
-					case "flush":
-						for id := range polledSet {
-							ready[id] = entry{net.clocks[id]}
-						}
-						polledSet = map[int]bool{}
 					}
 				})
 				net.s.Run(func(id int) {
