@@ -109,31 +109,27 @@ func main() {
 	want := func(k string) bool { return *fig == "all" || *fig == k }
 	ran := false
 
-	if *traceOut != "" || *metrics {
-		ran = true
-		if *fig == "all" {
-			*fig = "" // telemetry flags alone skip the figure sweeps
-		}
-		telemetryRun(g, *traceOut, *metrics, *overlap)
-	}
-	if *serve {
+	// A mode flag alone skips the figure sweeps.
+	if *traceOut != "" || *metrics || *serve || *load || *streamMode || *scale ||
+		*baseline != "" || *jsonOut != "" {
 		ran = true
 		if *fig == "all" {
 			*fig = ""
 		}
+	}
+	if *traceOut != "" || *metrics {
+		telemetryRun(g, *traceOut, *metrics, *overlap)
+	}
+	if *serve {
 		loads := bench.StandardServeLoads
 		if *quick {
 			loads = loads[:min(2, len(loads))]
 		}
-		if !runServe(g, loads, *verbose, *listen, *drainTimeout) {
+		if !runServe(g, loads, cli) {
 			os.Exit(1)
 		}
 	}
 	if *load {
-		ran = true
-		if *fig == "all" {
-			*fig = ""
-		}
 		rates, err := parseRates(*ratesFlag, bench.StandardLoadRates)
 		if err != nil { // unreachable: validateServeFlags already parsed it
 			fmt.Fprintf(os.Stderr, "gridbench: %v\n", err)
@@ -143,16 +139,11 @@ func main() {
 		if *quick {
 			n = min(n, 40)
 		}
-		if !runLoad(g, *arrival, rates, n, *queueCap, *noAutoscale,
-			*verbose, *listen, *drainTimeout) {
+		if !runLoad(g, rates, n, cli) {
 			os.Exit(1)
 		}
 	}
 	if *streamMode {
-		ran = true
-		if *fig == "all" {
-			*fig = ""
-		}
 		rates, err := parseRates(*ratesFlag, bench.StandardStreamRates)
 		if err != nil { // unreachable: validateServeFlags already parsed it
 			fmt.Fprintf(os.Stderr, "gridbench: %v\n", err)
@@ -162,15 +153,11 @@ func main() {
 		if *quick {
 			b = min(b, 2**snapEvery)
 		}
-		if !runStream(g, rates, b, *snapEvery, *verbose, *listen, *drainTimeout) {
+		if !runStream(g, rates, b, cli) {
 			os.Exit(1)
 		}
 	}
 	if *scale {
-		ran = true
-		if *fig == "all" {
-			*fig = ""
-		}
 		trees := []core.Tree(nil)
 		if *treeFlag != "" {
 			t, err := core.ParseTree(*treeFlag)
@@ -183,26 +170,12 @@ func main() {
 		fmt.Println(bench.FormatScale(bench.ScaleStudy(*ranks, trees)))
 	}
 	if *baseline != "" {
-		ran = true
-		if *fig == "all" {
-			*fig = ""
-		}
 		if !perfGate(g, *baseline, platformName(*platform), *scaleMaxRanks) {
 			os.Exit(1)
 		}
 	}
 	if *jsonOut != "" {
-		ran = true
-		if *fig == "all" {
-			*fig = ""
-		}
-		rep := bench.BuildReport(platformName(*platform), bench.StandardReportRuns(g))
-		rep.Serving = bench.BuildServingRuns(g)
-		to := bench.TraceOverheadStudy(g)
-		rep.TraceOverhead = &to
-		rep.Scale = bench.ScaleStudy(*ranks, nil)
-		rep.Load = bench.BuildLoadRuns(g)
-		rep.Stream = bench.BuildStreamRuns(g)
+		rep := bench.StandardReport(g, platformName(*platform), *ranks, nil)
 		f, err := os.Create(*jsonOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gridbench: %v\n", err)
@@ -340,46 +313,59 @@ func main() {
 	}
 }
 
-// runServe drives the closed-loop serving sweep under a signal-aware
-// context: SIGINT/SIGTERM stops new submissions, drains the in-flight
-// jobs (bounded by drainTimeout), flushes a final SLO and metrics
-// snapshot, and returns false — a nonzero exit — only when the drain
-// times out or a job genuinely fails.
-func runServe(g *grid.Grid, loads []int, verbose bool, listen string,
-	drainTimeout time.Duration) bool {
+// session is the scaffolding the serving modes share: a context that
+// SIGINT/SIGTERM cancels, the studies' common options (a debug logger
+// under -v, the drain timeout, an OnPoint hook that re-points the
+// -listen monitor at each fresh server), and the last point's server and
+// registry for the final flush.
+type session struct {
+	ctx  context.Context
+	opts bench.StudyOptions
+	mu   sync.Mutex
+	srv  *sched.Server
+	reg  *telemetry.Registry
+}
+
+func (s *session) last() (*sched.Server, *telemetry.Registry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.srv, s.reg
+}
+
+// runSession drives one serving mode: mode runs its study under the
+// session, prints its table and final flush, and returns how many points
+// finished, how much accepted work was lost and the study's error. It
+// returns false — a nonzero exit — when the monitor cannot start, work
+// was lost (reported with lostf), or the study failed or timed out
+// draining; a signal the study drained cleanly is reported with
+// drainedf and exits zero.
+func runSession(f serveFlags, drainedf, lostf string,
+	mode func(s *session) (points int, lost int64, err error)) bool {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opts := bench.ServeOptions{
-		TraceRing:    &telemetry.RingConfig{Capacity: 256, Head: 32},
-		DrainTimeout: drainTimeout,
-	}
-	if verbose {
-		opts.Logger = slog.New(slog.NewTextHandler(os.Stderr,
+	s := &session{ctx: ctx, opts: bench.StudyOptions{DrainTimeout: f.drainTimeout}}
+	if f.verbose {
+		s.opts.Logger = slog.New(slog.NewTextHandler(os.Stderr,
 			&slog.HandlerOptions{Level: slog.LevelDebug}))
 	}
 
-	// The monitoring endpoint follows the live load point: each fresh
-	// server re-points /metrics, /jobs and /trace through the Swappable
-	// while the listener — and so the scrape address — stays up.
-	var last struct {
-		sync.Mutex
-		srv *sched.Server
-		reg *telemetry.Registry
-	}
+	// The monitoring endpoint follows the live point: each fresh server
+	// re-points /metrics, /jobs and /trace through the Swappable while the
+	// listener — and so the scrape address — stays up.
 	swap := monitor.NewSwappable()
-	opts.OnPoint = func(srv *sched.Server, reg *telemetry.Registry) {
-		last.Lock()
-		last.srv, last.reg = srv, reg
-		last.Unlock()
+	s.opts.OnPoint = func(srv *sched.Server, reg *telemetry.Registry) {
+		s.mu.Lock()
+		s.srv, s.reg = srv, reg
+		s.mu.Unlock()
 		swap.Set(monitor.Config{
 			Registry: reg,
 			Jobs:     func() any { return srv.Jobs() },
 			Trace:    srv.TraceTail,
 		})
 	}
-	if listen != "" {
-		mon, err := monitor.StartHandler(listen, swap)
+	if f.listen != "" {
+		mon, err := monitor.StartHandler(f.listen, swap)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gridbench: %v\n", err)
 			return false
@@ -393,48 +379,114 @@ func runServe(g *grid.Grid, loads []int, verbose bool, listen string,
 			mon.Addr())
 	}
 
-	rows, err := bench.ServeStudy(ctx, g, loads, bench.ServeJobsPerClient, opts)
-	if len(rows) > 0 {
-		fmt.Println(bench.FormatServe(g, rows))
-	}
-
-	// Final flush: the last load point's SLO snapshot, and under -v the
-	// full metrics registry with bucket boundaries and quantiles.
-	last.Lock()
-	srv, reg := last.srv, last.reg
-	last.Unlock()
-	if srv != nil {
-		slo := srv.SLO()
-		fmt.Printf("final SLO (last load point): submitted=%d completed=%d failed=%d rejected=%d retries=%d deadline_misses=%d\n",
-			slo.Submitted, slo.Completed, slo.Failed, slo.Rejected, slo.Retries, slo.DeadlineMisses)
-		fmt.Printf("latency p50=%.4gs p99=%.4gs p999=%.4gs; queue wait p50=%.4gs p99=%.4gs\n\n",
-			slo.Latency.P50, slo.Latency.P99, slo.Latency.P999,
-			slo.QueueWait.P50, slo.QueueWait.P99)
-	}
-	if verbose && reg != nil {
-		fmt.Println("== Final metrics registry ==")
-		fmt.Print(reg.Dump())
-		fmt.Println()
-	}
-
-	if err == nil && ctx.Err() == nil {
-		fmt.Println(bench.FormatTraceOverhead(bench.TraceOverheadStudy(g)))
-	}
-
+	points, lost, err := mode(s)
 	switch {
+	case lost > 0:
+		fmt.Fprintf(os.Stderr, "gridbench: "+lostf+"\n", lost)
+		return false
 	case err == nil:
 		return true
-	case errors.Is(err, bench.ErrDrainTimeout):
-		fmt.Fprintf(os.Stderr, "gridbench: %v\n", err)
-		return false
 	case errors.Is(err, context.Canceled):
-		fmt.Printf("shutdown: drained in-flight jobs cleanly after signal (%d load point(s) finished)\n",
-			len(rows))
+		fmt.Printf("shutdown: drained "+drainedf+"\n", points)
 		return true
 	default:
 		fmt.Fprintf(os.Stderr, "gridbench: %v\n", err)
 		return false
 	}
+}
+
+// runServe drives the closed-loop serving sweep: a signal stops new
+// submissions and drains the in-flight jobs; the final flush is the last
+// load point's SLO snapshot and, under -v, the full metrics registry.
+func runServe(g *grid.Grid, loads []int, f serveFlags) bool {
+	return runSession(f, "in-flight jobs cleanly after signal (%d load point(s) finished)", "",
+		func(s *session) (int, int64, error) {
+			rows, err := bench.ServeStudy(s.ctx, g, loads, bench.ServeJobsPerClient, bench.ServeOptions{
+				StudyOptions: s.opts,
+				TraceRing:    &telemetry.RingConfig{Capacity: 256, Head: 32},
+			})
+			if len(rows) > 0 {
+				fmt.Println(bench.FormatServe(g, rows))
+			}
+			srv, reg := s.last()
+			if srv != nil {
+				slo := srv.SLO()
+				fmt.Printf("final SLO (last load point): submitted=%d completed=%d failed=%d rejected=%d retries=%d deadline_misses=%d\n",
+					slo.Submitted, slo.Completed, slo.Failed, slo.Rejected, slo.Retries, slo.DeadlineMisses)
+				fmt.Printf("latency p50=%.4gs p99=%.4gs p999=%.4gs; queue wait p50=%.4gs p99=%.4gs\n\n",
+					slo.Latency.P50, slo.Latency.P99, slo.Latency.P999,
+					slo.QueueWait.P50, slo.QueueWait.P99)
+			}
+			if f.verbose && reg != nil {
+				fmt.Println("== Final metrics registry ==")
+				fmt.Print(reg.Dump())
+				fmt.Println()
+			}
+			if err == nil && s.ctx.Err() == nil {
+				fmt.Println(bench.FormatTraceOverhead(bench.TraceOverheadStudy(g)))
+			}
+			return len(rows), 0, err
+		})
+}
+
+// runLoad drives the open-loop sweep; any admitted job lost exits
+// nonzero.
+func runLoad(g *grid.Grid, rates []float64, arrivals int, f serveFlags) bool {
+	return runSession(f, "admitted jobs cleanly after signal (%d load point(s) finished)",
+		"%d admitted job(s) lost",
+		func(s *session) (int, int64, error) {
+			rows, err := bench.LoadStudy(s.ctx, g, f.arrival, rates, arrivals, bench.LoadOptions{
+				StudyOptions: s.opts,
+				QueueCap:     f.queueCap,
+				NoAutoscale:  f.noAutoscale,
+			})
+			if len(rows) > 0 {
+				fmt.Println(bench.FormatLoad(g, rows))
+			}
+			if srv, _ := s.last(); srv != nil {
+				slo := srv.SLO()
+				fmt.Printf("final SLO (last load point): submitted=%d completed=%d failed=%d rejected=%d preempted=%d steals=%d epoch=%d partitions=%d\n",
+					slo.Submitted, slo.Completed, slo.Failed, slo.Rejected,
+					slo.Preempted, slo.Steals, slo.Epoch, slo.Partitions)
+				fmt.Printf("latency p50=%.4gs p99=%.4gs p999=%.4gs; queue wait p50=%.4gs p99=%.4gs\n\n",
+					slo.Latency.P50, slo.Latency.P99, slo.Latency.P999,
+					slo.QueueWait.P50, slo.QueueWait.P99)
+			}
+			var lost int64
+			for _, r := range rows {
+				lost += r.Lost
+			}
+			return len(rows), lost, err
+		})
+}
+
+// runStream drives the open-loop streaming-ingest sweep; any accepted
+// block lost exits nonzero.
+func runStream(g *grid.Grid, rates []float64, blocks int, f serveFlags) bool {
+	return runSession(f, "accepted blocks cleanly after signal (%d rate point(s) finished)",
+		"%d accepted block(s) lost",
+		func(s *session) (int, int64, error) {
+			rows, err := bench.StreamStudy(s.ctx, g, rates, blocks, bench.StreamOptions{
+				StudyOptions:  s.opts,
+				SnapshotEvery: f.snapEvery,
+			})
+			if len(rows) > 0 {
+				fmt.Println(bench.FormatStream(g, rows))
+			}
+			if srv, _ := s.last(); srv != nil {
+				slo := srv.SLO()
+				fmt.Printf("final SLO (last rate point): blocks=%d snapshots=%d shed=%d retries=%d preempted=%d\n",
+					slo.StreamBlocks, slo.StreamSnapshots, slo.StreamShed, slo.Retries, slo.Preempted)
+				fmt.Printf("fold p50=%.4gs p99=%.4gs; snapshot p50=%.4gs p99=%.4gs\n\n",
+					slo.StreamFold.P50, slo.StreamFold.P99,
+					slo.StreamSnapshot.P50, slo.StreamSnapshot.P99)
+			}
+			var lost int64
+			for _, r := range rows {
+				lost += int64(r.Lost)
+			}
+			return len(rows), lost, err
+		})
 }
 
 // serveFlags carries the serving-mode CLI surface for validation: which
@@ -534,179 +586,6 @@ func parseRates(s string, def []float64) ([]float64, error) {
 	return rates, nil
 }
 
-// runLoad drives the open-loop sweep under the same signal-aware
-// context and monitoring endpoint as runServe. It returns false — a
-// nonzero exit — when the study errors, the drain times out, or any
-// admitted job was lost.
-func runLoad(g *grid.Grid, arrival string, rates []float64, arrivals, queueCap int,
-	noAutoscale, verbose bool, listen string, drainTimeout time.Duration) bool {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	opts := bench.LoadOptions{
-		QueueCap:     queueCap,
-		NoAutoscale:  noAutoscale,
-		DrainTimeout: drainTimeout,
-	}
-	if verbose {
-		opts.Logger = slog.New(slog.NewTextHandler(os.Stderr,
-			&slog.HandlerOptions{Level: slog.LevelDebug}))
-	}
-
-	var last struct {
-		sync.Mutex
-		srv *sched.Server
-		reg *telemetry.Registry
-	}
-	swap := monitor.NewSwappable()
-	opts.OnPoint = func(srv *sched.Server, reg *telemetry.Registry) {
-		last.Lock()
-		last.srv, last.reg = srv, reg
-		last.Unlock()
-		swap.Set(monitor.Config{
-			Registry: reg,
-			Jobs:     func() any { return srv.Jobs() },
-			Trace:    srv.TraceTail,
-		})
-	}
-	if listen != "" {
-		mon, err := monitor.StartHandler(listen, swap)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: %v\n", err)
-			return false
-		}
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_ = mon.Shutdown(sctx)
-			cancel()
-		}()
-		fmt.Printf("monitoring on http://%s/metrics (also /healthz /jobs /trace /debug/pprof)\n\n",
-			mon.Addr())
-	}
-
-	rows, err := bench.LoadStudy(ctx, g, arrival, rates, arrivals, opts)
-	if len(rows) > 0 {
-		fmt.Println(bench.FormatLoad(g, rows))
-	}
-
-	last.Lock()
-	srv := last.srv
-	last.Unlock()
-	if srv != nil {
-		slo := srv.SLO()
-		fmt.Printf("final SLO (last load point): submitted=%d completed=%d failed=%d rejected=%d preempted=%d steals=%d epoch=%d partitions=%d\n",
-			slo.Submitted, slo.Completed, slo.Failed, slo.Rejected,
-			slo.Preempted, slo.Steals, slo.Epoch, slo.Partitions)
-		fmt.Printf("latency p50=%.4gs p99=%.4gs p999=%.4gs; queue wait p50=%.4gs p99=%.4gs\n\n",
-			slo.Latency.P50, slo.Latency.P99, slo.Latency.P999,
-			slo.QueueWait.P50, slo.QueueWait.P99)
-	}
-
-	var lost int64
-	for _, r := range rows {
-		lost += r.Lost
-	}
-	switch {
-	case lost > 0:
-		fmt.Fprintf(os.Stderr, "gridbench: %d admitted job(s) lost\n", lost)
-		return false
-	case err == nil:
-		return true
-	case errors.Is(err, context.Canceled):
-		fmt.Printf("shutdown: drained admitted jobs cleanly after signal (%d load point(s) finished)\n",
-			len(rows))
-		return true
-	default:
-		fmt.Fprintf(os.Stderr, "gridbench: %v\n", err)
-		return false
-	}
-}
-
-// runStream drives the open-loop streaming-ingest sweep under the same
-// signal-aware context and monitoring endpoint as runLoad. It returns
-// false — a nonzero exit — when the study errors, the drain times out,
-// or any accepted block was lost.
-func runStream(g *grid.Grid, rates []float64, blocks, snapEvery int,
-	verbose bool, listen string, drainTimeout time.Duration) bool {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	opts := bench.StreamOptions{
-		SnapshotEvery: snapEvery,
-		DrainTimeout:  drainTimeout,
-	}
-	if verbose {
-		opts.Logger = slog.New(slog.NewTextHandler(os.Stderr,
-			&slog.HandlerOptions{Level: slog.LevelDebug}))
-	}
-
-	var last struct {
-		sync.Mutex
-		srv *sched.Server
-	}
-	swap := monitor.NewSwappable()
-	opts.OnPoint = func(srv *sched.Server, reg *telemetry.Registry) {
-		last.Lock()
-		last.srv = srv
-		last.Unlock()
-		swap.Set(monitor.Config{
-			Registry: reg,
-			Jobs:     func() any { return srv.Jobs() },
-			Trace:    srv.TraceTail,
-		})
-	}
-	if listen != "" {
-		mon, err := monitor.StartHandler(listen, swap)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: %v\n", err)
-			return false
-		}
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_ = mon.Shutdown(sctx)
-			cancel()
-		}()
-		fmt.Printf("monitoring on http://%s/metrics (also /healthz /jobs /trace /debug/pprof)\n\n",
-			mon.Addr())
-	}
-
-	rows, err := bench.StreamStudy(ctx, g, rates, blocks, opts)
-	if len(rows) > 0 {
-		fmt.Println(bench.FormatStream(g, rows))
-	}
-
-	last.Lock()
-	srv := last.srv
-	last.Unlock()
-	if srv != nil {
-		slo := srv.SLO()
-		fmt.Printf("final SLO (last rate point): blocks=%d snapshots=%d shed=%d retries=%d preempted=%d\n",
-			slo.StreamBlocks, slo.StreamSnapshots, slo.StreamShed, slo.Retries, slo.Preempted)
-		fmt.Printf("fold p50=%.4gs p99=%.4gs; snapshot p50=%.4gs p99=%.4gs\n\n",
-			slo.StreamFold.P50, slo.StreamFold.P99,
-			slo.StreamSnapshot.P50, slo.StreamSnapshot.P99)
-	}
-
-	var lost int
-	for _, r := range rows {
-		lost += r.Lost
-	}
-	switch {
-	case lost > 0:
-		fmt.Fprintf(os.Stderr, "gridbench: %d accepted block(s) lost\n", lost)
-		return false
-	case err == nil:
-		return true
-	case errors.Is(err, context.Canceled):
-		fmt.Printf("shutdown: drained accepted blocks cleanly after signal (%d rate point(s) finished)\n",
-			len(rows))
-		return true
-	default:
-		fmt.Fprintf(os.Stderr, "gridbench: %v\n", err)
-		return false
-	}
-}
-
 // adaptSweepsTo clamps the paper's sweep parameters to what a custom
 // platform can support: site counts within the cluster count, and domain
 // counts that divide every cluster's processor count.
@@ -770,23 +649,7 @@ func perfGate(g *grid.Grid, baselinePath, platform string, scaleMaxRanks int) bo
 		fmt.Fprintf(os.Stderr, "gridbench: %v\n", err)
 		return false
 	}
-	got := bench.BuildReport(platform, bench.StandardReportRuns(g))
-	if len(want.Serving) > 0 {
-		got.Serving = bench.BuildServingRuns(g)
-	}
-	if want.TraceOverhead != nil {
-		to := bench.TraceOverheadStudy(g)
-		got.TraceOverhead = &to
-	}
-	if len(want.Scale) > 0 {
-		got.Scale = bench.ScaleStudy(scaleMaxRanks, nil)
-	}
-	if len(want.Load) > 0 {
-		got.Load = bench.BuildLoadRuns(g)
-	}
-	if len(want.Stream) > 0 {
-		got.Stream = bench.BuildStreamRuns(g)
-	}
+	got := bench.StandardReport(g, platform, scaleMaxRanks, &want)
 	diffs := bench.CompareReports(got, want, bench.Tolerances{ScaleMaxRanks: scaleMaxRanks})
 	if len(diffs) == 0 {
 		fmt.Printf("perf gate: %d baseline runs match within tolerance\n", len(want.Runs))

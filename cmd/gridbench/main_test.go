@@ -246,8 +246,9 @@ func TestGridbenchFlagValidationCLI(t *testing.T) {
 	}
 }
 
-// TestGridbenchLoad smoke-runs the open-loop harness CLI on a small
-// platform: the latency-vs-load table renders and no job is lost.
+// TestGridbenchLoad smoke-runs the three serving modes' CLI on a small
+// platform: each exits zero — no job or block lost — and renders its
+// table and final SLO flush.
 func TestGridbenchLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration skipped in -short mode")
@@ -262,14 +263,25 @@ func TestGridbenchLoad(t *testing.T) {
   ],
   "links": [{"from": "x", "to": "y", "latencyMs": 7, "mbps": 90}]
 }`), 0o644)
-	out, err := exec.Command(bin, "-platform", platform, "-load",
-		"-arrival", "diurnal", "-rates", "400", "-arrivals", "24").CombinedOutput()
-	if err != nil {
-		t.Fatalf("-load: %v\n%s", err, out)
-	}
-	for _, want := range []string{"Open-loop serving", "diurnal", "final SLO"} {
-		if !strings.Contains(string(out), want) {
-			t.Fatalf("-load output missing %q:\n%s", want, out)
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-serve", "-quick"},
+			[]string{"Serving layer: closed-loop", "msgs/job", "final SLO (last load point)"}},
+		{[]string{"-load", "-arrival", "diurnal", "-rates", "400", "-arrivals", "24"},
+			[]string{"Open-loop serving", "diurnal", "final SLO (last load point)"}},
+		{[]string{"-stream", "-quick"},
+			[]string{"Open-loop streaming ingest", "msgs/snap", "final SLO (last rate point)"}},
+	} {
+		out, err := exec.Command(bin, append([]string{"-platform", platform}, tc.args...)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, out)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(string(out), want) {
+				t.Fatalf("%v output missing %q:\n%s", tc.args, want, out)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Baseline comparison: the CI perf gate re-runs the standard benchmark
@@ -14,17 +15,16 @@ import (
 // exactly, and accumulated floats (bytes, flops, simulated seconds)
 // within tight relative tolerances. Any drift means a code change
 // altered the communication or computation structure and the baseline
-// must be regenerated deliberately.
+// must be regenerated deliberately. Wall-clock columns (serving
+// throughput and latency, fold and snapshot latency, trace overhead,
+// scale wall seconds) measure the host, not the algorithm, and are
+// deliberately never gated.
 
 // Tolerances for CompareReports. Zero values select the defaults.
 type Tolerances struct {
 	RelBytes   float64 // relative tolerance on byte totals (default 1e-9)
 	RelFlops   float64 // relative tolerance on flop totals (default 1e-9)
 	RelSeconds float64 // relative tolerance on simulated seconds (default 1e-6)
-	// MaxTraceOverheadPct caps the measured ring-tracing overhead
-	// (default 10 — looser than the 5% acceptance target because CI
-	// hosts are noisy; the measured value is recorded in the baseline).
-	MaxTraceOverheadPct float64
 	// ScaleMaxRanks skips baseline scale runs above this rank count
 	// (0 = gate every recorded point). The PR gate sets 4096 so the
 	// committed 32k points don't have to be re-run on every push; the
@@ -41,9 +41,6 @@ func (t Tolerances) withDefaults() Tolerances {
 	}
 	if t.RelSeconds == 0 {
 		t.RelSeconds = 1e-6
-	}
-	if t.MaxTraceOverheadPct == 0 {
-		t.MaxTraceOverheadPct = 10
 	}
 	return t
 }
@@ -71,263 +68,200 @@ func ReadReport(r io.Reader) (Report, error) {
 // while extra measured runs are allowed, so new benchmark points can be
 // added before the baseline is regenerated.
 func CompareReports(got, want Report, tol Tolerances) []string {
-	tol = tol.withDefaults()
-	byKey := make(map[string]ReportRun, len(got.Runs))
-	for _, r := range got.Runs {
-		byKey[configKey(r)] = r
-	}
 	var diffs []string
-	relOff := func(a, b float64) float64 {
-		return math.Abs(a-b) / math.Max(1, math.Abs(b))
-	}
-	for _, w := range want.Runs {
-		key := configKey(w)
-		g, ok := byKey[key]
-		if !ok {
-			diffs = append(diffs, fmt.Sprintf("%s: present in baseline but not measured", key))
-			continue
-		}
-		if g.Msgs != w.Msgs {
-			diffs = append(diffs, fmt.Sprintf("%s: msgs %d != baseline %d", key, g.Msgs, w.Msgs))
-		}
-		if g.InterSiteMsgs != w.InterSiteMsgs {
-			diffs = append(diffs, fmt.Sprintf("%s: inter-site msgs %d != baseline %d",
-				key, g.InterSiteMsgs, w.InterSiteMsgs))
-		}
-		if off := relOff(g.Bytes, w.Bytes); off > tol.RelBytes {
-			diffs = append(diffs, fmt.Sprintf("%s: bytes %g vs baseline %g (rel %.2g > %.2g)",
-				key, g.Bytes, w.Bytes, off, tol.RelBytes))
-		}
-		if off := relOff(g.Flops, w.Flops); off > tol.RelFlops {
-			diffs = append(diffs, fmt.Sprintf("%s: flops %g vs baseline %g (rel %.2g > %.2g)",
-				key, g.Flops, w.Flops, off, tol.RelFlops))
-		}
-		if off := relOff(g.Seconds, w.Seconds); off > tol.RelSeconds {
-			diffs = append(diffs, fmt.Sprintf("%s: seconds %g vs baseline %g (rel %.2g > %.2g)",
-				key, g.Seconds, w.Seconds, off, tol.RelSeconds))
-		}
-	}
-	diffs = append(diffs, compareServing(got.Serving, want.Serving, tol, relOff)...)
-	diffs = append(diffs, compareTraceOverhead(got.TraceOverhead, want.TraceOverhead, tol)...)
-	diffs = append(diffs, compareScale(got.Scale, want.Scale, tol, relOff)...)
-	diffs = append(diffs, compareLoad(got.Load, want.Load, tol, relOff)...)
-	diffs = append(diffs, compareStream(got.Stream, want.Stream, tol, relOff)...)
-	return diffs
-}
-
-// compareStream diffs the streaming study's deterministic fields: block
-// and snapshot counts come from the fixed ingest schedule, Lost must be
-// zero (an accepted block never silently disappears, under any
-// fold/barrier interleaving the host produces), the partition size pins
-// the sharding, and per-snapshot traffic is exactly the reduction tree
-// over the partition's running R's. Fold/snapshot latency and throughput
-// depend on host timing and are deliberately never gated.
-func compareStream(got, want []StreamRun, tol Tolerances, relOff func(a, b float64) float64) []string {
-	streamKey := func(r StreamRun) string {
-		return fmt.Sprintf("stream/rate=%g", r.RatePerS)
-	}
-	byKey := make(map[string]StreamRun, len(got))
-	for _, r := range got {
-		byKey[streamKey(r)] = r
-	}
-	var diffs []string
-	for _, w := range want {
-		key := streamKey(w)
-		g, ok := byKey[key]
-		if !ok {
-			diffs = append(diffs, fmt.Sprintf("%s: present in baseline but not measured", key))
-			continue
-		}
-		if g.Blocks != w.Blocks {
-			diffs = append(diffs, fmt.Sprintf("%s: blocks %d != baseline %d", key, g.Blocks, w.Blocks))
-		}
-		if g.Snapshots != w.Snapshots {
-			diffs = append(diffs, fmt.Sprintf("%s: snapshots %d != baseline %d",
-				key, g.Snapshots, w.Snapshots))
-		}
-		if g.Procs != w.Procs {
-			diffs = append(diffs, fmt.Sprintf("%s: partition size %d != baseline %d",
-				key, g.Procs, w.Procs))
-		}
-		if g.Lost != 0 {
-			diffs = append(diffs, fmt.Sprintf("%s: %d accepted blocks lost", key, g.Lost))
-		}
-		if g.MsgsPerSnapshot != w.MsgsPerSnapshot {
-			diffs = append(diffs, fmt.Sprintf("%s: msgs/snapshot %d != baseline %d",
-				key, g.MsgsPerSnapshot, w.MsgsPerSnapshot))
-		}
-		if g.InterSiteMsgsPerSnapshot != w.InterSiteMsgsPerSnapshot {
-			diffs = append(diffs, fmt.Sprintf("%s: inter-site msgs/snapshot %d != baseline %d",
-				key, g.InterSiteMsgsPerSnapshot, w.InterSiteMsgsPerSnapshot))
-		}
-		if off := relOff(g.BytesPerSnapshot, w.BytesPerSnapshot); off > tol.RelBytes {
-			diffs = append(diffs, fmt.Sprintf("%s: bytes/snapshot %g vs baseline %g (rel %.2g > %.2g)",
-				key, g.BytesPerSnapshot, w.BytesPerSnapshot, off, tol.RelBytes))
-		}
+	for _, s := range sections(got, want, tol.withDefaults()) {
+		diffs = append(diffs, s.diff()...)
 	}
 	return diffs
 }
 
-// compareLoad diffs the open-loop study's deterministic fields: arrival
-// counts come from the seeded trace, Lost must be zero (an admitted job
-// never silently disappears, under any autoscaling or preemption
-// schedule), and per-job traffic is invariant because every ladder level
-// is built from equal-size partitions. The admission split (completed vs
-// shed), latency quantiles and throughput depend on host timing and are
-// deliberately never gated.
-func compareLoad(got, want []LoadRun, tol Tolerances, relOff func(a, b float64) float64) []string {
-	loadKey := func(r LoadRun) string {
-		return fmt.Sprintf("load/%s/rate=%g", r.Trace, r.RatePerS)
-	}
-	byKey := make(map[string]LoadRun, len(got))
-	for _, r := range got {
-		byKey[loadKey(r)] = r
-	}
-	var diffs []string
-	for _, w := range want {
-		key := loadKey(w)
-		g, ok := byKey[key]
-		if !ok {
-			diffs = append(diffs, fmt.Sprintf("%s: present in baseline but not measured", key))
-			continue
-		}
-		if g.Arrivals != w.Arrivals {
-			diffs = append(diffs, fmt.Sprintf("%s: arrivals %d != baseline %d",
-				key, g.Arrivals, w.Arrivals))
-		}
-		if g.Lost != 0 {
-			diffs = append(diffs, fmt.Sprintf("%s: %d admitted jobs lost", key, g.Lost))
-		}
-		if g.MsgsPerJob != w.MsgsPerJob {
-			diffs = append(diffs, fmt.Sprintf("%s: msgs/job %d != baseline %d",
-				key, g.MsgsPerJob, w.MsgsPerJob))
-		}
-		if g.InterSiteMsgsPerJob != w.InterSiteMsgsPerJob {
-			diffs = append(diffs, fmt.Sprintf("%s: inter-site msgs/job %d != baseline %d",
-				key, g.InterSiteMsgsPerJob, w.InterSiteMsgsPerJob))
-		}
-		if off := relOff(g.BytesPerJob, w.BytesPerJob); off > tol.RelBytes {
-			diffs = append(diffs, fmt.Sprintf("%s: bytes/job %g vs baseline %g (rel %.2g > %.2g)",
-				key, g.BytesPerJob, w.BytesPerJob, off, tol.RelBytes))
-		}
-	}
-	return diffs
+// section is one report section's gate bound to its measured and
+// baseline rows.
+type section interface {
+	diff() []string
+	// idle names the conditional checks whose precondition holds on no
+	// baseline row: gates that cannot fire.
+	idle() []string
 }
 
-// compareScale diffs the scale sweep's deterministic fields — virtual
-// seconds, message counts and volumes come from the event engine's fixed
-// dispatch order, so they gate like any other simulated run. Baseline
-// points above tol.ScaleMaxRanks are skipped (the PR gate's budget
-// filter); wall seconds and engine diagnostics are never gated.
-func compareScale(got, want []ScaleRun, tol Tolerances, relOff func(a, b float64) float64) []string {
-	scaleKey := func(r ScaleRun) string {
-		return fmt.Sprintf("scale/%s/%s/ranks=%d/n=%d", r.Algo, r.Tree, r.Ranks, r.N)
+// sections lists every gated report section in diff order.
+func sections(got, want Report, tol Tolerances) []section {
+	return []section{
+		// Standard runs: traffic, flops and virtual time.
+		rows[ReportRun]{got.Runs, want.Runs, configKey, nil, []check[ReportRun]{
+			{name: "msgs", count: func(r ReportRun) int64 { return r.Msgs }},
+			{name: "inter-site msgs", count: func(r ReportRun) int64 { return r.InterSiteMsgs }},
+			{name: "bytes", tol: tol.RelBytes, value: func(r ReportRun) float64 { return r.Bytes }},
+			{name: "flops", tol: tol.RelFlops, value: func(r ReportRun) float64 { return r.Flops }},
+			{name: "seconds", tol: tol.RelSeconds, value: func(r ReportRun) float64 { return r.Seconds }},
+		}},
+		// Closed-loop serving: job counts and per-job traffic.
+		rows[ServeRun]{got.Serving, want.Serving,
+			func(r ServeRun) string { return fmt.Sprintf("serve/clients=%d", r.Clients) }, nil,
+			[]check[ServeRun]{
+				{name: "jobs", count: func(r ServeRun) int64 { return r.Jobs }},
+				{name: "msgs/job", count: func(r ServeRun) int64 { return r.MsgsPerJob }},
+				{name: "inter-site msgs/job", count: func(r ServeRun) int64 { return r.InterSiteMsgsPerJob }},
+				{name: "bytes/job", tol: tol.RelBytes, value: func(r ServeRun) float64 { return r.BytesPerJob }},
+			}},
+		// Ring-collector study: span counts are deterministic consequences
+		// of the communication structure, and retention is bounded.
+		rows[TraceOverheadRun]{optional(got.TraceOverhead), optional(want.TraceOverhead),
+			func(TraceOverheadRun) string { return "trace_overhead" }, nil,
+			[]check[TraceOverheadRun]{
+				{name: "spans seen", count: func(r TraceOverheadRun) int64 { return r.SpansSeen }},
+				{name: "spans retained", count: func(r TraceOverheadRun) int64 { return r.SpansRetained }},
+				{must: func(r, _ TraceOverheadRun) string {
+					if r.SpansRetained > r.RetainedBound {
+						return fmt.Sprintf("retained %d exceeds bound %d", r.SpansRetained, r.RetainedBound)
+					}
+					return ""
+				}},
+			}},
+		// Scale sweep: the event engine dispatches in a fixed total order,
+		// so virtual seconds and traffic gate like any simulated run.
+		// Baseline points above tol.ScaleMaxRanks are skipped (the PR
+		// gate's budget filter); ScaLAPACK points record no continent
+		// crossings (-1).
+		rows[ScaleRun]{got.Scale, want.Scale,
+			func(r ScaleRun) string {
+				return fmt.Sprintf("scale/%s/%s/ranks=%d/n=%d", r.Algo, r.Tree, r.Ranks, r.N)
+			},
+			func(r ScaleRun) bool { return tol.ScaleMaxRanks <= 0 || r.Ranks <= tol.ScaleMaxRanks },
+			[]check[ScaleRun]{
+				{name: "msgs", count: func(r ScaleRun) int64 { return r.Msgs }},
+				{name: "inter-site msgs", count: func(r ScaleRun) int64 { return r.InterSiteMsgs }},
+				{name: "inter-continent msgs", count: func(r ScaleRun) int64 { return r.InterContinentMsgs },
+					when: func(r ScaleRun) bool { return r.InterContinentMsgs >= 0 }},
+				{name: "bytes", tol: tol.RelBytes, value: func(r ScaleRun) float64 { return r.Bytes }},
+				{name: "seconds", tol: tol.RelSeconds, value: func(r ScaleRun) float64 { return r.Seconds }},
+			}},
+		// Open-loop load: arrivals come from the seeded trace, no admitted
+		// job is ever lost, and per-job traffic is invariant because every
+		// ladder level is built from equal-size partitions.
+		rows[LoadRun]{got.Load, want.Load,
+			func(r LoadRun) string { return fmt.Sprintf("load/%s/rate=%g", r.Trace, r.RatePerS) }, nil,
+			[]check[LoadRun]{
+				{name: "arrivals", count: func(r LoadRun) int64 { return int64(r.Arrivals) }},
+				noneLost("admitted jobs", func(r LoadRun) int64 { return r.Lost }),
+				{name: "msgs/job", count: func(r LoadRun) int64 { return r.MsgsPerJob }},
+				{name: "inter-site msgs/job", count: func(r LoadRun) int64 { return r.InterSiteMsgsPerJob }},
+				{name: "bytes/job", tol: tol.RelBytes, value: func(r LoadRun) float64 { return r.BytesPerJob }},
+			}},
+		// Streaming ingest: block and snapshot counts come from the fixed
+		// schedule, no accepted block is ever lost, the partition size pins
+		// the sharding, and per-snapshot traffic is exactly the reduction
+		// tree over the partition's running R's.
+		rows[StreamRun]{got.Stream, want.Stream,
+			func(r StreamRun) string { return fmt.Sprintf("stream/rate=%g", r.RatePerS) }, nil,
+			[]check[StreamRun]{
+				{name: "blocks", count: func(r StreamRun) int64 { return int64(r.Blocks) }},
+				{name: "snapshots", count: func(r StreamRun) int64 { return int64(r.Snapshots) }},
+				{name: "partition size", count: func(r StreamRun) int64 { return int64(r.Procs) }},
+				noneLost("accepted blocks", func(r StreamRun) int64 { return int64(r.Lost) }),
+				{name: "msgs/snapshot", count: func(r StreamRun) int64 { return r.MsgsPerSnapshot }},
+				{name: "inter-site msgs/snapshot",
+					count: func(r StreamRun) int64 { return r.InterSiteMsgsPerSnapshot }},
+				{name: "bytes/snapshot", tol: tol.RelBytes,
+					value: func(r StreamRun) float64 { return r.BytesPerSnapshot }},
+			}},
 	}
-	byKey := make(map[string]ScaleRun, len(got))
-	for _, r := range got {
-		byKey[scaleKey(r)] = r
+}
+
+// check is one gated column of a keyed row. Exactly one of count, value
+// and must is set: count is matched exactly against the baseline, value
+// within tol relatively, and must is any other condition, returning its
+// drift text ("" when it holds). when, if set, limits the check to the
+// baseline rows it holds on.
+type check[R any] struct {
+	name  string
+	count func(R) int64
+	value func(R) float64
+	tol   float64
+	must  func(got, want R) string
+	when  func(want R) bool
+}
+
+func (c check[R]) diff(got, want R) string {
+	switch {
+	case c.when != nil && !c.when(want):
+	case c.must != nil:
+		return c.must(got, want)
+	case c.count != nil:
+		if g, w := c.count(got), c.count(want); g != w {
+			return fmt.Sprintf("%s %d != baseline %d", c.name, g, w)
+		}
+	default:
+		g, w := c.value(got), c.value(want)
+		if off := math.Abs(g-w) / math.Max(1, math.Abs(w)); off > c.tol {
+			return fmt.Sprintf("%s %g vs baseline %g (rel %.2g > %.2g)", c.name, g, w, off, c.tol)
+		}
+	}
+	return ""
+}
+
+// noneLost is the invariant that a study dropped none of the work it
+// accepted, whatever the baseline recorded.
+func noneLost[R any](what string, lost func(R) int64) check[R] {
+	return check[R]{must: func(r, _ R) string {
+		if n := lost(r); n != 0 {
+			return fmt.Sprintf("%d %s lost", n, what)
+		}
+		return ""
+	}}
+}
+
+// rows gates a section's rows matched by key; gated, if set, limits the
+// gate to the baseline rows it holds on.
+type rows[R any] struct {
+	got, want []R
+	key       func(R) string
+	gated     func(want R) bool
+	checks    []check[R]
+}
+
+func (s rows[R]) diff() []string {
+	byKey := make(map[string]R, len(s.got))
+	for _, r := range s.got {
+		byKey[s.key(r)] = r
 	}
 	var diffs []string
-	for _, w := range want {
-		if tol.ScaleMaxRanks > 0 && w.Ranks > tol.ScaleMaxRanks {
+	for _, w := range s.want {
+		if s.gated != nil && !s.gated(w) {
 			continue
 		}
-		key := scaleKey(w)
+		key := s.key(w)
 		g, ok := byKey[key]
 		if !ok {
-			diffs = append(diffs, fmt.Sprintf("%s: present in baseline but not measured", key))
+			diffs = append(diffs, key+": present in baseline but not measured")
 			continue
 		}
-		if g.Msgs != w.Msgs {
-			diffs = append(diffs, fmt.Sprintf("%s: msgs %d != baseline %d", key, g.Msgs, w.Msgs))
-		}
-		if g.InterSiteMsgs != w.InterSiteMsgs {
-			diffs = append(diffs, fmt.Sprintf("%s: inter-site msgs %d != baseline %d",
-				key, g.InterSiteMsgs, w.InterSiteMsgs))
-		}
-		if w.InterContinentMsgs >= 0 && g.InterContinentMsgs != w.InterContinentMsgs {
-			diffs = append(diffs, fmt.Sprintf("%s: inter-continent msgs %d != baseline %d",
-				key, g.InterContinentMsgs, w.InterContinentMsgs))
-		}
-		if off := relOff(g.Bytes, w.Bytes); off > tol.RelBytes {
-			diffs = append(diffs, fmt.Sprintf("%s: bytes %g vs baseline %g (rel %.2g > %.2g)",
-				key, g.Bytes, w.Bytes, off, tol.RelBytes))
-		}
-		if off := relOff(g.Seconds, w.Seconds); off > tol.RelSeconds {
-			diffs = append(diffs, fmt.Sprintf("%s: seconds %g vs baseline %g (rel %.2g > %.2g)",
-				key, g.Seconds, w.Seconds, off, tol.RelSeconds))
+		for _, c := range s.checks {
+			if d := c.diff(g, w); d != "" {
+				diffs = append(diffs, key+": "+d)
+			}
 		}
 	}
 	return diffs
 }
 
-// compareTraceOverhead gates the ring-collector study: span counts are
-// deterministic and must match the baseline exactly; the wall-clock
-// overhead percentage is host-dependent and only capped.
-func compareTraceOverhead(got, want *TraceOverheadRun, tol Tolerances) []string {
-	if want == nil {
+func (s rows[R]) idle() []string {
+	var out []string
+	if s.gated != nil && !slices.ContainsFunc(s.want, s.gated) {
+		out = append(out, "row filter")
+	}
+	for _, c := range s.checks {
+		if c.when != nil && !slices.ContainsFunc(s.want, c.when) {
+			out = append(out, c.name)
+		}
+	}
+	return out
+}
+
+// optional is the one-row section of a study that a report may omit.
+func optional[R any](r *R) []R {
+	if r == nil {
 		return nil
 	}
-	if got == nil {
-		return []string{"trace_overhead: present in baseline but not measured"}
-	}
-	var diffs []string
-	if got.SpansSeen != want.SpansSeen {
-		diffs = append(diffs, fmt.Sprintf("trace_overhead: spans seen %d != baseline %d",
-			got.SpansSeen, want.SpansSeen))
-	}
-	if got.SpansRetained != want.SpansRetained {
-		diffs = append(diffs, fmt.Sprintf("trace_overhead: spans retained %d != baseline %d",
-			got.SpansRetained, want.SpansRetained))
-	}
-	if got.SpansRetained > got.RetainedBound {
-		diffs = append(diffs, fmt.Sprintf("trace_overhead: retained %d exceeds bound %d",
-			got.SpansRetained, got.RetainedBound))
-	}
-	// The wall-clock cap only means something when the run is long
-	// enough that timer noise doesn't dominate; on sub-quarter-second
-	// measurements (tiny test platforms) the percentage is recorded but
-	// not gated.
-	const minGateSeconds = 0.25
-	if got.UntracedSeconds >= minGateSeconds && got.OverheadPct > tol.MaxTraceOverheadPct {
-		diffs = append(diffs, fmt.Sprintf("trace_overhead: overhead %.2f%% exceeds cap %.2f%%",
-			got.OverheadPct, tol.MaxTraceOverheadPct))
-	}
-	return diffs
-}
-
-// compareServing diffs the serving sweep's deterministic fields: job
-// counts and per-job message/byte traffic. Wall-clock throughput and
-// latency quantiles measure the host machine, not the algorithm, and
-// are deliberately never gated.
-func compareServing(got, want []ServeRun, tol Tolerances, relOff func(a, b float64) float64) []string {
-	byClients := make(map[int]ServeRun, len(got))
-	for _, r := range got {
-		byClients[r.Clients] = r
-	}
-	var diffs []string
-	for _, w := range want {
-		key := fmt.Sprintf("serve/clients=%d", w.Clients)
-		g, ok := byClients[w.Clients]
-		if !ok {
-			diffs = append(diffs, fmt.Sprintf("%s: present in baseline but not measured", key))
-			continue
-		}
-		if g.Jobs != w.Jobs {
-			diffs = append(diffs, fmt.Sprintf("%s: jobs %d != baseline %d", key, g.Jobs, w.Jobs))
-		}
-		if g.MsgsPerJob != w.MsgsPerJob {
-			diffs = append(diffs, fmt.Sprintf("%s: msgs/job %d != baseline %d",
-				key, g.MsgsPerJob, w.MsgsPerJob))
-		}
-		if g.InterSiteMsgsPerJob != w.InterSiteMsgsPerJob {
-			diffs = append(diffs, fmt.Sprintf("%s: inter-site msgs/job %d != baseline %d",
-				key, g.InterSiteMsgsPerJob, w.InterSiteMsgsPerJob))
-		}
-		if off := relOff(g.BytesPerJob, w.BytesPerJob); off > tol.RelBytes {
-			diffs = append(diffs, fmt.Sprintf("%s: bytes/job %g vs baseline %g (rel %.2g > %.2g)",
-				key, g.BytesPerJob, w.BytesPerJob, off, tol.RelBytes))
-		}
-	}
-	return diffs
+	return []R{*r}
 }

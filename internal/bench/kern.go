@@ -344,21 +344,13 @@ func ReadKernReport(r io.Reader) (KernReport, error) {
 // must not pass). Extra measured kernels are allowed so new entries can
 // land before the baseline is regenerated.
 func CompareKern(got []KernResult, want KernReport, tol float64) []string {
-	byName := make(map[string]KernResult, len(got))
-	for _, r := range got {
-		byName[r.Name] = r
-	}
-	var diffs []string
-	for _, w := range want.Results {
-		g, ok := byName[w.Name]
-		if !ok {
-			diffs = append(diffs, fmt.Sprintf("%s: present in baseline but not measured", w.Name))
-			continue
-		}
-		if limit := w.NsPerOp * (1 + tol); g.NsPerOp > limit {
-			diffs = append(diffs, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (>%.0f%% regression)",
-				w.Name, g.NsPerOp, w.NsPerOp, tol*100))
-		}
-	}
-	return diffs
+	return rows[KernResult]{got, want.Results, func(r KernResult) string { return r.Name }, nil,
+		[]check[KernResult]{{must: func(g, w KernResult) string {
+			if limit := w.NsPerOp * (1 + tol); g.NsPerOp > limit {
+				return fmt.Sprintf("%.0f ns/op vs baseline %.0f (>%.0f%% regression)",
+					g.NsPerOp, w.NsPerOp, tol*100)
+			}
+			return ""
+		}}},
+	}.diff()
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"strings"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"gridqr/internal/grid"
 	"gridqr/internal/perfmodel"
 	"gridqr/internal/sched"
-	"gridqr/internal/telemetry"
 )
 
 // Open-loop load harness: a trace-driven arrival process (Poisson,
@@ -77,18 +75,12 @@ type LoadRun struct {
 // LoadOptions configures the open-loop study; the zero value reproduces
 // the committed benchmark.
 type LoadOptions struct {
-	// Logger receives per-job lifecycle records. Nil means silent.
-	Logger *slog.Logger
-	// OnPoint fires when a load point's server starts serving.
-	OnPoint func(srv *sched.Server, reg *telemetry.Registry)
+	StudyOptions
 	// QueueCap bounds admission (default 32); the knee's shedding rate
 	// is a direct function of it.
 	QueueCap int
 	// NoAutoscale pins the plan to the ladder's first level.
 	NoAutoscale bool
-	// DrainTimeout bounds the post-trace drain of in-flight jobs after
-	// ctx cancellation (default 30s).
-	DrainTimeout time.Duration
 }
 
 // loadLadder builds the capacity ladder and the single-partition
@@ -98,11 +90,7 @@ type LoadOptions struct {
 // so every level's partitions are the same size.
 func loadLadder(g *grid.Grid) ([]sched.Plan, perfmodel.Predictor) {
 	full := servePlan(g)
-	sites := 2
-	if len(g.Clusters) < 2 || len(g.Clusters)%2 != 0 {
-		sites = 1
-	}
-	pred := perfmodel.Predictor{G: g, Sites: sites}
+	pred := perfmodel.Predictor{G: g, Sites: len(g.Clusters) / len(full.Groups)}
 	var ladder []sched.Plan
 	for lvl := 1; lvl <= len(full.Groups); lvl *= 2 {
 		ladder = append(ladder, sched.Plan{Groups: full.Groups[:lvl]})
@@ -145,45 +133,28 @@ func LoadStudy(ctx context.Context, g *grid.Grid, arrival string, rates []float6
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = 32
 	}
-	if opts.DrainTimeout <= 0 {
-		opts.DrainTimeout = 30 * time.Second
-	}
-	var out []LoadRun
-	for _, rate := range rates {
-		row, err := loadOnePoint(ctx, g, arrival, rate, arrivals, opts)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, row)
-		if ctx.Err() != nil {
-			return out, ctx.Err()
-		}
-	}
-	return out, nil
+	ladder, pred := loadLadder(g)
+	return sweep(ctx, opts.StudyOptions, rates,
+		func(float64) sched.Config {
+			return sched.Config{
+				Grid:     g,
+				Plan:     ladder[0],
+				QueueCap: opts.QueueCap,
+				MaxBatch: 1, // per-job traffic must stay invariant
+			}
+		},
+		func(rate float64, srv *sched.Server) (LoadRun, error) {
+			return loadOnePoint(ctx, srv, ladder, pred, arrival, rate, arrivals, opts)
+		})
 }
 
-func loadOnePoint(ctx context.Context, g *grid.Grid, arrival string, rate float64,
-	arrivals int, opts LoadOptions) (LoadRun, error) {
+func loadOnePoint(ctx context.Context, srv *sched.Server, ladder []sched.Plan,
+	pred perfmodel.Predictor, arrival string, rate float64, arrivals int,
+	opts LoadOptions) (LoadRun, error) {
 	tr, err := makeTrace(arrival, rate, arrivals)
 	if err != nil {
 		return LoadRun{}, err
 	}
-	ladder, pred := loadLadder(g)
-	reg := telemetry.NewRegistry()
-	srv := sched.Start(sched.Config{
-		Grid:     g,
-		Plan:     ladder[0],
-		QueueCap: opts.QueueCap,
-		MaxBatch: 1, // per-job traffic must stay invariant
-		CostOnly: true,
-		Registry: reg,
-		Logger:   opts.Logger,
-	})
-	defer srv.Close()
-	if opts.OnPoint != nil {
-		opts.OnPoint(srv, reg)
-	}
-
 	var as *elastic.Autoscaler
 	if !opts.NoAutoscale {
 		as, err = elastic.New(srv, elastic.Config{
@@ -233,11 +204,8 @@ func loadOnePoint(ctx context.Context, g *grid.Grid, arrival string, rate float6
 
 	// Drain discipline: every admitted job is waited out, even after
 	// cancellation (bounded), so Lost really measures the server.
-	var totals struct {
-		msgs, inter int64
-		bytes       float64
-	}
-	deadline := time.NewTimer(opts.DrainTimeout)
+	var tally traffic
+	deadline := time.NewTimer(opts.drainTimeout())
 	defer deadline.Stop()
 	for _, j := range futures {
 		if ctx.Err() != nil {
@@ -252,14 +220,12 @@ func loadOnePoint(ctx context.Context, g *grid.Grid, arrival string, rate float6
 			row.Failed++
 			continue
 		}
-		row.Completed++
 		row.Preemptions += int64(res.Preemptions)
-		totals.msgs += res.Counters.Total().Msgs
-		totals.bytes += res.Counters.Total().Bytes
-		totals.inter += res.Counters.Inter().Msgs
+		tally.add(res.Counters)
 	}
 	elapsed := time.Since(start)
 
+	row.Completed = tally.n
 	row.Lost = row.Submitted - row.Completed - row.Failed
 	if as != nil {
 		row.ScaleUps, row.ScaleDowns, _ = as.Stats()
@@ -271,45 +237,15 @@ func loadOnePoint(ctx context.Context, g *grid.Grid, arrival string, rate float6
 	row.P99Seconds = slo.Latency.P99
 	row.P999Seconds = slo.Latency.P999
 	row.QueueP99Seconds = slo.QueueWait.P99
-	if row.Completed > 0 {
-		row.MsgsPerJob = totals.msgs / row.Completed
-		row.InterSiteMsgsPerJob = totals.inter / row.Completed
-		row.BytesPerJob = totals.bytes / float64(row.Completed)
-	}
+	row.MsgsPerJob, row.InterSiteMsgsPerJob, row.BytesPerJob = tally.per()
 	return row, nil
-}
-
-// BuildLoadRuns executes the standard open-loop sweep for the committed
-// report: the Poisson rate ladder plus one bursty and one diurnal point
-// at the middle rate, autoscaler on.
-func BuildLoadRuns(g *grid.Grid) []LoadRun {
-	var out []LoadRun
-	mid := StandardLoadRates[len(StandardLoadRates)/2]
-	points := []struct {
-		arrival string
-		rates   []float64
-	}{
-		{"poisson", StandardLoadRates},
-		{"bursty", []float64{mid}},
-		{"diurnal", []float64{mid}},
-	}
-	for _, p := range points {
-		rows, err := LoadStudy(context.Background(), g, p.arrival, p.rates,
-			LoadArrivals, LoadOptions{})
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, rows...)
-	}
-	return out
 }
 
 // FormatLoad renders the open-loop study as the latency-vs-offered-load
 // table the experiments document quotes.
 func FormatLoad(g *grid.Grid, rows []LoadRun) string {
 	var b strings.Builder
-	ladder, _ := loadLadder(g)
-	top := ladder[len(ladder)-1]
+	top := servePlan(g) // the ladder's top level
 	fmt.Fprintf(&b, "== Open-loop serving: trace-driven TSQR arrivals (M=%d, N=%d, ladder 1..%d × %d ranks, autoscaled) ==\n",
 		ServeM, ServeN, len(top.Groups), len(top.Groups[0]))
 	fmt.Fprintf(&b, "%8s %8s %5s %5s %5s %5s %5s %4s %9s %9s %9s %9s %9s %9s\n",

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 
@@ -22,7 +23,7 @@ type Report struct {
 	// gate; wall-clock throughput and latency are informational.
 	Serving []ServeRun `json:"serving,omitempty"`
 	// TraceOverhead records the ring-collector cost study: span counts
-	// gate exactly, the overhead percentage only against a loose cap.
+	// gate exactly; the overhead percentage is recorded, never gated.
 	TraceOverhead *TraceOverheadRun `json:"trace_overhead,omitempty"`
 	// Scale holds the 1k–32k-rank event-engine sweep. Virtual seconds
 	// and traffic counts gate (optionally filtered to a rank ceiling so
@@ -116,6 +117,49 @@ func BuildReport(platform string, runs []Run) Report {
 		rep.Runs = append(rep.Runs, r.report(Execute(r)))
 	}
 	return rep
+}
+
+// StandardReport is the report `gridbench -json` writes and the perf
+// gate re-measures: BuildReport over StandardReportRuns, then the
+// serving, trace-overhead, scale (up to scaleRanks ranks, 0 = all), load
+// and stream studies at their standard shapes. like, if non-nil, limits
+// the studies to the sections it holds, so the gate re-runs only what
+// its baseline can diff. Report generation has no cancellation path, so
+// a study error (none expected without faults) panics.
+func StandardReport(g *grid.Grid, platform string, scaleRanks int, like *Report) Report {
+	rep := BuildReport(platform, StandardReportRuns(g))
+	ctx := context.Background()
+	if like == nil || len(like.Serving) > 0 {
+		rep.Serving = must(ServeStudy(ctx, g, StandardServeLoads, ServeJobsPerClient, ServeOptions{}))
+	}
+	if like == nil || like.TraceOverhead != nil {
+		to := TraceOverheadStudy(g)
+		rep.TraceOverhead = &to
+	}
+	if like == nil || len(like.Scale) > 0 {
+		rep.Scale = ScaleStudy(scaleRanks, nil)
+	}
+	if like == nil || len(like.Load) > 0 {
+		// The Poisson rate ladder plus one bursty and one diurnal point at
+		// the middle rate, autoscaler on.
+		rep.Load = must(LoadStudy(ctx, g, "poisson", StandardLoadRates, LoadArrivals, LoadOptions{}))
+		mid := StandardLoadRates[len(StandardLoadRates)/2:][:1]
+		for _, arrival := range []string{"bursty", "diurnal"} {
+			rep.Load = append(rep.Load, must(LoadStudy(ctx, g, arrival, mid, LoadArrivals, LoadOptions{}))...)
+		}
+	}
+	if like == nil || len(like.Stream) > 0 {
+		rep.Stream = must(StreamStudy(ctx, g, StandardStreamRates, StreamBlocksPerPoint,
+			StreamOptions{}))
+	}
+	return rep
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // WriteJSON writes the report as indented JSON.

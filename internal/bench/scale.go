@@ -10,7 +10,6 @@ import (
 	"gridqr/internal/perfmodel"
 	"gridqr/internal/scalapack"
 	"gridqr/internal/telemetry"
-	"gridqr/internal/topology"
 )
 
 // The 1k–32k-rank scale study: the paper's Fig. 4–8 questions re-asked at
@@ -218,9 +217,13 @@ func FormatScale(runs []ScaleRun) string {
 		return "== Scale sweep: no points ==\n"
 	}
 	best := ScaleCrossovers(runs)
-	h := topology.HierarchyOf(ScalePlatform(runs[0].Ranks))
-	out := fmt.Sprintf("== Scale sweep: synthetic %d-continent platform (hierarchy %s at %d ranks), N=%d ==\n",
-		h.Continents, h, runs[0].Ranks, ScaleN)
+	g := ScalePlatform(runs[0].Ranks)
+	nodes := 0
+	for _, c := range g.Clusters {
+		nodes += c.Nodes
+	}
+	out := fmt.Sprintf("== Scale sweep: synthetic %d-continent platform (hierarchy %d/%d/%d/%d at %d ranks), N=%d ==\n",
+		g.Continents(), g.Continents(), len(g.Clusters), nodes, g.Procs(), runs[0].Ranks, ScaleN)
 	out += fmt.Sprintf("%7s  %-10s  %-15s  %14s  %14s  %10s  %12s  %11s  %9s\n",
 		"ranks", "algo", "tree", "virtual s", "model s", "msgs", "inter-site", "inter-cont", "wall s")
 	for _, r := range runs {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gridqr/internal/grid"
+	"gridqr/internal/mpi"
 	"gridqr/internal/sched"
 	"gridqr/internal/telemetry"
 )
@@ -46,7 +47,7 @@ var StandardServeLoads = []int{1, 2, 4, 8}
 const ServeJobsPerClient = 8
 
 // ErrDrainTimeout reports that in-flight jobs failed to complete within
-// ServeOptions.DrainTimeout after a shutdown signal; gridbench exits
+// StudyOptions.DrainTimeout after a shutdown signal; gridbench exits
 // nonzero exactly when it sees this error.
 var ErrDrainTimeout = errors.New("bench: drain timeout: in-flight jobs did not complete")
 
@@ -71,20 +72,85 @@ type ServeRun struct {
 	BytesPerJob         float64 `json:"bytes_per_job"`
 }
 
-// ServeOptions configures the sweep's observability and shutdown
-// behavior; the zero value reproduces the plain benchmark.
-type ServeOptions struct {
-	// Logger is handed to every server for structured per-job lifecycle
-	// records. Nil means silent.
+// StudyOptions is what the serving, load and stream studies share; the
+// zero value is silent and drains for 30s.
+type StudyOptions struct {
+	// Logger is handed to every server for structured per-job (per-round
+	// for streams) lifecycle records. Nil means silent.
 	Logger *slog.Logger
+	// OnPoint fires when a point's server starts serving, giving the
+	// monitoring endpoint the live server and registry to expose.
+	OnPoint func(srv *sched.Server, reg *telemetry.Registry)
+	// DrainTimeout bounds how long a canceled sweep waits for accepted
+	// work before giving up with ErrDrainTimeout (default 30s).
+	DrainTimeout time.Duration
+}
+
+func (o StudyOptions) drainTimeout() time.Duration {
+	if o.DrainTimeout <= 0 {
+		return 30 * time.Second
+	}
+	return o.DrainTimeout
+}
+
+// sweep runs a study's points in order, each on a fresh cost-only server
+// that config shapes and run drives. It returns the rows finished so
+// far: on the first failed point with its error, and after the point
+// during which ctx was canceled with ctx's error.
+func sweep[P, R any](ctx context.Context, o StudyOptions, points []P,
+	config func(P) sched.Config, run func(P, *sched.Server) (R, error)) ([]R, error) {
+	var out []R
+	for _, p := range points {
+		row, err := func() (R, error) {
+			cfg := config(p)
+			reg := telemetry.NewRegistry()
+			cfg.CostOnly, cfg.Registry, cfg.Logger = true, reg, o.Logger
+			srv := sched.Start(cfg)
+			defer srv.Close()
+			if o.OnPoint != nil {
+				o.OnPoint(srv, reg)
+			}
+			return run(p, srv)
+		}()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, row)
+		if ctx.Err() != nil {
+			return out, ctx.Err()
+		}
+	}
+	return out, nil
+}
+
+// traffic tallies the counters of a point's finished jobs or snapshots;
+// per divides them into the deterministic per-item columns the gate
+// diffs.
+type traffic struct {
+	n, msgs, inter int64
+	bytes          float64
+}
+
+func (t *traffic) add(c mpi.CounterSnapshot) {
+	t.n++
+	t.msgs += c.Total().Msgs
+	t.bytes += c.Total().Bytes
+	t.inter += c.Inter().Msgs
+}
+
+func (t traffic) per() (msgs, inter int64, bytes float64) {
+	if t.n == 0 {
+		return 0, 0, 0
+	}
+	return t.msgs / t.n, t.inter / t.n, t.bytes / float64(t.n)
+}
+
+// ServeOptions configures the closed-loop sweep; the zero value
+// reproduces the plain benchmark.
+type ServeOptions struct {
+	StudyOptions
 	// TraceRing arms bounded ring-buffer tracing on each point's world.
 	TraceRing *telemetry.RingConfig
-	// OnPoint fires when a load point's server starts serving, giving
-	// the monitoring endpoint the live server and registry to expose.
-	OnPoint func(srv *sched.Server, reg *telemetry.Registry)
-	// DrainTimeout bounds how long a canceled sweep waits for in-flight
-	// jobs before giving up with ErrDrainTimeout (default 30s).
-	DrainTimeout time.Duration
 }
 
 // servePlan pairs sites into partitions when the platform allows it, so
@@ -106,49 +172,28 @@ func servePlan(g *grid.Grid) sched.Plan {
 // with ctx's error.
 func ServeStudy(ctx context.Context, g *grid.Grid, loads []int, jobsPerClient int,
 	opts ServeOptions) ([]ServeRun, error) {
-	if opts.DrainTimeout <= 0 {
-		opts.DrainTimeout = 30 * time.Second
-	}
-	var out []ServeRun
-	for _, c := range loads {
-		row, err := serveOnePoint(ctx, g, c, jobsPerClient, opts)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, row)
-		if ctx.Err() != nil {
-			return out, ctx.Err()
-		}
-	}
-	return out, nil
+	plan := servePlan(g)
+	return sweep(ctx, opts.StudyOptions, loads,
+		func(clients int) sched.Config {
+			return sched.Config{
+				Grid:      g,
+				Plan:      plan,
+				QueueCap:  clients, // closed loop: at most `clients` jobs in flight
+				MaxBatch:  1,       // batching off — per-job counters must be invariant
+				TraceRing: opts.TraceRing,
+			}
+		},
+		func(clients int, srv *sched.Server) (ServeRun, error) {
+			return serveOnePoint(ctx, srv, clients, jobsPerClient, opts.drainTimeout())
+		})
 }
 
-func serveOnePoint(ctx context.Context, g *grid.Grid, clients, jobsPerClient int,
-	opts ServeOptions) (ServeRun, error) {
-	reg := telemetry.NewRegistry()
-	srv := sched.Start(sched.Config{
-		Grid:      g,
-		Plan:      servePlan(g),
-		QueueCap:  clients, // closed loop: at most `clients` jobs in flight
-		MaxBatch:  1,       // batching off — per-job counters must be invariant
-		CostOnly:  true,
-		Registry:  reg,
-		Logger:    opts.Logger,
-		TraceRing: opts.TraceRing,
-	})
-	defer srv.Close()
-	if opts.OnPoint != nil {
-		opts.OnPoint(srv, reg)
-	}
-
+func serveOnePoint(ctx context.Context, srv *sched.Server, clients, jobsPerClient int,
+	drainTimeout time.Duration) (ServeRun, error) {
 	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		completed int64
-		totals    struct {
-			msgs, inter int64
-			bytes       float64
-		}
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		tally    traffic
 		firstErr error
 	)
 	start := time.Now()
@@ -169,10 +214,7 @@ func serveOnePoint(ctx context.Context, g *grid.Grid, clients, jobsPerClient int
 					err = res.Err
 					if err == nil {
 						mu.Lock()
-						completed++
-						totals.msgs += res.Counters.Total().Msgs
-						totals.bytes += res.Counters.Total().Bytes
-						totals.inter += res.Counters.Inter().Msgs
+						tally.add(res.Counters)
 						mu.Unlock()
 					}
 				}
@@ -195,7 +237,7 @@ func serveOnePoint(ctx context.Context, g *grid.Grid, clients, jobsPerClient int
 	case <-ctx.Done():
 		select {
 		case <-drained:
-		case <-time.After(opts.DrainTimeout):
+		case <-time.After(drainTimeout):
 			return ServeRun{}, fmt.Errorf("%w (load point %d clients)", ErrDrainTimeout, clients)
 		}
 	}
@@ -207,32 +249,16 @@ func serveOnePoint(ctx context.Context, g *grid.Grid, clients, jobsPerClient int
 	slo := srv.SLO()
 	row := ServeRun{
 		Clients:         clients,
-		Jobs:            completed,
-		ThroughputJPS:   float64(completed) / elapsed.Seconds(),
+		Jobs:            tally.n,
+		ThroughputJPS:   float64(tally.n) / elapsed.Seconds(),
 		P50Seconds:      slo.Latency.P50,
 		P99Seconds:      slo.Latency.P99,
 		P999Seconds:     slo.Latency.P999,
 		QueueP50Seconds: slo.QueueWait.P50,
 		QueueP99Seconds: slo.QueueWait.P99,
 	}
-	if completed > 0 {
-		row.MsgsPerJob = totals.msgs / completed
-		row.InterSiteMsgsPerJob = totals.inter / completed
-		row.BytesPerJob = totals.bytes / float64(completed)
-	}
+	row.MsgsPerJob, row.InterSiteMsgsPerJob, row.BytesPerJob = tally.per()
 	return row, nil
-}
-
-// BuildServingRuns executes the standard serving sweep for the
-// committed report; benchmark-report generation has no cancellation
-// path, so errors (none expected without faults) panic as before.
-func BuildServingRuns(g *grid.Grid) []ServeRun {
-	rows, err := ServeStudy(context.Background(), g, StandardServeLoads,
-		ServeJobsPerClient, ServeOptions{})
-	if err != nil {
-		panic(err)
-	}
-	return rows
 }
 
 // FormatServe renders the sweep as the throughput-vs-offered-load table,

@@ -57,7 +57,7 @@ func TestServeStudyCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the sweep: drain immediately at the first point
 	rows, err := ServeStudy(ctx, g, []int{1, 2}, 4,
-		ServeOptions{DrainTimeout: 10 * time.Second})
+		ServeOptions{StudyOptions: StudyOptions{DrainTimeout: 10 * time.Second}})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -78,13 +78,13 @@ func TestServeStudyObservability(t *testing.T) {
 	var lastReg *telemetry.Registry
 	rows, err := ServeStudy(context.Background(), g, []int{2}, 3, ServeOptions{
 		TraceRing: &telemetry.RingConfig{Capacity: 64, Head: 8},
-		OnPoint: func(srv *sched.Server, reg *telemetry.Registry) {
+		StudyOptions: StudyOptions{OnPoint: func(srv *sched.Server, reg *telemetry.Registry) {
 			points++
 			lastReg = reg
 			if srv.TraceTail(1) == nil {
 				t.Error("OnPoint server is not ring-traced")
 			}
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

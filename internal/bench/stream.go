@@ -3,14 +3,12 @@ package bench
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"strings"
 	"sync"
 	"time"
 
 	"gridqr/internal/grid"
 	"gridqr/internal/sched"
-	"gridqr/internal/telemetry"
 )
 
 // Open-loop streaming ingest study: a fixed-interval arrival process
@@ -74,18 +72,12 @@ type StreamRun struct {
 // StreamOptions configures the streaming study; the zero value
 // reproduces the committed benchmark.
 type StreamOptions struct {
-	// Logger receives per-round lifecycle records. Nil means silent.
-	Logger *slog.Logger
-	// OnPoint fires when a rate point's server starts serving.
-	OnPoint func(srv *sched.Server, reg *telemetry.Registry)
+	StudyOptions
 	// SnapshotEvery fires a snapshot barrier after every this many
 	// ingested blocks (default StreamSnapshotEvery).
 	SnapshotEvery int
 	// BlockRows is the rows per ingested block (default StreamBlockRows).
 	BlockRows int
-	// DrainTimeout bounds the post-ingest wait for outstanding snapshots
-	// and the final drain (default 30s).
-	DrainTimeout time.Duration
 }
 
 // StreamStudy runs the open-loop ingest sweep: for each offered rate, a
@@ -102,46 +94,23 @@ func StreamStudy(ctx context.Context, g *grid.Grid, rates []float64, blocks int,
 	if opts.BlockRows <= 0 {
 		opts.BlockRows = StreamBlockRows
 	}
-	if opts.DrainTimeout <= 0 {
-		opts.DrainTimeout = 30 * time.Second
-	}
-	var out []StreamRun
-	for _, rate := range rates {
-		row, err := streamOnePoint(ctx, g, rate, blocks, opts)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, row)
-		if ctx.Err() != nil {
-			return out, ctx.Err()
-		}
-	}
-	return out, nil
+	plan := servePlan(g)
+	return sweep(ctx, opts.StudyOptions, rates,
+		func(float64) sched.Config { return sched.Config{Grid: g, Plan: plan} },
+		func(rate float64, srv *sched.Server) (StreamRun, error) {
+			return streamOnePoint(ctx, srv, len(plan.Groups[0]), rate, blocks, opts)
+		})
 }
 
-func streamOnePoint(ctx context.Context, g *grid.Grid, rate float64, blocks int,
-	opts StreamOptions) (StreamRun, error) {
-	plan := servePlan(g)
-	reg := telemetry.NewRegistry()
-	srv := sched.Start(sched.Config{
-		Grid:     g,
-		Plan:     plan,
-		CostOnly: true,
-		Registry: reg,
-		Logger:   opts.Logger,
-	})
-	defer srv.Close()
-	if opts.OnPoint != nil {
-		opts.OnPoint(srv, reg)
-	}
-
+func streamOnePoint(ctx context.Context, srv *sched.Server, procs int, rate float64,
+	blocks int, opts StreamOptions) (StreamRun, error) {
 	sj, err := srv.SubmitStream(sched.JobSpec{
 		N: ServeN, BlockRows: opts.BlockRows, Seed: 7,
 	})
 	if err != nil {
 		return StreamRun{}, fmt.Errorf("bench: open stream: %w", err)
 	}
-	row := StreamRun{RatePerS: rate, Procs: len(plan.Groups[0])}
+	row := StreamRun{RatePerS: rate, Procs: procs}
 
 	// Open loop: blocks arrive on their own clock; snapshot barriers run
 	// from goroutines so a slow barrier never stalls ingest.
@@ -149,7 +118,7 @@ func streamOnePoint(ctx context.Context, g *grid.Grid, rate float64, blocks int,
 	var (
 		wg      sync.WaitGroup
 		snapMu  sync.Mutex
-		snaps   []*sched.StreamSnapshot
+		tally   traffic
 		snapErr error
 	)
 	start := time.Now()
@@ -170,7 +139,7 @@ func streamOnePoint(ctx context.Context, g *grid.Grid, rate float64, blocks int,
 					snapErr = err
 					return
 				}
-				snaps = append(snaps, snap)
+				tally.add(snap.Counters)
 			}()
 		}
 	}
@@ -182,7 +151,7 @@ func streamOnePoint(ctx context.Context, g *grid.Grid, rate float64, blocks int,
 	go func() { wg.Wait(); sj.Close(); close(done) }()
 	select {
 	case <-done:
-	case <-time.After(opts.DrainTimeout):
+	case <-time.After(opts.drainTimeout()):
 		return row, fmt.Errorf("%w (ingest rate %g/s)", ErrDrainTimeout, rate)
 	}
 	if snapErr != nil {
@@ -195,19 +164,8 @@ func streamOnePoint(ctx context.Context, g *grid.Grid, rate float64, blocks int,
 	row.Shed = st.Shed
 	row.Rounds = st.Rounds
 	row.Retries = st.Retries
-	row.Snapshots = len(snaps)
-	var msgs, inter int64
-	var bytes float64
-	for _, snap := range snaps {
-		msgs += snap.Counters.Total().Msgs
-		bytes += snap.Counters.Total().Bytes
-		inter += snap.Counters.Inter().Msgs
-	}
-	if row.Snapshots > 0 {
-		row.MsgsPerSnapshot = msgs / int64(row.Snapshots)
-		row.InterSiteMsgsPerSnapshot = inter / int64(row.Snapshots)
-		row.BytesPerSnapshot = bytes / float64(row.Snapshots)
-	}
+	row.Snapshots = int(tally.n)
+	row.MsgsPerSnapshot, row.InterSiteMsgsPerSnapshot, row.BytesPerSnapshot = tally.per()
 	slo := srv.SLO()
 	row.ThroughputBPS = float64(st.Folded) / elapsed.Seconds()
 	row.FoldP50 = slo.StreamFold.P50
@@ -215,17 +173,6 @@ func streamOnePoint(ctx context.Context, g *grid.Grid, rate float64, blocks int,
 	row.SnapP50 = slo.StreamSnapshot.P50
 	row.SnapP99 = slo.StreamSnapshot.P99
 	return row, nil
-}
-
-// BuildStreamRuns executes the standard ingest sweep for the committed
-// report.
-func BuildStreamRuns(g *grid.Grid) []StreamRun {
-	rows, err := StreamStudy(context.Background(), g, StandardStreamRates,
-		StreamBlocksPerPoint, StreamOptions{})
-	if err != nil {
-		panic(err)
-	}
-	return rows
 }
 
 // FormatStream renders the streaming study as the ingest-rate vs

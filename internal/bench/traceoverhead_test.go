@@ -31,8 +31,8 @@ func TestTraceOverheadStudy(t *testing.T) {
 	}
 }
 
-// TestCompareReportsTraceOverhead: exact span gating, capped overhead,
-// wall-clock otherwise ignored.
+// TestCompareReportsTraceOverhead: exact span gating, wall-clock never
+// gated.
 func TestCompareReportsTraceOverhead(t *testing.T) {
 	base := Report{TraceOverhead: &TraceOverheadRun{
 		M: TraceOverheadM, N: TraceOverheadN, Procs: 256,
@@ -42,7 +42,7 @@ func TestCompareReportsTraceOverhead(t *testing.T) {
 
 	same := Report{TraceOverhead: &TraceOverheadRun{
 		SpansSeen: 100000, SpansRetained: 73728, RetainedBound: 73728,
-		UntracedSeconds: 9, RingSeconds: 9.5, OverheadPct: 5.6, // host-dependent: under the cap
+		UntracedSeconds: 9, RingSeconds: 9.5, OverheadPct: 5.6, // host-dependent
 	}}
 	if d := CompareReports(same, base, Tolerances{}); len(d) != 0 {
 		t.Fatalf("wall-clock drift flagged: %v", d)
@@ -53,25 +53,6 @@ func TestCompareReportsTraceOverhead(t *testing.T) {
 	}}
 	if d := CompareReports(drift, base, Tolerances{}); len(d) != 2 {
 		t.Fatalf("want 2 span diffs, got %v", d)
-	}
-
-	hot := Report{TraceOverhead: &TraceOverheadRun{
-		SpansSeen: 100000, SpansRetained: 73728, RetainedBound: 73728,
-		UntracedSeconds: 1, OverheadPct: 25,
-	}}
-	d := CompareReports(hot, base, Tolerances{})
-	if len(d) != 1 || !strings.Contains(d[0], "exceeds cap") {
-		t.Fatalf("overhead cap not enforced: %v", d)
-	}
-
-	// A milliseconds-long measurement is all timer noise: the span
-	// accounting still gates, the percentage does not.
-	tiny := Report{TraceOverhead: &TraceOverheadRun{
-		SpansSeen: 100000, SpansRetained: 73728, RetainedBound: 73728,
-		UntracedSeconds: 0.01, OverheadPct: 80,
-	}}
-	if d := CompareReports(tiny, base, Tolerances{}); len(d) != 0 {
-		t.Fatalf("noise-dominated overhead gated: %v", d)
 	}
 
 	if d := CompareReports(Report{}, base, Tolerances{}); len(d) != 1 ||
