@@ -80,6 +80,11 @@ func (e *eventEngine) run(fn func(*Ctx)) {
 	e.sched.Run(func(rank int) {
 		defer func() {
 			if p := recover(); p != nil {
+				if e.sched.Running() != rank {
+					// The scheduler is unwinding this parked rank
+					// because Run is panicking: not a rank failure.
+					panic(p)
+				}
 				if ks, ok := p.(killSentinel); ok {
 					w.markDead(ks.rank)
 					return

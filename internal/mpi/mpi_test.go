@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,6 +101,32 @@ func TestRunPropagatesPanic(t *testing.T) {
 			WorldComm(ctx).Recv(1, 0)
 		}
 	})
+}
+
+// TestEventDeadlockLeaksNoRank: on the event engine a cycle of blocked
+// receives is a deadlock panic, and every parked rank is unwound past
+// Run's rank wrapper before it reaches the caller — no rank goroutine
+// outlives the world.
+func TestEventDeadlockLeaksNoRank(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w := testWorld(4, CostOnly())
+	func() {
+		defer func() {
+			if p, _ := recover().(string); !strings.Contains(p, "deadlock") {
+				t.Fatalf("panic %q, want a deadlock report", p)
+			}
+		}()
+		w.Run(func(ctx *Ctx) {
+			c := WorldComm(ctx)
+			c.Recv((c.Rank()+1)%c.Size(), 0)
+		})
+	}()
+	if !w.EventDriven() {
+		t.Fatal("cost-only world not on the event engine")
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines %d after the deadlocked Run, %d before", after, before)
+	}
 }
 
 func TestBcastAllSizes(t *testing.T) {

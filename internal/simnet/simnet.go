@@ -2,11 +2,12 @@
 // simulations: n ranks run as cooperatively scheduled coroutines over a
 // virtual-time event queue instead of n freely preempted goroutines.
 //
-// Each rank keeps a goroutine — Go cannot suspend an arbitrary call
-// stack any other way — but exactly one is runnable at any moment; the
-// rest are parked on their resume channels. The scheduler dispatches
+// Each rank body is a runtime coroutine (iter.Pull): dispatching a proc
+// switches to its stack in place and Park switches back, with no trip
+// through the Go scheduler, so exactly one proc runs at any moment and
+// the rest are suspended where they parked. The scheduler dispatches
 // runnable procs in (virtual clock, id) order from a binary heap, so an
-// entire run is a deterministic sequence of handoffs with no lock
+// entire run is a deterministic sequence of switches with no lock
 // contention, no condition-variable broadcast storms and no Go-scheduler
 // thrashing — the costs that cap the goroutine runtime at a few hundred
 // ranks. Queue memory is O(runnable + parked registrations), never
@@ -20,6 +21,7 @@ package simnet
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -65,24 +67,17 @@ type TraceEvent struct {
 	Key  float64
 }
 
-type sigKind int8
-
-const (
-	sigParked sigKind = iota
-	sigDone
-)
-
-type sig struct {
-	kind sigKind
-	pval any // panic value escaping the body, re-raised by the driver
-}
+// unwind is the panic value Park raises in a suspended proc whose
+// coroutine Run stops; Run recovers exactly this value.
+type unwind struct{}
 
 type proc struct {
-	id     int
-	key    float64 // clock at heap insertion; frozen while not running
-	state  State
-	resume chan struct{}
-	heapIx int
+	id    int
+	key   float64 // clock at heap insertion; frozen while not running
+	state State
+	next  func() (struct{}, bool) // runs the body until it parks (true) or returns
+	stop  func()
+	yield func(struct{}) bool // Park's switch back to Run
 }
 
 // Scheduler coordinates n cooperatively scheduled procs.
@@ -90,7 +85,6 @@ type Scheduler struct {
 	clock   func(id int) float64 // the transport's per-proc virtual clock
 	procs   []*proc
 	heap    []*proc
-	yield   chan sig
 	running *proc
 	onIdle  func() bool
 	live    int
@@ -104,10 +98,10 @@ func New(n int, clock func(id int) float64) *Scheduler {
 	if n <= 0 {
 		panic("simnet: need at least one proc")
 	}
-	s := &Scheduler{clock: clock, yield: make(chan sig)}
+	s := &Scheduler{clock: clock}
 	s.procs = make([]*proc, n)
 	for i := range s.procs {
-		s.procs[i] = &proc{id: i, resume: make(chan struct{}), heapIx: -1}
+		s.procs[i] = &proc{id: i}
 	}
 	return s
 }
@@ -144,23 +138,22 @@ func (s *Scheduler) Runnable() int { return len(s.heap) }
 // exactly once; it blocks until all procs are done. A panic escaping a
 // body is re-raised on the caller (transports are expected to recover
 // domain-level panics themselves and only let programming errors
-// through).
+// through). When Run panics — a deadlock or a re-raised body panic — it
+// first unwinds every unfinished proc, so no coroutine outlives it; a
+// body that recovers panics must re-panic any it recovers while it is
+// not the running proc.
 func (s *Scheduler) Run(body func(id int)) {
 	s.live = len(s.procs)
 	for _, p := range s.procs {
 		p.state = StateReady
 		p.key = s.clock(p.id)
-		go func(p *proc) {
-			<-p.resume
-			var pv any
-			func() {
-				defer func() { pv = recover() }()
-				body(p.id)
-			}()
-			s.yield <- sig{kind: sigDone, pval: pv}
-		}(p)
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			body(p.id)
+		})
 		s.heapPush(p)
 	}
+	defer s.stopUnfinished()
 	for s.live > 0 {
 		if len(s.heap) == 0 {
 			if s.idle() {
@@ -173,21 +166,14 @@ func (s *Scheduler) Run(body func(id int)) {
 		s.running = p
 		s.stats.Dispatches++
 		s.emit(TraceEvent{Kind: "dispatch", ID: p.id, Key: p.key})
-		p.resume <- struct{}{}
-		g := <-s.yield
-		switch g.kind {
-		case sigParked:
+		if _, parked := p.next(); parked {
 			p.state = StateParked
 			s.stats.Parks++
 			s.emit(TraceEvent{Kind: "park", ID: p.id})
-		case sigDone:
+		} else {
 			p.state = StateDone
 			s.live--
 			s.emit(TraceEvent{Kind: "done", ID: p.id})
-			if g.pval != nil {
-				s.running = nil
-				panic(g.pval)
-			}
 		}
 		s.running = nil
 	}
@@ -196,12 +182,35 @@ func (s *Scheduler) Run(body func(id int)) {
 	}
 }
 
+// stopUnfinished ends the coroutine of every proc that is not done: a
+// suspended one unwinds from Park, one never dispatched never starts,
+// and stopping the one whose panic is leaving next is a no-op.
+func (s *Scheduler) stopUnfinished() {
+	s.running = nil
+	for _, p := range s.procs {
+		if p.state != StateDone {
+			p.state = StateDone
+			func() {
+				defer func() {
+					if v := recover(); v != nil && v != (unwind{}) {
+						panic(v)
+					}
+				}()
+				p.stop()
+			}()
+		}
+	}
+}
+
 // Park yields the running proc until some other proc (or the OnIdle
 // resolver) calls Unpark on it. Must be called from the running proc.
 func (s *Scheduler) Park() {
-	p := s.mustRunning("Park")
-	s.yield <- sig{kind: sigParked}
-	<-p.resume
+	if s.running == nil {
+		panic("simnet: Park outside a running proc")
+	}
+	if !s.running.yield(struct{}{}) {
+		panic(unwind{})
+	}
 }
 
 // Unpark makes a parked proc runnable at its current clock. It may be
@@ -242,14 +251,6 @@ func (s *Scheduler) deadlock() {
 	panic(fmt.Sprintf("simnet: deadlock — no runnable proc, no resolvable wait; stuck procs: %v", stuck))
 }
 
-func (s *Scheduler) mustRunning(op string) *proc {
-	p := s.running
-	if p == nil {
-		panic("simnet: " + op + " outside a running proc")
-	}
-	return p
-}
-
 func (s *Scheduler) emit(ev TraceEvent) {
 	if s.trace != nil {
 		s.trace(ev)
@@ -268,7 +269,6 @@ func (s *Scheduler) less(a, b *proc) bool {
 func (s *Scheduler) heapPush(p *proc) {
 	s.heap = append(s.heap, p)
 	i := len(s.heap) - 1
-	p.heapIx = i
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !s.less(s.heap[i], s.heap[parent]) {
@@ -286,7 +286,6 @@ func (s *Scheduler) heapPop() *proc {
 	p := s.heap[0]
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
-	s.heap[0].heapIx = 0
 	s.heap[last] = nil
 	s.heap = s.heap[:last]
 	i := 0
@@ -305,12 +304,9 @@ func (s *Scheduler) heapPop() *proc {
 		s.heapSwap(i, smallest)
 		i = smallest
 	}
-	p.heapIx = -1
 	return p
 }
 
 func (s *Scheduler) heapSwap(i, j int) {
 	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.heap[i].heapIx = i
-	s.heap[j].heapIx = j
 }

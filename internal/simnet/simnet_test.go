@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -117,20 +118,63 @@ func TestDispatchOrderIsMinClockThenID(t *testing.T) {
 	}
 }
 
-func TestDeadlockPanics(t *testing.T) {
-	net := newTestNet(2)
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("expected deadlock panic")
-		}
-		if s, ok := p.(string); !ok || s == "" {
-			t.Fatalf("unexpected panic payload %v", p)
-		}
+// runPanicking runs body on n procs, expects Run to panic and returns
+// the panic value. Before re-raising, Run must unwind every unfinished
+// proc, parked or never dispatched: the goroutine count returns to
+// where it was and every proc ends done.
+func runPanicking(t *testing.T, n int, body func(net *testNet, id int)) (p any) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	net := newTestNet(n)
+	func() {
+		defer func() { p = recover() }()
+		net.s.Run(func(id int) { body(net, id) })
 	}()
-	net.s.Run(func(id int) {
+	if p == nil {
+		t.Fatal("Run did not panic")
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines %d after the panicking Run, %d before", after, before)
+	}
+	for id := 0; id < n; id++ {
+		if st := net.s.StateOf(id); st != StateDone {
+			t.Errorf("proc %d left in state %v", id, st)
+		}
+	}
+	return p
+}
+
+func TestDeadlockPanics(t *testing.T) {
+	p := runPanicking(t, 2, func(net *testNet, id int) {
 		net.recv(id, 1-id) // both wait on each other, nothing sent
 	})
+	if s, ok := p.(string); !ok || s == "" {
+		t.Fatalf("unexpected panic payload %v", p)
+	}
+}
+
+func TestBodyPanicReachesRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		body func(net *testNet, id int)
+	}{
+		{"parked-peer", 2, func(net *testNet, id int) {
+			if id == 0 {
+				net.recv(0, 1)
+			}
+			panic("boom")
+		}},
+		{"never-dispatched", 4, func(net *testNet, id int) {
+			panic("boom") // proc 0 runs first; 1–3 never start
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if p := runPanicking(t, tc.n, tc.body); p != "boom" {
+				t.Fatalf("panic %v, want boom", p)
+			}
+		})
+	}
 }
 
 func TestOnIdleResolvesWait(t *testing.T) {
@@ -256,9 +300,12 @@ func TestPropertyRandomPrograms(t *testing.T) {
 						}
 					}
 				}
-				// No leaks.
+				// No leaks; every park ended by exactly one unpark.
 				if r := net.s.Runnable(); r != 0 {
 					t.Fatalf("leaked %d runnable entries", r)
+				}
+				if st := net.s.Stats(); st.Unparks != st.Parks {
+					t.Fatalf("unparks %d, parks %d", st.Unparks, st.Parks)
 				}
 				for id := 0; id < n; id++ {
 					if st := net.s.StateOf(id); st != StateDone {
