@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check skips walks loc fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
+.PHONY: build test race vet fmt-check check skips walks handoff loc fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: build vet fmt-check test skips walks race bench-data
+check: build vet fmt-check test skips walks race handoff bench-data
 
 # A test that skips itself checks nothing: the runtime, algorithm and
 # serving packages must run every test they have (-count=1 defeats the
@@ -52,6 +52,11 @@ walks:
 	n="$$(grep -hoE 'case m\.(dst|src)|== m\.dst' $$src | wc -l)"; \
 	echo "hand-written schedule scans in internal/core: $$n (max 0)"; \
 	[ "$$n" -eq 0 ]
+
+# The event scheduler's dispatch+park micro-benchmark, as a smoke: it
+# must build and run (EXPERIMENTS.md has its figures).
+handoff:
+	$(GO) test -run '^$$' -bench DispatchPark -benchtime 100x ./internal/simnet
 
 # Non-test Go lines per package — the numbers ROADMAP.md and CHANGES.md
 # quote.
@@ -134,8 +139,8 @@ bench-data:
 # The latest claimed speedup as a diff between two committed documents
 # (ten alternating parent/change pairs on the host named in each file's
 # fingerprint); a later PR points these at its own pair.
-BENCH_OLD ?= results/BENCH_24_parent.json
-BENCH_NEW ?= results/BENCH_24.json
+BENCH_OLD ?= results/BENCH_32_parent.json
+BENCH_NEW ?= results/BENCH_32.json
 
 bench-compare:
 	$(GO) run ./benchmarks -compare $(BENCH_OLD) $(BENCH_NEW)
