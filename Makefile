@@ -93,7 +93,7 @@ stream:
 # contract genuinely re-executes.
 stream-smoke:
 	$(GO) run ./cmd/gridbench -stream -quick
-	$(GO) test -count=1 -run 'TestStreamIncrementalMatchesOneShot|TestStreamSnapshotExactCounts|TestRoundIncrementalEqualsOneShot|TestFolderGranularityInvariance|TestOutOfCoreBitwise|TestLeafEqualsFolder' ./internal/sched ./internal/stream
+	$(GO) test -count=1 -run 'TestStreamIncrementalMatchesOneShot|TestStreamSnapshotExactCounts|TestRoundIncrementalEqualsOneShot|TestFolderGranularityInvariance|TestOutOfCoreBitwise|TestLeafEqualsFolder|TestShardIngestEqualsPush' ./internal/sched ./internal/stream
 
 # Regenerate the committed baseline after an intentional change to the
 # algorithms' communication or computation structure.

@@ -121,11 +121,22 @@ func RandomAt(seed int64, row, col int) float64 {
 // values whatever the partition.
 func RandomRows(rows, cols, rowOffset int, seed int64) *Dense {
 	a := New(rows, cols)
-	for j := 0; j < cols; j++ {
+	FillRandomRows(a, rowOffset, 1, seed)
+	return a
+}
+
+// FillRandomRows overwrites a with every stride-th row of the virtual
+// random matrix from row first on: entry (i, j) is
+// RandomAt(seed, first+i·stride, j). a may be a view, so callers can
+// generate rows straight into the buffer that consumes them.
+func FillRandomRows(a *Dense, first, stride int, seed int64) {
+	if a.Rows == 0 {
+		return // Col panics on an empty matrix
+	}
+	for j := 0; j < a.Cols; j++ {
 		col := a.Col(j)
 		for i := range col {
-			col[i] = RandomAt(seed, rowOffset+i, j)
+			col[i] = RandomAt(seed, first+i*stride, j)
 		}
 	}
-	return a
 }

@@ -452,6 +452,35 @@ func TestRandomAtDeterministic(t *testing.T) {
 	}
 }
 
+// TestFillRandomRowsIsRandomAt: the strided fill produces RandomAt's
+// value for every entry, bit for bit — on a view, at large offsets and
+// at a negative seed — and leaves the rest of the parent alone.
+func TestFillRandomRowsIsRandomAt(t *testing.T) {
+	for _, tc := range []struct {
+		first, stride int
+		seed          int64
+	}{{0, 1, 1}, {17, 3, 9}, {1 << 40, 7, -5}, {3, 1 << 45, 2}} {
+		parent := New(9, 5)
+		a := parent.View(2, 1, 6, 3)
+		FillRandomRows(a, tc.first, tc.stride, tc.seed)
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < a.Cols; j++ {
+				if got, want := a.At(i, j), RandomAt(tc.seed, tc.first+i*tc.stride, j); got != want {
+					t.Fatalf("%+v: entry (%d,%d) = %v, RandomAt %v", tc, i, j, got, want)
+				}
+			}
+		}
+		for j := 0; j < parent.Cols; j++ {
+			for i := 0; i < parent.Rows; i++ {
+				if inView := i >= 2 && i < 8 && j >= 1 && j < 4; !inView && parent.At(i, j) != 0 {
+					t.Fatalf("%+v: wrote outside the view at (%d,%d)", tc, i, j)
+				}
+			}
+		}
+	}
+	FillRandomRows(New(0, 4), 0, 1, 1) // no rows, no panic
+}
+
 // The range panics of FromColMajor, Col and View carry an error whose
 // message is formatted on demand (so the three inline); it must still
 // name the offending indices and the shape.

@@ -39,7 +39,7 @@ type Folder struct {
 	n      int
 	panel  int
 	data   bool
-	buf    *matrix.Dense // data mode only: row buffer, grown to panel×n by the first Push that needs it
+	buf    *matrix.Dense // data mode only: row buffer, grown to panel×n by the first ingest that needs it
 	used   int           // buffered rows not yet folded
 	rows   int           // total rows absorbed
 	folded int           // completed panel folds
@@ -103,28 +103,9 @@ func (f *Folder) Push(block *matrix.Dense) {
 	if block.Cols != f.n {
 		panic(fmt.Sprintf("stream: block has %d cols, folder has %d", block.Cols, f.n))
 	}
-	i := 0
-	for i < block.Rows {
-		take := min(f.panel-f.used, block.Rows-i)
-		if f.buf == nil || f.buf.Rows < f.panel {
-			// First rows, or a clone's exact-fit buffer: grow to the panel.
-			old := f.buf
-			f.buf = matrix.New(f.panel, f.n)
-			if old != nil {
-				matrix.Copy(f.buf.View(0, 0, old.Rows, f.n), old)
-			}
-		}
-		for j := 0; j < f.n; j++ {
-			copy(f.buf.Col(j)[f.used:f.used+take], block.Col(j)[i:i+take])
-		}
-		f.used += take
-		f.rows += take
-		i += take
-		if f.used == f.panel {
-			f.r = f.foldPanel(f.r, f.buf)
-			f.used = 0
-		}
-	}
+	f.walk(block.Rows, func(dst *matrix.Dense, off int) {
+		matrix.Copy(dst, block.View(off, 0, dst.Rows, f.n))
+	})
 }
 
 // PushN is the cost-only Push: advance the panel bookkeeping for k rows
@@ -136,13 +117,32 @@ func (f *Folder) PushN(k int) {
 	if k < 0 {
 		panic(fmt.Sprintf("stream: negative row count %d", k))
 	}
-	for k > 0 {
-		take := min(f.panel-f.used, k)
+	f.walk(k, nil)
+}
+
+// walk is the one panel walk behind Push, PushN and the rounds'
+// in-place shard ingest: it takes k incoming rows in panel-sized runs,
+// hands fill (data mode only) the buffer view each run lands in and the
+// index of its first row among the k, and folds every panel that fills.
+func (f *Folder) walk(k int, fill func(dst *matrix.Dense, off int)) {
+	for off := 0; off < k; {
+		take := min(f.panel-f.used, k-off)
+		if f.data {
+			if f.buf == nil || f.buf.Rows < f.panel {
+				// First rows, or a clone's exact-fit buffer: grow to the panel.
+				old := f.buf
+				f.buf = matrix.New(f.panel, f.n)
+				if old != nil {
+					matrix.Copy(f.buf.View(0, 0, old.Rows, f.n), old)
+				}
+			}
+			fill(f.buf.View(f.used, 0, take, f.n), off)
+		}
 		f.used += take
 		f.rows += take
-		k -= take
+		off += take
 		if f.used == f.panel {
-			f.r = f.foldPanel(f.r, nil)
+			f.r = f.foldPanel(f.r, f.buf)
 			f.used = 0
 		}
 	}

@@ -237,31 +237,51 @@ func TestFolderPanics(t *testing.T) {
 
 // FuzzIncrementalFold drives the bitwise granularity contract with
 // fuzzer-chosen block splits: folding any random split of the stream
-// must reproduce the one-shot R exactly.
+// must reproduce the one-shot R exactly, through Push and through the
+// rounds' in-place shard ingest alike. The shard ingest also runs as
+// one rank of a p-rank partition (p and rank from the fuzzed sizes),
+// against that rank's one-shot Push(ShardRows).
 func FuzzIncrementalFold(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(80), []byte{10, 30, 40})
 	f.Add(int64(2), uint8(3), uint8(50), []byte{1, 1, 1, 47})
 	f.Add(int64(3), uint8(8), uint8(64), []byte{64})
+	f.Add(int64(4), uint8(13), uint8(190), []byte{2, 9, 0, 33})
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint8, cuts []byte) {
 		n := int(nRaw%8) + 1
 		m := int(mRaw%100) + 1
+		p := int(mRaw/100)%3 + 1
+		rank := int(nRaw/8) % p
 		oneShot := pushSplit(n, 0, seed, []int{m})
+		shardRef := NewFolder(n, 0)
+		shardRef.Push(ShardRows(seed, n, 0, m, rank, p))
+		shardOneShot := shardRef.SnapshotLocal()
 
-		fold := NewFolder(n, 0)
+		fold, inPlace, shard := NewFolder(n, 0), NewFolder(n, 0), NewFolder(n, 0)
+		ingest := func(lo, hi int) {
+			fold.Push(GlobalRows(seed, n, lo, hi))
+			inPlace.pushShard(seed, lo, hi, 0, 1)
+			shard.pushShard(seed, lo, hi, rank, p)
+		}
 		lo := 0
 		for _, c := range cuts {
 			if lo >= m {
 				break
 			}
 			k := min(int(c), m-lo)
-			fold.Push(GlobalRows(seed, n, lo, lo+k))
+			ingest(lo, lo+k)
 			lo += k
 		}
 		if lo < m {
-			fold.Push(GlobalRows(seed, n, lo, m))
+			ingest(lo, m)
 		}
 		if !bitEqual(fold.SnapshotLocal(), oneShot) {
 			t.Fatalf("n=%d m=%d cuts=%v: split fold differs from one-shot", n, m, cuts)
+		}
+		if !bitEqual(inPlace.SnapshotLocal(), oneShot) {
+			t.Fatalf("n=%d m=%d cuts=%v: split in-place ingest differs from one-shot", n, m, cuts)
+		}
+		if !bitEqual(shard.SnapshotLocal(), shardOneShot) {
+			t.Fatalf("n=%d m=%d p=%d rank=%d cuts=%v: split shard ingest differs from one-shot", n, m, p, rank, cuts)
 		}
 	})
 }

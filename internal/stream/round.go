@@ -104,7 +104,7 @@ func RunRound(comm *mpi.Comm, st *State, rd Round) *RoundResult {
 		lo := (rd.From + b) * rd.BlockRows
 		hi := lo + rd.BlockRows
 		if ctx.HasData() {
-			f.Push(ShardRows(rd.Seed, n, lo, hi, me, p))
+			f.pushShard(rd.Seed, lo, hi, me, p)
 		} else {
 			f.PushN(ShardCount(lo, hi, me, p))
 		}

@@ -297,3 +297,67 @@ func TestShardCoverage(t *testing.T) {
 		}
 	}
 }
+
+// sameFold reports whether two folders hold the same stream state bit
+// for bit: row count, running R and the snapshot of everything absorbed.
+func sameFold(a, b *Folder) bool {
+	if a.Rows() != b.Rows() || (a.r == nil) != (b.r == nil) {
+		return false
+	}
+	if a.r != nil && !bitEqual(a.r, b.r) {
+		return false
+	}
+	return bitEqual(a.SnapshotLocal(), b.SnapshotLocal())
+}
+
+// TestShardIngestEqualsPush: a round's in-place ingest (rows generated
+// straight into the panel buffer) leaves the folder exactly where
+// Push(ShardRows(...)) does, bit for bit, for every rank of the
+// partition, ranges that straddle panel boundaries, shards with no
+// rows, and a clone taken mid-panel and then ingested into.
+func TestShardIngestEqualsPush(t *testing.T) {
+	const seed = 13
+	for _, n := range []int{3, 16, 64} {
+		for _, panel := range []int{0, 5, 7} {
+			for p := 1; p <= 3; p++ {
+				for rank := 0; rank < p; rank++ {
+					ref, got := NewFolder(n, panel), NewFolder(n, panel)
+					P := got.PanelRows()
+					// Global range lengths: empty, one row (no rows for
+					// p−1 ranks), just short of and just past a panel per
+					// rank, fewer rows than ranks, several panels, half a one.
+					var pairs [][2]*Folder
+					lo := 0
+					for _, k := range []int{0, 1, p*P - 2, 3, p*P + 1, p - 1, 2*p*P + 7, p * P / 2} {
+						ref.Push(ShardRows(seed, n, lo, lo+k, rank, p))
+						got.pushShard(seed, lo, lo+k, rank, p)
+						for _, c := range pairs {
+							c[0].Push(ShardRows(seed, n, lo, lo+k, rank, p))
+							c[1].pushShard(seed, lo, lo+k, rank, p)
+						}
+						lo += k
+						if !sameFold(ref, got) {
+							t.Fatalf("n=%d panel=%d p=%d rank=%d after %d global rows: in-place ingest differs from Push(ShardRows)",
+								n, P, p, rank, lo)
+						}
+						for _, c := range pairs {
+							if !sameFold(c[0], c[1]) {
+								t.Fatalf("n=%d panel=%d p=%d rank=%d after %d global rows: clones differ",
+									n, P, p, rank, lo)
+							}
+						}
+						if pairs == nil && got.used > 0 {
+							pairs = append(pairs, [2]*Folder{ref.Clone(), got.Clone()})
+						}
+					}
+					if pairs == nil {
+						t.Fatalf("n=%d panel=%d p=%d rank=%d: never mid-panel, no clone taken", n, P, p, rank)
+					}
+					if !sameFold(pairs[0][1], got) {
+						t.Fatalf("n=%d panel=%d p=%d rank=%d: resumed clone differs from the original", n, P, p, rank)
+					}
+				}
+			}
+		}
+	}
+}

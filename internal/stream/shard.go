@@ -32,20 +32,23 @@ func ShardCount(lo, hi, rank, p int) int {
 }
 
 // ShardRows materializes rank's rows of the global row range [lo, hi)
-// for an n-column stream seeded by seed, in global row order.
+// for an n-column stream seeded by seed, in global row order. Rounds do
+// not build it: they generate the same rows straight into the fold
+// panel (Folder.pushShard).
 func ShardRows(seed int64, n, lo, hi, rank, p int) *matrix.Dense {
 	a := matrix.New(ShardCount(lo, hi, rank, p), n)
-	if a.Rows == 0 {
-		return a // Col panics on an empty matrix
-	}
-	first := firstOwned(lo, rank, p)
-	for j := 0; j < n; j++ {
-		col := a.Col(j)
-		for i := range col {
-			col[i] = matrix.RandomAt(seed, first+i*p, j)
-		}
-	}
+	matrix.FillRandomRows(a, firstOwned(lo, rank, p), p, seed)
 	return a
+}
+
+// pushShard is Push(ShardRows(seed, f.N(), lo, hi, rank, p)) without
+// the block: each row is generated into the panel buffer row it would
+// have been copied to, so the running R is the same bit for bit.
+func (f *Folder) pushShard(seed int64, lo, hi, rank, p int) {
+	first := firstOwned(lo, rank, p)
+	f.walk(ShardCount(lo, hi, rank, p), func(dst *matrix.Dense, off int) {
+		matrix.FillRandomRows(dst, first+off*p, p, seed)
+	})
 }
 
 // GlobalRows materializes the full [lo, hi) row range in global row
