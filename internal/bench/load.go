@@ -140,7 +140,6 @@ func LoadStudy(ctx context.Context, g *grid.Grid, arrival string, rates []float6
 				Grid:     g,
 				Plan:     ladder[0],
 				QueueCap: opts.QueueCap,
-				MaxBatch: 1, // per-job traffic must stay invariant
 			}
 		},
 		func(rate float64, srv *sched.Server) (LoadRun, error) {

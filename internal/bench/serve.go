@@ -22,8 +22,8 @@ import (
 // and the sweep traces the throughput/latency curve as C grows past the
 // partition count.
 //
-// The configuration is chosen for determinism: batching disabled and
-// symmetric two-site partitions, so every job runs the identical TSQR
+// The configuration is chosen for determinism: symmetric two-site
+// partitions, so every job runs the identical TSQR
 // reduction regardless of which partition serves it. Per-job message
 // and byte counts are therefore exact invariants the perf gate can diff
 // (wall-clock throughput and latency quantiles are recorded for the
@@ -179,7 +179,6 @@ func ServeStudy(ctx context.Context, g *grid.Grid, loads []int, jobsPerClient in
 				Grid:      g,
 				Plan:      plan,
 				QueueCap:  clients, // closed loop: at most `clients` jobs in flight
-				MaxBatch:  1,       // batching off — per-job counters must be invariant
 				TraceRing: opts.TraceRing,
 			}
 		},

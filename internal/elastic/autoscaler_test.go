@@ -28,7 +28,7 @@ func ladder2(g *grid.Grid) []sched.Plan {
 func TestAutoscalerScalesUpAndDown(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2)
 	ladder := ladder2(g)
-	s := sched.Start(sched.Config{Grid: g, Plan: ladder[0], CostOnly: true, MaxBatch: 1})
+	s := sched.Start(sched.Config{Grid: g, Plan: ladder[0], CostOnly: true})
 	defer s.Close()
 
 	const m, n = 1 << 12, 16
@@ -100,7 +100,7 @@ func TestAutoscalerScalesUpAndDown(t *testing.T) {
 func TestAutoscalerCooldown(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2)
 	ladder := ladder2(g)
-	s := sched.Start(sched.Config{Grid: g, Plan: ladder[0], CostOnly: true, MaxBatch: 1})
+	s := sched.Start(sched.Config{Grid: g, Plan: ladder[0], CostOnly: true})
 	defer s.Close()
 	as, err := New(s, Config{
 		Ladder: ladder,

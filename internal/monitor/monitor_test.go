@@ -351,12 +351,14 @@ func TestStreamJobsScrape(t *testing.T) {
 	stop := make(chan struct{})
 	sawStream := make(chan bool, 1)
 	go func() {
+		// Once stop closes, scrape one last time: the finished rounds are
+		// in the table then, however the scrapes interleaved with them.
 		saw := false
 		for {
+			var last bool
 			select {
 			case <-stop:
-				sawStream <- saw
-				return
+				last = true
 			default:
 			}
 			code, body := get(t, h, "/jobs")
@@ -384,6 +386,10 @@ func TestStreamJobsScrape(t *testing.T) {
 			}
 			if !strings.Contains(body, "sched_stream_blocks") {
 				t.Error("stream counters missing from /metrics")
+				sawStream <- saw
+				return
+			}
+			if last {
 				sawStream <- saw
 				return
 			}

@@ -19,7 +19,7 @@ import (
 func TestPreemptResumeBitwise(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2) // 2 sites of 4 ranks
 	plan := PerSite(g)               // 2 same-size partitions
-	s := Start(Config{Grid: g, Plan: plan, MaxBatch: 1})
+	s := Start(Config{Grid: g, Plan: plan})
 	defer s.Close()
 
 	spec := JobSpec{Kind: KindTSQR, M: 1 << 12, N: 16, Seed: 21}
@@ -88,11 +88,46 @@ func TestPreemptResumeBitwise(t *testing.T) {
 	}
 }
 
+// TestPreemptedResumeWithoutPartition: a preempted job whose resume finds
+// no live partition, with no re-form coming, completes typed with
+// ErrNoPartition and keeps its preemption count.
+func TestPreemptedResumeWithoutPartition(t *testing.T) {
+	g := grid.SmallTestGrid(2, 2, 2)
+	s := Start(Config{Grid: g, Plan: PerSite(g)})
+	defer s.Close()
+
+	// Cut the execution at stage 1 and hide every partition from
+	// placement, so the checkpoint has nowhere to go.
+	s.mu.Lock()
+	s.execHook = func(ex *jobExec) {
+		ex.gate.RequestAt(1)
+		for _, p := range s.parts {
+			p.healthy.Store(false)
+		}
+	}
+	s.mu.Unlock()
+
+	j, err := s.Submit(JobSpec{Kind: KindTSQR, M: 1 << 12, N: 16, Seed: 5, Preemptible: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := j.Result()
+	if !errors.Is(res.Err, ErrNoPartition) {
+		t.Fatalf("stranded resume finished with %v, want ErrNoPartition", res.Err)
+	}
+	if res.Preemptions != 1 || res.Partition != -1 || res.R != nil {
+		t.Fatalf("stranded resume result = %+v", res)
+	}
+	if st := s.Stats(); st.Preempted != 1 || st.Failed != 1 {
+		t.Fatalf("stats = %+v, want 1 preempted, 1 failed", st)
+	}
+}
+
 // TestWorkStealing funnels a burst onto one partition's queue and checks
 // the idle partition drains it by stealing.
 func TestWorkStealing(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2)
-	s := Start(Config{Grid: g, Plan: PerSite(g), CostOnly: true, MaxBatch: 1})
+	s := Start(Config{Grid: g, Plan: PerSite(g), CostOnly: true})
 	defer s.Close()
 
 	// Hide partition 1 from placement so every submit queues on
@@ -138,7 +173,7 @@ func TestWorkStealing(t *testing.T) {
 // new, larger partition with its exact deterministic traffic.
 func TestReconfigureElastic(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2)
-	s := Start(Config{Grid: g, Plan: PerSite(g), CostOnly: true, MaxBatch: 1})
+	s := Start(Config{Grid: g, Plan: PerSite(g), CostOnly: true})
 	defer s.Close()
 
 	var jobs []*Job
@@ -210,7 +245,7 @@ func TestSurvivorReform(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2)
 	fp := mpi.NewFaultPlan(7).Kill(1, 40)
 	fp.RecvTimeout = 5 * time.Second
-	s := Start(Config{Grid: g, Plan: PerSite(g), Faults: fp, MaxBatch: 1, MaxRetries: 3})
+	s := Start(Config{Grid: g, Plan: PerSite(g), Faults: fp, MaxRetries: 3})
 	defer s.Close()
 
 	// Serve until the kill has landed.
@@ -256,7 +291,7 @@ func TestSurvivorReform(t *testing.T) {
 func TestDeadlineRiskRejection(t *testing.T) {
 	g := highLatencyGrid(2, 1, 2) // 200 ms wide-area RTT
 	reg := telemetry.NewRegistry()
-	s := Start(Config{Grid: g, Plan: SiteGroups(g, 2), CostOnly: true, MaxBatch: 1, Registry: reg})
+	s := Start(Config{Grid: g, Plan: SiteGroups(g, 2), CostOnly: true, Registry: reg})
 	defer s.Close()
 
 	doomed, err := s.Submit(JobSpec{Kind: KindTSQR, M: 4096, N: 16, Seed: 1,

@@ -17,8 +17,7 @@ import (
 type Kind int
 
 const (
-	// KindTSQR factors the job's matrix with QCG-TSQR (R factor only);
-	// the only kind eligible for batching.
+	// KindTSQR factors the job's matrix with QCG-TSQR (R factor only).
 	KindTSQR Kind = iota
 	// KindCAQR runs the panel-wise CAQR factorization.
 	KindCAQR
@@ -76,15 +75,11 @@ type JobSpec struct {
 	// ranks, so the partition of rows — and hence the folded R — does
 	// not depend on how ingest calls are grouped.
 	BlockRows int
-	// Batchable allows the scheduler to stack this job with other
-	// compatible TSQR jobs into one block-diagonal factorization when
-	// the performance model says the fused reduction is cheaper.
-	Batchable bool
 	// Preemptible allows the scheduler to interrupt this job at a TSQR
 	// tree-stage boundary — the partition's current R fragments become
 	// the checkpoint — and resume it later, possibly on a different
-	// partition, with a bitwise-identical result. Only single
-	// (non-batchable, non-FT) TSQR jobs may be preemptible.
+	// partition, with a bitwise-identical result. Only TSQR jobs may be
+	// preemptible.
 	Preemptible bool
 }
 
@@ -128,16 +123,13 @@ type JobResult struct {
 	// Resid the per-column residual norms.
 	X     *matrix.Dense
 	Resid []float64
-	// Err is non-nil when the job failed; it is typed (*core.FTError,
-	// *mpi.RankFailedError, *CholQRError, ErrCanceled, ...).
+	// Err is non-nil when the job failed; it is typed
+	// (*mpi.RankFailedError, *CholQRError, ErrCanceled, ...).
 	Err error
 
 	// Partition is the index of the grid partition that served the job
 	// (-1 if it never dispatched).
 	Partition int
-	// BatchSize is the number of jobs fused into the execution that
-	// served this one (1 = ran alone).
-	BatchSize int
 	// Retries counts re-dispatches after retryable failures.
 	Retries int
 	// Preemptions counts tree-stage checkpoints this job was resumed
@@ -154,7 +146,7 @@ type JobResult struct {
 
 	// Counters attributes traffic to this job: messages, bytes and
 	// flops summed over the serving partition's ranks between job start
-	// and job end (batched jobs share their execution's totals).
+	// and job end.
 	Counters mpi.CounterSnapshot
 }
 
@@ -216,11 +208,14 @@ func (j *Job) complete(res JobResult) {
 	close(j.done)
 }
 
-// validate checks a spec against the serving partitions: the matrix must
-// be tall enough for every partition's one-domain-per-process TSQR
-// (rows per rank ≥ N), CAQR row blocks must divide by its panel width,
-// and least-squares needs data mode.
+// validate checks a spec against the serving partitions: the kind must
+// be known, the matrix must be tall enough for every partition's
+// one-domain-per-process TSQR (rows per rank ≥ N), CAQR row blocks must
+// divide by its panel width, and least-squares needs data mode.
 func (s *Server) validate(spec JobSpec) error {
+	if spec.Kind < KindTSQR || spec.Kind > KindStream {
+		return &SpecError{Reason: fmt.Sprintf("unknown kind %d", int(spec.Kind))}
+	}
 	if spec.Kind == KindStream {
 		if spec.N < 1 {
 			return &SpecError{Reason: fmt.Sprintf("stream needs N >= 1, got %d", spec.N)}
@@ -228,8 +223,8 @@ func (s *Server) validate(spec JobSpec) error {
 		if spec.BlockRows < 1 {
 			return &SpecError{Reason: fmt.Sprintf("stream needs BlockRows >= 1, got %d", spec.BlockRows)}
 		}
-		if spec.Batchable || spec.Preemptible {
-			return &SpecError{Reason: "stream jobs are neither batchable nor preemptible (rounds always preempt at block boundaries)"}
+		if spec.Preemptible {
+			return &SpecError{Reason: "stream jobs are not preemptible (rounds always preempt at block boundaries)"}
 		}
 		return nil
 	}
@@ -247,19 +242,8 @@ func (s *Server) validate(spec JobSpec) error {
 			return &SpecError{Reason: "negative NRHS"}
 		}
 	}
-	if spec.Batchable && spec.Kind != KindTSQR {
-		return &SpecError{Reason: "only TSQR jobs are batchable"}
-	}
-	if spec.Preemptible {
-		if spec.Kind != KindTSQR {
-			return &SpecError{Reason: "only TSQR jobs are preemptible"}
-		}
-		if spec.Batchable {
-			return &SpecError{Reason: "a job cannot be both batchable and preemptible"}
-		}
-		if s.cfg.FT.Enabled {
-			return &SpecError{Reason: "preemptible jobs are incompatible with the FT protocol"}
-		}
+	if spec.Preemptible && spec.Kind != KindTSQR {
+		return &SpecError{Reason: "only TSQR jobs are preemptible"}
 	}
 	for _, p := range s.parts {
 		if p.retired.Load() {

@@ -29,7 +29,6 @@ type JobInfo struct {
 	Priority  int     `json:"priority"`
 	Status    string  `json:"status"` // queued | running | done | failed
 	Partition int     `json:"partition"`
-	BatchSize int     `json:"batch_size,omitempty"`
 	Retries   int     `json:"retries,omitempty"`
 	QueueWait float64 `json:"queue_wait_seconds"`
 	Service   float64 `json:"service_seconds,omitempty"`
@@ -249,17 +248,16 @@ func (o *observer) rejected(spec JobSpec, err error) {
 		"reason", reason, "err", err)
 }
 
-func (o *observer) dispatched(j *Job, partition, batch int) {
+func (o *observer) dispatched(j *Job, partition int) {
 	ji := JobInfo{
 		ID: j.id, Kind: j.spec.Kind.String(), M: j.spec.M, N: j.spec.N,
 		Priority: j.spec.Priority, Status: "running", Partition: partition,
-		BatchSize: batch, Retries: j.retries,
-		QueueWait: j.dispatched.Sub(j.submit).Seconds(),
+		Retries: j.retries, QueueWait: j.dispatched.Sub(j.submit).Seconds(),
 	}
 	o.mu.Lock()
 	o.running[j.id] = ji
 	o.mu.Unlock()
-	o.log.Debug("job dispatched", append(jobAttrs(j), "partition", partition, "batch", batch)...)
+	o.log.Debug("job dispatched", append(jobAttrs(j), "partition", partition)...)
 }
 
 func (o *observer) completed(j *Job, res *JobResult) {
@@ -269,22 +267,21 @@ func (o *observer) completed(j *Job, res *JobResult) {
 	o.finish(JobInfo{
 		ID: j.id, Kind: j.spec.Kind.String(), M: j.spec.M, N: j.spec.N,
 		Priority: j.spec.Priority, Status: "done", Partition: res.Partition,
-		BatchSize: res.BatchSize, Retries: res.Retries,
-		QueueWait: res.QueueWait.Seconds(), Service: res.Service.Seconds(),
+		Retries: res.Retries, QueueWait: res.QueueWait.Seconds(), Service: res.Service.Seconds(),
 	})
 	o.log.Info("job completed", append(jobAttrs(j),
-		"partition", res.Partition, "batch", res.BatchSize, "retries", res.Retries,
+		"partition", res.Partition, "retries", res.Retries,
 		"queue_wait", res.QueueWait, "service", res.Service, "outcome", "done")...)
 }
 
-func (o *observer) failed(j *Job, partition int, err error) {
+func (o *observer) failed(j *Job, err error) {
 	o.finish(JobInfo{
 		ID: j.id, Kind: j.spec.Kind.String(), M: j.spec.M, N: j.spec.N,
-		Priority: j.spec.Priority, Status: "failed", Partition: partition,
+		Priority: j.spec.Priority, Status: "failed", Partition: -1,
 		Retries: j.retries, Error: err.Error(),
 	})
 	o.log.Warn("job failed", append(jobAttrs(j),
-		"partition", partition, "retries", j.retries, "err", err, "outcome", "failed")...)
+		"partition", -1, "retries", j.retries, "err", err, "outcome", "failed")...)
 }
 
 func (o *observer) preempted(j *Job, partition int) {

@@ -145,8 +145,8 @@ func (p Plan) validateSparse(g *grid.Grid) error {
 
 // subGrid builds the grid a partition effectively runs on: its member
 // ranks regrouped into clusters, preserving link parameters and kernel
-// rates, so the perfmodel Predictor prices batched executions with the
-// partition's real topology. A partial site becomes a cluster with the
+// rates, so the perfmodel Predictor prices jobs (the dispatch-time
+// deadline check) with the partition's real topology. A partial site becomes a cluster with the
 // member count as its processor count (node-aligned when the slice
 // divides by ProcsPerNode).
 func subGrid(g *grid.Grid, members []int) *grid.Grid {

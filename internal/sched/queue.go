@@ -97,8 +97,8 @@ func (q *queue) pop(block bool) (*Job, bool) {
 }
 
 // popMatch removes and returns the highest-priority queued job for which
-// match returns true (never blocking); the batch assembler uses it to
-// gather compatible jobs. Canceled/expired matching jobs are dropped on
+// match returns true (never blocking); work stealing uses it to take
+// a job the thief can run. Canceled/expired matching jobs are dropped on
 // the way, exactly like pop.
 func (q *queue) popMatch(match func(*Job) bool) (*Job, bool) {
 	q.mu.Lock()

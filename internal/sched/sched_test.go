@@ -62,7 +62,7 @@ func bitwiseEqual(a, b *matrix.Dense) bool {
 func TestScheduledMatchesSolo(t *testing.T) {
 	g := grid.SmallTestGrid(4, 2, 2) // 16 ranks, 4 sites
 	plan := SiteGroups(g, 2)         // 2 partitions × 2 sites × 8 ranks
-	s := Start(Config{Grid: g, Plan: plan, MaxBatch: 1})
+	s := Start(Config{Grid: g, Plan: plan})
 	defer s.Close()
 
 	spec := JobSpec{Kind: KindTSQR, M: 128, N: 8, Seed: 7}
@@ -112,7 +112,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	}
 
 	run := func(serial bool) ([]*matrix.Dense, []mpi.CounterSnapshot) {
-		s := Start(Config{Grid: g, MaxBatch: 1}) // PerSite: 4 partitions
+		s := Start(Config{Grid: g}) // PerSite: 4 partitions
 		defer s.Close()
 		rs := make([]*matrix.Dense, len(specs))
 		cs := make([]mpi.CounterSnapshot, len(specs))
@@ -166,8 +166,8 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 }
 
 // highLatencyGrid returns a platform whose wide-area links are so slow
-// that fusing small factorizations is always profitable — batching's
-// home regime.
+// that the performance model prices even a small TSQR in hundreds of
+// milliseconds.
 func highLatencyGrid(sites, nodes, ppn int) *grid.Grid {
 	g := grid.SmallTestGrid(sites, nodes, ppn)
 	for i := range g.Inter {
@@ -180,60 +180,6 @@ func highLatencyGrid(sites, nodes, ppn int) *grid.Grid {
 	return g
 }
 
-// TestBatchedMatchesReference checks the block-diagonal fusion: each
-// batched job's extracted diagonal R block must match the QR factor of
-// its own matrix (up to row signs — the fused run distributes rows
-// differently, so identity is numerical, not bitwise; the disjoint
-// column supports keep the jobs exactly uncoupled).
-func TestBatchedMatchesReference(t *testing.T) {
-	g := highLatencyGrid(2, 1, 2) // 4 ranks, one partition after grouping
-	plan := SiteGroups(g, 2)      // single partition, both sites
-	s := Start(Config{Grid: g, Plan: plan, MaxBatch: 4})
-	defer s.Close()
-
-	// A non-batchable blocker occupies the only partition while the
-	// batchable jobs queue up behind it, so they dispatch as one batch.
-	blocker, err := s.Submit(JobSpec{Kind: KindTSQR, M: 4096, N: 16, Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := JobSpec{Kind: KindTSQR, M: 64, N: 4, Batchable: true}
-	jobs := make([]*Job, 3)
-	for i := range jobs {
-		spec := small
-		spec.Seed = int64(10 + i)
-		if jobs[i], err = s.Submit(spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if blocker.Result().Err != nil {
-		t.Fatal(blocker.Result().Err)
-	}
-	batched := 0
-	for i, j := range jobs {
-		res := j.Result()
-		if res.Err != nil {
-			t.Fatalf("job %d: %v", i, res.Err)
-		}
-		if res.BatchSize > 1 {
-			batched++
-		}
-		global := matrix.RandomRows(small.M, small.N, 0, int64(10+i))
-		tau := make([]float64, small.N)
-		lapack.Dgeqrf(global, tau, 32)
-		want := lapack.TriuCopy(global).View(0, 0, small.N, small.N).Clone()
-		lapack.NormalizeRSigns(want, nil)
-		got := res.R.Clone()
-		lapack.NormalizeRSigns(got, nil)
-		if !matrix.Equal(got, want, 1e-9) {
-			t.Errorf("job %d (batch size %d): R differs from reference QR", i, res.BatchSize)
-		}
-	}
-	if batched == 0 {
-		t.Error("no job was batched despite latency-dominated platform and queued compatible jobs")
-	}
-}
-
 // TestServeWithFaults arms the fault plan, kills a rank mid-service and
 // checks the serving loop survives: the hit job retries on a healthy
 // partition, later jobs avoid the degraded one, and nothing hangs. Run
@@ -243,7 +189,7 @@ func TestServeWithFaults(t *testing.T) {
 	plan := PerSite(g)               // 2 partitions of 4
 	fp := mpi.NewFaultPlan(42).Kill(1, 60)
 	fp.RecvTimeout = 5 * time.Second // liveness net, not part of the scenario
-	s := Start(Config{Grid: g, Plan: plan, Faults: fp, MaxBatch: 1, MaxRetries: 3})
+	s := Start(Config{Grid: g, Plan: plan, Faults: fp, MaxRetries: 3})
 	defer s.Close()
 
 	spec := JobSpec{Kind: KindTSQR, M: 128, N: 8}
@@ -283,7 +229,7 @@ func TestServeWithFaults(t *testing.T) {
 func TestCostOnlyCounts(t *testing.T) {
 	g := grid.SmallTestGrid(4, 2, 2)
 	plan := SiteGroups(g, 2)
-	s := Start(Config{Grid: g, Plan: plan, CostOnly: true, MaxBatch: 1})
+	s := Start(Config{Grid: g, Plan: plan, CostOnly: true})
 	defer s.Close()
 
 	j, err := s.Submit(JobSpec{Kind: KindTSQR, M: 256, N: 16, Seed: 3})
@@ -312,7 +258,7 @@ func TestCostOnlyCounts(t *testing.T) {
 // entry points through the scheduler.
 func TestOtherKinds(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2) // 8 ranks
-	s := Start(Config{Grid: g, Plan: SiteGroups(g, 2), MaxBatch: 1})
+	s := Start(Config{Grid: g, Plan: SiteGroups(g, 2)})
 	defer s.Close()
 
 	const m, n = 128, 8
@@ -364,7 +310,7 @@ func TestOtherKinds(t *testing.T) {
 func TestAdmissionControl(t *testing.T) {
 	g := grid.SmallTestGrid(2, 1, 2) // 4 ranks
 	plan := SiteGroups(g, 2)         // one partition of 4
-	s := Start(Config{Grid: g, Plan: plan, QueueCap: 2, MaxBatch: 1})
+	s := Start(Config{Grid: g, Plan: plan, QueueCap: 2})
 
 	var specErr *SpecError
 	if _, err := s.Submit(JobSpec{Kind: KindTSQR, M: 8, N: 16}); !errors.As(err, &specErr) {
@@ -373,8 +319,8 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := s.Submit(JobSpec{Kind: KindTSQR, M: 8, N: 4}); !errors.As(err, &specErr) {
 		t.Errorf("too-short matrix admitted: %v", err)
 	}
-	if _, err := s.Submit(JobSpec{Kind: KindCholQR, M: 64, N: 4, Batchable: true}); !errors.As(err, &specErr) {
-		t.Errorf("batchable non-TSQR admitted: %v", err)
+	if _, err := s.Submit(JobSpec{Kind: 42, M: 64, N: 4}); !errors.As(err, &specErr) {
+		t.Errorf("unknown kind admitted: %v", err)
 	}
 	if _, err := s.Submit(JobSpec{Kind: KindCAQR, M: 100, N: 4}); !errors.As(err, &specErr) {
 		t.Errorf("CAQR with indivisible blocks admitted: %v", err)

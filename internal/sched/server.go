@@ -13,27 +13,19 @@
 // an idle partition steals queued work from loaded ones, so one hot
 // queue cannot starve the rest of the grid.
 //
-// Compatible small TSQR jobs are fused into one block-diagonal
-// factorization when the perfmodel Predictor says the shared reduction
-// tree is cheaper than separate ones.
+// The code follows a job's life: admission here, placement (place.go),
+// partition epochs (epoch.go), and one execution from build to finish
+// (exec.go).
 package sched
 
 import (
-	"errors"
-	"fmt"
 	"log/slog"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"gridqr/internal/core"
 	"gridqr/internal/grid"
-	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
-	"gridqr/internal/perfmodel"
-	"gridqr/internal/scalapack"
-	"gridqr/internal/stream"
 	"gridqr/internal/telemetry"
 )
 
@@ -56,8 +48,8 @@ type Config struct {
 	// QueueCap bounds the admission queue (default 64). A full queue
 	// rejects Submit with ErrQueueFull — backpressure, not buffering.
 	QueueCap int
-	// MaxBatch caps how many compatible TSQR jobs one execution may
-	// fuse (default 8; 1 disables batching).
+	// MaxBatch is ignored: every execution serves exactly one job. The
+	// field remains so that existing configurations still compile.
 	MaxBatch int
 	// MaxRetries bounds re-dispatches after retryable failures
 	// (default 2).
@@ -72,9 +64,6 @@ type Config struct {
 	// Registry receives per-job serving metrics (and, passed down to
 	// the world, per-message transport metrics). Optional.
 	Registry *telemetry.Registry
-	// FT enables the fault-tolerant TSQR protocol for served TSQR jobs
-	// (data mode only).
-	FT core.FTOptions
 	// Logger receives structured per-job lifecycle records (submitted,
 	// dispatched, preempted, completed, failed, retrying) with id/kind/
 	// partition/priority/outcome fields. Nil means silent.
@@ -88,85 +77,9 @@ type Config struct {
 	RecentJobs int
 }
 
-// epochCmd re-forms one rank's partition membership: the rank joins
-// partition color (or becomes a spare when color < 0) by deriving the
-// epoch-scoped sub-communicator from the member list. Sub is
-// collective-free, so re-forming sends no messages and dead ranks are
-// simply skipped.
-type epochCmd struct {
-	epoch   int
-	color   int
-	members []int // world ranks, ascending; nil for spares
-}
-
-// rankCmd is one instruction to a rank goroutine: either re-form into a
-// new epoch's partition, or run one execution on the current partition.
-type rankCmd struct {
-	epoch *epochCmd
-	ex    *jobExec
-}
-
-// partition is one space-share of the grid: a site-aligned rank set with
-// its own sub-communicator, job queue and runner goroutine, executing at
-// most one job (or fused batch) at a time.
-type partition struct {
-	index   int   // index within its epoch's plan
-	epoch   int   // epoch that formed this partition
-	members []int // world ranks, ascending
-	pred    perfmodel.Predictor
-	q       *queue
-	cur     atomic.Pointer[jobExec] // in-flight execution, for preemption
-	healthy atomic.Bool
-	retired atomic.Bool
-}
-
-// jobExec is one dispatched execution: a single job, a fused batch, or
-// one stream round.
-type jobExec struct {
-	id         int64 // first job's id
-	attempt    int   // retries + preemptions; keeps comm labels unique
-	jobs       []*Job
-	part       *partition
-	gate       *core.PreemptGate     // non-nil for preemptible executions
-	resume     *core.StageCheckpoint // non-nil to resume from a checkpoint
-	dispatched time.Time
-	reports    chan memberReport
-
-	// Stream rounds only: the round parameters fixed at dispatch so every
-	// member runs the same round, the per-member state clones the round
-	// mutates (committed back on success, discarded on failure), and the
-	// snapshot requests this round's barrier will serve.
-	round        *stream.Round
-	streamStates []*stream.State
-	snapReqs     []*snapshotReq
-}
-
-// memberReport is one partition member's out-of-band account of an
-// execution — result payload from the leader, traffic deltas from
-// everyone. Reporting uses Go channels, not simulated messages, so job
-// accounting adds no MPI traffic (it models the middleware's control
-// plane, which the paper's counts exclude).
-type memberReport struct {
-	member     int
-	err        error
-	counters   mpi.CounterSnapshot // this member's traffic during the execution
-	clockDelta float64             // virtual seconds spent (virtual mode)
-	preempted  bool
-	ckpt       *core.RankCheckpoint
-	r          *matrix.Dense // leader only; stacked for batches
-	x          *matrix.Dense // leader only, KindLstSq
-	resid      []float64
-	// Stream rounds: blocks folded (identical on every member — the
-	// gate's latched agreement) and the SLO latency samples.
-	folded    int
-	foldTimes []time.Duration
-	snapTime  time.Duration
-}
-
 type serverMetrics struct {
 	submitted, completed, failed, rejected *telemetry.Counter
 	canceled, expired, retries             *telemetry.Counter
-	batches, batchedJobs                   *telemetry.Counter
 	preempted, steals                      *telemetry.Counter
 	queueWait, service, latency            *telemetry.Histogram
 	jobMsgs, jobBytes                      *telemetry.Histogram
@@ -187,7 +100,7 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		"sched.jobs.retries":            "re-dispatches after retryable failures",
 		"sched.jobs.preempted":          "tree-stage checkpoints taken from running jobs",
 		"sched.work.steals":             "jobs stolen from another partition's queue",
-		"sched.rejections":              "rejections and drops by typed reason",
+		"sched.rejections":              "rejections, drops and failures by typed reason",
 		"sched.queue.depth":             "jobs currently queued (per-partition series labeled)",
 		"sched.inflight":                "jobs currently dispatched and running",
 		"sched.epoch":                   "current partition-plan epoch",
@@ -204,26 +117,24 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		reg.SetHelp(name, help)
 	}
 	return serverMetrics{
-		submitted:   reg.Counter("sched.jobs.submitted"),
-		completed:   reg.Counter("sched.jobs.completed"),
-		failed:      reg.Counter("sched.jobs.failed"),
-		rejected:    reg.Counter("sched.jobs.rejected"),
-		canceled:    reg.Counter("sched.jobs.canceled"),
-		expired:     reg.Counter("sched.jobs.expired"),
-		retries:     reg.Counter("sched.jobs.retries"),
-		preempted:   reg.Counter("sched.jobs.preempted"),
-		steals:      reg.Counter("sched.work.steals"),
-		batches:     reg.Counter("sched.batches"),
-		batchedJobs: reg.Counter("sched.batched_jobs"),
-		queueWait:   reg.Histogram("sched.queue_wait_seconds"),
-		service:     reg.Histogram("sched.service_seconds"),
-		latency:     reg.Histogram("sched.latency_seconds"),
-		jobMsgs:     reg.Histogram("sched.job.msgs"),
-		jobBytes:    reg.Histogram("sched.job.bytes"),
-		queueDepth:  reg.Gauge("sched.queue.depth"),
-		inflight:    reg.Gauge("sched.inflight"),
-		epoch:       reg.Gauge("sched.epoch"),
-		partitions:  reg.Gauge("sched.partitions"),
+		submitted:  reg.Counter("sched.jobs.submitted"),
+		completed:  reg.Counter("sched.jobs.completed"),
+		failed:     reg.Counter("sched.jobs.failed"),
+		rejected:   reg.Counter("sched.jobs.rejected"),
+		canceled:   reg.Counter("sched.jobs.canceled"),
+		expired:    reg.Counter("sched.jobs.expired"),
+		retries:    reg.Counter("sched.jobs.retries"),
+		preempted:  reg.Counter("sched.jobs.preempted"),
+		steals:     reg.Counter("sched.work.steals"),
+		queueWait:  reg.Histogram("sched.queue_wait_seconds"),
+		service:    reg.Histogram("sched.service_seconds"),
+		latency:    reg.Histogram("sched.latency_seconds"),
+		jobMsgs:    reg.Histogram("sched.job.msgs"),
+		jobBytes:   reg.Histogram("sched.job.bytes"),
+		queueDepth: reg.Gauge("sched.queue.depth"),
+		inflight:   reg.Gauge("sched.inflight"),
+		epoch:      reg.Gauge("sched.epoch"),
+		partitions: reg.Gauge("sched.partitions"),
 
 		streamBlocks:    reg.Counter("sched.stream.blocks"),
 		streamSnapshots: reg.Counter("sched.stream.snapshots"),
@@ -256,7 +167,6 @@ type Server struct {
 	epoch         int
 	queuedN       int    // admitted, undispatched jobs (the QueueCap bound)
 	inflightN     int    // dispatched executions not yet finished
-	healthyN      int    // live partitions in the current epoch
 	pending       []*Job // jobs displaced mid-Reconfigure, re-routed at install
 	reconfiguring bool
 	closing       bool
@@ -292,9 +202,6 @@ func Start(cfg Config) *Server {
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 8
 	}
 	if cfg.MaxRetries < 0 {
 		cfg.MaxRetries = 0
@@ -375,7 +282,6 @@ func (s *Server) Epoch() int {
 type Stats struct {
 	Submitted, Completed, Failed, Rejected int64
 	Canceled, Expired, Retries             int64
-	Batches, BatchedJobs                   int64
 	Preempted, Steals                      int64
 }
 
@@ -385,64 +291,8 @@ func (s *Server) Stats() Stats {
 		Submitted: int64(m.submitted.Value()), Completed: int64(m.completed.Value()),
 		Failed: int64(m.failed.Value()), Rejected: int64(m.rejected.Value()),
 		Canceled: int64(m.canceled.Value()), Expired: int64(m.expired.Value()),
-		Retries: int64(m.retries.Value()), Batches: int64(m.batches.Value()),
-		BatchedJobs: int64(m.batchedJobs.Value()),
-		Preempted:   int64(m.preempted.Value()), Steals: int64(m.steals.Value()),
-	}
-}
-
-// installPartitionsLocked replaces the partition set with the plan's
-// groups for the current epoch. Caller holds s.mu.
-func (s *Server) installPartitionsLocked(plan Plan) {
-	s.parts = nil
-	for pi, members := range plan.Groups {
-		gauge := s.obs.reg.GaugeL("sched.queue.depth",
-			telemetry.Labels{"partition": strconv.Itoa(pi)})
-		p := &partition{
-			index:   pi,
-			epoch:   s.epoch,
-			members: append([]int(nil), members...),
-			pred:    perfmodel.Predictor{G: subGrid(s.cfg.Grid, members)},
-			q:       newQueue(partitionQueueCap, s.queueDrop, gauge),
-		}
-		p.healthy.Store(true)
-		s.parts = append(s.parts, p)
-	}
-	s.healthyN = len(s.parts)
-	s.metrics.partitions.Set(float64(len(s.parts)))
-	s.metrics.epoch.Set(float64(s.epoch))
-}
-
-// sendEpochLocked tells every live rank its membership for the current
-// epoch. Dead ranks are skipped — they have no consumer. Caller holds
-// s.mu; consumers never need it, so a (briefly) blocking send is safe.
-func (s *Server) sendEpochLocked() {
-	n := s.cfg.Grid.Procs()
-	color := make([]int, n)
-	for r := range color {
-		color[r] = -1
-	}
-	for _, p := range s.parts {
-		for _, wr := range p.members {
-			color[wr] = p.index
-		}
-	}
-	for r := 0; r < n; r++ {
-		if s.world.RankDead(r) {
-			continue
-		}
-		e := &epochCmd{epoch: s.epoch, color: color[r]}
-		if color[r] >= 0 {
-			e.members = s.parts[color[r]].members
-		}
-		s.rankChans[r] <- rankCmd{epoch: e}
-	}
-}
-
-func (s *Server) spawnRunnersLocked() {
-	for _, p := range s.parts {
-		s.runnerWG.Add(1)
-		go s.runner(p)
+		Retries: int64(m.retries.Value()), Preempted: int64(m.preempted.Value()),
+		Steals: int64(m.steals.Value()),
 	}
 }
 
@@ -459,12 +309,13 @@ func (s *Server) addQueuedLocked(delta int) {
 // counters and resolves the future.
 func (s *Server) queueDrop(j *Job, err error) {
 	s.addQueuedLocked(-1)
-	s.dropJob(j, err)
+	s.fail(j, err)
 }
 
 // Submit validates and enqueues a job, returning its future. Typed
 // errors: *SpecError for infeasible specs, ErrQueueFull under
-// backpressure, ErrServerClosed after Close.
+// backpressure, ErrServerClosed after Close. A job admitted when every
+// partition has lost ranks completes at once with ErrNoPartition.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if s.closed.Load() {
 		s.reject(spec, ErrServerClosed)
@@ -476,16 +327,23 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	if err := s.validate(spec); err != nil {
+	err := s.validate(spec)
+	if err == nil && s.queuedN >= s.cfg.QueueCap {
+		err = ErrQueueFull
+	}
+	if err != nil {
 		s.mu.Unlock()
 		s.reject(spec, err)
 		return nil, err
 	}
-	if s.queuedN >= s.cfg.QueueCap {
-		s.mu.Unlock()
-		s.reject(spec, ErrQueueFull)
-		return nil, ErrQueueFull
-	}
+	j := s.admitLocked(spec, nil)
+	s.mu.Unlock()
+	return j, nil
+}
+
+// admitLocked creates the job for an admitted spec (a stream round when
+// sj is set), accounts its submission and routes it. Caller holds s.mu.
+func (s *Server) admitLocked(spec JobSpec, sj *StreamJob) *Job {
 	j := &Job{
 		spec:   spec,
 		id:     s.nextID.Add(1),
@@ -493,31 +351,12 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		submit: time.Now(),
 		done:   make(chan struct{}),
 		avoid:  -1,
+		stream: sj,
 	}
-	tgt := s.placeLocked(j, -1)
-	switch {
-	case tgt != nil:
-		s.addQueuedLocked(1)
-		tgt.q.push(j)
-		s.workGen++
-		s.workCond.Broadcast()
-	case s.reconfiguring:
-		// Between epochs: park the job; the install step re-routes it.
-		s.addQueuedLocked(1)
-		s.pending = append(s.pending, j)
-	default:
-		// Every partition lost ranks and no re-form is coming: the job is
-		// admitted, then immediately completed with the typed error.
-		s.mu.Unlock()
-		s.metrics.submitted.Inc()
-		s.obs.submitted(j)
-		s.dropJob(j, ErrNoPartition)
-		return j, nil
-	}
-	s.mu.Unlock()
 	s.metrics.submitted.Inc()
 	s.obs.submitted(j)
-	return j, nil
+	s.requeueLocked(j, -1)
+	return j
 }
 
 // reject accounts one refused submission: the aggregate counter, the
@@ -525,58 +364,6 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 func (s *Server) reject(spec JobSpec, err error) {
 	s.metrics.rejected.Inc()
 	s.obs.rejected(spec, err)
-}
-
-// placeLocked picks the queue a job should wait in: the least-loaded
-// live partition the job fits, strongly preferring a different partition
-// than `avoid` (the one that just preempted it) and partitions whose
-// size matches the job's checkpoint (so the resume replays instead of
-// restarting). Returns nil when no live partition fits. Caller holds
-// s.mu.
-func (s *Server) placeLocked(j *Job, avoid int) *partition {
-	const tier = 1 << 20 // dominates any realistic queue depth
-	var best *partition
-	bestScore := 0
-	for _, p := range s.parts {
-		if p.retired.Load() || !p.healthy.Load() {
-			continue
-		}
-		if !fitsPartition(j, p) {
-			continue
-		}
-		score := p.q.len()
-		if p.index == avoid {
-			score += tier
-		}
-		if j.ckpt != nil && j.ckpt.Procs != len(p.members) {
-			score += tier
-		}
-		if best == nil || score < bestScore {
-			best, bestScore = p, score
-		}
-	}
-	return best
-}
-
-// fitsPartition mirrors the per-partition feasibility checks of
-// admission for one partition (stealing and re-routing re-check them).
-func fitsPartition(j *Job, p *partition) bool {
-	spec := j.spec
-	procs := len(p.members)
-	if spec.Kind == KindStream {
-		// A stream pins its partition size at the first dispatch:
-		// resuming on a different size would change the strided row
-		// sharding and break the bitwise contract.
-		pinned := j.stream.procs.Load()
-		return pinned == 0 || int(pinned) == procs
-	}
-	if spec.M/procs < spec.N {
-		return false
-	}
-	if spec.Kind == KindCAQR && (spec.M%procs != 0 || (spec.M/procs)%caqrNB != 0) {
-		return false
-	}
-	return true
 }
 
 // Close drains the queues (queued jobs still run), waits for in-flight
@@ -596,773 +383,13 @@ func (s *Server) Close() {
 		// Anything still queued has no runner left (all partitions lost
 		// ranks); complete it typed.
 		s.mu.Lock()
-		var stranded []*Job
-		for _, p := range s.parts {
-			for {
-				j, ok := p.q.pop(false)
-				if !ok {
-					break
-				}
-				s.addQueuedLocked(-1)
-				stranded = append(stranded, j)
-			}
+		for _, j := range s.takeAllLocked() {
+			s.fail(j, ErrNoPartition)
 		}
-		stranded = append(stranded, s.pending...)
-		s.addQueuedLocked(-len(s.pending))
-		s.pending = nil
 		s.mu.Unlock()
-		for _, j := range stranded {
-			s.dropJob(j, ErrNoPartition)
-		}
 		for _, ch := range s.rankChans {
 			close(ch)
 		}
 		<-s.runDone
 	})
-}
-
-// Reconfigure replaces the partition plan at an epoch boundary: running
-// preemptible jobs checkpoint at their next tree-stage boundary (others
-// finish), queued jobs are re-routed onto the new partitions, and the
-// new epoch's sub-communicators form over the plan's ranks — which may
-// exclude dead ranks, so an autoscaler can re-form over survivors. The
-// plan may leave holes where dead ranks were (validateSparse), but must
-// not include a dead rank.
-func (s *Server) Reconfigure(plan Plan) error {
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	if s.closed.Load() {
-		return ErrServerClosed
-	}
-	if err := plan.validateSparse(s.cfg.Grid); err != nil {
-		return err
-	}
-	for _, members := range plan.Groups {
-		for _, r := range members {
-			if s.world.RankDead(r) {
-				return fmt.Errorf("sched: plan includes dead rank %d", r)
-			}
-		}
-	}
-
-	// Retire the current epoch: request preemption of in-flight
-	// preemptible executions and wake idle runners so they exit.
-	s.mu.Lock()
-	s.reconfiguring = true
-	for _, p := range s.parts {
-		p.retired.Store(true)
-		if ex := p.cur.Load(); ex != nil && ex.gate != nil {
-			ex.gate.Request()
-		}
-	}
-	s.workGen++
-	s.workCond.Broadcast()
-	s.mu.Unlock()
-
-	s.runnerWG.Wait()
-
-	// Install the new epoch and re-route displaced work.
-	s.mu.Lock()
-	s.epoch++
-	var orphans []*Job
-	for _, p := range s.parts {
-		for {
-			j, ok := p.q.pop(false)
-			if !ok {
-				break
-			}
-			s.addQueuedLocked(-1)
-			orphans = append(orphans, j)
-		}
-	}
-	orphans = append(orphans, s.pending...)
-	s.addQueuedLocked(-len(s.pending))
-	s.pending = nil
-	s.installPartitionsLocked(plan)
-	s.sendEpochLocked()
-	var dropped []*Job
-	for _, j := range orphans {
-		if tgt := s.placeLocked(j, -1); tgt != nil {
-			s.addQueuedLocked(1)
-			tgt.q.pushRetry(j)
-		} else {
-			dropped = append(dropped, j)
-		}
-	}
-	s.spawnRunnersLocked()
-	s.reconfiguring = false
-	s.workGen++
-	s.workCond.Broadcast()
-	s.mu.Unlock()
-	for _, j := range dropped {
-		s.dropJob(j, ErrNoPartition)
-	}
-	return nil
-}
-
-// dropJob completes a job that will not run (canceled, expired, shed
-// retry, no partition left). The caller has already removed it from any
-// queue.
-func (s *Server) dropJob(j *Job, err error) {
-	if j.stream != nil {
-		// A dropped round strands its stream: no partition can ever run
-		// another round, so the whole stream fails typed.
-		s.streamFail(j.stream, j, err)
-		return
-	}
-	switch {
-	case errors.Is(err, ErrCanceled):
-		s.metrics.canceled.Inc()
-	case errors.Is(err, ErrDeadlineExceeded):
-		s.metrics.expired.Inc()
-	default:
-		s.metrics.failed.Inc()
-	}
-	s.obs.reg.CounterL("sched.rejections",
-		telemetry.Labels{"reason": rejectReason(err)}).Inc()
-	s.obs.failed(j, -1, err)
-	j.complete(JobResult{
-		Err: err, Partition: -1, Retries: j.retries, Preemptions: j.preempts,
-		QueueWait: time.Since(j.submit),
-	})
-}
-
-// runner is a partition's scheduling loop: pop (or steal) the best
-// runnable job, gather a batch, dispatch to the partition's ranks, and
-// collect their reports. It exits when the partition is retired or the
-// server has closed and fully drained.
-func (s *Server) runner(p *partition) {
-	defer s.runnerWG.Done()
-	for {
-		ex := s.nextExec(p)
-		if ex == nil {
-			return
-		}
-		s.dispatchExec(ex)
-		out := s.watchExec(ex)
-		service := time.Since(ex.dispatched)
-		if s.world.Virtual() {
-			service = time.Duration(out.maxClock * float64(time.Second))
-		}
-		p.cur.Store(nil)
-
-		// Retire the partition before re-routing its work if a member
-		// died during the execution, so placement skips it.
-		s.mu.Lock()
-		s.checkHealthLocked(p)
-		s.mu.Unlock()
-
-		switch {
-		case ex.round != nil:
-			s.finishStreamRound(ex, out, service)
-		case out.err != nil:
-			for _, j := range ex.jobs {
-				s.failOrRetry(j, out.err)
-			}
-			s.metrics.inflight.Set(float64(s.obs.inFlight()))
-		case out.preempted:
-			s.finishPreempted(ex, out)
-		default:
-			s.finishExec(ex, out, service)
-		}
-
-		s.mu.Lock()
-		s.inflightN--
-		s.workGen++
-		s.workCond.Broadcast()
-		s.mu.Unlock()
-	}
-}
-
-// nextExec blocks until the partition has an execution to run, stealing
-// from other partitions' queues when its own is empty. Returns nil when
-// the partition is retired or the server has closed and drained.
-func (s *Server) nextExec(p *partition) *jobExec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if p.retired.Load() {
-			return nil
-		}
-		gen := s.workGen
-		if j, ok := p.q.pop(false); ok {
-			s.addQueuedLocked(-1)
-			if ex := s.buildExecLocked(p, j); ex != nil {
-				return ex
-			}
-			continue
-		}
-		if j, ok := s.stealLocked(p); ok {
-			s.metrics.steals.Inc()
-			if ex := s.buildExecLocked(p, j); ex != nil {
-				return ex
-			}
-			continue
-		}
-		if s.closing && s.queuedN == 0 && s.inflightN == 0 {
-			return nil
-		}
-		if s.workGen == gen {
-			s.workCond.Wait()
-		}
-	}
-}
-
-// stealLocked takes the best queued job this partition can run from the
-// most loaded other live queue — work-stealing drains imbalanced
-// partition queues without a central dispatcher. Caller holds s.mu.
-func (s *Server) stealLocked(p *partition) (*Job, bool) {
-	var victim *partition
-	for _, o := range s.parts {
-		if o == p || o.retired.Load() || !o.healthy.Load() || o.q.len() == 0 {
-			continue
-		}
-		if victim == nil || o.q.len() > victim.q.len() {
-			victim = o
-		}
-	}
-	if victim == nil {
-		return nil, false
-	}
-	j, ok := victim.q.popMatch(func(o *Job) bool {
-		if !fitsPartition(o, p) || o.avoid == p.index {
-			return false
-		}
-		// Leave a checkpointed job for a partition that can resume it.
-		return o.ckpt == nil || o.ckpt.Procs == len(p.members)
-	})
-	if ok {
-		s.addQueuedLocked(-1)
-	}
-	return j, ok
-}
-
-// buildExecLocked turns a popped job into an execution on p: the
-// dispatch-time deadline check, batch gathering, and preemption wiring.
-// Returns nil when the job was dropped instead (the caller loops).
-// Caller holds s.mu.
-func (s *Server) buildExecLocked(p *partition, j *Job) *jobExec {
-	if err := deadlineRisk(p, j); err != nil {
-		s.dropJob(j, err)
-		return nil
-	}
-	jobs := []*Job{j}
-	if s.cfg.MaxBatch > 1 && j.spec.Batchable {
-		for len(jobs) < s.cfg.MaxBatch &&
-			batchProfitable(p.pred, j.spec.M, j.spec.N, len(jobs)) {
-			nj, got := p.q.popMatch(func(o *Job) bool { return compatible(j.spec, o.spec) })
-			if !got {
-				break
-			}
-			s.addQueuedLocked(-1)
-			jobs = append(jobs, nj)
-		}
-	}
-	ex := &jobExec{
-		id:      j.id,
-		attempt: j.retries + j.preempts,
-		jobs:    jobs,
-		part:    p,
-		reports: make(chan memberReport, len(p.members)),
-	}
-	if j.stream != nil {
-		j.stream.buildRound(ex)
-	}
-	if len(jobs) == 1 && j.spec.Preemptible {
-		ex.gate = core.NewPreemptGate()
-		if j.ckpt != nil && j.ckpt.Procs == len(p.members) && j.ckpt.N == j.spec.N {
-			ex.resume = j.ckpt
-		} else {
-			// The checkpoint was taken on a different partition size; it
-			// cannot be replayed here, so the job restarts from scratch.
-			j.ckpt = nil
-			j.partial = mpi.CounterSnapshot{}
-		}
-	}
-	for _, job := range jobs {
-		job.avoid = -1
-	}
-	if s.execHook != nil {
-		s.execHook(ex)
-	}
-	s.inflightN++
-	p.cur.Store(ex)
-	return ex
-}
-
-// deadlineRisk is the dispatch-time end-to-end deadline check: when the
-// partition's performance model predicts the job cannot finish inside
-// its remaining deadline budget, it is rejected now — typed, without
-// burning the partition's time — instead of completing late.
-func deadlineRisk(p *partition, j *Job) error {
-	if j.spec.Deadline <= 0 || j.spec.Kind != KindTSQR {
-		return nil
-	}
-	remaining := j.spec.Deadline - time.Since(j.submit)
-	if remaining <= 0 {
-		return ErrDeadlineExceeded
-	}
-	if p.pred.TSQRTime(j.spec.M, j.spec.N, false) > remaining.Seconds() {
-		return ErrDeadlineExceeded
-	}
-	return nil
-}
-
-// checkHealthLocked retires the partition if the fault plan killed one
-// of its members, re-routing its queued jobs to surviving partitions.
-// Caller holds s.mu.
-func (s *Server) checkHealthLocked(p *partition) {
-	dead := false
-	for _, wr := range p.members {
-		if s.world.RankDead(wr) {
-			dead = true
-			break
-		}
-	}
-	if !dead || !p.retired.CompareAndSwap(false, true) {
-		return
-	}
-	p.healthy.Store(false)
-	s.healthyN--
-	var displaced []*Job
-	for {
-		j, ok := p.q.pop(false)
-		if !ok {
-			break
-		}
-		s.addQueuedLocked(-1)
-		displaced = append(displaced, j)
-	}
-	var dropped []*Job
-	for _, j := range displaced {
-		if tgt := s.placeLocked(j, p.index); tgt != nil {
-			s.addQueuedLocked(1)
-			tgt.q.pushRetry(j)
-		} else if s.reconfiguring {
-			s.addQueuedLocked(1)
-			s.pending = append(s.pending, j)
-		} else {
-			dropped = append(dropped, j)
-		}
-	}
-	s.workGen++
-	s.workCond.Broadcast()
-	if len(dropped) > 0 {
-		// dropJob resolves futures; safe under mu (no queue locks held).
-		for _, j := range dropped {
-			s.dropJob(j, ErrNoPartition)
-		}
-	}
-}
-
-// dispatchExec hands an execution to every live member of the partition.
-func (s *Server) dispatchExec(ex *jobExec) {
-	now := time.Now()
-	ex.dispatched = now
-	for _, j := range ex.jobs {
-		j.dispatched = now
-		s.metrics.queueWait.Observe(now.Sub(j.submit).Seconds())
-		s.obs.dispatched(j, ex.part.index, len(ex.jobs))
-	}
-	s.metrics.inflight.Set(float64(s.obs.inFlight()))
-	if len(ex.jobs) > 1 {
-		s.metrics.batches.Inc()
-		s.metrics.batchedJobs.Add(float64(len(ex.jobs)))
-	}
-	for _, wr := range ex.part.members {
-		if s.world.RankDead(wr) {
-			continue // the watcher's poll reports it
-		}
-		s.rankChans[wr] <- rankCmd{ex: ex}
-	}
-}
-
-// execOutcome aggregates one execution's member reports.
-type execOutcome struct {
-	leader    memberReport
-	counters  mpi.CounterSnapshot
-	maxClock  float64
-	err       error
-	preempted bool
-	frags     []*core.RankCheckpoint
-}
-
-// watchExec collects every member's report for one execution. With a
-// fault plan armed it polls for member deaths, since a killed rank
-// reports nothing.
-func (s *Server) watchExec(ex *jobExec) execOutcome {
-	part := ex.part
-	n := len(part.members)
-	got := make(map[int]memberReport, n)
-	var tickC <-chan time.Time
-	if s.cfg.Faults != nil {
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		tickC = tick.C
-	}
-	for len(got) < n {
-		select {
-		case rep := <-ex.reports:
-			got[rep.member] = rep
-		case <-tickC:
-			for m, wr := range part.members {
-				if _, ok := got[m]; !ok && s.world.RankDead(wr) {
-					got[m] = memberReport{
-						member: m,
-						err:    &mpi.RankFailedError{Rank: wr, Op: "serve"},
-					}
-				}
-			}
-		}
-	}
-
-	var out execOutcome
-	for m := 0; m < n; m++ {
-		rep := got[m]
-		addCounters(&out.counters, rep.counters)
-		if rep.clockDelta > out.maxClock {
-			out.maxClock = rep.clockDelta
-		}
-		if rep.err != nil && out.err == nil {
-			out.err = rep.err
-		}
-		if rep.preempted {
-			out.preempted = true
-		}
-		if rep.ckpt != nil {
-			out.frags = append(out.frags, rep.ckpt)
-		}
-	}
-	out.leader = got[0]
-	return out
-}
-
-// finishPreempted persists the execution's checkpoint on the job and
-// requeues it, preferring a different partition: the stage-consistent R
-// fragments are the whole job state, so the resume is bitwise-identical
-// wherever a same-size partition picks it up.
-func (s *Server) finishPreempted(ex *jobExec, out execOutcome) {
-	j := ex.jobs[0]
-	addCounters(&j.partial, out.counters)
-	j.ckpt = core.AssembleCheckpoint(out.frags)
-	j.preempts++
-	j.avoid = ex.part.index
-	s.metrics.preempted.Inc()
-	s.obs.preempted(j, ex.part.index)
-	s.metrics.inflight.Set(float64(s.obs.inFlight()))
-	s.mu.Lock()
-	tgt := s.placeLocked(j, ex.part.index)
-	switch {
-	case tgt != nil:
-		// Resumes bypass the admission bound: the job already holds its
-		// slot's worth of work, half done.
-		s.addQueuedLocked(1)
-		tgt.q.pushRetry(j)
-		s.workGen++
-		s.workCond.Broadcast()
-	case s.reconfiguring:
-		s.addQueuedLocked(1)
-		s.pending = append(s.pending, j)
-	default:
-		s.mu.Unlock()
-		s.dropJob(j, ErrNoPartition)
-		return
-	}
-	s.mu.Unlock()
-}
-
-// finishExec resolves every job of a successful execution.
-func (s *Server) finishExec(ex *jobExec, out execOutcome, service time.Duration) {
-	n := ex.jobs[0].spec.N
-	for bi, j := range ex.jobs {
-		counters := out.counters
-		addCounters(&counters, j.partial)
-		j.ckpt = nil
-		res := JobResult{
-			Partition:   ex.part.index,
-			BatchSize:   len(ex.jobs),
-			Retries:     j.retries,
-			Preemptions: j.preempts,
-			QueueWait:   j.dispatched.Sub(j.submit),
-			Service:     service,
-			Counters:    counters,
-		}
-		if len(ex.jobs) > 1 && out.leader.r != nil {
-			res.R = extractR(out.leader.r, bi, n)
-		} else {
-			res.R = out.leader.r
-		}
-		res.X, res.Resid = out.leader.x, out.leader.resid
-		s.metrics.completed.Inc()
-		s.metrics.service.Observe(service.Seconds())
-		s.metrics.latency.Observe(time.Since(j.submit).Seconds())
-		t := counters.Total()
-		s.metrics.jobMsgs.Observe(float64(t.Msgs))
-		s.metrics.jobBytes.Observe(t.Bytes)
-		s.obs.completed(j, &res)
-		j.complete(res)
-	}
-	s.metrics.inflight.Set(float64(s.obs.inFlight()))
-}
-
-// failOrRetry requeues a job after a retryable failure (rank death,
-// FT abort, timeout) while live partitions and retry budget remain;
-// otherwise it completes the job with the error. A checkpointed job
-// retries from its last complete checkpoint — fragments from the failed
-// attempt are discarded, since a dead member's share is missing.
-func (s *Server) failOrRetry(j *Job, execErr error) {
-	if retryable(execErr) && j.retries < s.cfg.MaxRetries {
-		j.retries++
-		j.spec.Batchable = false // retry alone: no shared fate twice
-		s.mu.Lock()
-		if s.queuedN < s.cfg.QueueCap {
-			if tgt := s.placeLocked(j, -1); tgt != nil {
-				s.addQueuedLocked(1)
-				tgt.q.pushRetry(j)
-				s.workGen++
-				s.workCond.Broadcast()
-				s.mu.Unlock()
-				s.metrics.retries.Inc()
-				s.obs.retried(j, execErr)
-				return
-			} else if s.reconfiguring {
-				s.addQueuedLocked(1)
-				s.pending = append(s.pending, j)
-				s.mu.Unlock()
-				s.metrics.retries.Inc()
-				s.obs.retried(j, execErr)
-				return
-			}
-		}
-		s.mu.Unlock()
-	}
-	s.metrics.failed.Inc()
-	s.obs.failed(j, -1, execErr)
-	j.complete(JobResult{
-		Err: execErr, Partition: -1, Retries: j.retries, Preemptions: j.preempts,
-		QueueWait: j.dispatched.Sub(j.submit),
-	})
-}
-
-// rankMain runs on every world rank: follow the epoch commands into the
-// current partition's sub-communicator (collective-free, so re-forming
-// costs no messages), and serve executions in between. Spares idle on
-// their channel until an epoch includes them.
-func (s *Server) rankMain(ctx *mpi.Ctx) {
-	world := mpi.WorldComm(ctx)
-	var pcomm *mpi.Comm
-	for cmd := range s.rankChans[ctx.Rank()] {
-		if cmd.epoch != nil {
-			e := cmd.epoch
-			if e.color < 0 {
-				pcomm = nil
-				continue
-			}
-			pcomm = world.Sub(e.members, fmt.Sprintf("e%d.p%d", e.epoch, e.color))
-			continue
-		}
-		s.runExec(ctx, pcomm, pcomm.Rank(), cmd.ex)
-	}
-}
-
-// runExec executes one dispatched job (or batch) on one member rank and
-// reports out of band. A kill panic from the fault plan propagates (the
-// rank is dead; the watcher notices); any other panic becomes this
-// member's error report so the serving loop survives algorithm bugs.
-func (s *Server) runExec(ctx *mpi.Ctx, pcomm *mpi.Comm, member int, ex *jobExec) {
-	reported := false
-	report := func(rep memberReport) {
-		rep.member = member
-		ex.reports <- rep
-		reported = true
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			if mpi.IsKillPanic(p) {
-				panic(p)
-			}
-			if !reported {
-				report(memberReport{err: panicError(p)})
-			}
-		}
-	}()
-	before := ctx.LocalCounters()
-	clock0 := ctx.Now()
-	// A fresh sub-communicator per execution attempt gives each job its
-	// own tag namespace for free (Sub is collective-free), so concurrent,
-	// consecutive and resumed jobs can never alias messages.
-	all := make([]int, pcomm.Size())
-	for i := range all {
-		all[i] = i
-	}
-	jcomm := pcomm.Sub(all, fmt.Sprintf("j%d.a%d", ex.id, ex.attempt))
-	rep := s.execute(ctx, jcomm, ex)
-	rep.counters = counterDelta(ctx.LocalCounters(), before)
-	rep.clockDelta = ctx.Now() - clock0
-	report(rep)
-}
-
-// execute runs the execution's factorization on this member's rank of
-// the job communicator.
-func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec) memberReport {
-	p := jcomm.Size()
-	me := jcomm.Rank()
-	spec := ex.jobs[0].spec
-
-	if spec.Kind == KindStream {
-		// A dedicated long-lived stream context: Dup gives the round a
-		// tag namespace disjoint from anything else on the job path, so
-		// a retried round after a failure can never alias a stale
-		// message from the attempt it replaces.
-		scomm := jcomm.Dup("stream")
-		res := stream.RunRound(scomm, ex.streamStates[me], *ex.round)
-		rep := memberReport{
-			preempted: res.Preempted,
-			folded:    res.Folded,
-			foldTimes: res.FoldTimes,
-			snapTime:  res.SnapTime,
-		}
-		if me == 0 {
-			rep.r = res.R
-		}
-		return rep
-	}
-
-	if len(ex.jobs) > 1 {
-		// Fused batch: factor diag(A₁..A_k) in one reduction tree.
-		k := len(ex.jobs)
-		m, n := k*spec.M, k*spec.N
-		offsets := scalapack.BlockOffsets(m, p)
-		in := core.Input{M: m, N: n, Offsets: offsets}
-		if ctx.HasData() {
-			seeds := make([]int64, k)
-			for i, j := range ex.jobs {
-				seeds[i] = j.spec.Seed
-			}
-			in.Local = stackedLocal(seeds, spec.M, spec.N, offsets[me], offsets[me+1]-offsets[me])
-		}
-		return s.runTSQR(jcomm, in)
-	}
-
-	offsets := scalapack.BlockOffsets(spec.M, p)
-	myRows := offsets[me+1] - offsets[me]
-	in := core.Input{M: spec.M, N: spec.N, Offsets: offsets}
-	if ctx.HasData() && ex.resume == nil {
-		in.Local = matrix.RandomRows(myRows, spec.N, offsets[me], spec.Seed)
-	}
-	switch spec.Kind {
-	case KindTSQR:
-		if ex.gate != nil {
-			return s.runStagedTSQR(jcomm, ex, in)
-		}
-		return s.runTSQR(jcomm, in)
-	case KindCAQR:
-		res := core.CAQRFactorize(jcomm, in, core.CAQRConfig{NB: caqrNB})
-		rep := memberReport{}
-		if me == 0 {
-			rep.r = res.R
-		}
-		return rep
-	case KindCholQR:
-		res := core.CholeskyQR(jcomm, in)
-		rep := memberReport{}
-		if ctx.HasData() && !res.OK {
-			rep.err = &CholQRError{}
-			return rep
-		}
-		if me == 0 {
-			rep.r = res.R
-		}
-		return rep
-	case KindLstSq:
-		nrhs := spec.NRHS
-		if nrhs == 0 {
-			nrhs = 1
-		}
-		b := matrix.RandomRows(myRows, nrhs, offsets[me], spec.Seed^0x5ca1ab1e)
-		x, resid := core.LeastSquares(jcomm, in, b, core.Config{Tree: core.TreeGrid})
-		rep := memberReport{}
-		if me == 0 {
-			rep.x, rep.resid = x, resid
-		}
-		return rep
-	default:
-		return memberReport{err: &SpecError{Reason: fmt.Sprintf("unknown kind %d", spec.Kind)}}
-	}
-}
-
-// runStagedTSQR runs a preemptible TSQR through the staged entry points:
-// fresh jobs walk FactorizeStaged under the execution's gate, resumed
-// jobs replay their checkpoint's original merge schedule. Both stop at a
-// consistent tree-stage boundary when the gate fires and report their R
-// fragments as the checkpoint.
-func (s *Server) runStagedTSQR(jcomm *mpi.Comm, ex *jobExec, in core.Input) memberReport {
-	var res *core.StagedResult
-	if ex.resume != nil {
-		res = core.ResumeStaged(jcomm, ex.resume, ex.gate)
-	} else {
-		res = core.FactorizeStaged(jcomm, in, core.Config{Tree: core.TreeGrid}, ex.gate)
-	}
-	rep := memberReport{preempted: res.Preempted, ckpt: res.Ckpt}
-	if jcomm.Rank() == 0 {
-		rep.r = res.R
-	}
-	return rep
-}
-
-// runTSQR runs the (possibly fault-tolerant) TSQR entry point.
-func (s *Server) runTSQR(jcomm *mpi.Comm, in core.Input) memberReport {
-	cfg := core.Config{Tree: core.TreeGrid}
-	rep := memberReport{}
-	if s.cfg.FT.Enabled && s.hasData {
-		cfg.FT = s.cfg.FT
-		res, err := core.FactorizeFT(jcomm, in, cfg)
-		if err != nil {
-			rep.err = err
-			return rep
-		}
-		if jcomm.Rank() == 0 {
-			rep.r = res.R
-		}
-		return rep
-	}
-	res := core.Factorize(jcomm, in, cfg)
-	if jcomm.Rank() == 0 {
-		rep.r = res.R
-	}
-	return rep
-}
-
-// retryable reports whether an execution error is worth another
-// partition: failures injected by the fault layer, not numerics.
-func retryable(err error) bool {
-	var fte *core.FTError
-	var rfe *mpi.RankFailedError
-	var te *mpi.TimeoutError
-	return errors.As(err, &fte) || errors.As(err, &rfe) || errors.As(err, &te)
-}
-
-func panicError(p any) error {
-	if err, ok := p.(error); ok {
-		return err
-	}
-	return fmt.Errorf("sched: execution panic: %v", p)
-}
-
-func counterDelta(after, before mpi.CounterSnapshot) mpi.CounterSnapshot {
-	var d mpi.CounterSnapshot
-	for c := range after.PerClass {
-		d.PerClass[c].Msgs = after.PerClass[c].Msgs - before.PerClass[c].Msgs
-		d.PerClass[c].Bytes = after.PerClass[c].Bytes - before.PerClass[c].Bytes
-	}
-	d.Flops = after.Flops - before.Flops
-	return d
-}
-
-func addCounters(dst *mpi.CounterSnapshot, src mpi.CounterSnapshot) {
-	for c := range src.PerClass {
-		dst.PerClass[c].Msgs += src.PerClass[c].Msgs
-		dst.PerClass[c].Bytes += src.PerClass[c].Bytes
-	}
-	dst.Flops += src.Flops
 }

@@ -295,7 +295,8 @@ func (sj *StreamJob) buildRound(ex *jobExec) {
 }
 
 // ensureStreamRound enqueues the stream's next round job unless one is
-// already queued or in flight, or there is nothing to do.
+// already queued or in flight, or there is nothing to do. A fresh job
+// per round: j.retries, the MaxRetries budget, is per round.
 func (s *Server) ensureStreamRound(sj *StreamJob) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -307,40 +308,7 @@ func (s *Server) ensureStreamRound(sj *StreamJob) {
 	}
 	sj.active = true
 	sj.mu.Unlock()
-	// A fresh job per round: j.retries, the MaxRetries budget, is per round.
-	j := &Job{
-		spec:   sj.spec,
-		id:     s.nextID.Add(1),
-		seq:    s.nextSeq.Add(1),
-		submit: time.Now(),
-		done:   make(chan struct{}),
-		avoid:  -1,
-		stream: sj,
-	}
-	s.metrics.submitted.Inc()
-	s.obs.submitted(j)
-	s.routeStreamLocked(j)
-}
-
-// routeStreamLocked places a stream round job: the least-loaded live
-// partition matching the stream's size pin, the pending list during a
-// reconfiguration, or terminal failure when no partition can ever serve
-// it. Rounds are continuations of admitted work, so they bypass the
-// admission bound (pushRetry). Caller holds s.mu.
-func (s *Server) routeStreamLocked(j *Job) {
-	sj := j.stream
-	switch tgt := s.placeLocked(j, -1); {
-	case tgt != nil:
-		s.addQueuedLocked(1)
-		tgt.q.pushRetry(j)
-		s.workGen++
-		s.workCond.Broadcast()
-	case s.reconfiguring:
-		s.addQueuedLocked(1)
-		s.pending = append(s.pending, j)
-	default:
-		s.streamFail(sj, j, ErrNoPartition)
-	}
+	s.admitLocked(sj.spec, sj)
 }
 
 // finishStreamRound is the runner's stream epilogue: commit the round's
@@ -350,7 +318,7 @@ func (s *Server) routeStreamLocked(j *Job) {
 // agreement makes the count identical on every rank — and requeues the
 // remainder.
 func (s *Server) finishStreamRound(ex *jobExec, out execOutcome, service time.Duration) {
-	j := ex.jobs[0]
+	j := ex.job
 	sj := j.stream
 	rd := ex.round
 
@@ -363,24 +331,25 @@ func (s *Server) finishStreamRound(ex *jobExec, out execOutcome, service time.Du
 		sj.curGate = nil
 		sj.snapReqs = append(pendingReqs(ex.snapReqs), sj.snapReqs...)
 		sj.mu.Unlock()
-		if retryable(out.err) && j.retries < s.cfg.MaxRetries {
-			j.retries++
-			sj.mu.Lock()
-			sj.retries++
-			sj.mu.Unlock()
-			s.metrics.retries.Inc()
-			s.obs.retried(j, out.err)
-			s.mu.Lock()
-			s.routeStreamLocked(j)
-			s.mu.Unlock()
-			return
-		}
-		s.streamFail(sj, j, out.err)
+		s.failOrRetry(j, out.err)
 		return
 	}
 
 	folded := out.leader.folded
 	snapped := rd.Snapshot && !out.preempted
+	// Account the round before its commit wakes anyone, so a caller's
+	// Drain or Snapshot is already in the SLO counters when it returns.
+	s.metrics.streamBlocks.Add(float64(folded))
+	for _, d := range out.leader.foldTimes {
+		s.metrics.streamFold.Observe(d.Seconds())
+	}
+	if snapped {
+		s.metrics.streamSnapshots.Inc()
+		s.metrics.streamSnap.Observe(out.leader.snapTime.Seconds())
+	}
+	if out.preempted {
+		s.metrics.preempted.Inc()
+	}
 	var resolve []*snapshotReq
 	sj.mu.Lock()
 	sj.states = ex.streamStates
@@ -409,52 +378,17 @@ func (s *Server) finishStreamRound(ex *jobExec, out execOutcome, service time.Du
 	sj.active = false
 	sj.cond.Broadcast()
 	sj.mu.Unlock()
-	for _, req := range resolve {
-		if req.timer != nil {
-			req.timer.Stop()
-		}
-		close(req.done)
-	}
-
-	s.metrics.streamBlocks.Add(float64(folded))
-	for _, d := range out.leader.foldTimes {
-		s.metrics.streamFold.Observe(d.Seconds())
-	}
-	if snapped {
-		s.metrics.streamSnapshots.Inc()
-		s.metrics.streamSnap.Observe(out.leader.snapTime.Seconds())
-	}
-	if out.preempted {
-		s.metrics.preempted.Inc()
-	}
-
-	res := JobResult{
-		Partition: ex.part.index,
-		BatchSize: 1,
-		Retries:   j.retries,
-		QueueWait: j.dispatched.Sub(j.submit),
-		Service:   service,
-		Counters:  out.counters,
-	}
-	s.metrics.completed.Inc()
-	s.metrics.service.Observe(service.Seconds())
-	s.metrics.latency.Observe(time.Since(j.submit).Seconds())
-	t := out.counters.Total()
-	s.metrics.jobMsgs.Observe(float64(t.Msgs))
-	s.metrics.jobBytes.Observe(t.Bytes)
-	s.obs.completed(j, &res)
-	j.complete(res)
-	s.metrics.inflight.Set(float64(s.obs.inFlight()))
+	closeReqs(resolve)
+	s.succeed(j, JobResult{Partition: ex.part.index, Service: service, Counters: out.counters})
 
 	// Blocks ingested during the round, a preempted remainder, or
 	// requeued snapshot waiters start the next round.
 	s.ensureStreamRound(sj)
 }
 
-// streamFail terminates a stream: pending and future calls complete
-// with err, and the round job (when one died with it) is accounted.
-// Never takes s.mu, so it may run with it held.
-func (s *Server) streamFail(sj *StreamJob, j *Job, err error) {
+// fail terminates the stream: pending and future calls complete with
+// err. Takes only sj.mu, so it may run with s.mu held.
+func (sj *StreamJob) fail(err error) {
 	sj.mu.Lock()
 	if sj.failed == nil {
 		sj.failed = err
@@ -471,22 +405,16 @@ func (s *Server) streamFail(sj *StreamJob, j *Job, err error) {
 	sj.active = false
 	sj.cond.Broadcast()
 	sj.mu.Unlock()
-	for _, req := range resolve {
+	closeReqs(resolve)
+}
+
+// closeReqs wakes the waiters of resolved snapshot requests.
+func closeReqs(reqs []*snapshotReq) {
+	for _, req := range reqs {
 		if req.timer != nil {
 			req.timer.Stop()
 		}
 		close(req.done)
-	}
-	if j != nil {
-		s.metrics.failed.Inc()
-		s.obs.reg.CounterL("sched.rejections",
-			telemetry.Labels{"reason": rejectReason(err)}).Inc()
-		s.obs.failed(j, -1, err)
-		j.complete(JobResult{
-			Err: err, Partition: -1, Retries: j.retries,
-			QueueWait: time.Since(j.submit),
-		})
-		s.metrics.inflight.Set(float64(s.obs.inFlight()))
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // match bit for bit (same partition size ⇒ same sharding ⇒ same R).
 func oneShotStream(t *testing.T, g *grid.Grid, spec JobSpec, blocks int) *matrix.Dense {
 	t.Helper()
-	s := Start(Config{Grid: g, MaxBatch: 1})
+	s := Start(Config{Grid: g})
 	defer s.Close()
 	sj, err := s.SubmitStream(spec)
 	if err != nil {
@@ -45,7 +45,7 @@ func TestStreamIncrementalMatchesOneShot(t *testing.T) {
 	spec := JobSpec{N: 6, BlockRows: 16, Seed: 11}
 	const blocks = 12
 
-	s := Start(Config{Grid: g, MaxBatch: 1})
+	s := Start(Config{Grid: g})
 	defer s.Close()
 	sj, err := s.SubmitStream(spec)
 	if err != nil {
@@ -102,7 +102,7 @@ func TestStreamIncrementalMatchesOneShot(t *testing.T) {
 func TestStreamSnapshotExactCounts(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2) // partitions of 4
 	spec := JobSpec{N: 8, BlockRows: 8, Seed: 3}
-	s := Start(Config{Grid: g, MaxBatch: 1})
+	s := Start(Config{Grid: g})
 	defer s.Close()
 	sj, err := s.SubmitStream(spec)
 	if err != nil {
@@ -141,7 +141,7 @@ func TestStreamSnapshotExactCounts(t *testing.T) {
 func TestStreamCostOnly(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 1)
 	spec := JobSpec{N: 4, BlockRows: 4, Seed: 9}
-	s := Start(Config{Grid: g, CostOnly: true, MaxBatch: 1})
+	s := Start(Config{Grid: g, CostOnly: true})
 	defer s.Close()
 	sj, err := s.SubmitStream(spec)
 	if err != nil {
@@ -170,7 +170,7 @@ func TestStreamCostOnly(t *testing.T) {
 func TestStreamDeadlineShed(t *testing.T) {
 	g := grid.SmallTestGrid(1, 2, 2) // one partition of 4
 	spec := JobSpec{N: 4, BlockRows: 8, Seed: 7, Deadline: 25 * time.Millisecond}
-	s := Start(Config{Grid: g, MaxBatch: 1})
+	s := Start(Config{Grid: g})
 	defer s.Close()
 	sj, err := s.SubmitStream(spec)
 	if err != nil {
@@ -259,7 +259,7 @@ func streamFaultFired(t *testing.T) bool {
 	spec := JobSpec{N: 6, BlockRows: 144, Seed: 19}
 	fp := mpi.NewFaultPlan(42).Kill(1, 1) // rank 1 (partition 0)
 	fp.RecvTimeout = 5 * time.Second
-	s := Start(Config{Grid: g, Plan: PerSite(g), Faults: fp, MaxBatch: 1, MaxRetries: 3})
+	s := Start(Config{Grid: g, Plan: PerSite(g), Faults: fp, MaxRetries: 3})
 	defer s.Close()
 
 	sj, err := s.SubmitStream(spec)
@@ -303,7 +303,7 @@ func streamFaultFired(t *testing.T) bool {
 func TestStreamAcrossReconfigure(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2) // 8 ranks
 	spec := JobSpec{N: 5, BlockRows: 4, Seed: 23}
-	s := Start(Config{Grid: g, Plan: PerSite(g), MaxBatch: 1}) // 2 partitions of 4
+	s := Start(Config{Grid: g, Plan: PerSite(g)}) // 2 partitions of 4
 	defer s.Close()
 
 	sj, err := s.SubmitStream(spec)
@@ -341,7 +341,7 @@ func TestStreamAcrossReconfigure(t *testing.T) {
 // TestStreamValidation pins the typed admission and API errors.
 func TestStreamValidation(t *testing.T) {
 	g := grid.SmallTestGrid(1, 2, 2)
-	s := Start(Config{Grid: g, MaxBatch: 1})
+	s := Start(Config{Grid: g})
 	defer s.Close()
 
 	var se *SpecError
@@ -351,8 +351,8 @@ func TestStreamValidation(t *testing.T) {
 	if _, err := s.SubmitStream(JobSpec{N: 4}); !errors.As(err, &se) {
 		t.Fatalf("BlockRows=0: %v", err)
 	}
-	if _, err := s.SubmitStream(JobSpec{N: 4, BlockRows: 4, Batchable: true}); !errors.As(err, &se) {
-		t.Fatalf("batchable stream: %v", err)
+	if _, err := s.SubmitStream(JobSpec{N: 4, BlockRows: 4, Preemptible: true}); !errors.As(err, &se) {
+		t.Fatalf("preemptible stream: %v", err)
 	}
 	if _, err := s.Submit(JobSpec{Kind: KindStream, N: 4, BlockRows: 4}); !errors.As(err, &se) {
 		t.Fatalf("Submit of stream kind: %v", err)
@@ -384,7 +384,7 @@ func TestStreamValidation(t *testing.T) {
 func TestStreamConcurrentClients(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 1) // partitions of 2
 	spec := JobSpec{N: 4, BlockRows: 4, Seed: 31}
-	s := Start(Config{Grid: g, MaxBatch: 1})
+	s := Start(Config{Grid: g})
 	defer s.Close()
 	sj, err := s.SubmitStream(spec)
 	if err != nil {
