@@ -110,6 +110,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDtrsm -fuzztime=15s ./internal/blas
 	$(GO) test -fuzz=FuzzTraceReplay -fuzztime=15s ./internal/elastic
 	$(GO) test -fuzz=FuzzIncrementalFold -fuzztime=15s ./internal/stream
+	$(GO) test -fuzz=FuzzFillRandomRows -fuzztime=15s ./internal/matrix
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

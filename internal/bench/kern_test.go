@@ -35,14 +35,15 @@ func TestCompareKern(t *testing.T) {
 
 // TestKernSetShape pins the standard kernel set: names stay stable (the
 // gate matches by name) and every case carries a flop count where one is
-// defined.
+// defined — everywhere but the row generator.
 func TestKernSetShape(t *testing.T) {
 	cases := kernSet()
 	want := []string{"dgemm_256", "dgemm_512", "dgemm_tall_16384x64",
 		"dgemm_nn_4096x16x48", "dgemm_tn_4096x16x48", "dtrsm_right_1024x64",
 		"dgeqrf_4096x64", "dgeqrf_128x64", "dgemv_4096x64", "dger_4096x64", "stackqr_n64",
 		"fold_8192x64", "leaf_65536x64", "leaf_131072x16", "leaf_131072x4", "leaf_16384x256",
-		"foldq_expand_131072x64", "dormqr_4096x64", "dormqr_512x64", "dorgqr_65536x64"}
+		"foldq_expand_131072x64", "dormqr_4096x64", "dormqr_512x64", "dorgqr_65536x64",
+		"randomrows_8192x64"}
 	if len(cases) != len(want) {
 		t.Fatalf("kernel set has %d cases, want %d", len(cases), len(want))
 	}
@@ -50,7 +51,7 @@ func TestKernSetShape(t *testing.T) {
 		if cases[i].name != w {
 			t.Fatalf("case %d named %q, want %q", i, cases[i].name, w)
 		}
-		if cases[i].flops <= 0 {
+		if cases[i].flops <= 0 && w != "randomrows_8192x64" {
 			t.Fatalf("case %q has no flop count", w)
 		}
 	}

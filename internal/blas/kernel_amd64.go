@@ -2,13 +2,11 @@
 
 package blas
 
-// haveAsmKernel reports whether the AVX2+FMA micro-kernel can run:
-// CPUID must advertise FMA, AVX and AVX2, and the OS must have enabled
-// xmm+ymm state saving (OSXSAVE + XCR0). Checked once at package init.
-func haveAsmKernel() bool { return cpuKernelSupported() }
+import "gridqr/internal/cpuid"
 
-// cpuKernelSupported is implemented in kernel_amd64.s.
-func cpuKernelSupported() bool
+// haveAsmKernel reports whether the AVX2+FMA micro-kernel can run
+// (cpuid.AVX2FMA, checked once at start-up).
+func haveAsmKernel() bool { return cpuid.AVX2FMA() }
 
 // microKernelAsm accumulates acc[j*mr+i] = Σ_p ap[p*mr+i]·bp[p*nr+j]
 // over kc steps of the packed strips, using four ymm accumulators (one

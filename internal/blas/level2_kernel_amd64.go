@@ -3,9 +3,9 @@
 package blas
 
 // AVX2+FMA level-2 kernels, implemented in level2_kernel_amd64.s. They
-// share the CPUID/XGETBV gate of the GEMM micro-kernel (cpuKernelSupported
-// in kernel_amd64.s): useAsmKernel selects them, so setAsmKernel flips the
-// whole BLAS between the assembly and portable paths at once.
+// share the CPUID/XGETBV gate of the GEMM micro-kernel (cpuid.AVX2FMA):
+// useAsmKernel selects them, so setAsmKernel flips the whole BLAS
+// between the assembly and portable paths at once.
 //
 // Numerical contract: each assembly kernel computes bitwise the same
 // result as its Go mirror in level2_fallback.go. Both use fused

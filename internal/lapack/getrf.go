@@ -67,25 +67,6 @@ func swapRows(a *matrix.Dense, i, j int) {
 	}
 }
 
-// Dlaswp applies the row interchanges recorded in ipiv (Dgetf2
-// convention) to a, forward (fwd=true, as during factorization) or
-// backward (undoing them).
-func Dlaswp(a *matrix.Dense, ipiv []int, fwd bool) {
-	if fwd {
-		for k := 0; k < len(ipiv); k++ {
-			if ipiv[k] != k {
-				swapRows(a, k, ipiv[k])
-			}
-		}
-		return
-	}
-	for k := len(ipiv) - 1; k >= 0; k-- {
-		if ipiv[k] != k {
-			swapRows(a, k, ipiv[k])
-		}
-	}
-}
-
 // PivToPerm converts step-wise interchanges into the permutation they
 // produce: perm[k] is the original row index that ends up at row k.
 func PivToPerm(ipiv []int, m int) []int {
@@ -97,42 +78,6 @@ func PivToPerm(ipiv []int, m int) []int {
 		perm[k], perm[p] = perm[p], perm[k]
 	}
 	return perm
-}
-
-// LUReconstructError returns ‖P·A − L·U‖_F / ‖A‖_F for a factorization
-// produced by Dgetf2 over the original matrix orig.
-func LUReconstructError(orig, factored *matrix.Dense, ipiv []int) float64 {
-	m, n := orig.Rows, orig.Cols
-	k := min(m, n)
-	pa := orig.Clone()
-	Dlaswp(pa, ipiv, true)
-	// lu = L·U computed in place: L is m×k unit lower, U is k×n upper.
-	lu := matrix.New(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for l := 0; l <= min(min(i, j), k-1); l++ {
-				var lv float64
-				if l == i {
-					lv = 1
-				} else if l < i {
-					lv = factored.At(i, l)
-				}
-				s += lv * factored.At(l, j)
-			}
-			lu.Set(i, j, s)
-		}
-	}
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			lu.Set(i, j, pa.At(i, j)-lu.At(i, j))
-		}
-	}
-	na := matrix.NormFrob(orig)
-	if na == 0 {
-		return matrix.NormFrob(lu)
-	}
-	return matrix.NormFrob(lu) / na
 }
 
 // Dpotrf computes the Cholesky factorization A = RᵀR of a symmetric

@@ -8,6 +8,61 @@ import (
 	"gridqr/internal/matrix"
 )
 
+// dlaswp applies the row interchanges recorded in ipiv (Dgetf2
+// convention) to a, forward (fwd=true, as during factorization) or
+// backward (undoing them).
+func dlaswp(a *matrix.Dense, ipiv []int, fwd bool) {
+	if fwd {
+		for k := 0; k < len(ipiv); k++ {
+			if ipiv[k] != k {
+				swapRows(a, k, ipiv[k])
+			}
+		}
+		return
+	}
+	for k := len(ipiv) - 1; k >= 0; k-- {
+		if ipiv[k] != k {
+			swapRows(a, k, ipiv[k])
+		}
+	}
+}
+
+// luReconstructError returns ‖P·A − L·U‖_F / ‖A‖_F for a factorization
+// produced by Dgetf2 over the original matrix orig.
+func luReconstructError(orig, factored *matrix.Dense, ipiv []int) float64 {
+	m, n := orig.Rows, orig.Cols
+	k := min(m, n)
+	pa := orig.Clone()
+	dlaswp(pa, ipiv, true)
+	// lu = L·U computed in place: L is m×k unit lower, U is k×n upper.
+	lu := matrix.New(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for l := 0; l <= min(min(i, j), k-1); l++ {
+				var lv float64
+				if l == i {
+					lv = 1
+				} else if l < i {
+					lv = factored.At(i, l)
+				}
+				s += lv * factored.At(l, j)
+			}
+			lu.Set(i, j, s)
+		}
+	}
+	for j := 0; j < n; j++ {
+		for i := 0; i < m; i++ {
+			lu.Set(i, j, pa.At(i, j)-lu.At(i, j))
+		}
+	}
+	na := matrix.NormFrob(orig)
+	if na == 0 {
+		return matrix.NormFrob(lu)
+	}
+	return matrix.NormFrob(lu) / na
+}
+
 func TestDgetf2Square(t *testing.T) {
 	a := matrix.Random(8, 8, 1)
 	f := a.Clone()
@@ -15,7 +70,7 @@ func TestDgetf2Square(t *testing.T) {
 	if !Dgetf2(f, ipiv) {
 		t.Fatal("unexpected singularity")
 	}
-	if err := LUReconstructError(a, f, ipiv); err > 1e-13 {
+	if err := luReconstructError(a, f, ipiv); err > 1e-13 {
 		t.Fatalf("P·A − L·U error %g", err)
 	}
 }
@@ -27,7 +82,7 @@ func TestDgetf2Tall(t *testing.T) {
 	if !Dgetf2(f, ipiv) {
 		t.Fatal("unexpected singularity")
 	}
-	if err := LUReconstructError(a, f, ipiv); err > 1e-13 {
+	if err := luReconstructError(a, f, ipiv); err > 1e-13 {
 		t.Fatalf("tall LU error %g", err)
 	}
 	// Partial pivoting bounds multipliers by 1.
@@ -61,11 +116,11 @@ func TestDlaswpRoundTrip(t *testing.T) {
 	a := matrix.Random(6, 3, 3)
 	orig := a.Clone()
 	ipiv := []int{2, 4, 5}
-	Dlaswp(a, ipiv, true)
+	dlaswp(a, ipiv, true)
 	if matrix.Equal(a, orig, 0) {
 		t.Fatal("swaps did nothing")
 	}
-	Dlaswp(a, ipiv, false)
+	dlaswp(a, ipiv, false)
 	if !matrix.Equal(a, orig, 0) {
 		t.Fatal("backward swaps do not undo forward swaps")
 	}
@@ -91,7 +146,7 @@ func TestPivToPermMatchesDlaswp(t *testing.T) {
 		Dgetf2(fm, ipiv)
 		perm := PivToPerm(ipiv, 7)
 		pa := a.Clone()
-		Dlaswp(pa, ipiv, true)
+		dlaswp(pa, ipiv, true)
 		for i := 0; i < 7; i++ {
 			for j := 0; j < 4; j++ {
 				if pa.At(i, j) != a.At(perm[i], j) {

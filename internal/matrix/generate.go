@@ -133,10 +133,39 @@ func FillRandomRows(a *Dense, first, stride int, seed int64) {
 	if a.Rows == 0 {
 		return // Col panics on an empty matrix
 	}
+	// RandomAt hashes s ^ r_i ^ j with r_i = (first+i·stride)<<20: the
+	// seed term is per matrix, the column term per column, and r_i
+	// advances by a constant.
+	s := uint64(seed) * 0x9e3779b97f4a7c15
+	r, step := uint64(first)<<20, uint64(stride)<<20
 	for j := 0; j < a.Cols; j++ {
-		col := a.Col(j)
-		for i := range col {
-			col[i] = RandomAt(seed, first+i*stride, j)
-		}
+		fillCol(a.Col(j), r, step, s^uint64(j))
 	}
+}
+
+// useAsmKernel selects the assembly generator; resolved once at start-up
+// and switched only by tests.
+var useAsmKernel = haveAsmKernel()
+
+// fillCol sets col[i] = unitFloat(splitMix64((r + i·step) ^ c)), the
+// assembly kernel four rows at a time where the CPU has it, the Go loop
+// for the rest.
+func fillCol(col []float64, r, step, c uint64) {
+	if n4 := len(col) &^ 3; useAsmKernel && n4 > 0 {
+		fillColAsm(&col[0], n4, r, step, c)
+		col = col[n4:]
+		r += uint64(n4) * step
+	}
+	for i := range col {
+		col[i] = unitFloat(splitMix64(r ^ c))
+		r += step
+	}
+}
+
+// unitFloat is RandomAt's map of a hash to [-1, 1), computed another
+// way: with k = h>>11 < 2^53, 2·(k/2^53) − 1 = (k − 2^52)·2^-52, and
+// every step of either form is exact. The signed integer converts in
+// one instruction where the unsigned one does not.
+func unitFloat(h uint64) float64 {
+	return float64(int64(h>>11)-1<<52) * 0x1p-52
 }

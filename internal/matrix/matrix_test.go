@@ -452,33 +452,107 @@ func TestRandomAtDeterministic(t *testing.T) {
 	}
 }
 
-// TestFillRandomRowsIsRandomAt: the strided fill produces RandomAt's
-// value for every entry, bit for bit — on a view, at large offsets and
-// at a negative seed — and leaves the rest of the parent alone.
-func TestFillRandomRowsIsRandomAt(t *testing.T) {
-	for _, tc := range []struct {
-		first, stride int
-		seed          int64
-	}{{0, 1, 1}, {17, 3, 9}, {1 << 40, 7, -5}, {3, 1 << 45, 2}} {
-		parent := New(9, 5)
-		a := parent.View(2, 1, 6, 3)
-		FillRandomRows(a, tc.first, tc.stride, tc.seed)
-		for i := 0; i < a.Rows; i++ {
-			for j := 0; j < a.Cols; j++ {
-				if got, want := a.At(i, j), RandomAt(tc.seed, tc.first+i*tc.stride, j); got != want {
-					t.Fatalf("%+v: entry (%d,%d) = %v, RandomAt %v", tc, i, j, got, want)
+// setAsmKernel switches the assembly generator on or off (on only where
+// the CPU has it), reporting the previous setting.
+func setAsmKernel(on bool) (prev bool) {
+	prev = useAsmKernel
+	useAsmKernel = on && haveAsmKernel()
+	return prev
+}
+
+// forEachFillPath runs f on the Go loop and, where the CPU has it, on the
+// assembly kernel.
+func forEachFillPath(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	paths := map[string]bool{"go": false}
+	if haveAsmKernel() {
+		paths["asm"] = true
+	}
+	for name, asm := range paths {
+		t.Run(name, func(t *testing.T) {
+			defer setAsmKernel(setAsmKernel(asm))
+			f(t)
+		})
+	}
+}
+
+// checkFillRandomRows fills a rows×3 view (Stride > Rows) of a zeroed
+// parent and checks every entry against RandomAt bit for bit, and that
+// nothing outside the view was written.
+func checkFillRandomRows(t *testing.T, rows, first, stride int, seed int64) {
+	t.Helper()
+	parent := New(rows+3, 5)
+	a := parent.View(2, 1, rows, 3)
+	FillRandomRows(a, first, stride, seed)
+	for j := 0; j < parent.Cols; j++ {
+		for i := 0; i < parent.Rows; i++ {
+			got := parent.At(i, j)
+			if inView := i >= 2 && i < 2+rows && j >= 1 && j < 4; !inView {
+				if got != 0 {
+					t.Fatalf("rows=%d first=%d stride=%d seed=%d: wrote outside the view at (%d,%d)",
+						rows, first, stride, seed, i, j)
 				}
+				continue
 			}
-		}
-		for j := 0; j < parent.Cols; j++ {
-			for i := 0; i < parent.Rows; i++ {
-				if inView := i >= 2 && i < 8 && j >= 1 && j < 4; !inView && parent.At(i, j) != 0 {
-					t.Fatalf("%+v: wrote outside the view at (%d,%d)", tc, i, j)
-				}
+			if want := RandomAt(seed, first+(i-2)*stride, j-1); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("rows=%d first=%d stride=%d seed=%d: entry (%d,%d) = %v, RandomAt %v",
+					rows, first, stride, seed, i-2, j-1, got, want)
 			}
 		}
 	}
-	FillRandomRows(New(0, 4), 0, 1, 1) // no rows, no panic
+}
+
+// TestFillRandomRowsIsRandomAt: the strided fill produces RandomAt's
+// value for every entry, bit for bit, on both generator paths — every
+// column length 0–67 (all four tails of the 4-row kernel), strides 1–5,
+// offsets where the row term's <<20 wraps, negative and extreme seeds,
+// views — and leaves the rest of the parent alone.
+func TestFillRandomRowsIsRandomAt(t *testing.T) {
+	forEachFillPath(t, func(t *testing.T) {
+		for _, first := range []int{0, 17, -9, 1<<40 - 3, 1<<44 + 5} {
+			for _, seed := range []int64{1, 9, -5, math.MaxInt64, math.MinInt64} {
+				for stride := 1; stride <= 5; stride++ {
+					for rows := 0; rows <= 67; rows++ {
+						checkFillRandomRows(t, rows, first, stride, seed)
+					}
+				}
+			}
+		}
+		checkFillRandomRows(t, 6, 3, 1<<45, 2)
+		FillRandomRows(New(0, 4), 0, 1, 1) // no rows, no panic
+	})
+}
+
+// FuzzFillRandomRows: any shape, offset, stride and seed fills the same
+// bits on both paths as RandomAt.
+func FuzzFillRandomRows(f *testing.F) {
+	f.Add(uint8(13), 1<<40, uint8(3), int64(-7))
+	f.Fuzz(func(t *testing.T, rows uint8, first int, stride uint8, seed int64) {
+		for _, asm := range []bool{false, true} {
+			prev := setAsmKernel(asm)
+			checkFillRandomRows(t, int(rows), first, int(stride)+1, seed)
+			setAsmKernel(prev)
+		}
+	})
+}
+
+// BenchmarkFillRandomRows times one 8192×64 fill (the kernel gate's
+// shape) on each path.
+func BenchmarkFillRandomRows(b *testing.B) {
+	a := New(8192, 64)
+	paths := map[string]bool{"go": false}
+	if haveAsmKernel() {
+		paths["asm"] = true
+	}
+	for name, asm := range paths {
+		b.Run(name, func(b *testing.B) {
+			defer setAsmKernel(setAsmKernel(asm))
+			b.SetBytes(8 * 8192 * 64)
+			for b.Loop() {
+				FillRandomRows(a, 0, 1, 5)
+			}
+		})
+	}
 }
 
 // The range panics of FromColMajor, Col and View carry an error whose

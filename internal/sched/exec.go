@@ -358,7 +358,7 @@ func (s *Server) fail(j *Job, err error) {
 // of band. A kill panic from the fault plan propagates (the rank is
 // dead; the watcher notices); any other panic becomes this member's
 // error report so the serving loop survives algorithm bugs.
-func (s *Server) runExec(ctx *mpi.Ctx, pcomm *mpi.Comm, member int, ex *jobExec) {
+func (s *Server) runExec(ctx *mpi.Ctx, pcomm *mpi.Comm, member int, ex *jobExec, bufs *inputBufs) {
 	reported := false
 	report := func(rep memberReport) {
 		rep.member = member
@@ -385,19 +385,37 @@ func (s *Server) runExec(ctx *mpi.Ctx, pcomm *mpi.Comm, member int, ex *jobExec)
 		all[i] = i
 	}
 	jcomm := pcomm.Sub(all, fmt.Sprintf("j%d.a%d", ex.job.id, ex.attempt))
-	rep := s.execute(ctx, jcomm, ex)
+	rep := s.execute(ctx, jcomm, ex, bufs)
 	rep.counters = counterDelta(ctx.LocalCounters(), before)
 	rep.clockDelta = ctx.Now() - clock0
 	report(rep)
 }
 
+// inputBufs are one serving rank's job inputs, kept from one execution
+// to the next: a job of the same shape generates its rows into them
+// instead of allocating. Nothing a job returns aliases them — R,
+// checkpoints and solutions are copied out — so the next job may
+// overwrite them.
+type inputBufs struct{ a, b *matrix.Dense }
+
+// randomRows is matrix.RandomRows into *buf, which is replaced only when
+// its shape differs.
+func randomRows(buf **matrix.Dense, rows, cols, rowOffset int, seed int64) *matrix.Dense {
+	if m := *buf; m != nil && m.Rows == rows && m.Cols == cols {
+		matrix.FillRandomRows(m, rowOffset, 1, seed)
+		return m
+	}
+	*buf = matrix.RandomRows(rows, cols, rowOffset, seed)
+	return *buf
+}
+
 // execute runs the job's factorization on this member's rank of the job
-// communicator. Preemptible TSQR walks the staged entry points: a fresh
-// job runs FactorizeStaged under the execution's gate, a resumed one
-// replays its checkpoint's merge schedule; both stop at a consistent
-// tree-stage boundary when the gate fires and report their R fragments
-// as the checkpoint.
-func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec) memberReport {
+// communicator, generating its rows into bufs. Preemptible TSQR walks the
+// staged entry points: a fresh job runs FactorizeStaged under the
+// execution's gate, a resumed one replays its checkpoint's merge
+// schedule; both stop at a consistent tree-stage boundary when the gate
+// fires and report their R fragments as the checkpoint.
+func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec, bufs *inputBufs) memberReport {
 	me := jcomm.Rank()
 	spec := ex.job.spec
 	if spec.Kind == KindStream {
@@ -414,7 +432,7 @@ func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec) memberRepor
 	myRows := offsets[me+1] - offsets[me]
 	in := core.Input{M: spec.M, N: spec.N, Offsets: offsets}
 	if ctx.HasData() && ex.resume == nil {
-		in.Local = matrix.RandomRows(myRows, spec.N, offsets[me], spec.Seed)
+		in.Local = randomRows(&bufs.a, myRows, spec.N, offsets[me], spec.Seed)
 	}
 	cfg := core.Config{Tree: core.TreeGrid}
 	switch spec.Kind {
@@ -438,7 +456,7 @@ func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec) memberRepor
 		}
 		return memberReport{r: res.R}
 	case KindLstSq:
-		b := matrix.RandomRows(myRows, max(spec.NRHS, 1), offsets[me], spec.Seed^0x5ca1ab1e)
+		b := randomRows(&bufs.b, myRows, max(spec.NRHS, 1), offsets[me], spec.Seed^0x5ca1ab1e)
 		x, resid := core.LeastSquares(jcomm, in, b, cfg)
 		return memberReport{x: x, resid: resid}
 	default:

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -90,6 +91,72 @@ func TestScheduledMatchesSolo(t *testing.T) {
 	}
 	if got, want := res.Counters.Inter().Msgs, wantC.Inter().Msgs; got != want {
 		t.Errorf("inter-site msgs: scheduled %d, solo %d", got, want)
+	}
+}
+
+// TestBackToBackJobsShareNoInput: jobs of one shape run back to back on
+// one partition generate their rows into the same per-rank input
+// buffers. Each R still equals its solo run, and neither an earlier
+// job's R nor a checkpoint taken before the next job moves when that job
+// overwrites the buffers.
+func TestBackToBackJobsShareNoInput(t *testing.T) {
+	g := grid.SmallTestGrid(2, 1, 2) // 4 ranks, 2 sites
+	plan := SiteGroups(g, 2)         // one partition
+	s := Start(Config{Grid: g, Plan: plan})
+	defer s.Close()
+	var ckpt *core.StageCheckpoint
+	s.mu.Lock()
+	s.execHook = func(ex *jobExec) {
+		switch {
+		case ex.resume != nil:
+			ckpt = ex.resume
+		case ex.gate != nil:
+			ex.gate.RequestAt(1) // checkpoint the fresh run after its leaves
+		}
+	}
+	s.mu.Unlock()
+
+	sub := subGrid(g, plan.Groups[0])
+	run := func(seed int64, preemptible bool) *matrix.Dense {
+		t.Helper()
+		spec := JobSpec{Kind: KindTSQR, M: 256, N: 8, Seed: seed, Preemptible: preemptible}
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := j.Result()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if want, _ := soloTSQR(sub, spec); !bitwiseEqual(res.R, want) {
+			t.Fatalf("seed %d: served R differs from its solo run", seed)
+		}
+		return res.R
+	}
+
+	first := run(1, false)
+	firstCopy := first.Clone()
+	run(2, true) // preempted once, resumed from the checkpoint
+	s.mu.Lock()
+	c := ckpt
+	s.mu.Unlock()
+	if c == nil || len(c.R) == 0 {
+		t.Fatal("the preemptible job left no checkpoint")
+	}
+	saved := map[int][]float64{}
+	for dom, r := range c.R {
+		saved[dom] = append([]float64(nil), r...)
+	}
+	run(3, false)
+	if !bitwiseEqual(first, firstCopy) {
+		t.Error("the first job's R moved when later jobs reused the input buffers")
+	}
+	for dom, r := range saved {
+		for i := range r {
+			if math.Float64bits(c.R[dom][i]) != math.Float64bits(r[i]) {
+				t.Fatalf("checkpoint triangle of domain %d moved when a later job reused the input buffers", dom)
+			}
+		}
 	}
 }
 

@@ -26,7 +26,8 @@ import (
 // of fixed height and the running n×n R. Zero rows is a valid state
 // (the running R is zero). Folders are not safe for concurrent use —
 // the serving layer serializes rounds, and snapshots are taken by the
-// non-mutating SnapshotLocal.
+// non-mutating SnapshotLocal. Clone does mutate: it moves the panel
+// buffer.
 type Folder struct {
 	// OnFold, when set, observes every completed panel factorization:
 	// the panel's row count and whether its R was merged into an
@@ -193,15 +194,20 @@ func (f *Folder) SnapshotLocal() *matrix.Dense {
 }
 
 // Clone returns an independent deep copy — the checkpoint primitive.
-// It costs O(n²) plus the buffered rows, not the panel: the serving
-// layer clones every rank's folder on every round, mostly at panel
-// boundaries. The OnFold hook is not carried over: hooks belong to the
-// execution context, not the state.
+// It costs O(n²) plus the buffered rows, not the panel: the clone takes
+// over f's panel buffer, whose first rows are already the buffered ones,
+// and f keeps an exact-fit copy of those rows, which is all a rollback
+// to f reads. The serving layer clones every rank's folder on every
+// round and commits the clone, so a steady stream reuses one panel,
+// while a straggler of a failed round still owns the panel it writes
+// and the retry's clone grows its own. The OnFold hook is not carried
+// over: hooks belong to the execution context, not the state.
 func (f *Folder) Clone() *Folder {
 	c := &Folder{n: f.n, panel: f.panel, data: f.data,
-		used: f.used, rows: f.rows, folded: f.folded}
-	if f.buf != nil && f.used > 0 {
-		c.buf = f.buf.View(0, 0, f.used, f.n).Clone()
+		used: f.used, rows: f.rows, folded: f.folded, buf: f.buf}
+	f.buf = nil
+	if c.buf != nil && f.used > 0 {
+		f.buf = c.buf.View(0, 0, f.used, f.n).Clone()
 	}
 	if f.r != nil {
 		c.r = f.r.Clone()

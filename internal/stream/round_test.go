@@ -212,6 +212,49 @@ func TestRoundFaultRollback(t *testing.T) {
 	}
 }
 
+// TestRoundPanelOwnership: a round's clone takes the committed folder's
+// panel buffer over, so a steady stream keeps reusing one; a failed
+// round's straggler keeps writing the panel it owns while the retry,
+// cloned from the same committed state, grows its own — and the retry
+// and the committed state still fold their rows bit for bit.
+func TestRoundPanelOwnership(t *testing.T) {
+	const n, panel, p, seed, blockRows = 6, 16, 2, 11, 20 // a block is 10 rows of rank 0
+	ingest := func(f *Folder, from, count int) {
+		f.pushShard(seed, from*blockRows, (from+count)*blockRows, 0, p)
+	}
+	want := func(blocks int) *Folder {
+		ref := NewFolder(n, panel)
+		ref.Push(ShardRows(seed, n, 0, blocks*blockRows, 0, p))
+		return ref
+	}
+	committed := NewFolder(n, panel)
+	ingest(committed, 0, 1)
+	buf := &committed.buf.Data[0]
+	for b := 1; b < 6; b++ { // every round starts mid-panel
+		c := committed.Clone()
+		if &c.buf.Data[0] != buf {
+			t.Fatalf("round %d: the clone did not take the committed panel over", b)
+		}
+		if &committed.buf.Data[0] == buf {
+			t.Fatalf("round %d: the committed folder still shares the clone's panel", b)
+		}
+		ingest(c, b, 1)
+		committed = c
+	}
+
+	straggler := committed.Clone() // a round that will fail
+	retry := committed.Clone()
+	ingest(retry, 6, 1)
+	ingest(straggler, 6, 3) // still running after the retry started
+	ingest(retry, 7, 1)
+	if !sameFold(retry, want(8)) {
+		t.Fatal("the retry's fold differs from the uninterrupted one")
+	}
+	if !sameFold(committed, want(6)) {
+		t.Fatal("the committed state moved under its clones")
+	}
+}
+
 // TestRoundCrossEngine: the cost-only stream is observationally
 // identical on the event engine and the goroutine engine — message and
 // byte counters and the virtual clock agree exactly — and each snapshot
