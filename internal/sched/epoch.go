@@ -140,13 +140,10 @@ func (s *Server) Reconfigure(plan Plan) error {
 // rankMain runs on every world rank: follow the epoch commands into the
 // current partition's sub-communicator (collective-free, so re-forming
 // costs no messages), and serve executions in between. Spares idle on
-// their channel until an epoch includes them. The rank's input buffers
-// live here, so executions on this rank, which run one at a time, reuse
-// them.
+// their channel until an epoch includes them.
 func (s *Server) rankMain(ctx *mpi.Ctx) {
 	world := mpi.WorldComm(ctx)
 	var pcomm *mpi.Comm
-	var bufs inputBufs
 	for cmd := range s.rankChans[ctx.Rank()] {
 		if cmd.epoch != nil {
 			e := cmd.epoch
@@ -157,6 +154,6 @@ func (s *Server) rankMain(ctx *mpi.Ctx) {
 			pcomm = world.Sub(e.members, fmt.Sprintf("e%d.p%d", e.epoch, e.color))
 			continue
 		}
-		s.runExec(ctx, pcomm, pcomm.Rank(), cmd.ex, &bufs)
+		s.runExec(ctx, pcomm, pcomm.Rank(), cmd.ex)
 	}
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"gridqr/internal/core"
@@ -358,7 +359,7 @@ func (s *Server) fail(j *Job, err error) {
 // of band. A kill panic from the fault plan propagates (the rank is
 // dead; the watcher notices); any other panic becomes this member's
 // error report so the serving loop survives algorithm bugs.
-func (s *Server) runExec(ctx *mpi.Ctx, pcomm *mpi.Comm, member int, ex *jobExec, bufs *inputBufs) {
+func (s *Server) runExec(ctx *mpi.Ctx, pcomm *mpi.Comm, member int, ex *jobExec) {
 	reported := false
 	report := func(rep memberReport) {
 		rep.member = member
@@ -385,37 +386,40 @@ func (s *Server) runExec(ctx *mpi.Ctx, pcomm *mpi.Comm, member int, ex *jobExec,
 		all[i] = i
 	}
 	jcomm := pcomm.Sub(all, fmt.Sprintf("j%d.a%d", ex.job.id, ex.attempt))
-	rep := s.execute(ctx, jcomm, ex, bufs)
+	rep := s.execute(ctx, jcomm, ex)
 	rep.counters = counterDelta(ctx.LocalCounters(), before)
 	rep.clockDelta = ctx.Now() - clock0
 	report(rep)
 }
 
-// inputBufs are one serving rank's job inputs, kept from one execution
-// to the next: a job of the same shape generates its rows into them
-// instead of allocating. Nothing a job returns aliases them — R,
-// checkpoints and solutions are copied out — so the next job may
-// overwrite them.
-type inputBufs struct{ a, b *matrix.Dense }
+// inputs and rhs recycle the generated job inputs (the row block and a
+// least-squares right-hand side) across executions and ranks: a job
+// generates its rows into a pooled matrix of its shape instead of a
+// fresh, zeroed one, and gives it back when its execution returns.
+// Nothing a job returns aliases its input — R, checkpoint triangles and
+// solutions are copies — and a pooled matrix belongs to one execution at
+// a time. A pool rather than a buffer per rank keeps only as many
+// matrices as executions overlap, and lets idle ones go at the next
+// collections.
+var inputs, rhs sync.Pool
 
-// randomRows is matrix.RandomRows into *buf, which is replaced only when
-// its shape differs.
-func randomRows(buf **matrix.Dense, rows, cols, rowOffset int, seed int64) *matrix.Dense {
-	if m := *buf; m != nil && m.Rows == rows && m.Cols == cols {
+// randomRows is matrix.RandomRows into a matrix from pool when one of
+// the shape is at hand (one of another shape is dropped).
+func randomRows(pool *sync.Pool, rows, cols, rowOffset int, seed int64) *matrix.Dense {
+	if m, _ := pool.Get().(*matrix.Dense); m != nil && m.Rows == rows && m.Cols == cols {
 		matrix.FillRandomRows(m, rowOffset, 1, seed)
 		return m
 	}
-	*buf = matrix.RandomRows(rows, cols, rowOffset, seed)
-	return *buf
+	return matrix.RandomRows(rows, cols, rowOffset, seed)
 }
 
 // execute runs the job's factorization on this member's rank of the job
-// communicator, generating its rows into bufs. Preemptible TSQR walks the
-// staged entry points: a fresh job runs FactorizeStaged under the
-// execution's gate, a resumed one replays its checkpoint's merge
-// schedule; both stop at a consistent tree-stage boundary when the gate
-// fires and report their R fragments as the checkpoint.
-func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec, bufs *inputBufs) memberReport {
+// communicator. Preemptible TSQR walks the staged entry points: a fresh
+// job runs FactorizeStaged under the execution's gate, a resumed one
+// replays its checkpoint's merge schedule; both stop at a consistent
+// tree-stage boundary when the gate fires and report their R fragments
+// as the checkpoint.
+func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec) memberReport {
 	me := jcomm.Rank()
 	spec := ex.job.spec
 	if spec.Kind == KindStream {
@@ -432,7 +436,8 @@ func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec, bufs *input
 	myRows := offsets[me+1] - offsets[me]
 	in := core.Input{M: spec.M, N: spec.N, Offsets: offsets}
 	if ctx.HasData() && ex.resume == nil {
-		in.Local = randomRows(&bufs.a, myRows, spec.N, offsets[me], spec.Seed)
+		in.Local = randomRows(&inputs, myRows, spec.N, offsets[me], spec.Seed)
+		defer inputs.Put(in.Local)
 	}
 	cfg := core.Config{Tree: core.TreeGrid}
 	switch spec.Kind {
@@ -456,7 +461,8 @@ func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec, bufs *input
 		}
 		return memberReport{r: res.R}
 	case KindLstSq:
-		b := randomRows(&bufs.b, myRows, max(spec.NRHS, 1), offsets[me], spec.Seed^0x5ca1ab1e)
+		b := randomRows(&rhs, myRows, max(spec.NRHS, 1), offsets[me], spec.Seed^0x5ca1ab1e)
+		defer rhs.Put(b)
 		x, resid := core.LeastSquares(jcomm, in, b, cfg)
 		return memberReport{x: x, resid: resid}
 	default:

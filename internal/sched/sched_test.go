@@ -95,10 +95,10 @@ func TestScheduledMatchesSolo(t *testing.T) {
 }
 
 // TestBackToBackJobsShareNoInput: jobs of one shape run back to back on
-// one partition generate their rows into the same per-rank input
-// buffers. Each R still equals its solo run, and neither an earlier
-// job's R nor a checkpoint taken before the next job moves when that job
-// overwrites the buffers.
+// one partition generate their rows into recycled input matrices. Each R
+// still equals its solo run, and neither an earlier job's R nor a
+// checkpoint taken before the next job moves when that job overwrites
+// the inputs.
 func TestBackToBackJobsShareNoInput(t *testing.T) {
 	g := grid.SmallTestGrid(2, 1, 2) // 4 ranks, 2 sites
 	plan := SiteGroups(g, 2)         // one partition
@@ -149,12 +149,12 @@ func TestBackToBackJobsShareNoInput(t *testing.T) {
 	}
 	run(3, false)
 	if !bitwiseEqual(first, firstCopy) {
-		t.Error("the first job's R moved when later jobs reused the input buffers")
+		t.Error("the first job's R moved when later jobs reused its input")
 	}
 	for dom, r := range saved {
 		for i := range r {
 			if math.Float64bits(c.R[dom][i]) != math.Float64bits(r[i]) {
-				t.Fatalf("checkpoint triangle of domain %d moved when a later job reused the input buffers", dom)
+				t.Fatalf("checkpoint triangle of domain %d moved when a later job reused the inputs", dom)
 			}
 		}
 	}

@@ -130,7 +130,7 @@ func (f *Folder) walk(k int, fill func(dst *matrix.Dense, off int)) {
 		take := min(f.panel-f.used, k-off)
 		if f.data {
 			if f.buf == nil || f.buf.Rows < f.panel {
-				// First rows, or a clone's exact-fit buffer: grow to the panel.
+				// First rows, or the exact-fit copy Clone leaves: grow to the panel.
 				old := f.buf
 				f.buf = matrix.New(f.panel, f.n)
 				if old != nil {
