@@ -140,8 +140,8 @@ bench-data:
 # The latest claimed speedup as a diff between two committed documents
 # (ten alternating parent/change pairs on the host named in each file's
 # fingerprint); a later PR points these at its own pair.
-BENCH_OLD ?= results/BENCH_33_parent.json
-BENCH_NEW ?= results/BENCH_33.json
+BENCH_OLD ?= results/BENCH_35_parent.json
+BENCH_NEW ?= results/BENCH_35.json
 
 bench-compare:
 	$(GO) run ./benchmarks -compare $(BENCH_OLD) $(BENCH_NEW)

@@ -392,15 +392,11 @@ func (s *Server) runExec(ctx *mpi.Ctx, pcomm *mpi.Comm, member int, ex *jobExec)
 	report(rep)
 }
 
-// inputs and rhs recycle the generated job inputs (the row block and a
-// least-squares right-hand side) across executions and ranks: a job
-// generates its rows into a pooled matrix of its shape instead of a
-// fresh, zeroed one, and gives it back when its execution returns.
-// Nothing a job returns aliases its input — R, checkpoint triangles and
-// solutions are copies — and a pooled matrix belongs to one execution at
-// a time. A pool rather than a buffer per rank keeps only as many
-// matrices as executions overlap, and lets idle ones go at the next
-// collections.
+// inputs and rhs recycle generated job inputs (row blocks, least-squares
+// right-hand sides) across executions and ranks; a pool rather than a
+// buffer per rank, so idle ones are collected. A pooled matrix belongs to
+// one execution at a time, and nothing a job returns aliases it: R,
+// checkpoint triangles and solutions are copies.
 var inputs, rhs sync.Pool
 
 // randomRows is matrix.RandomRows into a matrix from pool when one of
