@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"gridqr/internal/core"
@@ -392,23 +391,6 @@ func (s *Server) runExec(ctx *mpi.Ctx, pcomm *mpi.Comm, member int, ex *jobExec)
 	report(rep)
 }
 
-// inputs and rhs recycle generated job inputs (row blocks, least-squares
-// right-hand sides) across executions and ranks; a pool rather than a
-// buffer per rank, so idle ones are collected. A pooled matrix belongs to
-// one execution at a time, and nothing a job returns aliases it: R,
-// checkpoint triangles and solutions are copies.
-var inputs, rhs sync.Pool
-
-// randomRows is matrix.RandomRows into a matrix from pool when one of
-// the shape is at hand (one of another shape is dropped).
-func randomRows(pool *sync.Pool, rows, cols, rowOffset int, seed int64) *matrix.Dense {
-	if m, _ := pool.Get().(*matrix.Dense); m != nil && m.Rows == rows && m.Cols == cols {
-		matrix.FillRandomRows(m, rowOffset, 1, seed)
-		return m
-	}
-	return matrix.RandomRows(rows, cols, rowOffset, seed)
-}
-
 // execute runs the job's factorization on this member's rank of the job
 // communicator. Preemptible TSQR walks the staged entry points: a fresh
 // job runs FactorizeStaged under the execution's gate, a resumed one
@@ -432,8 +414,7 @@ func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec) memberRepor
 	myRows := offsets[me+1] - offsets[me]
 	in := core.Input{M: spec.M, N: spec.N, Offsets: offsets}
 	if ctx.HasData() && ex.resume == nil {
-		in.Local = randomRows(&inputs, myRows, spec.N, offsets[me], spec.Seed)
-		defer inputs.Put(in.Local)
+		in.Local = matrix.RandomRows(myRows, spec.N, offsets[me], spec.Seed)
 	}
 	cfg := core.Config{Tree: core.TreeGrid}
 	switch spec.Kind {
@@ -457,8 +438,7 @@ func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec) memberRepor
 		}
 		return memberReport{r: res.R}
 	case KindLstSq:
-		b := randomRows(&rhs, myRows, max(spec.NRHS, 1), offsets[me], spec.Seed^0x5ca1ab1e)
-		defer rhs.Put(b)
+		b := matrix.RandomRows(myRows, max(spec.NRHS, 1), offsets[me], spec.Seed^0x5ca1ab1e)
 		x, resid := core.LeastSquares(jcomm, in, b, cfg)
 		return memberReport{x: x, resid: resid}
 	default:

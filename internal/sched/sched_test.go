@@ -95,10 +95,9 @@ func TestScheduledMatchesSolo(t *testing.T) {
 }
 
 // TestBackToBackJobsShareNoInput: jobs of one shape run back to back on
-// one partition generate their rows into recycled input matrices. Each R
-// still equals its solo run, and neither an earlier job's R nor a
-// checkpoint taken before the next job moves when that job overwrites
-// the inputs.
+// one partition. Each R equals its solo run, and neither an earlier
+// job's R nor a checkpoint taken before the next job moves when that
+// job runs; a server that recycles its input matrices must keep this.
 func TestBackToBackJobsShareNoInput(t *testing.T) {
 	g := grid.SmallTestGrid(2, 1, 2) // 4 ranks, 2 sites
 	plan := SiteGroups(g, 2)         // one partition
@@ -149,12 +148,12 @@ func TestBackToBackJobsShareNoInput(t *testing.T) {
 	}
 	run(3, false)
 	if !bitwiseEqual(first, firstCopy) {
-		t.Error("the first job's R moved when later jobs reused its input")
+		t.Error("the first job's R moved when later jobs ran")
 	}
 	for dom, r := range saved {
 		for i := range r {
 			if math.Float64bits(c.R[dom][i]) != math.Float64bits(r[i]) {
-				t.Fatalf("checkpoint triangle of domain %d moved when a later job reused the inputs", dom)
+				t.Fatalf("checkpoint triangle of domain %d moved when a later job ran", dom)
 			}
 		}
 	}
