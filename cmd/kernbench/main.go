@@ -3,7 +3,8 @@
 // committed baseline. Unlike gridbench, whose simulated numbers are
 // machine-independent and diffed exactly, kernbench times real kernels
 // on the host, so GOMAXPROCS is pinned for repeatability and the gate
-// only fails on large regressions:
+// only fails on large regressions. It prints, and writes into its report,
+// the kernel set CPUID selected (blas.KernelSet: go, avx2 or avx512):
 //
 //	kernbench -procs 1 -json results/KERNBENCH.json      # refresh baseline
 //	kernbench -procs 1 -baseline results/KERNBENCH.json  # CI gate (-tol 0.30)
@@ -31,13 +32,14 @@ func main() {
 	blas.SetWorkers(*procs)
 
 	results := bench.RunKernBench()
+	fmt.Printf("kernel set: %s\n", blas.KernelSet())
 	fmt.Printf("%-24s %14s %10s\n", "kernel", "ns/op", "Gflop/s")
 	for _, r := range results {
 		fmt.Printf("%-24s %14.0f %10.2f\n", r.Name, r.NsPerOp, r.Gflops)
 	}
 
 	if *jsonOut != "" {
-		rep := bench.KernReport{Procs: *procs, Results: results}
+		rep := bench.KernReport{Procs: *procs, Kernels: blas.KernelSet(), Results: results}
 		f, err := os.Create(*jsonOut)
 		if err != nil {
 			fatal(err)
@@ -66,6 +68,10 @@ func main() {
 		if want.Procs != *procs {
 			fmt.Fprintf(os.Stderr, "warning: baseline taken at procs=%d, measuring at procs=%d\n",
 				want.Procs, *procs)
+		}
+		if want.Kernels != blas.KernelSet() {
+			fmt.Printf("baseline taken on the %s kernels, measuring the %s kernels\n",
+				want.Kernels, blas.KernelSet())
 		}
 		diffs := bench.CompareKern(results, want, *tol)
 		if len(diffs) > 0 {

@@ -30,7 +30,8 @@ type KernResult struct {
 
 // KernReport is the JSON document committed as results/KERNBENCH.json.
 type KernReport struct {
-	Procs   int          `json:"procs"` // GOMAXPROCS the numbers were taken at
+	Procs   int          `json:"procs"`   // GOMAXPROCS the numbers were taken at
+	Kernels string       `json:"kernels"` // blas.KernelSet() of the run
 	Results []KernResult `json:"results"`
 }
 
@@ -343,11 +344,15 @@ func RunKernBench() []KernResult {
 	return results
 }
 
-// ReadKernReport parses a committed kernel baseline.
+// ReadKernReport parses a committed kernel baseline. One written before
+// the report named its kernel set ran the AVX2 kernels.
 func ReadKernReport(r io.Reader) (KernReport, error) {
 	var rep KernReport
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {
 		return KernReport{}, fmt.Errorf("bench: bad kernel baseline: %w", err)
+	}
+	if rep.Kernels == "" {
+		rep.Kernels = "avx2"
 	}
 	return rep, nil
 }

@@ -56,3 +56,21 @@ func TestKernSetShape(t *testing.T) {
 		}
 	}
 }
+
+// TestReadKernReportKernels: a report names the kernel set it ran; one
+// written before reports did (results/KERNBENCH.json) ran AVX2.
+func TestReadKernReportKernels(t *testing.T) {
+	for doc, want := range map[string]string{
+		`{"procs": 1, "results": []}`:                      "avx2",
+		`{"procs": 1, "kernels": "avx512", "results": []}`: "avx512",
+		`{"procs": 1, "kernels": "go", "results": []}`:     "go",
+	} {
+		rep, err := ReadKernReport(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Kernels != want {
+			t.Errorf("%s: kernels %q, want %q", doc, rep.Kernels, want)
+		}
+	}
+}

@@ -77,11 +77,15 @@ func FuzzDgemm(f *testing.F) {
 			c = c0.Clone()
 			gemmPacked(ta, tb, alpha, a, b, beta, c)
 			check("packed-go", c)
-			c = c0.Clone()
-			gemmSmall(ta, tb, alpha, a, b, beta, c, 0, n)
 			setAsmKernel(prev)
-			check("sweep-go", c)
 		}
+		// The sweep runs the skinny kernels: Go mirror, AVX2 and the
+		// 512-bit twins agree bit for bit.
+		matchesGo(t, kernelPaths(t), "sweep", func() []float64 {
+			c := c0.Clone()
+			gemmSmall(ta, tb, alpha, a, b, beta, c, 0, n)
+			return c.Data
+		})
 	})
 }
 
@@ -125,13 +129,11 @@ func FuzzDgemv(f *testing.F) {
 		Dgemv(trans, alpha, a, x, beta, y)
 		check("dispatch", y)
 
-		if haveAsmKernel() {
-			prev := setAsmKernel(false)
-			y = append([]float64(nil), y0...)
+		matchesGo(t, kernelPaths(t), "Dgemv", func() []float64 {
+			y := append([]float64(nil), y0...)
 			Dgemv(trans, alpha, a, x, beta, y)
-			setAsmKernel(prev)
-			check("fallback", y)
-		}
+			return y
+		})
 	})
 }
 
@@ -153,21 +155,16 @@ func FuzzDger(f *testing.F) {
 
 		tol := 1e-14 * (math.Abs(alpha) + 1)
 
-		run := func(label string) {
-			t.Helper()
+		a := matrix.Random(m+pad, n, seed).View(pad/2, 0, m, n)
+		Dger(alpha, x, y, a)
+		if d := maxAbsDiff(a.Clone(), want); d > tol || math.IsNaN(d) {
+			t.Fatalf("m=%d n=%d pad=%d alpha=%g: max diff %g > %g", m, n, pad, alpha, d, tol)
+		}
+		matchesGo(t, kernelPaths(t), "Dger", func() []float64 {
 			a := matrix.Random(m+pad, n, seed).View(pad/2, 0, m, n)
 			Dger(alpha, x, y, a)
-			if d := maxAbsDiff(a.Clone(), want); d > tol || math.IsNaN(d) {
-				t.Fatalf("%s m=%d n=%d pad=%d alpha=%g: max diff %g > %g", label, m, n, pad, alpha, d, tol)
-			}
-		}
-
-		run("dispatch")
-		if haveAsmKernel() {
-			prev := setAsmKernel(false)
-			run("fallback")
-			setAsmKernel(prev)
-		}
+			return a.Data
+		})
 	})
 }
 

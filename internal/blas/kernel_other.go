@@ -7,6 +7,9 @@ package blas
 // Go kernel, which shares the packed-strip layout exactly.
 func haveAsmKernel() bool { return false }
 
+// haveWideKernel: no 512-bit twins off amd64 either.
+func haveWideKernel() bool { return false }
+
 // microKernelAsm is never called when haveAsmKernel reports false; the
 // stub keeps the dispatch in microkernel.go portable.
 func microKernelAsm(kc int, ap, bp *float64, acc *[mr * nr]float64) {

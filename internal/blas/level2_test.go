@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,24 +13,78 @@ import (
 // textbook refs on both kernel paths, a bitwise asm↔Go-mirror equality
 // test, and the differential fuzzers in fuzz_test.go.
 
-// forEachKernelPath runs f once per available kernel path, labelled "go"
-// and (when the CPU supports it) "asm".
+// kernelPath is one kernel set the tests run: the portable Go mirrors
+// ("go"), the AVX2 kernels ("asm"), or the AVX2 kernels with their
+// 512-bit twins ("avx512").
+type kernelPath struct {
+	name      string
+	asm, wide bool
+}
+
+// kernelPaths lists the kernel sets this CPU can run, the Go mirrors
+// first. Without AVX-512F the wide set is missing, and t says so: the
+// tests still run every other set rather than skip.
+func kernelPaths(t testing.TB) []kernelPath {
+	t.Helper()
+	paths := []kernelPath{{name: "go"}}
+	if haveAsmKernel() {
+		paths = append(paths, kernelPath{name: "asm", asm: true})
+	}
+	if haveWideKernel() {
+		paths = append(paths, kernelPath{name: "avx512", asm: true, wide: true})
+	} else {
+		t.Log("no AVX-512F on this CPU: the 512-bit twins were not exercised")
+	}
+	return paths
+}
+
+// use switches the package to p's kernel set and returns the function
+// that restores the previous one.
+func (p kernelPath) use() (restore func()) {
+	asm, wide := setAsmKernel(p.asm), setWideKernel(p.wide)
+	return func() { setAsmKernel(asm); setWideKernel(wide) }
+}
+
+// forEachKernelPath runs f once per kernel set of kernelPaths, as a
+// subtest named after it.
 func forEachKernelPath(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	kernels := []bool{false}
-	if haveAsmKernel() {
-		kernels = append(kernels, true)
-	}
-	for _, asm := range kernels {
-		name := "go"
-		if asm {
-			name = "asm"
-		}
-		t.Run(name, func(t *testing.T) {
-			prev := setAsmKernel(asm)
-			defer setAsmKernel(prev)
+	for _, p := range kernelPaths(t) {
+		t.Run(p.name, func(t *testing.T) {
+			defer p.use()()
 			f(t)
 		})
+	}
+}
+
+// sameBits fails t at the first element where got and want differ in
+// any bit, NaN payloads included.
+func sameBits(t testing.TB, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: [%d]=%x want %x", label, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// matchesGo runs f on every kernel set of paths and asserts that each
+// returns the bits of the first, the Go mirrors.
+func matchesGo(t testing.TB, paths []kernelPath, label string, f func() []float64) {
+	t.Helper()
+	var want []float64
+	for _, p := range paths {
+		restore := p.use()
+		got := f()
+		restore()
+		if want == nil {
+			want = got
+			continue
+		}
+		sameBits(t, label+" "+p.name+" vs go", got, want)
 	}
 }
 
@@ -109,53 +164,46 @@ func TestDgerTable(t *testing.T) {
 }
 
 // TestLevel2AsmMatchesGoBitwise asserts the numerical contract of
-// level2_kernel_amd64.go: the assembly kernels and their Go mirrors agree
-// bit for bit, so kernel dispatch never changes results.
+// level2_kernel_amd64.go: the assembly kernels, their 512-bit twins and
+// their Go mirrors agree bit for bit, so kernel dispatch never changes
+// results.
 func TestLevel2AsmMatchesGoBitwise(t *testing.T) {
 	if !haveAsmKernel() {
 		t.Skip("no asm kernel on this CPU")
 	}
-	check := func(label string, m, n int, f func() []float64) {
-		t.Helper()
-		prev := setAsmKernel(true)
-		asm := f()
-		setAsmKernel(false)
-		goRes := f()
-		setAsmKernel(prev)
-		for i := range asm {
-			if math.Float64bits(asm[i]) != math.Float64bits(goRes[i]) {
-				t.Fatalf("%s m=%d n=%d: asm[%d]=%x go[%d]=%x", label, m, n,
-					i, math.Float64bits(asm[i]), i, math.Float64bits(goRes[i]))
-			}
-		}
-	}
-	for _, m := range []int{0, 1, 3, 4, 5, 7, 8, 9, 16, 33, 127} {
+	paths := kernelPaths(t)
+	for _, m := range []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 33, 127, 4096} {
 		for _, n := range []int{0, 1, 3, 4, 5, 8, 11} {
-			m, n := m, n
 			a := matrix.Random(m+3, n, int64(m*100+n)).View(1, 0, m, n)
 			x := matrix.Random(m, 1, int64(m+n)).Col(0)
 			xn := matrix.Random(n, 1, int64(m-n)).Col(0)
 			y0 := matrix.Random(m, 1, int64(m*n+7)).Col(0)
-			check("Ddot", m, n, func() []float64 {
+			label := func(kernel string) string { return fmt.Sprintf("%s m=%d n=%d", kernel, m, n) }
+			matchesGo(t, paths, label("Ddot"), func() []float64 {
 				return []float64{Ddot(x, y0)}
 			})
-			check("Daxpy", m, n, func() []float64 {
+			matchesGo(t, paths, label("Daxpy"), func() []float64 {
 				y := append([]float64(nil), y0...)
 				Daxpy(0.75, x, y)
 				return y
 			})
-			check("DgemvN", m, n, func() []float64 {
+			matchesGo(t, paths, label("Dscal"), func() []float64 {
+				y := append([]float64(nil), y0...)
+				Dscal(-1.25, y)
+				return y
+			})
+			matchesGo(t, paths, label("DgemvN"), func() []float64 {
 				y := append([]float64(nil), y0...)
 				Dgemv(NoTrans, 1.25, a, xn, 0.5, y)
 				return y
 			})
-			check("DgemvT", m, n, func() []float64 {
+			matchesGo(t, paths, label("DgemvT"), func() []float64 {
 				y := append([]float64(nil), xn...)
 				Dgemv(Trans, -0.5, a, x, 1, y)
 				return y
 			})
 			if m > 0 { // Clone of a 0×n view has no backing columns
-				check("Dger", m, n, func() []float64 {
+				matchesGo(t, paths, label("Dger"), func() []float64 {
 					g := a.Clone()
 					Dger(1.5, x, xn, g)
 					return g.Data

@@ -34,6 +34,35 @@ func setAsmKernel(on bool) (prev bool) {
 	return prev
 }
 
+// useWideKernel selects, within the assembly path, the 512-bit twins of
+// the skinny kernels and of ddot, daxpy and dscal: resolved once at init
+// from CPUID
+// (haveWideKernel), overridden only by tests (setWideKernel). A twin
+// returns its AVX2 kernel's result bit for bit, so this picks a speed,
+// never an output. The packed engine's micro-kernel has no twin.
+var useWideKernel = haveWideKernel()
+
+// setWideKernel switches the 512-bit twins on or off, reporting the
+// previous setting; on=true is ignored on CPUs without AVX-512F, and the
+// twins run only while useAsmKernel is on. Test-only, like setAsmKernel.
+func setWideKernel(on bool) (prev bool) {
+	prev = useWideKernel
+	useWideKernel = on && haveWideKernel()
+	return prev
+}
+
+// KernelSet names the kernel set this process runs: "avx512" (the
+// 512-bit twins and the AVX2 kernels without one), "avx2" or "go".
+func KernelSet() string {
+	switch {
+	case !useAsmKernel:
+		return "go"
+	case useWideKernel:
+		return "avx512"
+	}
+	return "avx2"
+}
+
 // microKernel computes the mr×nr tile product and merges alpha times the
 // result into C at c[0] with column stride ldc.
 func microKernel(kc int, alpha float64, ap, bp []float64, c []float64, ldc, mrEff, nrEff int) {

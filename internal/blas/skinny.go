@@ -2,6 +2,7 @@ package blas
 
 import (
 	"math"
+	"sync"
 
 	"gridqr/internal/matrix"
 )
@@ -22,7 +23,9 @@ import (
 //
 // The register kernels have two implementations, selected by
 // useAsmKernel like level 2: skinny_kernel_amd64.s and the math.FMA
-// mirrors below, which reproduce the assembly bit for bit.
+// mirrors below, which reproduce the assembly bit for bit. With
+// AVX-512F, useWideKernel swaps in the assembly's 512-bit twins, which
+// reproduce it bit for bit too.
 
 const (
 	// skinnyDim is the short extent the kernels are built for — the
@@ -71,7 +74,8 @@ func gemmNN(alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense) {
 // four-column strip of C passes over them — but at least 128 rows, under
 // which a C that streams from memory comes in column segments too short
 // to prefetch. The last m mod 8 rows run the same kernel on a
-// zero-padded copy. No element's arithmetic depends on the chunking.
+// zero-padded copy (gemmNNEdge). No element's arithmetic depends on the
+// chunking.
 func gemmNNBlock(alpha float64, a []float64, lda int, b []float64, ldb, k int, beta float64, c *matrix.Dense) {
 	m, n, ldc := c.Rows, c.Cols, c.Stride
 	m8 := m &^ 7
@@ -82,33 +86,59 @@ func gemmNNBlock(alpha float64, a []float64, lda int, b []float64, ldb, k int, b
 			gemmNN8x4(tiles, k, a[i0:], lda, b[j0*ldb:], ldb, c.Data[j0*ldc+i0:], ldc, min(4, n-j0), alpha, beta)
 		}
 	}
-	if r := m - m8; r > 0 {
-		var ae [8 * skinnyDim]float64
-		for l := 0; l < k; l++ {
-			for i, v := range a[l*lda+m8 : l*lda+m] {
-				ae[8*l+i] = v
-			}
+	if m > m8 {
+		gemmNNEdge(alpha, a[m8:], lda, b, ldb, k, beta, c.View(m8, 0, m-m8, n))
+	}
+}
+
+// nnEdge is the scratch of one edge tile: the padded rows of A and of
+// four columns of C.
+type nnEdge struct {
+	a [8 * skinnyDim]float64
+	c [8 * 4]float64
+}
+
+// nnEdgePool keeps the edge scratch off the stack: 4.6 KB in the frame
+// of every skinny product would make the first block-reflector update
+// of each new goroutine grow its stack.
+var nnEdgePool = sync.Pool{New: func() any { return new(nnEdge) }}
+
+// gemmNNEdge runs the 8×4 kernel on the r < 8 rows of c, with A's rows
+// and C's copied into 8-row scratch tiles whose other rows are zero.
+func gemmNNEdge(alpha float64, a []float64, lda int, b []float64, ldb, k int, beta float64, c *matrix.Dense) {
+	r, n, ldc := c.Rows, c.Cols, c.Stride
+	e := nnEdgePool.Get().(*nnEdge)
+	defer nnEdgePool.Put(e)
+	for l := 0; l < k; l++ {
+		ae := e.a[8*l : 8*l+8]
+		clear(ae[copy(ae[:r], a[l*lda:]):])
+	}
+	for j0 := 0; j0 < n; j0 += 4 {
+		nc := min(4, n-j0)
+		edge := c.Data[j0*ldc:]
+		for j := 0; j < nc && beta != 0; j++ {
+			ce := e.c[8*j : 8*j+8]
+			clear(ce[copy(ce[:r], edge[j*ldc:]):])
 		}
-		var ce [8 * 4]float64
-		for j0 := 0; j0 < n; j0 += 4 {
-			nc := min(4, n-j0)
-			edge := c.Data[j0*ldc+m8:]
-			if beta != 0 {
-				for j := 0; j < nc; j++ {
-					copy(ce[8*j:8*j+r], edge[j*ldc:])
-				}
-			}
-			gemmNN8x4(1, k, ae[:], 8, b[j0*ldb:], ldb, ce[:], 8, nc, alpha, beta)
-			for j := 0; j < nc; j++ {
-				copy(edge[j*ldc:j*ldc+r], ce[8*j:])
-			}
+		gemmNN8x4(1, k, e.a[:], 8, b[j0*ldb:], ldb, e.c[:], 8, nc, alpha, beta)
+		for j := 0; j < nc; j++ {
+			copy(edge[j*ldc:j*ldc+r], e.c[8*j:])
 		}
 	}
 }
 
 // gemmNN8x4 computes tiles 8-row tiles of an nc ≤ 4 column strip of C.
+// The 512-bit twin takes the tiles in pairs; an odd last tile runs the
+// AVX2 kernel.
 func gemmNN8x4(tiles, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc, nc int, alpha, beta float64) {
 	if useAsmKernel {
+		if t2 := tiles / 2; useWideKernel && t2 > 0 {
+			gemmNN16x4Asm512(t2, k, &a[0], lda, &b[0], ldb, &c[0], ldc, nc, alpha, beta)
+			if tiles&1 == 0 {
+				return
+			}
+			tiles, a, c = 1, a[16*t2:], c[16*t2:]
+		}
 		gemmNN8x4Asm(tiles, k, &a[0], lda, &b[0], ldb, &c[0], ldc, nc, alpha, beta)
 		return
 	}
@@ -231,6 +261,10 @@ func gemmTNChunk(steps int, a []float64, lda, m int, b []float64, ldb, n int, al
 // gemmTN4x3 adds α times the 4·steps-row dot products of the columns of
 // a at offsets ao and of b at offsets bo into the 4×3 tile at c.
 func gemmTN4x3(steps int, a []float64, ao *[4]int, b []float64, bo *[3]int, c []float64, ldc int, alpha float64) {
+	if useAsmKernel && useWideKernel {
+		gemmTN4x3Asm512(steps, &a[ao[0]], &a[ao[1]], &a[ao[2]], &a[ao[3]], &b[bo[0]], &b[bo[1]], &b[bo[2]], &c[0], ldc, alpha)
+		return
+	}
 	if useAsmKernel {
 		gemmTN4x3Asm(steps, &a[ao[0]], &a[ao[1]], &a[ao[2]], &a[ao[3]], &b[bo[0]], &b[bo[1]], &b[bo[2]], &c[0], ldc, alpha)
 		return

@@ -13,7 +13,8 @@ import (
 // forced through the packed engine — at the leaf's inner widths on a
 // fold block and a tree leaf, at the 64-wide blocks of the Q side, and
 // under a wide C. V2 and C2 are views of one taller parent with leading
-// dimension ld, as a fold block sees them.
+// dimension ld, as a fold block sees them. The _avx2 cases switch the
+// 512-bit twins off; on a CPU without AVX-512F they repeat the plain ones.
 func BenchmarkSkinny(b *testing.B) {
 	for _, sh := range []struct{ rows, k, n, ld int }{
 		{4096, 4, 60, 1 << 18}, {4096, 8, 56, 1 << 18}, {4096, 16, 48, 1 << 18}, {4096, 16, 48, 4096 + 8},
@@ -32,8 +33,16 @@ func BenchmarkSkinny(b *testing.B) {
 		}{
 			// α tiny: C2 is updated in place b.N times.
 			{"nn", func() { gemm(NoTrans, NoTrans, -1e-9, v, w, 1, c) }},
+			{"nn_avx2", func() {
+				defer setWideKernel(setWideKernel(false))
+				gemm(NoTrans, NoTrans, -1e-9, v, w, 1, c)
+			}},
 			{"nn_packed", func() { gemmPacked(NoTrans, NoTrans, -1e-9, v, w, 1, c) }},
 			{"tn", func() { gemm(Trans, NoTrans, 1, v, c, 0, w) }},
+			{"tn_avx2", func() {
+				defer setWideKernel(setWideKernel(false))
+				gemm(Trans, NoTrans, 1, v, c, 0, w)
+			}},
 			{"tn_packed", func() { gemmPacked(Trans, NoTrans, 1, v, c, 0, w) }},
 		} {
 			b.Run(fmt.Sprintf("%dx%dx%d_ld%d/%s", sh.rows, sh.k, sh.n, sh.ld, kc.name), func(b *testing.B) {

@@ -21,3 +21,17 @@ func gemmNN8x4Asm(tiles, k int, a *float64, lda int, b *float64, ldb int, c *flo
 //
 //go:noescape
 func gemmTN4x3Asm(steps int, a0, a1, a2, a3, b0, b1, b2, c *float64, ldc int, alpha float64)
+
+// gemmNN16x4Asm512 is gemmNN8x4Asm on 16-row tiles in zmm registers
+// (AVX-512F, selected by useWideKernel): every element's FMA chain and
+// merge are the AVX2 kernel's, so are its bits.
+//
+//go:noescape
+func gemmNN16x4Asm512(tiles, k int, a *float64, lda int, b *float64, ldb int, c *float64, ldc, nc int, alpha, beta float64)
+
+// gemmTN4x3Asm512 is gemmTN4x3Asm with two columns of A per zmm
+// register: each 256-bit half of an accumulator is exactly one of the
+// AVX2 kernel's ymm accumulators, and the fold is that kernel's.
+//
+//go:noescape
+func gemmTN4x3Asm512(steps int, a0, a1, a2, a3, b0, b1, b2, c *float64, ldc int, alpha float64)

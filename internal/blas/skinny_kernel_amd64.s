@@ -26,6 +26,24 @@
 	VMOVUPD lo, (DI); \
 	VMOVUPD hi, 32(DI)
 
+// MERGE512 and STORE512 are MERGE and STORE on the sixteen rows of a
+// zmm tile column: the same element-wise operations on twice the rows.
+#define MERGE512(lo, hi) \
+	VMOVUPD (DI), Z8; \
+	VMOVUPD 64(DI), Z9; \
+	VMULPD  Z13, Z8, Z8; \
+	VMULPD  Z13, Z9, Z9; \
+	VFMADD231PD Z12, lo, Z8; \
+	VFMADD231PD Z12, hi, Z9; \
+	VMOVUPD Z8, (DI); \
+	VMOVUPD Z9, 64(DI)
+
+#define STORE512(lo, hi) \
+	VMULPD  Z12, lo, lo; \
+	VMULPD  Z12, hi, hi; \
+	VMOVUPD lo, (DI); \
+	VMOVUPD hi, 64(DI)
+
 // TNROW adds one column of A (at base, four rows from byte offset AX)
 // against the three loaded columns of B into its accumulators.
 #define TNROW(base, acc0, acc1, acc2) \
@@ -47,6 +65,25 @@
 	VMOVUPD (DX), Y13; \
 	VFMADD231PD Y12, Y14, Y13; \
 	VMOVUPD Y13, (DX)
+
+// TNPAIR adds the column pair (lo, hi) of A, four rows from byte offset
+// AX, against the three broadcast columns of B: the low half of each
+// zmm accumulator is lo's ymm accumulator of the AVX2 kernel, the high
+// half hi's.
+#define TNPAIR(lo, hi, acc0, acc1, acc2) \
+	VMOVUPD (lo)(AX*1), Y15; \
+	VINSERTF64X4 $1, (hi)(AX*1), Z15, Z15; \
+	VFMADD231PD Z12, Z15, acc0; \
+	VFMADD231PD Z13, Z15, acc1; \
+	VFMADD231PD Z14, Z15, acc2
+
+// TNFOLD512 splits the two pair accumulators of one column of the tile
+// back into the four ymm accumulators of the AVX2 kernel and runs its
+// fold on them.
+#define TNFOLD512(p01, p23, r0, r2) \
+	VEXTRACTF64X4 $1, p01, Y6; \
+	VEXTRACTF64X4 $1, p23, Y7; \
+	TNFOLD(r0, Y6, r2, Y7)
 
 // func gemmNN8x4Asm(tiles, k int, a *float64, lda int, b *float64, ldb int, c *float64, ldc, nc int, alpha, beta float64)
 //
@@ -203,5 +240,156 @@ tnloop:
 	TNFOLD(Y4, Y5, Y6, Y7)
 	ADDQ R13, DX
 	TNFOLD(Y8, Y9, Y10, Y11)
+	VZEROUPPER
+	RET
+
+// func gemmNN16x4Asm512(tiles, k int, a *float64, lda int, b *float64, ldb int, c *float64, ldc, nc int, alpha, beta float64)
+//
+// gemmNN8x4Asm on 16-row tiles: two zmm accumulators per column hold the
+// sixteen rows whose FMA chains the AVX2 kernel runs eight at a time.
+// Every element sees the same operations in the same order, so the
+// result is that kernel's bit for bit.
+TEXT ·gemmNN16x4Asm512(SB), NOSPLIT, $0-88
+	MOVQ tiles+0(FP), AX
+	MOVQ k+8(FP), CX
+	SHLQ $3, CX
+	MOVQ a+16(FP), SI
+	MOVQ lda+24(FP), R8
+	SHLQ $3, R8
+	MOVQ b+32(FP), BX
+	MOVQ ldb+40(FP), R12
+	SHLQ $3, R12
+	MOVQ c+48(FP), DX
+	MOVQ ldc+56(FP), R13
+	SHLQ $3, R13
+	MOVQ nc+64(FP), R14
+	VBROADCASTSD alpha+72(FP), Z12
+	VBROADCASTSD beta+80(FP), Z13
+	MOVQ beta+80(FP), R15
+	SHLQ $1, R15
+	MOVQ BX, R9
+	MOVQ BX, R10
+	MOVQ BX, R11
+	CMPQ R14, $2
+	JLT  zntile
+	ADDQ R12, R9
+	MOVQ R9, R10
+	MOVQ R9, R11
+	CMPQ R14, $3
+	JLT  zntile
+	ADDQ R12, R10
+	MOVQ R10, R11
+	CMPQ R14, $4
+	JLT  zntile
+	ADDQ R12, R11
+zntile:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ SI, DI
+	XORQ R12, R12
+znloop:
+	VMOVUPD      (DI), Z8
+	VMOVUPD      64(DI), Z9
+	VBROADCASTSD (BX)(R12*1), Z10
+	VFMADD231PD  Z8, Z10, Z0
+	VFMADD231PD  Z9, Z10, Z1
+	VBROADCASTSD (R9)(R12*1), Z11
+	VFMADD231PD  Z8, Z11, Z2
+	VFMADD231PD  Z9, Z11, Z3
+	VBROADCASTSD (R10)(R12*1), Z10
+	VFMADD231PD  Z8, Z10, Z4
+	VFMADD231PD  Z9, Z10, Z5
+	VBROADCASTSD (R11)(R12*1), Z11
+	VFMADD231PD  Z8, Z11, Z6
+	VFMADD231PD  Z9, Z11, Z7
+	ADDQ R8, DI
+	ADDQ $8, R12
+	CMPQ R12, CX
+	JLT  znloop
+	MOVQ  DX, DI
+	TESTQ R15, R15
+	JZ    znstore
+	MERGE512(Z0, Z1)
+	CMPQ R14, $2
+	JLT  znnext
+	ADDQ R13, DI
+	MERGE512(Z2, Z3)
+	CMPQ R14, $3
+	JLT  znnext
+	ADDQ R13, DI
+	MERGE512(Z4, Z5)
+	CMPQ R14, $4
+	JLT  znnext
+	ADDQ R13, DI
+	MERGE512(Z6, Z7)
+	JMP  znnext
+znstore:
+	STORE512(Z0, Z1)
+	CMPQ R14, $2
+	JLT  znnext
+	ADDQ R13, DI
+	STORE512(Z2, Z3)
+	CMPQ R14, $3
+	JLT  znnext
+	ADDQ R13, DI
+	STORE512(Z4, Z5)
+	CMPQ R14, $4
+	JLT  znnext
+	ADDQ R13, DI
+	STORE512(Z6, Z7)
+znnext:
+	ADDQ $128, SI
+	ADDQ $128, DX
+	DECQ AX
+	JNZ  zntile
+	VZEROUPPER
+	RET
+
+// func gemmTN4x3Asm512(steps int, a0, a1, a2, a3, b0, b1, b2, c *float64, ldc int, alpha float64)
+//
+// gemmTN4x3Asm with the columns of A in pairs: each zmm accumulator is
+// two of that kernel's ymm accumulators side by side — the pair's two
+// columns, loaded as a ymm and a 256-bit insert, against one column of
+// B broadcast to both halves — so six FMAs do the work of twelve. The
+// halves are split off and folded by TNFOLD as before.
+TEXT ·gemmTN4x3Asm512(SB), NOSPLIT, $0-88
+	MOVQ steps+0(FP), CX
+	MOVQ a0+8(FP), SI
+	MOVQ a1+16(FP), DI
+	MOVQ a2+24(FP), R8
+	MOVQ a3+32(FP), R9
+	MOVQ b0+40(FP), R10
+	MOVQ b1+48(FP), R11
+	MOVQ b2+56(FP), R12
+	MOVQ c+64(FP), DX
+	MOVQ ldc+72(FP), R13
+	SHLQ $3, R13
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	XORQ AX, AX
+ztnloop:
+	VBROADCASTF64X4 (R10)(AX*1), Z12
+	VBROADCASTF64X4 (R11)(AX*1), Z13
+	VBROADCASTF64X4 (R12)(AX*1), Z14
+	TNPAIR(SI, DI, Z0, Z2, Z4)
+	TNPAIR(R8, R9, Z1, Z3, Z5)
+	ADDQ $32, AX
+	DECQ CX
+	JNZ  ztnloop
+	TNFOLD512(Z0, Z1, Y0, Y1)
+	ADDQ R13, DX
+	TNFOLD512(Z2, Z3, Y2, Y3)
+	ADDQ R13, DX
+	TNFOLD512(Z4, Z5, Y4, Y5)
 	VZEROUPPER
 	RET

@@ -30,11 +30,11 @@ func skinnyOperands(ta Transpose, m, n, k int, seed int64) (a, b, c *matrix.Dens
 
 // skinnyShapes crosses the edges of both register tiles: m mod 8 and
 // n mod 4 for A·B, m mod 4, n mod 3 and k mod 4 for Aᵀ·B, and k and m on
-// both sides of skinnyDim. The tests enter through gemmSmall, which
-// hands every size to the skinny kernels; gemm would send the largest to
-// the packed engine.
-func skinnyShapes(f func(m, n, k int)) {
-	for _, m := range []int{1, 7, 8, 9, 16, 23, 65} {
+// both sides of skinnyDim, for m in skinnyRows plus extra. The tests
+// enter through gemmSmall, which hands every size to the skinny kernels;
+// gemm would send the largest to the packed engine.
+func skinnyShapes(extra []int, f func(m, n, k int)) {
+	for _, m := range append([]int{1, 7, 8, 9, 16, 23, 65}, extra...) {
 		for _, n := range []int{1, 2, 3, 4, 5, 7, 12} {
 			for _, k := range []int{1, 4, 8, 16, 37, 64, 131, 262} {
 				f(m, n, k)
@@ -43,9 +43,15 @@ func skinnyShapes(f func(m, n, k int)) {
 	}
 }
 
+// wideRows are the extra row counts of the bitwise test: 3 and 17
+// 8-row tiles, so a row chunk ends in an odd tile after 16-row ones —
+// the 512-bit A·B twin takes the pairs and hands that one to the AVX2
+// kernel.
+var wideRows = []int{24, 143}
+
 func TestSkinnyTable(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
-		skinnyShapes(func(m, n, k int) {
+		skinnyShapes(nil, func(m, n, k int) {
 			for _, ta := range []Transpose{NoTrans, Trans} {
 				for _, alpha := range []float64{1, -1, 0.5} {
 					for _, beta := range []float64{0, 1, 0.5} {
@@ -64,31 +70,43 @@ func TestSkinnyTable(t *testing.T) {
 }
 
 // TestSkinnyAsmMatchesGoBitwise asserts the contract of
-// skinny_kernel_amd64.go: the assembly kernels and their Go mirrors
-// agree bit for bit, edges and scratch tiles included.
+// skinny_kernel_amd64.go: the assembly kernels, their 512-bit twins and
+// their Go mirrors agree bit for bit — edge and scratch tiles, strided
+// views, β = 0 over a NaN-filled C, and Dsyrk's upper-only tiles.
 func TestSkinnyAsmMatchesGoBitwise(t *testing.T) {
 	if !haveAsmKernel() {
 		t.Skip("no asm kernel on this CPU")
 	}
-	skinnyShapes(func(m, n, k int) {
+	paths := kernelPaths(t)
+	skinnyShapes(wideRows, func(m, n, k int) {
 		for _, ta := range []Transpose{NoTrans, Trans} {
 			for _, beta := range []float64{0, 1, 0.5} {
-				run := func(asm bool) *matrix.Dense {
-					defer setAsmKernel(setAsmKernel(asm))
+				matchesGo(t, paths, fmt.Sprintf("ta=%v m=%d n=%d k=%d beta=%g", ta, m, n, k, beta), func() []float64 {
 					a, b, c := skinnyOperands(ta, m, n, k, int64(m*n+k))
-					gemmSmall(ta, NoTrans, -1.5, a, b, beta, c, 0, n)
-					return c.Clone()
-				}
-				asm, goRes := run(true), run(false)
-				for i := range asm.Data {
-					if math.Float64bits(asm.Data[i]) != math.Float64bits(goRes.Data[i]) {
-						t.Fatalf("ta=%v m=%d n=%d k=%d beta=%g: asm[%d]=%x go[%d]=%x", ta, m, n, k, beta,
-							i, math.Float64bits(asm.Data[i]), i, math.Float64bits(goRes.Data[i]))
+					if beta == 0 {
+						for j := 0; j < n; j++ {
+							cj := c.Col(j)
+							for i := range cj {
+								cj[i] = math.NaN()
+							}
+						}
 					}
-				}
+					gemmSmall(ta, NoTrans, -1.5, a, b, beta, c, 0, n)
+					return c.Clone().Data
+				})
 			}
 		}
 	})
+	for _, n := range []int{1, 3, 4, 5, 13, 64, 70} {
+		for _, k := range []int{1, 6, 300} {
+			matchesGo(t, paths, fmt.Sprintf("Dsyrk n=%d k=%d", n, k), func() []float64 {
+				a := matrix.Random(k+1, n, int64(n+k)).View(1, 0, k, n)
+				c := matrix.Random(n, n, 3)
+				Dsyrk(Trans, 0.5, a, 0.25, c)
+				return c.Data
+			})
+		}
+	}
 }
 
 // TestSkinnyBetaZeroClearsNaN: β = 0 must store, not scale — A·B never
@@ -118,8 +136,9 @@ func TestSkinnyBetaZeroClearsNaN(t *testing.T) {
 }
 
 // TestSkinnyConcurrentCallers runs 256 goroutines through both kernels
-// at once, ragged edges included: the path keeps its scratch on the
-// caller's stack, so nothing is shared. Run under -race by `make race`.
+// at once, ragged edges included, on every kernel set in turn: the path
+// keeps its scratch on the caller's stack or takes it from a pool, so
+// nothing is shared. Run under -race by `make race`.
 func TestSkinnyConcurrentCallers(t *testing.T) {
 	m, n, k := 203, 13, 16
 	want := map[Transpose]*matrix.Dense{}
@@ -129,24 +148,42 @@ func TestSkinnyConcurrentCallers(t *testing.T) {
 		gemmRef(ta, NoTrans, 1, a, b, 0, c)
 		want[ta], ops[ta] = c.Clone(), [2]*matrix.Dense{a, b}
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 256)
-	for g := 0; g < 256; g++ {
-		ta := Transpose(g%2 == 1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := matrix.New(m, n)
-			Dgemm(ta, NoTrans, 1, ops[ta][0], ops[ta][1], 0, c)
-			if d := maxAbsDiff(c, want[ta]); d > 1e-11 || math.IsNaN(d) {
-				errs <- fmt.Errorf("concurrent skinny Dgemm ta=%v diverged: max diff %g", ta, d)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	forEachKernelPath(t, func(t *testing.T) {
+		var wg sync.WaitGroup
+		errs := make(chan error, 256)
+		for g := 0; g < 256; g++ {
+			ta := Transpose(g%2 == 1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := matrix.New(m, n)
+				Dgemm(ta, NoTrans, 1, ops[ta][0], ops[ta][1], 0, c)
+				if d := maxAbsDiff(c, want[ta]); d > 1e-11 || math.IsNaN(d) {
+					errs <- fmt.Errorf("concurrent skinny Dgemm ta=%v diverged: max diff %g", ta, d)
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestKernelSet logs the kernel set CPUID selected — CI's kernels shard
+// prints it beside the kernel gate — and checks the name against each
+// set the tests switch to.
+func TestKernelSet(t *testing.T) {
+	t.Logf("kernel set: %s", KernelSet())
+	name := map[string]string{"go": "go", "asm": "avx2", "avx512": "avx512"}
+	for _, p := range kernelPaths(t) {
+		restore := p.use()
+		got := KernelSet()
+		restore()
+		if got != name[p.name] {
+			t.Errorf("kernel path %s: KernelSet() = %q, want %q", p.name, got, name[p.name])
+		}
 	}
 }
 

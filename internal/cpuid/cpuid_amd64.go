@@ -2,7 +2,11 @@
 
 package cpuid
 
-var avx2FMA = supported()
+var (
+	avx2FMA = supported()
+	avx512F = avx2FMA && supported512()
+)
 
-// supported is implemented in cpuid_amd64.s.
+// supported and supported512 are implemented in cpuid_amd64.s.
 func supported() bool
+func supported512() bool

@@ -2,4 +2,7 @@
 
 package cpuid
 
-const avx2FMA = false
+const (
+	avx2FMA = false
+	avx512F = false
+)
