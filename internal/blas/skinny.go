@@ -128,17 +128,12 @@ func gemmNNEdge(alpha float64, a []float64, lda int, b []float64, ldb, k int, be
 }
 
 // gemmNN8x4 computes tiles 8-row tiles of an nc ≤ 4 column strip of C.
-// The 512-bit twin takes the tiles in pairs; an odd last tile runs the
-// AVX2 kernel.
 func gemmNN8x4(tiles, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc, nc int, alpha, beta float64) {
+	if useAsmKernel && useWideKernel {
+		gemmNN16x4Asm512(tiles, k, &a[0], lda, &b[0], ldb, &c[0], ldc, nc, alpha, beta)
+		return
+	}
 	if useAsmKernel {
-		if t2 := tiles / 2; useWideKernel && t2 > 0 {
-			gemmNN16x4Asm512(t2, k, &a[0], lda, &b[0], ldb, &c[0], ldc, nc, alpha, beta)
-			if tiles&1 == 0 {
-				return
-			}
-			tiles, a, c = 1, a[16*t2:], c[16*t2:]
-		}
 		gemmNN8x4Asm(tiles, k, &a[0], lda, &b[0], ldb, &c[0], ldc, nc, alpha, beta)
 		return
 	}

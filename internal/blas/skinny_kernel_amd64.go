@@ -22,9 +22,10 @@ func gemmNN8x4Asm(tiles, k int, a *float64, lda int, b *float64, ldb int, c *flo
 //go:noescape
 func gemmTN4x3Asm(steps int, a0, a1, a2, a3, b0, b1, b2, c *float64, ldc int, alpha float64)
 
-// gemmNN16x4Asm512 is gemmNN8x4Asm on 16-row tiles in zmm registers
-// (AVX-512F, selected by useWideKernel): every element's FMA chain and
-// merge are the AVX2 kernel's, so are its bits.
+// gemmNN16x4Asm512 is gemmNN8x4Asm on tiles of up to sixteen rows in
+// zmm registers (AVX-512F, selected by useWideKernel), cut so that C's
+// cache lines are whole, with masked first and last tiles: every
+// element's FMA chain and merge are the AVX2 kernel's, so are its bits.
 //
 //go:noescape
 func gemmNN16x4Asm512(tiles, k int, a *float64, lda int, b *float64, ldb int, c *float64, ldc, nc int, alpha, beta float64)

@@ -26,23 +26,44 @@
 	VMOVUPD lo, (DI); \
 	VMOVUPD hi, 32(DI)
 
-// MERGE512 and STORE512 are MERGE and STORE on the sixteen rows of a
-// zmm tile column: the same element-wise operations on twice the rows.
+// MERGE512 and STORE512 are MERGE and STORE on up to sixteen rows of a
+// zmm tile column, the rows in the opmasks K1 (first eight) and K2 (next
+// eight): the same element-wise operations, and no access to a row
+// outside the masks.
 #define MERGE512(lo, hi) \
-	VMOVUPD (DI), Z8; \
-	VMOVUPD 64(DI), Z9; \
+	VMOVUPD.Z (DI), K1, Z8; \
+	VMOVUPD.Z 64(DI), K2, Z9; \
 	VMULPD  Z13, Z8, Z8; \
 	VMULPD  Z13, Z9, Z9; \
 	VFMADD231PD Z12, lo, Z8; \
 	VFMADD231PD Z12, hi, Z9; \
-	VMOVUPD Z8, (DI); \
-	VMOVUPD Z9, 64(DI)
+	VMOVUPD Z8, K1, (DI); \
+	VMOVUPD Z9, K2, 64(DI)
+
+// NNSTEP512 is one step of the zmm tile's l loop after its two loads of
+// A: four broadcasts of B, eight FMAs, and the loop's advance and test.
+#define NNSTEP512 \
+	VBROADCASTSD (BX)(R12*1), Z10; \
+	VFMADD231PD  Z8, Z10, Z0; \
+	VFMADD231PD  Z9, Z10, Z1; \
+	VBROADCASTSD (R9)(R12*1), Z11; \
+	VFMADD231PD  Z8, Z11, Z2; \
+	VFMADD231PD  Z9, Z11, Z3; \
+	VBROADCASTSD (R10)(R12*1), Z10; \
+	VFMADD231PD  Z8, Z10, Z4; \
+	VFMADD231PD  Z9, Z10, Z5; \
+	VBROADCASTSD (R11)(R12*1), Z11; \
+	VFMADD231PD  Z8, Z11, Z6; \
+	VFMADD231PD  Z9, Z11, Z7; \
+	ADDQ R8, DI; \
+	ADDQ $8, R12; \
+	CMPQ R12, CX
 
 #define STORE512(lo, hi) \
 	VMULPD  Z12, lo, lo; \
 	VMULPD  Z12, hi, hi; \
-	VMOVUPD lo, (DI); \
-	VMOVUPD hi, 64(DI)
+	VMOVUPD lo, K1, (DI); \
+	VMOVUPD hi, K2, 64(DI)
 
 // TNROW adds one column of A (at base, four rows from byte offset AX)
 // against the three loaded columns of B into its accumulators.
@@ -245,12 +266,16 @@ tnloop:
 
 // func gemmNN16x4Asm512(tiles, k int, a *float64, lda int, b *float64, ldb int, c *float64, ldc, nc int, alpha, beta float64)
 //
-// gemmNN8x4Asm on 16-row tiles: two zmm accumulators per column hold the
-// sixteen rows whose FMA chains the AVX2 kernel runs eight at a time.
-// Every element sees the same operations in the same order, so the
-// result is that kernel's bit for bit.
+// gemmNN8x4Asm's 8·tiles rows in tiles of up to sixteen: two zmm
+// accumulators per column hold the rows whose FMA chains the AVX2 kernel
+// runs eight at a time, and every element sees the same operations in
+// the same order, so the result is that kernel's bit for bit. A first
+// tile of the rows up to the next 64-byte boundary of C makes every
+// other tile's loads and stores of C whole cache lines; it and the last
+// tile are masked to their rows.
 TEXT ·gemmNN16x4Asm512(SB), NOSPLIT, $0-88
 	MOVQ tiles+0(FP), AX
+	SHLQ $3, AX              // rows left
 	MOVQ k+8(FP), CX
 	SHLQ $3, CX
 	MOVQ a+16(FP), SI
@@ -265,24 +290,41 @@ TEXT ·gemmNN16x4Asm512(SB), NOSPLIT, $0-88
 	MOVQ nc+64(FP), R14
 	VBROADCASTSD alpha+72(FP), Z12
 	VBROADCASTSD beta+80(FP), Z13
-	MOVQ beta+80(FP), R15
-	SHLQ $1, R15
 	MOVQ BX, R9
 	MOVQ BX, R10
 	MOVQ BX, R11
 	CMPQ R14, $2
-	JLT  zntile
+	JLT  znhead
 	ADDQ R12, R9
 	MOVQ R9, R10
 	MOVQ R9, R11
 	CMPQ R14, $3
-	JLT  zntile
+	JLT  znhead
 	ADDQ R12, R10
 	MOVQ R10, R11
 	CMPQ R14, $4
-	JLT  zntile
+	JLT  znhead
 	ADDQ R12, R11
-zntile:
+znhead:
+	MOVQ DX, R15             // R15: rows of this tile; first the
+	NEGQ R15                 // rows up to C's next 64-byte boundary
+	ANDQ $63, R15
+	SHRQ $3, R15
+	JNZ  znmask
+znrows:
+	MOVQ    $16, R15
+	CMPQ    AX, R15
+	CMOVQLT AX, R15
+znmask:
+	MOVQ CX, R12             // K2:K1 = 2^R15 − 1
+	MOVQ $16, CX
+	SUBQ R15, CX
+	MOVL $0xffff, DI
+	SHRL CX, DI
+	KMOVW DI, K1
+	SHRL $8, DI
+	KMOVW DI, K2
+	MOVQ R12, CX
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -293,27 +335,23 @@ zntile:
 	VPXORQ Z7, Z7, Z7
 	MOVQ SI, DI
 	XORQ R12, R12
+	CMPQ R15, $16
+	JLT  zmloop
 znloop:
 	VMOVUPD      (DI), Z8
 	VMOVUPD      64(DI), Z9
-	VBROADCASTSD (BX)(R12*1), Z10
-	VFMADD231PD  Z8, Z10, Z0
-	VFMADD231PD  Z9, Z10, Z1
-	VBROADCASTSD (R9)(R12*1), Z11
-	VFMADD231PD  Z8, Z11, Z2
-	VFMADD231PD  Z9, Z11, Z3
-	VBROADCASTSD (R10)(R12*1), Z10
-	VFMADD231PD  Z8, Z10, Z4
-	VFMADD231PD  Z9, Z10, Z5
-	VBROADCASTSD (R11)(R12*1), Z11
-	VFMADD231PD  Z8, Z11, Z6
-	VFMADD231PD  Z9, Z11, Z7
-	ADDQ R8, DI
-	ADDQ $8, R12
-	CMPQ R12, CX
+	NNSTEP512
 	JLT  znloop
+	JMP  znmerge
+zmloop:
+	VMOVUPD.Z    (DI), K1, Z8
+	VMOVUPD.Z    64(DI), K2, Z9
+	NNSTEP512
+	JLT  zmloop
+znmerge:
 	MOVQ  DX, DI
-	TESTQ R15, R15
+	MOVQ  beta+80(FP), R12
+	SHLQ  $1, R12            // zero iff β = ±0
 	JZ    znstore
 	MERGE512(Z0, Z1)
 	CMPQ R14, $2
@@ -344,10 +382,10 @@ znstore:
 	ADDQ R13, DI
 	STORE512(Z6, Z7)
 znnext:
-	ADDQ $128, SI
-	ADDQ $128, DX
-	DECQ AX
-	JNZ  zntile
+	LEAQ (SI)(R15*8), SI
+	LEAQ (DX)(R15*8), DX
+	SUBQ R15, AX
+	JNZ  znrows
 	VZEROUPPER
 	RET
 

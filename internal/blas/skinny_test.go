@@ -97,6 +97,18 @@ func TestSkinnyAsmMatchesGoBitwise(t *testing.T) {
 			}
 		}
 	})
+	// The A·B twin cuts its tiles at C's 64-byte boundaries: C starting
+	// at every row offset of a line, with row counts around a tile.
+	for off := 0; off < 8; off++ {
+		for _, m := range []int{8, 16, 24, 40, 47} {
+			matchesGo(t, paths, fmt.Sprintf("A·B off=%d m=%d", off, m), func() []float64 {
+				p := matrix.Random(m+off+1, 9, int64(m+off))
+				a, b, c := p.View(off, 0, m, 4), matrix.Random(4, 5, 3), p.View(off, 4, m, 5)
+				gemmSmall(NoTrans, NoTrans, -1, a, b, 1, c, 0, 5)
+				return p.Data
+			})
+		}
+	}
 	for _, n := range []int{1, 3, 4, 5, 13, 64, 70} {
 		for _, k := range []int{1, 6, 300} {
 			matchesGo(t, paths, fmt.Sprintf("Dsyrk n=%d k=%d", n, k), func() []float64 {
