@@ -83,33 +83,3 @@ func BenchmarkDtrsm(b *testing.B) {
 		Dtrsm(Right, NoTrans, false, 1, u, rhs)
 	}
 }
-
-// BenchmarkLevel1Twins times the level-1 kernels Dgeqr2 runs (Dlarf's
-// dot and axpy, Dlarfg's scaling) on the column lengths of a 128-row
-// tree leaf and of a 4096-row fold block, with and without their
-// 512-bit twins (EXPERIMENTS.md "512-bit twins" has the table; on a CPU
-// without AVX-512F both cases run the AVX2 kernels).
-func BenchmarkLevel1Twins(b *testing.B) {
-	for _, n := range []int{124, 4092} {
-		x := matrix.Random(n, 1, 1).Col(0)
-		y := matrix.Random(n, 1, 2).Col(0)
-		var s float64
-		for _, kc := range []struct {
-			name string
-			run  func()
-		}{
-			{"ddot", func() { s += Ddot(x, y) }},
-			{"daxpy", func() { Daxpy(1e-9, x, y) }},
-			{"dscal", func() { Dscal(1, y) }},
-		} {
-			for _, set := range []string{"wide", "avx2"} {
-				b.Run(fmt.Sprintf("%s_%d/%s", kc.name, n, set), func(b *testing.B) {
-					defer setWideKernel(setWideKernel(set == "wide"))
-					for i := 0; i < b.N; i++ {
-						kc.run()
-					}
-				})
-			}
-		}
-	}
-}

@@ -122,10 +122,6 @@ func dscalKernel(alpha float64, x []float64) {
 	if len(x) == 0 {
 		return
 	}
-	if useAsmKernel && useWideKernel {
-		dscalAsm512(len(x), alpha, &x[0])
-		return
-	}
 	if useAsmKernel {
 		dscalAsm(len(x), alpha, &x[0])
 		return
@@ -140,9 +136,6 @@ func ddotKernel(x, y []float64) float64 {
 	if len(x) == 0 {
 		return 0
 	}
-	if useAsmKernel && useWideKernel {
-		return ddotAsm512(len(x), &x[0], &y[0])
-	}
 	if useAsmKernel {
 		return ddotAsm(len(x), &x[0], &y[0])
 	}
@@ -152,10 +145,6 @@ func ddotKernel(x, y []float64) float64 {
 // daxpyKernel computes y[i] = fma(alpha, x[i], y[i]).
 func daxpyKernel(alpha float64, x, y []float64) {
 	if len(x) == 0 {
-		return
-	}
-	if useAsmKernel && useWideKernel {
-		daxpyAsm512(len(x), alpha, &x[0], &y[0])
 		return
 	}
 	if useAsmKernel {

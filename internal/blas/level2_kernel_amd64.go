@@ -48,20 +48,3 @@ func dgemvN4Asm(m, lda int, a *float64, f *[4]float64, y *float64)
 //
 //go:noescape
 func dger4Asm(m, lda int, a *float64, f *[4]float64, x *float64)
-
-// The 512-bit twins of the level-1 kernels (AVX-512F, selected by
-// useWideKernel within the assembly path) return their AVX2 kernel's
-// result bit for bit: daxpy and dscal apply the same operation to eight
-// elements per zmm register, ddotAsm512 holds the AVX2 kernel's two
-// 4-lane chains in the two halves of one zmm accumulator and folds them
-// as it does. The level-2 kernels have none: a twin did not pay 10% on
-// the leaf panel (EXPERIMENTS.md "512-bit twins").
-
-//go:noescape
-func ddotAsm512(n int, x, y *float64) float64
-
-//go:noescape
-func daxpyAsm512(n int, alpha float64, x, y *float64)
-
-//go:noescape
-func dscalAsm512(n int, alpha float64, x *float64)

@@ -372,163 +372,3 @@ tail:
 done:
 	VZEROUPPER
 	RET
-
-// The 512-bit twins of the level-1 kernels. Each computes its AVX2
-// kernel's result bit for bit: daxpy and dscal run the same FMA or
-// multiply on eight elements per zmm register; ddot keeps the two 4-lane
-// chains of the AVX2 kernel as the two 256-bit halves of one zmm
-// accumulator, splits them back off and folds them as that kernel does.
-
-// func ddotAsm512(n int, x, y *float64) float64
-//
-// One zmm chain over the 8-element blocks: its low half is ddotAsm's
-// chain Y0 (elements 8b..8b+3), its high half chain Y1 (8b+4..8b+7).
-TEXT ·ddotAsm512(SB), NOSPLIT, $0-32
-	MOVQ n+0(FP), CX
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DI
-	VPXORQ Z0, Z0, Z0
-	MOVQ CX, R8
-	SHRQ $3, R8
-	JZ   zdot4
-zloop8:
-	VMOVUPD (SI), Z2
-	VMOVUPD (DI), Z4
-	VFMADD231PD Z4, Z2, Z0
-	ADDQ $64, SI
-	ADDQ $64, DI
-	DECQ R8
-	JNZ  zloop8
-zdot4:
-	VEXTRACTF64X4 $1, Z0, Y1
-	TESTQ $4, CX
-	JZ    zreduce
-	VMOVUPD (SI), Y2
-	VMOVUPD (DI), Y4
-	VFMADD231PD Y4, Y2, Y0
-	ADDQ $32, SI
-	ADDQ $32, DI
-zreduce:
-	VADDPD Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD X1, X0, X0
-	VHADDPD X0, X0, X0
-	MOVQ CX, R9
-	ANDQ $3, R9
-	JZ   zdone
-ztail:
-	VMOVSD (SI), X4
-	VMOVSD (DI), X5
-	VFMADD231SD X5, X4, X0
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ R9
-	JNZ  ztail
-zdone:
-	VZEROUPPER
-	VMOVSD X0, ret+24(FP)
-	RET
-
-// func daxpyAsm512(n int, alpha float64, x, y *float64)
-TEXT ·daxpyAsm512(SB), NOSPLIT, $0-32
-	MOVQ n+0(FP), CX
-	VBROADCASTSD alpha+8(FP), Z0
-	MOVQ x+16(FP), SI
-	MOVQ y+24(FP), DI
-	MOVQ CX, R8
-	SHRQ $4, R8
-	JZ   zaxpy8
-zloop16:
-	VMOVUPD (SI), Z1
-	VMOVUPD 64(SI), Z2
-	VMOVUPD (DI), Z3
-	VMOVUPD 64(DI), Z4
-	VFMADD231PD Z1, Z0, Z3
-	VFMADD231PD Z2, Z0, Z4
-	VMOVUPD Z3, (DI)
-	VMOVUPD Z4, 64(DI)
-	ADDQ $128, SI
-	ADDQ $128, DI
-	DECQ R8
-	JNZ  zloop16
-zaxpy8:
-	TESTQ $8, CX
-	JZ    zaxpy4
-	VMOVUPD (SI), Z1
-	VMOVUPD (DI), Z3
-	VFMADD231PD Z1, Z0, Z3
-	VMOVUPD Z3, (DI)
-	ADDQ $64, SI
-	ADDQ $64, DI
-zaxpy4:
-	TESTQ $4, CX
-	JZ    ztailn
-	VMOVUPD (SI), Y1
-	VMOVUPD (DI), Y3
-	VFMADD231PD Y1, Y0, Y3
-	VMOVUPD Y3, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-ztailn:
-	MOVQ CX, R9
-	ANDQ $3, R9
-	JZ   zdone
-ztail:
-	VMOVSD (SI), X1
-	VMOVSD (DI), X3
-	VFMADD231SD X1, X0, X3
-	VMOVSD X3, (DI)
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ R9
-	JNZ  ztail
-zdone:
-	VZEROUPPER
-	RET
-
-// func dscalAsm512(n int, alpha float64, x *float64)
-TEXT ·dscalAsm512(SB), NOSPLIT, $0-24
-	MOVQ n+0(FP), CX
-	VBROADCASTSD alpha+8(FP), Z0
-	MOVQ x+16(FP), SI
-	MOVQ CX, R8
-	SHRQ $4, R8
-	JZ   zscal8
-zloop16:
-	VMOVUPD (SI), Z1
-	VMOVUPD 64(SI), Z2
-	VMULPD Z0, Z1, Z1
-	VMULPD Z0, Z2, Z2
-	VMOVUPD Z1, (SI)
-	VMOVUPD Z2, 64(SI)
-	ADDQ $128, SI
-	DECQ R8
-	JNZ  zloop16
-zscal8:
-	TESTQ $8, CX
-	JZ    zscal4
-	VMOVUPD (SI), Z1
-	VMULPD Z0, Z1, Z1
-	VMOVUPD Z1, (SI)
-	ADDQ $64, SI
-zscal4:
-	TESTQ $4, CX
-	JZ    ztailn
-	VMOVUPD (SI), Y1
-	VMULPD Y0, Y1, Y1
-	VMOVUPD Y1, (SI)
-	ADDQ $32, SI
-ztailn:
-	MOVQ CX, R9
-	ANDQ $3, R9
-	JZ   zdone
-ztail:
-	VMOVSD (SI), X1
-	VMULSD X0, X1, X1
-	VMOVSD X1, (SI)
-	ADDQ $8, SI
-	DECQ R9
-	JNZ  ztail
-zdone:
-	VZEROUPPER
-	RET

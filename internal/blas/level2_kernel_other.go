@@ -17,9 +17,3 @@ func dgemvT4Asm(m, lda int, a, x *float64, out *[4]float64) { panic("blas: no as
 func dgemvN4Asm(m, lda int, a *float64, f *[4]float64, y *float64) { panic("blas: no asm kernel") }
 
 func dger4Asm(m, lda int, a *float64, f *[4]float64, x *float64) { panic("blas: no asm kernel") }
-
-func ddotAsm512(n int, x, y *float64) float64 { panic("blas: no asm kernel") }
-
-func daxpyAsm512(n int, alpha float64, x, y *float64) { panic("blas: no asm kernel") }
-
-func dscalAsm512(n int, alpha float64, x *float64) { panic("blas: no asm kernel") }

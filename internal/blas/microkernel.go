@@ -35,11 +35,11 @@ func setAsmKernel(on bool) (prev bool) {
 }
 
 // useWideKernel selects, within the assembly path, the 512-bit twins of
-// the skinny kernels and of ddot, daxpy and dscal: resolved once at init
-// from CPUID
+// the two skinny kernels: resolved once at init from CPUID
 // (haveWideKernel), overridden only by tests (setWideKernel). A twin
 // returns its AVX2 kernel's result bit for bit, so this picks a speed,
-// never an output. The packed engine's micro-kernel has no twin.
+// never an output. The packed engine's micro-kernel and levels 1 and 2
+// have no twin.
 var useWideKernel = haveWideKernel()
 
 // setWideKernel switches the 512-bit twins on or off, reporting the
