@@ -164,7 +164,7 @@ func TestDgerTable(t *testing.T) {
 }
 
 // TestLevel2AsmMatchesGoBitwise asserts the numerical contract of
-// level2_kernel_amd64.go: the assembly kernels, their 512-bit twins and
+// level2_kernel_amd64.go: on every kernel set the assembly kernels and
 // their Go mirrors agree bit for bit, so kernel dispatch never changes
 // results.
 func TestLevel2AsmMatchesGoBitwise(t *testing.T) {

@@ -2,11 +2,13 @@
 
 #include "textflag.h"
 
-// AVX2+FMA kernels of the skinny GEMM path (skinny.go). Like the level-2
-// kernels, each mirrors a pure-Go twin bit for bit: the same fused
-// multiply-adds in the same order, the same lane decomposition, the same
-// reduction. Operands are read where they live — no packed strips — so
-// loads and stores are unaligned.
+// AVX2+FMA kernels of the skinny GEMM path (skinny.go), and their
+// AVX-512F twins. Like the level-2 kernels, each mirrors a pure-Go twin
+// bit for bit: the same fused multiply-adds in the same order, the same
+// lane decomposition, the same reduction. Operands are read where they
+// live — no packed strips — so loads and stores are unaligned. The
+// macros name their (FP) arguments above the first TEXT: vet's asmdecl
+// checks a #define against the TEXT block it follows.
 
 // MERGE writes one column of the NN tile: c = α·acc + β·c over the eight
 // rows at (DI). STORE is its β = 0 form, which never reads C.
