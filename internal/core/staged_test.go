@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -102,24 +103,68 @@ func referenceRun(t *testing.T, g *grid.Grid, global *matrix.Dense, m, n int,
 	return r, w.Counters().Total().Msgs
 }
 
+// TestStagedUninterruptedMatchesFactorize: without a stop, the staged
+// walk is Factorize — with no gate and with a fresh gate nobody requests,
+// in data and cost-only worlds, it returns the same R bits and sends the
+// same messages, inter-site ones included.
 func TestStagedUninterruptedMatchesFactorize(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2) // 8 procs, 2 clusters
 	m, n := 64, 6
-	for _, tree := range []Tree{TreeGrid, TreeBinary, TreeBinaryShuffled} {
-		cfg := Config{Tree: tree, ShuffleSeed: 3}
-		global := matrix.Random(m, n, 7)
-		ref, refMsgs := referenceRun(t, g, global, m, n, cfg)
-		results, w := runStagedWorld(t, g, global, m, n, cfg, nil)
-		if got := w.Counters().Total().Msgs; got != refMsgs {
-			t.Fatalf("tree=%v: staged msgs %d != Factorize %d", tree, got, refMsgs)
+	offsets := scalapack.BlockOffsets(m, g.Procs())
+	global := matrix.Random(m, n, 7)
+	for _, costOnly := range []bool{false, true} {
+		var opts []mpi.Option
+		if costOnly {
+			opts = append(opts, mpi.CostOnly())
 		}
-		for rk, res := range results {
-			if res.Preempted {
-				t.Fatalf("tree=%v: rank %d preempted without a gate request", tree, rk)
+		// run executes body on every rank of a fresh world and returns
+		// rank 0's R with the world's counters.
+		run := func(body func(*mpi.Comm, Input) *matrix.Dense) (*matrix.Dense, mpi.CounterSnapshot) {
+			w := mpi.NewWorld(g, opts...)
+			var r *matrix.Dense
+			var mu sync.Mutex
+			w.Run(func(ctx *mpi.Ctx) {
+				in := Input{M: m, N: n, Offsets: offsets}
+				if !costOnly {
+					in.Local = scalapack.Distribute(global, offsets, ctx.Rank())
+				}
+				got := body(mpi.WorldComm(ctx), in)
+				if ctx.Rank() == 0 {
+					mu.Lock()
+					r = got
+					mu.Unlock()
+				}
+			})
+			return r, w.Counters()
+		}
+		for _, tree := range []Tree{TreeGrid, TreeBinary, TreeBinaryShuffled} {
+			cfg := Config{Tree: tree, ShuffleSeed: 3}
+			ref, refC := run(func(comm *mpi.Comm, in Input) *matrix.Dense {
+				return Factorize(comm, in, cfg).R
+			})
+			for _, gate := range []*PreemptGate{nil, NewPreemptGate()} {
+				name := fmt.Sprintf("costOnly=%v tree=%v gate=%v", costOnly, tree, gate != nil)
+				got, gotC := run(func(comm *mpi.Comm, in Input) *matrix.Dense {
+					res := FactorizeStaged(comm, in, cfg, gate)
+					if res.Preempted {
+						t.Errorf("%s: rank %d preempted without a gate request", name, comm.Rank())
+					}
+					return res.R
+				})
+				if costOnly {
+					if got != nil {
+						t.Fatalf("%s: cost-only staged run returned data", name)
+					}
+				} else if !bitwiseEqual(got, ref) {
+					t.Fatalf("%s: staged R differs bitwise from Factorize", name)
+				}
+				if g, w := gotC.Total().Msgs, refC.Total().Msgs; g != w {
+					t.Fatalf("%s: staged msgs %d != Factorize %d", name, g, w)
+				}
+				if g, w := gotC.Inter().Msgs, refC.Inter().Msgs; g != w {
+					t.Fatalf("%s: staged inter-site msgs %d != Factorize %d", name, g, w)
+				}
 			}
-		}
-		if !bitwiseEqual(results[0].R, ref) {
-			t.Fatalf("tree=%v: staged R differs bitwise from Factorize", tree)
 		}
 	}
 }

@@ -130,6 +130,14 @@ func TestBackToBackJobsShareNoInput(t *testing.T) {
 		if want, _ := soloTSQR(sub, spec); !bitwiseEqual(res.R, want) {
 			t.Fatalf("seed %d: served R differs from its solo run", seed)
 		}
+		// Only a preemptible job carries a gate for the hook to pull.
+		want := 0
+		if preemptible {
+			want = 1
+		}
+		if res.Preemptions != want {
+			t.Fatalf("seed %d: %d preemptions, want %d", seed, res.Preemptions, want)
+		}
 		return res.R
 	}
 
