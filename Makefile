@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check skips walks handoff loc fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
+.PHONY: build test race vet fmt-check check skips walks handoff loc mutants fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,30 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -print0 | xargs -0 wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
+
+# Every pinned invariant is shown to fire: each testdata/mutants/*.patch
+# breaks one invariant on purpose, and its header names the tests that
+# pin it ("Tests: <package> <Test>..." lines). The target applies each
+# patch to a scratch copy of the tree and runs those tests; a mutant
+# they all pass has survived, and the target fails. A survivor calls
+# for a stronger test, never an edited mutant. Nightly, not in check.
+MUTANTS ?= $(wildcard testdata/mutants/*.patch)
+
+mutants:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; survived=0; \
+	for m in $(MUTANTS); do \
+		rm -rf "$$tmp/src" && mkdir "$$tmp/src" && \
+		tar --exclude=./.git --exclude=./.bench_build -cf - . | tar -xf - -C "$$tmp/src" && \
+		(cd "$$tmp/src" && git apply "$(CURDIR)/$$m") || exit 1; \
+		killers="$$(sed -n 's/^Tests: //p' "$$m" | while read -r pkg tests; do \
+			out="$$(cd "$$tmp/src" && $(GO) test -count=1 -timeout 120s -v \
+				-run "^($$(echo $$tests | tr ' ' '|'))$$" "$$pkg" 2>&1)" && continue; \
+			names="$$(echo "$$out" | sed -n 's/^--- FAIL: \([^ ]*\).*/\1/p' | tr '\n' ' ')"; \
+			echo "$${names:-$$pkg (crashed or timed out)}"; \
+		done)"; \
+		if [ -n "$$killers" ]; then echo "killed   $$m by" $$killers; \
+		else echo "SURVIVED $$m"; survived=1; fi; \
+	done; exit $$survived
 
 # Perf-regression gate: re-run the standard benchmark set and fail on
 # any drift from the committed baseline (message/flop counts exact,

@@ -169,6 +169,24 @@ func TestStagedUninterruptedMatchesFactorize(t *testing.T) {
 	}
 }
 
+// TestGateClosureRules pins shouldStop's two closure rules on latched
+// state: a stop latched at a lower stage stops every higher one, and a
+// go latched at a higher stage runs every lower one, so the stopped set
+// stays upward-closed whatever the request flag says.
+func TestGateClosureRules(t *testing.T) {
+	g := NewPreemptGate()
+	g.decisions[2] = true
+	if !g.shouldStop(3) {
+		t.Error("stage 3 runs above a stop latched at stage 2")
+	}
+	g = NewPreemptGate()
+	g.Request()
+	g.decisions[5] = false
+	if g.shouldStop(4) {
+		t.Error("stage 4 stops below a go latched at stage 5")
+	}
+}
+
 // TestStagedPreemptResumeBitwise is the PR's acceptance criterion: a job
 // preempted at every possible tree-stage boundary and resumed on a
 // topologically different partition reproduces the uninterrupted R bit

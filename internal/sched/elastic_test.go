@@ -123,6 +123,62 @@ func TestPreemptedResumeWithoutPartition(t *testing.T) {
 	}
 }
 
+// TestReconfigureParksPreempted: a job preempted inside Reconfigure's
+// retire window, when no live partition can take it, parks on the
+// pending list and resumes on the new epoch with its uninterrupted R.
+// The exec hook opens the window as the job starts (what Reconfigure
+// does first) and pins the cut, so the park is deterministic.
+func TestReconfigureParksPreempted(t *testing.T) {
+	g := grid.SmallTestGrid(2, 2, 2)
+	plan := PerSite(g) // 2 partitions of 4
+	s := Start(Config{Grid: g, Plan: plan})
+
+	started := make(chan struct{})
+	s.mu.Lock()
+	s.execHook = func(ex *jobExec) {
+		if ex.resume != nil {
+			return
+		}
+		ex.gate.RequestAt(1)
+		s.reconfiguring = true
+		for _, p := range s.parts {
+			p.retired.Store(true)
+		}
+		close(started)
+	}
+	s.mu.Unlock()
+
+	spec := JobSpec{Kind: KindTSQR, M: 1 << 12, N: 16, Seed: 8, Preemptible: true}
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := s.Reconfigure(plan); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the job preempted during Reconfigure was lost") // Close would hang on it
+	}
+	defer s.Close()
+	res := j.Result()
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res.Preemptions != 1 || s.Epoch() != 1 {
+		t.Fatalf("preemptions = %d, epoch = %d; want 1, 1", res.Preemptions, s.Epoch())
+	}
+	want, wantC := soloTSQR(subGrid(g, plan.Groups[0]), spec)
+	if !bitwiseEqual(res.R, want) {
+		t.Error("parked job's R differs bitwise from its solo run")
+	}
+	if got, w := res.Counters.Total().Msgs, wantC.Total().Msgs; got != w {
+		t.Errorf("parked job sent %d msgs, solo %d", got, w)
+	}
+}
+
 // TestWorkStealing funnels a burst onto one partition's queue and checks
 // the idle partition drains it by stealing.
 func TestWorkStealing(t *testing.T) {
@@ -343,7 +399,7 @@ func TestValidateSparse(t *testing.T) {
 		{"no partitions", Plan{}, false},
 	}
 	for _, tc := range cases {
-		err := tc.plan.validateSparse(g)
+		err := tc.plan.validate(g)
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}

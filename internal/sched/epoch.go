@@ -39,7 +39,7 @@ func (s *Server) installPartitionsLocked(plan Plan) {
 			epoch:   s.epoch,
 			members: append([]int(nil), members...),
 			pred:    perfmodel.Predictor{G: subGrid(s.cfg.Grid, members)},
-			q:       newQueue(partitionQueueCap, s.queueDrop, gauge),
+			q:       newQueue(s.queueDrop, gauge),
 		}
 		p.healthy.Store(true)
 		s.parts = append(s.parts, p)
@@ -86,15 +86,15 @@ func (s *Server) spawnRunnersLocked() {
 // finish), queued jobs are re-routed onto the new partitions, and the
 // new epoch's sub-communicators form over the plan's ranks — which may
 // exclude dead ranks, so an autoscaler can re-form over survivors. The
-// plan may leave holes where dead ranks were (validateSparse), but must
-// not include a dead rank.
+// plan may leave holes where dead ranks were (Start's consecutive rule
+// does not apply), but must not include a dead rank.
 func (s *Server) Reconfigure(plan Plan) error {
 	s.reconfigMu.Lock()
 	defer s.reconfigMu.Unlock()
 	if s.closed.Load() {
 		return ErrServerClosed
 	}
-	if err := plan.validateSparse(s.cfg.Grid); err != nil {
+	if err := plan.validate(s.cfg.Grid); err != nil {
 		return err
 	}
 	for _, members := range plan.Groups {

@@ -13,8 +13,8 @@ import (
 	"gridqr/internal/telemetry"
 )
 
-// jobExec is one dispatched execution of one job: a factorization, a
-// preemptible stage walk, or one stream round.
+// jobExec is one dispatched execution of one job: a TSQR stage walk
+// (fresh or resumed) or one stream round.
 type jobExec struct {
 	job     *Job
 	attempt int // retries + preemptions; keeps comm labels unique
@@ -45,8 +45,6 @@ type memberReport struct {
 	preempted  bool
 	ckpt       *core.RankCheckpoint
 	r          *matrix.Dense // the job's result is the leader's
-	x          *matrix.Dense // KindLstSq
-	resid      []float64
 	// Stream rounds: blocks folded (identical on every member — the
 	// gate's latched agreement) and the SLO latency samples.
 	folded    int
@@ -91,8 +89,7 @@ func (s *Server) runner(p *partition) {
 			addCounters(&out.counters, j.partial)
 			j.ckpt = nil
 			s.succeed(j, JobResult{
-				R: out.leader.r, X: out.leader.x, Resid: out.leader.resid,
-				Partition: p.index, Service: service, Counters: out.counters,
+				R: out.leader.r, Partition: p.index, Service: service, Counters: out.counters,
 			})
 		}
 		s.metrics.inflight.Set(float64(s.obs.inFlight()))
@@ -116,7 +113,7 @@ func (s *Server) nextExec(p *partition) *jobExec {
 			return nil
 		}
 		gen := s.workGen
-		if j, ok := p.q.pop(false); ok {
+		if j, ok := p.q.pop(); ok {
 			s.addQueuedLocked(-1)
 			if ex := s.buildExecLocked(p, j); ex != nil {
 				return ex
@@ -181,7 +178,7 @@ func (s *Server) buildExecLocked(p *partition, j *Job) *jobExec {
 // its remaining deadline budget, it is rejected now — typed, without
 // burning the partition's time — instead of completing late.
 func deadlineRisk(p *partition, j *Job) error {
-	if j.spec.Deadline <= 0 || j.spec.Kind != KindTSQR {
+	if j.spec.Deadline <= 0 || j.stream != nil {
 		return nil
 	}
 	remaining := j.spec.Deadline - time.Since(j.submit)
@@ -391,12 +388,13 @@ func (s *Server) runExec(ctx *mpi.Ctx, pcomm *mpi.Comm, member int, ex *jobExec)
 	report(rep)
 }
 
-// execute runs the job's factorization on this member's rank of the job
-// communicator. Preemptible TSQR walks the staged entry points: a fresh
-// job runs FactorizeStaged under the execution's gate, a resumed one
-// replays its checkpoint's merge schedule; both stop at a consistent
-// tree-stage boundary when the gate fires and report their R fragments
-// as the checkpoint.
+// execute runs the job on this member's rank of the job communicator.
+// TSQR always walks the staged entry points: a fresh job runs
+// FactorizeStaged, a resumed one replays its checkpoint's merge
+// schedule. Without a gate (the job is not preemptible) the walk is
+// exactly Factorize; with one, both stop at a consistent tree-stage
+// boundary when the gate fires and report their R fragments as the
+// checkpoint.
 func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec) memberReport {
 	me := jcomm.Rank()
 	spec := ex.job.spec
@@ -410,40 +408,18 @@ func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec) memberRepor
 			foldTimes: res.FoldTimes, snapTime: res.SnapTime}
 	}
 
-	offsets := scalapack.BlockOffsets(spec.M, jcomm.Size())
-	myRows := offsets[me+1] - offsets[me]
-	in := core.Input{M: spec.M, N: spec.N, Offsets: offsets}
-	if ctx.HasData() && ex.resume == nil {
-		in.Local = matrix.RandomRows(myRows, spec.N, offsets[me], spec.Seed)
+	var res *core.StagedResult
+	if ex.resume != nil {
+		res = core.ResumeStaged(jcomm, ex.resume, ex.gate)
+	} else {
+		offsets := scalapack.BlockOffsets(spec.M, jcomm.Size())
+		in := core.Input{M: spec.M, N: spec.N, Offsets: offsets}
+		if ctx.HasData() {
+			in.Local = matrix.RandomRows(offsets[me+1]-offsets[me], spec.N, offsets[me], spec.Seed)
+		}
+		res = core.FactorizeStaged(jcomm, in, core.Config{Tree: core.TreeGrid}, ex.gate)
 	}
-	cfg := core.Config{Tree: core.TreeGrid}
-	switch spec.Kind {
-	case KindTSQR:
-		if ex.gate == nil {
-			return memberReport{r: core.Factorize(jcomm, in, cfg).R}
-		}
-		var res *core.StagedResult
-		if ex.resume != nil {
-			res = core.ResumeStaged(jcomm, ex.resume, ex.gate)
-		} else {
-			res = core.FactorizeStaged(jcomm, in, cfg, ex.gate)
-		}
-		return memberReport{r: res.R, preempted: res.Preempted, ckpt: res.Ckpt}
-	case KindCAQR:
-		return memberReport{r: core.CAQRFactorize(jcomm, in, core.CAQRConfig{NB: caqrNB}).R}
-	case KindCholQR:
-		res := core.CholeskyQR(jcomm, in)
-		if ctx.HasData() && !res.OK {
-			return memberReport{err: &CholQRError{}}
-		}
-		return memberReport{r: res.R}
-	case KindLstSq:
-		b := matrix.RandomRows(myRows, max(spec.NRHS, 1), offsets[me], spec.Seed^0x5ca1ab1e)
-		x, resid := core.LeastSquares(jcomm, in, b, cfg)
-		return memberReport{x: x, resid: resid}
-	default:
-		panic(fmt.Sprintf("sched: admitted job of unknown kind %d", spec.Kind))
-	}
+	return memberReport{r: res.R, preempted: res.Preempted, ckpt: res.Ckpt}
 }
 
 // retryable reports whether an execution error is worth another

@@ -11,21 +11,13 @@ import (
 	"gridqr/internal/mpi"
 )
 
-// Kind selects which factorization a job runs. Every kind wraps one of
-// the existing core entry points, so the serving layer adds no numerics
-// of its own.
+// Kind selects what a job serves. Both kinds run core's staged TSQR
+// entry points, so the serving layer adds no numerics of its own.
 type Kind int
 
 const (
 	// KindTSQR factors the job's matrix with QCG-TSQR (R factor only).
 	KindTSQR Kind = iota
-	// KindCAQR runs the panel-wise CAQR factorization.
-	KindCAQR
-	// KindCholQR runs the single-allreduce CholeskyQR scheme; the job
-	// fails with a *CholQRError when the Gram matrix is indefinite.
-	KindCholQR
-	// KindLstSq solves min‖A·x−b‖₂ through TSQR (data mode only).
-	KindLstSq
 	// KindStream is an always-on incremental TSQR: the job is a
 	// long-lived stream handle (SubmitStream) whose rounds fold arriving
 	// row blocks into per-rank running R's and serve snapshot barriers.
@@ -36,12 +28,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindTSQR:
 		return "tsqr"
-	case KindCAQR:
-		return "caqr"
-	case KindCholQR:
-		return "cholqr"
-	case KindLstSq:
-		return "lstsq"
 	case KindStream:
 		return "stream"
 	default:
@@ -54,8 +40,6 @@ type JobSpec struct {
 	Kind Kind
 	// M, N are the global matrix dimensions (M ≫ N).
 	M, N int
-	// NRHS is the number of right-hand sides for KindLstSq (default 1).
-	NRHS int
 	// Seed generates the job's matrix deterministically by global row
 	// (matrix.RandomRows), so the same spec denotes the same matrix
 	// regardless of which partition — or how many ranks — serves it.
@@ -78,8 +62,8 @@ type JobSpec struct {
 	// Preemptible allows the scheduler to interrupt this job at a TSQR
 	// tree-stage boundary — the partition's current R fragments become
 	// the checkpoint — and resume it later, possibly on a different
-	// partition, with a bitwise-identical result. Only TSQR jobs may be
-	// preemptible.
+	// partition, with a bitwise-identical result. Stream jobs may not
+	// be preemptible (their rounds already stop at block boundaries).
 	Preemptible bool
 }
 
@@ -106,25 +90,13 @@ type SpecError struct{ Reason string }
 
 func (e *SpecError) Error() string { return "sched: bad job spec: " + e.Reason }
 
-// CholQRError reports a CholeskyQR job whose Gram matrix was numerically
-// indefinite — the input was too ill-conditioned for the scheme.
-type CholQRError struct{}
-
-func (e *CholQRError) Error() string {
-	return "sched: CholeskyQR failed (Gram matrix indefinite)"
-}
-
 // JobResult is the outcome of one job.
 type JobResult struct {
 	// R is the N×N upper triangular factor (nil in cost-only mode and
-	// for failed jobs). For KindLstSq it is nil; see X.
+	// for failed jobs).
 	R *matrix.Dense
-	// X is the N×NRHS least-squares solution (KindLstSq only), with
-	// Resid the per-column residual norms.
-	X     *matrix.Dense
-	Resid []float64
 	// Err is non-nil when the job failed; it is typed
-	// (*mpi.RankFailedError, *CholQRError, ErrCanceled, ...).
+	// (*mpi.RankFailedError, ErrCanceled, ...).
 	Err error
 
 	// Partition is the index of the grid partition that served the job
@@ -209,9 +181,7 @@ func (j *Job) complete(res JobResult) {
 }
 
 // validate checks a spec against the serving partitions: the kind must
-// be known, the matrix must be tall enough for every partition's
-// one-domain-per-process TSQR (rows per rank ≥ N), CAQR row blocks must
-// divide by its panel width, and least-squares needs data mode.
+// be known and the matrix tall enough for every live partition (fits).
 func (s *Server) validate(spec JobSpec) error {
 	if spec.Kind < KindTSQR || spec.Kind > KindStream {
 		return &SpecError{Reason: fmt.Sprintf("unknown kind %d", int(spec.Kind))}
@@ -234,33 +204,16 @@ func (s *Server) validate(spec JobSpec) error {
 	if spec.M < 1 || spec.N < 1 || spec.M < spec.N {
 		return &SpecError{Reason: fmt.Sprintf("need M >= N >= 1, got %dx%d", spec.M, spec.N)}
 	}
-	if spec.Kind == KindLstSq {
-		if !s.hasData {
-			return &SpecError{Reason: "least-squares requires data mode"}
-		}
-		if spec.NRHS < 0 {
-			return &SpecError{Reason: "negative NRHS"}
-		}
-	}
-	if spec.Preemptible && spec.Kind != KindTSQR {
-		return &SpecError{Reason: "only TSQR jobs are preemptible"}
-	}
 	for _, p := range s.parts {
-		if p.retired.Load() {
-			continue
-		}
-		procs := len(p.members)
-		if spec.M/procs < spec.N {
+		if procs := len(p.members); !p.retired.Load() && !fits(spec, procs) {
 			return &SpecError{Reason: fmt.Sprintf(
 				"matrix %dx%d not tall enough for partition %d (%d procs need M >= %d)",
 				spec.M, spec.N, p.index, procs, spec.N*procs)}
 		}
-		if spec.Kind == KindCAQR {
-			if spec.M%procs != 0 || (spec.M/procs)%caqrNB != 0 {
-				return &SpecError{Reason: fmt.Sprintf(
-					"CAQR needs row blocks divisible by NB=%d on partition %d", caqrNB, p.index)}
-			}
-		}
 	}
 	return nil
 }
+
+// fits is the one feasibility rule for a TSQR job on procs ranks: the
+// one-domain-per-process tree needs rows per rank ≥ N.
+func fits(spec JobSpec, procs int) bool { return spec.M/procs >= spec.N }

@@ -82,41 +82,12 @@ func rangeInts(start, n int) []int {
 	return out
 }
 
-// validate checks the plan against a grid: non-empty consecutive groups,
-// pairwise disjoint, ranks in range. Groups need not cover every rank —
-// uncovered ranks idle for the server's lifetime.
+// validate checks the plan against a grid: non-empty groups of in-range
+// ranks, each strictly ascending, pairwise disjoint. Groups need not
+// cover every rank — uncovered ranks idle — and may keep holes where
+// dead ranks were, as Reconfigure's plans re-formed over fault
+// survivors do; Start additionally requires consecutive groups.
 func (p Plan) validate(g *grid.Grid) error {
-	if len(p.Groups) == 0 {
-		return fmt.Errorf("sched: plan has no partitions")
-	}
-	total := g.Procs()
-	seen := make([]bool, total)
-	for gi, members := range p.Groups {
-		if len(members) == 0 {
-			return fmt.Errorf("sched: partition %d is empty", gi)
-		}
-		for i, r := range members {
-			if r < 0 || r >= total {
-				return fmt.Errorf("sched: partition %d rank %d out of range [0,%d)", gi, r, total)
-			}
-			if i > 0 && r != members[i-1]+1 {
-				return fmt.Errorf("sched: partition %d ranks not consecutive (%d after %d)",
-					gi, r, members[i-1])
-			}
-			if seen[r] {
-				return fmt.Errorf("sched: rank %d in two partitions", r)
-			}
-			seen[r] = true
-		}
-	}
-	return nil
-}
-
-// validateSparse checks an elastic (epoch) plan for Reconfigure: groups
-// must be non-empty, strictly ascending, pairwise disjoint and in range,
-// but — unlike the static validate — need not be consecutive, because a
-// plan re-formed over fault survivors keeps holes where dead ranks were.
-func (p Plan) validateSparse(g *grid.Grid) error {
 	if len(p.Groups) == 0 {
 		return fmt.Errorf("sched: plan has no partitions")
 	}

@@ -32,7 +32,7 @@ type partition struct {
 func (s *Server) requeueLocked(j *Job, avoid int) {
 	switch tgt := s.placeLocked(j, avoid); {
 	case tgt != nil:
-		tgt.q.pushRetry(j)
+		tgt.q.push(j)
 	case s.reconfiguring:
 		s.pending = append(s.pending, j)
 	default:
@@ -75,25 +75,19 @@ func (s *Server) placeLocked(j *Job, avoid int) *partition {
 	return best
 }
 
-// fitsPartition mirrors the per-partition feasibility checks of
-// admission for one partition (stealing and re-routing re-check them).
+// fitsPartition is admission's rule (fits) for one partition, which
+// stealing and re-routing re-check; a stream fits only the partition
+// size it pinned.
 func fitsPartition(j *Job, p *partition) bool {
-	spec := j.spec
 	procs := len(p.members)
-	if spec.Kind == KindStream {
+	if j.spec.Kind == KindStream {
 		// A stream pins its partition size at the first dispatch:
 		// resuming on a different size would change the strided row
 		// sharding and break the bitwise contract.
 		pinned := j.stream.procs.Load()
 		return pinned == 0 || int(pinned) == procs
 	}
-	if spec.M/procs < spec.N {
-		return false
-	}
-	if spec.Kind == KindCAQR && (spec.M%procs != 0 || (spec.M/procs)%caqrNB != 0) {
-		return false
-	}
-	return true
+	return fits(j.spec, procs)
 }
 
 // stealLocked takes the best queued job this partition can run from the
@@ -143,7 +137,7 @@ func (s *Server) checkHealthLocked(p *partition) {
 func (s *Server) takeLocked(p *partition) []*Job {
 	var jobs []*Job
 	for {
-		j, ok := p.q.pop(false)
+		j, ok := p.q.pop()
 		if !ok {
 			return jobs
 		}

@@ -8,17 +8,15 @@ import (
 	"gridqr/internal/telemetry"
 )
 
-// queue is the bounded admission queue: a priority heap (higher Priority
-// first, FIFO within a priority) with backpressure at cap. Cancellation
-// and deadlines are enforced lazily at pop time — a canceled or expired
-// job occupies its slot until the dispatcher reaches it, so the bound
-// len ≤ cap is a hard invariant, never exceeded.
+// queue is one partition's wait queue: a priority heap (higher Priority
+// first, FIFO within a priority). It holds admitted work only — Submit
+// enforces the server-wide QueueCap before a job gets here — so it has
+// no bound of its own. Cancellation and deadlines are enforced lazily
+// at pop time: a canceled or expired job stays queued until a pop
+// reaches it.
 type queue struct {
-	mu       sync.Mutex
-	notEmpty *sync.Cond
-	cap      int
-	h        jobHeap
-	closed   bool
+	mu sync.Mutex
+	h  jobHeap
 	// onDrop observes every job the queue completes itself (canceled,
 	// expired); the server counts them there. Called with the queue lock
 	// held, so it must not call back into the queue.
@@ -28,78 +26,43 @@ type queue struct {
 	depth *telemetry.Gauge
 }
 
-func newQueue(capacity int, onDrop func(*Job, error), depth *telemetry.Gauge) *queue {
-	q := &queue{cap: capacity, onDrop: onDrop, depth: depth}
-	q.notEmpty = sync.NewCond(&q.mu)
-	return q
+func newQueue(onDrop func(*Job, error), depth *telemetry.Gauge) *queue {
+	return &queue{onDrop: onDrop, depth: depth}
 }
 
 // syncDepth publishes the current length; callers hold q.mu.
 func (q *queue) syncDepth() { q.depth.Set(float64(len(q.h))) }
 
-// push admits a job, returning ErrQueueFull at capacity and
-// ErrServerClosed after close. retry pushes (re-admission after a
-// recoverable execution failure) share the same bound: an overloaded
-// queue sheds the retry rather than growing without limit.
-func (q *queue) push(j *Job) error {
+// push queues a job.
+func (q *queue) push(j *Job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return ErrServerClosed
-	}
-	if len(q.h) >= q.cap {
-		return ErrQueueFull
-	}
 	heap.Push(&q.h, j)
 	q.syncDepth()
-	q.notEmpty.Signal()
-	return nil
 }
 
-// pushRetry re-admits an in-flight job after a retryable failure. The
-// queue may be closed to new work while retries drain, so closed is not
-// an error here; the capacity bound still holds.
-func (q *queue) pushRetry(j *Job) error {
+// pop removes and returns the highest-priority runnable job, or
+// ok=false when none is queued. Canceled and expired jobs encountered on
+// the way are completed (via onDrop) and skipped.
+func (q *queue) pop() (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.h) >= q.cap {
-		return ErrQueueFull
-	}
-	heap.Push(&q.h, j)
-	q.syncDepth()
-	q.notEmpty.Signal()
-	return nil
-}
-
-// pop returns the highest-priority runnable job. Canceled and expired
-// jobs encountered on the way are completed (via onDrop) and skipped.
-// With block set it waits for work, returning ok=false only when the
-// queue is closed and empty; unblocked it returns ok=false immediately
-// when no runnable job is queued.
-func (q *queue) pop(block bool) (*Job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		for len(q.h) > 0 {
-			j := heap.Pop(&q.h).(*Job)
-			q.syncDepth()
-			if err := runnable(j); err != nil {
-				q.onDrop(j, err)
-				continue
-			}
-			return j, true
+	for len(q.h) > 0 {
+		j := heap.Pop(&q.h).(*Job)
+		q.syncDepth()
+		if err := runnable(j); err != nil {
+			q.onDrop(j, err)
+			continue
 		}
-		if !block || q.closed {
-			return nil, false
-		}
-		q.notEmpty.Wait()
+		return j, true
 	}
+	return nil, false
 }
 
 // popMatch removes and returns the highest-priority queued job for which
-// match returns true (never blocking); work stealing uses it to take
-// a job the thief can run. Canceled/expired matching jobs are dropped on
-// the way, exactly like pop.
+// match returns true; work stealing uses it to take a job the thief can
+// run. Canceled/expired matching jobs are dropped on the way, exactly
+// like pop.
 func (q *queue) popMatch(match func(*Job) bool) (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -141,16 +104,8 @@ func runnable(j *Job) error {
 	return nil
 }
 
-// close stops admission; queued jobs still drain through pop.
-func (q *queue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.notEmpty.Broadcast()
-}
-
 // len returns the number of queued jobs (including not-yet-reaped
-// canceled/expired ones, which still hold their capacity slot).
+// canceled/expired ones).
 func (q *queue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -9,7 +9,6 @@ import (
 
 	"gridqr/internal/core"
 	"gridqr/internal/grid"
-	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
 	"gridqr/internal/scalapack"
@@ -328,56 +327,6 @@ func TestCostOnlyCounts(t *testing.T) {
 	}
 }
 
-// TestOtherKinds smoke-tests the CAQR, CholeskyQR and least-squares
-// entry points through the scheduler.
-func TestOtherKinds(t *testing.T) {
-	g := grid.SmallTestGrid(2, 2, 2) // 8 ranks
-	s := Start(Config{Grid: g, Plan: SiteGroups(g, 2)})
-	defer s.Close()
-
-	const m, n = 128, 8
-	refR := func(seed int64) *matrix.Dense {
-		global := matrix.RandomRows(m, n, 0, seed)
-		tau := make([]float64, n)
-		lapack.Dgeqrf(global, tau, 32)
-		return lapack.TriuCopy(global).View(0, 0, n, n).Clone()
-	}
-
-	caqr, err := s.Submit(JobSpec{Kind: KindCAQR, M: m, N: n, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chol, err := s.Submit(JobSpec{Kind: KindCholQR, M: m, N: n, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := s.Submit(JobSpec{Kind: KindLstSq, M: m, N: n, NRHS: 2, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, j := range map[string]*Job{"caqr": caqr, "cholqr": chol} {
-		res := j.Result()
-		if res.Err != nil {
-			t.Fatalf("%s: %v", name, res.Err)
-		}
-		got := res.R.Clone()
-		lapack.NormalizeRSigns(got, nil)
-		want := refR(j.spec.Seed)
-		lapack.NormalizeRSigns(want, nil)
-		if !matrix.Equal(got, want, 1e-9) {
-			t.Errorf("%s R differs from reference QR", name)
-		}
-	}
-	res := ls.Result()
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.X == nil || res.X.Rows != n || res.X.Cols != 2 || len(res.Resid) != 2 {
-		t.Error("least-squares result malformed")
-	}
-}
-
 // TestAdmissionControl exercises the typed rejection paths: infeasible
 // specs, backpressure, queue-side cancellation and deadlines, and
 // post-Close submission.
@@ -395,9 +344,6 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if _, err := s.Submit(JobSpec{Kind: 42, M: 64, N: 4}); !errors.As(err, &specErr) {
 		t.Errorf("unknown kind admitted: %v", err)
-	}
-	if _, err := s.Submit(JobSpec{Kind: KindCAQR, M: 100, N: 4}); !errors.As(err, &specErr) {
-		t.Errorf("CAQR with indivisible blocks admitted: %v", err)
 	}
 
 	// Fill the pipe: one running blocker plus QueueCap queued jobs, then
@@ -456,22 +402,32 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// startPlan starts (and closes) a server on plan, returning what Start
+// panicked with — nil when it accepted the plan.
+func startPlan(g *grid.Grid, plan Plan) (err any) {
+	defer func() { err = recover() }()
+	Start(Config{Grid: g, Plan: plan}).Close()
+	return nil
+}
+
 // TestPlanValidation pins the partition plan's error cases.
 func TestPlanValidation(t *testing.T) {
 	g := grid.SmallTestGrid(2, 1, 2) // 4 ranks
 	bad := []Plan{
-		{},
 		{Groups: [][]int{{}}},
 		{Groups: [][]int{{0, 2}}},      // not consecutive
 		{Groups: [][]int{{0, 1}, {1}}}, // overlap
 		{Groups: [][]int{{3, 4}}},      // out of range
 	}
+	if err := (Plan{}).validate(g); err == nil {
+		t.Error("empty plan validated") // Start reads it as PerSite
+	}
 	for i, p := range bad {
-		if err := p.validate(g); err == nil {
-			t.Errorf("bad plan %d validated", i)
+		if startPlan(g, p) == nil {
+			t.Errorf("bad plan %d started", i+1)
 		}
 	}
-	if err := (Plan{Groups: [][]int{{0, 1}, {2}}}).validate(g); err != nil {
+	if err := startPlan(g, Plan{Groups: [][]int{{0, 1}, {2}}}); err != nil {
 		t.Errorf("partial-coverage plan rejected: %v", err)
 	}
 }

@@ -19,6 +19,7 @@
 package sched
 
 import (
+	"fmt"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -28,16 +29,6 @@ import (
 	"gridqr/internal/mpi"
 	"gridqr/internal/telemetry"
 )
-
-// caqrNB is the CAQR panel width used for served jobs; admission
-// validates row-block divisibility against it.
-const caqrNB = 8
-
-// partitionQueueCap bounds each per-partition queue. The real admission
-// bound is the server-wide QueueCap enforced in Submit; the per-queue
-// capacity only has to be large enough never to reject internal moves
-// (re-routing, retries, preempted resumes).
-const partitionQueueCap = 1 << 30
 
 // Config configures a Server.
 type Config struct {
@@ -199,6 +190,13 @@ func Start(cfg Config) *Server {
 	}
 	if err := cfg.Plan.validate(cfg.Grid); err != nil {
 		panic(err)
+	}
+	// A static plan's groups are also consecutive (topology-aligned);
+	// only Reconfigure's re-formed plans keep holes.
+	for gi, members := range cfg.Plan.Groups {
+		if members[len(members)-1]-members[0] != len(members)-1 {
+			panic(fmt.Errorf("sched: partition %d ranks not consecutive", gi))
+		}
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
