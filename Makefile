@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check skips walks handoff loc mutants fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
+.PHONY: build test race vet fmt-check check skips walks handoff loc mutants reach fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,75 @@ mutants:
 		else echo "SURVIVED $$m"; survived=1; fi; \
 	done; exit $$survived
 
+# Reachability ledger: what the shipped entry points run. Every main
+# (cmd/*, examples/*, benchmarks) is built with coverage of the whole
+# module and driven through the invocation list below; the merged
+# coverage becomes results/REACH.txt, one sorted "file func
+# reached|unreached" line per function (a name that occurs twice in one
+# file is unreached if either is). The target fails when a function
+# under internal/ went unreached and REACH_ALLOW does not list it as
+# "file func # reason", when a listed line has no reason, or when a
+# listed function no longer exists. A listed function that ran passes:
+# the Go mirrors of the assembly run only where the host lacks the
+# kernels. kernbench runs with a loose -tol because coverage counters
+# slow the kernels; `make benchkern` is the timing gate. Nightly, not
+# in check (about five minutes).
+REACH_ALLOW ?= testdata/reach_allow.txt
+
+reach:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/bin" "$$tmp/cov"; \
+	for d in cmd/* examples/* benchmarks; do \
+		$(GO) build -cover -coverpkg=./... -o "$$tmp/bin/$$(echo $$d | tr / _)" ./$$d || exit 1; \
+	done; \
+	run() { echo "reach: $$*"; GOCOVERDIR="$$tmp/cov" "$$tmp/bin/$$@" > "$$tmp/log" 2>&1 \
+		|| { cat "$$tmp/log"; echo "reach: $$* failed"; exit 1; }; }; \
+	for e in examples/*; do run "examples_$${e#examples/}"; done; \
+	run cmd_tsqr; \
+	run cmd_tsqr -q -tree binary -domains 2; \
+	for a in cholqr tslu lstsq; do run cmd_tsqr -algo $$a -baseline; done; \
+	run cmd_tsqr -m 20000 -n 128 -clusters 1 -procs 2; \
+	run cmd_tsqr -m 4000 -n 8 -out "$$tmp/r.mtx"; \
+	run cmd_tsqr -in "$$tmp/r.mtx" -clusters 1 -procs 1; \
+	printf '%%%%MatrixMarket matrix coordinate real general\n3 2 3\n1 1 2\n2 2 3\n3 1 1\n' > "$$tmp/c.mtx"; \
+	run cmd_tsqr -in "$$tmp/c.mtx" -clusters 1 -procs 1; \
+	run cmd_perfmodel; \
+	run cmd_gridbench -quick -fig all; \
+	run cmd_gridbench -quick -serve -listen 127.0.0.1:0; \
+	for a in poisson bursty diurnal; do run cmd_gridbench -quick -load -arrival $$a; done; \
+	run cmd_gridbench -quick -stream; \
+	run cmd_gridbench -metrics; \
+	run cmd_gridbench -trace "$$tmp/trace.json"; \
+	run cmd_gridbench -scale; \
+	run cmd_gridbench -scale -ranks 1024 -tree multi-level; \
+	printf '%s\n' '{"clusters": [' \
+		'{"name": "a", "nodes": 2, "procsPerNode": 2, "gflops": 3, "latencyMs": 0.05, "mbps": 900},' \
+		'{"name": "b", "nodes": 2, "procsPerNode": 2, "gflops": 2, "latencyMs": 0.06, "mbps": 800}],' \
+		'"links": [{"from": "a", "to": "b", "latencyMs": 8, "mbps": 100}]}' > "$$tmp/platform.json"; \
+	run cmd_gridbench -quick -fig 4 -platform "$$tmp/platform.json" -csv "$$tmp"; \
+	run cmd_gridbench -baseline $(BASELINE) -scale-max-ranks 1024; \
+	run cmd_gridbench -json "$$tmp/report.json" -ranks 1024; \
+	run cmd_kernbench -procs 1 -baseline $(KERNBASE) -tol 100; \
+	run benchmarks -workload all -seed 1 -smoke -seconds 1 -trace 1 -out "$$tmp/bench"; \
+	mod="$$($(GO) list -m)/"; \
+	$(GO) tool covdata func -i "$$tmp/cov" | \
+		awk -v mod="$$mod" '$$1 != "total" { f = substr($$1, length(mod) + 1); sub(/:[0-9]+:$$/, "", f); \
+			k = f " " $$2; if (!(k in st)) st[k] = "reached"; if ($$NF == "0.0%") st[k] = "unreached" } \
+			END { for (k in st) print k, st[k] }' | LC_ALL=C sort > results/REACH.txt || exit 1; \
+	awk -v allow="$(REACH_ALLOW)" ' \
+		BEGIN { while ((getline line < allow) > 0) { \
+			if (line ~ /^[ \t]*(#|$$)/) continue; \
+			h = index(line, "#"); why = h ? substr(line, h + 1) : ""; gsub(/^[ \t]+|[ \t]+$$/, "", why); \
+			if (split(h ? substr(line, 1, h - 1) : line, f) != 2 || why == "") { \
+				print "reach: allowlist line needs \"file func # reason\": " line; bad = 1; continue } \
+			ok[f[1] " " f[2]] = 1 } } \
+		{ seen[$$1 " " $$2] = 1 } \
+		$$1 ~ /^internal\// { n[$$3]++ } \
+		$$3 == "unreached" && $$1 ~ /^internal\// && !(($$1 " " $$2) in ok) { \
+			print "reach: unreached and not allowlisted: " $$1 " " $$2; bad = 1 } \
+		END { for (k in ok) if (!(k in seen)) { print "reach: allowlisted but gone: " k; bad = 1 } \
+			printf "reach: %d of %d functions under internal/ unreached\n", n["unreached"], n["reached"] + n["unreached"]; \
+			exit bad }' results/REACH.txt
+
 # Perf-regression gate: re-run the standard benchmark set and fail on
 # any drift from the committed baseline (message/flop counts exact,
 # bytes and simulated seconds within tight relative tolerance). The
@@ -117,24 +186,26 @@ stream:
 # contract genuinely re-executes.
 stream-smoke:
 	$(GO) run ./cmd/gridbench -stream -quick
-	$(GO) test -count=1 -run 'TestStreamIncrementalMatchesOneShot|TestStreamSnapshotExactCounts|TestRoundIncrementalEqualsOneShot|TestFolderGranularityInvariance|TestOutOfCoreBitwise|TestLeafEqualsFolder|TestShardIngestEqualsPush' ./internal/sched ./internal/stream
+	$(GO) test -count=1 -run 'TestStreamIncrementalMatchesOneShot|TestStreamSnapshotExactCounts|TestRoundIncrementalEqualsOneShot|TestFolderGranularityInvariance|TestLeafEqualsFolder|TestShardIngestEqualsPush' ./internal/sched ./internal/stream
 
 # Regenerate the committed baseline after an intentional change to the
 # algorithms' communication or computation structure.
 baseline:
 	$(GO) run ./cmd/gridbench -json $(BASELINE)
 
+# Each fuzz target for FUZZTIME; the nightly job runs this list.
+FUZZTIME ?= 15s
+
 fuzz:
-	$(GO) test -fuzz=FuzzHouseholderQR -fuzztime=15s ./internal/lapack
-	$(GO) test -fuzz=FuzzDtpqrt2 -fuzztime=15s ./internal/lapack
-	$(GO) test -fuzz=FuzzAdmission -fuzztime=15s ./internal/sched
-	$(GO) test -fuzz=FuzzDgemm -fuzztime=15s ./internal/blas
-	$(GO) test -fuzz=FuzzDgemv -fuzztime=15s ./internal/blas
-	$(GO) test -fuzz=FuzzDger -fuzztime=15s ./internal/blas
-	$(GO) test -fuzz=FuzzDtrsm -fuzztime=15s ./internal/blas
-	$(GO) test -fuzz=FuzzTraceReplay -fuzztime=15s ./internal/elastic
-	$(GO) test -fuzz=FuzzIncrementalFold -fuzztime=15s ./internal/stream
-	$(GO) test -fuzz=FuzzFillRandomRows -fuzztime=15s ./internal/matrix
+	$(GO) test -fuzz=FuzzHouseholderQR -fuzztime=$(FUZZTIME) ./internal/lapack
+	$(GO) test -fuzz=FuzzDtpqrt2 -fuzztime=$(FUZZTIME) ./internal/lapack
+	$(GO) test -fuzz=FuzzAdmission -fuzztime=$(FUZZTIME) ./internal/sched
+	$(GO) test -fuzz=FuzzDgemm -fuzztime=$(FUZZTIME) ./internal/blas
+	$(GO) test -fuzz=FuzzDgemv -fuzztime=$(FUZZTIME) ./internal/blas
+	$(GO) test -fuzz=FuzzDger -fuzztime=$(FUZZTIME) ./internal/blas
+	$(GO) test -fuzz=FuzzDtrsm -fuzztime=$(FUZZTIME) ./internal/blas
+	$(GO) test -fuzz=FuzzIncrementalFold -fuzztime=$(FUZZTIME) ./internal/stream
+	$(GO) test -fuzz=FuzzFillRandomRows -fuzztime=$(FUZZTIME) ./internal/matrix
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

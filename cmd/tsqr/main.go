@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"gridqr/internal/blas"
 	"gridqr/internal/core"
 	"gridqr/internal/grid"
 	"gridqr/internal/lapack"
@@ -62,9 +63,14 @@ func main() {
 		fatal("matrix too short: %d×%d needs at least %d rows for %d processes (N rows per domain); reduce -procs/-clusters",
 			global.Rows, global.Cols, p*global.Cols, p)
 	}
+	offsets := scalapack.BlockOffsets(global.Rows, p)
+	if *algo == "caqr" {
+		if _, err := core.CAQRPanelWidth(offsets, *nb); err != nil {
+			fatal("%v; pick -m, -clusters/-procs and -nb so each process's rows are a multiple of -nb", err)
+		}
+	}
 	fmt.Printf("%s: %d×%d matrix over %d processes (%d clusters, %s tree)\n",
 		*algo, global.Rows, global.Cols, p, *clusters, tree)
-	offsets := scalapack.BlockOffsets(global.Rows, p)
 
 	var factor *matrix.Dense
 	switch *algo {
@@ -249,13 +255,7 @@ func runLstsq(g *grid.Grid, global *matrix.Dense, offsets []int, tree core.Tree,
 	m, n := global.Rows, global.Cols
 	xTrue := matrix.Random(n, 1, seed+1)
 	b := matrix.New(m, 1)
-	for i := 0; i < m; i++ {
-		var s float64
-		for j := 0; j < n; j++ {
-			s += global.At(i, j) * xTrue.At(j, 0)
-		}
-		b.Set(i, 0, s)
-	}
+	blas.Dgemv(blas.NoTrans, 1, global, xTrue.Col(0), 0, b.Col(0))
 	w := mpi.NewWorld(g)
 	var mu sync.Mutex
 	var x *matrix.Dense

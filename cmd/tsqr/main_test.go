@@ -25,6 +25,18 @@ func runCLI(t *testing.T, bin string, args ...string) (string, error) {
 	return string(out), err
 }
 
+// exitCode is the status a command run ended with (0 on success, -1
+// when it did not run).
+func exitCode(err error) int {
+	if err == nil {
+		return 0
+	}
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode()
+	}
+	return -1
+}
+
 func TestCLIAlgorithms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration skipped in -short mode")
@@ -85,9 +97,20 @@ func TestCLIErrors(t *testing.T) {
 		{"-tree", "nope"},
 		{"-m", "10", "-n", "8"}, // too short for 8 procs
 		{"-in", "/nonexistent/file.mtx"},
+		{"-algo", "caqr"}, // 12500 rows per process, not a multiple of NB=64
 	} {
-		if out, err := runCLI(t, bin, args...); err == nil {
+		out, err := runCLI(t, bin, args...)
+		if err == nil {
 			t.Fatalf("%v: expected failure, got:\n%s", args, out)
 		}
+		if strings.Contains(out, "panic:") || strings.Contains(out, "goroutine ") {
+			t.Fatalf("%v: crashed instead of failing cleanly:\n%s", args, out)
+		}
+	}
+	// A CAQR shape that does not divide fails before any process starts:
+	// exit status 2 and one line.
+	out, err := runCLI(t, bin, "-algo", "caqr")
+	if code := exitCode(err); code != 2 || strings.Count(out, "\n") != 1 {
+		t.Fatalf("default caqr: exit %d, want 2 with one line:\n%s", code, out)
 	}
 }

@@ -227,7 +227,7 @@ func loadOnePoint(ctx context.Context, srv *sched.Server, ladder []sched.Plan,
 	row.Completed = tally.n
 	row.Lost = row.Submitted - row.Completed - row.Failed
 	if as != nil {
-		row.ScaleUps, row.ScaleDowns, _ = as.Stats()
+		row.ScaleUps, row.ScaleDowns = as.Stats()
 	}
 	row.Steals = srv.Stats().Steals
 	slo := srv.SLO()

@@ -16,7 +16,7 @@ import (
 // rank counts three orders of magnitude beyond the Grid'5000 testbed,
 // runnable only because the cost-only worlds execute on the event-driven
 // engine (O(active events) scheduling instead of 32k live threads). The
-// platform is synthetic (grid.Synthetic): 2 continents × 2 sites each,
+// platform is synthetic (grid.SyntheticHier): 2 continents of 1 and 3 sites,
 // nodes scaled so 8 processes per node yields the requested rank count.
 
 // ScaleRankCounts is the standard sweep: 1k, 4k, 16k and 32k ranks.

@@ -78,24 +78,6 @@ func Dscal(alpha float64, x []float64) {
 	dscalKernel(alpha, x)
 }
 
-// Dcopy copies x into y.
-func Dcopy(x, y []float64) {
-	if len(x) != len(y) {
-		panic("blas: Dcopy length mismatch")
-	}
-	copy(y, x)
-}
-
-// Dswap exchanges x and y.
-func Dswap(x, y []float64) {
-	if len(x) != len(y) {
-		panic("blas: Dswap length mismatch")
-	}
-	for i := range x {
-		x[i], y[i] = y[i], x[i]
-	}
-}
-
 // Idamax returns the index of the element of largest absolute value, or -1
 // for an empty slice.
 func Idamax(x []float64) int {

@@ -402,24 +402,6 @@ func TestDgemmSingleColumnStaysSerial(t *testing.T) {
 	}
 }
 
-func TestDcopyMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Dcopy([]float64{1}, []float64{1, 2})
-}
-
-func TestDswapMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Dswap([]float64{1}, []float64{1, 2})
-}
-
 func TestDgemmManyWorkersFewColumns(t *testing.T) {
 	// More workers than columns: the worker count must clamp to n.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))

@@ -45,6 +45,23 @@ type CAQRResult struct {
 	Panels int
 }
 
+// CAQRPanelWidth resolves CAQR's panel width (nb ≤ 0 means
+// lapack.DefaultBlock) and fails unless every row block of offsets is a
+// multiple of it, so panel boundaries align with rank boundaries.
+// CAQRFactorize panics on that error; callers with outside input check
+// first.
+func CAQRPanelWidth(offsets []int, nb int) (int, error) {
+	if nb <= 0 {
+		nb = lapack.DefaultBlock
+	}
+	for r := 0; r+1 < len(offsets); r++ {
+		if rows := offsets[r+1] - offsets[r]; rows%nb != 0 {
+			return 0, fmt.Errorf("core: CAQR needs row blocks divisible by NB=%d (rank %d has %d)", nb, r, rows)
+		}
+	}
+	return nb, nil
+}
+
 // CAQRFactorize runs CAQR on a world-spanning communicator. Input.Local
 // is overwritten. M ≥ N is required.
 func CAQRFactorize(comm *mpi.Comm, in Input, cfg CAQRConfig) *CAQRResult {
@@ -52,7 +69,10 @@ func CAQRFactorize(comm *mpi.Comm, in Input, cfg CAQRConfig) *CAQRResult {
 	if in.M < in.N {
 		panic("core: CAQR requires M >= N")
 	}
-	nb := in.panelWidth(cfg.NB)
+	nb, err := CAQRPanelWidth(in.Offsets, cfg.NB)
+	if err != nil {
+		panic(err.Error())
+	}
 	if comm.Size() > caqrMaxProcs || in.N > nb*caqrMaxPanels {
 		panic(fmt.Sprintf("core: CAQR supports at most %d processes and %d panels", caqrMaxProcs, caqrMaxPanels))
 	}

@@ -163,21 +163,6 @@ func (in Input) validate(comm *mpi.Comm) {
 	}
 }
 
-// panelWidth is CAQR's prologue: it resolves the panel width and panics
-// unless every rank's row block is a multiple of it, so panel boundaries
-// align with rank boundaries.
-func (in Input) panelWidth(nb int) int {
-	if nb <= 0 {
-		nb = lapack.DefaultBlock
-	}
-	for r := 0; r+1 < len(in.Offsets); r++ {
-		if rows := in.Offsets[r+1] - in.Offsets[r]; rows%nb != 0 {
-			panic(fmt.Sprintf("core: CAQR needs row blocks divisible by NB=%d (rank %d has %d)", nb, r, rows))
-		}
-	}
-	return nb
-}
-
 // activeRanks lists, in order, the ranks that still own rows at or below
 // global row j: the ones a panel starting there involves.
 func (in Input) activeRanks(j int) []int {

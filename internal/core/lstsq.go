@@ -58,36 +58,3 @@ func LeastSquares(comm *mpi.Comm, in Input, bLocal *matrix.Dense, cfg Config) (x
 	}
 	return x, resid
 }
-
-// MinNorm solves the underdetermined system A·x = b for the minimum-norm
-// solution, where the SHORT-FAT A is supplied transposed: in/atLocal hold
-// the tall M×N matrix Aᵀ row-distributed (so A is N×M with N ≤ M
-// equations over M unknowns), and b (length N, on every rank) the
-// right-hand side. Writing Aᵀ = Q·R gives x = Q·R⁻ᵀ·b, computed with one
-// TSQR and one implicit Q application; the returned block is this rank's
-// rows of x. Consistency of the system is the caller's responsibility
-// (R must be nonsingular).
-func MinNorm(comm *mpi.Comm, in Input, b []float64, cfg Config) *matrix.Dense {
-	ctx := comm.Ctx()
-	if !ctx.HasData() {
-		panic("core: MinNorm requires data mode")
-	}
-	n := in.N
-	if len(b) != n {
-		panic("core: MinNorm rhs length mismatch")
-	}
-	cfg.WantQ = false
-	cfg.KeepFactors = true
-	cfg.DomainsPerCluster = 0
-	res := Factorize(comm, in, cfg)
-
-	// y = R⁻ᵀ·b on rank 0.
-	var y *matrix.Dense
-	if comm.Rank() == 0 {
-		y = matrix.New(n, 1)
-		copy(y.Col(0), b)
-		blas.Dtrsm(blas.Left, blas.Trans, false, 1, res.R, y)
-	}
-	// x = Q·y, distributed over the rows of Aᵀ (the unknowns of A).
-	return res.Q.ApplyQ(comm, y)
-}

@@ -5,9 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"gridqr/internal/blas"
 	"gridqr/internal/grid"
-	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
 	"gridqr/internal/scalapack"
@@ -142,75 +140,6 @@ func TestLeastSquaresPolynomialFit(t *testing.T) {
 	for j, wv := range want {
 		if math.Abs(x.At(j, 0)-wv) > 1e-10 {
 			t.Fatalf("coefficient %d = %g want %g", j, x.At(j, 0), wv)
-		}
-	}
-}
-
-func TestMinNorm(t *testing.T) {
-	// A is 4×200 (4 equations, 200 unknowns); we distribute Aᵀ (200×4).
-	g := grid.SmallTestGrid(2, 2, 1)
-	mUnknowns, nEq := 200, 4
-	at := matrix.Random(mUnknowns, nEq, 81)
-	b := matrix.Random(nEq, 1, 82).Col(0)
-	offsets := scalapack.BlockOffsets(mUnknowns, g.Procs())
-	w := mpi.NewWorld(g)
-	var mu sync.Mutex
-	var x *matrix.Dense
-	w.Run(func(ctx *mpi.Ctx) {
-		comm := mpi.WorldComm(ctx)
-		in := Input{M: mUnknowns, N: nEq, Offsets: offsets,
-			Local: scalapack.Distribute(at, offsets, ctx.Rank())}
-		xl := MinNorm(comm, in, b, Config{Tree: TreeGrid})
-		xf := scalapack.Collect(comm, xl, offsets, 1)
-		if ctx.Rank() == 0 {
-			mu.Lock()
-			x = xf
-			mu.Unlock()
-		}
-	})
-	// 1. A·x = b: rows of A are columns of Aᵀ.
-	for e := 0; e < nEq; e++ {
-		var s float64
-		for u := 0; u < mUnknowns; u++ {
-			s += at.At(u, e) * x.At(u, 0)
-		}
-		if math.Abs(s-b[e]) > 1e-10*(1+math.Abs(b[e])) {
-			t.Fatalf("equation %d: %g vs %g", e, s, b[e])
-		}
-	}
-	// 2. Minimum norm: x must lie in range(Aᵀ), i.e. be orthogonal to
-	// null(A). Verify ‖x‖ <= ‖x + z‖ for perturbations z in the null
-	// space: equivalently x = Aᵀw for some w. Solve for w by LS and
-	// check the representation error.
-	normalEq := matrix.New(nEq, nEq)
-	rhs := make([]float64, nEq)
-	for i := 0; i < nEq; i++ {
-		for j := 0; j < nEq; j++ {
-			var s float64
-			for u := 0; u < mUnknowns; u++ {
-				s += at.At(u, i) * at.At(u, j)
-			}
-			normalEq.Set(i, j, s)
-		}
-		var s float64
-		for u := 0; u < mUnknowns; u++ {
-			s += at.At(u, i) * x.At(u, 0)
-		}
-		rhs[i] = s
-	}
-	// Solve normalEq·w = rhs by Cholesky.
-	if !lapack.Dpotrf(normalEq) {
-		t.Fatal("Gram matrix not SPD")
-	}
-	blas.Dtrsv(blas.Trans, normalEq, rhs)
-	blas.Dtrsv(blas.NoTrans, normalEq, rhs)
-	for u := 0; u < mUnknowns; u++ {
-		var s float64
-		for i := 0; i < nEq; i++ {
-			s += at.At(u, i) * rhs[i]
-		}
-		if math.Abs(s-x.At(u, 0)) > 1e-8*(1+math.Abs(x.At(u, 0))) {
-			t.Fatalf("x not in range(Aᵀ) at %d: %g vs %g", u, s, x.At(u, 0))
 		}
 	}
 }

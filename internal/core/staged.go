@@ -61,9 +61,10 @@ func (g *PreemptGate) RequestAt(s int) {
 
 // shouldStop latches and returns the decision for one stage. Invariant:
 // the set {s : decision(s)} is upward-closed, so a merge is skipped iff
-// its stage is at or above the lowest stopped stage. The two closure
-// rules below can never both fire — that would need a latched stop below
-// a latched go, which the rules themselves make impossible.
+// its stage is at or above the lowest stopped stage. A stop is latched
+// only while requested is set, and requested never resets, so every
+// stage first queried after a stop stops too; the closure rule below
+// keeps a go latched at a higher stage from being contradicted under it.
 func (g *PreemptGate) shouldStop(stage int) bool {
 	if g == nil {
 		return false
@@ -75,9 +76,6 @@ func (g *PreemptGate) shouldStop(stage int) bool {
 	}
 	stop := g.requested
 	for s, d := range g.decisions {
-		if d && s < stage {
-			stop = true
-		}
 		if !d && s > stage {
 			stop = false
 		}

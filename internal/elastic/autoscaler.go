@@ -38,7 +38,7 @@ type Config struct {
 }
 
 // Autoscaler grows and shrinks a scheduler's partition plan along a
-// capacity ladder, and re-forms the current level over fault survivors.
+// capacity ladder, installing each level over the live ranks.
 // It is driven synchronously: the load harness (or an operator loop)
 // calls Step between arrivals; the autoscaler never spawns goroutines.
 type Autoscaler struct {
@@ -47,7 +47,7 @@ type Autoscaler struct {
 	level int
 	cool  int
 
-	ups, downs, reforms int
+	ups, downs int
 }
 
 // New wraps a running server. The server must currently be running
@@ -67,9 +67,9 @@ func New(srv *sched.Server, cfg Config) (*Autoscaler, error) {
 // Level returns the current ladder level.
 func (a *Autoscaler) Level() int { return a.level }
 
-// Stats returns the cumulative scale-up, scale-down and re-form counts.
-func (a *Autoscaler) Stats() (ups, downs, reforms int) {
-	return a.ups, a.downs, a.reforms
+// Stats returns the cumulative scale-up and scale-down counts.
+func (a *Autoscaler) Stats() (ups, downs int) {
+	return a.ups, a.downs
 }
 
 // Step reads the server's SLO snapshot and applies at most one scaling
@@ -98,14 +98,6 @@ func (a *Autoscaler) Step() (bool, error) {
 	}
 	a.cool = pol.Cooldown
 	return true, a.apply()
-}
-
-// Reform re-installs the current ladder level over the fault survivors:
-// dead ranks are dropped from every partition and partitions that lost
-// all ranks disappear. Call it after the scheduler reports failures.
-func (a *Autoscaler) Reform() error {
-	a.reforms++
-	return a.apply()
 }
 
 func (a *Autoscaler) partitions(level int) int {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gridqr/internal/grid"
-	"gridqr/internal/mpi"
 	"gridqr/internal/perfmodel"
 	"gridqr/internal/sched"
 )
@@ -75,7 +74,7 @@ func TestAutoscalerScalesUpAndDown(t *testing.T) {
 	if !changed || as.Level() != 0 || s.Partitions() != 1 {
 		t.Fatalf("idle server did not scale down (level=%d partitions=%d)", as.Level(), s.Partitions())
 	}
-	ups, downs, _ := as.Stats()
+	ups, downs := as.Stats()
 	if ups != 1 || downs != 1 {
 		t.Errorf("ups=%d downs=%d, want 1/1", ups, downs)
 	}
@@ -128,49 +127,5 @@ func TestAutoscalerCooldown(t *testing.T) {
 	}
 	for _, j := range jobs {
 		j.Result()
-	}
-}
-
-// TestAutoscalerReform re-forms the current level over fault survivors:
-// the dead rank drops out of its partition, the epoch advances, and
-// serving continues on the shrunken partition.
-func TestAutoscalerReform(t *testing.T) {
-	g := grid.SmallTestGrid(2, 2, 2)
-	fp := mpi.NewFaultPlan(5).Kill(1, 40)
-	fp.RecvTimeout = 5 * time.Second
-	s := sched.Start(sched.Config{Grid: g, Plan: sched.PerSite(g), Faults: fp, MaxRetries: 3})
-	defer s.Close()
-	as, err := New(s, Config{
-		Ladder: []sched.Plan{sched.PerSite(g)},
-		Pred:   perfmodel.Predictor{G: g, Sites: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; !s.World().RankDead(1) && i < 200; i++ {
-		j, err := s.Submit(sched.JobSpec{Kind: sched.KindTSQR, M: 128, N: 8, Seed: int64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.Result()
-	}
-	if !s.World().RankDead(1) {
-		t.Skip("fault plan never fired")
-	}
-	if err := as.Reform(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Epoch() == 0 || s.Partitions() != 2 {
-		t.Fatalf("epoch=%d partitions=%d after reform", s.Epoch(), s.Partitions())
-	}
-	for i := 0; i < 4; i++ {
-		j, err := s.Submit(sched.JobSpec{Kind: sched.KindTSQR, M: 120, N: 8, Seed: int64(500 + i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := j.Result(); res.Err != nil {
-			t.Fatalf("job %d after reform: %v", i, res.Err)
-		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package elastic is the serving control plane grown around the
 // scheduler: SLO-driven autoscaling of the partition plan (steered by
-// the perfmodel predictor, re-forming over survivors after faults) and
+// the perfmodel predictor, each level installed over the live ranks) and
 // the arrival traces of the open-loop load harness. Open-loop means the
 // generators emit arrivals on their own clock — a client that does not
 // wait for completions — which is what exposes the saturation knee that
@@ -8,12 +8,8 @@
 package elastic
 
 import (
-	"bufio"
-	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 	"time"
 )
 
@@ -24,20 +20,6 @@ import (
 type Trace interface {
 	Name() string
 	Next() (time.Duration, bool)
-}
-
-// Collect drains up to max gaps from a trace into a slice — the bridge
-// between a generator and the replay/encode machinery.
-func Collect(tr Trace, max int) []time.Duration {
-	var gaps []time.Duration
-	for len(gaps) < max {
-		gap, ok := tr.Next()
-		if !ok {
-			break
-		}
-		gaps = append(gaps, gap)
-	}
-	return gaps
 }
 
 // poisson emits n exponentially distributed gaps at a constant rate —
@@ -150,76 +132,9 @@ func (d *diurnal) Next() (time.Duration, bool) {
 	return gap, true
 }
 
-// replay walks a recorded gap sequence — the Trace for traces captured
-// with Collect/Encode from production or from another generator.
-type replay struct {
-	name string
-	gaps []time.Duration
-	i    int
-}
-
-// Replay returns a trace that replays the recorded gaps verbatim.
-func Replay(name string, gaps []time.Duration) Trace {
-	return &replay{name: name, gaps: gaps}
-}
-
-func (r *replay) Name() string { return r.name }
-
-func (r *replay) Next() (time.Duration, bool) {
-	if r.i >= len(r.gaps) {
-		return 0, false
-	}
-	g := r.gaps[r.i]
-	r.i++
-	return g, true
-}
-
 // expGap draws one exponential inter-arrival gap at the given rate,
-// floored at one microsecond so encoded traces round-trip exactly.
+// truncated to whole microseconds and floored at one.
 func expGap(rng *rand.Rand, rate float64) time.Duration {
 	gap := time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
 	return gap.Truncate(time.Microsecond) + time.Microsecond
-}
-
-// Encode serializes a gap sequence as the arrival-trace text format: one
-// decimal microsecond integer per line. The format is the unit of
-// exchange with external tooling, so Decode(Encode(x)) == x must hold
-// exactly for every representable trace (gaps are truncated to whole
-// non-negative microseconds by construction).
-func Encode(gaps []time.Duration) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("# gridqr arrival trace v1: inter-arrival gaps, microseconds\n")
-	for _, g := range gaps {
-		fmt.Fprintf(&buf, "%d\n", g.Microseconds())
-	}
-	return buf.Bytes()
-}
-
-// Decode parses the arrival-trace text format: microsecond integers one
-// per line, blank lines and '#' comments ignored. Negative gaps and
-// junk are errors, not clamps — a corrupted trace must not silently
-// reshape a load test.
-func Decode(data []byte) ([]time.Duration, error) {
-	var gaps []time.Duration
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	line := 0
-	for sc.Scan() {
-		line++
-		s := bytes.TrimSpace(sc.Bytes())
-		if len(s) == 0 || s[0] == '#' {
-			continue
-		}
-		us, err := strconv.ParseInt(string(s), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("elastic: trace line %d: %v", line, err)
-		}
-		if us < 0 {
-			return nil, fmt.Errorf("elastic: trace line %d: negative gap %d", line, us)
-		}
-		gaps = append(gaps, time.Duration(us)*time.Microsecond)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("elastic: trace scan: %v", err)
-	}
-	return gaps, nil
 }

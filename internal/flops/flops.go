@@ -169,16 +169,3 @@ func Log2(p int) float64 {
 	// Ceil(log2(p)) for message counting on binomial trees.
 	return float64(d)
 }
-
-// Counter accumulates flop counts as kernels execute. A nil *Counter is
-// valid and counts nothing, so kernels can be called without accounting.
-type Counter struct {
-	Flops float64
-}
-
-// Add records n flops. Safe on a nil receiver.
-func (c *Counter) Add(n float64) {
-	if c != nil {
-		c.Flops += n
-	}
-}

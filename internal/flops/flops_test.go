@@ -156,17 +156,6 @@ func TestSYRK(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(10)
-	c.Add(5)
-	if c.Flops != 15 {
-		t.Fatalf("Counter = %g", c.Flops)
-	}
-	var nilC *Counter
-	nilC.Add(100) // must not panic
-}
-
 func TestAuxiliaryCounts(t *testing.T) {
 	if ORGQR(100, 10) != GEQRF(100, 10) {
 		t.Fatal("ORGQR must match GEQRF to leading order")

@@ -194,19 +194,6 @@ func (g *Grid) Sites(k int) *Grid {
 	return sub
 }
 
-// SlowestGflops returns the per-processor practical peak of the slowest
-// cluster; the paper evaluates grid efficiency against the slowest
-// component (Section V-A).
-func (g *Grid) SlowestGflops() float64 {
-	slowest := g.Clusters[0].Gflops
-	for _, c := range g.Clusters[1:] {
-		if c.Gflops < slowest {
-			slowest = c.Gflops
-		}
-	}
-	return slowest
-}
-
 // Validate checks structural invariants: square symmetric-enough link
 // matrix and positive parameters everywhere.
 func (g *Grid) Validate() error {

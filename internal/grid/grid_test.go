@@ -194,14 +194,6 @@ func TestSitesPanics(t *testing.T) {
 	Grid5000().Sites(5)
 }
 
-func TestSlowestGflops(t *testing.T) {
-	g := SmallTestGrid(2, 2, 2)
-	g.Clusters[1].Gflops = 1.5
-	if g.SlowestGflops() != 1.5 {
-		t.Fatalf("SlowestGflops = %g", g.SlowestGflops())
-	}
-}
-
 func TestSmallTestGrid(t *testing.T) {
 	g := SmallTestGrid(3, 2, 2)
 	if err := g.Validate(); err != nil {

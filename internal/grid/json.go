@@ -126,30 +126,3 @@ func FromJSON(r io.Reader) (*Grid, error) {
 	}
 	return g, nil
 }
-
-// ToJSON serializes a grid into the FromJSON schema.
-func (g *Grid) ToJSON(w io.Writer) error {
-	jg := jsonGrid{
-		KernelHalfN: g.KernelHalfN,
-		KernelEff:   g.KernelEff,
-		IntraNode:   &jsonLink{LatencyMs: g.IntraNode.Latency / ms, Mbps: g.IntraNode.Bandwidth / mbps},
-	}
-	for i, c := range g.Clusters {
-		jg.Clusters = append(jg.Clusters, jsonCluster{
-			Name: c.Name, Nodes: c.Nodes, ProcsPerNode: c.ProcsPerNode, Gflops: c.Gflops,
-			LatencyMs: g.Inter[i][i].Latency / ms, Mbps: g.Inter[i][i].Bandwidth / mbps,
-			FailureRate: c.FailureRate,
-		})
-	}
-	for i := range g.Clusters {
-		for j := i + 1; j < len(g.Clusters); j++ {
-			jg.Links = append(jg.Links, jsonLink{
-				From: g.Clusters[i].Name, To: g.Clusters[j].Name,
-				LatencyMs: g.Inter[i][j].Latency / ms, Mbps: g.Inter[i][j].Bandwidth / mbps,
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jg)
-}

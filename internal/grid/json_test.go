@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -90,13 +89,30 @@ func TestFromJSONErrors(t *testing.T) {
 	}
 }
 
+// grid5000Platform is Grid5000() in the FromJSON schema.
+const grid5000Platform = `{
+  "clusters": [
+    {"name": "Orsay",    "nodes": 32, "procsPerNode": 2, "gflops": 3.67, "latencyMs": 0.07, "mbps": 890, "failureRate": 3e-8},
+    {"name": "Toulouse", "nodes": 32, "procsPerNode": 2, "gflops": 3.67, "latencyMs": 0.03, "mbps": 890, "failureRate": 3e-8},
+    {"name": "Bordeaux", "nodes": 32, "procsPerNode": 2, "gflops": 3.67, "latencyMs": 0.05, "mbps": 890, "failureRate": 3e-8},
+    {"name": "Sophia",   "nodes": 32, "procsPerNode": 2, "gflops": 3.67, "latencyMs": 0.06, "mbps": 890, "failureRate": 3e-8}
+  ],
+  "links": [
+    {"from": "Orsay",    "to": "Toulouse", "latencyMs": 7.97, "mbps": 78},
+    {"from": "Orsay",    "to": "Bordeaux", "latencyMs": 6.98, "mbps": 90},
+    {"from": "Orsay",    "to": "Sophia",   "latencyMs": 6.12, "mbps": 102},
+    {"from": "Toulouse", "to": "Bordeaux", "latencyMs": 9.03, "mbps": 77},
+    {"from": "Toulouse", "to": "Sophia",   "latencyMs": 8.18, "mbps": 90},
+    {"from": "Bordeaux", "to": "Sophia",   "latencyMs": 7.18, "mbps": 83}
+  ],
+  "intraNode": {"latencyMs": 0.017, "mbps": 5000},
+  "kernelHalfN": 184,
+  "kernelEff": 0.55
+}`
+
 func TestJSONRoundTrip(t *testing.T) {
 	g := Grid5000()
-	var buf bytes.Buffer
-	if err := g.ToJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := FromJSON(&buf)
+	back, err := FromJSON(strings.NewReader(grid5000Platform))
 	if err != nil {
 		t.Fatal(err)
 	}

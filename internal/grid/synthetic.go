@@ -2,10 +2,10 @@ package grid
 
 import "fmt"
 
-// Synthetic builds a hierarchical platform for the 1k–32k-rank scale
-// studies: `continents` continents of `sitesPerContinent` sites, each
-// site `nodes` nodes of `procsPerNode` processors. Link parameters
-// extrapolate the Grid'5000 measurements one level up:
+// SyntheticHier builds a hierarchical platform for the 1k–32k-rank scale
+// studies: sitesPerContinent[k] sites on continent k, each site `nodes`
+// nodes of `procsPerNode` processors. Link parameters extrapolate the
+// Grid'5000 measurements one level up:
 //
 //   - intra-node: the paper's 17 µs / 5 Gb/s shared-memory figures;
 //   - intra-site switch: 0.05 ms / 890 Mb/s (the Grid'5000 diagonal);
@@ -15,21 +15,7 @@ import "fmt"
 //     with correspondingly thinner shared bandwidth).
 //
 // Kernel parameters match the Grid5000 preset so per-rank compute rates
-// are comparable across the paper-scale and synthetic-scale runs.
-func Synthetic(continents, sitesPerContinent, nodes, procsPerNode int) *Grid {
-	if continents < 1 || sitesPerContinent < 1 {
-		panic(fmt.Sprintf("grid: invalid synthetic shape %d continents × %d sites",
-			continents, sitesPerContinent))
-	}
-	sites := make([]int, continents)
-	for i := range sites {
-		sites[i] = sitesPerContinent
-	}
-	return SyntheticHier(sites, nodes, procsPerNode)
-}
-
-// SyntheticHier is Synthetic with per-continent site counts, for
-// asymmetric hierarchies: sitesPerContinent[k] sites on continent k. The
+// are comparable across the paper-scale and synthetic-scale runs. The
 // asymmetry matters: on a fully uniform power-of-two platform with
 // rank-major placement, a plain binomial tree happens to align with every
 // hierarchy level (partners at small strides share a node, at large

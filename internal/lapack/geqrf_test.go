@@ -412,14 +412,6 @@ func TestDlacpy(t *testing.T) {
 	}
 }
 
-func TestDlaset(t *testing.T) {
-	a := matrix.Random(3, 3, 15)
-	Dlaset(a, 2, 5)
-	if a.At(0, 0) != 5 || a.At(1, 0) != 2 || a.At(0, 2) != 2 {
-		t.Fatalf("Dlaset wrong: %v", a)
-	}
-}
-
 func TestNormalizeRSigns(t *testing.T) {
 	r := matrix.FromRows([][]float64{{-2, 1}, {0, 3}})
 	q := matrix.Random(5, 2, 16)

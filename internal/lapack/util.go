@@ -34,21 +34,6 @@ func Dlacpy(kind CopyKind, a, b *matrix.Dense) {
 	}
 }
 
-// Dlaset sets the off-diagonal elements of a to alpha and the diagonal to
-// beta.
-func Dlaset(a *matrix.Dense, alpha, beta float64) {
-	for j := 0; j < a.Cols; j++ {
-		col := a.Col(j)
-		for i := range col {
-			if i == j {
-				col[i] = beta
-			} else {
-				col[i] = alpha
-			}
-		}
-	}
-}
-
 // NormalizeRSigns flips the sign of rows of R (and the matching columns of
 // Q, when non-nil) so every diagonal entry of R is nonnegative. This makes
 // the QR factorization unique and, as the paper notes, makes the TSQR

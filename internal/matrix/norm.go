@@ -40,23 +40,6 @@ func NormOne(a *Dense) float64 {
 	return best
 }
 
-// NormInf returns the infinity norm (max row absolute sum) of a.
-func NormInf(a *Dense) float64 {
-	sums := make([]float64, a.Rows)
-	for j := 0; j < a.Cols; j++ {
-		for i, v := range a.Col(j) {
-			sums[i] += math.Abs(v)
-		}
-	}
-	var best float64
-	for _, s := range sums {
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
 // NormMax returns the largest absolute element of a.
 func NormMax(a *Dense) float64 {
 	var best float64

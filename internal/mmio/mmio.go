@@ -2,12 +2,6 @@
 // exchange format (the `%%MatrixMarket matrix array real general` and
 // `coordinate real general` variants), so the command-line tools can
 // factor matrices produced by other numerical software.
-//
-// Beyond the densifying Read, the package offers a true streaming path
-// for out-of-core factorization: ReadPanels walks a row-ordered
-// coordinate stream and hands out consecutive row panels with O(panel)
-// memory residency, and WriteRows emits the row-ordered coordinate
-// layout ReadPanels consumes.
 package mmio
 
 import (
@@ -26,15 +20,6 @@ type header struct {
 	layout   string // array | coordinate
 	field    string // real | integer | pattern
 	symmetry string // general | symmetric
-}
-
-// newScanner wraps the input with the line scanner both readers share.
-// bufio.Scanner pulls from the reader incrementally, so residency is the
-// scan buffer, never the file.
-func newScanner(r io.Reader) *bufio.Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	return sc
 }
 
 // parseHeader consumes the banner line plus comments and returns the
@@ -106,7 +91,8 @@ func checkDims(m, n int) error {
 // mirrored; duplicate coordinate entries are summed (the scipy/MM
 // convention).
 func Read(r io.Reader) (*matrix.Dense, error) {
-	sc := newScanner(r)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	h, dims, err := parseHeader(sc)
 	if err != nil {
 		return nil, err

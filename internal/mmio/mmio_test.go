@@ -149,3 +149,51 @@ func TestReadIntegerField(t *testing.T) {
 		t.Fatal("integer entry wrong")
 	}
 }
+
+// TestCoordinateDuplicatePolicy pins the duplicate-entry policy: Read
+// sums repeated (i, j) entries, matching the scipy/Matrix Market
+// convention.
+func TestCoordinateDuplicatePolicy(t *testing.T) {
+	in := `%%MatrixMarket matrix coordinate real general
+3 2 3
+1 1 2
+1 1 3.5
+2 2 -1
+`
+	a, err := Read(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.At(0, 0) != 5.5 {
+		t.Fatalf("Read duplicate sum = %g, want 5.5", a.At(0, 0))
+	}
+
+	sym := `%%MatrixMarket matrix coordinate real symmetric
+2 2 2
+2 1 1
+2 1 2
+`
+	s, err := Read(strings.NewReader(sym))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.At(1, 0) != 3 || s.At(0, 1) != 3 {
+		t.Fatalf("symmetric duplicate sum = %g/%g, want 3/3", s.At(1, 0), s.At(0, 1))
+	}
+}
+
+// TestReadOverflowHeaders: headers whose m*n product overflows int must
+// fail with an error, not panic or try a huge allocation.
+func TestReadOverflowHeaders(t *testing.T) {
+	cases := []string{
+		"%%MatrixMarket matrix array real general\n4611686018427387904 4611686018427387904\n",
+		"%%MatrixMarket matrix coordinate real general\n4611686018427387904 4611686018427387904 1\n1 1 1\n",
+	}
+	for i, in := range cases {
+		if _, err := Read(strings.NewReader(in)); err == nil {
+			t.Fatalf("case %d: expected overflow error", i)
+		} else if !strings.Contains(err.Error(), "overflow") {
+			t.Fatalf("case %d: err = %v, want overflow", i, err)
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Comm is a communicator: an ordered group of world ranks with its own
 // rank numbering and tag space, the abstraction the paper's application
@@ -13,10 +10,6 @@ type Comm struct {
 	path    string // tag namespace, unique per communicator tree node
 	members []int  // world ranks, index = comm rank
 	rank    int    // this process's comm rank
-	// children counts collective Split calls on this comm so successive
-	// splits get distinct tag namespaces; it stays consistent across
-	// ranks because Split is collective.
-	children int
 }
 
 // WorldComm returns the communicator spanning all ranks, with comm rank
@@ -44,16 +37,10 @@ func (c *Comm) Size() int { return len(c.members) }
 // Ctx returns the underlying process context.
 func (c *Comm) Ctx() *Ctx { return c.ctx }
 
-// WorldRank translates a comm rank to a world rank.
-func (c *Comm) WorldRank(r int) int { return c.members[r] }
-
-// Cluster returns the geographical site of this process.
-func (c *Comm) Cluster() int { return c.ctx.Cluster() }
-
 // ClusterOf returns the geographical site of a comm rank, translating
 // through the member list. Algorithms query topology through this (never
 // through world ranks directly), so the same code runs unchanged on the
-// world communicator and on a Split/Sub partition of it.
+// world communicator and on a Sub partition of it.
 func (c *Comm) ClusterOf(r int) int {
 	return c.ctx.world.g.ClusterOf(c.members[r])
 }
@@ -190,54 +177,4 @@ func (c *Comm) Sub(members []int, label string) *Comm {
 // must call it with the same label to land on the same namespace.
 func (c *Comm) Dup(label string) *Comm {
 	return &Comm{ctx: c.ctx, path: c.path + "/" + label, members: c.members, rank: c.rank}
-}
-
-// splitTag is reserved for Split's internal traffic.
-const splitTag = -1
-
-// Split partitions the communicator by color, ordering each new
-// communicator's ranks by (key, old rank), with MPI_Comm_split semantics.
-// It is collective over the communicator and costs one gather plus one
-// broadcast. A negative color returns nil (the rank opts out).
-func (c *Comm) Split(color, key int) *Comm {
-	n := c.Size()
-	// Gather (color, key) pairs at comm rank 0.
-	pairs := make([]float64, 2*n)
-	pairs[2*c.rank] = float64(color)
-	pairs[2*c.rank+1] = float64(key)
-	if c.rank == 0 {
-		for r := 1; r < n; r++ {
-			got := c.recvRaw(r, splitTag)
-			pairs[2*r], pairs[2*r+1] = got[0], got[1]
-		}
-		for r := 1; r < n; r++ {
-			c.sendRaw(r, pairs, splitTag)
-		}
-	} else {
-		c.sendRaw(0, []float64{float64(color), float64(key)}, splitTag)
-		pairs = c.recvRaw(0, splitTag)
-	}
-	if color < 0 {
-		return nil
-	}
-	// Deterministically build my color group ordered by (key, rank).
-	type entry struct{ rank, key int }
-	var group []entry
-	for r := 0; r < n; r++ {
-		if int(pairs[2*r]) == color {
-			group = append(group, entry{rank: r, key: int(pairs[2*r+1])})
-		}
-	}
-	sort.Slice(group, func(i, j int) bool {
-		if group[i].key != group[j].key {
-			return group[i].key < group[j].key
-		}
-		return group[i].rank < group[j].rank
-	})
-	members := make([]int, len(group))
-	for i, e := range group {
-		members[i] = e.rank
-	}
-	c.children++
-	return c.Sub(members, fmt.Sprintf("s%d.%d", c.children, color))
 }

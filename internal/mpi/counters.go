@@ -61,10 +61,3 @@ func (c *Counters) snapshot() CounterSnapshot {
 	defer c.mu.Unlock()
 	return CounterSnapshot{PerClass: c.perClass, Flops: c.flops}
 }
-
-func (c *Counters) reset() {
-	c.mu.Lock()
-	c.perClass = [3]LinkCount{}
-	c.flops = 0
-	c.mu.Unlock()
-}

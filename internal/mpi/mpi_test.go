@@ -271,86 +271,6 @@ func TestOverlapHidesWait(t *testing.T) {
 	}
 }
 
-func TestSplitByParity(t *testing.T) {
-	w := testWorld(6)
-	w.Run(func(ctx *Ctx) {
-		c := WorldComm(ctx)
-		sub := c.Split(ctx.Rank()%2, ctx.Rank())
-		if sub.Size() != 3 {
-			t.Errorf("sub size %d", sub.Size())
-		}
-		if sub.WorldRank(sub.Rank()) != ctx.Rank() {
-			t.Errorf("rank mapping broken")
-		}
-		// Allreduce within the split group only.
-		out := sub.Allreduce([]float64{float64(ctx.Rank())}, OpSum)
-		want := 0.0 + 2 + 4
-		if ctx.Rank()%2 == 1 {
-			want = 1 + 3 + 5
-		}
-		if out[0] != want {
-			t.Errorf("rank %d: group sum %v want %g", ctx.Rank(), out, want)
-		}
-	})
-}
-
-func TestSplitKeyOrdersRanks(t *testing.T) {
-	w := testWorld(4)
-	w.Run(func(ctx *Ctx) {
-		c := WorldComm(ctx)
-		// Reverse order via key.
-		sub := c.Split(0, -ctx.Rank())
-		if got := sub.WorldRank(0); got != 3 {
-			t.Errorf("first rank = %d want 3", got)
-		}
-		if sub.Rank() != 3-ctx.Rank() {
-			t.Errorf("rank %d mapped to %d", ctx.Rank(), sub.Rank())
-		}
-	})
-}
-
-func TestSplitNegativeColorOptsOut(t *testing.T) {
-	w := testWorld(3)
-	w.Run(func(ctx *Ctx) {
-		c := WorldComm(ctx)
-		color := 0
-		if ctx.Rank() == 2 {
-			color = -1
-		}
-		sub := c.Split(color, 0)
-		if ctx.Rank() == 2 {
-			if sub != nil {
-				t.Error("negative color must return nil")
-			}
-			return
-		}
-		if sub.Size() != 2 {
-			t.Errorf("sub size %d want 2", sub.Size())
-		}
-	})
-}
-
-func TestSuccessiveSplitsDistinctNamespaces(t *testing.T) {
-	w := testWorld(4)
-	w.Run(func(ctx *Ctx) {
-		c := WorldComm(ctx)
-		a := c.Split(0, 0)
-		b := c.Split(0, 0)
-		// Traffic on a must not satisfy receives on b.
-		if ctx.Rank() == 0 {
-			a.Send(1, []float64{1}, 5)
-			b.Send(1, []float64{2}, 5)
-		} else if ctx.Rank() == 1 {
-			if got := b.Recv(0, 5); got[0] != 2 {
-				t.Errorf("cross-communicator match: %v", got)
-			}
-			if got := a.Recv(0, 5); got[0] != 1 {
-				t.Errorf("cross-communicator match: %v", got)
-			}
-		}
-	})
-}
-
 func TestSub(t *testing.T) {
 	w := testWorld(5)
 	w.Run(func(ctx *Ctx) {
@@ -487,10 +407,6 @@ func TestCountersPerClass(t *testing.T) {
 	if snap.Inter().Bytes != 8 {
 		t.Fatalf("inter bytes = %g", snap.Inter().Bytes)
 	}
-	w.ResetCounters()
-	if w.Counters().Total().Msgs != 0 {
-		t.Fatal("ResetCounters did not clear")
-	}
 }
 
 func TestRealModeFlopCounterOnly(t *testing.T) {
@@ -556,10 +472,6 @@ func TestTimeBreakdown(t *testing.T) {
 	}
 	if b1.Wait[grid.IntraNode] != 0 || b1.Wait[grid.IntraCluster] != 0 {
 		t.Fatalf("wait misattributed: %v", b1.Wait)
-	}
-	// Critical rank is rank 1; Breakdown() must pick it.
-	if w.Breakdown() != b1 {
-		t.Fatal("Breakdown() did not pick the critical rank")
 	}
 	if total := b1.Total(); total != w.MaxClock() {
 		t.Fatalf("breakdown total %g != MaxClock %g", total, w.MaxClock())

@@ -269,9 +269,6 @@ func (w *World) Shared(key string, build func() any) any {
 	return v
 }
 
-// Grid returns the platform description ranks are placed on.
-func (w *World) Grid() *grid.Grid { return w.g }
-
 // Run executes fn on every rank and blocks until all complete. A panic
 // on any rank is re-raised on the caller after all other ranks are done
 // or stuck receivers are drained. A rank killed by the fault plan is not
@@ -331,7 +328,7 @@ func (w *World) MaxClock() float64 {
 }
 
 // Counters returns a snapshot of the message counters accumulated since
-// the last ResetCounters.
+// the world was created.
 func (w *World) Counters() CounterSnapshot { return w.counters.snapshot() }
 
 // TimeBreakdown splits a rank's virtual time into computation and the
@@ -348,23 +345,7 @@ func (t TimeBreakdown) Total() float64 {
 	return t.Compute + t.Wait[0] + t.Wait[1] + t.Wait[2]
 }
 
-// Breakdown returns the time breakdown of the rank whose final clock is
-// largest (the critical rank). Call after Run, in virtual mode.
-func (w *World) Breakdown() TimeBreakdown {
-	worst := 0
-	for r, c := range w.clocks {
-		if c > w.clocks[worst] {
-			worst = r
-		}
-	}
-	return w.BreakdownOf(worst)
-}
-
 // BreakdownOf returns one rank's time breakdown.
 func (w *World) BreakdownOf(rank int) TimeBreakdown {
 	return TimeBreakdown{Compute: w.compute[rank], Wait: w.wait[rank]}
 }
-
-// ResetCounters zeroes the message counters; call between a setup phase
-// and the measured phase.
-func (w *World) ResetCounters() { w.counters.reset() }

@@ -1,13 +1,11 @@
 // Package perfmodel implements the analytic performance model of the
 // paper's Section IV: the communication/computation breakdowns of
-// Tables I and II, the time formula of Equation 1, and grid-aware
-// predictors that capture Properties 1–5. The experiment harness prints
+// Tables I and II, and grid-aware predictors that compose Equation 1's
+// time formula and capture Properties 1–5. The experiment harness prints
 // model predictions next to simulator measurements.
 package perfmodel
 
 import (
-	"math"
-
 	"gridqr/internal/flops"
 	"gridqr/internal/grid"
 )
@@ -106,13 +104,6 @@ func PDGEQR2ExactTotals(n, p int) ExactCounts {
 // message count per snapshot is TSQRExactCrossSite(sites).
 func StreamSnapshotExact(n, domains int) ExactCounts {
 	return TSQRExactTotals(n, domains)
-}
-
-// Time is Equation 1: time = β·msgs + α·volume + γ·flops, with β the
-// latency (s), alphaInv the bandwidth (bytes/s) and rate the floating
-// point rate (flop/s).
-func Time(b Breakdown, latency, bandwidth, rate float64) float64 {
-	return latency*b.Msgs + b.Volume/bandwidth + b.Flops/rate
 }
 
 // UsefulFlops is the operation count credited to a QR factorization when
@@ -325,24 +316,4 @@ func (p Predictor) ScaLAPACKTime(m, n int, wantQ bool) float64 {
 		t *= 2
 	}
 	return t
-}
-
-// BestDomains returns the domains-per-cluster count the model predicts
-// fastest for an M×N factorization, among divisors of the per-cluster
-// process count — the model-side answer to the paper's Figures 6 and 7
-// tuning question.
-func (p Predictor) BestDomains(m, n int) int {
-	perCluster := p.procs() / p.sites()
-	best, bestTime := 1, math.Inf(1)
-	for d := 1; d <= perCluster; d++ {
-		if perCluster%d != 0 {
-			continue
-		}
-		q := p
-		q.DomainsPerCluster = d
-		if t := q.TSQRTime(m, n, false); t < bestTime {
-			best, bestTime = d, t
-		}
-	}
-	return best
 }

@@ -40,15 +40,6 @@ func TestTableIIDoubles(t *testing.T) {
 	}
 }
 
-func TestTimeEquation1(t *testing.T) {
-	b := Breakdown{Msgs: 10, Volume: 1e6, Flops: 1e9}
-	got := Time(b, 1e-3, 1e8, 1e9)
-	want := 10*1e-3 + 1e6/1e8 + 1.0
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Time = %g want %g", got, want)
-	}
-}
-
 func TestGflops(t *testing.T) {
 	m, n := 1<<20, 64
 	g := Gflops(m, n, false, 1.0)
@@ -172,23 +163,6 @@ func TestPredictorDefaults(t *testing.T) {
 func TestUsefulFlops(t *testing.T) {
 	if UsefulFlops(100, 10, true) != 2*UsefulFlops(100, 10, false) {
 		t.Fatal("Q+R useful flops must double")
-	}
-}
-
-func TestBestDomainsTrends(t *testing.T) {
-	// Figure 7's finding, reproduced from the model: for skinny panels
-	// (N=64) the optimum is many domains (per-processor); the optimum
-	// never exceeds the processor count and is a divisor of it.
-	p := Predictor{G: grid.Grid5000(), Sites: 1}
-	d64 := p.BestDomains(1<<20, 64)
-	if d64 != 64 {
-		t.Fatalf("N=64 best domains = %d want 64 (one per processor)", d64)
-	}
-	// For small M, fewer domains must never beat more by much — the
-	// model's curve is increasing in d for N=64 (Fig. 7a shape).
-	dSmall := p.BestDomains(1<<17, 64)
-	if dSmall != 64 {
-		t.Fatalf("small-M best domains = %d want 64", dSmall)
 	}
 }
 

@@ -30,14 +30,3 @@ func (p Predictor) DeadlineRisk(remaining float64, depth, m, n int) bool {
 	solo := p.TSQRTime(m, n, false)
 	return float64(depth)*solo+solo > remaining
 }
-
-// ThroughputPerS predicts one partition's sustainable TSQR completion
-// rate for m×n jobs — the saturation throughput the open-loop harness
-// should observe at the knee, per partition.
-func (p Predictor) ThroughputPerS(m, n int) float64 {
-	t := p.TSQRTime(m, n, false)
-	if t <= 0 {
-		return 0
-	}
-	return 1 / t
-}

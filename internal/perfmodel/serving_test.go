@@ -45,14 +45,3 @@ func TestDeadlineRisk(t *testing.T) {
 		t.Error("5 queued jobs ahead, 2 services of budget: not at risk")
 	}
 }
-
-func TestThroughputPerS(t *testing.T) {
-	p := Predictor{G: grid.Grid5000()}
-	tput := p.ThroughputPerS(1<<20, 64)
-	if tput <= 0 {
-		t.Fatal("throughput not positive")
-	}
-	if got := tput * p.TSQRTime(1<<20, 64, false); got < 0.999 || got > 1.001 {
-		t.Errorf("throughput * service = %v, want 1", got)
-	}
-}

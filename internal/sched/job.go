@@ -153,9 +153,6 @@ type Job struct {
 	stream *StreamJob
 }
 
-// Spec returns the job's submitted specification.
-func (j *Job) Spec() JobSpec { return j.spec }
-
 // ID returns the job's server-unique id.
 func (j *Job) ID() int64 { return j.id }
 

@@ -51,29 +51,6 @@ func SiteGroups(g *grid.Grid, sitesPer int) Plan {
 	return p
 }
 
-// SplitSite carves every site into partsPerSite equal consecutive rank
-// ranges (each site's processor count must divide evenly) — the finest
-// space-sharing, trading per-job parallelism for job throughput.
-func SplitSite(g *grid.Grid, partsPerSite int) Plan {
-	if partsPerSite < 1 {
-		panic("sched: partsPerSite must be >= 1")
-	}
-	p := Plan{}
-	r := 0
-	for ci, c := range g.Clusters {
-		if c.Procs()%partsPerSite != 0 {
-			panic(fmt.Sprintf("sched: cluster %d has %d procs, not divisible into %d partitions",
-				ci, c.Procs(), partsPerSite))
-		}
-		size := c.Procs() / partsPerSite
-		for i := 0; i < partsPerSite; i++ {
-			p.Groups = append(p.Groups, rangeInts(r, size))
-			r += size
-		}
-	}
-	return p
-}
-
 func rangeInts(start, n int) []int {
 	out := make([]int, n)
 	for i := range out {

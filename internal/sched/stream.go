@@ -120,9 +120,6 @@ func (s *Server) SubmitStream(spec JobSpec) (*StreamJob, error) {
 // ID returns the stream's server-unique id (round jobs get their own).
 func (sj *StreamJob) ID() int64 { return sj.id }
 
-// Spec returns the stream's specification.
-func (sj *StreamJob) Spec() JobSpec { return sj.spec }
-
 // Ingest appends blocks more blocks to the stream — block b covers
 // global rows [b·BlockRows, (b+1)·BlockRows) of the seeded stream — and
 // schedules folding. It never blocks on the folding itself.

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"gridqr/internal/grid"
 	"gridqr/internal/lapack"
 	"gridqr/internal/matrix"
-	"gridqr/internal/mmio"
 	"gridqr/internal/mpi"
 )
 
@@ -305,59 +303,5 @@ func TestFolderRandomizedSplits(t *testing.T) {
 		if got := pushSplit(n, 0, seed, splits); !bitEqual(got, oneShot) {
 			t.Fatalf("trial %d (n=%d m=%d splits=%v): differs from one-shot", trial, n, m, splits)
 		}
-	}
-}
-
-// TestOutOfCoreBitwise: the out-of-core path over a row-ordered
-// coordinate file is read-granularity-invariant and equals the
-// in-memory fold bitwise.
-func TestOutOfCoreBitwise(t *testing.T) {
-	const n, m, seed = 7, 90, 29
-	a := GlobalRows(seed, n, 0, m)
-	a.Set(40, 3, 0) // a zero entry exercises the sparse writer
-	var buf bytes.Buffer
-	if err := mmio.WriteRows(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	inMem := NewFolder(n, 0)
-	inMem.Push(a)
-	want := inMem.SnapshotLocal()
-
-	for _, readRows := range []int{0, 1, 13, m, 4 * m} {
-		got, err := OutOfCore(bytes.NewReader(data), readRows, 0)
-		if err != nil {
-			t.Fatalf("readRows=%d: %v", readRows, err)
-		}
-		if !bitEqual(got, want) {
-			t.Fatalf("readRows=%d: out-of-core R differs from in-memory fold", readRows)
-		}
-	}
-
-	ref := core.FactorizeLocal(a, 0)
-	lapack.NormalizeRSigns(ref, nil)
-	got, err := OutOfCore(bytes.NewReader(data), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lapack.NormalizeRSigns(got, nil)
-	if !matrix.Equal(got, ref, 1e-10) {
-		t.Fatal("out-of-core R differs from in-memory QR beyond rounding")
-	}
-}
-
-// TestOutOfCoreErrors: header and shape failures surface as errors.
-func TestOutOfCoreErrors(t *testing.T) {
-	if _, err := OutOfCore(bytes.NewReader(nil), 0, 0); err == nil {
-		t.Fatal("empty input: expected error")
-	}
-	noCols := "%%MatrixMarket matrix coordinate real general\n5 0 0\n"
-	if _, err := OutOfCore(bytes.NewReader([]byte(noCols)), 0, 0); err == nil {
-		t.Fatal("zero columns: expected error")
-	}
-	noRows := "%%MatrixMarket matrix coordinate real general\n0 3 0\n"
-	if _, err := OutOfCore(bytes.NewReader([]byte(noRows)), 0, 0); err == nil {
-		t.Fatal("zero rows: expected error")
 	}
 }

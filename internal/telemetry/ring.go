@@ -99,10 +99,6 @@ func NewRing(ranks int, cfg RingConfig) *Ring {
 	return &Ring{cfg: cfg.withDefaults(), shards: make([]ringShard, ranks)}
 }
 
-// Config returns the bounding parameters the ring was created with
-// (defaults resolved).
-func (t *Ring) Config() RingConfig { return t.cfg }
-
 // Ranks returns the number of shards.
 func (t *Ring) Ranks() int { return len(t.shards) }
 

@@ -453,9 +453,6 @@ var kernelMetricsOn atomic.Bool
 // measured from real executions rather than modeled.
 func EnableKernelMetrics(on bool) { kernelMetricsOn.Store(on) }
 
-// KernelMetricsEnabled reports whether kernel instrumentation is active.
-func KernelMetricsEnabled() bool { return kernelMetricsOn.Load() }
-
 // ObserveKernel records one kernel execution (name, flop count, elapsed
 // wall-clock seconds) into the default registry: a duration histogram, a
 // flop counter, and a call counter per kernel. It is a no-op unless
