@@ -95,14 +95,16 @@ mutants:
 # coverage becomes results/REACH.txt, one sorted "file func
 # reached|unreached" line per function (a name that occurs twice in one
 # file is unreached if either is). The target fails when a function
-# under internal/ went unreached and REACH_ALLOW does not list it as
-# "file func # reason", when a listed line has no reason, or when a
-# listed function no longer exists. A listed function that ran passes:
-# the Go mirrors of the assembly run only where the host lacks the
-# kernels. kernbench runs with a loose -tol because coverage counters
-# slow the kernels; `make benchkern` is the timing gate. Nightly, not
-# in check (about five minutes).
-REACH_ALLOW ?= testdata/reach_allow.txt
+# under internal/ went unreached and testdata/reach_allow.txt does not
+# list it as "file func # reason", when a listed line has no reason, or
+# when a listed function no longer exists. A package that no main links
+# has no coverage at all, so the internal/ packages with non-test Go
+# files are checked against REACH.txt too: one that is missing fails
+# unless the allowlist names it whole ("dir * # reason"). A listed
+# function that ran passes: the Go mirrors of the assembly run only
+# where the host lacks the kernels. kernbench runs with a loose -tol
+# because coverage counters slow the kernels; `make benchkern` is the
+# timing gate. Nightly, not in check (about five minutes).
 
 reach:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/bin" "$$tmp/cov"; \
@@ -143,19 +145,25 @@ reach:
 		awk -v mod="$$mod" '$$1 != "total" { f = substr($$1, length(mod) + 1); sub(/:[0-9]+:$$/, "", f); \
 			k = f " " $$2; if (!(k in st)) st[k] = "reached"; if ($$NF == "0.0%") st[k] = "unreached" } \
 			END { for (k in st) print k, st[k] }' | LC_ALL=C sort > results/REACH.txt || exit 1; \
-	awk -v allow="$(REACH_ALLOW)" ' \
+	$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | sed "s|^$$mod||" > "$$tmp/pkgs" || exit 1; \
+	awk -v allow=testdata/reach_allow.txt -v pkgs="$$tmp/pkgs" ' \
 		BEGIN { while ((getline line < allow) > 0) { \
 			if (line ~ /^[ \t]*(#|$$)/) continue; \
 			h = index(line, "#"); why = h ? substr(line, h + 1) : ""; gsub(/^[ \t]+|[ \t]+$$/, "", why); \
 			if (split(h ? substr(line, 1, h - 1) : line, f) != 2 || why == "") { \
 				print "reach: allowlist line needs \"file func # reason\": " line; bad = 1; continue } \
-			ok[f[1] " " f[2]] = 1 } } \
-		{ seen[$$1 " " $$2] = 1 } \
+			if (f[2] == "*") whole[f[1]] = 1; else ok[f[1] " " f[2]] = 1 } \
+			while ((getline p < pkgs) > 0) pkg[p] = 1 } \
+		{ seen[$$1 " " $$2] = 1; d = $$1; sub(/\/[^\/]*$$/, "", d); linked[d] = 1 } \
 		$$1 ~ /^internal\// { n[$$3]++ } \
 		$$3 == "unreached" && $$1 ~ /^internal\// && !(($$1 " " $$2) in ok) { \
 			print "reach: unreached and not allowlisted: " $$1 " " $$2; bad = 1 } \
 		END { for (k in ok) if (!(k in seen)) { print "reach: allowlisted but gone: " k; bad = 1 } \
-			printf "reach: %d of %d functions under internal/ unreached\n", n["unreached"], n["reached"] + n["unreached"]; \
+			for (p in whole) if (!(p in pkg)) { print "reach: allowlisted but gone: " p " *"; bad = 1 } \
+			for (p in pkg) if (!(p in linked)) { \
+				if (p in whole) unlinked++; else { print "reach: package no main links, not allowlisted: " p; bad = 1 } } \
+			printf "reach: %d of %d functions under internal/ unreached, in the packages a main links (%d allowlisted package(s) no main links)\n", \
+				n["unreached"], n["reached"] + n["unreached"], unlinked; \
 			exit bad }' results/REACH.txt
 
 # Perf-regression gate: re-run the standard benchmark set and fail on

@@ -97,7 +97,6 @@ func TestCLIErrors(t *testing.T) {
 		{"-tree", "nope"},
 		{"-m", "10", "-n", "8"}, // too short for 8 procs
 		{"-in", "/nonexistent/file.mtx"},
-		{"-algo", "caqr"}, // 12500 rows per process, not a multiple of NB=64
 	} {
 		out, err := runCLI(t, bin, args...)
 		if err == nil {
@@ -107,8 +106,9 @@ func TestCLIErrors(t *testing.T) {
 			t.Fatalf("%v: crashed instead of failing cleanly:\n%s", args, out)
 		}
 	}
-	// A CAQR shape that does not divide fails before any process starts:
-	// exit status 2 and one line.
+	// A CAQR shape that does not divide (the defaults: 12500 rows per
+	// process, not a multiple of NB=64) fails before any process starts:
+	// exit status 2 and one line, which also rules out a panic dump.
 	out, err := runCLI(t, bin, "-algo", "caqr")
 	if code := exitCode(err); code != 2 || strings.Count(out, "\n") != 1 {
 		t.Fatalf("default caqr: exit %d, want 2 with one line:\n%s", code, out)

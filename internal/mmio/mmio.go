@@ -146,6 +146,9 @@ func readArray(sc *bufio.Scanner, m, n int, symmetry string) (*matrix.Dense, err
 			vals = append(vals, v)
 		}
 	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("mmio: %w", err)
+	}
 	if len(vals) < want {
 		return nil, fmt.Errorf("mmio: expected %d values, got %d", want, len(vals))
 	}
@@ -219,6 +222,9 @@ func readCoordinate(sc *bufio.Scanner, m, n, nnz int, field, symmetry string) (*
 			a.Set(e.j, e.i, a.At(e.j, e.i)+e.v)
 		}
 		read++
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("mmio: %w", err)
 	}
 	if read < nnz {
 		return nil, fmt.Errorf("mmio: expected %d entries, got %d", nnz, read)

@@ -2,6 +2,8 @@ package mmio
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -197,3 +199,23 @@ func TestReadOverflowHeaders(t *testing.T) {
 		}
 	}
 }
+
+// TestReadScannerError: a reader that fails partway through surfaces
+// its own error, not a short-count message, in either layout.
+func TestReadScannerError(t *testing.T) {
+	for _, head := range []string{
+		"%%MatrixMarket matrix array real general\n2 2\n1\n",
+		"%%MatrixMarket matrix coordinate real general\n5 2 2\n1 1 1\n",
+	} {
+		_, err := Read(io.MultiReader(strings.NewReader(head), failReader{}))
+		if !errors.Is(err, errDiskGone) {
+			t.Fatalf("%q: got %v, want the reader's error", head, err)
+		}
+	}
+}
+
+var errDiskGone = errors.New("disk gone")
+
+type failReader struct{}
+
+func (failReader) Read([]byte) (int, error) { return 0, errDiskGone }
