@@ -41,7 +41,14 @@ skips:
 # tree-Q walk's scatter and round trip (treeq.go), and walks a schedule in
 # reduction.run alone — no rank picks its merges out of a schedule by hand
 # (stepsFor and the compiled per-domain slices do). One call site more of
-# either kernel, or one scan, is a second copy of a walk.
+# either kernel, or one scan, is a second copy of a walk. Likewise the
+# fork between data and cost-only worlds: a kernel runs and is charged in
+# mpi.Ctx.Kernel, and a payload a cost-only world never builds is a sized
+# nil Send. The HasData() checks left outside internal/mpi validate or
+# require data, materialize an input, or prepare a collective's
+# contribution that is charged after it (DESIGN.md, cost-only row); one
+# more, or any call of the charge, byte-send and kernel-timer entries
+# that Kernel and the sized Send replaced, is a second copy.
 walks:
 	@src="$$(ls internal/core/*.go | grep -v _test.go)"; \
 	for k in StackQR:0 StackQRInPlace:1 ApplyStackQ:2; do \
@@ -51,6 +58,12 @@ walks:
 	done; \
 	n="$$(grep -hoE 'case m\.(dst|src)|== m\.dst' $$src | wc -l)"; \
 	echo "hand-written schedule scans in internal/core: $$n (max 0)"; \
+	[ "$$n" -eq 0 ] || exit 1; \
+	n="$$(grep -rn 'HasData()' internal --include=*.go --exclude=*_test.go | grep -v internal/mpi | wc -l)"; \
+	echo "HasData() checks outside internal/mpi: $$n (max 23)"; \
+	[ "$$n" -le 23 ] || exit 1; \
+	n="$$(grep -rnE 'SendBytes\(|ChargeKernel\(|\.Charge\(|TimeKernel\(' --include=*.go --exclude=*_test.go --exclude-dir=.bench_build . | wc -l)"; \
+	echo "SendBytes/ChargeKernel/Charge/TimeKernel calls outside tests: $$n (max 0)"; \
 	[ "$$n" -eq 0 ]
 
 # The event scheduler's dispatch+park micro-benchmark, as a smoke: it

@@ -121,7 +121,7 @@ func TestSlowdownOption(t *testing.T) {
 	run := func(opts ...mpi.Option) float64 {
 		w := mpi.NewWorld(g, append([]mpi.Option{mpi.CostOnly()}, opts...)...)
 		w.Run(func(ctx *mpi.Ctx) {
-			ctx.Charge(1e9, 64)
+			ctx.Kernel("compute", 1e9, 64, nil)
 		})
 		return w.MaxClock()
 	}

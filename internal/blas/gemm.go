@@ -1,9 +1,6 @@
 package blas
 
-import (
-	"gridqr/internal/matrix"
-	"gridqr/internal/telemetry"
-)
+import "gridqr/internal/matrix"
 
 // gemmPackMinMK is the m·k panel size at which Dgemm switches from the
 // unpacked kernels to the packed engine: below it the O(mk+kn) packing
@@ -30,14 +27,12 @@ func Dgemm(ta, tb Transpose, alpha float64, a, b *matrix.Dense, beta float64, c 
 	if ka != kb || c.Rows != m || c.Cols != n {
 		panic("blas: Dgemm shape mismatch")
 	}
-	defer telemetry.TimeKernel("dgemm", 2*float64(m)*float64(n)*float64(ka))()
 	gemm(ta, tb, alpha, a, b, beta, c)
 }
 
-// gemm is the uninstrumented entry point the level-3 blocked routines
-// (Dtrmm/Dtrsm/Dsyrk) delegate their square updates to: they account
-// their own exact flop totals, so routing through Dgemm would double
-// count.
+// gemm is Dgemm past its shape check: the level-3 blocked routines
+// (Dtrmm/Dtrsm/Dsyrk) delegate their square updates, whose shapes they
+// built, to it.
 func gemm(ta, tb Transpose, alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense) {
 	m, n := c.Rows, c.Cols
 	_, k := opShape(ta, a)

@@ -1,10 +1,6 @@
 package blas
 
-import (
-	"gridqr/internal/flops"
-	"gridqr/internal/matrix"
-	"gridqr/internal/telemetry"
-)
+import "gridqr/internal/matrix"
 
 // Side selects whether the triangular/orthogonal operand multiplies from
 // the left or the right in Dtrmm/Dtrsm.
@@ -30,22 +26,13 @@ func Dtrmm(side Side, trans Transpose, unit bool, alpha float64, t, b *matrix.De
 	if t.Cols != n {
 		panic("blas: Dtrmm triangular operand not square")
 	}
-	other := b.Cols
-	if side == Left {
-		if b.Rows != n {
-			panic("blas: Dtrmm shape mismatch")
-		}
-	} else {
-		if b.Cols != n {
-			panic("blas: Dtrmm shape mismatch")
-		}
-		other = b.Rows
+	if side == Left && b.Rows != n || side == Right && b.Cols != n {
+		panic("blas: Dtrmm shape mismatch")
 	}
-	defer telemetry.TimeKernel("dtrmm", flops.TRMM(n, other, unit))()
 	trmm(side, trans, unit, alpha, t, b)
 }
 
-// trmm is the recursive, uninstrumented body of Dtrmm: split T into
+// trmm is the recursive body of Dtrmm, past its shape check: split T into
 // [T11 T12; 0 T22], run the halves in the order that lets B update in
 // place, and hand the rectangular T12 coupling to the packed engine.
 func trmm(side Side, trans Transpose, unit bool, alpha float64, t, b *matrix.Dense) {
@@ -196,22 +183,13 @@ func Dtrsm(side Side, trans Transpose, unit bool, alpha float64, t, b *matrix.De
 	if t.Cols != n {
 		panic("blas: Dtrsm triangular operand not square")
 	}
-	other := b.Cols
-	if side == Left {
-		if b.Rows != n {
-			panic("blas: Dtrsm shape mismatch")
-		}
-	} else {
-		if b.Cols != n {
-			panic("blas: Dtrsm shape mismatch")
-		}
-		other = b.Rows
+	if side == Left && b.Rows != n || side == Right && b.Cols != n {
+		panic("blas: Dtrsm shape mismatch")
 	}
-	defer telemetry.TimeKernel("dtrsm", flops.TRSM(n, other, unit))()
 	trsm(side, trans, unit, alpha, t, b)
 }
 
-// trsm is the recursive, uninstrumented body of Dtrsm: solve one half,
+// trsm is the recursive body of Dtrsm, past its shape check: solve one half,
 // eliminate its contribution from the other half with one packed GEMM
 // (which also folds in the alpha scaling via beta), and recurse.
 func trsm(side Side, trans Transpose, unit bool, alpha float64, t, b *matrix.Dense) {
@@ -366,7 +344,6 @@ func Dsyrk(trans Transpose, alpha float64, a *matrix.Dense, beta float64, c *mat
 		panic("blas: Dsyrk shape mismatch")
 	}
 	k := a.Rows + a.Cols - n // the contracted dimension, whichever op
-	defer telemetry.TimeKernel("dsyrk", flops.SYRK(n, k))()
 	for j0 := 0; j0 < n; j0 += triBlock {
 		jb := min(triBlock, n-j0)
 		if j0 > 0 {

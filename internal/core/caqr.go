@@ -100,23 +100,21 @@ func CAQRFactorize(comm *mpi.Comm, in Input, cfg CAQRConfig) *CAQRResult {
 
 		// --- Leaf: factor my panel rows and update my trailing rows ---
 		rec := caqrPanelRec{idx: j / nb, j: j, jb: jb, lo: lo, rows: rows}
-		var r, top *matrix.Dense // my panel triangle; my first jb trailing rows
-		if ctx.HasData() {
-			panel := in.Local.View(lo, j, rows, jb)
+		var panel, r, top *matrix.Dense // my panel; its triangle; my first jb trailing rows
+		ctx.Kernel("compute", flops.GEQRF(rows, jb), jb, func() {
+			panel = in.Local.View(lo, j, rows, jb)
 			rec.tau = make([]float64, jb)
 			lapack.Dgeqrf(panel, rec.tau, 0)
-			if rest > 0 {
+			r = lapack.TriuCopy(panel).View(0, 0, jb, jb).Clone()
+		})
+		if rest > 0 {
+			ctx.Kernel("compute", flops.ORMQR(rows, rest, jb), jb, func() {
 				trail := in.Local.View(lo, j+jb, rows, rest)
 				// Forward path: a fixed block width, so R's bits do not
 				// move with lapack's block-reflector rule.
 				lapack.Dormqr(blas.Trans, panel, rec.tau, trail, lapack.DefaultBlock)
 				top = trail.View(0, 0, jb, rest)
-			}
-			r = lapack.TriuCopy(panel).View(0, 0, jb, jb).Clone()
-		}
-		ctx.Charge(flops.GEQRF(rows, jb), jb)
-		if rest > 0 {
-			ctx.Charge(flops.ORMQR(rows, rest, jb), jb)
+			})
 		}
 
 		// --- The panel is a TSQR reduction over the active ranks on the
@@ -140,7 +138,7 @@ func CAQRFactorize(comm *mpi.Comm, in Input, cfg CAQRConfig) *CAQRResult {
 		}
 		// The tree root (the rank owning global row j) holds the final
 		// panel R: write it into the local block so R assembly finds it.
-		if !out.absorbed && ctx.HasData() {
+		if !out.absorbed && out.state != nil {
 			lapack.Dlacpy(lapack.CopyUpper, out.state, in.Local.View(lo, j, jb, jb))
 		}
 	}

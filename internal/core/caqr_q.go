@@ -31,9 +31,10 @@ func caqrBuildQ(comm *mpi.Comm, in Input, recs []caqrPanelRec) *matrix.Dense {
 		// by my absorber, before that by my own merges.
 		rec.roundTrip(blocks{comm, rec.jb, n, caqrQTagBase + rec.idx*caqrTagStride}, false, e.View(rec.lo, 0, rec.jb, n))
 		// Leaf: apply this panel's reflectors to my block rows.
-		panel := in.Local.View(rec.lo, rec.j, rec.rows, rec.jb)
-		lapack.Dormqr(blas.NoTrans, panel, rec.tau, e.View(rec.lo, 0, rec.rows, n), 0)
-		ctx.Charge(flops.ORMQR(rec.rows, n, rec.jb), rec.jb)
+		ctx.Kernel("compute", flops.ORMQR(rec.rows, n, rec.jb), rec.jb, func() {
+			panel := in.Local.View(rec.lo, rec.j, rec.rows, rec.jb)
+			lapack.Dormqr(blas.NoTrans, panel, rec.tau, e.View(rec.lo, 0, rec.rows, n), 0)
+		})
 	}
 	return e
 }

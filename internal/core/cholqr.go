@@ -42,11 +42,11 @@ func CholeskyQR(comm *mpi.Comm, in Input) *CholQRResult {
 	ctx := comm.Ctx()
 	n := in.N
 	myRows := in.Offsets[comm.Rank()+1] - in.Offsets[comm.Rank()]
-	res := &CholQRResult{}
+	res := &CholQRResult{OK: true} // a cost-only world cannot fail
 
 	// --- Single allreduce: G = Σ_p A_pᵀ A_p ---
 	gram := make([]float64, n*n)
-	if ctx.HasData() {
+	ctx.Kernel("compute", float64(myRows)*float64(n)*float64(n), n, func() {
 		g := matrix.FromColMajor(n, n, gram)
 		blas.Dsyrk(blas.Trans, 1, in.Local, 0, g)
 		for c := 0; c < n; c++ { // mirror for the allreduce
@@ -54,17 +54,18 @@ func CholeskyQR(comm *mpi.Comm, in Input) *CholQRResult {
 				g.Set(r, c, g.At(c, r))
 			}
 		}
-	}
-	ctx.Charge(float64(myRows)*float64(n)*float64(n), n)
+	})
 	gram = comm.Allreduce(gram, mpi.OpSum)
 
-	// --- Replicated Cholesky; failure is detected identically everywhere ---
-	if ctx.HasData() {
+	// --- Replicated Cholesky; failure is detected identically everywhere
+	// and charged like success, so both modes cost the same ---
+	ctx.Kernel("compute", flops.GEQRF(n, n)/4+float64(myRows)*float64(n)*float64(n), n, func() {
 		g := matrix.FromColMajor(n, n, gram)
 		r := matrix.New(n, n)
 		lapack.Dlacpy(lapack.CopyUpper, g, r)
 		if !lapack.Dpotrf(r) {
-			return res // OK stays false
+			res.OK = false
+			return
 		}
 		// Zero the untouched strictly-lower part for a clean R.
 		for j := 0; j < n; j++ {
@@ -72,14 +73,10 @@ func CholeskyQR(comm *mpi.Comm, in Input) *CholQRResult {
 				r.Set(i, j, 0)
 			}
 		}
-		res.OK = true
 		res.R = r
 		// Q = A·R⁻¹, block-local.
 		res.QLocal = in.Local.Clone()
 		blas.Dtrsm(blas.Right, blas.NoTrans, false, 1, r, res.QLocal)
-	} else {
-		res.OK = true
-	}
-	ctx.Charge(flops.GEQRF(n, n)/4+float64(myRows)*float64(n)*float64(n), n)
+	})
 	return res
 }

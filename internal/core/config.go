@@ -176,10 +176,14 @@ func (in Input) activeRanks(j int) []int {
 }
 
 // packTriu serializes the upper triangle of an n×n matrix column by
-// column — n(n+1)/2 values, the paper's N²/2 per-message volume.
+// column — triuLen(n) values, the paper's N²/2 per-message volume. A
+// cost-only world's nil triangle packs to nil.
 func packTriu(r *matrix.Dense) []float64 {
+	if r == nil {
+		return nil
+	}
 	n := r.Rows
-	buf := make([]float64, 0, n*(n+1)/2)
+	buf := make([]float64, 0, triuLen(n))
 	for j := 0; j < n; j++ {
 		buf = append(buf, r.Col(j)[:j+1]...)
 	}
@@ -187,8 +191,11 @@ func packTriu(r *matrix.Dense) []float64 {
 }
 
 // unpackTriu rebuilds an n×n upper triangular matrix from packTriu's
-// serialization.
+// serialization; nil unpacks to nil.
 func unpackTriu(buf []float64, n int) *matrix.Dense {
+	if buf == nil {
+		return nil
+	}
 	r := matrix.New(n, n)
 	idx := 0
 	for j := 0; j < n; j++ {
@@ -198,8 +205,8 @@ func unpackTriu(buf []float64, n int) *matrix.Dense {
 	return r
 }
 
-// triuBytes is the packed size of an n×n triangle in bytes.
-func triuBytes(n int) float64 { return 8 * float64(n*(n+1)) / 2 }
+// triuLen is the packed size of an n×n triangle in floats.
+func triuLen(n int) int { return n * (n + 1) / 2 }
 
 // FactorizeLocal is the sequential reference: the R factor of a, computed
 // in-process with blocked Householder QR. Tests and examples compare the

@@ -173,8 +173,10 @@ func FactorizeFT(comm *mpi.Comm, in Input, cfg Config) (*FTResult, error) {
 	// Leaf factorization: the kernel of Factorize's single-process
 	// domains, R only.
 	myRows := in.Offsets[me+1] - in.Offsets[me]
-	leafR, _ := lapack.FoldQR(in.Local, cfg.NB, false)
-	ctx.Charge(flops.GEQRF(myRows, in.N), in.N)
+	var leafR *matrix.Dense
+	ctx.Kernel("compute", flops.GEQRF(myRows, in.N), in.N, func() {
+		leafR, _ = lapack.FoldQR(in.Local, cfg.NB, false)
+	})
 
 	st := &ftState{comm: comm, n: in.N, p: p, me: me, leafR: leafR,
 		cache: map[string]*matrix.Dense{}}

@@ -43,8 +43,9 @@ func (q *ImplicitQ) ApplyQT(comm *mpi.Comm, bLocal *matrix.Dense) (top *matrix.D
 
 	// Leaf: local Qᵀ through the stored reflectors.
 	work := bLocal.Clone()
-	q.leaf.q.Apply(blas.Trans, work)
-	comm.Ctx().Charge(flops.ORMQR(myRows, k, n), n)
+	comm.Ctx().Kernel("compute", flops.ORMQR(myRows, k, n), n, func() {
+		q.leaf.q.Apply(blas.Trans, work)
+	})
 	mine := work.View(0, 0, n, k).Clone()
 	rest := make([]float64, k)
 	colSq(work.View(n, 0, myRows-n, k), rest)
@@ -107,8 +108,10 @@ func (q *ImplicitQ) ApplyQ(comm *mpi.Comm, c *matrix.Dense) *matrix.Dense {
 	}
 	// Backward replay down the tree to my leaf's seed.
 	seed = q.scatter(blocks{comm, n, k, base}, seed, flops.StackApply(n, k))
-	out := q.leaf.q.Expand(seed)
-	comm.Ctx().Charge(flops.ORMQR(myRows, k, n), n)
+	var out *matrix.Dense
+	comm.Ctx().Kernel("compute", flops.ORMQR(myRows, k, n), n, func() {
+		out = q.leaf.q.Expand(seed)
+	})
 	return out
 }
 

@@ -53,11 +53,10 @@ func MGS(comm *mpi.Comm, in Input) *MGSResult {
 				d[0] = blas.Ddot(q.Col(k), q.Col(j))
 			}
 			d = comm.Allreduce(d, mpi.OpSum)
-			if ctx.HasData() {
+			ctx.Kernel("compute", float64(4*myRows), n, func() {
 				r.Set(k, j, d[0])
 				blas.Daxpy(-d[0], q.Col(k), q.Col(j))
-			}
-			ctx.Charge(float64(4*myRows), n)
+			})
 		}
 		// Normalize: one more allreduce for the norm.
 		ss := make([]float64, 1)
@@ -66,14 +65,13 @@ func MGS(comm *mpi.Comm, in Input) *MGSResult {
 			ss[0] = blas.Ddot(cj, cj)
 		}
 		ss = comm.Allreduce(ss, mpi.OpSum)
-		if ctx.HasData() {
+		ctx.Kernel("compute", float64(3*myRows), n, func() {
 			nrm := math.Sqrt(ss[0])
 			r.Set(j, j, nrm)
 			if nrm > 0 {
 				blas.Dscal(1/nrm, q.Col(j))
 			}
-		}
-		ctx.Charge(float64(3*myRows), n)
+		})
 	}
 	return &MGSResult{QLocal: q, R: r}
 }

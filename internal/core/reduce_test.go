@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
 	"gridqr/internal/scalapack"
+	"gridqr/internal/telemetry"
 )
 
 // tagRange is the tags [lo, hi) one row of reduce.go's tag table can use
@@ -67,6 +69,49 @@ func TestTagSpacesDisjoint(t *testing.T) {
 	}
 	if last := caqrQTagBase + caqrMaxPanels*caqrTagStride; last > ftLeafCopyTag {
 		t.Errorf("CAQR's Q pass ends at %d, past the next base %d", last, ftLeafCopyTag)
+	}
+}
+
+// TestWalksUseDeclaredTags ties the tag table to the wire: on a tree
+// that roots away from rank 0, Factorize's merge i travels on rTagBase+i
+// and its delivery hop on finalRTag, SnapshotR's on snapTagBase+i and
+// snapFinalTag — so TestTagSpacesDisjoint's ranges are the tags sent.
+func TestWalksUseDeclaredTags(t *testing.T) {
+	g := grid.SmallTestGrid(2, 2, 2)
+	m, n, p := 64, 6, g.Procs()
+	offsets := scalapack.BlockOffsets(m, p)
+	cfg := Config{Tree: TreeBinaryShuffled, ShuffleSeed: 3} // roots away from rank 0
+	for _, tc := range []struct {
+		name        string
+		base, final int
+		run         func(comm *mpi.Comm)
+	}{
+		{"Factorize", rTagBase, finalRTag, func(comm *mpi.Comm) {
+			Factorize(comm, Input{M: m, N: n, Offsets: offsets}, cfg)
+		}},
+		{"SnapshotR", snapTagBase, snapFinalTag, func(comm *mpi.Comm) {
+			SnapshotR(comm, nil, n, cfg)
+		}},
+	} {
+		w := mpi.NewWorld(g, mpi.CostOnly(), mpi.Traced())
+		w.Run(func(ctx *mpi.Ctx) { tc.run(mpi.WorldComm(ctx)) })
+		var got []int
+		for r := 0; r < p; r++ {
+			for _, s := range w.Trace().Track(r) {
+				if s.Kind == telemetry.EventSend {
+					got = append(got, s.Tag)
+				}
+			}
+		}
+		sort.Ints(got)
+		var want []int
+		for i := 0; i < p-1; i++ {
+			want = append(want, tc.base+i)
+		}
+		want = append(want, tc.final)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s sent on tags %v, want %v", tc.name, got, want)
+		}
 	}
 }
 

@@ -291,9 +291,7 @@ func (res *StagedResult) settle(comm *mpi.Comm, out reduced[*matrix.Dense], frag
 	default:
 		res.Preempted = true
 		frag.Stage = out.stop
-		if out.state != nil {
-			frag.R = packTriu(out.state)
-		}
+		frag.R = packTriu(out.state)
 		res.Ckpt = &frag
 	}
 }

@@ -15,9 +15,8 @@ import (
 // merge: scatter pushes a seed from the root down to the leaves (the
 // explicit Q of buildQ, ImplicitQ.ApplyQ), roundTrip couples the ranks'
 // top blocks pairwise, contributor to absorber and back (ImplicitQ.ApplyQT,
-// CAQR's trailing update and its explicit Q). Data and cost-only worlds
-// fork in blocks.send/recv: a cost-only block is nil and is never
-// multiplied.
+// CAQR's trailing update and its explicit Q). A cost-only block is nil:
+// it travels as its size alone and is never multiplied.
 
 // mergeRec remembers one merge a rank absorbed: the implicit Q of the
 // stacked-triangles QR and who contributed the absorbed R.
@@ -42,23 +41,22 @@ type blocks struct {
 	n, k, base int
 }
 
-// send and recv move one block to or from the other side of a merge. Like
-// triangles.send and recv they are where data and cost-only worlds fork: a
-// cost-only world ships the byte count alone and receives nil.
+// send and recv move one n×k block to or from the other side of a merge;
+// like triangles.send and recv they pass a cost-only world's nil through.
 func (b blocks) send(peer, tag int, m *matrix.Dense) {
-	if !b.comm.Ctx().HasData() {
-		b.comm.SendBytes(peer, 8*float64(b.n*b.k), b.base+tag)
-		return
+	var data []float64
+	if m != nil {
+		if len(m.Data) != b.n*b.k { // a view: Send neither copies nor compacts
+			m = m.Clone()
+		}
+		data = m.Data
 	}
-	if len(m.Data) != b.n*b.k { // a view: Send neither copies nor compacts
-		m = m.Clone()
-	}
-	b.comm.Send(peer, m.Data, b.base+tag)
+	b.comm.Send(peer, data, b.base+tag, b.n*b.k)
 }
 
 func (b blocks) recv(peer, tag int) *matrix.Dense {
 	buf := b.comm.Recv(peer, b.base+tag)
-	if !b.comm.Ctx().HasData() {
+	if buf == nil {
 		return nil
 	}
 	return matrix.FromColMajor(b.n, b.k, buf)
@@ -68,7 +66,10 @@ func (b blocks) recv(peer, tag int) *matrix.Dense {
 // absorbed me (the tree root passes its own), and each merge I absorbed,
 // newest first, splits it into the top I keep and the bottom its
 // contributor continues from, charged splitFlops. It returns my leaf's
-// seed.
+// seed. Here and in absorb the kernel runs before the send that carries
+// its result but is charged after it, so the block leaves on the
+// pre-kernel clock, as the pinned virtual times have it; the kernel
+// therefore branches on a nil block rather than running inside Kernel.
 func (q treeQ) scatter(b blocks, seed *matrix.Dense, splitFlops float64) *matrix.Dense {
 	if q.sentTag >= 0 {
 		seed = b.recv(q.sentTo, q.sentTag)
@@ -81,7 +82,7 @@ func (q treeQ) scatter(b blocks, seed *matrix.Dense, splitFlops float64) *matrix
 			lapack.ApplyStackQ(rec.v, rec.tau, false, seed, bottom)
 		}
 		b.send(rec.partner, rec.tag, bottom)
-		b.comm.Ctx().ChargeKernel("stack_qr_apply", splitFlops, b.n)
+		b.comm.Ctx().Kernel("stack_qr_apply", splitFlops, b.n, nil)
 	}
 	return seed
 }
@@ -115,7 +116,7 @@ func (b blocks) absorb(rec mergeRec, trans bool, top *matrix.Dense) {
 		lapack.ApplyStackQ(rec.v, rec.tau, trans, top, theirs)
 	}
 	b.send(rec.partner, rec.tag, theirs)
-	b.comm.Ctx().Charge(flops.StackApply(b.n, b.k), b.n)
+	b.comm.Ctx().Kernel("compute", flops.StackApply(b.n, b.k), b.n, nil)
 }
 
 // contribute is the other half: my block travels to the rank that

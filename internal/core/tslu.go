@@ -66,14 +66,13 @@ func TSLUFactorize(comm *mpi.Comm, in Input, cfg TSLUConfig) *TSLUResult {
 
 	// --- Leaf: select my N candidate pivot rows by partial pivoting ---
 	var cand candidates
-	if ctx.HasData() {
+	ctx.Kernel("compute", flops.GETF2(myRows, n), n, func() {
 		idx := make([]int, myRows)
 		for i := range idx {
 			idx[i] = myOff + i
 		}
 		cand, _ = pivotRows(in.Local, idx)
-	}
-	ctx.Charge(flops.GETF2(myRows, n), n)
+	})
 
 	// --- Tournament up the reduction tree, one domain per process ---
 	cand = reduction[candidates]{comm: comm, route: scheduleFor(comm, Config{Tree: cfg.Tree}).route(me),
@@ -81,25 +80,23 @@ func TSLUFactorize(comm *mpi.Comm, in Input, cfg TSLUConfig) *TSLUResult {
 
 	// --- Root: factor the winning rows; broadcast U ---
 	uBuf := make([]float64, n*n)
-	if me == 0 && ctx.HasData() {
-		win, f := pivotRows(cand.rows, cand.idx)
-		res.PivotRows = win.idx
-		res.U = lapack.TriuCopy(f)
-		matrix.Copy(matrix.FromColMajor(n, n, uBuf), res.U)
-	}
 	if me == 0 {
-		ctx.Charge(flops.GETF2(n, n), n)
+		ctx.Kernel("compute", flops.GETF2(n, n), n, func() {
+			win, f := pivotRows(cand.rows, cand.idx)
+			res.PivotRows = win.idx
+			res.U = lapack.TriuCopy(f)
+			matrix.Copy(matrix.FromColMajor(n, n, uBuf), res.U)
+		})
 	}
 	uBuf = comm.Bcast(0, uBuf)
 
 	// --- Everyone: L = A·U⁻¹ on their own rows ---
-	if ctx.HasData() {
+	ctx.Kernel("compute", float64(myRows)*float64(n)*float64(n), n, func() {
 		u := matrix.FromColMajor(n, n, uBuf)
 		res.LLocal = in.Local.Clone()
 		blas.Dtrsm(blas.Right, blas.NoTrans, false, 1, u, res.LLocal)
 		res.MaxL = matrix.NormMax(res.LLocal)
-	}
-	ctx.Charge(float64(myRows)*float64(n)*float64(n), n)
+	})
 
 	// Stability metric shared with every rank.
 	res.MaxL = comm.Allreduce([]float64{res.MaxL}, mpi.OpMax)[0]
@@ -140,23 +137,22 @@ type tournament struct {
 }
 
 // send and recv move one candidate set, rows column by column and then
-// the indices; like triangles.send and recv they are the fork between
-// data and cost-only worlds.
+// the indices; like triangles.send and recv they pass a cost-only world's
+// empty set through.
 func (t tournament) send(peer, tag int, c candidates) {
-	if !t.comm.Ctx().HasData() {
-		t.comm.SendBytes(peer, 8*float64(t.n*t.n+t.n), tag)
-		return
+	var buf []float64
+	if c.rows != nil {
+		buf = append(make([]float64, 0, t.n*t.n+t.n), c.rows.Data...)
+		for _, i := range c.idx {
+			buf = append(buf, float64(i))
+		}
 	}
-	buf := append(make([]float64, 0, t.n*t.n+t.n), c.rows.Data...)
-	for _, i := range c.idx {
-		buf = append(buf, float64(i))
-	}
-	t.comm.Send(peer, buf, tag)
+	t.comm.Send(peer, buf, tag, t.n*t.n+t.n)
 }
 
 func (t tournament) recv(peer, tag int) candidates {
 	buf := t.comm.Recv(peer, tag)
-	if !t.comm.Ctx().HasData() {
+	if buf == nil {
 		return candidates{}
 	}
 	c := candidates{rows: matrix.FromColMajor(t.n, t.n, buf[:t.n*t.n]), idx: make([]int, t.n)}
@@ -167,9 +163,8 @@ func (t tournament) recv(peer, tag int) candidates {
 }
 
 func (t tournament) absorb(mine, theirs candidates, _ step) candidates {
-	if theirs.rows != nil {
+	t.comm.Ctx().Kernel("compute", flops.GETF2(2*t.n, t.n), t.n, func() {
 		mine, _ = pivotRows(matrix.Stack(mine.rows, theirs.rows), append(append([]int(nil), mine.idx...), theirs.idx...))
-	}
-	t.comm.Ctx().Charge(flops.GETF2(2*t.n, t.n), t.n)
+	})
 	return mine
 }

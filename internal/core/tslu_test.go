@@ -291,6 +291,29 @@ func TestCholeskyQRFailsOnExtremeConditioning(t *testing.T) {
 	}
 }
 
+// TestCholeskyQRBreakdownChargesLikeCostOnly: a Cholesky breakdown on a
+// data world (the matrix of TestCholeskyQRFailsOnExtremeConditioning)
+// still charges the replicated factorization, so every rank ends at the
+// clock and flop count of the cost-only run, which cannot break down.
+func TestCholeskyQRBreakdownChargesLikeCostOnly(t *testing.T) {
+	g := grid.SmallTestGrid(1, 2, 1)
+	m, n := 64, 4
+	global := matrix.WithCondition(m, n, 1e9, 17)
+	offsets := scalapack.BlockOffsets(m, g.Procs())
+	run := func(opt mpi.Option) []rankEnd {
+		return runEnds(g, opt, func(ctx *mpi.Ctx) {
+			in := Input{M: m, N: n, Offsets: offsets}
+			if ctx.HasData() {
+				in.Local = scalapack.Distribute(global, offsets, ctx.Rank())
+			}
+			if res := CholeskyQR(mpi.WorldComm(ctx), in); res.OK == ctx.HasData() {
+				t.Errorf("rank %d, data=%v: OK = %v", ctx.Rank(), ctx.HasData(), res.OK)
+			}
+		})
+	}
+	sameEnds(t, "CholeskyQR breakdown", run(mpi.Virtual()), run(mpi.CostOnly()))
+}
+
 func TestCholeskyQRCostOnly(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 1)
 	offsets := scalapack.BlockOffsets(64, g.Procs())

@@ -81,33 +81,23 @@ type triangles struct {
 	merged func(mergeRec)
 }
 
-// send and recv move one packed triangle. They are where the reduction
-// forks between data and cost-only worlds: a cost-only world ships the
-// byte count alone and receives nil. (blocks.send and blocks.recv in
-// treeq.go are the same fork for dense blocks.)
+// send and recv move one packed triangle, sized triuLen(n) either way: a
+// cost-only world's nil triangle travels as its size alone and arrives
+// nil.
 func (o *triangles) send(peer, tag int, r *matrix.Dense) {
-	if o.comm.Ctx().HasData() {
-		o.comm.Send(peer, packTriu(r), tag)
-	} else {
-		o.comm.SendBytes(peer, triuBytes(o.n), tag)
-	}
+	o.comm.Send(peer, packTriu(r), tag, triuLen(o.n))
 }
 
 func (o *triangles) recv(peer, tag int) *matrix.Dense {
-	buf := o.comm.Recv(peer, tag)
-	if !o.comm.Ctx().HasData() {
-		return nil
-	}
-	return unpackTriu(buf, o.n)
+	return unpackTriu(o.comm.Recv(peer, tag), o.n)
 }
 
 func (o *triangles) absorb(mine, theirs *matrix.Dense, st step) *matrix.Dense {
 	rec := mergeRec{partner: st.peer, tag: st.tag}
-	if theirs != nil {
+	o.comm.Ctx().Kernel("stack_qr", flops.StackQR(o.n), o.n, func() {
 		rec.v, rec.tau = theirs, make([]float64, o.n)
 		lapack.StackQRInPlace(mine, rec.v, rec.tau)
-	}
-	o.comm.Ctx().ChargeKernel("stack_qr", flops.StackQR(o.n), o.n)
+	})
 	o.log = append(o.log, rec)
 	if o.merged != nil {
 		o.merged(rec)
@@ -153,10 +143,9 @@ func factorLeaf(comm *mpi.Comm, in Input, dom domain, cfg Config) leafState {
 	if len(dom.ranks) == 1 {
 		st := leafState{}
 		myRows := in.Offsets[comm.Rank()+1] - in.Offsets[comm.Rank()]
-		if ctx.HasData() {
+		ctx.Kernel("geqrf", flops.GEQRF(myRows, in.N), in.N, func() {
 			st.r, st.q = lapack.FoldQR(in.Local, cfg.NB, cfg.WantQ || cfg.KeepFactors)
-		}
-		ctx.ChargeKernel("geqrf", flops.GEQRF(myRows, in.N), in.N)
+		})
 		return st
 	}
 	// Multi-process domain: split off a communicator and call ScaLAPACK.
@@ -202,9 +191,7 @@ func buildQ(comm *mpi.Comm, in Input, dom domain, leaf leafState, tq treeQ) *mat
 		return scalapack.ApplyQTop(leaf.domComm, leaf.slf, seed)
 	}
 	myRows := in.Offsets[me+1] - in.Offsets[me]
-	ctx.ChargeKernel("orgqr", flops.ORGQR(myRows, n), n)
-	if !ctx.HasData() {
-		return nil
-	}
-	return leaf.q.Expand(seed)
+	var q *matrix.Dense
+	ctx.Kernel("orgqr", flops.ORGQR(myRows, n), n, func() { q = leaf.q.Expand(seed) })
+	return q
 }

@@ -157,7 +157,7 @@ func TestTSQRMessageVolumeIsPackedTriangles(t *testing.T) {
 	g := grid.SmallTestGrid(1, 4, 1)
 	n := 6
 	_, _, w, _ := runTSQR(t, g, 64, n, Config{Tree: TreeBinary}, 17)
-	want := 3 * triuBytes(n) // 3 merges, each a packed n×n triangle
+	want := 3 * 8 * float64(triuLen(n)) // 3 merges, each a packed n×n triangle
 	if got := w.Counters().Total().Bytes; got != want {
 		t.Fatalf("volume = %g bytes want %g", got, want)
 	}

@@ -38,47 +38,13 @@ func StackQR(n int) float64 {
 // a length-(j+1) dot and axpy plus two scalar ops, 4(j+1)+2. The closed
 // form of Σ_{j=0}^{n−1} [3(j+1)+3 + (n−1−j)(4(j+1)+2)] is below; its
 // leading term is the familiar 2n³/3 of StackQR, but the exact value is
-// what TimeKernel telemetry divides by, so rate numbers are not inflated
+// what kernbench's stackqr_n<n> rates divide by, so they are not inflated
 // by the O(n²) slack of the asymptotic model.
 func TPQRT2(n int) float64 {
 	fn := float64(n)
 	s1 := fn * (fn + 1) / 2
 	s2 := fn * (fn + 1) * (2*fn + 1) / 6
 	return (4*fn+1)*s1 + 3*fn + 2*fn*fn - 4*s2
-}
-
-// TPQRT returns the exact flop count of the blocked structured stack
-// factorization Dtpqrt with panel width nb, mirroring the implemented
-// algorithm: per panel, the unblocked elimination restricted to the
-// panel, then (when trailing columns remain) the T build, the two
-// (j+jb)×jb×rest gemms, the jb-order trmm and the jb×rest subtraction.
-// Assumes no tau underflows to zero (the generic case).
-func TPQRT(n, nb int) float64 {
-	if nb <= 0 {
-		nb = 32
-	}
-	var f float64
-	for j := 0; j < n; j += nb {
-		jb := min(nb, n-j)
-		for c := 0; c < jb; c++ {
-			col := float64(j + c)
-			f += 3*(col+1) + 3 + float64(j+jb-(j+c)-1)*(4*(col+1)+2)
-		}
-		rest := float64(n - j - jb)
-		if rest == 0 {
-			continue
-		}
-		for i := 1; i < jb; i++ {
-			rows := float64(j + i + 1)
-			f += float64(i)*(2*rows+1) + float64(i)*float64(i) // dots + trmv
-		}
-		fj, fb := float64(j), float64(jb)
-		f += 2 * (fj + fb) * fb * rest  // W = Vpᵀ·C2
-		f += TRMM(jb, int(rest), false) // W = Tᵀ·W
-		f += 2 * fb * rest              // C1 −= W
-		f += 2 * (fj + fb) * fb * rest  // C2 −= Vp·W
-	}
-	return f
 }
 
 // StackQRApplyQ returns the flop count of applying the Q factor of a
@@ -135,12 +101,6 @@ func TRMM(n, m int, unit bool) float64 {
 // TRMM, likewise n(n−1) for unit diagonal (no divides).
 func TRSM(n, m int, unit bool) float64 {
 	return TRMM(n, m, unit)
-}
-
-// SYRK returns the flop count of the symmetric rank-k update of an
-// order-n triangle: n(n+1)/2 output elements at 2k flops each.
-func SYRK(n, k int) float64 {
-	return float64(n) * (float64(n) + 1) * float64(k)
 }
 
 // TSQRCritical returns the flop count on the critical path of TSQR over P

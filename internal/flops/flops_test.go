@@ -60,30 +60,6 @@ func TestTPQRT2ExactCount(t *testing.T) {
 	}
 }
 
-func TestTPQRTCount(t *testing.T) {
-	// A single panel degenerates to the unblocked kernel: identical count.
-	for _, n := range []int{1, 7, 32} {
-		if got, want := TPQRT(n, n), TPQRT2(n); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("TPQRT(%d,%d) = %g want TPQRT2 = %g", n, n, got, want)
-		}
-	}
-	// Blocking pays extra gemm flops on the dense trapezoid: strictly more
-	// than the unblocked count, same leading order.
-	for _, n := range []int{128, 512, 1024} {
-		b, u := TPQRT(n, 32), TPQRT2(n)
-		if b <= u {
-			t.Fatalf("TPQRT(%d,32) = %g not above TPQRT2 = %g", n, b, u)
-		}
-		if b > 2.5*u {
-			t.Fatalf("TPQRT(%d,32) = %g implausibly far above TPQRT2 = %g", n, b, u)
-		}
-	}
-	// nb <= 0 falls back to the default width.
-	if TPQRT(100, 0) != TPQRT(100, 32) {
-		t.Fatal("TPQRT default nb mismatch")
-	}
-}
-
 func TestGEMM(t *testing.T) {
 	if GEMM(2, 3, 4) != 48 {
 		t.Fatalf("GEMM = %g want 48", GEMM(2, 3, 4))
@@ -143,16 +119,6 @@ func TestTriangularCounts(t *testing.T) {
 				t.Fatalf("TRSM(%d) must equal TRMM", n)
 			}
 		}
-	}
-}
-
-func TestSYRK(t *testing.T) {
-	// n(n+1)/2 output elements at 2k flops each.
-	if got := SYRK(3, 5); got != 60 {
-		t.Fatalf("SYRK(3,5) = %g want 60", got)
-	}
-	if SYRK(1, 1) != 2 || SYRK(0, 9) != 0 {
-		t.Fatal("SYRK degenerate cases wrong")
 	}
 }
 

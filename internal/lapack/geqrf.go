@@ -2,9 +2,7 @@ package lapack
 
 import (
 	"gridqr/internal/blas"
-	"gridqr/internal/flops"
 	"gridqr/internal/matrix"
-	"gridqr/internal/telemetry"
 )
 
 // DefaultBlock is the panel width used by Dgeqrf when the caller passes
@@ -325,7 +323,6 @@ func Dgeqrf(a *matrix.Dense, tau []float64, nb int) {
 	if len(tau) < k {
 		panic("lapack: Dgeqrf tau too short")
 	}
-	defer telemetry.TimeKernel("dgeqrf", flops.GEQRF(m, n))()
 	if nb <= 0 {
 		nb = DefaultBlock
 	}

@@ -2,9 +2,7 @@ package lapack
 
 import (
 	"gridqr/internal/blas"
-	"gridqr/internal/flops"
 	"gridqr/internal/matrix"
-	"gridqr/internal/telemetry"
 )
 
 // Dorm2r applies op(Q) from the left to C, where Q is the orthogonal
@@ -83,7 +81,6 @@ func ormqr(trans blas.Transpose, a *matrix.Dense, tau []float64, c *matrix.Dense
 	if c.Rows != m {
 		panic("lapack: Dormqr shape mismatch")
 	}
-	defer telemetry.TimeKernel("dormqr", flops.ORMQR(m, c.Cols, k))()
 	byRule := nb <= 0
 	if byRule {
 		nb = DefaultBlock

@@ -2,9 +2,7 @@ package lapack
 
 import (
 	"gridqr/internal/blas"
-	"gridqr/internal/flops"
 	"gridqr/internal/matrix"
-	"gridqr/internal/telemetry"
 )
 
 // This file implements the structured QR kernel at the heart of TSQR: the
@@ -43,7 +41,6 @@ func ApplyStackQ(v *matrix.Dense, tau []float64, trans bool, c1, c2 *matrix.Dens
 	if v.Cols != n || c1.Rows != n || c2.Rows != n || c1.Cols != c2.Cols {
 		panic("lapack: ApplyStackQ shape mismatch")
 	}
-	defer telemetry.TimeKernel("stack_qr_apply", flops.StackApply(n, c1.Cols))()
 	p := c1.Cols
 	apply := func(j int) {
 		t := tau[j]
@@ -104,10 +101,8 @@ func StackQRInPlace(r, v *matrix.Dense, tau []float64) {
 	n := r.Rows
 	nb := stackQRPanel(n)
 	if nb == 0 {
-		defer telemetry.TimeKernel("stack_qr", flops.TPQRT2(n))()
 		Dtpqrt2(r, v, tau)
 	} else {
-		defer telemetry.TimeKernel("stack_qr", flops.TPQRT(n, nb))()
 		Dtpqrt(r, v, tau, nb)
 	}
 	// Clear any strictly-lower garbage so r is exactly triangular.

@@ -75,24 +75,18 @@ func (c *Comm) checkTag(tag int) {
 
 // Send transmits data to comm rank `to` with the given tag (which must be
 // >= 0). The payload slice must not be mutated afterwards (messages are
-// not copied).
-func (c *Comm) Send(to int, data []float64, tag int) {
-	c.checkTag(tag)
-	c.sendRaw(to, data, tag)
-}
-
-// SendBytes transmits a data-less message that is priced and counted as
-// `bytes` bytes; cost-only algorithms use it where the real payload would
-// be a matrix that was never materialized.
-func (c *Comm) SendBytes(to int, bytes float64, tag int) {
-	c.checkTag(tag)
-	if err := c.ctx.sendE(c.members[to], c.path, tag, nil, bytes); err != nil {
+// not copied). A stated length n sizes the message instead of len(data):
+// a cost-only world passes a nil payload for the matrix it never
+// materialized and is priced at 8n bytes, and any other payload must hold
+// exactly n floats.
+func (c *Comm) Send(to int, data []float64, tag int, n ...int) {
+	if err := c.TrySend(to, data, tag, n...); err != nil {
 		panic(err)
 	}
 }
 
 // Recv blocks until the matching message from comm rank `from` arrives
-// and returns its payload (nil for SendBytes messages).
+// and returns its payload (nil for a cost-only world's sized sends).
 func (c *Comm) Recv(from, tag int) []float64 {
 	c.checkTag(tag)
 	return c.recvRaw(from, tag)
@@ -101,9 +95,19 @@ func (c *Comm) Recv(from, tag int) []float64 {
 // TrySend is Send with an error return: a *RankFailedError when every
 // delivery attempt was dropped by the fault plan. Without a fault plan it
 // never fails.
-func (c *Comm) TrySend(to int, data []float64, tag int) error {
+func (c *Comm) TrySend(to int, data []float64, tag int, n ...int) error {
 	c.checkTag(tag)
-	return c.trySendRaw(to, data, tag)
+	size := len(data)
+	switch {
+	case len(n) > 1:
+		panic("mpi: a send states one payload length")
+	case len(n) == 1:
+		if len(data) != n[0] && (data != nil || c.ctx.world.hasData) {
+			panic(fmt.Sprintf("mpi: send on tag %d states %d floats but carries %d", tag, n[0], len(data)))
+		}
+		size = n[0]
+	}
+	return c.ctx.sendE(c.members[to], c.path, tag, data, 8*float64(size))
 }
 
 // TryRecv is Recv with an error return: a *RankFailedError when the

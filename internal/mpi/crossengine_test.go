@@ -59,7 +59,7 @@ var crossShapes = []crossShape{
 		for round := 0; round < 3; round++ {
 			c.Send((r+1)%n, make([]float64, 16+8*round+r%4), 10+round)
 			c.Recv((r+n-1)%n, 10+round)
-			ctx.Charge(1e6, 16)
+			ctx.Kernel("compute", 1e6, 16, nil)
 		}
 	}},
 	{name: "butterfly", body: func(ctx *Ctx) {

@@ -95,22 +95,21 @@ func (c *Ctx) maybeDie() {
 	}
 }
 
-// Charge accounts for flopCount floating-point operations of a kernel
-// whose innermost dimension is panelN (which selects the kernel
-// efficiency per the grid's saturating-rate model). In virtual mode the
-// rank's clock advances; in real mode the charge only feeds the flop
-// counter, since the caller does the arithmetic for real.
-func (c *Ctx) Charge(flopCount float64, panelN int) {
-	c.ChargeKernel("compute", flopCount, panelN)
-}
-
-// ChargeKernel is Charge with a kernel name: the resulting compute span
-// carries the name and the flop count, so traced runs attribute virtual
-// time (and effective Gflop/s) to specific kernels rather than a single
-// undifferentiated "compute" bucket.
-func (c *Ctx) ChargeKernel(kernel string, flopCount float64, panelN int) {
+// Kernel runs one local kernel and charges its flopCount floating-point
+// operations. body runs only on a data world (a cost-only world charges
+// the same flops without computing) and never on a rank the fault plan
+// kills here; a nil body charges without work. panelN is the kernel's
+// innermost dimension, which selects its efficiency per the grid's
+// saturating-rate model. In virtual mode the rank's clock advances, and a
+// traced world records a compute span carrying name and the flop count,
+// so traced runs attribute virtual time (and effective Gflop/s) to
+// specific kernels.
+func (c *Ctx) Kernel(name string, flopCount float64, panelN int, body func()) {
 	c.maybeDie()
 	c.world.fstate[c.rank].ops++
+	if body != nil && c.world.hasData {
+		body()
+	}
 	c.world.counters.addFlops(flopCount)
 	c.world.rankCounts[c.rank].Flops += flopCount
 	if m := c.world.metrics; m != nil {
@@ -128,7 +127,7 @@ func (c *Ctx) ChargeKernel(kernel string, flopCount float64, panelN int) {
 		// Zero-flop charges (degenerate panel shapes) advance nothing and
 		// would only clutter the trace with zero-duration spans.
 		c.world.collector.Add(telemetry.Span{Rank: c.rank, Kind: telemetry.SpanCompute,
-			Name: kernel, Start: start, End: start + dur, Peer: -1,
+			Name: name, Start: start, End: start + dur, Peer: -1,
 			Link: telemetry.LinkNone, FlowSeq: -1, Flops: flopCount})
 	}
 }

@@ -117,7 +117,7 @@ func NewFaultPlan(seed int64) *FaultPlan {
 }
 
 // Kill schedules rank to die immediately before its ops-th communication
-// or compute operation (sends, receives and Charge calls each count as
+// or compute operation (sends, receives and Kernel calls each count as
 // one). Operation counts are per-rank program points, so the death site is
 // deterministic.
 func (p *FaultPlan) Kill(rank int, ops int) *FaultPlan {

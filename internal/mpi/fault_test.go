@@ -42,7 +42,7 @@ func TestNegativeUserTagPanics(t *testing.T) {
 				case "send":
 					c.Send(1, []float64{1}, -3)
 				case "sendbytes":
-					c.SendBytes(1, 8, -1)
+					c.Send(1, nil, -1, 1)
 				case "recv":
 					c.Recv(1, -2)
 				case "trysend":

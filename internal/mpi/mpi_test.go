@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -248,11 +249,11 @@ func TestOverlapHidesWait(t *testing.T) {
 				return
 			}
 			if computeFirst {
-				ctx.Charge(flops, 8)
+				ctx.Kernel("compute", flops, 8, nil)
 				c.Recv(0, 1)
 			} else {
 				c.Recv(0, 1)
-				ctx.Charge(flops, 8)
+				ctx.Kernel("compute", flops, 8, nil)
 			}
 		})
 		b := w.BreakdownOf(1)
@@ -320,7 +321,7 @@ func TestVirtualClockCharge(t *testing.T) {
 	w := NewWorld(g, Virtual())
 	w.Run(func(ctx *Ctx) {
 		rate := g.KernelGflops(0, 64) * 1e9
-		ctx.Charge(rate, 64) // exactly one second of work
+		ctx.Kernel("compute", rate, 64, nil) // exactly one second of work
 		if math.Abs(ctx.Now()-1) > 1e-12 {
 			t.Errorf("Now = %g want 1", ctx.Now())
 		}
@@ -339,7 +340,7 @@ func TestVirtualDeterminism(t *testing.T) {
 			c := WorldComm(ctx)
 			for iter := 0; iter < 10; iter++ {
 				c.Allreduce([]float64{float64(ctx.Rank())}, OpSum)
-				ctx.Charge(1e6, 64)
+				ctx.Kernel("compute", 1e6, 64, nil)
 			}
 		})
 		return w.MaxClock()
@@ -364,19 +365,107 @@ func TestCostOnlyMode(t *testing.T) {
 		}
 		c := WorldComm(ctx)
 		if ctx.Rank() == 0 {
-			c.SendBytes(1, 4096, 3)
+			c.Send(1, nil, 3, 512)
 		} else {
 			if got := c.Recv(0, 3); got != nil {
-				t.Errorf("SendBytes delivered data %v", got)
+				t.Errorf("a sized nil send delivered data %v", got)
 			}
 			if ctx.Now() <= 0 {
-				t.Error("SendBytes must still cost time")
+				t.Error("a sized nil send must still cost time")
 			}
 		}
 	})
 	snap := w.Counters()
 	if snap.Total().Msgs != 1 || snap.Total().Bytes != 4096 {
 		t.Fatalf("counters = %+v", snap.Total())
+	}
+}
+
+// TestSizedSend: a send that states its length is checked against the
+// payload. On a data world a payload shorter or longer than n panics with
+// the tag and both sizes; on a cost-only world a nil payload is priced at
+// 8n bytes, and the collectives' real slices still go through.
+func TestSizedSend(t *testing.T) {
+	g := grid.SmallTestGrid(1, 2, 1)
+	for _, sent := range []int{3, 5} {
+		w := NewWorld(g, Virtual())
+		var msg any
+		func() {
+			defer func() { msg = recover() }()
+			w.Run(func(ctx *Ctx) {
+				if ctx.Rank() == 0 {
+					WorldComm(ctx).Send(1, make([]float64, sent), 7, 4)
+				}
+			})
+		}()
+		want := fmt.Sprintf("tag 7 states 4 floats but carries %d", sent)
+		if s, _ := msg.(string); !strings.Contains(s, want) {
+			t.Errorf("data world, %d floats stated as 4: panic %v, want it to name %q", sent, msg, want)
+		}
+	}
+
+	w := NewWorld(g, CostOnly())
+	w.Run(func(ctx *Ctx) {
+		c := WorldComm(ctx)
+		if ctx.Rank() == 0 {
+			c.Send(1, nil, 2, 10)
+		} else if got := c.Recv(0, 2); got != nil {
+			t.Errorf("cost-only sized send delivered %v", got)
+		}
+		c.Bcast(0, make([]float64, 3))
+		c.Allreduce(make([]float64, 2), OpSum)
+	})
+	// 80 bytes for the sized send; one 24-byte broadcast message and one
+	// 16-byte message each way for the two-rank allreduce.
+	if got := w.Counters().Total(); got.Msgs != 4 || got.Bytes != 80+24+16+16 {
+		t.Fatalf("cost-only counters = %+v", got)
+	}
+
+	w = NewWorld(g, CostOnly())
+	var msg any
+	func() {
+		defer func() { msg = recover() }()
+		w.Run(func(ctx *Ctx) {
+			if ctx.Rank() == 0 {
+				WorldComm(ctx).Send(1, make([]float64, 2), 9, 10)
+			}
+		})
+	}()
+	if s, _ := msg.(string); !strings.Contains(s, "tag 9 states 10 floats but carries 2") {
+		t.Errorf("cost-only world, non-nil payload of the wrong length: panic %v", msg)
+	}
+}
+
+// TestKernelRunsBodyOnDataWorldsOnly: Kernel runs its body on a data
+// world, never on a cost-only one nor on a rank killed at that point, and
+// charges the same flops either way.
+func TestKernelRunsBodyOnDataWorldsOnly(t *testing.T) {
+	g := grid.SmallTestGrid(1, 1, 1)
+	for _, opt := range []Option{Virtual(), CostOnly()} {
+		w := NewWorld(g, opt)
+		ran := 0
+		w.Run(func(ctx *Ctx) {
+			ctx.Kernel("k", 100, 8, func() { ran++ })
+			ctx.Kernel("k", 50, 8, nil)
+			if !ctx.HasData() && ran != 0 || ctx.HasData() && ran != 1 {
+				t.Errorf("HasData=%v: body ran %d times", ctx.HasData(), ran)
+			}
+		})
+		if got := w.Counters().Flops; got != 150 {
+			t.Errorf("flops = %g, want 150", got)
+		}
+	}
+	w := NewWorld(g, Virtual(), WithFaults(NewFaultPlan(1).Kill(0, 1)))
+	ran := 0
+	func() {
+		defer func() { recover() }()
+		w.Run(func(ctx *Ctx) {
+			ctx.Kernel("k", 1, 8, func() { ran++ })
+			ctx.Kernel("k", 1, 8, func() { ran += 10 })
+		})
+	}()
+	if ran != 1 || !w.RankDead(0) {
+		t.Fatalf("killed before its second kernel: body sum %d (want 1), dead %v", ran, w.RankDead(0))
 	}
 }
 
@@ -412,7 +501,7 @@ func TestCountersPerClass(t *testing.T) {
 func TestRealModeFlopCounterOnly(t *testing.T) {
 	w := testWorld(1)
 	w.Run(func(ctx *Ctx) {
-		ctx.Charge(123, 4)
+		ctx.Kernel("compute", 123, 4, nil)
 		if ctx.Now() > 1 { // wall clock, but charge must not add to it
 			t.Error("real-mode Now unexpectedly large")
 		}
@@ -449,7 +538,7 @@ func TestTimeBreakdown(t *testing.T) {
 		c := WorldComm(ctx)
 		if ctx.Rank() == 0 {
 			rate := g.KernelGflops(0, 64) * 1e9
-			ctx.Charge(rate/2, 64) // 0.5 s of compute
+			ctx.Kernel("compute", rate/2, 64, nil) // 0.5 s of compute
 			c.Send(1, make([]float64, 10), 0)
 		} else {
 			c.Recv(0, 0) // waits ~0.5 s + link time, inter-cluster
@@ -484,7 +573,7 @@ func TestTraceEvents(t *testing.T) {
 	w.Run(func(ctx *Ctx) {
 		c := WorldComm(ctx)
 		if ctx.Rank() == 0 {
-			ctx.Charge(g.KernelGflops(0, 64)*1e9/4, 64) // 0.25 s
+			ctx.Kernel("compute", g.KernelGflops(0, 64)*1e9/4, 64, nil) // 0.25 s
 			c.Send(1, make([]float64, 100), 0)
 		} else {
 			c.Recv(0, 0)
@@ -524,7 +613,7 @@ func TestGanttRendering(t *testing.T) {
 	w.Run(func(ctx *Ctx) {
 		c := WorldComm(ctx)
 		if ctx.Rank() == 0 {
-			ctx.Charge(g.KernelGflops(0, 64)*1e9, 64) // 1 s compute
+			ctx.Kernel("compute", g.KernelGflops(0, 64)*1e9, 64, nil) // 1 s compute
 			c.Send(1, make([]float64, 10), 0)
 		} else {
 			c.Recv(0, 0)

@@ -16,7 +16,7 @@ func ringWorkload(n int) func(*Ctx) {
 	return func(ctx *Ctx) {
 		c := WorldComm(ctx)
 		for i := 0; i < n; i++ {
-			ctx.ChargeKernel("k", 1e6, 64)
+			ctx.Kernel("k", 1e6, 64, nil)
 			if ctx.Rank()%2 == 0 && ctx.Rank()+1 < ctx.Size() {
 				c.Send(ctx.Rank()+1, make([]float64, 8), i)
 			} else if ctx.Rank()%2 == 1 {
@@ -39,7 +39,7 @@ func TestRingTraceBounded4096(t *testing.T) {
 	}
 	w.Run(func(ctx *Ctx) {
 		for i := 0; i < perRank; i++ {
-			ctx.ChargeKernel("k", 1e6, 64)
+			ctx.Kernel("k", 1e6, 64, nil)
 		}
 	})
 	st := w.TraceStats()

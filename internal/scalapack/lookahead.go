@@ -61,12 +61,11 @@ func (p *pd) drainChunk() {
 	}
 	ctx := p.comm.Ctx()
 	c := min(pu.chunk, pu.end-pu.col)
-	if ctx.HasData() {
+	ctx.Kernel("gemm", float64(2*pu.active*pu.jb*c), p.in.N, func() {
 		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1,
 			pu.vloc, pu.y.View(0, pu.col-(pu.j+pu.jb), pu.jb, c),
 			1, p.in.Local.View(0, pu.col, p.myRows(), c))
-	}
-	ctx.ChargeKernel("gemm", float64(2*pu.active*pu.jb*c), p.in.N)
+	})
 	pu.col += c
 	if pu.col >= pu.end {
 		p.pending = nil

@@ -84,13 +84,7 @@ func (p *pd) blockUpdate(j, jb int) {
 		}
 	}
 	gram = p.comm.AllreduceOverlap(gram, mpi.OpSum, p.spare)
-	ctx.ChargeKernel("syrk", float64(active*jb*jb), n)
-
-	// --- Local T from the Gram matrix and taus ---
-	var t *matrix.Dense
-	if ctx.HasData() {
-		t = tFromGram(matrix.FromColMajor(jb, jb, gram), p.f.Tau[j:j+jb])
-	}
+	ctx.Kernel("syrk", float64(active*jb*jb), n, nil)
 
 	// Z reads every trailing column: the previous deferred update (if the
 	// Gram tree's spare cycles did not finish it) must land now.
@@ -105,23 +99,23 @@ func (p *pd) blockUpdate(j, jb int) {
 		blas.Dgemm(blas.Trans, blas.NoTrans, 1, vloc, cloc, 0, zm)
 	}
 	z = p.comm.AllreduceOverlap(z, mpi.OpSum, p.spare)
-	ctx.ChargeKernel("gemm", float64(2*active*jb*rest), n)
+	ctx.Kernel("gemm", float64(2*active*jb*rest), n, nil)
 
-	// --- Local update: C −= V·(Tᵀ·Z), Y = Tᵀ·Z formed once; with
-	// lookahead only the next panel's columns now, the rest deferred to
-	// the next panel's waits ---
+	// --- Local update: C −= V·(Tᵀ·Z), T from the Gram matrix and taus,
+	// Y = Tᵀ·Z formed once; with lookahead only the next panel's columns
+	// now, the rest deferred to the next panel's waits ---
 	now := rest
 	if p.spare != nil {
 		now = min(jb, rest)
 	}
 	var y *matrix.Dense
-	if ctx.HasData() {
+	ctx.Kernel("gemm", float64(2*active*jb*now), n, func() {
+		t := tFromGram(matrix.FromColMajor(jb, jb, gram), p.f.Tau[j:j+jb])
 		y = matrix.FromColMajor(jb, rest, z).Clone()
 		blas.Dtrmm(blas.Left, blas.Trans, false, 1, t, y)
 		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1,
 			vloc, y.View(0, 0, jb, now), 1, cloc.View(0, 0, myRows, now))
-	}
-	ctx.ChargeKernel("gemm", float64(2*active*jb*now), n)
+	})
 	if deferred := rest - now; deferred > 0 {
 		// The next panel offers at least 2·jb spare-cycle windows (two
 		// allreduces per column); size chunks to finish within them.

@@ -82,8 +82,11 @@ func ApplyQTop(comm *mpi.Comm, f *Factorization, top *matrix.Dense) *matrix.Dens
 			}
 		}
 		w = comm.Allreduce(w, mpi.OpSum)
-		if ctx.HasData() && f.Tau[j] != 0 {
+		ctx.Kernel("compute", float64(4*active*(n-j)), n, func() {
 			tau := f.Tau[j]
+			if tau == 0 {
+				return
+			}
 			for k := 0; k < n; k++ {
 				fwk := tau * w[k]
 				for i := lo; i < myRows; i++ {
@@ -95,8 +98,7 @@ func ApplyQTop(comm *mpi.Comm, f *Factorization, top *matrix.Dense) *matrix.Dens
 					}
 				}
 			}
-		}
-		ctx.Charge(float64(4*active*(n-j)), n)
+		})
 	}
 	return q
 }

@@ -136,8 +136,10 @@ func (p *pd) panelQR2(j0, j1, updateTo int) {
 			}
 		}
 		norm = p.comm.AllreduceOverlap(norm, mpi.OpSum, p.spare)
-		var tau, beta, scale float64
-		if ctx.HasData() {
+		var tau float64 // stays 0 in a cost-only world
+		activeRows := myRows - lo
+		ctx.Kernel("larfg", float64(3*activeRows), n, func() {
+			var beta, scale float64
 			beta, tau, scale = reflectorFromNorm(norm[1], norm[0])
 			p.f.Tau[j] = tau
 			// Scale the local tail into v; the owner writes beta.
@@ -149,9 +151,7 @@ func (p *pd) panelQR2(j0, j1, updateTo int) {
 					local.Set(i, j, beta)
 				}
 			}
-		}
-		activeRows := myRows - lo
-		ctx.ChargeKernel("larfg", float64(3*activeRows), n)
+		})
 		if j+1 >= updateTo {
 			continue // no trailing columns in range: no update reduction (Fig. 1)
 		}
@@ -172,7 +172,10 @@ func (p *pd) panelQR2(j0, j1, updateTo int) {
 			}
 		}
 		w = p.comm.AllreduceOverlap(w, mpi.OpSum, p.spare)
-		if ctx.HasData() && tau != 0 {
+		ctx.Kernel("larf", float64(4*activeRows*(updateTo-j-1)), n, func() {
+			if tau == 0 {
+				return
+			}
 			for k := j + 1; k < updateTo; k++ {
 				fwk := tau * w[k-j-1]
 				for i := lo; i < myRows; i++ {
@@ -184,8 +187,7 @@ func (p *pd) panelQR2(j0, j1, updateTo int) {
 					}
 				}
 			}
-		}
-		ctx.ChargeKernel("larf", float64(4*activeRows*(updateTo-j-1)), n)
+		})
 	}
 }
 

@@ -86,9 +86,9 @@ func RunRound(comm *mpi.Comm, st *State, rd Round) *RoundResult {
 	f := st.F
 	n := f.N()
 	f.OnFold = func(rows int, merged bool) {
-		ctx.ChargeKernel("geqrf", flops.GEQRF(rows, n), n)
+		ctx.Kernel("geqrf", flops.GEQRF(rows, n), n, nil)
 		if merged {
-			ctx.ChargeKernel("stack_qr", flops.StackQR(n), n)
+			ctx.Kernel("stack_qr", flops.StackQR(n), n, nil)
 		}
 	}
 	defer func() { f.OnFold = nil }()

@@ -175,22 +175,3 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 		t.Fatal("String() should mention metric kinds")
 	}
 }
-
-func TestKernelMetricsGated(t *testing.T) {
-	EnableKernelMetrics(false)
-	before := Default().Counter("kernel.test_gated.calls").Value()
-	ObserveKernel("test_gated", 100, 0.5)
-	if Default().Counter("kernel.test_gated.calls").Value() != before {
-		t.Fatal("kernel metrics recorded while disabled")
-	}
-	EnableKernelMetrics(true)
-	defer EnableKernelMetrics(false)
-	ObserveKernel("test_gated", 2e9, 0.5)
-	ObserveKernel("test_gated", 2e9, 0.5)
-	if got := Default().Counter("kernel.test_gated.calls").Value(); got != before+2 {
-		t.Fatalf("calls = %g", got)
-	}
-	if got := KernelGflops("test_gated"); math.Abs(got-4) > 1e-9 {
-		t.Fatalf("measured Gflop/s = %g, want 4", got)
-	}
-}

@@ -23,7 +23,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing float64 accumulator. Updates are
@@ -434,57 +433,4 @@ func (r *Registry) Dump() string {
 		fmt.Fprintf(&b, "\n%s\n  %s\n", name, hists[i].String())
 	}
 	return b.String()
-}
-
-// defaultRegistry backs the package-level kernel instrumentation; blas
-// and lapack report into it when kernel metrics are enabled.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry the dense kernels report to.
-func Default() *Registry { return defaultRegistry }
-
-// kernelMetricsOn gates the kernel instrumentation; off (the default) a
-// kernel entry costs one atomic load and nothing else.
-var kernelMetricsOn atomic.Bool
-
-// EnableKernelMetrics switches the blas/lapack kernel instrumentation on
-// or off. With it on, every instrumented kernel records its wall-clock
-// duration and flop count into Default(), so effective Gflop/s is
-// measured from real executions rather than modeled.
-func EnableKernelMetrics(on bool) { kernelMetricsOn.Store(on) }
-
-// ObserveKernel records one kernel execution (name, flop count, elapsed
-// wall-clock seconds) into the default registry: a duration histogram, a
-// flop counter, and a call counter per kernel. It is a no-op unless
-// EnableKernelMetrics(true) was called.
-func ObserveKernel(kernel string, flopCount, seconds float64) {
-	if !kernelMetricsOn.Load() {
-		return
-	}
-	defaultRegistry.Histogram("kernel." + kernel + ".seconds").Observe(seconds)
-	defaultRegistry.Counter("kernel." + kernel + ".flops").Add(flopCount)
-	defaultRegistry.Counter("kernel." + kernel + ".calls").Inc()
-}
-
-// TimeKernel starts timing one kernel execution and returns its closer,
-// for use as `defer telemetry.TimeKernel("dgemm", fl)()` at a kernel's
-// entry. When kernel metrics are off the cost is one atomic load and a
-// no-op closure.
-func TimeKernel(kernel string, flopCount float64) func() {
-	if !kernelMetricsOn.Load() {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { ObserveKernel(kernel, flopCount, time.Since(start).Seconds()) }
-}
-
-// KernelGflops reports the measured effective rate of one kernel from
-// the default registry: total flops over total seconds, in Gflop/s (0 if
-// the kernel never ran or took no measurable time).
-func KernelGflops(kernel string) float64 {
-	sec := defaultRegistry.Histogram("kernel." + kernel + ".seconds").Sum()
-	if sec <= 0 {
-		return 0
-	}
-	return defaultRegistry.Counter("kernel."+kernel+".flops").Value() / sec / 1e9
 }
