@@ -23,8 +23,11 @@ func (c *Ctx) Rank() int { return c.rank }
 func (c *Ctx) Size() int { return c.world.n }
 
 // HasData reports whether local numerical data exists in this mode;
-// cost-only simulations report false and algorithms skip the arithmetic
-// while still performing every communication and cost charge.
+// cost-only simulations report false. Kernel skips the arithmetic and a
+// sized Send the payload there, while every communication and charge
+// still happens; algorithms ask HasData directly only to validate or
+// require data, materialize an input, or build a collective's
+// contribution.
 func (c *Ctx) HasData() bool { return c.world.hasData }
 
 // Virtual reports whether time is simulated.
