@@ -23,23 +23,49 @@ func TestGridbenchFigures(t *testing.T) {
 	}
 	bin := buildBench(t)
 	for _, tc := range []struct {
-		fig  string
-		want string
+		fig   string
+		want  string
+		whole bool // want is the figure's entire output, byte for byte
 	}{
-		{"3", "Orsay"},
-		{"table1", "TSQR"},
-		{"messages", "provable minimum"},
-		{"ablation", "binary-shuffled"},
-		{"faults", "kill-coordinator"},
+		{"3", "Orsay", false},
+		{"table1", "TSQR", false},
+		{"messages", "provable minimum", false},
+		{"ablation", "binary-shuffled", false},
+		{"faults", "kill-coordinator", false},
+		{"trace", committedSection(t, "== Execution traces"), true},
 	} {
 		out, err := exec.Command(bin, "-fig", tc.fig).CombinedOutput()
 		if err != nil {
 			t.Fatalf("-fig %s: %v\n%s", tc.fig, err, out)
 		}
+		if tc.whole && string(out) != tc.want {
+			t.Fatalf("-fig %s differs from results/gridbench_all.txt:\n got:\n%s\nwant:\n%s", tc.fig, out, tc.want)
+		}
 		if !strings.Contains(string(out), tc.want) {
 			t.Fatalf("-fig %s missing %q:\n%s", tc.fig, tc.want, out)
 		}
 	}
+}
+
+// committedSection returns the section of results/gridbench_all.txt
+// that starts with the heading line beginning with heading, up to the
+// next "==" heading.
+func committedSection(t *testing.T, heading string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "results", "gridbench_all.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(data)
+	i := strings.Index(s, "\n"+heading)
+	if i < 0 {
+		t.Fatalf("no %q section in results/gridbench_all.txt", heading)
+	}
+	s = s[i+1:]
+	if j := strings.Index(s[1:], "\n=="); j >= 0 {
+		s = s[:j+2]
+	}
+	return s
 }
 
 func TestGridbenchCSVAndPlatform(t *testing.T) {
