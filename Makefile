@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check check skips walks handoff loc mutants reach fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
+.PHONY: build test race vet fmt-check check skips walks handoff loc mutants reach figs fuzz bench perfgate baseline benchkern baseline-kern scale stream stream-smoke bench-data bench-compare
 
 build:
 	$(GO) build ./...
@@ -178,6 +178,16 @@ reach:
 			printf "reach: %d of %d functions under internal/ unreached, in the packages a main links (%d allowlisted package(s) no main links)\n", \
 				n["unreached"], n["reached"] + n["unreached"], unlinked; \
 			exit bad }' results/REACH.txt
+
+# The committed figures: every table and figure of gridbench -fig all
+# (virtual clocks and seeded fault plans, no wall clock) must reproduce
+# results/gridbench_all.txt byte for byte; the target prints the diff
+# and fails on any change. Nightly, not in check (about a minute).
+figs:
+	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) run ./cmd/gridbench -fig all > "$$tmp" || exit 1; \
+	diff -u results/gridbench_all.txt "$$tmp" || { echo "figs: gridbench -fig all differs from results/gridbench_all.txt"; exit 1; }; \
+	echo "figs: gridbench -fig all matches results/gridbench_all.txt"
 
 # Perf-regression gate: re-run the standard benchmark set and fail on
 # any drift from the committed baseline (message/flop counts exact,

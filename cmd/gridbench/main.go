@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	gridbench [-fig all|3|4|5|6|7|8|table1|table2|messages|faults|...] [-quick] [-faults]
+//	gridbench [-fig all|3|4|5|6|7|8|table1|table2|messages|faults|...] [-quick]
 //
 // The output is one text table per figure panel: the simulator's Gflop/s
 // next to the Section IV model prediction for every point the paper
@@ -38,7 +38,6 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "which figure/table to regenerate: 3,4,5,6,7,8,table1,table2,messages,breakdown,ablation,overlap,trace,weak,straggler,faults,model,all")
 	quick := flag.Bool("quick", false, "trim sweeps for a fast smoke run")
-	faults := flag.Bool("faults", false, "run only the FT-TSQR resilience table (fault-injection sweep); same as -fig faults")
 	platform := flag.String("platform", "", "JSON platform file (default: the paper's Grid'5000)")
 	csvDir := flag.String("csv", "", "also write figure data as CSV files into this directory")
 	traceOut := flag.String("trace", "", "run a traced 2-site TSQR benchmark and write a Chrome/Perfetto trace_event JSON file (load in ui.perfetto.dev)")
@@ -64,9 +63,6 @@ func main() {
 	treeFlag := flag.String("tree", "", "with -scale: restrict the sweep to one reduction tree (grid, binary, flat, binary-shuffled, multi-level; empty = all)")
 	scaleMaxRanks := flag.Int("scale-max-ranks", 4096, "with -baseline: gate committed scale runs only up to this rank count (0 = gate the full sweep, the nightly setting)")
 	flag.Parse()
-	if *faults {
-		*fig = "faults"
-	}
 
 	set := map[string]bool{}
 	flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
@@ -361,7 +357,7 @@ func runSession(f serveFlags, drainedf, lostf string,
 		swap.Set(monitor.Config{
 			Registry: reg,
 			Jobs:     func() any { return srv.Jobs() },
-			Trace:    srv.TraceTail,
+			Trace:    srv.World().TraceTail,
 		})
 	}
 	if f.listen != "" {

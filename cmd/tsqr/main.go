@@ -64,9 +64,18 @@ func main() {
 			global.Rows, global.Cols, p*global.Cols, p)
 	}
 	offsets := scalapack.BlockOffsets(global.Rows, p)
-	if *algo == "caqr" {
+	switch *algo {
+	case "caqr":
 		if _, err := core.CAQRPanelWidth(offsets, *nb); err != nil {
 			fatal("%v; pick -m, -clusters/-procs and -nb so each process's rows are a multiple of -nb", err)
+		}
+	case "tsqr":
+		sizes := make([]int, *clusters)
+		for c := range sizes {
+			sizes[c] = g.Clusters[c].Procs()
+		}
+		if err := core.DomainSplit(sizes, *domains); err != nil {
+			fatal("%v; pick -domains dividing -procs", err)
 		}
 	}
 	fmt.Printf("%s: %d×%d matrix over %d processes (%d clusters, %s tree)\n",

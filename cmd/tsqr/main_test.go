@@ -113,4 +113,9 @@ func TestCLIErrors(t *testing.T) {
 	if code := exitCode(err); code != 2 || strings.Count(out, "\n") != 1 {
 		t.Fatalf("default caqr: exit %d, want 2 with one line:\n%s", code, out)
 	}
+	// Likewise a -domains count that does not divide a cluster's ranks.
+	out, err = runCLI(t, bin, "-m", "600", "-n", "64", "-domains", "3")
+	if code := exitCode(err); code != 2 || strings.Count(out, "\n") != 1 {
+		t.Fatalf("-domains 3: exit %d, want 2 with one line:\n%s", code, out)
+	}
 }

@@ -229,8 +229,8 @@ func loadOnePoint(ctx context.Context, srv *sched.Server, ladder []sched.Plan,
 	if as != nil {
 		row.ScaleUps, row.ScaleDowns = as.Stats()
 	}
-	row.Steals = srv.Stats().Steals
 	slo := srv.SLO()
+	row.Steals = slo.Steals
 	row.ThroughputJPS = float64(row.Completed) / elapsed.Seconds()
 	row.P50Seconds = slo.Latency.P50
 	row.P99Seconds = slo.Latency.P99

@@ -114,7 +114,7 @@ func ResilienceStudy(g *grid.Grid, m, n int, seed int64) []ResilienceRow {
 			comm := mpi.WorldComm(ctx)
 			in := core.Input{M: m, N: n, Offsets: offsets,
 				Local: scalapack.Distribute(global, offsets, ctx.Rank())}
-			r, err := core.FactorizeFT(comm, in, core.Config{FT: core.FTOptions{Enabled: true}})
+			r, err := core.FactorizeFT(comm, in, core.Config{})
 			if ctx.Rank() == 0 {
 				mu.Lock()
 				res, rank0Err = r, err

@@ -81,7 +81,7 @@ func TestServeStudyObservability(t *testing.T) {
 		StudyOptions: StudyOptions{OnPoint: func(srv *sched.Server, reg *telemetry.Registry) {
 			points++
 			lastReg = reg
-			if srv.TraceTail(1) == nil {
+			if srv.World().TraceTail(1) == nil {
 				t.Error("OnPoint server is not ring-traced")
 			}
 		}},

@@ -96,7 +96,7 @@ func TraceOverheadStudy(g *grid.Grid) TraceOverheadRun {
 		OverheadPct:     (traced - base) / base * 100,
 		SpansSeen:       stats.Seen,
 		SpansRetained:   stats.Retained,
-		RetainedBound:   int64(g.Procs()) * int64(TraceOverheadCapacity+TraceOverheadHead),
+		RetainedBound:   stats.Bound,
 	}
 }
 

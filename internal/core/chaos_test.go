@@ -84,7 +84,7 @@ func runChaosWorld(t *testing.T, g *grid.Grid, plan *mpi.FaultPlan, global *matr
 	w := mpi.NewWorld(g, mpi.WithFaults(plan))
 	out := chaosOutcome{errs: make([]error, p)}
 	var mu sync.Mutex
-	cfg := ftConfig()
+	var cfg Config
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -113,10 +113,6 @@ type Config struct {
 
 // FTOptions controls fault-tolerant TSQR.
 type FTOptions struct {
-	// Enabled turns recovery on: on a partner failure the survivors
-	// re-form the reduction tree over the live set and redo only the
-	// lost combines. Off, FactorizeFT degenerates to plain Factorize.
-	Enabled bool
 	// MaxFailures is the degraded-mode threshold: when more than this
 	// many ranks are reported dead the factorization aborts with a typed
 	// FTError instead of recovering. 0 means (P−1)/2.

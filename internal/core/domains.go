@@ -26,44 +26,54 @@ type layout struct {
 	ofRank     []int   // comm rank -> domain id
 }
 
+// DomainSplit fails unless every cluster's rank count (in cluster order)
+// splits into domainsPerCluster equal domains, 0 meaning one per process.
+// buildLayout panics on its error; callers with outside input check first.
+func DomainSplit(clusterRanks []int, domainsPerCluster int) error {
+	for c, n := range clusterRanks {
+		if d := domainsPerCluster; d < 0 || d > 0 && n%d != 0 {
+			return fmt.Errorf("core: cluster %d has %d ranks, not divisible into %d domains", c, n, d)
+		}
+	}
+	return nil
+}
+
 // buildLayout splits every cluster's ranks into domainsPerCluster equal
-// consecutive groups. It panics when the division is impossible — the
-// meta-scheduler's equal-power constraint guarantees it in practice.
-// Topology is queried through the communicator, so the layout is correct
-// on the world comm and on any site-aligned partition of it (consecutive
-// comm ranks on the same site form one "cluster" of the layout even when
-// the partition's sites are not the grid's first sites).
+// consecutive groups (see DomainSplit) — the meta-scheduler's equal-power
+// constraint guarantees the division in practice. Topology is queried
+// through the communicator, so the layout is correct on the world comm
+// and on any site-aligned partition of it (consecutive comm ranks on the
+// same site form one "cluster" of the layout even when the partition's
+// sites are not the grid's first sites).
 func buildLayout(comm *mpi.Comm, domainsPerCluster int) *layout {
 	p := comm.Size()
-	// Cluster rank ranges are contiguous by grid placement; group
-	// consecutive runs of comm ranks sharing a site.
-	var clusterRanks [][]int
+	// Cluster rank ranges are contiguous by grid placement: count the
+	// consecutive runs of comm ranks sharing a site. ranks is the
+	// identity over comm ranks; every domain is a window of it.
+	var sizes []int
 	last := -1
-	for r := 0; r < p; r++ {
-		c := comm.ClusterOf(r)
-		if len(clusterRanks) == 0 || c != last {
-			clusterRanks = append(clusterRanks, nil)
-			last = c
+	ranks := make([]int, p)
+	for r := range ranks {
+		if c := comm.ClusterOf(r); c != last {
+			sizes, last = append(sizes, 0), c
 		}
-		clusterRanks[len(clusterRanks)-1] = append(clusterRanks[len(clusterRanks)-1], r)
+		sizes[len(sizes)-1]++
+		ranks[r] = r
 	}
-	l := &layout{perCluster: make([][]int, len(clusterRanks)), ofRank: make([]int, p)}
-	for c, ranks := range clusterRanks {
-		d := domainsPerCluster
-		if d == 0 {
-			d = len(ranks) // one domain per process
+	if err := DomainSplit(sizes, domainsPerCluster); err != nil {
+		panic(err)
+	}
+	l := &layout{perCluster: make([][]int, len(sizes)), ofRank: make([]int, p)}
+	lead := 0 // first rank of the next domain
+	for c, n := range sizes {
+		size := 1 // one domain per process
+		if domainsPerCluster > 0 {
+			size = n / domainsPerCluster
 		}
-		if d < 1 || len(ranks)%d != 0 {
-			panic(fmt.Sprintf("core: cluster %d has %d ranks, not divisible into %d domains",
-				c, len(ranks), d))
-		}
-		size := len(ranks) / d
-		for i := 0; i < d; i++ {
+		for end := lead + n; lead < end; lead += size {
 			dom := domain{
-				id: len(l.domains), cluster: c,
-				ranks:     ranks[i*size : (i+1)*size],
-				node:      comm.NodeOf(ranks[i*size]),
-				continent: comm.ContinentOf(ranks[i*size]),
+				id: len(l.domains), cluster: c, ranks: ranks[lead : lead+size : lead+size],
+				node: comm.NodeOf(lead), continent: comm.ContinentOf(lead),
 			}
 			l.perCluster[c] = append(l.perCluster[c], dom.id)
 			for _, r := range dom.ranks {

@@ -144,15 +144,10 @@ type ftPartial struct {
 }
 
 // FactorizeFT runs TSQR with failure recovery under the protocol above.
-// It requires data mode and one domain per process. With cfg.FT.Enabled
-// false it simply delegates to Factorize (no recovery, no overhead). On
-// world rank 0 the result carries R; any abort is a typed *FTError, on
-// every surviving rank.
+// It requires data mode and one domain per process. On world rank 0 the
+// result carries R; any abort is a typed *FTError, on every surviving
+// rank.
 func FactorizeFT(comm *mpi.Comm, in Input, cfg Config) (*FTResult, error) {
-	if !cfg.FT.Enabled {
-		res := Factorize(comm, in, cfg)
-		return &FTResult{R: res.R, Stats: FTStats{Epochs: 1}}, nil
-	}
 	in.validate(comm)
 	ctx := comm.Ctx()
 	if !ctx.HasData() {

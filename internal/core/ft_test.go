@@ -11,6 +11,7 @@ import (
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
 	"gridqr/internal/scalapack"
+	"gridqr/internal/telemetry"
 )
 
 // ftOut is one rank's outcome of a fault-tolerant run; ranks killed by
@@ -51,7 +52,22 @@ func runFTGlobal(t *testing.T, g *grid.Grid, plan *mpi.FaultPlan, global *matrix
 	return outs, w
 }
 
-func ftConfig() Config { return Config{FT: FTOptions{Enabled: true}} }
+// traceEvents counts each rank's compute, wait, send and fault spans —
+// the entries a seeded FaultPlan's op indices walk past; phases and
+// no-wait receives are left out.
+func traceEvents(w *mpi.World) []int {
+	tr := w.Trace()
+	counts := make([]int, tr.Ranks())
+	for r := range counts {
+		for _, s := range tr.Track(r) {
+			switch s.Kind {
+			case telemetry.SpanCompute, telemetry.SpanWait, telemetry.EventSend, telemetry.EventFault:
+				counts[r]++
+			}
+		}
+	}
+	return counts
+}
 
 func checkFTR(t *testing.T, out ftOut, global *matrix.Dense) {
 	t.Helper()
@@ -70,7 +86,7 @@ func checkFTR(t *testing.T, out ftOut, global *matrix.Dense) {
 
 func TestFTFaultFree(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2) // 8 procs, 2 clusters
-	outs, _, global := runFT(t, g, nil, 64, 5, ftConfig(), 1)
+	outs, _, global := runFT(t, g, nil, 64, 5, Config{}, 1)
 	checkFTR(t, outs[0], global)
 	if outs[0].res.Stats.Epochs != 1 {
 		t.Errorf("fault-free Epochs = %d, want 1", outs[0].res.Stats.Epochs)
@@ -82,20 +98,13 @@ func TestFTFaultFree(t *testing.T) {
 	}
 }
 
-func TestFTDisabledDelegates(t *testing.T) {
-	g := grid.SmallTestGrid(2, 2, 1)
-	cfg := Config{} // FT off
-	outs, _, global := runFT(t, g, nil, 40, 4, cfg, 2)
-	checkFTR(t, outs[0], global)
-}
-
 func TestFTSingleFailureRecovers(t *testing.T) {
 	// Rank 5 dies right before its first tree send (ops: 0 leaf charge,
 	// 1 buddy send, 2 buddy recv, 3 tree send). The survivors re-form the
 	// tree; rank 6 re-contributes 5's replicated leaf.
 	g := grid.SmallTestGrid(2, 4, 1) // 8 procs, 2 clusters of 4
 	plan := mpi.NewFaultPlan(1).Kill(5, 3)
-	outs, w, global := runFT(t, g, plan, 64, 5, ftConfig(), 3)
+	outs, w, global := runFT(t, g, plan, 64, 5, Config{}, 3)
 	checkFTR(t, outs[0], global)
 	st := outs[0].res.Stats
 	if st.Epochs != 2 {
@@ -123,8 +132,7 @@ func TestFTSingleFailureRecovers(t *testing.T) {
 
 func TestFTTooManyFailuresTypedAbort(t *testing.T) {
 	g := grid.SmallTestGrid(2, 4, 1)
-	cfg := ftConfig()
-	cfg.FT.MaxFailures = 1
+	cfg := Config{FT: FTOptions{MaxFailures: 1}}
 	// Both die right before their first tree send (op 3, as in the
 	// single-failure test), so two deaths are reported against a budget
 	// of one.
@@ -144,7 +152,7 @@ func TestFTBuddyPairLostIsDataLost(t *testing.T) {
 	// dying before replication makes 2's leaf unrecoverable.
 	g := grid.SmallTestGrid(2, 4, 1)
 	plan := mpi.NewFaultPlan(1).Kill(2, 0).Kill(3, 0)
-	outs, _, _ := runFT(t, g, plan, 64, 5, ftConfig(), 5)
+	outs, _, _ := runFT(t, g, plan, 64, 5, Config{}, 5)
 	var fe *FTError
 	if !errors.As(outs[0].err, &fe) || fe.Reason != FTDataLost {
 		t.Fatalf("rank 0 error = %v, want FTError{DataLost}", outs[0].err)
@@ -157,7 +165,7 @@ func TestFTBuddyPairLostIsDataLost(t *testing.T) {
 func TestFTCoordinatorLostTypedAbort(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 1) // 4 procs
 	plan := mpi.NewFaultPlan(1).Kill(0, 2)
-	outs, _, _ := runFT(t, g, plan, 40, 4, ftConfig(), 6)
+	outs, _, _ := runFT(t, g, plan, 40, 4, Config{}, 6)
 	for r := 1; r < len(outs); r++ {
 		var fe *FTError
 		if !errors.As(outs[r].err, &fe) || fe.Reason != FTCoordinatorLost {
@@ -176,16 +184,12 @@ func TestFTDeterminismRegression(t *testing.T) {
 			Kill(5, 3).
 			Drop(mpi.AnyRank, mpi.AnyRank, mpi.AnyTag, 0.2, 1). // one retransmit per sender
 			Delay(mpi.AnyRank, mpi.AnyRank, mpi.AnyTag, 0.3, 1e-4, 0)
-		outs, w, _ := runFT(t, g, plan, 64, 5, ftConfig(), 7,
+		outs, w, _ := runFT(t, g, plan, 64, 5, Config{}, 7,
 			mpi.Virtual(), mpi.Traced())
 		if outs[0].err != nil {
 			t.Fatalf("rank 0 error: %v", outs[0].err)
 		}
-		counts := make([]int, g.Procs())
-		for r, evs := range w.Events() {
-			counts[r] = len(evs)
-		}
-		return append([]float64(nil), outs[0].res.R.Data...), counts
+		return append([]float64(nil), outs[0].res.R.Data...), traceEvents(w)
 	}
 	r1, c1 := run()
 	r2, c2 := run()
@@ -237,7 +241,7 @@ func TestFTPinned(t *testing.T) {
 			perClass: [3]mpi.LinkCount{{}, {Msgs: 22, Bytes: 2384}, {Msgs: 11, Bytes: 664}},
 			events:   "[29 10 13 11 12 6 10 8]"},
 	} {
-		outs, w, _ := runFT(t, g, tc.plan, 64, 5, ftConfig(), 7, mpi.Virtual(), mpi.Traced())
+		outs, w, _ := runFT(t, g, tc.plan, 64, 5, Config{}, 7, mpi.Virtual(), mpi.Traced())
 		if outs[0].err != nil {
 			t.Fatalf("%s: rank 0 error: %v", tc.name, outs[0].err)
 		}
@@ -247,11 +251,7 @@ func TestFTPinned(t *testing.T) {
 				stats[r] = o.res.Stats
 			}
 		}
-		events := make([]int, g.Procs())
-		for r, evs := range w.Events() {
-			events[r] = len(evs)
-		}
-		gotR, gotStats, gotEvents := hashBits(outs[0].res.R), fmt.Sprint(stats), fmt.Sprint(events)
+		gotR, gotStats, gotEvents := hashBits(outs[0].res.R), fmt.Sprint(stats), fmt.Sprint(traceEvents(w))
 		if c := w.Counters(); gotR != tc.r || gotStats != tc.stats || c.PerClass != tc.perClass || gotEvents != tc.events {
 			t.Errorf("%s moved:\n got R %#x stats %s\n     %#v events %s\nwant R %#x stats %s\n     %#v events %s",
 				tc.name, gotR, gotStats, c.PerClass, gotEvents, tc.r, tc.stats, tc.perClass, tc.events)

@@ -22,7 +22,7 @@ func TestTSQRPropertySuite(t *testing.T) {
 	for _, tc := range testmat.Suite() {
 		t.Run(tc.Name, func(t *testing.T) {
 			global := tc.Gen(64, 5, 17)
-			outs, _ := runFTGlobal(t, g, nil, global, Config{Tree: TreeGrid, FT: FTOptions{Enabled: true}})
+			outs, _ := runFTGlobal(t, g, nil, global, Config{Tree: TreeGrid})
 			if outs[0].err != nil {
 				t.Fatalf("rank 0 error: %v", outs[0].err)
 			}

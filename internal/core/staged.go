@@ -183,8 +183,8 @@ func stageMerges(sched []merge) []int {
 
 // checkStagedConfig rejects configurations the staged executor does not
 // support: it checkpoints one R per rank, so every domain must be a
-// single process, and the backward Q pass and the FT protocol have no
-// stage-boundary freeze points. The overlap schedule is refused because
+// single process, and the backward Q pass has no stage-boundary freeze
+// points. The overlap schedule is refused because
 // no caller stages it, not because it could not be leveled.
 func checkStagedConfig(comm *mpi.Comm, cfg Config, l *layout) {
 	if cfg.WantQ || cfg.KeepFactors {
@@ -192,9 +192,6 @@ func checkStagedConfig(comm *mpi.Comm, cfg Config, l *layout) {
 	}
 	if cfg.Overlap {
 		panic("core: staged TSQR does not support overlap pipelining")
-	}
-	if cfg.FT.Enabled {
-		panic("core: staged TSQR does not compose with FT-TSQR")
 	}
 	if len(l.domains) != comm.Size() {
 		panic(fmt.Sprintf("core: staged TSQR needs one domain per process (got %d domains, %d procs)",

@@ -58,8 +58,8 @@ func TestAutoscalerScalesUpAndDown(t *testing.T) {
 	if !changed || as.Level() != 1 {
 		t.Fatalf("backlog of 32 did not scale up (level=%d)", as.Level())
 	}
-	if s.Partitions() != 2 || s.Epoch() != 1 {
-		t.Fatalf("server at partitions=%d epoch=%d after scale-up", s.Partitions(), s.Epoch())
+	if s.SLO().Partitions != 2 || s.SLO().Epoch != 1 {
+		t.Fatalf("server at partitions=%d epoch=%d after scale-up", s.SLO().Partitions, s.SLO().Epoch)
 	}
 	for i, j := range jobs {
 		if res := j.Result(); res.Err != nil {
@@ -71,8 +71,8 @@ func TestAutoscalerScalesUpAndDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !changed || as.Level() != 0 || s.Partitions() != 1 {
-		t.Fatalf("idle server did not scale down (level=%d partitions=%d)", as.Level(), s.Partitions())
+	if !changed || as.Level() != 0 || s.SLO().Partitions != 1 {
+		t.Fatalf("idle server did not scale down (level=%d partitions=%d)", as.Level(), s.SLO().Partitions)
 	}
 	ups, downs := as.Stats()
 	if ups != 1 || downs != 1 {

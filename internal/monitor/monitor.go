@@ -22,7 +22,8 @@ import (
 )
 
 // Config wires the endpoints to their data sources. Nil fields disable
-// the corresponding endpoint (it answers 404).
+// the corresponding endpoint (it answers 404). GET /healthz is a
+// liveness probe: it answers "ok" whenever the endpoint is serving.
 type Config struct {
 	// Registry backs GET /metrics (Prometheus text format) — required.
 	Registry *telemetry.Registry
@@ -30,12 +31,9 @@ type Config struct {
 	// sched.Server.Jobs.
 	Jobs func() any
 	// Trace backs GET /trace?last=N: the last-N-spans-per-rank snapshot,
-	// typically sched.Server.TraceTail. The response is a Chrome
-	// trace-event file (load in chrome://tracing or Perfetto).
+	// typically the serving world's mpi.World.TraceTail. The response is
+	// a Chrome trace-event file (load in chrome://tracing or Perfetto).
 	Trace func(lastN int) *telemetry.Trace
-	// Health backs GET /healthz: return an error to report unhealth
-	// (503 with the error text). Nil means always healthy.
-	Health func() error
 }
 
 // Server is a running monitoring endpoint.
@@ -60,12 +58,6 @@ func Handler(cfg Config) http.Handler {
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Health != nil {
-			if err := cfg.Health(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gridqr/internal/grid"
+	"gridqr/internal/telemetry"
 )
 
 // testWorld returns a real-mode world of n ranks on a 1-proc-per-node
@@ -579,28 +580,30 @@ func TestTraceEvents(t *testing.T) {
 			c.Recv(0, 0)
 		}
 	})
-	evs := w.Events()
-	if len(evs) != 2 {
-		t.Fatalf("event groups = %d", len(evs))
+	tr := w.Trace()
+	if tr.Ranks() != 2 {
+		t.Fatalf("tracks = %d", tr.Ranks())
 	}
 	// Rank 0: one compute, one send.
-	var kinds []EventKind
-	for _, e := range evs[0] {
-		kinds = append(kinds, e.Kind)
+	r0 := tr.Track(0)
+	var kinds []telemetry.Kind
+	for _, s := range r0 {
+		kinds = append(kinds, s.Kind)
 	}
-	if len(kinds) != 2 || kinds[0] != EventCompute || kinds[1] != EventSend {
-		t.Fatalf("rank 0 events: %v", kinds)
+	if len(kinds) != 2 || kinds[0] != telemetry.SpanCompute || kinds[1] != telemetry.EventSend {
+		t.Fatalf("rank 0 spans: %v", kinds)
 	}
-	if evs[0][0].End != 0.25 {
-		t.Fatalf("compute end = %g", evs[0][0].End)
+	if r0[0].End != 0.25 {
+		t.Fatalf("compute end = %g", r0[0].End)
 	}
 	// Rank 1: one wait, inter-cluster, starting at 0.
-	if len(evs[1]) != 1 || evs[1][0].Kind != EventWait {
-		t.Fatalf("rank 1 events: %+v", evs[1])
+	r1 := tr.Track(1)
+	if len(r1) != 1 || r1[0].Kind != telemetry.SpanWait {
+		t.Fatalf("rank 1 spans: %+v", r1)
 	}
-	wait := evs[1][0]
-	if wait.Class != grid.InterCluster || wait.Start != 0 || wait.End <= 0.25 {
-		t.Fatalf("wait event wrong: %+v", wait)
+	wait := r1[0]
+	if wait.Link != telemetry.LinkInterCluster || wait.Start != 0 || wait.End <= 0.25 {
+		t.Fatalf("wait span wrong: %+v", wait)
 	}
 	if wait.Peer != 0 || wait.Bytes != 800 {
 		t.Fatalf("wait metadata wrong: %+v", wait)
@@ -647,10 +650,8 @@ func TestTraceOffByDefault(t *testing.T) {
 			c.Recv(0, 0)
 		}
 	})
-	for _, evs := range w.Events() {
-		if len(evs) != 0 {
-			t.Fatal("events recorded without Traced()")
-		}
+	if w.Trace() != nil {
+		t.Fatal("spans recorded without Traced()")
 	}
 }
 

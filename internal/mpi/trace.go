@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"gridqr/internal/grid"
 	"gridqr/internal/telemetry"
 )
 
@@ -12,44 +11,9 @@ import (
 // structured telemetry.Trace — per-rank spans for every compute charge,
 // message wait and algorithm phase, instantaneous send/recv/fault
 // events, and flow identities binding each send to the receive that
-// consumed it. Everything below (the legacy Event view and the text
-// Gantt chart) is a renderer over that model; richer consumers use
-// World.Trace directly for Chrome export, critical-path analysis and
-// communication matrices.
-
-// EventKind classifies a legacy trace event.
-type EventKind int
-
-const (
-	EventCompute EventKind = iota
-	EventWait              // receiver idle until a message arrived
-	EventSend              // instantaneous on the sender (eager transport)
-	EventFault             // an injected fault fired (drop, delay, retransmit or kill)
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case EventCompute:
-		return "compute"
-	case EventWait:
-		return "wait"
-	case EventFault:
-		return "fault"
-	default:
-		return "send"
-	}
-}
-
-// Event is one timeline entry of one rank — the flat view derived from
-// the structured trace, kept for simple consumers and tests.
-type Event struct {
-	Rank       int
-	Kind       EventKind
-	Start, End float64
-	Peer       int // counterpart rank for Wait/Send; -1 for compute
-	Bytes      float64
-	Class      grid.LinkClass // populated for Wait/Send only; zero value otherwise
-}
+// consumed it. The text Gantt chart below renders its spans; richer
+// consumers use World.Trace directly for Chrome export, critical-path
+// analysis and communication matrices.
 
 // Traced enables unbounded trace collection on a virtual world: every
 // span of every rank is kept, the right policy for post-hoc analysis
@@ -58,7 +22,7 @@ func Traced() Option { return func(w *World) { w.traced = true } }
 
 // TracedRing enables bounded ring-buffer trace collection: each rank
 // retains a fixed head of its span stream plus a fixed-capacity ring of
-// deterministically sampled recent spans (see telemetry.RingConfig), so
+// its most recent spans (see telemetry.RingConfig), so
 // an always-on serving world traces with O(capacity) memory however long
 // it runs, and the shards may be snapshotted live (TraceTail) while
 // ranks are still recording. When both Traced and TracedRing are given,
@@ -71,7 +35,7 @@ func TracedRing(cfg telemetry.RingConfig) Option {
 // world was created with Traced or TracedRing). The trace's Duration is
 // stamped with the final virtual clock so analyses see trailing idle
 // time. For ring-traced worlds this is a snapshot of the retained spans;
-// sampled-out or evicted spans are absent, so flow edges may dangle —
+// evicted spans are absent, so flow edges may dangle —
 // fine for timeline rendering, not for exact critical-path analysis.
 func (w *World) Trace() *telemetry.Trace {
 	switch {
@@ -118,8 +82,9 @@ func (w *World) TraceTail(n int) *telemetry.Trace {
 }
 
 // TraceStats accounts the span stream: for ring worlds, how many spans
-// were offered, kept by the sampling policy, and currently retained; for
-// fully traced worlds seen == kept == retained. Zero on untraced worlds.
+// were offered and are currently retained, and the retention bound; for
+// fully traced worlds seen == retained and there is no bound. Zero on
+// untraced worlds.
 func (w *World) TraceStats() telemetry.RingStats {
 	switch {
 	case w.ring != nil:
@@ -129,39 +94,9 @@ func (w *World) TraceStats() telemetry.RingStats {
 		for r := 0; r < w.trace.Ranks(); r++ {
 			n += int64(len(w.trace.Track(r)))
 		}
-		return telemetry.RingStats{Seen: n, Kept: n, Retained: n}
+		return telemetry.RingStats{Seen: n, Retained: n}
 	}
 	return telemetry.RingStats{}
-}
-
-// Events returns every recorded event in the legacy flat form, grouped
-// by rank (index = rank). Call after Run. Phase spans and no-wait
-// receives exist only in the structured trace.
-func (w *World) Events() [][]Event {
-	out := make([][]Event, w.n)
-	tr := w.Trace()
-	if tr == nil {
-		return out
-	}
-	for r := 0; r < w.n; r++ {
-		for _, s := range tr.Track(r) {
-			e := Event{Rank: r, Start: s.Start, End: s.End, Peer: s.Peer, Bytes: s.Bytes}
-			switch s.Kind {
-			case telemetry.SpanCompute:
-				e.Kind, e.Peer = EventCompute, -1
-			case telemetry.SpanWait:
-				e.Kind, e.Class = EventWait, grid.LinkClass(max(0, int(s.Link)))
-			case telemetry.EventSend:
-				e.Kind, e.Class = EventSend, grid.LinkClass(max(0, int(s.Link)))
-			case telemetry.EventFault:
-				e.Kind = EventFault
-			default:
-				continue // phases and no-wait receives have no flat form
-			}
-			out[r] = append(out[r], e)
-		}
-	}
-	return out
 }
 
 // Gantt renders the trace as one text row per rank over the given number
@@ -179,25 +114,28 @@ func (w *World) Gantt(buckets int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "virtual time: %.6f s, one column = %.2e s\n", total, total/float64(buckets))
 	fmt.Fprintf(&b, "legend: '#' compute, '!' inter-cluster wait, '-' intra-cluster wait, '=' intra-node wait\n")
-	for rank, evs := range w.Events() {
+	tr := w.Trace()
+	for rank := 0; rank < tr.Ranks(); rank++ {
 		// weight[bucket][category]
 		weights := make([][4]float64, buckets)
-		for _, e := range evs {
-			if e.Kind == EventSend || e.Kind == EventFault || e.End <= e.Start {
+		for _, s := range tr.Track(rank) {
+			if s.End <= s.Start {
 				continue
 			}
-			cat := 0
-			if e.Kind == EventWait {
-				switch e.Class {
-				case grid.InterCluster:
-					cat = 1
-				case grid.IntraCluster:
-					cat = 2
-				default:
-					cat = 3
-				}
+			var cat int
+			switch {
+			case s.Kind == telemetry.SpanCompute:
+				cat = 0
+			case s.Kind != telemetry.SpanWait:
+				continue // phases have no glyph; instants have no width
+			case s.Link == telemetry.LinkInterCluster:
+				cat = 1
+			case s.Link == telemetry.LinkIntraCluster:
+				cat = 2
+			default:
+				cat = 3
 			}
-			spread(weights, e.Start/total, e.End/total, cat)
+			spread(weights, s.Start/total, s.End/total, cat)
 		}
 		row := make([]byte, buckets)
 		glyphs := [4]byte{'#', '!', '-', '='}

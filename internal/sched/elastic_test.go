@@ -83,7 +83,7 @@ func TestPreemptResumeBitwise(t *testing.T) {
 	if got := res.Counters.Total().Msgs; got != refMsgs {
 		t.Fatalf("job msgs across preemptions %d != uninterrupted %d", got, refMsgs)
 	}
-	if got := s.Stats().Preempted; got != 2 {
+	if got := s.SLO().Preempted; got != 2 {
 		t.Errorf("preempted counter = %d, want 2", got)
 	}
 }
@@ -118,7 +118,7 @@ func TestPreemptedResumeWithoutPartition(t *testing.T) {
 	if res.Preemptions != 1 || res.Partition != -1 || res.R != nil {
 		t.Fatalf("stranded resume result = %+v", res)
 	}
-	if st := s.Stats(); st.Preempted != 1 || st.Failed != 1 {
+	if st := s.SLO(); st.Preempted != 1 || st.Failed != 1 {
 		t.Fatalf("stats = %+v, want 1 preempted, 1 failed", st)
 	}
 }
@@ -167,8 +167,8 @@ func TestReconfigureParksPreempted(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.Preemptions != 1 || s.Epoch() != 1 {
-		t.Fatalf("preemptions = %d, epoch = %d; want 1, 1", res.Preemptions, s.Epoch())
+	if res.Preemptions != 1 || s.SLO().Epoch != 1 {
+		t.Fatalf("preemptions = %d, epoch = %d; want 1, 1", res.Preemptions, s.SLO().Epoch)
 	}
 	want, wantC := soloTSQR(subGrid(g, plan.Groups[0]), spec)
 	if !bitwiseEqual(res.R, want) {
@@ -216,7 +216,7 @@ func TestWorkStealing(t *testing.T) {
 			onStolen++
 		}
 	}
-	if s.Stats().Steals == 0 {
+	if s.SLO().Steals == 0 {
 		t.Error("idle partition never stole from the loaded queue")
 	}
 	if onStolen == 0 {
@@ -244,8 +244,8 @@ func TestReconfigureElastic(t *testing.T) {
 	if err := s.Reconfigure(SiteGroups(g, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Epoch() != 1 || s.Partitions() != 1 {
-		t.Fatalf("epoch=%d partitions=%d after scale-up", s.Epoch(), s.Partitions())
+	if s.SLO().Epoch != 1 || s.SLO().Partitions != 1 {
+		t.Fatalf("epoch=%d partitions=%d after scale-up", s.SLO().Epoch, s.SLO().Partitions)
 	}
 	for i, j := range jobs {
 		if res := j.Result(); res.Err != nil {
@@ -274,8 +274,8 @@ func TestReconfigureElastic(t *testing.T) {
 	if err := s.Reconfigure(sparse); err != nil {
 		t.Fatal(err)
 	}
-	if s.Epoch() != 2 || s.Partitions() != 2 {
-		t.Fatalf("epoch=%d partitions=%d after sparse plan", s.Epoch(), s.Partitions())
+	if s.SLO().Epoch != 2 || s.SLO().Partitions != 2 {
+		t.Fatalf("epoch=%d partitions=%d after sparse plan", s.SLO().Epoch, s.SLO().Partitions)
 	}
 	j2, err := s.Submit(JobSpec{Kind: KindTSQR, M: 1 << 12, N: 16, Seed: 10})
 	if err != nil {
@@ -289,7 +289,7 @@ func TestReconfigureElastic(t *testing.T) {
 	if err := s.Reconfigure(Plan{Groups: [][]int{{0, 1}, {1, 2}}}); err == nil {
 		t.Error("overlapping plan accepted")
 	}
-	if s.Epoch() != 2 {
+	if s.SLO().Epoch != 2 {
 		t.Error("failed reconfigure changed the epoch")
 	}
 }
@@ -301,7 +301,7 @@ func TestSurvivorReform(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2)
 	fp := mpi.NewFaultPlan(7).Kill(1, 40)
 	fp.RecvTimeout = 5 * time.Second
-	s := Start(Config{Grid: g, Plan: PerSite(g), Faults: fp, MaxRetries: 3})
+	s := Start(Config{Grid: g, Plan: PerSite(g), Faults: fp})
 	defer s.Close()
 
 	// Serve until the kill has landed.
@@ -325,8 +325,8 @@ func TestSurvivorReform(t *testing.T) {
 	if err := s.Reconfigure(survivors); err != nil {
 		t.Fatal(err)
 	}
-	if s.Epoch() != 1 || s.Partitions() != 2 {
-		t.Fatalf("epoch=%d partitions=%d after survivor re-form", s.Epoch(), s.Partitions())
+	if s.SLO().Epoch != 1 || s.SLO().Partitions != 2 {
+		t.Fatalf("epoch=%d partitions=%d after survivor re-form", s.SLO().Epoch, s.SLO().Partitions)
 	}
 	for i := 0; i < 4; i++ {
 		j, err := s.Submit(JobSpec{Kind: KindTSQR, M: 120, N: 8, Seed: int64(100 + i)})
@@ -372,7 +372,7 @@ func TestDeadlineRiskRejection(t *testing.T) {
 		t.Fatalf("feasible-deadline job failed: %v", res.Err)
 	}
 
-	if got := s.Stats().Expired; got != 1 {
+	if got := s.SLO().DeadlineMisses; got != 1 {
 		t.Errorf("expired = %d, want 1", got)
 	}
 	if v := reg.CounterL("sched.rejections", telemetry.Labels{"reason": "deadline"}).Value(); v != 1 {

@@ -292,7 +292,7 @@ func (s *Server) finishPreempted(ex *jobExec, out execOutcome) {
 func (s *Server) failOrRetry(j *Job, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !retryable(err) || j.retries >= s.cfg.MaxRetries ||
+	if !retryable(err) || j.retries >= maxRetries ||
 		(j.stream == nil && s.queuedN >= s.cfg.QueueCap) {
 		s.fail(j, err)
 		return
@@ -323,19 +323,16 @@ func (s *Server) succeed(j *Job, res JobResult) {
 	j.complete(res)
 }
 
-// fail completes a job that will not run again: canceled, expired, out
-// of retries or out of partitions. A stream round takes its stream down
+// fail completes a job that will not run again: expired, out of
+// retries or out of partitions. A stream round takes its stream down
 // with it. Takes no scheduler lock, so it may run with s.mu held.
 func (s *Server) fail(j *Job, err error) {
 	if j.stream != nil {
 		j.stream.fail(err)
 	}
-	switch {
-	case errors.Is(err, ErrCanceled):
-		s.metrics.canceled.Inc()
-	case errors.Is(err, ErrDeadlineExceeded):
+	if errors.Is(err, ErrDeadlineExceeded) {
 		s.metrics.expired.Inc()
-	default:
+	} else {
 		s.metrics.failed.Inc()
 	}
 	s.obs.reg.CounterL("sched.rejections",

@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"gridqr/internal/core"
@@ -75,8 +74,6 @@ var (
 	ErrQueueFull = errors.New("sched: admission queue full")
 	// ErrServerClosed rejects submissions after Close began.
 	ErrServerClosed = errors.New("sched: server closed")
-	// ErrCanceled completes a job whose Cancel ran before dispatch.
-	ErrCanceled = errors.New("sched: job canceled")
 	// ErrDeadlineExceeded completes a job whose queue wait outlived its
 	// deadline.
 	ErrDeadlineExceeded = errors.New("sched: deadline exceeded in queue")
@@ -96,7 +93,7 @@ type JobResult struct {
 	// for failed jobs).
 	R *matrix.Dense
 	// Err is non-nil when the job failed; it is typed
-	// (*mpi.RankFailedError, ErrCanceled, ...).
+	// (*mpi.RankFailedError, ErrDeadlineExceeded, ...).
 	Err error
 
 	// Partition is the index of the grid partition that served the job
@@ -124,13 +121,12 @@ type JobResult struct {
 
 // Job is the future returned by Submit.
 type Job struct {
-	spec     JobSpec
-	id       int64
-	seq      int64 // admission order, the FIFO tiebreak
-	submit   time.Time
-	canceled atomic.Bool
-	done     chan struct{}
-	res      JobResult
+	spec   JobSpec
+	id     int64
+	seq    int64 // admission order, the FIFO tiebreak
+	submit time.Time
+	done   chan struct{}
+	res    JobResult
 
 	// Runner-owned state; accesses are ordered by the queue mutex (a
 	// retried or preempted job passes through a queue between owners).
@@ -164,11 +160,6 @@ func (j *Job) Result() *JobResult {
 	<-j.done
 	return &j.res
 }
-
-// Cancel requests cancellation. A job still in the admission queue
-// completes with ErrCanceled; a job already dispatched runs to completion
-// and Cancel has no effect on its result.
-func (j *Job) Cancel() { j.canceled.Store(true) }
 
 // complete resolves the future exactly once; the queue/dispatcher
 // protocol guarantees a single completer per job.

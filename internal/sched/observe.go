@@ -111,7 +111,7 @@ func (s *Server) SLO() SLO {
 
 // Jobs returns the serving job table: queued jobs (priority order),
 // running jobs, and the most recently finished jobs (newest first, up to
-// Config.RecentJobs).
+// recentJobs).
 func (s *Server) Jobs() []JobInfo {
 	var out []JobInfo
 	var queued []*Job
@@ -138,14 +138,6 @@ func (s *Server) Jobs() []JobInfo {
 	return out
 }
 
-// TraceTail exposes the world's bounded trace collector: the last n
-// retained spans per rank, snapshot live. Nil unless Config.TraceRing
-// was set.
-func (s *Server) TraceTail(n int) *telemetry.Trace { return s.world.TraceTail(n) }
-
-// TraceStats accounts the world's span stream (zero unless tracing).
-func (s *Server) TraceStats() telemetry.RingStats { return s.world.TraceStats() }
-
 // rejectReason classifies a Submit/drop error into the label value of
 // the sched.rejections series.
 func rejectReason(err error) string {
@@ -155,8 +147,6 @@ func rejectReason(err error) string {
 		return "queue_full"
 	case errors.Is(err, ErrServerClosed):
 		return "server_closed"
-	case errors.Is(err, ErrCanceled):
-		return "canceled"
 	case errors.Is(err, ErrDeadlineExceeded):
 		return "deadline"
 	case errors.Is(err, ErrNoPartition):
@@ -177,19 +167,15 @@ type observer struct {
 
 	mu      sync.Mutex
 	running map[int64]JobInfo
-	recent  []JobInfo // ring, newest at (next-1+len)%cap
+	recent  []JobInfo // ring, newest at (next-1+len)%recentJobs
 	next    int
-	cap     int
 }
 
-func newObserver(log *slog.Logger, reg *telemetry.Registry, recentCap int) *observer {
+func newObserver(log *slog.Logger, reg *telemetry.Registry) *observer {
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if recentCap <= 0 {
-		recentCap = 64
-	}
-	return &observer{log: log, reg: reg, running: map[int64]JobInfo{}, cap: recentCap}
+	return &observer{log: log, reg: reg, running: map[int64]JobInfo{}}
 }
 
 func (o *observer) inFlight() int {
@@ -221,12 +207,12 @@ func (o *observer) table() []JobInfo {
 func (o *observer) finish(ji JobInfo) {
 	o.mu.Lock()
 	delete(o.running, ji.ID)
-	if len(o.recent) < o.cap {
+	if len(o.recent) < recentJobs {
 		o.recent = append(o.recent, ji)
 		o.next = 0 // ring not yet wrapped; oldest is index 0
 	} else {
 		o.recent[o.next] = ji
-		o.next = (o.next + 1) % o.cap
+		o.next = (o.next + 1) % recentJobs
 	}
 	o.mu.Unlock()
 }

@@ -18,12 +18,11 @@ func TestSLOAndJobTable(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2)
 	reg := telemetry.NewRegistry()
 	var logBuf bytes.Buffer
+	const jobs = recentJobs + 6 // more than the finished-job table keeps
 	s := Start(Config{
-		Grid: g, CostOnly: true, Registry: reg, RecentJobs: 4,
+		Grid: g, CostOnly: true, Registry: reg, QueueCap: jobs,
 		Logger: slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug})),
 	})
-
-	const jobs = 6
 	var futures []*Job
 	for i := 0; i < jobs; i++ {
 		j, err := s.Submit(JobSpec{Kind: KindTSQR, M: 1 << 12, N: 16, Seed: int64(i)})
@@ -66,10 +65,10 @@ func TestSLOAndJobTable(t *testing.T) {
 		t.Fatalf("by_kind tsqr = %v", v)
 	}
 
-	// Job table: RecentJobs=4 bounds the finished rows, newest first.
+	// Job table: recentJobs bounds the finished rows, newest first.
 	table := s.Jobs()
-	if len(table) != 4 {
-		t.Fatalf("job table rows = %d, want 4", len(table))
+	if len(table) != recentJobs {
+		t.Fatalf("job table rows = %d, want %d", len(table), recentJobs)
 	}
 	for i, ji := range table {
 		if ji.Status != "done" || ji.Kind != "tsqr" || ji.Partition < 0 {
@@ -116,8 +115,7 @@ func TestDroppedJobsTyped(t *testing.T) {
 	g := grid.SmallTestGrid(1, 2, 2)
 	reg := telemetry.NewRegistry()
 	s := Start(Config{Grid: g, CostOnly: true, Registry: reg})
-	// A canceled job: submit then cancel before it can dispatch is racy,
-	// so use a deadline already in the past instead — deterministic.
+	// A deadline already past by the time a pop reaches the job.
 	j, err := s.Submit(JobSpec{Kind: KindTSQR, M: 1 << 10, N: 8, Deadline: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +156,7 @@ func TestServerTraceTail(t *testing.T) {
 	if res := j.Result(); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	tail := s.TraceTail(10)
+	tail := s.World().TraceTail(10)
 	if tail == nil {
 		t.Fatal("no trace tail from ring-traced server")
 	}
@@ -173,7 +171,7 @@ func TestServerTraceTail(t *testing.T) {
 	if spans == 0 {
 		t.Fatal("trace tail empty after a served job")
 	}
-	if st := s.TraceStats(); st.Seen == 0 || st.Retained > int64(g.Procs())*(64+8) {
+	if st := s.World().TraceStats(); st.Seen == 0 || st.Retained > int64(g.Procs())*(64+8) {
 		t.Fatalf("trace stats: %+v", st)
 	}
 	s.Close()
@@ -181,7 +179,7 @@ func TestServerTraceTail(t *testing.T) {
 	// Untraced servers report nil/zero.
 	s2 := Start(Config{Grid: g, CostOnly: true})
 	defer s2.Close()
-	if s2.TraceTail(5) != nil || s2.TraceStats() != (telemetry.RingStats{}) {
+	if s2.World().TraceTail(5) != nil || s2.World().TraceStats() != (telemetry.RingStats{}) {
 		t.Fatal("untraced server exported a trace")
 	}
 }

@@ -11,14 +11,13 @@ import (
 // queue is one partition's wait queue: a priority heap (higher Priority
 // first, FIFO within a priority). It holds admitted work only — Submit
 // enforces the server-wide QueueCap before a job gets here — so it has
-// no bound of its own. Cancellation and deadlines are enforced lazily
-// at pop time: a canceled or expired job stays queued until a pop
-// reaches it.
+// no bound of its own. Deadlines are enforced lazily at pop time: an
+// expired job stays queued until a pop reaches it.
 type queue struct {
 	mu sync.Mutex
 	h  jobHeap
-	// onDrop observes every job the queue completes itself (canceled,
-	// expired); the server counts them there. Called with the queue lock
+	// onDrop observes every job the queue completes itself (expired);
+	// the server counts them there. Called with the queue lock
 	// held, so it must not call back into the queue.
 	onDrop func(*Job, error)
 	// depth mirrors len(h) for the monitoring surface; updated under the
@@ -42,8 +41,8 @@ func (q *queue) push(j *Job) {
 }
 
 // pop removes and returns the highest-priority runnable job, or
-// ok=false when none is queued. Canceled and expired jobs encountered on
-// the way are completed (via onDrop) and skipped.
+// ok=false when none is queued. Expired jobs encountered on the way are
+// completed (via onDrop) and skipped.
 func (q *queue) pop() (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -61,8 +60,7 @@ func (q *queue) pop() (*Job, bool) {
 
 // popMatch removes and returns the highest-priority queued job for which
 // match returns true; work stealing uses it to take a job the thief can
-// run. Canceled/expired matching jobs are dropped on the way, exactly
-// like pop.
+// run. Expired matching jobs are dropped on the way, exactly like pop.
 func (q *queue) popMatch(match func(*Job) bool) (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -89,12 +87,9 @@ func (q *queue) popMatch(match func(*Job) bool) (*Job, bool) {
 	}
 }
 
-// runnable returns nil for a dispatchable job, or the typed error a
-// canceled/expired job must complete with.
+// runnable returns nil for a dispatchable job, or the typed error an
+// expired job must complete with.
 func runnable(j *Job) error {
-	if j.canceled.Load() {
-		return ErrCanceled
-	}
 	// A stream round's spec deadline bounds snapshot requests (enforced
 	// by the stream's shed path), not the round itself: expiring a
 	// queued round would discard committed folds for no reason.
@@ -105,7 +100,7 @@ func runnable(j *Job) error {
 }
 
 // len returns the number of queued jobs (including not-yet-reaped
-// canceled/expired ones).
+// expired ones).
 func (q *queue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

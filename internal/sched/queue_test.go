@@ -45,23 +45,21 @@ func TestQueuePriorityAndFIFO(t *testing.T) {
 	}
 }
 
-func TestQueueDropsCanceledAndExpired(t *testing.T) {
+func TestQueueDropsExpired(t *testing.T) {
 	var dropped []error
 	q := newQueue(func(_ *Job, err error) { dropped = append(dropped, err) }, new(telemetry.Gauge))
-	c := mkJob(0, 0)
-	c.Cancel()
-	e := mkJob(1, 0)
+	e := mkJob(0, 0)
 	expire(e)
-	live := mkJob(2, 0)
-	for _, j := range []*Job{c, e, live} {
+	live := mkJob(1, 0)
+	for _, j := range []*Job{e, live} {
 		q.push(j)
 	}
 	j, ok := q.pop()
-	if !ok || j.seq != 2 {
+	if !ok || j.seq != 1 {
 		t.Fatalf("pop returned %v, want live job", j)
 	}
-	if len(dropped) != 2 || !errors.Is(dropped[0], ErrCanceled) || !errors.Is(dropped[1], ErrDeadlineExceeded) {
-		t.Fatalf("drops %v, want [canceled, deadline]", dropped)
+	if len(dropped) != 1 || !errors.Is(dropped[0], ErrDeadlineExceeded) {
+		t.Fatalf("drops %v, want [deadline]", dropped)
 	}
 }
 
@@ -87,8 +85,8 @@ func TestQueuePopMatch(t *testing.T) {
 }
 
 // FuzzAdmission drives a partition queue with a random sequence of
-// pushes (random priority, some already expired), cancellations,
-// expiries, pops and matched pops, against a model of its contents.
+// pushes (random priority, some already expired), expiries, pops and
+// matched pops, against a model of its contents.
 // Every pop must drop exactly the dead jobs (typed) ordered before the
 // first live candidate and return that candidate, in priority-then-FIFO
 // order; every job completes exactly once (a double complete panics on
@@ -101,10 +99,7 @@ func FuzzAdmission(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		expired := map[*Job]bool{}
 		deadErr := func(j *Job) error {
-			switch {
-			case j.canceled.Load():
-				return ErrCanceled
-			case expired[j]:
+			if expired[j] {
 				return ErrDeadlineExceeded
 			}
 			return nil
@@ -162,11 +157,7 @@ func FuzzAdmission(f *testing.F) {
 				q.push(j)
 				all = append(all, j)
 				queued = append(queued, j)
-			case 3: // cancel a queued job
-				if len(queued) > 0 {
-					queued[int(op&0x1f)%len(queued)].Cancel()
-				}
-			case 4: // expire a queued job
+			case 3, 4: // expire a queued job
 				if len(queued) > 0 {
 					j := queued[int(op&0x1f)%len(queued)]
 					expire(j)

@@ -42,12 +42,8 @@ type Config struct {
 	// MaxBatch is ignored: every execution serves exactly one job. The
 	// field remains so that existing configurations still compile.
 	MaxBatch int
-	// MaxRetries bounds re-dispatches after retryable failures
-	// (default 2).
-	MaxRetries int
-	// Virtual runs the world in virtual (LogGP) time; CostOnly
-	// additionally drops local data (no R factors in results).
-	Virtual  bool
+	// CostOnly runs the world in virtual (LogGP) time and drops local
+	// data (no R factors in results).
 	CostOnly bool
 	// Faults arms the fault-injection plan on the whole world; every
 	// partition inherits it through the sub-communicators.
@@ -60,17 +56,23 @@ type Config struct {
 	// partition/priority/outcome fields. Nil means silent.
 	Logger *slog.Logger
 	// TraceRing arms bounded ring-buffer span tracing on the world
-	// (virtual modes only): the server stays traceable forever in
-	// O(capacity) memory, and TraceTail exports the live tail.
+	// (CostOnly servers, whose world runs virtual time): the server stays
+	// traceable forever in O(capacity) memory, and World().TraceTail
+	// exports the live tail.
 	TraceRing *telemetry.RingConfig
-	// RecentJobs bounds the finished-job table kept for Jobs() and the
-	// monitor's /jobs endpoint (default 64).
-	RecentJobs int
 }
+
+const (
+	// maxRetries bounds a job's re-dispatches after retryable failures.
+	maxRetries = 2
+	// recentJobs bounds the finished-job table kept for Jobs() and the
+	// monitor's /jobs endpoint.
+	recentJobs = 64
+)
 
 type serverMetrics struct {
 	submitted, completed, failed, rejected *telemetry.Counter
-	canceled, expired, retries             *telemetry.Counter
+	expired, retries                       *telemetry.Counter
 	preempted, steals                      *telemetry.Counter
 	queueWait, service, latency            *telemetry.Histogram
 	jobMsgs, jobBytes                      *telemetry.Histogram
@@ -112,7 +114,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		completed:  reg.Counter("sched.jobs.completed"),
 		failed:     reg.Counter("sched.jobs.failed"),
 		rejected:   reg.Counter("sched.jobs.rejected"),
-		canceled:   reg.Counter("sched.jobs.canceled"),
 		expired:    reg.Counter("sched.jobs.expired"),
 		retries:    reg.Counter("sched.jobs.retries"),
 		preempted:  reg.Counter("sched.jobs.preempted"),
@@ -201,22 +202,14 @@ func Start(cfg Config) *Server {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	} else if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 2
-	}
 	var opts []mpi.Option
-	switch {
-	case cfg.CostOnly:
+	if cfg.CostOnly {
 		// The serving world must stay on the goroutine runtime even in
 		// cost-only mode: rank goroutines block on Go channels fed by the
 		// partition runners, which the cooperative event engine cannot
 		// schedule around (ranks there may only block inside the Comm
 		// API).
 		opts = append(opts, mpi.CostOnly(), mpi.GoroutineEngine())
-	case cfg.Virtual:
-		opts = append(opts, mpi.Virtual())
 	}
 	if cfg.Faults != nil {
 		opts = append(opts, mpi.WithFaults(cfg.Faults))
@@ -235,7 +228,7 @@ func Start(cfg Config) *Server {
 		world:   mpi.NewWorld(cfg.Grid, opts...),
 		hasData: !cfg.CostOnly,
 		metrics: newServerMetrics(reg),
-		obs:     newObserver(cfg.Logger, reg, cfg.RecentJobs),
+		obs:     newObserver(cfg.Logger, reg),
 		runDone: make(chan struct{}),
 	}
 	s.workCond = sync.NewCond(&s.mu)
@@ -261,39 +254,6 @@ func Start(cfg Config) *Server {
 // for tests and the bench harness.
 func (s *Server) World() *mpi.World { return s.world }
 
-// Partitions returns the number of space-shares in the current epoch.
-func (s *Server) Partitions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.parts)
-}
-
-// Epoch returns the current partition-plan epoch (0 at Start, bumped by
-// every Reconfigure).
-func (s *Server) Epoch() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
-
-// Stats is a point-in-time snapshot of the serving counters.
-type Stats struct {
-	Submitted, Completed, Failed, Rejected int64
-	Canceled, Expired, Retries             int64
-	Preempted, Steals                      int64
-}
-
-func (s *Server) Stats() Stats {
-	m := &s.metrics
-	return Stats{
-		Submitted: int64(m.submitted.Value()), Completed: int64(m.completed.Value()),
-		Failed: int64(m.failed.Value()), Rejected: int64(m.rejected.Value()),
-		Canceled: int64(m.canceled.Value()), Expired: int64(m.expired.Value()),
-		Retries: int64(m.retries.Value()), Preempted: int64(m.preempted.Value()),
-		Steals: int64(m.steals.Value()),
-	}
-}
-
 // addQueuedLocked adjusts the admitted-undispatched count and mirrors it
 // on the aggregate depth gauge. Caller holds s.mu.
 func (s *Server) addQueuedLocked(delta int) {
@@ -301,8 +261,8 @@ func (s *Server) addQueuedLocked(delta int) {
 	s.metrics.queueDepth.Set(float64(s.queuedN))
 }
 
-// queueDrop observes a job a partition queue completed itself (canceled,
-// expired at pop time). Runs with s.mu and the queue lock held — every
+// queueDrop observes a job a partition queue completed itself (expired
+// at pop time). Runs with s.mu and the queue lock held — every
 // queue mutation goes through the scheduler lock — so it only adjusts
 // counters and resolves the future.
 func (s *Server) queueDrop(j *Job, err error) {

@@ -293,7 +293,7 @@ func (sj *StreamJob) buildRound(ex *jobExec) {
 
 // ensureStreamRound enqueues the stream's next round job unless one is
 // already queued or in flight, or there is nothing to do. A fresh job
-// per round: j.retries, the MaxRetries budget, is per round.
+// per round: j.retries, the maxRetries budget, is per round.
 func (s *Server) ensureStreamRound(sj *StreamJob) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -259,7 +259,7 @@ func streamFaultFired(t *testing.T) bool {
 	spec := JobSpec{N: 6, BlockRows: 144, Seed: 19}
 	fp := mpi.NewFaultPlan(42).Kill(1, 1) // rank 1 (partition 0)
 	fp.RecvTimeout = 5 * time.Second
-	s := Start(Config{Grid: g, Plan: PerSite(g), Faults: fp, MaxRetries: 3})
+	s := Start(Config{Grid: g, Plan: PerSite(g), Faults: fp})
 	defer s.Close()
 
 	sj, err := s.SubmitStream(spec)
@@ -333,8 +333,8 @@ func TestStreamAcrossReconfigure(t *testing.T) {
 	if !bitwiseEqual(snap.R, want) {
 		t.Fatal("R across reconfigure differs from one-shot")
 	}
-	if s.Epoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", s.Epoch())
+	if s.SLO().Epoch != 1 {
+		t.Fatalf("epoch = %d, want 1", s.SLO().Epoch)
 	}
 }
 

@@ -8,12 +8,11 @@ import "sync"
 // cost starts competing with the communication cost it measures. The
 // Ring collector caps both: per rank it retains a fixed head (the spans
 // from the start of the stream, where setup and tree formation live) and
-// a fixed-capacity ring of the most recent sampled spans (the tail,
-// where the live behaviour is), with a deterministic hash-sampling
-// policy in between. Memory is O(ranks × (head + capacity)) regardless
+// a fixed-capacity ring of the most recent spans (the tail, where the
+// live behaviour is). Memory is O(ranks × (head + capacity)) regardless
 // of run length, recording never allocates once a shard's ring is full,
-// and the same seed over the same span stream retains the same spans —
-// so bounded traces are as reproducible as full ones.
+// and the same span stream retains the same spans — so bounded traces
+// are as reproducible as full ones.
 
 // Collector is the span sink behind a traced world: the full Trace and
 // the bounded Ring both implement it, so the runtime records spans the
@@ -44,13 +43,6 @@ type RingConfig struct {
 	// always retained (default 32) — startup and tree formation survive
 	// any amount of later traffic.
 	Head int
-	// SampleEvery keeps a deterministic 1-in-k subset of the post-head
-	// stream before it enters the ring (default 1 = keep everything).
-	// Sampling is a pure hash of (Seed, rank, stream position), so two
-	// runs producing the same span stream retain the same spans.
-	SampleEvery int
-	// Seed salts the sampling hash.
-	Seed int64
 }
 
 func (c RingConfig) withDefaults() RingConfig {
@@ -60,15 +52,11 @@ func (c RingConfig) withDefaults() RingConfig {
 	if c.Head <= 0 {
 		c.Head = 32
 	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 1
-	}
 	return c
 }
 
 // Ring is the bounded, sharded span collector: one shard per rank, each
-// holding the retained head plus a fixed-capacity ring of sampled tail
-// spans. Each shard takes a private mutex per operation so a monitoring
+// holding the retained head plus a fixed-capacity ring of tail spans. Each shard takes a private mutex per operation so a monitoring
 // endpoint can snapshot a live run; the lock is uncontended on the
 // recording path (only the rank's own goroutine writes its shard), so
 // the per-span cost stays a lock/unlock and a struct copy.
@@ -87,8 +75,7 @@ type ringShard struct {
 	head []Span // first cfg.Head spans, kept forever
 	ring []Span // grows to cfg.Capacity, then wraps
 	next int    // oldest slot once len(ring) == Capacity
-	seen int64  // spans offered (the sampling stream position)
-	kept int64  // spans that passed head/sampling (incl. later evicted)
+	seen int64  // spans offered
 	open []Span // stack of open phase spans, pending until EndPhase
 }
 
@@ -102,50 +89,23 @@ func NewRing(ranks int, cfg RingConfig) *Ring {
 // Ranks returns the number of shards.
 func (t *Ring) Ranks() int { return len(t.shards) }
 
-// sampleHash is a splitmix64-style mix of the sampling identity; the
-// decision for stream position n of a rank depends on nothing else, so
-// it is stable across runs, goroutine schedules and snapshot times.
-func sampleHash(seed int64, rank int, n int64) uint64 {
-	x := uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(rank)*0xbf58476d1ce4e5b9 ^ uint64(n)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// keepTail reports whether post-head stream position n of a rank
-// survives sampling.
-func (t *Ring) keepTail(rank int, n int64) bool {
-	if t.cfg.SampleEvery <= 1 {
-		return true
-	}
-	return sampleHash(t.cfg.Seed, rank, n)%uint64(t.cfg.SampleEvery) == 0
-}
-
-// Add records one span under the head/sample/ring policy.
+// Add records one span under the head/ring policy.
 func (t *Ring) Add(s Span) {
 	sh := &t.shards[s.Rank]
 	sh.mu.Lock()
-	n := sh.seen
-	sh.seen++
 	switch {
-	case n < int64(t.cfg.Head):
+	case sh.seen < int64(t.cfg.Head):
 		sh.head = append(sh.head, s)
-		sh.kept++
-	case t.keepTail(s.Rank, n):
-		sh.kept++
-		if len(sh.ring) < t.cfg.Capacity {
-			sh.ring = append(sh.ring, s)
-		} else {
-			sh.ring[sh.next] = s
-			sh.next++
-			if sh.next == t.cfg.Capacity {
-				sh.next = 0
-			}
+	case len(sh.ring) < t.cfg.Capacity:
+		sh.ring = append(sh.ring, s)
+	default:
+		sh.ring[sh.next] = s
+		sh.next++
+		if sh.next == t.cfg.Capacity {
+			sh.next = 0
 		}
 	}
+	sh.seen++
 	sh.mu.Unlock()
 }
 
@@ -213,37 +173,30 @@ func (t *Ring) Snapshot(lastN int) *Trace {
 	return out
 }
 
-// RingStats accounts a ring's stream: how much was offered, how much
-// passed the head/sampling policy, and how much is currently held.
+// RingStats accounts a ring's stream: how much was offered, how much is
+// currently held, and the most it can hold.
 type RingStats struct {
 	// Seen is the total spans offered across all ranks.
 	Seen int64 `json:"seen"`
-	// Kept is how many passed head/sampling (including spans the ring
-	// later evicted); Seen - Kept were sampled out.
-	Kept int64 `json:"kept"`
-	// Retained is how many spans are held right now; it never exceeds
-	// RetainedBound.
+	// Retained is how many spans are held right now.
 	Retained int64 `json:"retained"`
+	// Bound is the hard cap on Retained: ranks × (Head + Capacity).
+	// Open-phase spans are additionally bounded by the deepest phase
+	// nesting, which the algorithms keep O(1). Zero for a full trace,
+	// which keeps every span.
+	Bound int64 `json:"bound"`
 }
 
 // Stats returns a consistent-enough live snapshot of the stream
 // accounting (each shard is read under its lock).
 func (t *Ring) Stats() RingStats {
-	var st RingStats
+	st := RingStats{Bound: int64(len(t.shards)) * int64(t.cfg.Head+t.cfg.Capacity)}
 	for r := range t.shards {
 		sh := &t.shards[r]
 		sh.mu.Lock()
 		st.Seen += sh.seen
-		st.Kept += sh.kept
 		st.Retained += int64(len(sh.head) + len(sh.ring) + len(sh.open))
 		sh.mu.Unlock()
 	}
 	return st
-}
-
-// RetainedBound is the hard cap on retained spans: ranks × (head +
-// capacity). Open-phase spans are additionally bounded by the deepest
-// phase nesting, which the algorithms keep O(1).
-func (t *Ring) RetainedBound() int64 {
-	return int64(len(t.shards)) * int64(t.cfg.Head+t.cfg.Capacity)
 }
