@@ -77,6 +77,18 @@ func TestEventEnginePinned(t *testing.T) {
 			stats: scaleStats,
 			hash:  0x6c6799e0907313e0,
 		},
+		{
+			// The same world untraced: tracing must not move a clock or a
+			// dispatch.
+			name: "scale-multi-level-4096-untraced",
+			g:    gScale,
+			body: func(ctx *mpi.Ctx) {
+				core.Factorize(mpi.WorldComm(ctx), core.Input{M: m, N: ScaleN,
+					Offsets: scalapack.BlockOffsets(m, ranks)}, core.Config{Tree: core.TreeMultiLevel})
+			},
+			stats: scaleStats,
+			hash:  0x6c6799e0907313e0,
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stats, hash := runPinned(tc.g, tc.opts, tc.body)

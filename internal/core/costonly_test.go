@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"sync"
 	"testing"
@@ -122,8 +124,41 @@ func TestDataAndCostOnlyWorldsAgree(t *testing.T) {
 				SnapshotR(mpi.WorldComm(ctx), r, n, Config{Tree: TreeGrid})
 			})
 		}},
+		{"CholeskyQR", func(opt mpi.Option) []rankEnd {
+			return runEnds(g, opt, func(ctx *mpi.Ctx) { CholeskyQR(mpi.WorldComm(ctx), input(ctx)) })
+		}},
+		{"TSLUFactorize", func(opt mpi.Option) []rankEnd {
+			return runEnds(g, opt, func(ctx *mpi.Ctx) {
+				TSLUFactorize(mpi.WorldComm(ctx), input(ctx), TSLUConfig{Tree: TreeGrid})
+			})
+		}},
 	}
 	for _, tc := range cases {
 		sameEnds(t, tc.name, tc.run(mpi.Virtual()), tc.run(mpi.CostOnly()))
+	}
+}
+
+// TestImplicitQApplyEndsPinned pins the one allreduce caller that has no
+// cost-only run: an implicit-Q apply needs the factorization's stored
+// reflectors (Config.KeepFactors requires data mode), so its restSq
+// allreduce runs on data worlds only. LeastSquares factors, applies Qᵀ
+// (the restSq allreduce) and broadcasts x; the hash covers every rank's
+// final clock, per-class traffic and flops, recorded before cost-only
+// collectives stopped carrying payloads.
+func TestImplicitQApplyEndsPinned(t *testing.T) {
+	g := grid.SmallTestGrid(2, 2, 2)
+	m, n := 256, 12
+	offsets := scalapack.BlockOffsets(m, g.Procs())
+	a, b := matrix.Random(m, n, 41), matrix.Random(m, 3, 42)
+	ends := runEnds(g, mpi.Virtual(), func(ctx *mpi.Ctx) {
+		in := Input{M: m, N: n, Offsets: offsets, Local: scalapack.Distribute(a, offsets, ctx.Rank())}
+		LeastSquares(mpi.WorldComm(ctx), in, scalapack.Distribute(b, offsets, ctx.Rank()), Config{Tree: TreeGrid})
+	})
+	h := fnv.New64a()
+	for _, e := range ends {
+		fmt.Fprintf(h, "%x %+v %x|", math.Float64bits(e.clock), e.counts.PerClass, math.Float64bits(e.counts.Flops))
+	}
+	if got, want := h.Sum64(), uint64(0xd35bcde8336a2bf9); got != want {
+		t.Errorf("implicit-Q apply ends hash %#x, pinned %#x", got, want)
 	}
 }
