@@ -128,7 +128,7 @@ func Execute(r Run) Measurement {
 		m.Trace = w.Trace()
 		cp := telemetry.AnalyzeCriticalPath(m.Trace)
 		m.CriticalPath = &cp
-		cm := telemetry.BuildCommMatrix(m.Trace)
+		cm := w.CommMatrix()
 		m.CommMatrix = &cm
 		m.Registry = reg
 	}

@@ -9,7 +9,6 @@ import (
 	"gridqr/internal/mpi"
 	"gridqr/internal/perfmodel"
 	"gridqr/internal/scalapack"
-	"gridqr/internal/telemetry"
 )
 
 // The 1k–32k-rank scale study: the paper's Fig. 4–8 questions re-asked at
@@ -75,8 +74,9 @@ type ScaleRun struct {
 	Bytes         float64 `json:"bytes"`
 	InterSiteMsgs int64   `json:"inter_site_msgs"`
 	// InterContinentMsgs counts messages whose endpoints sit on different
-	// continents (derived from the traced per-site communication matrix;
-	// TSQR points only — ScaLAPACK points are not traced and record -1).
+	// continents, read off the world's site×site traffic matrix. TSQR
+	// points only: ScaLAPACK points record -1, which the committed
+	// baselines and figures expect.
 	// This is the structural win the multi-level tree is after: exactly
 	// continents−1, where flatter trees pay more over the slowest links.
 	InterContinentMsgs int64 `json:"inter_continent_msgs"`
@@ -94,16 +94,7 @@ type ScaleRun struct {
 func ScalePoint(ranks int, algo Algorithm, tree core.Tree) (ScaleRun, mpi.EngineStats) {
 	g := ScalePlatform(ranks)
 	m := ranks * scaleRowsPerRank
-	opts := []mpi.Option{mpi.CostOnly()}
-	// TSQR points are traced so the per-site communication matrix can
-	// attribute traffic to continent crossings (cheap: O(ranks) spans).
-	// ScaLAPACK is left untraced — its 2(P−1) messages per column would
-	// make the trace the dominant memory cost of the sweep.
-	traced := algo == TSQR
-	if traced {
-		opts = append(opts, mpi.Traced())
-	}
-	w := mpi.NewWorld(g, opts...)
+	w := mpi.NewWorld(g, mpi.CostOnly())
 	offsets := scalapack.BlockOffsets(m, ranks)
 	start := time.Now()
 	w.Run(func(ctx *mpi.Ctx) {
@@ -118,8 +109,8 @@ func ScalePoint(ranks int, algo Algorithm, tree core.Tree) (ScaleRun, mpi.Engine
 	})
 	wall := time.Since(start).Seconds()
 	interCont := int64(-1)
-	if traced {
-		cm := telemetry.BuildCommMatrix(w.Trace())
+	if algo == TSQR {
+		cm := w.CommMatrix()
 		interCont = 0
 		for i := range cm.Msgs {
 			for j := range cm.Msgs[i] {

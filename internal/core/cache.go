@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"gridqr/internal/mpi"
-)
+import "gridqr/internal/mpi"
 
 // step is one schedule entry seen from one of its two domains.
 type step struct {
@@ -36,14 +32,23 @@ type compiledSchedule struct {
 	perDom [][]step
 }
 
+// scheduleKey identifies a compiled schedule in World.Shared: the
+// communicator's path — identical on every member and unique per
+// communicator — plus every config field the layout or schedule depends
+// on.
+type scheduleKey struct {
+	path      string
+	size, dpc int
+	tree      Tree
+	seed      int64
+	overlap   bool
+}
+
 // scheduleFor returns the compiled schedule for this (comm, cfg) pair,
-// building it on first use. The cache key is the communicator's path —
-// identical on every member and unique per communicator — plus every
-// config field the layout or schedule depends on.
+// building it on first use.
 func scheduleFor(comm *mpi.Comm, cfg Config) *compiledSchedule {
 	overlap := cfg.Overlap && cfg.Tree == TreeGrid
-	key := fmt.Sprintf("core.sched|%s|p=%d|dpc=%d|tree=%d|seed=%d|ov=%t",
-		comm.Path(), comm.Size(), cfg.DomainsPerCluster, cfg.Tree, cfg.ShuffleSeed, overlap)
+	key := scheduleKey{comm.Path(), comm.Size(), cfg.DomainsPerCluster, cfg.Tree, cfg.ShuffleSeed, overlap}
 	return comm.Ctx().World().Shared(key, func() any {
 		l := buildLayout(comm, cfg.DomainsPerCluster)
 		var sched []merge

@@ -96,18 +96,6 @@ func (g *Grid) ClusterOf(rank int) int {
 	return c
 }
 
-// NodeIndexOf returns a rank's node as a single grid-global index
-// (nodes numbered cluster-major), so callers can group ranks by
-// physical node without tracking (cluster, node) pairs.
-func (g *Grid) NodeIndexOf(rank int) int {
-	c, n, _ := g.Place(rank)
-	base := 0
-	for i := 0; i < c; i++ {
-		base += g.Clusters[i].Nodes
-	}
-	return base + n
-}
-
 // ContinentOf returns the continent of a cluster (0 unless the platform
 // sets Cluster.Continent).
 func (g *Grid) ContinentOf(cluster int) int { return g.Clusters[cluster].Continent }
@@ -148,6 +136,15 @@ func (lc LinkClass) String() string {
 func (g *Grid) LinkBetween(a, b int) (Link, LinkClass) {
 	ca, na, _ := g.Place(a)
 	cb, nb, _ := g.Place(b)
+	return g.Link(ca, na, cb, nb)
+}
+
+// Link classifies a message between two placed processors, each given as
+// (cluster, node): the same node is the shared-memory link, the same
+// cluster its switch, anything else the inter-site link of the pair.
+// Node indices need only agree within a cluster, so per-cluster and
+// grid-global numbering classify alike.
+func (g *Grid) Link(ca, na, cb, nb int) (Link, LinkClass) {
 	if ca == cb {
 		if na == nb {
 			return g.IntraNode, IntraNode

@@ -52,7 +52,7 @@ func (c *Comm) Bcast(root int, data []float64) []float64 {
 	}
 	for mask := 1; mask < n && me&mask == 0; mask <<= 1 {
 		if child := me | mask; child < n {
-			c.sendRaw(abs(child), data, bcastTag)
+			c.sendRaw(abs(child), data, len(data), bcastTag)
 		}
 	}
 	return data
@@ -86,18 +86,25 @@ func (c *Comm) AllreduceOverlap(data []float64, op Op, spare func()) []float64 {
 
 // allreduce is the body of both allreduces: a binomial reduce to rank 0,
 // then a binomial broadcast from it, calling spare (when set) before
-// every receive.
+// every receive. A cost-only world's contributions are zeros that no
+// caller reads, so it walks the same tree with sized nil payloads —
+// same messages, bytes and spare points — skips the copy and the op,
+// and hands the caller its own slice back.
 func (c *Comm) allreduce(data []float64, op Op, spare func()) []float64 {
 	n := c.Size()
 	if n == 1 {
 		return data
 	}
 	defer c.ctx.Phase("allreduce")()
-	me := c.rank
+	me, size := c.rank, len(data)
+	carry := c.ctx.world.hasData
 	acc := data
+	if !carry {
+		acc = nil
+	}
 	for mask := 1; mask < n; mask <<= 1 {
 		if me&mask != 0 {
-			c.sendRaw(me&^mask, acc, reduceTag)
+			c.sendRaw(me&^mask, acc, size, reduceTag)
 			break
 		}
 		if child := me | mask; child < n {
@@ -105,6 +112,9 @@ func (c *Comm) allreduce(data []float64, op Op, spare func()) []float64 {
 				spare()
 			}
 			got := c.recvRaw(child, reduceTag)
+			if !carry {
+				continue
+			}
 			// Accumulate into a private copy the first time so the
 			// caller's slice is never mutated.
 			if len(acc) > 0 && &acc[0] == &data[0] {
@@ -120,13 +130,19 @@ func (c *Comm) allreduce(data []float64, op Op, spare func()) []float64 {
 		if spare != nil {
 			spare()
 		}
-		out = make([]float64, len(data))
-		copy(out, c.recvRaw(me&(me-1), bcastTag))
+		got := c.recvRaw(me&(me-1), bcastTag)
+		if carry {
+			out = make([]float64, size)
+			copy(out, got)
+		}
 	}
 	for mask := 1; mask < n && me&mask == 0; mask <<= 1 {
 		if child := me | mask; child < n {
-			c.sendRaw(child, out, bcastTag)
+			c.sendRaw(child, out, size, bcastTag)
 		}
+	}
+	if !carry {
+		return data
 	}
 	return out
 }

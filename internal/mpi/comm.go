@@ -18,7 +18,7 @@ type Comm struct {
 // would cost O(ranks²) memory for a table whose content is just the
 // identity.
 func WorldComm(ctx *Ctx) *Comm {
-	members := ctx.world.Shared("worldcomm.members", func() any {
+	members := ctx.world.Shared(worldMembersKey{}, func() any {
 		m := make([]int, ctx.Size())
 		for i := range m {
 			m[i] = i
@@ -27,6 +27,10 @@ func WorldComm(ctx *Ctx) *Comm {
 	}).([]int)
 	return &Comm{ctx: ctx, path: "w", members: members, rank: ctx.Rank()}
 }
+
+// worldMembersKey is the World.Shared key of the world communicator's
+// member table.
+type worldMembersKey struct{}
 
 // Rank returns this process's rank within the communicator.
 func (c *Comm) Rank() int { return c.rank }
@@ -42,20 +46,19 @@ func (c *Comm) Ctx() *Ctx { return c.ctx }
 // through world ranks directly), so the same code runs unchanged on the
 // world communicator and on a Sub partition of it.
 func (c *Comm) ClusterOf(r int) int {
-	return c.ctx.world.g.ClusterOf(c.members[r])
+	return c.ctx.world.cluster[c.members[r]]
 }
 
 // NodeOf returns the grid-global node index of a comm rank (nodes
 // numbered cluster-major), the finest level of the platform hierarchy.
 func (c *Comm) NodeOf(r int) int {
-	return c.ctx.world.g.NodeIndexOf(c.members[r])
+	return c.ctx.world.node[c.members[r]]
 }
 
 // ContinentOf returns the continent of a comm rank's site, the coarsest
 // level of the platform hierarchy (always 0 on single-continent grids).
 func (c *Comm) ContinentOf(r int) int {
-	g := c.ctx.world.g
-	return g.ContinentOf(g.ClusterOf(c.members[r]))
+	return c.ctx.world.g.ContinentOf(c.ClusterOf(r))
 }
 
 // Path returns the communicator's tag-namespace path. It is identical on
@@ -120,9 +123,10 @@ func (c *Comm) TryRecv(from, tag int) ([]float64, error) {
 }
 
 // sendRaw / recvRaw bypass tag validation for the communicator's own
-// collective traffic on reserved negative tags.
-func (c *Comm) sendRaw(to int, data []float64, tag int) {
-	if err := c.ctx.sendE(c.members[to], c.path, tag, data, 8*float64(len(data))); err != nil {
+// collective traffic on reserved negative tags. sendRaw prices n floats,
+// which a cost-only collective sends as a nil payload.
+func (c *Comm) sendRaw(to int, data []float64, n, tag int) {
+	if err := c.ctx.sendE(c.members[to], c.path, tag, data, 8*float64(n)); err != nil {
 		panic(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"gridqr/internal/grid"
+	"gridqr/internal/telemetry"
 )
 
 // LinkCount tallies traffic on one link class.
@@ -36,17 +37,20 @@ func (s CounterSnapshot) Total() LinkCount {
 func (s CounterSnapshot) Inter() LinkCount { return s.PerClass[grid.InterCluster] }
 
 // Counters is the mutable, concurrency-safe accumulator behind
-// CounterSnapshot.
+// CounterSnapshot and the world's site×site traffic matrix.
 type Counters struct {
 	mu       sync.Mutex
 	perClass [3]LinkCount
 	flops    float64
+	sites    telemetry.CommMatrix // [sender's site][receiver's site]
 }
 
-func (c *Counters) record(class grid.LinkClass, bytes float64) {
+func (c *Counters) record(class grid.LinkClass, from, to int, bytes float64) {
 	c.mu.Lock()
 	c.perClass[class].Msgs++
 	c.perClass[class].Bytes += bytes
+	c.sites.Msgs[from][to]++
+	c.sites.Bytes[from][to] += bytes
 	c.mu.Unlock()
 }
 
@@ -60,4 +64,15 @@ func (c *Counters) snapshot() CounterSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CounterSnapshot{PerClass: c.perClass, Flops: c.flops}
+}
+
+func (c *Counters) commMatrix() telemetry.CommMatrix {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := telemetry.NewCommMatrix(c.sites.Names)
+	for i := range m.Msgs {
+		copy(m.Msgs[i], c.sites.Msgs[i])
+		copy(m.Bytes[i], c.sites.Bytes[i])
+	}
+	return m
 }

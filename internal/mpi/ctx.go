@@ -46,7 +46,7 @@ func (c *Ctx) World() *World { return c.world }
 
 // Cluster returns the index of the geographical site this rank is placed
 // on — the information QCG-OMPI exposes through JobProfile group ids.
-func (c *Ctx) Cluster() int { return c.world.g.ClusterOf(c.rank) }
+func (c *Ctx) Cluster() int { return c.world.cluster[c.rank] }
 
 // Now returns this rank's current time: virtual seconds in virtual mode,
 // wall-clock seconds since Run started otherwise.
@@ -161,7 +161,9 @@ func (c *Ctx) sendE(to int, comm string, tag int, data []float64, bytes float64)
 	}
 	st := c.world.fstate[c.rank]
 	st.ops++
-	link, class := c.world.g.LinkBetween(c.rank, to)
+	w := c.world
+	from, dst := w.cluster[c.rank], w.cluster[to]
+	link, class := w.g.Link(from, w.node[c.rank], dst, w.node[to])
 	var extra float64 // fault-induced seconds on top of the link cost
 	if plan := c.world.plan; plan != nil {
 		for ri := range plan.rules {
@@ -209,7 +211,7 @@ func (c *Ctx) sendE(to int, comm string, tag int, data []float64, bytes float64)
 			c.noteFault("retransmit", to, class, float64(attempt+1))
 		}
 	}
-	c.world.counters.record(class, bytes)
+	c.world.counters.record(class, from, dst, bytes)
 	rc := &c.world.rankCounts[c.rank]
 	rc.PerClass[class].Msgs++
 	rc.PerClass[class].Bytes += bytes

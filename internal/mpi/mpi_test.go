@@ -385,7 +385,9 @@ func TestCostOnlyMode(t *testing.T) {
 // TestSizedSend: a send that states its length is checked against the
 // payload. On a data world a payload shorter or longer than n panics with
 // the tag and both sizes; on a cost-only world a nil payload is priced at
-// 8n bytes, and the collectives' real slices still go through.
+// 8n bytes, and the collectives are priced by the length each rank
+// passes, whether a broadcast forwards the slice or an allreduce ships
+// a sized nil payload.
 func TestSizedSend(t *testing.T) {
 	g := grid.SmallTestGrid(1, 2, 1)
 	for _, sent := range []int{3, 5} {
@@ -496,6 +498,93 @@ func TestCountersPerClass(t *testing.T) {
 	}
 	if snap.Inter().Bytes != 8 {
 		t.Fatalf("inter bytes = %g", snap.Inter().Bytes)
+	}
+}
+
+// TestWorldCommMatrix: every world counts its site×site traffic, traced
+// or not, data or cost-only. The pattern is asymmetric — no entry equals
+// its transpose — so a matrix indexed [receiver][sender] fails it.
+func TestWorldCommMatrix(t *testing.T) {
+	g := grid.SmallTestGrid(3, 1, 2) // sites 0, 1, 2 hold ranks {0,1}, {2,3}, {4,5}
+	sends := []struct{ from, to, n, times int }{
+		{0, 2, 1, 3}, // site 0 → 1
+		{3, 5, 4, 1}, // site 1 → 2
+		{1, 0, 2, 2}, // site 0 → 0
+		{4, 1, 8, 1}, // site 2 → 0
+	}
+	wantMsgs := [][]int64{{2, 3, 0}, {0, 0, 1}, {1, 0, 0}}
+	wantBytes := [][]float64{{32, 24, 0}, {0, 0, 32}, {64, 0, 0}}
+	for mode, opt := range map[string]Option{"data": Virtual(), "cost-only": CostOnly()} {
+		w := NewWorld(g, opt)
+		w.Run(func(ctx *Ctx) {
+			c := WorldComm(ctx)
+			for _, s := range sends {
+				for i := 0; i < s.times; i++ {
+					switch ctx.Rank() {
+					case s.from:
+						var payload []float64
+						if ctx.HasData() {
+							payload = make([]float64, s.n)
+						}
+						c.Send(s.to, payload, i, s.n)
+					case s.to:
+						c.Recv(s.from, i)
+					}
+				}
+			}
+		})
+		m := w.CommMatrix()
+		if fmt.Sprint(m.Msgs) != fmt.Sprint(wantMsgs) || fmt.Sprint(m.Bytes) != fmt.Sprint(wantBytes) {
+			t.Errorf("%s: site matrix msgs %v bytes %v, want %v and %v", mode, m.Msgs, m.Bytes, wantMsgs, wantBytes)
+		}
+		if fmt.Sprint(m.Names) != "[A B C]" {
+			t.Errorf("%s: site names %v", mode, m.Names)
+		}
+		if msgs, bytes := m.InterSite(); msgs != w.Counters().Inter().Msgs || bytes != w.Counters().Inter().Bytes {
+			t.Errorf("%s: off-diagonal %d msgs %g bytes, inter-cluster counters %+v", mode, msgs, bytes, w.Counters().Inter())
+		}
+		m.Msgs[0][1] = 99
+		if w.CommMatrix().Msgs[0][1] != 3 {
+			t.Errorf("%s: CommMatrix returned the world's own storage", mode)
+		}
+	}
+}
+
+// TestPlacementMatchesGrid: the world's placement table answers every
+// topology query as grid.Place lays ranks out, and a send's link class
+// is the one Grid.LinkBetween gives for the pair.
+func TestPlacementMatchesGrid(t *testing.T) {
+	for _, g := range []*grid.Grid{grid.Grid5000(), grid.SmallTestGrid(3, 2, 2), grid.SyntheticHier([]int{1, 2}, 2, 3)} {
+		var class [3]int64
+		for r := 1; r < g.Procs(); r++ {
+			_, lc := g.LinkBetween(0, r)
+			class[lc]++
+		}
+		w := NewWorld(g, CostOnly())
+		w.Run(func(ctx *Ctx) {
+			comm, r := WorldComm(ctx), ctx.Rank()
+			c, node, _ := g.Place(r)
+			for i := 0; i < c; i++ {
+				node += g.Clusters[i].Nodes
+			}
+			if ctx.Cluster() != c || comm.ClusterOf(r) != c || comm.NodeOf(r) != node ||
+				comm.ContinentOf(r) != g.Clusters[c].Continent {
+				t.Errorf("rank %d placed at cluster %d/%d node %d continent %d, grid says %d, %d, %d",
+					r, ctx.Cluster(), comm.ClusterOf(r), comm.NodeOf(r), comm.ContinentOf(r), c, node, g.Clusters[c].Continent)
+			}
+			if r == 0 {
+				for to := 1; to < comm.Size(); to++ {
+					comm.Send(to, nil, 0, 1)
+				}
+			} else {
+				comm.Recv(0, 0)
+			}
+		})
+		for lc, n := range class {
+			if got := w.Counters().PerClass[lc].Msgs; got != n {
+				t.Errorf("%d clusters: %d %v messages, Grid.LinkBetween says %d", len(g.Clusters), got, grid.LinkClass(lc), n)
+			}
+		}
 	}
 }
 

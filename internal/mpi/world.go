@@ -45,6 +45,8 @@ type World struct {
 	hasData          bool
 	forceGoroutines  bool
 	eng              engine
+	cluster          []int     // each rank's site, laid out once by NewWorld
+	node             []int     // each rank's grid-global node (nodes numbered cluster-major)
 	clocks           []float64 // virtual seconds, one per rank; owner-goroutine access during Run
 	compute          []float64 // virtual seconds each rank spent computing
 	wait             [][3]float64
@@ -74,7 +76,7 @@ type World struct {
 	// would otherwise cost O(ranks) memory *per rank*, which is what
 	// made runs beyond a few thousand ranks blow up quadratically.
 	sharedMu sync.Mutex
-	shared   map[string]any
+	shared   map[any]any
 }
 
 // Option configures a World.
@@ -193,23 +195,29 @@ func NewWorld(g *grid.Grid, opts ...Option) *World {
 	w.wait = make([][3]float64, w.n)
 	w.sendSeq = make([]int64, w.n)
 	w.rankCounts = make([]CounterSnapshot, w.n)
+	// The placement table: every send classifies its link, and every
+	// topology query answers, from it rather than from a scan over the
+	// clusters. Ranks are laid out as grid.Place lays them out.
+	w.cluster, w.node = make([]int, w.n), make([]int, w.n)
+	names := make([]string, len(g.Clusters))
+	r, node := 0, 0
+	for ci, c := range g.Clusters {
+		names[ci] = c.Name
+		for i := 0; i < c.Procs(); i, r = i+1, r+1 {
+			w.cluster[r], w.node[r] = ci, node+i/c.ProcsPerNode
+		}
+		node += c.Nodes
+	}
+	w.counters.sites = telemetry.NewCommMatrix(names)
 	if w.traced || w.ringCfg != nil {
-		sites := make([]int, w.n)
-		for r := range sites {
-			sites[r] = g.ClusterOf(r)
-		}
-		names := make([]string, len(g.Clusters))
-		for i, c := range g.Clusters {
-			names[i] = c.Name
-		}
 		if w.traced {
 			w.trace = telemetry.NewTrace(w.n)
-			w.trace.Sites = sites
+			w.trace.Sites = w.cluster
 			w.trace.SiteNames = names
 			w.collector = w.trace
 		} else {
 			w.ring = telemetry.NewRing(w.n, *w.ringCfg)
-			w.ring.Sites = sites
+			w.ring.Sites = w.cluster
 			w.ring.SiteNames = names
 			w.collector = w.ring
 		}
@@ -222,7 +230,7 @@ func NewWorld(g *grid.Grid, opts ...Option) *World {
 			w.fstate[i].fires = make([]int, len(w.plan.rules))
 		}
 	}
-	w.shared = make(map[string]any)
+	w.shared = make(map[any]any)
 	if w.virtual && !w.hasData && !w.forceGoroutines {
 		w.eng = newEventEngine(w)
 	} else {
@@ -257,8 +265,10 @@ func (w *World) EngineStats() EngineStats {
 // and callers must treat the result as immutable. It exists to share
 // rank-independent structures — communicator member tables, reduction
 // schedules, data layouts — that at tens of thousands of ranks must not
-// be rebuilt (or worse, stored) once per rank.
-func (w *World) Shared(key string, build func() any) any {
+// be rebuilt (or worse, stored) once per rank. The key must be
+// comparable; a struct type private to the caller's package keeps
+// callers' keys apart without formatting a string per rank.
+func (w *World) Shared(key any, build func() any) any {
 	w.sharedMu.Lock()
 	defer w.sharedMu.Unlock()
 	if v, ok := w.shared[key]; ok {
@@ -330,6 +340,12 @@ func (w *World) MaxClock() float64 {
 // Counters returns a snapshot of the message counters accumulated since
 // the world was created.
 func (w *World) Counters() CounterSnapshot { return w.counters.snapshot() }
+
+// CommMatrix returns the site×site traffic accumulated since the world
+// was created: entry [i][j] holds the messages, and their bytes, that a
+// rank on site i sent to a rank on site j. It is counted on every world,
+// traced or not.
+func (w *World) CommMatrix() telemetry.CommMatrix { return w.counters.commMatrix() }
 
 // TimeBreakdown splits a rank's virtual time into computation and the
 // idle gaps spent waiting for messages, per link class — the quantities

@@ -210,32 +210,41 @@ func reflectorFromNorm(alpha, ssq float64) (beta, tau, scale float64) {
 // ExtractR assembles the N×N upper triangular factor on comm rank 0 from
 // whichever ranks own global rows 0..N-1. For the tall matrices this
 // library targets, rank 0's block covers all of R and no messages move.
+// A cost-only world sends the same packed messages as sized nil payloads
+// and returns nil.
 func ExtractR(comm *mpi.Comm, in Input) *matrix.Dense {
-	if !comm.Ctx().HasData() {
-		return nil
-	}
 	const tagR = 1 << 20
 	n := in.N
 	me := comm.Rank()
+	data := comm.Ctx().HasData()
 	myOff, myEnd := in.Offsets[me], in.Offsets[me+1]
 	if me != 0 {
 		if myOff < n { // I own some rows of R: ship them packed.
-			rows := min(myEnd, n) - myOff
-			buf := make([]float64, 0, rows*n)
-			for i := 0; i < rows; i++ {
-				g := myOff + i
-				for k := g; k < n; k++ {
-					buf = append(buf, in.Local.At(i, k))
+			size := 0
+			for g := myOff; g < min(myEnd, n); g++ {
+				size += n - g
+			}
+			var buf []float64
+			if data {
+				buf = make([]float64, 0, size)
+				for i := 0; i < min(myEnd, n)-myOff; i++ {
+					g := myOff + i
+					for k := g; k < n; k++ {
+						buf = append(buf, in.Local.At(i, k))
+					}
 				}
 			}
-			comm.Send(0, buf, tagR)
+			comm.Send(0, buf, tagR, size)
 		}
 		return nil
 	}
-	r := matrix.New(n, n)
-	for i := 0; i < min(myEnd, n); i++ {
-		for k := i; k < n; k++ {
-			r.Set(i, k, in.Local.At(i, k))
+	var r *matrix.Dense
+	if data {
+		r = matrix.New(n, n)
+		for i := 0; i < min(myEnd, n); i++ {
+			for k := i; k < n; k++ {
+				r.Set(i, k, in.Local.At(i, k))
+			}
 		}
 	}
 	for src := 1; src < comm.Size(); src++ {
@@ -244,6 +253,9 @@ func ExtractR(comm *mpi.Comm, in Input) *matrix.Dense {
 			break
 		}
 		buf := comm.Recv(src, tagR)
+		if r == nil {
+			continue
+		}
 		idx := 0
 		for i := 0; i < min(end, n)-off; i++ {
 			g := off + i

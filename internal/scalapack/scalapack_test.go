@@ -175,6 +175,49 @@ func TestPDGEQR2MessageCountModel(t *testing.T) {
 	}
 }
 
+// TestExtractRCostOnlyMatchesData: when R's rows span ranks, ExtractR
+// ships each owner's packed rows to rank 0 on both worlds — a cost-only
+// world as sized nil payloads — so every rank ends at the same clock
+// with the same traffic. Three rows per rank under 16 columns put R on
+// ranks 0–5, across both sites.
+func TestExtractRCostOnlyMatchesData(t *testing.T) {
+	g := grid.SmallTestGrid(2, 2, 2)
+	m, n := 24, 16
+	offsets := BlockOffsets(m, g.Procs())
+	global := matrix.Random(m, n, 13)
+	type end struct {
+		clock  float64
+		counts mpi.CounterSnapshot
+	}
+	run := func(opt mpi.Option) []end {
+		ends := make([]end, g.Procs())
+		mpi.NewWorld(g, opt).Run(func(ctx *mpi.Ctx) {
+			in := Input{M: m, N: n, Offsets: offsets}
+			if ctx.HasData() {
+				in.Local = Distribute(global, offsets, ctx.Rank())
+			}
+			PDGEQR2(mpi.WorldComm(ctx), in)
+			ends[ctx.Rank()] = end{ctx.Now(), ctx.LocalCounters()}
+		})
+		return ends
+	}
+	data, cost := run(mpi.Virtual()), run(mpi.CostOnly())
+	for r := range data {
+		if data[r] != cost[r] {
+			t.Errorf("rank %d: data %+v, cost-only %+v", r, data[r], cost[r])
+		}
+	}
+	// 2(p−1) messages per allreduce, 2N−1 allreduces, and one packed
+	// R message from each of ranks 1–5.
+	var msgs int64
+	for _, e := range cost {
+		msgs += e.counts.Total().Msgs
+	}
+	if want := int64((2*n-1)*2*(g.Procs()-1) + 5); msgs != want {
+		t.Errorf("cost-only PDGEQR2 sent %d messages, want %d", msgs, want)
+	}
+}
+
 func TestPDGEQR2CostOnlyMatchesDataMode(t *testing.T) {
 	// The same run in cost-only mode must produce identical message
 	// counts and virtual time as data mode (virtual).

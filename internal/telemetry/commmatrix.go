@@ -15,23 +15,13 @@ type CommMatrix struct {
 	Bytes [][]float64 `json:"bytes"`
 }
 
-// BuildCommMatrix tallies every send event of the trace by site pair.
-func BuildCommMatrix(t *Trace) CommMatrix {
-	n := t.NumSites()
-	m := CommMatrix{Names: t.SiteNames, Msgs: make([][]int64, n), Bytes: make([][]float64, n)}
+// NewCommMatrix returns an all-zero matrix over the named sites.
+func NewCommMatrix(names []string) CommMatrix {
+	n := len(names)
+	m := CommMatrix{Names: names, Msgs: make([][]int64, n), Bytes: make([][]float64, n)}
+	msgs, bytes := make([]int64, n*n), make([]float64, n*n)
 	for i := range m.Msgs {
-		m.Msgs[i] = make([]int64, n)
-		m.Bytes[i] = make([]float64, n)
-	}
-	for r := 0; r < t.Ranks(); r++ {
-		for _, s := range t.Track(r) {
-			if s.Kind != EventSend {
-				continue
-			}
-			from, to := t.SiteOf(s.Rank), t.SiteOf(s.Peer)
-			m.Msgs[from][to]++
-			m.Bytes[from][to] += s.Bytes
-		}
+		m.Msgs[i], m.Bytes[i] = msgs[i*n:(i+1)*n:(i+1)*n], bytes[i*n:(i+1)*n:(i+1)*n]
 	}
 	return m
 }

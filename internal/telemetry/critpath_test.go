@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -165,16 +166,18 @@ func TestPhaseNesting(t *testing.T) {
 	}
 }
 
+// TestCommMatrix checks the matrix's sums and rows over the DAG trace's
+// two sends: alpha→beta (800 bytes) and beta→beta (80 bytes). The world
+// counts the entries (mpi's TestWorldCommMatrix).
 func TestCommMatrix(t *testing.T) {
-	m := BuildCommMatrix(buildDAGTrace())
-	if len(m.Msgs) != 2 {
+	m := NewCommMatrix([]string{"alpha", "beta"})
+	if len(m.Msgs) != 2 || len(m.Bytes[1]) != 2 {
 		t.Fatalf("sites = %d", len(m.Msgs))
 	}
-	if m.Msgs[0][1] != 1 || m.Bytes[0][1] != 800 {
-		t.Fatalf("alpha→beta = %d msgs %g bytes", m.Msgs[0][1], m.Bytes[0][1])
-	}
-	if m.Msgs[1][1] != 1 || m.Bytes[1][1] != 80 {
-		t.Fatalf("beta→beta = %d msgs %g bytes", m.Msgs[1][1], m.Bytes[1][1])
+	m.Msgs[0][1], m.Bytes[0][1] = 1, 800
+	m.Msgs[1][1], m.Bytes[1][1] = 1, 80
+	if m.Msgs[1][0] != 0 || m.Bytes[0][0] != 0 {
+		t.Fatalf("rows share storage: %v %v", m.Msgs, m.Bytes)
 	}
 	inter, interBytes := m.InterSite()
 	if inter != 1 || interBytes != 800 {
@@ -182,5 +185,8 @@ func TestCommMatrix(t *testing.T) {
 	}
 	if total, _ := m.Total(); total != 2 {
 		t.Fatalf("total msgs = %d", total)
+	}
+	if s := m.String(); !strings.Contains(s, "beta") || !strings.Contains(s, "inter-site total: 1 msgs, 800 bytes") {
+		t.Fatalf("rendered matrix:\n%s", s)
 	}
 }
