@@ -407,8 +407,8 @@ func runServe(g *grid.Grid, loads []int, f serveFlags) bool {
 			srv, reg := s.last()
 			if srv != nil {
 				slo := srv.SLO()
-				fmt.Printf("final SLO (last load point): submitted=%d completed=%d failed=%d rejected=%d retries=%d deadline_misses=%d\n",
-					slo.Submitted, slo.Completed, slo.Failed, slo.Rejected, slo.Retries, slo.DeadlineMisses)
+				fmt.Printf("final SLO (last load point): submitted=%d completed=%d failed=%d rejected=%d retries=%d\n",
+					slo.Submitted, slo.Completed, slo.Failed, slo.Rejected, slo.Retries)
 				fmt.Printf("latency p50=%.4gs p99=%.4gs p999=%.4gs; queue wait p50=%.4gs p99=%.4gs\n\n",
 					slo.Latency.P50, slo.Latency.P99, slo.Latency.P999,
 					slo.QueueWait.P50, slo.QueueWait.P99)
@@ -471,8 +471,8 @@ func runStream(g *grid.Grid, rates []float64, blocks int, f serveFlags) bool {
 			}
 			if srv, _ := s.last(); srv != nil {
 				slo := srv.SLO()
-				fmt.Printf("final SLO (last rate point): blocks=%d snapshots=%d shed=%d retries=%d preempted=%d\n",
-					slo.StreamBlocks, slo.StreamSnapshots, slo.StreamShed, slo.Retries, slo.Preempted)
+				fmt.Printf("final SLO (last rate point): blocks=%d snapshots=%d retries=%d preempted=%d\n",
+					slo.StreamBlocks, slo.StreamSnapshots, slo.Retries, slo.Preempted)
 				fmt.Printf("fold p50=%.4gs p99=%.4gs; snapshot p50=%.4gs p99=%.4gs\n\n",
 					slo.StreamFold.P50, slo.StreamFold.P99,
 					slo.StreamSnapshot.P50, slo.StreamSnapshot.P99)

@@ -51,7 +51,6 @@ type StreamRun struct {
 	// Lost counts accepted blocks that were never folded and must be
 	// zero. The rest of the stream accounting is informational.
 	Lost    int `json:"lost"`
-	Shed    int `json:"shed"`
 	Rounds  int `json:"rounds"`
 	Retries int `json:"retries"`
 
@@ -161,7 +160,6 @@ func streamOnePoint(ctx context.Context, srv *sched.Server, procs int, rate floa
 
 	st := sj.Stats()
 	row.Lost = st.Lost
-	row.Shed = st.Shed
 	row.Rounds = st.Rounds
 	row.Retries = st.Retries
 	row.Snapshots = int(tally.n)
@@ -182,12 +180,12 @@ func FormatStream(g *grid.Grid, rows []StreamRun) string {
 	plan := servePlan(g)
 	fmt.Fprintf(&b, "== Open-loop streaming ingest: incremental TSQR (N=%d, %d rows/block, partition of %d ranks) ==\n",
 		ServeN, StreamBlockRows, len(plan.Groups[0]))
-	fmt.Fprintf(&b, "%8s %7s %6s %5s %5s %9s %11s %11s %11s %11s %10s %10s\n",
-		"rate/s", "blocks", "snaps", "shed", "lost", "blocks/s",
+	fmt.Fprintf(&b, "%8s %7s %6s %5s %9s %11s %11s %11s %11s %10s %10s\n",
+		"rate/s", "blocks", "snaps", "lost", "blocks/s",
 		"fold p50", "fold p99", "snap p50", "snap p99", "msgs/snap", "inter/snap")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%8.0f %7d %6d %5d %5d %9.1f %11.2g %11.2g %11.2g %11.2g %10d %10d\n",
-			r.RatePerS, r.Blocks, r.Snapshots, r.Shed, r.Lost, r.ThroughputBPS,
+		fmt.Fprintf(&b, "%8.0f %7d %6d %5d %9.1f %11.2g %11.2g %11.2g %11.2g %10d %10d\n",
+			r.RatePerS, r.Blocks, r.Snapshots, r.Lost, r.ThroughputBPS,
 			r.FoldP50, r.FoldP99, r.SnapP50, r.SnapP99,
 			r.MsgsPerSnapshot, r.InterSiteMsgsPerSnapshot)
 	}

@@ -107,16 +107,6 @@ type Config struct {
 	Overlap bool
 	// ShuffleSeed seeds TreeBinaryShuffled's permutation.
 	ShuffleSeed int64
-	// FT configures fault-tolerant execution (FactorizeFT).
-	FT FTOptions
-}
-
-// FTOptions controls fault-tolerant TSQR.
-type FTOptions struct {
-	// MaxFailures is the degraded-mode threshold: when more than this
-	// many ranks are reported dead the factorization aborts with a typed
-	// FTError instead of recovering. 0 means (P−1)/2.
-	MaxFailures int
 }
 
 // Input is one process's share of the global matrix, in the same

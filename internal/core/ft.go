@@ -53,7 +53,7 @@ const (
 type FTReason int
 
 const (
-	// FTTooManyFailures: more ranks died than Config.FT.MaxFailures.
+	// FTTooManyFailures: more than (P−1)/2 ranks died.
 	FTTooManyFailures FTReason = iota
 	// FTDataLost: a dead rank's leaf data is unrecoverable (its buddy
 	// replica is dead too, or the replica never arrived).
@@ -160,10 +160,6 @@ func FactorizeFT(comm *mpi.Comm, in Input, cfg Config) (*FTResult, error) {
 	if p > ftMergeSpan {
 		panic(fmt.Sprintf("core: FactorizeFT supports at most %d processes", ftMergeSpan))
 	}
-	maxFail := cfg.FT.MaxFailures
-	if maxFail <= 0 {
-		maxFail = (p - 1) / 2
-	}
 
 	// Leaf factorization: the kernel of Factorize's single-process
 	// domains, R only.
@@ -191,7 +187,7 @@ func FactorizeFT(comm *mpi.Comm, in Input, cfg Config) (*FTResult, error) {
 	knownDead := map[int]bool{}
 	for epoch := 0; epoch <= p; epoch++ {
 		st.stats.Epochs = epoch + 1
-		res, err, again := st.runEpoch(epoch, knownDead, maxFail)
+		res, err, again := st.runEpoch(epoch, knownDead)
 		if !again {
 			return res, err
 		}
@@ -202,7 +198,7 @@ func FactorizeFT(comm *mpi.Comm, in Input, cfg Config) (*FTResult, error) {
 // runEpoch executes one reduction attempt over the ranks not in
 // knownDead. again=true means the coordinator ordered another epoch with
 // a grown knownDead (updated in place).
-func (st *ftState) runEpoch(epoch int, knownDead map[int]bool, maxFail int) (res *FTResult, err error, again bool) {
+func (st *ftState) runEpoch(epoch int, knownDead map[int]bool) (res *FTResult, err error, again bool) {
 	live := make([]int, 0, st.p)
 	for r := 0; r < st.p; r++ {
 		if !knownDead[r] {
@@ -246,7 +242,7 @@ func (st *ftState) runEpoch(epoch int, knownDead map[int]bool, maxFail int) (res
 		switch {
 		case !mine.aborted:
 			status = ctrlDone
-		case len(deadList) > maxFail:
+		case len(deadList) > (st.p-1)/2:
 			status = ctrlTooMany
 		default:
 			// A dead rank is recoverable only through its live buddy.

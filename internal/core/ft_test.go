@@ -132,12 +132,12 @@ func TestFTSingleFailureRecovers(t *testing.T) {
 
 func TestFTTooManyFailuresTypedAbort(t *testing.T) {
 	g := grid.SmallTestGrid(2, 4, 1)
-	cfg := Config{FT: FTOptions{MaxFailures: 1}}
-	// Both die right before their first tree send (op 3, as in the
-	// single-failure test), so two deaths are reported against a budget
-	// of one.
-	plan := mpi.NewFaultPlan(1).Kill(3, 3).Kill(5, 3)
-	outs, _, _ := runFT(t, g, plan, 64, 5, cfg, 4)
+	// Ranks 1, 3, 5 and 7 die right before their first tree send (op 3,
+	// as in the single-failure test): no buddy pair and not the
+	// coordinator, so four deaths are reported against the budget of
+	// (8−1)/2 = 3.
+	plan := mpi.NewFaultPlan(1).Kill(1, 3).Kill(3, 3).Kill(5, 3).Kill(7, 3)
+	outs, _, _ := runFT(t, g, plan, 64, 5, Config{}, 4)
 	var fe *FTError
 	if !errors.As(outs[0].err, &fe) || fe.Reason != FTTooManyFailures {
 		t.Fatalf("rank 0 error = %v, want FTError{TooManyFailures}", outs[0].err)

@@ -131,14 +131,6 @@ func (lc LinkClass) String() string {
 	}
 }
 
-// LinkBetween returns the link parameters and class for a message from
-// rank a to rank b.
-func (g *Grid) LinkBetween(a, b int) (Link, LinkClass) {
-	ca, na, _ := g.Place(a)
-	cb, nb, _ := g.Place(b)
-	return g.Link(ca, na, cb, nb)
-}
-
 // Link classifies a message between two placed processors, each given as
 // (cluster, node): the same node is the shared-memory link, the same
 // cluster its switch, anything else the inter-site link of the pair.

@@ -102,17 +102,24 @@ func TestPlaceOutOfRangePanics(t *testing.T) {
 	}
 }
 
+// linkOf classifies the link between ranks a and b through Place.
+func linkOf(g *Grid, a, b int) (Link, LinkClass) {
+	ca, na, _ := g.Place(a)
+	cb, nb, _ := g.Place(b)
+	return g.Link(ca, na, cb, nb)
+}
+
 func TestLinkBetween(t *testing.T) {
 	g := Grid5000()
-	_, class := g.LinkBetween(0, 1)
+	_, class := linkOf(g, 0, 1)
 	if class != IntraNode {
 		t.Fatalf("ranks 0,1 share a node: got %v", class)
 	}
-	_, class = g.LinkBetween(0, 2)
+	_, class = linkOf(g, 0, 2)
 	if class != IntraCluster {
 		t.Fatalf("ranks 0,2 share a cluster: got %v", class)
 	}
-	l, class := g.LinkBetween(0, 64)
+	l, class := linkOf(g, 0, 64)
 	if class != InterCluster {
 		t.Fatalf("ranks 0,64 on different clusters: got %v", class)
 	}
@@ -120,9 +127,9 @@ func TestLinkBetween(t *testing.T) {
 		t.Fatal("wrong inter-cluster link")
 	}
 	// Symmetric in arguments.
-	l2, _ := g.LinkBetween(64, 0)
+	l2, _ := linkOf(g, 64, 0)
 	if l != l2 {
-		t.Fatal("LinkBetween not symmetric")
+		t.Fatal("Link not symmetric")
 	}
 }
 
@@ -202,7 +209,7 @@ func TestSmallTestGrid(t *testing.T) {
 	if g.Procs() != 12 {
 		t.Fatalf("Procs = %d want 12", g.Procs())
 	}
-	_, class := g.LinkBetween(0, 4)
+	_, class := linkOf(g, 0, 4)
 	if class != InterCluster {
 		t.Fatalf("ranks 0,4 should be inter-cluster, got %v", class)
 	}

@@ -552,12 +552,14 @@ func TestWorldCommMatrix(t *testing.T) {
 
 // TestPlacementMatchesGrid: the world's placement table answers every
 // topology query as grid.Place lays ranks out, and a send's link class
-// is the one Grid.LinkBetween gives for the pair.
+// is the one Grid.Link gives for the pair's Place coordinates.
 func TestPlacementMatchesGrid(t *testing.T) {
 	for _, g := range []*grid.Grid{grid.Grid5000(), grid.SmallTestGrid(3, 2, 2), grid.SyntheticHier([]int{1, 2}, 2, 3)} {
 		var class [3]int64
+		c0, n0, _ := g.Place(0)
 		for r := 1; r < g.Procs(); r++ {
-			_, lc := g.LinkBetween(0, r)
+			c, n, _ := g.Place(r)
+			_, lc := g.Link(c0, n0, c, n)
 			class[lc]++
 		}
 		w := NewWorld(g, CostOnly())
@@ -582,7 +584,7 @@ func TestPlacementMatchesGrid(t *testing.T) {
 		})
 		for lc, n := range class {
 			if got := w.Counters().PerClass[lc].Msgs; got != n {
-				t.Errorf("%d clusters: %d %v messages, Grid.LinkBetween says %d", len(g.Clusters), got, grid.LinkClass(lc), n)
+				t.Errorf("%d clusters: %d %v messages, Grid.Link says %d", len(g.Clusters), got, grid.LinkClass(lc), n)
 			}
 		}
 	}

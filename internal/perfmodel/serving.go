@@ -2,9 +2,9 @@ package perfmodel
 
 // Serving-side extensions of the performance model: queue-drain and
 // deadline-risk estimates the elastic autoscaler steers by. They reuse
-// the Equation 1 predictor, so scaling decisions and admission control
-// are driven by the same analytic model that is validated against the
-// simulator elsewhere — not by a second, ad-hoc cost function.
+// the Equation 1 predictor, so scaling decisions are driven by the same
+// analytic model that is validated against the simulator elsewhere —
+// not by a second, ad-hoc cost function.
 
 // DrainTime predicts how long a backlog of `depth` queued TSQR jobs of
 // one m×n shape takes to drain over `partitions` equal partitions, each

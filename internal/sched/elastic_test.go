@@ -7,7 +7,6 @@ import (
 
 	"gridqr/internal/grid"
 	"gridqr/internal/mpi"
-	"gridqr/internal/telemetry"
 )
 
 // TestPreemptResumeBitwise is the serving-level acceptance criterion: a
@@ -336,47 +335,6 @@ func TestSurvivorReform(t *testing.T) {
 		if res := j.Result(); res.Err != nil {
 			t.Fatalf("job %d on re-formed partitions: %v", i, res.Err)
 		}
-	}
-}
-
-// TestDeadlineRiskRejection pins the dispatch-time predictive deadline
-// check: on a latency-dominated platform the performance model predicts
-// hundreds of milliseconds, so a 50 ms deadline is rejected typed at
-// dispatch — before any simulated communication — while a lax deadline
-// runs to completion.
-func TestDeadlineRiskRejection(t *testing.T) {
-	g := highLatencyGrid(2, 1, 2) // 200 ms wide-area RTT
-	reg := telemetry.NewRegistry()
-	s := Start(Config{Grid: g, Plan: SiteGroups(g, 2), CostOnly: true, Registry: reg})
-	defer s.Close()
-
-	doomed, err := s.Submit(JobSpec{Kind: KindTSQR, M: 4096, N: 16, Seed: 1,
-		Deadline: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := doomed.Result()
-	if !errors.Is(res.Err, ErrDeadlineExceeded) {
-		t.Fatalf("predicted-late job got %v, want ErrDeadlineExceeded", res.Err)
-	}
-	if res.Partition != -1 {
-		t.Errorf("rejected job reports partition %d", res.Partition)
-	}
-
-	relaxed, err := s.Submit(JobSpec{Kind: KindTSQR, M: 4096, N: 16, Seed: 2,
-		Deadline: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := relaxed.Result(); res.Err != nil {
-		t.Fatalf("feasible-deadline job failed: %v", res.Err)
-	}
-
-	if got := s.SLO().DeadlineMisses; got != 1 {
-		t.Errorf("expired = %d, want 1", got)
-	}
-	if v := reg.CounterL("sched.rejections", telemetry.Labels{"reason": "deadline"}).Value(); v != 1 {
-		t.Errorf("deadline rejections = %v, want 1", v)
 	}
 }
 

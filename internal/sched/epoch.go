@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"gridqr/internal/mpi"
-	"gridqr/internal/perfmodel"
 	"gridqr/internal/telemetry"
 )
 
@@ -38,8 +37,7 @@ func (s *Server) installPartitionsLocked(plan Plan) {
 			index:   pi,
 			epoch:   s.epoch,
 			members: append([]int(nil), members...),
-			pred:    perfmodel.Predictor{G: subGrid(s.cfg.Grid, members)},
-			q:       newQueue(s.queueDrop, gauge),
+			q:       newQueue(gauge),
 		}
 		p.healthy.Store(true)
 		s.parts = append(s.parts, p)

@@ -24,12 +24,12 @@ type jobExec struct {
 	reports chan memberReport
 
 	// Stream rounds only: the round parameters fixed at dispatch so every
-	// member runs the same round, the per-member state clones the round
+	// member runs the same round, the per-member folder clones the round
 	// mutates (committed back on success, discarded on failure), and the
 	// snapshot requests this round's barrier will serve.
-	round        *stream.Round
-	streamStates []*stream.State
-	snapReqs     []*snapshotReq
+	round    *stream.Round
+	folders  []*stream.Folder
+	snapReqs []*snapshotReq
 }
 
 // memberReport is one partition member's out-of-band account of an
@@ -113,19 +113,13 @@ func (s *Server) nextExec(p *partition) *jobExec {
 			return nil
 		}
 		gen := s.workGen
-		if j, ok := p.q.pop(); ok {
+		if j, ok := p.q.pop(nil); ok {
 			s.addQueuedLocked(-1)
-			if ex := s.buildExecLocked(p, j); ex != nil {
-				return ex
-			}
-			continue
+			return s.buildExecLocked(p, j)
 		}
 		if j, ok := s.stealLocked(p); ok {
 			s.metrics.steals.Inc()
-			if ex := s.buildExecLocked(p, j); ex != nil {
-				return ex
-			}
-			continue
+			return s.buildExecLocked(p, j)
 		}
 		if s.closing && s.queuedN == 0 && s.inflightN == 0 {
 			return nil
@@ -136,14 +130,9 @@ func (s *Server) nextExec(p *partition) *jobExec {
 	}
 }
 
-// buildExecLocked turns a popped job into an execution on p: the
-// dispatch-time deadline check and the preemption wiring. Returns nil
-// when the job was dropped instead (the caller loops). Caller holds s.mu.
+// buildExecLocked turns a popped job into an execution on p: the stream
+// round's parameters or the preemption wiring. Caller holds s.mu.
 func (s *Server) buildExecLocked(p *partition, j *Job) *jobExec {
-	if err := deadlineRisk(p, j); err != nil {
-		s.fail(j, err)
-		return nil
-	}
 	ex := &jobExec{
 		job:     j,
 		attempt: j.retries + j.preempts,
@@ -171,24 +160,6 @@ func (s *Server) buildExecLocked(p *partition, j *Job) *jobExec {
 	s.inflightN++
 	p.cur.Store(ex)
 	return ex
-}
-
-// deadlineRisk is the dispatch-time end-to-end deadline check: when the
-// partition's performance model predicts the job cannot finish inside
-// its remaining deadline budget, it is rejected now — typed, without
-// burning the partition's time — instead of completing late.
-func deadlineRisk(p *partition, j *Job) error {
-	if j.spec.Deadline <= 0 || j.stream != nil {
-		return nil
-	}
-	remaining := j.spec.Deadline - time.Since(j.submit)
-	if remaining <= 0 {
-		return ErrDeadlineExceeded
-	}
-	if p.pred.TSQRTime(j.spec.M, j.spec.N, false) > remaining.Seconds() {
-		return ErrDeadlineExceeded
-	}
-	return nil
 }
 
 // dispatchExec hands an execution to every live member of the partition.
@@ -323,18 +294,14 @@ func (s *Server) succeed(j *Job, res JobResult) {
 	j.complete(res)
 }
 
-// fail completes a job that will not run again: expired, out of
-// retries or out of partitions. A stream round takes its stream down
+// fail completes a job that will not run again: out of retries or out
+// of partitions. A stream round takes its stream down
 // with it. Takes no scheduler lock, so it may run with s.mu held.
 func (s *Server) fail(j *Job, err error) {
 	if j.stream != nil {
 		j.stream.fail(err)
 	}
-	if errors.Is(err, ErrDeadlineExceeded) {
-		s.metrics.expired.Inc()
-	} else {
-		s.metrics.failed.Inc()
-	}
+	s.metrics.failed.Inc()
 	s.obs.reg.CounterL("sched.rejections",
 		telemetry.Labels{"reason": rejectReason(err)}).Inc()
 	s.obs.failed(j, err)
@@ -400,7 +367,7 @@ func (s *Server) execute(ctx *mpi.Ctx, jcomm *mpi.Comm, ex *jobExec) memberRepor
 		// tag namespace disjoint from anything else on the job path, so
 		// a retried round after a failure can never alias a stale
 		// message from the attempt it replaces.
-		res := stream.RunRound(jcomm.Dup("stream"), ex.streamStates[me], *ex.round)
+		res := stream.RunRound(jcomm.Dup("stream"), ex.folders[me], *ex.round)
 		return memberReport{r: res.R, preempted: res.Preempted, folded: res.Folded,
 			foldTimes: res.FoldTimes, snapTime: res.SnapTime}
 	}

@@ -43,15 +43,6 @@ type JobSpec struct {
 	// (matrix.RandomRows), so the same spec denotes the same matrix
 	// regardless of which partition — or how many ranks — serves it.
 	Seed int64
-	// Priority orders admission: higher runs sooner; ties are FIFO.
-	Priority int
-	// Deadline bounds the queue wait: a job still undispatched after
-	// this duration completes with ErrDeadlineExceeded. Zero = none.
-	// For KindStream it instead bounds each snapshot request: a request
-	// not served within the deadline is shed typed, and the in-flight
-	// round is cut at its next block boundary (folds already committed
-	// are kept — shedding loses no blocks).
-	Deadline time.Duration
 	// BlockRows is the KindStream ingest granularity: global rows per
 	// streamed block. Block b covers global rows
 	// [b·BlockRows, (b+1)·BlockRows), strided over the partition's
@@ -74,9 +65,6 @@ var (
 	ErrQueueFull = errors.New("sched: admission queue full")
 	// ErrServerClosed rejects submissions after Close began.
 	ErrServerClosed = errors.New("sched: server closed")
-	// ErrDeadlineExceeded completes a job whose queue wait outlived its
-	// deadline.
-	ErrDeadlineExceeded = errors.New("sched: deadline exceeded in queue")
 	// ErrNoPartition fails a job when no healthy partition remains (all
 	// lost ranks to the fault plan).
 	ErrNoPartition = errors.New("sched: no healthy partition")
@@ -93,7 +81,7 @@ type JobResult struct {
 	// for failed jobs).
 	R *matrix.Dense
 	// Err is non-nil when the job failed; it is typed
-	// (*mpi.RankFailedError, ErrDeadlineExceeded, ...).
+	// (*mpi.RankFailedError, ErrNoPartition, ...).
 	Err error
 
 	// Partition is the index of the grid partition that served the job
@@ -123,7 +111,7 @@ type JobResult struct {
 type Job struct {
 	spec   JobSpec
 	id     int64
-	seq    int64 // admission order, the FIFO tiebreak
+	seq    int64 // admission order, the queue order
 	submit time.Time
 	done   chan struct{}
 	res    JobResult

@@ -26,7 +26,6 @@ type JobInfo struct {
 	Kind      string  `json:"kind"`
 	M         int     `json:"m"`
 	N         int     `json:"n"`
-	Priority  int     `json:"priority"`
 	Status    string  `json:"status"` // queued | running | done | failed
 	Partition int     `json:"partition"`
 	Retries   int     `json:"retries,omitempty"`
@@ -55,26 +54,24 @@ func quantiles(h *telemetry.Histogram) SLOQuantiles {
 // distributions the serving SLOs are stated against. Latency is
 // submission-to-completion, QueueWait submission-to-dispatch.
 type SLO struct {
-	QueueDepth     int          `json:"queue_depth"`
-	InFlight       int          `json:"in_flight"`
-	Submitted      int64        `json:"submitted"`
-	Completed      int64        `json:"completed"`
-	Failed         int64        `json:"failed"`
-	Rejected       int64        `json:"rejected"`
-	Retries        int64        `json:"retries"`
-	DeadlineMisses int64        `json:"deadline_misses"`
-	Preempted      int64        `json:"preempted"`
-	Steals         int64        `json:"steals"`
-	Epoch          int          `json:"epoch"`
-	Partitions     int          `json:"partitions"`
-	Latency        SLOQuantiles `json:"latency"`
-	QueueWait      SLOQuantiles `json:"queue_wait"`
+	QueueDepth int          `json:"queue_depth"`
+	InFlight   int          `json:"in_flight"`
+	Submitted  int64        `json:"submitted"`
+	Completed  int64        `json:"completed"`
+	Failed     int64        `json:"failed"`
+	Rejected   int64        `json:"rejected"`
+	Retries    int64        `json:"retries"`
+	Preempted  int64        `json:"preempted"`
+	Steals     int64        `json:"steals"`
+	Epoch      int          `json:"epoch"`
+	Partitions int          `json:"partitions"`
+	Latency    SLOQuantiles `json:"latency"`
+	QueueWait  SLOQuantiles `json:"queue_wait"`
 
 	// Streaming ingest: cumulative fold/snapshot counts and the per-block
 	// fold and snapshot barrier latency distributions.
 	StreamBlocks    int64        `json:"stream_blocks,omitempty"`
 	StreamSnapshots int64        `json:"stream_snapshots,omitempty"`
-	StreamShed      int64        `json:"stream_shed,omitempty"`
 	StreamFold      SLOQuantiles `json:"stream_fold,omitempty"`
 	StreamSnapshot  SLOQuantiles `json:"stream_snapshot,omitempty"`
 }
@@ -86,30 +83,28 @@ func (s *Server) SLO() SLO {
 	depth, epoch, nparts := s.queuedN, s.epoch, len(s.parts)
 	s.mu.Unlock()
 	return SLO{
-		QueueDepth:     depth,
-		InFlight:       s.obs.inFlight(),
-		Submitted:      int64(m.submitted.Value()),
-		Completed:      int64(m.completed.Value()),
-		Failed:         int64(m.failed.Value()),
-		Rejected:       int64(m.rejected.Value()),
-		Retries:        int64(m.retries.Value()),
-		DeadlineMisses: int64(m.expired.Value()),
-		Preempted:      int64(m.preempted.Value()),
-		Steals:         int64(m.steals.Value()),
-		Epoch:          epoch,
-		Partitions:     nparts,
-		Latency:        quantiles(m.latency),
-		QueueWait:      quantiles(m.queueWait),
+		QueueDepth: depth,
+		InFlight:   s.obs.inFlight(),
+		Submitted:  int64(m.submitted.Value()),
+		Completed:  int64(m.completed.Value()),
+		Failed:     int64(m.failed.Value()),
+		Rejected:   int64(m.rejected.Value()),
+		Retries:    int64(m.retries.Value()),
+		Preempted:  int64(m.preempted.Value()),
+		Steals:     int64(m.steals.Value()),
+		Epoch:      epoch,
+		Partitions: nparts,
+		Latency:    quantiles(m.latency),
+		QueueWait:  quantiles(m.queueWait),
 
 		StreamBlocks:    int64(m.streamBlocks.Value()),
 		StreamSnapshots: int64(m.streamSnapshots.Value()),
-		StreamShed:      int64(m.streamShed.Value()),
 		StreamFold:      quantiles(m.streamFold),
 		StreamSnapshot:  quantiles(m.streamSnap),
 	}
 }
 
-// Jobs returns the serving job table: queued jobs (priority order),
+// Jobs returns the serving job table: queued jobs (admission order),
 // running jobs, and the most recently finished jobs (newest first, up to
 // recentJobs).
 func (s *Server) Jobs() []JobInfo {
@@ -121,16 +116,11 @@ func (s *Server) Jobs() []JobInfo {
 	}
 	queued = append(queued, s.pending...)
 	s.mu.Unlock()
-	sort.Slice(queued, func(i, j int) bool {
-		if queued[i].spec.Priority != queued[j].spec.Priority {
-			return queued[i].spec.Priority > queued[j].spec.Priority
-		}
-		return queued[i].seq < queued[j].seq
-	})
+	sort.Slice(queued, func(i, j int) bool { return queued[i].seq < queued[j].seq })
 	for _, j := range queued {
 		out = append(out, JobInfo{
 			ID: j.id, Kind: j.spec.Kind.String(), M: j.spec.M, N: j.spec.N,
-			Priority: j.spec.Priority, Status: "queued", Partition: -1,
+			Status: "queued", Partition: -1,
 			QueueWait: time.Since(j.submit).Seconds(),
 		})
 	}
@@ -147,8 +137,6 @@ func rejectReason(err error) string {
 		return "queue_full"
 	case errors.Is(err, ErrServerClosed):
 		return "server_closed"
-	case errors.Is(err, ErrDeadlineExceeded):
-		return "deadline"
 	case errors.Is(err, ErrNoPartition):
 		return "no_partition"
 	case errors.As(err, &se):
@@ -220,7 +208,7 @@ func (o *observer) finish(ji JobInfo) {
 // jobAttrs are the common structured-log fields of one job.
 func jobAttrs(j *Job) []any {
 	return []any{"id", j.id, "kind", j.spec.Kind.String(),
-		"m", j.spec.M, "n", j.spec.N, "priority", j.spec.Priority}
+		"m", j.spec.M, "n", j.spec.N}
 }
 
 func (o *observer) submitted(j *Job) {
@@ -237,7 +225,7 @@ func (o *observer) rejected(spec JobSpec, err error) {
 func (o *observer) dispatched(j *Job, partition int) {
 	ji := JobInfo{
 		ID: j.id, Kind: j.spec.Kind.String(), M: j.spec.M, N: j.spec.N,
-		Priority: j.spec.Priority, Status: "running", Partition: partition,
+		Status: "running", Partition: partition,
 		Retries: j.retries, QueueWait: j.dispatched.Sub(j.submit).Seconds(),
 	}
 	o.mu.Lock()
@@ -252,7 +240,7 @@ func (o *observer) completed(j *Job, res *JobResult) {
 		telemetry.Labels{"partition": strconv.Itoa(res.Partition)}).Inc()
 	o.finish(JobInfo{
 		ID: j.id, Kind: j.spec.Kind.String(), M: j.spec.M, N: j.spec.N,
-		Priority: j.spec.Priority, Status: "done", Partition: res.Partition,
+		Status: "done", Partition: res.Partition,
 		Retries: res.Retries, QueueWait: res.QueueWait.Seconds(), Service: res.Service.Seconds(),
 	})
 	o.log.Info("job completed", append(jobAttrs(j),
@@ -263,7 +251,7 @@ func (o *observer) completed(j *Job, res *JobResult) {
 func (o *observer) failed(j *Job, err error) {
 	o.finish(JobInfo{
 		ID: j.id, Kind: j.spec.Kind.String(), M: j.spec.M, N: j.spec.N,
-		Priority: j.spec.Priority, Status: "failed", Partition: -1,
+		Status: "failed", Partition: -1,
 		Retries: j.retries, Error: err.Error(),
 	})
 	o.log.Warn("job failed", append(jobAttrs(j),

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gridqr/internal/grid"
+	"gridqr/internal/mpi"
 	"gridqr/internal/telemetry"
 )
 
@@ -109,31 +110,34 @@ func TestObserveQuietByDefault(t *testing.T) {
 	}
 }
 
-// TestDroppedJobsTyped: queue-time drops land in the typed rejection
-// series and the job table as failures.
+// TestDroppedJobsTyped: a job that can never run again lands in the
+// typed rejection series and the job table as a failure. The fault plan
+// kills a member of the only partition during the job; the retry finds
+// no healthy partition left and fails with ErrNoPartition.
 func TestDroppedJobsTyped(t *testing.T) {
-	g := grid.SmallTestGrid(1, 2, 2)
+	g := grid.SmallTestGrid(1, 2, 2) // one site: one partition of 4
 	reg := telemetry.NewRegistry()
-	s := Start(Config{Grid: g, CostOnly: true, Registry: reg})
-	// A deadline already past by the time a pop reaches the job.
-	j, err := s.Submit(JobSpec{Kind: KindTSQR, M: 1 << 10, N: 8, Deadline: time.Nanosecond})
+	fp := mpi.NewFaultPlan(1).Kill(1, 0)
+	fp.RecvTimeout = 5 * time.Second // liveness net, not part of the scenario
+	s := Start(Config{Grid: g, CostOnly: true, Registry: reg, Faults: fp})
+	j, err := s.Submit(JobSpec{Kind: KindTSQR, M: 1 << 10, N: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := j.Result()
 	s.Close()
-	if !errors.Is(res.Err, ErrDeadlineExceeded) {
-		t.Skipf("job dispatched before its deadline check: %v", res.Err)
+	if !errors.Is(res.Err, ErrNoPartition) || res.Partition != -1 {
+		t.Fatalf("job finished with %v on partition %d, want ErrNoPartition on -1", res.Err, res.Partition)
 	}
-	if v := reg.CounterL("sched.rejections", telemetry.Labels{"reason": "deadline"}).Value(); v != 1 {
-		t.Fatalf("deadline rejections = %v", v)
+	if v := reg.CounterL("sched.rejections", telemetry.Labels{"reason": "no_partition"}).Value(); v != 1 {
+		t.Fatalf("no_partition rejections = %v", v)
 	}
-	if s.SLO().DeadlineMisses != 1 {
-		t.Fatalf("deadline misses: %+v", s.SLO())
+	if slo := s.SLO(); slo.Failed != 1 || slo.Completed != 0 {
+		t.Fatalf("SLO after the dropped job: %+v", slo)
 	}
 	var found bool
 	for _, ji := range s.Jobs() {
-		if ji.ID == j.ID() && ji.Status == "failed" && ji.Error != "" {
+		if ji.ID == j.ID() && ji.Status == "failed" && ji.Error == ErrNoPartition.Error() {
 			found = true
 		}
 	}

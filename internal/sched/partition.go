@@ -90,53 +90,3 @@ func (p Plan) validate(g *grid.Grid) error {
 	}
 	return nil
 }
-
-// subGrid builds the grid a partition effectively runs on: its member
-// ranks regrouped into clusters, preserving link parameters and kernel
-// rates, so the perfmodel Predictor prices jobs (the dispatch-time
-// deadline check) with the partition's real topology. A partial site becomes a cluster with the
-// member count as its processor count (node-aligned when the slice
-// divides by ProcsPerNode).
-func subGrid(g *grid.Grid, members []int) *grid.Grid {
-	// Group members by site, preserving order.
-	var sites []int  // distinct site indices, in member order
-	var counts []int // member count per site
-	last := -1
-	for _, r := range members {
-		c := g.ClusterOf(r)
-		if len(sites) == 0 || c != last {
-			sites = append(sites, c)
-			counts = append(counts, 0)
-			last = c
-		}
-		counts[len(counts)-1]++
-	}
-	sub := &grid.Grid{
-		Clusters:    make([]grid.Cluster, len(sites)),
-		Inter:       make([][]grid.Link, len(sites)),
-		IntraNode:   g.IntraNode,
-		KernelHalfN: g.KernelHalfN,
-		KernelEff:   g.KernelEff,
-	}
-	for i, c := range sites {
-		cl := g.Clusters[c]
-		n := counts[i]
-		if n%cl.ProcsPerNode == 0 {
-			cl.Nodes = n / cl.ProcsPerNode
-		} else {
-			cl.Nodes, cl.ProcsPerNode = n, 1
-		}
-		sub.Clusters[i] = cl
-	}
-	for i, ci := range sites {
-		sub.Inter[i] = make([]grid.Link, len(sites))
-		for j, cj := range sites {
-			a, b := ci, cj
-			if a > b {
-				a, b = b, a
-			}
-			sub.Inter[i][j] = g.Inter[a][b]
-		}
-	}
-	return sub
-}

@@ -3,8 +3,6 @@ package sched
 import (
 	"slices"
 	"sync/atomic"
-
-	"gridqr/internal/perfmodel"
 )
 
 // partition is one space-share of the grid: a site-aligned rank set with
@@ -14,7 +12,6 @@ type partition struct {
 	index   int   // index within its epoch's plan
 	epoch   int   // epoch that formed this partition
 	members []int // world ranks, ascending
-	pred    perfmodel.Predictor
 	q       *queue
 	cur     atomic.Pointer[jobExec] // in-flight execution, for preemption
 	healthy atomic.Bool
@@ -90,7 +87,7 @@ func fitsPartition(j *Job, p *partition) bool {
 	return fits(j.spec, procs)
 }
 
-// stealLocked takes the best queued job this partition can run from the
+// stealLocked takes the earliest queued job this partition can run from the
 // most loaded other live queue — work-stealing drains imbalanced
 // partition queues without a central dispatcher. Caller holds s.mu.
 func (s *Server) stealLocked(p *partition) (*Job, bool) {
@@ -106,7 +103,7 @@ func (s *Server) stealLocked(p *partition) (*Job, bool) {
 	if victim == nil {
 		return nil, false
 	}
-	j, ok := victim.q.popMatch(func(o *Job) bool {
+	j, ok := victim.q.pop(func(o *Job) bool {
 		if !fitsPartition(o, p) || o.avoid == p.index {
 			return false
 		}
@@ -137,7 +134,7 @@ func (s *Server) checkHealthLocked(p *partition) {
 func (s *Server) takeLocked(p *partition) []*Job {
 	var jobs []*Job
 	for {
-		j, ok := p.q.pop()
+		j, ok := p.q.pop(nil)
 		if !ok {
 			return jobs
 		}

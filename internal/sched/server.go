@@ -53,7 +53,7 @@ type Config struct {
 	Registry *telemetry.Registry
 	// Logger receives structured per-job lifecycle records (submitted,
 	// dispatched, preempted, completed, failed, retrying) with id/kind/
-	// partition/priority/outcome fields. Nil means silent.
+	// partition/outcome fields. Nil means silent.
 	Logger *slog.Logger
 	// TraceRing arms bounded ring-buffer span tracing on the world
 	// (CostOnly servers, whose world runs virtual time): the server stays
@@ -72,14 +72,12 @@ const (
 
 type serverMetrics struct {
 	submitted, completed, failed, rejected *telemetry.Counter
-	expired, retries                       *telemetry.Counter
-	preempted, steals                      *telemetry.Counter
+	retries, preempted, steals             *telemetry.Counter
 	queueWait, service, latency            *telemetry.Histogram
 	jobMsgs, jobBytes                      *telemetry.Histogram
 	queueDepth, inflight                   *telemetry.Gauge
 	epoch, partitions                      *telemetry.Gauge
 	streamBlocks, streamSnapshots          *telemetry.Counter
-	streamShed                             *telemetry.Counter
 	streamFold, streamSnap                 *telemetry.Histogram
 }
 
@@ -89,11 +87,10 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		"sched.jobs.completed":          "jobs finished successfully",
 		"sched.jobs.failed":             "jobs finished with an error",
 		"sched.jobs.rejected":           "submissions refused at admission",
-		"sched.jobs.expired":            "jobs that missed their deadline",
 		"sched.jobs.retries":            "re-dispatches after retryable failures",
 		"sched.jobs.preempted":          "tree-stage checkpoints taken from running jobs",
 		"sched.work.steals":             "jobs stolen from another partition's queue",
-		"sched.rejections":              "rejections, drops and failures by typed reason",
+		"sched.rejections":              "rejections and failures by typed reason",
 		"sched.queue.depth":             "jobs currently queued (per-partition series labeled)",
 		"sched.inflight":                "jobs currently dispatched and running",
 		"sched.epoch":                   "current partition-plan epoch",
@@ -103,7 +100,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		"sched.service_seconds":         "dispatch-to-completion service time",
 		"sched.stream.blocks":           "stream blocks folded and committed",
 		"sched.stream.snapshots":        "stream snapshot barriers served",
-		"sched.stream.shed":             "stream snapshot requests shed at their deadline",
 		"sched.stream.fold_seconds":     "per-block stream fold latency",
 		"sched.stream.snapshot_seconds": "stream snapshot barrier latency",
 	} {
@@ -114,7 +110,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		completed:  reg.Counter("sched.jobs.completed"),
 		failed:     reg.Counter("sched.jobs.failed"),
 		rejected:   reg.Counter("sched.jobs.rejected"),
-		expired:    reg.Counter("sched.jobs.expired"),
 		retries:    reg.Counter("sched.jobs.retries"),
 		preempted:  reg.Counter("sched.jobs.preempted"),
 		steals:     reg.Counter("sched.work.steals"),
@@ -130,7 +125,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 
 		streamBlocks:    reg.Counter("sched.stream.blocks"),
 		streamSnapshots: reg.Counter("sched.stream.snapshots"),
-		streamShed:      reg.Counter("sched.stream.shed"),
 		streamFold:      reg.Histogram("sched.stream.fold_seconds"),
 		streamSnap:      reg.Histogram("sched.stream.snapshot_seconds"),
 	}
@@ -150,8 +144,7 @@ type Server struct {
 	rankChans []chan rankCmd
 
 	// mu guards the scheduling state below. Lock order: mu may be held
-	// while taking a queue's internal lock, never the reverse; queue
-	// onDrop callbacks therefore run with both held and must not block.
+	// while taking a queue's internal lock, never the reverse.
 	mu            sync.Mutex
 	workCond      *sync.Cond // signaled whenever work may be available
 	workGen       uint64     // bumped on every signal; runners re-check
@@ -259,15 +252,6 @@ func (s *Server) World() *mpi.World { return s.world }
 func (s *Server) addQueuedLocked(delta int) {
 	s.queuedN += delta
 	s.metrics.queueDepth.Set(float64(s.queuedN))
-}
-
-// queueDrop observes a job a partition queue completed itself (expired
-// at pop time). Runs with s.mu and the queue lock held — every
-// queue mutation goes through the scheduler lock — so it only adjusts
-// counters and resolves the future.
-func (s *Server) queueDrop(j *Job, err error) {
-	s.addQueuedLocked(-1)
-	s.fail(j, err)
 }
 
 // Submit validates and enqueues a job, returning its future. Typed

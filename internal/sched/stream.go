@@ -10,7 +10,6 @@ import (
 	"gridqr/internal/matrix"
 	"gridqr/internal/mpi"
 	"gridqr/internal/stream"
-	"gridqr/internal/telemetry"
 )
 
 // ErrStreamClosed rejects ingest and snapshot calls after StreamJob.Close.
@@ -43,32 +42,29 @@ type StreamJob struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signaled on commit, failure and close
 
-	// states are the authoritative committed per-member folder states;
+	// folders are the authoritative committed per-member folders;
 	// rounds run on clones. Nil until the first round commits.
-	states    []*stream.State
+	folders   []*stream.Folder
 	ingested  int // blocks accepted by Ingest
 	cursor    int // blocks folded and committed
 	rounds    int // rounds committed
 	snapshots int // snapshot barriers served
 	retries   int // round re-dispatches after retryable failures, over the stream's life
-	shed      int // snapshot requests shed at their deadline
 	snapReqs  []*snapshotReq
-	active    bool              // a round job is queued or in flight
-	curGate   *core.PreemptGate // in-flight round's gate, for deadline shed
-	failed    error             // terminal error; nil while healthy
+	active    bool  // a round job is queued or in flight
+	failed    error // terminal error; nil while healthy
 	closed    bool
 }
 
-// snapshotReq is one waiting Snapshot call. resolved flips exactly once
-// under the stream's mutex; done closes after.
+// snapshotReq is one waiting Snapshot call. It sits in exactly one
+// list — the stream's pending sj.snapReqs or one dispatched round's
+// ex.snapReqs — until it is resolved; done closes after.
 type snapshotReq struct {
 	done     chan struct{}
-	resolved bool
 	r        *matrix.Dense
 	blocks   int
 	counters mpi.CounterSnapshot
 	err      error
-	timer    *time.Timer
 }
 
 // StreamSnapshot is one served snapshot barrier.
@@ -93,12 +89,10 @@ type StreamStats struct {
 	Rounds    int // rounds committed
 	Snapshots int // snapshot barriers served
 	Retries   int // round re-dispatches after retryable failures, cumulative like the rest
-	Shed      int // snapshot requests shed at their deadline
 }
 
 // SubmitStream validates the spec and opens a stream. spec.Kind must be
-// KindStream (zero-value specs get it set); spec.Deadline, if nonzero,
-// bounds each snapshot request.
+// KindStream (zero-value specs get it set).
 func (s *Server) SubmitStream(spec JobSpec) (*StreamJob, error) {
 	spec.Kind = KindStream
 	if s.closed.Load() {
@@ -139,10 +133,7 @@ func (sj *StreamJob) Ingest(blocks int) error {
 }
 
 // Snapshot blocks until a snapshot barrier covering every block
-// ingested before the call has run, and returns its global R. With a
-// spec deadline, a request not served in time returns
-// ErrDeadlineExceeded and the in-flight round is cut at its next block
-// boundary — committed folds are kept, so shedding loses nothing.
+// ingested before the call has run, and returns its global R.
 func (sj *StreamJob) Snapshot() (*StreamSnapshot, error) {
 	sj.mu.Lock()
 	if err := sj.usableLocked(); err != nil {
@@ -151,9 +142,6 @@ func (sj *StreamJob) Snapshot() (*StreamSnapshot, error) {
 	}
 	req := &snapshotReq{done: make(chan struct{})}
 	sj.snapReqs = append(sj.snapReqs, req)
-	if sj.spec.Deadline > 0 {
-		req.timer = time.AfterFunc(sj.spec.Deadline, func() { sj.shedReq(req) })
-	}
 	sj.mu.Unlock()
 	sj.s.ensureStreamRound(sj)
 	<-req.done
@@ -197,15 +185,7 @@ func (sj *StreamJob) Stats() StreamStats {
 		Rounds:    sj.rounds,
 		Snapshots: sj.snapshots,
 		Retries:   sj.retries,
-		Shed:      sj.shed,
 	}
-}
-
-// Err returns the stream's terminal error, nil while healthy.
-func (sj *StreamJob) Err() error {
-	sj.mu.Lock()
-	defer sj.mu.Unlock()
-	return sj.failed
 }
 
 // usableLocked gates new work onto the stream. Caller holds sj.mu.
@@ -221,41 +201,9 @@ func (sj *StreamJob) usableLocked() error {
 	return nil
 }
 
-// shedReq expires one snapshot request at its deadline: the waiter
-// completes typed, and the in-flight round (if any) is asked to stop at
-// its next block boundary so the partition yields cleanly. Folds
-// already committed — and the round's in-progress folds, which commit
-// at the cut — are all kept.
-func (sj *StreamJob) shedReq(req *snapshotReq) {
-	sj.mu.Lock()
-	if req.resolved {
-		sj.mu.Unlock()
-		return
-	}
-	req.resolved = true
-	req.err = ErrDeadlineExceeded
-	for i, o := range sj.snapReqs {
-		if o == req {
-			sj.snapReqs = append(sj.snapReqs[:i], sj.snapReqs[i+1:]...)
-			break
-		}
-	}
-	sj.shed++
-	gate := sj.curGate
-	sj.mu.Unlock()
-	sj.s.metrics.streamShed.Inc()
-	sj.s.metrics.expired.Inc()
-	sj.s.obs.reg.CounterL("sched.rejections",
-		telemetry.Labels{"reason": rejectReason(ErrDeadlineExceeded)}).Inc()
-	close(req.done)
-	if gate != nil {
-		gate.Request()
-	}
-}
-
 // buildRound fixes one round's parameters at dispatch time: the block
 // window [cursor, ingested), the pending snapshot requests, and the
-// per-member state clones the round will mutate. Called from
+// per-member folder clones the round will mutate. Called from
 // buildExecLocked (s.mu held); takes sj.mu briefly (lock order: s.mu
 // then sj.mu, never the reverse).
 func (sj *StreamJob) buildRound(ex *jobExec) {
@@ -267,15 +215,17 @@ func (sj *StreamJob) buildRound(ex *jobExec) {
 	count := sj.ingested - sj.cursor
 	ex.snapReqs = sj.snapReqs
 	sj.snapReqs = nil
-	clones := make([]*stream.State, p)
+	clones := make([]*stream.Folder, p)
 	for i := range clones {
-		if sj.states == nil {
-			clones[i] = stream.NewState(sj.spec.N, 0, sj.s.hasData)
-		} else {
-			clones[i] = sj.states[i].Clone()
+		switch {
+		case sj.folders != nil:
+			clones[i] = sj.folders[i].Clone()
+		case sj.s.hasData:
+			clones[i] = stream.NewFolder(sj.spec.N, 0)
+		default:
+			clones[i] = stream.NewCostFolder(sj.spec.N, 0)
 		}
 	}
-	sj.curGate = gate
 	snap := len(ex.snapReqs) > 0
 	sj.mu.Unlock()
 	ex.round = &stream.Round{
@@ -285,9 +235,8 @@ func (sj *StreamJob) buildRound(ex *jobExec) {
 		Count:     count,
 		Snapshot:  snap,
 		Gate:      gate,
-		Cfg:       core.Config{Tree: core.TreeGrid},
 	}
-	ex.streamStates = clones
+	ex.folders = clones
 	ex.gate = gate // Reconfigure's retire path requests ex.gate
 }
 
@@ -309,7 +258,7 @@ func (s *Server) ensureStreamRound(sj *StreamJob) {
 }
 
 // finishStreamRound is the runner's stream epilogue: commit the round's
-// state clones and resolve its snapshot waiters on success, or roll
+// folder clones and resolve its snapshot waiters on success, or roll
 // back and retry (or fail the stream) on error. A preempted round
 // commits the blocks it folded before the cut — the gate's latched
 // agreement makes the count identical on every rank — and requeues the
@@ -321,12 +270,11 @@ func (s *Server) finishStreamRound(ex *jobExec, out execOutcome, service time.Du
 
 	if out.err != nil {
 		// Roll back: the dispatched clones die with the round. The
-		// committed states still hold every block before cursor, and the
+		// committed folders still hold every block before cursor, and the
 		// round's blocks rematerialize from the seed on retry — zero
 		// blocks lost.
 		sj.mu.Lock()
-		sj.curGate = nil
-		sj.snapReqs = append(pendingReqs(ex.snapReqs), sj.snapReqs...)
+		sj.snapReqs = append(ex.snapReqs, sj.snapReqs...)
 		sj.mu.Unlock()
 		s.failOrRetry(j, out.err)
 		return
@@ -349,28 +297,23 @@ func (s *Server) finishStreamRound(ex *jobExec, out execOutcome, service time.Du
 	}
 	var resolve []*snapshotReq
 	sj.mu.Lock()
-	sj.states = ex.streamStates
+	sj.folders = ex.folders
 	sj.cursor = rd.From + folded
 	sj.rounds++
-	sj.curGate = nil
 	if snapped {
 		sj.snapshots++
 		for _, req := range ex.snapReqs {
-			if req.resolved {
-				continue
-			}
-			req.resolved = true
 			req.blocks = sj.cursor
 			req.counters = out.counters
 			if out.leader.r != nil {
 				req.r = out.leader.r.Clone()
 			}
-			resolve = append(resolve, req)
 		}
+		resolve = ex.snapReqs
 	} else {
-		// The barrier did not run (preempted, or every waiter was shed
-		// before dispatch): surviving waiters go back for the next round.
-		sj.snapReqs = append(pendingReqs(ex.snapReqs), sj.snapReqs...)
+		// The barrier did not run (preempted): its waiters go back for
+		// the next round.
+		sj.snapReqs = append(ex.snapReqs, sj.snapReqs...)
 	}
 	sj.active = false
 	sj.cond.Broadcast()
@@ -390,13 +333,9 @@ func (sj *StreamJob) fail(err error) {
 	if sj.failed == nil {
 		sj.failed = err
 	}
-	var resolve []*snapshotReq
-	for _, req := range sj.snapReqs {
-		if !req.resolved {
-			req.resolved = true
-			req.err = err
-			resolve = append(resolve, req)
-		}
+	resolve := sj.snapReqs
+	for _, req := range resolve {
+		req.err = err
 	}
 	sj.snapReqs = nil
 	sj.active = false
@@ -408,21 +347,6 @@ func (sj *StreamJob) fail(err error) {
 // closeReqs wakes the waiters of resolved snapshot requests.
 func closeReqs(reqs []*snapshotReq) {
 	for _, req := range reqs {
-		if req.timer != nil {
-			req.timer.Stop()
-		}
 		close(req.done)
 	}
-}
-
-// pendingReqs filters the not-yet-resolved requests of a dispatched
-// round (deadline sheds may have resolved some mid-flight).
-func pendingReqs(reqs []*snapshotReq) []*snapshotReq {
-	var out []*snapshotReq
-	for _, req := range reqs {
-		if !req.resolved {
-			out = append(out, req)
-		}
-	}
-	return out
 }

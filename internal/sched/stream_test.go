@@ -163,65 +163,6 @@ func TestStreamCostOnly(t *testing.T) {
 	}
 }
 
-// TestStreamDeadlineShed: a snapshot request that outlives its deadline
-// is shed typed while the stream itself stays healthy — the in-flight
-// round is cut at a block boundary, committed folds are kept, and no
-// ingested block is lost.
-func TestStreamDeadlineShed(t *testing.T) {
-	g := grid.SmallTestGrid(1, 2, 2) // one partition of 4
-	spec := JobSpec{N: 4, BlockRows: 8, Seed: 7, Deadline: 25 * time.Millisecond}
-	s := Start(Config{Grid: g})
-	defer s.Close()
-	sj, err := s.SubmitStream(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Stall the first stream round long enough (pre-dispatch, under the
-	// scheduler lock) for the snapshot deadline to fire while the round
-	// is in flight.
-	stalled := false
-	s.mu.Lock()
-	s.execHook = func(ex *jobExec) {
-		if ex.round != nil && !stalled {
-			stalled = true
-			time.Sleep(120 * time.Millisecond)
-		}
-	}
-	s.mu.Unlock()
-
-	if err := sj.Ingest(4); err != nil {
-		t.Fatal(err)
-	}
-	_, err = sj.Snapshot()
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("snapshot past deadline: %v", err)
-	}
-	s.mu.Lock()
-	s.execHook = nil
-	s.mu.Unlock()
-
-	if err := sj.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	stats := sj.Stats()
-	if stats.Lost != 0 || stats.Folded != 4 || stats.Shed != 1 {
-		t.Fatalf("stats after shed = %+v", stats)
-	}
-	// The stream still serves: a fresh snapshot (rounds are fast now)
-	// matches the one-shot reference bitwise.
-	snap, err := sj.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := oneShotStream(t, g, JobSpec{N: 4, BlockRows: 8, Seed: 7}, 4); !bitwiseEqual(snap.R, want) {
-		t.Fatal("post-shed R differs from one-shot")
-	}
-	if s.SLO().StreamShed != 1 {
-		t.Fatalf("SLO shed = %d", s.SLO().StreamShed)
-	}
-}
-
 // TestStreamFaultZeroLostBlocks: a rank killed mid-stream fails the
 // round; the rollback discards the round's clones and the retry — on a
 // surviving same-size partition — refolds the round's blocks from the

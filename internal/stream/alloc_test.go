@@ -35,12 +35,12 @@ func TestRoundIngestAllocations(t *testing.T) {
 	// on a panel boundary allocates the clone's R and no panel.
 	const rounds = 8
 	f.pushShard(seed, (blocks+1)*blockRows, (blocks+2)*blockRows, 0, p) // onto a panel boundary
-	st := &State{F: f}
+	cur := f
 	runtime.ReadMemStats(&before)
 	for r := 0; r < rounds; r++ {
 		b := blocks + 2 + 2*r
-		st = st.Clone()
-		st.F.pushShard(seed, b*blockRows, (b+2)*blockRows, 0, p)
+		cur = cur.Clone()
+		cur.pushShard(seed, b*blockRows, (b+2)*blockRows, 0, p)
 	}
 	runtime.ReadMemStats(&after)
 	perRound := (after.TotalAlloc - before.TotalAlloc) / rounds

@@ -9,28 +9,6 @@ import (
 	"gridqr/internal/mpi"
 )
 
-// State is one rank's stream state between rounds: just the folder.
-// The serving layer keeps the authoritative State outside the ranks and
-// dispatches clones into each round, committing the clones back only
-// when the whole round succeeds — so a round that dies mid-flight rolls
-// back for free (the checkpoint *is* the running R).
-type State struct {
-	F *Folder
-}
-
-// NewState returns a fresh stream state for n columns. data selects the
-// data-mode folder; cost-only worlds carry counters only. panelRows 0
-// means DefaultPanelRows(n).
-func NewState(n, panelRows int, data bool) *State {
-	if data {
-		return &State{F: NewFolder(n, panelRows)}
-	}
-	return &State{F: NewCostFolder(n, panelRows)}
-}
-
-// Clone deep-copies the state.
-func (s *State) Clone() *State { return &State{F: s.F.Clone()} }
-
 // Round describes one dispatch of stream work to a partition: fold
 // Count consecutive blocks starting at block From, then (optionally)
 // run the snapshot barrier. Rounds are the preemption and fault
@@ -51,9 +29,6 @@ type Round struct {
 	// stages are 1..Count for the folds and Count+1 for the snapshot.
 	// All ranks of the round must share the gate object.
 	Gate *core.PreemptGate
-	// Cfg configures the snapshot's reduction tree (core.Config zero
-	// value = the grid-tuned tree, one domain per process).
-	Cfg core.Config
 }
 
 // RoundResult is one rank's outcome of a round.
@@ -80,10 +55,9 @@ type RoundResult struct {
 // of committed rounds — whatever the round boundaries, preemptions or
 // retries — is bitwise identical to folding the prefix in one round,
 // because the folder's kernel sequence depends only on total rows.
-func RunRound(comm *mpi.Comm, st *State, rd Round) *RoundResult {
+func RunRound(comm *mpi.Comm, f *Folder, rd Round) *RoundResult {
 	ctx := comm.Ctx()
 	me, p := comm.Rank(), comm.Size()
-	f := st.F
 	n := f.N()
 	f.OnFold = func(rows int, merged bool) {
 		ctx.Kernel("geqrf", flops.GEQRF(rows, n), n, nil)
@@ -120,7 +94,7 @@ func RunRound(comm *mpi.Comm, st *State, rd Round) *RoundResult {
 	}
 	start := time.Now()
 	r := f.SnapshotLocal() // nil in cost-only mode; SnapshotR handles both
-	res.R = core.SnapshotR(comm, r, n, rd.Cfg)
+	res.R = core.SnapshotR(comm, r, n, core.Config{})
 	res.SnapTime = time.Since(start)
 	return res
 }

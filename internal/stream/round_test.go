@@ -22,9 +22,12 @@ func runPlan(t *testing.T, g *grid.Grid, n int, rounds []Round, opts ...mpi.Opti
 	var r *matrix.Dense
 	w.Run(func(ctx *mpi.Ctx) {
 		comm := mpi.WorldComm(ctx)
-		st := NewState(n, 0, ctx.HasData())
+		f := NewCostFolder(n, 0)
+		if ctx.HasData() {
+			f = NewFolder(n, 0)
+		}
 		for _, rd := range rounds {
-			if res := RunRound(comm, st, rd); res.R != nil {
+			if res := RunRound(comm, f, rd); res.R != nil {
 				mu.Lock()
 				r = res.R
 				mu.Unlock()
@@ -113,8 +116,8 @@ func TestRoundPreemptResume(t *testing.T) {
 	foldedBy := make(map[int]int)
 	w.Run(func(ctx *mpi.Ctx) {
 		comm := mpi.WorldComm(ctx)
-		st := NewState(n, 0, true)
-		res := RunRound(comm, st, Round{
+		f := NewFolder(n, 0)
+		res := RunRound(comm, f, Round{
 			Seed: seed, BlockRows: blockRows, Count: blocks, Snapshot: true, Gate: gate,
 		})
 		mu.Lock()
@@ -124,7 +127,7 @@ func TestRoundPreemptResume(t *testing.T) {
 			t.Errorf("rank %d: preempted=%v R=%v", ctx.Rank(), res.Preempted, res.R)
 		}
 		// Resume: fold the rest, then snapshot.
-		res2 := RunRound(comm, st, Round{
+		res2 := RunRound(comm, f, Round{
 			Seed: seed, BlockRows: blockRows, From: res.Folded, Count: blocks - res.Folded, Snapshot: true,
 		})
 		if res2.R != nil {
@@ -158,13 +161,13 @@ func TestRoundFaultRollback(t *testing.T) {
 		{Seed: seed, BlockRows: blockRows, From: 3, Count: 2, Snapshot: true},
 	})
 
-	// Committed per-rank states after the first (successful) round.
-	states := make([]*State, g.Procs())
+	// Committed per-rank folders after the first (successful) round.
+	folders := make([]*Folder, g.Procs())
 	w1 := mpi.NewWorld(g)
 	w1.Run(func(ctx *mpi.Ctx) {
-		st := NewState(n, 0, true)
-		RunRound(mpi.WorldComm(ctx), st, Round{Seed: seed, BlockRows: blockRows, Count: 3})
-		states[ctx.Rank()] = st
+		f := NewFolder(n, 0)
+		RunRound(mpi.WorldComm(ctx), f, Round{Seed: seed, BlockRows: blockRows, Count: 3})
+		folders[ctx.Rank()] = f
 	})
 
 	// Second round dispatched on clones; rank 2 dies, the snapshot
@@ -181,7 +184,7 @@ func TestRoundFaultRollback(t *testing.T) {
 				failures.Store(ctx.Rank(), p)
 			}
 		}()
-		clone := states[ctx.Rank()].Clone()
+		clone := folders[ctx.Rank()].Clone()
 		RunRound(mpi.WorldComm(ctx), clone, Round{
 			Seed: seed, BlockRows: blockRows, From: 3, Count: 2, Snapshot: true,
 		})
@@ -192,12 +195,12 @@ func TestRoundFaultRollback(t *testing.T) {
 		t.Fatal("fault plan injected no failure")
 	}
 
-	// Retry the round from the committed states on a fresh world.
+	// Retry the round from the committed folders on a fresh world.
 	var mu sync.Mutex
 	var got *matrix.Dense
 	w3 := mpi.NewWorld(g)
 	w3.Run(func(ctx *mpi.Ctx) {
-		clone := states[ctx.Rank()].Clone()
+		clone := folders[ctx.Rank()].Clone()
 		res := RunRound(mpi.WorldComm(ctx), clone, Round{
 			Seed: seed, BlockRows: blockRows, From: 3, Count: 2, Snapshot: true,
 		})
