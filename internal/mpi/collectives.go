@@ -89,13 +89,22 @@ func (c *Comm) AllreduceOverlap(data []float64, op Op, spare func()) []float64 {
 // every receive. A cost-only world's contributions are zeros that no
 // caller reads, so it walks the same tree with sized nil payloads —
 // same messages, bytes and spare points — skips the copy and the op,
-// and hands the caller its own slice back.
+// and hands the caller its own slice back. On the event engine, with no
+// fault plan and no spare hook, nothing observes the individual
+// messages either: the members meet at one rendezvous
+// (eventEngine.allreduce) that prices the same 2(P−1) messages
+// arithmetically and leaves every clock, wait, counter and span as this
+// walk would.
 func (c *Comm) allreduce(data []float64, op Op, spare func()) []float64 {
 	n := c.Size()
 	if n == 1 {
 		return data
 	}
 	defer c.ctx.Phase("allreduce")()
+	if e, ok := c.ctx.world.eng.(*eventEngine); ok && c.ctx.world.plan == nil && spare == nil {
+		e.allreduce(c, len(data))
+		return data
+	}
 	me, size := c.rank, len(data)
 	carry := c.ctx.world.hasData
 	acc := data

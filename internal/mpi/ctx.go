@@ -57,11 +57,11 @@ func (c *Ctx) Now() float64 {
 	return time.Since(c.world.start).Seconds()
 }
 
-// tracing reports whether this rank records structured spans: a traced
+// tracing reports whether the world records structured spans: a traced
 // virtual world (the trace model is driven by the simulated clock). The
 // collector behind the check is either the unbounded Trace or a bounded
 // Ring; span-writing sites below do not care which.
-func (c *Ctx) tracing() bool { return c.world.collector != nil && c.world.virtual }
+func (w *World) tracing() bool { return w.collector != nil && w.virtual }
 
 // Phase opens a named algorithm-phase span on this rank's track and
 // returns its closer:
@@ -71,7 +71,7 @@ func (c *Ctx) tracing() bool { return c.world.collector != nil && c.world.virtua
 // Phases nest and overlay the compute/wait timeline in trace viewers; on
 // an untraced (or real-mode) world the call is a cheap no-op.
 func (c *Ctx) Phase(name string) func() {
-	if !c.tracing() {
+	if !c.world.tracing() {
 		return func() {}
 	}
 	c.world.collector.BeginPhase(c.rank, name, c.world.clocks[c.rank])
@@ -88,7 +88,7 @@ func (c *Ctx) maybeDie() {
 		return
 	}
 	if k, ok := plan.killAt[c.rank]; ok && c.world.fstate[c.rank].ops >= k {
-		if c.tracing() {
+		if c.world.tracing() {
 			now := c.world.clocks[c.rank]
 			c.world.collector.Add(telemetry.Span{Rank: c.rank, Kind: telemetry.EventFault,
 				Start: now, End: now, Peer: -1, Link: telemetry.LinkNone, FlowSeq: -1,
@@ -126,7 +126,7 @@ func (c *Ctx) Kernel(name string, flopCount float64, panelN int, body func()) {
 	start := c.world.clocks[c.rank]
 	c.world.clocks[c.rank] = start + dur
 	c.world.compute[c.rank] += dur
-	if c.tracing() && dur > 0 {
+	if c.world.tracing() && dur > 0 {
 		// Zero-flop charges (degenerate panel shapes) advance nothing and
 		// would only clutter the trace with zero-duration spans.
 		c.world.collector.Add(telemetry.Span{Rank: c.rank, Kind: telemetry.SpanCompute,
@@ -162,8 +162,7 @@ func (c *Ctx) sendE(to int, comm string, tag int, data []float64, bytes float64)
 	st := c.world.fstate[c.rank]
 	st.ops++
 	w := c.world
-	from, dst := w.cluster[c.rank], w.cluster[to]
-	link, class := w.g.Link(from, w.node[c.rank], dst, w.node[to])
+	link, class := w.g.Link(w.cluster[c.rank], w.node[c.rank], w.cluster[to], w.node[to])
 	var extra float64 // fault-induced seconds on top of the link cost
 	if plan := c.world.plan; plan != nil {
 		for ri := range plan.rules {
@@ -211,32 +210,45 @@ func (c *Ctx) sendE(to int, comm string, tag int, data []float64, bytes float64)
 			c.noteFault("retransmit", to, class, float64(attempt+1))
 		}
 	}
-	c.world.counters.record(class, from, dst, bytes)
-	rc := &c.world.rankCounts[c.rank]
-	rc.PerClass[class].Msgs++
-	rc.PerClass[class].Bytes += bytes
-	if m := c.world.metrics; m != nil {
-		m.msgs[class].Inc()
-		m.bytes[class].Add(bytes)
-		m.msgSize[class].Observe(bytes)
-	}
-	seq := c.world.sendSeq[c.rank]
-	c.world.sendSeq[c.rank]++
-	m := message{from: c.rank, seq: seq, comm: comm, tag: tag, data: data, bytes: bytes, class: int(class)}
-	if c.world.virtual {
-		now := c.world.clocks[c.rank]
-		m.arrival = now + extra + link.TransferTime(bytes)
-		if c.tracing() {
-			c.world.collector.Add(telemetry.Span{Rank: c.rank, Kind: telemetry.EventSend,
-				Start: now, End: now, Peer: to, Bytes: bytes, Tag: tag,
-				Link: int8(class), CrossSite: class == grid.InterCluster,
-				FlowFrom: c.rank, FlowSeq: seq})
-		}
-	} else if extra > 0 {
+	m := c.world.post(c.rank, to, link, class, comm, tag, data, bytes, extra)
+	if !c.world.virtual && extra > 0 {
 		time.Sleep(time.Duration(extra * float64(time.Second)))
 	}
 	c.world.eng.deliver(to, m)
 	return nil
+}
+
+// post is the accounting every message gets, whichever transport moves
+// it: it counts the message from rank from to rank to on the sender's
+// tallies, the world's and the metrics', stamps it with the sender's next
+// sequence number and, in virtual mode, prices it — it leaves at the
+// sender's clock and arrives extra (fault) seconds plus the link's
+// transfer time later — and records the send on a traced world. sendE and
+// the event engine's allreduce rendezvous both post through here.
+func (w *World) post(from, to int, link grid.Link, class grid.LinkClass, comm string, tag int, data []float64, bytes, extra float64) message {
+	w.counters.record(class, w.cluster[from], w.cluster[to], bytes)
+	rc := &w.rankCounts[from]
+	rc.PerClass[class].Msgs++
+	rc.PerClass[class].Bytes += bytes
+	if m := w.metrics; m != nil {
+		m.msgs[class].Inc()
+		m.bytes[class].Add(bytes)
+		m.msgSize[class].Observe(bytes)
+	}
+	seq := w.sendSeq[from]
+	w.sendSeq[from]++
+	m := message{from: from, seq: seq, comm: comm, tag: tag, data: data, bytes: bytes, class: int(class)}
+	if w.virtual {
+		now := w.clocks[from]
+		m.arrival = now + extra + link.TransferTime(bytes)
+		if w.tracing() {
+			w.collector.Add(telemetry.Span{Rank: from, Kind: telemetry.EventSend,
+				Start: now, End: now, Peer: to, Bytes: bytes, Tag: tag,
+				Link: int8(class), CrossSite: class == grid.InterCluster,
+				FlowFrom: from, FlowSeq: seq})
+		}
+	}
+	return m
 }
 
 // noteFault tallies one injected fault ("drop", "delay" or "retransmit")
@@ -263,7 +275,7 @@ func (c *Ctx) noteFault(kind string, peer int, class grid.LinkClass, value float
 			m.retransmits.Inc()
 		}
 	}
-	if c.tracing() {
+	if c.world.tracing() {
 		now := c.world.clocks[c.rank]
 		c.world.collector.Add(telemetry.Span{Rank: c.rank, Kind: telemetry.EventFault,
 			Start: now, End: now, Peer: peer, Link: int8(class),
@@ -297,24 +309,33 @@ func (c *Ctx) recvE(from int, comm string, tag int) (message, error) {
 	if err != nil || !c.world.virtual {
 		return m, err
 	}
-	if m.arrival > c.world.clocks[c.rank] {
-		start := c.world.clocks[c.rank]
-		c.world.wait[c.rank][m.class] += m.arrival - start
-		c.world.clocks[c.rank] = m.arrival
-		if c.tracing() {
-			c.world.collector.Add(telemetry.Span{Rank: c.rank, Kind: telemetry.SpanWait,
-				Start: start, End: m.arrival, Peer: from, Bytes: m.bytes, Tag: tag,
+	c.world.land(c.rank, m)
+	return m, nil
+}
+
+// land is the receiving half of post: in virtual mode it advances rank's
+// clock to m's arrival, attributing the idle gap to the link class m
+// traversed, and records the wait (or, when m beat the receiver, the
+// bare receive) on a traced world. recvE and the allreduce rendezvous
+// both land every message through here.
+func (w *World) land(rank int, m message) {
+	if m.arrival > w.clocks[rank] {
+		start := w.clocks[rank]
+		w.wait[rank][m.class] += m.arrival - start
+		w.clocks[rank] = m.arrival
+		if w.tracing() {
+			w.collector.Add(telemetry.Span{Rank: rank, Kind: telemetry.SpanWait,
+				Start: start, End: m.arrival, Peer: m.from, Bytes: m.bytes, Tag: m.tag,
 				Link: int8(m.class), CrossSite: grid.LinkClass(m.class) == grid.InterCluster,
 				FlowFrom: m.from, FlowSeq: m.seq})
 		}
-	} else if c.tracing() {
+	} else if w.tracing() {
 		// The message beat the receiver: no wait span, but the flow
 		// edge still closes here (happens-before is preserved).
-		now := c.world.clocks[c.rank]
-		c.world.collector.Add(telemetry.Span{Rank: c.rank, Kind: telemetry.EventRecv,
-			Start: now, End: now, Peer: from, Bytes: m.bytes, Tag: tag,
+		now := w.clocks[rank]
+		w.collector.Add(telemetry.Span{Rank: rank, Kind: telemetry.EventRecv,
+			Start: now, End: now, Peer: m.from, Bytes: m.bytes, Tag: m.tag,
 			Link: int8(m.class), CrossSite: grid.LinkClass(m.class) == grid.InterCluster,
 			FlowFrom: m.from, FlowSeq: m.seq})
 	}
-	return m, nil
 }

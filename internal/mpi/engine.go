@@ -25,7 +25,9 @@ import (
 // The interface is deliberately the mailbox contract: everything above
 // it (pricing, counting, fault rules, span writing, clock advancement)
 // is engine-independent, which is what the cross-engine determinism
-// tests pin down.
+// tests pin down. The one shortcut past it is the event engine's
+// allreduce rendezvous, which prices its messages through the same
+// World.post and World.land as sendE and recvE.
 type engine interface {
 	// run executes fn on every rank and blocks until all complete,
 	// reproducing World.Run's panic/kill semantics.

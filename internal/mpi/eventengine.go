@@ -29,6 +29,10 @@ import (
 //   - a rank killed by the fault plan -> its coroutine unwinds on the
 //     kill sentinel and parked receivers waiting on it are woken to
 //     re-check liveness, exactly like mailbox.wake.
+//   - a cost-only allreduce without a fault plan or a spare hook -> one
+//     rendezvous per call (allreduce below): every member but the last
+//     parks once, and the last prices the whole binomial tree and
+//     unparks them.
 type eventEngine struct {
 	w        *World
 	sched    *simnet.Scheduler
@@ -37,6 +41,7 @@ type eventEngine struct {
 	perr     []error     // pending timeout/failure resolution, read on unpark
 	poisoned bool
 
+	rvs        map[string]*rendezvous // per communicator path
 	curPending int
 	stats      EngineStats
 }
@@ -74,6 +79,7 @@ func (e *eventEngine) run(fn func(*Ctx)) {
 	e.pending = make([][]message, w.n)
 	e.waits = make([]recvWait, w.n)
 	e.perr = make([]error, w.n)
+	e.rvs = make(map[string]*rendezvous)
 	e.poisoned = false
 	e.sched.OnIdle(e.resolveIdle)
 	panics := make([]any, w.n)
@@ -132,7 +138,7 @@ func (e *eventEngine) deliver(to int, m message) {
 func (e *eventEngine) receive(rank, from int, comm string, tag int, isDead func() bool, timeout time.Duration) (message, error) {
 	for {
 		if e.poisoned {
-			panic("mpi: peer rank panicked while this rank was receiving")
+			panic(poisonedRecv)
 		}
 		if m, ok := e.match(rank, from, comm, tag); ok {
 			return m, nil
@@ -160,6 +166,83 @@ func (e *eventEngine) match(rank, from int, comm string, tag int) (message, bool
 		}
 	}
 	return message{}, false
+}
+
+// rendezvous is one communicator's allreduce meeting point, kept per
+// communicator path and reused by every allreduce on it: how many members
+// have arrived, each member's vector length, and the broadcast message
+// each member is due.
+type rendezvous struct {
+	arrived int
+	lens    []int
+	bcast   []message
+}
+
+// allreduce runs Comm.allreduce's cost-only message walk as one
+// rendezvous. Each member records its vector length and parks, as a wait
+// that poison wakes; a member that never arrives leaves the others parked
+// for the scheduler's deadlock report. The last member to arrive walks
+// the binomial tree arithmetically — the reduce level by level (mask 1, 2,
+// 4 …), then the broadcast in increasing rank order — posting and landing
+// each of the 2(P−1) messages through the same World.post and World.land
+// as sendE and recvE. Every member's sends and receives so happen in its
+// own program order, with the same float operations, so its clock, waits,
+// counters, sequence numbers and spans end exactly as the message walk
+// leaves them. It then unparks the others: one park and one dispatch per
+// waiting member instead of one per message. Nothing is queued, so
+// EngineStats.PeakPending counts no allreduce traffic; Deliveries counts
+// every message.
+func (e *eventEngine) allreduce(c *Comm, size int) {
+	if e.poisoned {
+		panic(poisonedRecv)
+	}
+	n := len(c.members)
+	rv := e.rvs[c.path]
+	if rv == nil || len(rv.lens) != n {
+		rv = &rendezvous{lens: make([]int, n), bcast: make([]message, n)}
+		e.rvs[c.path] = rv
+	}
+	rv.lens[c.rank] = size
+	if rv.arrived++; rv.arrived < n {
+		e.waits[c.ctx.rank] = recvWait{active: true, from: -1}
+		e.sched.Park()
+		if e.poisoned {
+			panic(poisonedRecv)
+		}
+		return
+	}
+	rv.arrived = 0
+	w := e.w
+	for mask := 1; mask < n; mask <<= 1 {
+		for me := mask; me < n; me += 2 * mask {
+			w.land(c.members[me-mask], e.post(c, me, me-mask, reduceTag, rv.lens[me]))
+		}
+	}
+	for me := 0; me < n; me++ {
+		if me != 0 {
+			w.land(c.members[me], rv.bcast[me])
+		}
+		for mask := 1; mask < n && me&mask == 0; mask <<= 1 {
+			if child := me | mask; child < n {
+				rv.bcast[child] = e.post(c, me, child, bcastTag, rv.lens[me])
+			}
+		}
+	}
+	for i, r := range c.members {
+		if i != c.rank {
+			e.waits[r].active = false
+			e.sched.Unpark(r)
+		}
+	}
+}
+
+// post prices and counts one rendezvous message between comm ranks of c,
+// sized by the sender's vector length.
+func (e *eventEngine) post(c *Comm, from, to, tag, size int) message {
+	w, f, t := e.w, c.members[from], c.members[to]
+	link, class := w.g.Link(w.cluster[f], w.node[f], w.cluster[t], w.node[t])
+	e.stats.Deliveries++
+	return w.post(f, t, link, class, c.path, tag, nil, 8*float64(size), 0)
 }
 
 // rankDied wakes every parked receiver waiting on the dead rank so its

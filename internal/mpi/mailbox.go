@@ -42,6 +42,10 @@ func (b *mailbox) put(m message) {
 	b.cond.Broadcast()
 }
 
+// poisonedRecv is the panic of a rank that blocks, or is blocked, after
+// a peer's body panicked, on either engine.
+const poisonedRecv = "mpi: peer rank panicked while this rank was receiving"
+
 // takeWait blocks until a message matching (from, comm, tag) is
 // available and removes it from the queue. It gives up with a
 // RankFailedError when isDead reports the sender dead and no matching
@@ -65,7 +69,7 @@ func (b *mailbox) takeWait(from int, comm string, tag int, isDead func() bool, t
 	}
 	for {
 		if b.poisoned {
-			panic("mpi: peer rank panicked while this rank was receiving")
+			panic(poisonedRecv)
 		}
 		for i, m := range b.queue {
 			if m.from == from && m.comm == comm && m.tag == tag {

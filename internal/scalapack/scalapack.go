@@ -118,13 +118,22 @@ func (p *pd) panelQR2(j0, j1, updateTo int) {
 	defer ctx.Phase("pdgeqr2.panel")()
 	local, myOff, myRows := p.in.Local, p.myOff(), p.myRows()
 	n := p.in.N
+	// A cost-only world's contributions stay zero and only their lengths
+	// reach the allreduce, which hands them back unread: every column
+	// takes them from this one buffer. A data world allocates each one.
+	data := ctx.HasData()
+	var zeros []float64
+	if !data {
+		zeros = make([]float64, max(2, updateTo-j0-1))
+	}
 	for j := j0; j < j1; j++ {
 		// Local active rows: global rows >= j. lo is clamped to myRows
 		// for ranks whose whole block is above row j (already reduced).
 		lo := min(max(0, j-myOff), myRows)
 		// --- Normalization allreduce: [sum of squares of tail, alpha] ---
-		norm := make([]float64, 2)
-		if ctx.HasData() {
+		norm := zeros
+		if data {
+			norm = make([]float64, 2)
 			for i := lo; i < myRows; i++ {
 				g := myOff + i
 				v := local.At(i, j)
@@ -135,7 +144,7 @@ func (p *pd) panelQR2(j0, j1, updateTo int) {
 				}
 			}
 		}
-		norm = p.comm.AllreduceOverlap(norm, mpi.OpSum, p.spare)
+		norm = p.comm.AllreduceOverlap(norm[:2], mpi.OpSum, p.spare)
 		var tau float64 // stays 0 in a cost-only world
 		activeRows := myRows - lo
 		ctx.Kernel("larfg", float64(3*activeRows), n, func() {
@@ -156,8 +165,9 @@ func (p *pd) panelQR2(j0, j1, updateTo int) {
 			continue // no trailing columns in range: no update reduction (Fig. 1)
 		}
 		// --- Update allreduce: w = vᵀ·A[:, j+1:updateTo] ---
-		w := make([]float64, updateTo-j-1)
-		if ctx.HasData() {
+		w := zeros
+		if data {
+			w = make([]float64, updateTo-j-1)
 			for k := j + 1; k < updateTo; k++ {
 				var s float64
 				for i := lo; i < myRows; i++ {
@@ -171,7 +181,7 @@ func (p *pd) panelQR2(j0, j1, updateTo int) {
 				w[k-j-1] = s
 			}
 		}
-		w = p.comm.AllreduceOverlap(w, mpi.OpSum, p.spare)
+		w = p.comm.AllreduceOverlap(w[:updateTo-j-1], mpi.OpSum, p.spare)
 		ctx.Kernel("larf", float64(4*activeRows*(updateTo-j-1)), n, func() {
 			if tau == 0 {
 				return

@@ -32,7 +32,6 @@ var ErrStreamClosed = errors.New("sched: stream closed")
 type StreamJob struct {
 	s    *Server
 	spec JobSpec
-	id   int64
 
 	// procs pins the partition size at the first dispatch: folding the
 	// same stream on a different size would change the strided row
@@ -106,13 +105,10 @@ func (s *Server) SubmitStream(spec JobSpec) (*StreamJob, error) {
 		s.reject(spec, err)
 		return nil, err
 	}
-	sj := &StreamJob{s: s, spec: spec, id: s.nextID.Add(1)}
+	sj := &StreamJob{s: s, spec: spec}
 	sj.cond = sync.NewCond(&sj.mu)
 	return sj, nil
 }
-
-// ID returns the stream's server-unique id (round jobs get their own).
-func (sj *StreamJob) ID() int64 { return sj.id }
 
 // Ingest appends blocks more blocks to the stream — block b covers
 // global rows [b·BlockRows, (b+1)·BlockRows) of the seeded stream — and

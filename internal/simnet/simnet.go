@@ -5,7 +5,11 @@
 // Each rank body is a runtime coroutine (iter.Pull): dispatching a proc
 // switches to its stack in place and Park switches back, with no trip
 // through the Go scheduler, so exactly one proc runs at any moment and
-// the rest are suspended where they parked. The scheduler dispatches
+// the rest are suspended where they parked. A proc gets its coroutine at
+// its first dispatch, and a coroutine whose body returned runs the next
+// proc that has not started, grown stack and all: a run makes as many
+// coroutines as it ever has started, unfinished procs, not one per proc.
+// The scheduler dispatches
 // runnable procs in (virtual clock, id) order from a binary heap, so an
 // entire run is a deterministic sequence of switches with no lock
 // contention, no condition-variable broadcast storms and no Go-scheduler
@@ -75,9 +79,18 @@ type proc struct {
 	id    int
 	key   float64 // clock at heap insertion; frozen while not running
 	state State
-	next  func() (struct{}, bool) // runs the body until it parks (true) or returns
+	co    *coro // set from the first dispatch until the body returns
+}
+
+// coro is one runtime coroutine. It runs a proc's body to its end, then
+// waits to be handed the next proc that has not started, so a run makes
+// only as many coroutines as it ever holds started, unfinished procs,
+// and a reused one keeps the stack its earlier bodies grew.
+type coro struct {
+	p     *proc
+	next  func() (bool, bool) // runs p until it parks (false) or returns (true)
 	stop  func()
-	yield func(struct{}) bool // Park's switch back to Run
+	yield func(bool) bool // Park's (false) and a finished body's (true) switch back to Run
 }
 
 // Scheduler coordinates n cooperatively scheduled procs.
@@ -86,6 +99,7 @@ type Scheduler struct {
 	procs   []*proc
 	heap    []*proc
 	running *proc
+	free    []*coro // coroutines whose body returned, ready for an unstarted proc
 	onIdle  func() bool
 	live    int
 	stats   Stats
@@ -147,10 +161,6 @@ func (s *Scheduler) Run(body func(id int)) {
 	for _, p := range s.procs {
 		p.state = StateReady
 		p.key = s.clock(p.id)
-		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-			p.yield = yield
-			body(p.id)
-		})
 		s.heapPush(p)
 	}
 	defer s.stopUnfinished()
@@ -162,16 +172,21 @@ func (s *Scheduler) Run(body func(id int)) {
 			s.deadlock()
 		}
 		p := s.heapPop()
+		if p.co == nil {
+			s.start(p, body)
+		}
 		p.state = StateRunning
 		s.running = p
 		s.stats.Dispatches++
 		s.emit(TraceEvent{Kind: "dispatch", ID: p.id, Key: p.key})
-		if _, parked := p.next(); parked {
+		if done, _ := p.co.next(); !done {
 			p.state = StateParked
 			s.stats.Parks++
 			s.emit(TraceEvent{Kind: "park", ID: p.id})
 		} else {
 			p.state = StateDone
+			s.free = append(s.free, p.co)
+			p.co = nil
 			s.live--
 			s.emit(TraceEvent{Kind: "done", ID: p.id})
 		}
@@ -182,24 +197,54 @@ func (s *Scheduler) Run(body func(id int)) {
 	}
 }
 
-// stopUnfinished ends the coroutine of every proc that is not done: a
-// suspended one unwinds from Park, one never dispatched never starts,
-// and stopping the one whose panic is leaving next is a no-op.
+// start hands p a coroutine at its first dispatch: the most recently
+// freed one, or a new one when none is free.
+func (s *Scheduler) start(p *proc, body func(id int)) {
+	if k := len(s.free); k > 0 {
+		p.co, s.free = s.free[k-1], s.free[:k-1]
+		p.co.p = p
+		return
+	}
+	co := &coro{p: p}
+	co.next, co.stop = iter.Pull(func(yield func(bool) bool) {
+		co.yield = yield
+		for {
+			body(co.p.id)
+			if !yield(true) {
+				return
+			}
+		}
+	})
+	p.co = co
+}
+
+// stopUnfinished ends every coroutine: a suspended proc's unwinds from
+// Park, a free one returns, and stopping the one whose panic is leaving
+// next is a no-op. A proc never dispatched has none and never starts.
 func (s *Scheduler) stopUnfinished() {
 	s.running = nil
 	for _, p := range s.procs {
-		if p.state != StateDone {
-			p.state = StateDone
-			func() {
-				defer func() {
-					if v := recover(); v != nil && v != (unwind{}) {
-						panic(v)
-					}
-				}()
-				p.stop()
-			}()
+		if p.state == StateDone {
+			continue
 		}
+		p.state = StateDone
+		if p.co == nil {
+			continue
+		}
+		func() {
+			defer func() {
+				if v := recover(); v != nil && v != (unwind{}) {
+					panic(v)
+				}
+			}()
+			p.co.stop()
+		}()
+		p.co = nil
 	}
+	for _, co := range s.free {
+		co.stop()
+	}
+	s.free = nil
 }
 
 // Park yields the running proc until some other proc (or the OnIdle
@@ -208,7 +253,7 @@ func (s *Scheduler) Park() {
 	if s.running == nil {
 		panic("simnet: Park outside a running proc")
 	}
-	if !s.running.yield(struct{}{}) {
+	if !s.running.co.yield(false) {
 		panic(unwind{})
 	}
 }

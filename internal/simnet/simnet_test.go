@@ -329,6 +329,25 @@ func TestPropertyRandomPrograms(t *testing.T) {
 	}
 }
 
+// TestFinishedCoroutineRunsNextProc: procs that return without parking
+// run one after another on a single coroutine — each coroutine is a
+// goroutine, so every body reads one goroutine more than before Run —
+// and none outlives Run.
+func TestFinishedCoroutineRunsNextProc(t *testing.T) {
+	before := runtime.NumGoroutine()
+	seen := make([]int, 8)
+	s := New(len(seen), func(int) float64 { return 0 })
+	s.Run(func(id int) { seen[id] = runtime.NumGoroutine() })
+	for id, g := range seen {
+		if g != before+1 {
+			t.Errorf("proc %d ran beside %d goroutines, want %d (one coroutine)", id, g, before+1)
+		}
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines %d after Run, %d before", after, before)
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	net := newTestNet(2)
 	net.s.Run(func(id int) {
