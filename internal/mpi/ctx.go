@@ -313,7 +313,7 @@ func (c *Ctx) recvE(from int, comm string, tag int) (message, error) {
 	return m, nil
 }
 
-// land is the receiving half of post: in virtual mode it advances rank's
+// land is the receiving half of post, on a virtual world: it advances rank's
 // clock to m's arrival, attributing the idle gap to the link class m
 // traversed, and records the wait (or, when m beat the receiver, the
 // bare receive) on a traced world. recvE and the allreduce rendezvous

@@ -60,7 +60,7 @@ type recvWait struct {
 type EngineStats struct {
 	Engine       string // "event" or "goroutine"
 	Deliveries   int64  // messages enqueued
-	PeakPending  int    // high-water mark of undelivered messages
+	PeakPending  int    // high-water mark of undelivered messages (an allreduce rendezvous queues none)
 	Dispatches   int64  // scheduler handoffs
 	Parks        int64  // blocking waits that actually parked
 	IdleResolves int64  // deterministic timeout resolutions
@@ -168,10 +168,9 @@ func (e *eventEngine) match(rank, from int, comm string, tag int) (message, bool
 	return message{}, false
 }
 
-// rendezvous is one communicator's allreduce meeting point, kept per
-// communicator path and reused by every allreduce on it: how many members
-// have arrived, each member's vector length, and the broadcast message
-// each member is due.
+// rendezvous is one communicator's allreduce meeting point, reused by
+// every allreduce on it: the members arrived so far, each member's vector
+// length, and the broadcast message each member is due.
 type rendezvous struct {
 	arrived int
 	lens    []int
@@ -180,25 +179,21 @@ type rendezvous struct {
 
 // allreduce runs Comm.allreduce's cost-only message walk as one
 // rendezvous. Each member records its vector length and parks, as a wait
-// that poison wakes; a member that never arrives leaves the others parked
-// for the scheduler's deadlock report. The last member to arrive walks
-// the binomial tree arithmetically — the reduce level by level (mask 1, 2,
-// 4 …), then the broadcast in increasing rank order — posting and landing
-// each of the 2(P−1) messages through the same World.post and World.land
-// as sendE and recvE. Every member's sends and receives so happen in its
-// own program order, with the same float operations, so its clock, waits,
-// counters, sequence numbers and spans end exactly as the message walk
-// leaves them. It then unparks the others: one park and one dispatch per
-// waiting member instead of one per message. Nothing is queued, so
-// EngineStats.PeakPending counts no allreduce traffic; Deliveries counts
-// every message.
+// that poison wakes (a member that never arrives leaves the others to the
+// scheduler's deadlock report). The last to arrive walks the binomial
+// tree arithmetically — the reduce level by level (mask 1, 2, 4 …), then
+// the broadcast in increasing rank order — through World.post and
+// World.land, so every member's sends and receives happen in its own
+// program order with the same float operations as on the walk, and then
+// unparks the others. Nothing is queued: PeakPending counts no allreduce
+// traffic, Deliveries counts every message.
 func (e *eventEngine) allreduce(c *Comm, size int) {
 	if e.poisoned {
 		panic(poisonedRecv)
 	}
 	n := len(c.members)
 	rv := e.rvs[c.path]
-	if rv == nil || len(rv.lens) != n {
+	if rv == nil || len(rv.lens) != n { // first use, or a label reused at another size
 		rv = &rendezvous{lens: make([]int, n), bcast: make([]message, n)}
 		e.rvs[c.path] = rv
 	}

@@ -14,12 +14,10 @@ import (
 
 // TestCostOnlyPDGEQR2Allocations bounds what a cost-only PDGEQR2 allocates
 // per message on an 8-rank grid: 2(p−1) messages per allreduce, two
-// allreduces per column. Nothing is allocated per message or per column
-// any more: the world, each rank's coroutine, communicator and panel
-// buffer, and each communicator's allreduce rendezvous come to 0.24
-// allocations per message. It was 0.78 while every column allocated its
-// two contribution vectors, and 1.56 while a cost-only allreduce copied
-// an accumulator and allocated a result.
+// allreduces per column. Nothing may be allocated per message or per
+// column: the 0.24 allocations per message left are the world's, each
+// rank coroutine's, communicator's and panel buffer's, and each
+// communicator's allreduce rendezvous.
 func TestCostOnlyPDGEQR2Allocations(t *testing.T) {
 	g := grid.SmallTestGrid(2, 2, 2)
 	m, n := 1024, 32

@@ -82,10 +82,8 @@ type proc struct {
 	co    *coro // set from the first dispatch until the body returns
 }
 
-// coro is one runtime coroutine. It runs a proc's body to its end, then
-// waits to be handed the next proc that has not started, so a run makes
-// only as many coroutines as it ever holds started, unfinished procs,
-// and a reused one keeps the stack its earlier bodies grew.
+// coro is one runtime coroutine: it runs a proc's body to its end, then
+// waits to be handed the next proc that has not started.
 type coro struct {
 	p     *proc
 	next  func() (bool, bool) // runs p until it parks (false) or returns (true)
@@ -224,22 +222,17 @@ func (s *Scheduler) start(p *proc, body func(id int)) {
 func (s *Scheduler) stopUnfinished() {
 	s.running = nil
 	for _, p := range s.procs {
-		if p.state == StateDone {
-			continue
+		if p.state != StateDone && p.co != nil {
+			func() {
+				defer func() {
+					if v := recover(); v != nil && v != (unwind{}) {
+						panic(v)
+					}
+				}()
+				p.co.stop()
+			}()
 		}
 		p.state = StateDone
-		if p.co == nil {
-			continue
-		}
-		func() {
-			defer func() {
-				if v := recover(); v != nil && v != (unwind{}) {
-					panic(v)
-				}
-			}()
-			p.co.stop()
-		}()
-		p.co = nil
 	}
 	for _, co := range s.free {
 		co.stop()
